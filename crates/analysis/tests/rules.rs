@@ -310,7 +310,7 @@ fn span_coverage_accepts_openers_runs_under_and_calls_opener() {
     assert_eq!(lines(&findings, Rule::SpanCoverage), [15], "{findings:?}");
     assert!(lines(&findings, Rule::StalePragma).is_empty());
     // Off the hot surface the rule does not apply.
-    let away = lint_source("crates/exec/src/blocked.rs", SPAN_COVERAGE);
+    let away = lint_source("crates/exec/src/simd.rs", SPAN_COVERAGE);
     assert!(lines(&away, Rule::SpanCoverage).is_empty());
 }
 

@@ -4,10 +4,10 @@
 //! and planner settings and prints the loss trajectory as raw `f64` bit
 //! patterns. `--backend a,b` selects the backends (default
 //! `reference,reference`); `--plan on,off` additionally crosses the tape
-//! planner (fusion + pack caching) against the unfused eager oracle. Every
-//! configuration is compared against the first; the process exits non-zero
-//! when any trajectory differs, so CI can assert reference ≡ blocked and
-//! planned ≡ unplanned directly.
+//! planner (deferred execution + fusion) against the unfused eager oracle.
+//! Every configuration is compared against the first; the process exits
+//! non-zero when any trajectory differs, so CI can assert reference ≡ simd
+//! and planned ≡ unplanned directly.
 
 use mega_datasets::{zinc, DatasetSpec};
 use mega_exec::{backend_by_name, Backend};
@@ -85,7 +85,7 @@ fn main() -> ExitCode {
     let mut configs: Vec<(String, Arc<dyn Backend>, bool)> = Vec::new();
     for name in &names {
         let Some(backend) = backend_by_name(name) else {
-            eprintln!("unknown backend `{name}` (expected reference, blocked, or simd)");
+            eprintln!("unknown backend `{name}` (expected reference or simd)");
             return ExitCode::FAILURE;
         };
         for &plan in &plan_flags {

@@ -1,15 +1,14 @@
 //! Dense-GEMM backend micro-benchmark and CI performance gate.
 //!
-//! Times every execution backend (reference loops, cache-blocked, SIMD)
-//! across square sizes, single-threaded (the blocking and vectorization
-//! wins are per-core, not parallelism), plus a lane-width sweep of the
+//! Times both execution backends (reference loops, SIMD) across square
+//! sizes, single-threaded (the packing and vectorization wins are
+//! per-core, not parallelism), plus a lane-width sweep of the
 //! SIMD backend's portable fallback at the gate size. Results land in
 //! `bench_results/backend_matmul.json`.
 //!
 //! Gates (process exits non-zero on violation):
 //!
-//! * blocked must beat reference on the 512×512 GEMM;
-//! * simd must be at least as fast as blocked on the 512×512 GEMM;
+//! * simd must beat reference on the 512×512 GEMM;
 //! * with `--baseline <json> [--tolerance <frac>]`, no (backend, size)
 //!   timing may regress more than the tolerance (default 15%) against the
 //!   committed baseline — the CI bench-regression gate. Timings are
@@ -20,7 +19,7 @@
 
 use mega_bench::{fmt, save_json, TableWriter};
 use mega_core::Parallelism;
-use mega_exec::{Backend, BlockedBackend, ReferenceBackend, SimdBackend};
+use mega_exec::{Backend, Epilogue, ReferenceBackend, SimdBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -48,31 +47,12 @@ struct LaneRow {
     gflops: f64,
 }
 
-/// One packed-GEMM gate row: the planner's cached-pack entry point vs the
-/// plain per-call-packing kernel on the same backend and size.
-#[derive(Serialize, Deserialize)]
-struct PackedRow {
-    backend: String,
-    unpacked_ms: f64,
-    packed_ms: f64,
-    speedup: f64,
-}
-
 #[derive(Serialize, Deserialize)]
 struct Report {
     threads: usize,
     reps: usize,
     rows: Vec<Row>,
     lane_sweep: Vec<LaneRow>,
-    packed: Vec<PackedRow>,
-}
-
-/// The slice of a baseline report the regression gate consumes. Loading
-/// through this view (extra JSON fields are ignored) keeps baselines
-/// committed before the planner existed — which lack `packed` — valid.
-#[derive(Deserialize)]
-struct BaselineReport {
-    rows: Vec<Row>,
 }
 
 /// Best-of-`REPS` wall time. The minimum is the noise-robust statistic
@@ -93,38 +73,9 @@ fn time_backend(backend: &dyn Backend, a: &[f32], b: &[f32], n: usize) -> f64 {
     let mut out = vec![0.0f32; n * n];
     best_ms(|| {
         out.iter_mut().for_each(|v| *v = 0.0);
-        backend.matmul(a, b, n, n, n, &par, &mut out);
+        backend.gemm(a, b, n, n, n, Epilogue::None, &par, &mut out);
         std::hint::black_box(&out);
     })
-}
-
-/// Best-of-`PAIRED_REPS` times of the plain kernel and the packed entry
-/// point (`b` prepacked once outside the timed region — the steady state
-/// the plan cache buys on every GEMM after the first per optimizer step).
-/// The two paths are interleaved rep-by-rep so bursty CPU steal or thermal
-/// drift lands on both alike: timing them in disjoint windows was observed
-/// to invert a ~1.2x speedup into a ~0.8x "slowdown" on noisy runners.
-fn time_packed_pair(backend: &dyn Backend, a: &[f32], b: &[f32], n: usize) -> (f64, f64) {
-    const PAIRED_REPS: usize = 11;
-    let par = Parallelism::with_threads(1);
-    let packed = backend
-        .prepack(b, n, n)
-        .expect("packing backends must prepack");
-    let mut out = vec![0.0f32; n * n];
-    let (mut unpacked_ms, mut packed_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..PAIRED_REPS {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let t = Instant::now();
-        backend.matmul(a, b, n, n, n, &par, &mut out);
-        unpacked_ms = unpacked_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        std::hint::black_box(&out);
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let t = Instant::now();
-        backend.matmul_packed(a, &packed, n, &par, &mut out);
-        packed_ms = packed_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        std::hint::black_box(&out);
-    }
-    (unpacked_ms, packed_ms)
 }
 
 fn gflops(n: usize, ms: f64) -> f64 {
@@ -203,19 +154,9 @@ fn main() -> ExitCode {
 
     let mut rng = StdRng::seed_from_u64(42);
     let simd = SimdBackend::new();
-    let backends: [(&str, &dyn Backend); 3] = [
-        ("reference", &ReferenceBackend),
-        ("blocked", &BlockedBackend),
-        ("simd", &simd),
-    ];
+    let backends: [(&str, &dyn Backend); 2] = [("reference", &ReferenceBackend), ("simd", &simd)];
 
-    let mut table = TableWriter::new(&[
-        "size",
-        "reference(ms)",
-        "blocked(ms)",
-        "simd(ms)",
-        "simd/blocked",
-    ]);
+    let mut table = TableWriter::new(&["size", "reference(ms)", "simd(ms)", "reference/simd"]);
     let mut rows = Vec::new();
     for &n in &SIZES {
         let a = square(n, &mut rng);
@@ -235,8 +176,7 @@ fn main() -> ExitCode {
             fmt(n as f64, 0),
             fmt(ms[0], 3),
             fmt(ms[1], 3),
-            fmt(ms[2], 3),
-            fmt(ms[1] / ms[2], 2),
+            fmt(ms[0] / ms[1], 2),
         ]);
     }
     table.print();
@@ -275,68 +215,24 @@ fn main() -> ExitCode {
     mega_obs::data!("\nlane-width sweep at {n}x{n}:");
     sweep_table.print();
 
-    // Packed-GEMM gate at the gate size: with `b` prepacked (what the tape
-    // planner's pack cache provides on every call after the first), the
-    // packed entry point must be at least as fast as the plain kernel that
-    // repacks per call. Compared as a within-run ratio, so the gate is
-    // machine-speed invariant; the 5% margin absorbs runner noise on a
-    // difference that is inherently small (packing is O(n^2) against the
-    // GEMM's O(n^3)).
-    let mut packed_failed = false;
-    let mut packed_rows = Vec::new();
-    let mut packed_table = TableWriter::new(&["backend", "unpacked(ms)", "packed(ms)", "speedup"]);
-    let simd_gate = SimdBackend::new();
-    let packing: [(&str, &dyn Backend); 2] = [("blocked", &BlockedBackend), ("simd", &simd_gate)];
-    for (name, backend) in packing {
-        let (unpacked_ms, packed_ms) = time_packed_pair(backend, &a, &b, n);
-        let speedup = unpacked_ms / packed_ms;
-        packed_table.row(&[
-            name.to_string(),
-            fmt(unpacked_ms, 3),
-            fmt(packed_ms, 3),
-            fmt(speedup, 3),
-        ]);
-        if packed_ms > unpacked_ms * 1.05 {
-            mega_obs::error!(
-                "FAIL: {name} packed GEMM slower than per-call packing at \
-                 {n}x{n} ({packed_ms:.3} ms vs {unpacked_ms:.3} ms)"
-            );
-            packed_failed = true;
-        }
-        packed_rows.push(PackedRow {
-            backend: name.to_string(),
-            unpacked_ms,
-            packed_ms,
-            speedup,
-        });
-    }
-    mega_obs::data!("\nplanned (prepacked) vs unplanned GEMM at {n}x{n}:");
-    packed_table.print();
-
     let reference = lookup(&rows, GATE_SIZE, "reference").expect("gate row present");
-    let blocked = lookup(&rows, GATE_SIZE, "blocked").expect("gate row present");
     let simd_ms = lookup(&rows, GATE_SIZE, "simd").expect("gate row present");
     mega_obs::data!(
-        "{GATE_SIZE}x{GATE_SIZE} gate: reference {:.3} ms, blocked {:.3} ms, simd {:.3} ms",
+        "{GATE_SIZE}x{GATE_SIZE} gate: reference {:.3} ms, simd {:.3} ms",
         reference,
-        blocked,
         simd_ms
     );
 
-    let mut failed = packed_failed;
-    if blocked >= reference {
-        mega_obs::error!("FAIL: blocked did not beat reference at {GATE_SIZE}x{GATE_SIZE}");
-        failed = true;
-    }
-    if simd_ms > blocked {
-        mega_obs::error!("FAIL: simd slower than blocked at {GATE_SIZE}x{GATE_SIZE}");
+    let mut failed = false;
+    if simd_ms >= reference {
+        mega_obs::error!("FAIL: simd did not beat reference at {GATE_SIZE}x{GATE_SIZE}");
         failed = true;
     }
 
     if let Some(path) = baseline_path {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("baseline {path} unreadable: {e}"));
-        let base: BaselineReport = serde_json::from_str(&text)
+        let base: Report = serde_json::from_str(&text)
             .unwrap_or_else(|e| panic!("baseline {path} unparsable: {e}"));
         let regs = regressions(&rows, &base.rows, tolerance);
         if regs.is_empty() {
@@ -360,7 +256,6 @@ fn main() -> ExitCode {
             reps: REPS,
             rows,
             lane_sweep,
-            packed: packed_rows,
         },
     );
     if failed {

@@ -138,7 +138,7 @@ fn main() -> ExitCode {
     let mut trajectories: Vec<(String, Vec<u64>)> = Vec::new();
     for name in &names {
         let Some(backend) = backend_by_name(name) else {
-            eprintln!("unknown backend `{name}` (expected reference, blocked, or simd)");
+            eprintln!("unknown backend `{name}` (expected reference or simd)");
             return ExitCode::FAILURE;
         };
         for &k in &counts {

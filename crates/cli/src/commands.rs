@@ -202,16 +202,13 @@ pub fn train(args: &Args) -> Result<(), String> {
     let threads = args.get_or("threads", 1usize)?;
     // Backends are bit-identical too: `sim` decorates another backend's
     // kernels with the simulated-GPU profiler and reports the launches
-    // afterwards — `sim` alone wraps the reference loops, `sim:simd` (or
-    // `sim:blocked`) wraps the named backend so simulated profiling sees
-    // the same launch shapes the accelerated run executes.
+    // afterwards — `sim` alone wraps the reference loops, `sim:simd` wraps
+    // the SIMD backend so simulated profiling sees the same launch shapes
+    // the accelerated run executes.
     let backend_name = args.get("backend").unwrap_or("reference");
     let mut sim: Option<std::sync::Arc<mega_gpu_sim::SimBackend>> = None;
     let unknown = |name: &str| {
-        format!(
-            "unknown backend `{name}` (reference | blocked | simd | sim | sim:<inner> | \
-             profiled | profiled:<inner>)"
-        )
+        format!("unknown backend `{name}` (reference | simd | sim[:inner] | profiled[:inner])")
     };
     let backend: std::sync::Arc<dyn mega_exec::Backend> = match backend_name {
         name if name == "sim" || name.starts_with("sim:") => {
@@ -233,17 +230,12 @@ pub fn train(args: &Args) -> Result<(), String> {
         }
         name => mega_exec::backend_by_name(name).ok_or_else(|| unknown(name))?,
     };
-    // The planner (op fusion + cross-step pack caching) is on by default
-    // and bit-identical to the unfused path; `--no-plan` selects the eager
-    // oracle (e.g. to A/B the planner's wall clock or counters).
-    let plan = !args.has_flag("no-plan");
     let trainer = Trainer::new(engine)
         .with_epochs(args.get_or("epochs", 5usize)?)
         .with_batch_size(args.get_or("batch", 32usize)?)
         .with_lr(args.get_or("lr", 5e-3f32)?)
         .with_parallelism(mega_core::Parallelism::with_threads(threads))
-        .with_backend(backend)
-        .with_plan(plan);
+        .with_backend(backend);
     // Passing --workers (any N >= 1, including 1) routes the run through the
     // distributed trainer, which shards each optimizer step sample-per-shard
     // and all-reduces gradients in a fixed order — the trajectory is
@@ -258,13 +250,12 @@ pub fn train(args: &Args) -> Result<(), String> {
         return Err("--workers must be at least 1".into());
     }
     info!(
-        "training {} on {} with the {} engine ({} threads, {} backend, planner {}, {} trainer)...",
+        "training {} on {} with the {} engine ({} threads, {} backend, {} trainer)...",
         kind.label(),
         ds.name,
         engine.label(),
         mega_core::Parallelism::with_threads(threads).effective_threads(),
         backend_name,
-        if plan { "on" } else { "off" },
         match workers {
             Some(k) => format!("distributed x{k}"),
             None => "serial".to_string(),
@@ -432,4 +423,23 @@ fn mega_bench_profile(
         schedules.as_deref(),
         steps,
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retired_and_unknown_backends_are_typed_errors() {
+        for name in ["blocked", "sim:blocked", "profiled:blocked", "cuda"] {
+            let args = Args::parse(["--backend", name].map(String::from));
+            let err = train(&args).expect_err("unknown backend must not train");
+            assert_eq!(
+                err,
+                format!(
+                    "unknown backend `{name}` (reference | simd | sim[:inner] | profiled[:inner])"
+                )
+            );
+        }
+    }
 }

@@ -35,21 +35,17 @@ COMMANDS:
         --dataset NAME        zinc | aqsol | csl | cycles (default zinc)
         --model NAME          gcn | gt | gat (default gcn)
         --engine NAME         dgl | mega (default mega)
-        --backend NAME        kernel backend: reference | blocked | simd |
+        --backend NAME        kernel backend: reference | simd |
                               sim[:inner] | profiled[:inner]
                               (default reference). All backends are
-                              bit-identical; `blocked` uses cache-tiled
-                              GEMMs, `sim` wraps reference and prints a
+                              bit-identical; `simd` uses vectorized
+                              kernels, `sim` wraps reference and prints a
                               simulated GTX 1080 kernel report after
                               training, `profiled` wraps another backend
                               and attributes FLOPs/bytes/time per kernel
                               into the metrics registry (see `mega report`).
         --epochs N            (default 5)   --batch N   (default 32)
         --hidden N            (default 32)  --lr F      (default 0.005)
-        --no-plan             disable the tape planner (op fusion + pack
-                              caching; on by default). Bit-identical either
-                              way — the eager path is the planner's
-                              exactness oracle.
         --threads N           CPU worker threads for preprocessing, batching
                               and tape matmuls; 0 = auto from
                               RAYON_NUM_THREADS or the hardware (default 1).

@@ -373,19 +373,14 @@ fn pct(part: u64, total: u64) -> String {
     }
 }
 
-/// Tape-planner telemetry: fusion traffic (`tensor.plan.*`), the
-/// cross-step pack cache (`exec.pack.*`), and chunk-plan reuse
-/// (`core.parallel.plan_cache.*`).
+/// Tape-planner telemetry: fusion traffic (`tensor.plan.*`) and
+/// chunk-plan reuse (`core.parallel.plan_cache.*`).
 fn render_planner(o: &mut String, snap: &Snap) {
     let deferred = snap.counter("tensor.plan.deferred");
-    let pack: Vec<u64> = ["hits", "misses", "invalidations"]
-        .map(|s| snap.counter(&format!("exec.pack.{s}")).unwrap_or(0))
-        .to_vec();
     let chunk_hits = snap.counter("core.parallel.plan_cache.hits").unwrap_or(0);
     let chunk_misses = snap.counter("core.parallel.plan_cache.misses").unwrap_or(0);
-    let has_pack = pack.iter().any(|&v| v > 0);
     let has_chunk = chunk_hits + chunk_misses > 0;
-    if deferred.is_none() && !has_pack && !has_chunk {
+    if deferred.is_none() && !has_chunk {
         return;
     }
     let _ = writeln!(o, "\n## Planner");
@@ -413,14 +408,6 @@ fn render_planner(o: &mut String, snap: &Snap) {
                 let _ = writeln!(o, "| {kind} | {count} |");
             }
         }
-    }
-    if has_pack {
-        let (h, m, inv) = (pack[0], pack[1], pack[2]);
-        let _ = writeln!(
-            o,
-            "- pack cache: {h} hits / {m} misses (hit rate {}), {inv} invalidations",
-            pct(h, h + m)
-        );
     }
     if has_chunk {
         let _ = writeln!(
@@ -752,9 +739,6 @@ mod tests {
     "core.parallel.plan_cache.hits": 5,
     "core.parallel.plan_cache.misses": 1,
     "core.traversal.hot_nodes": 3,
-    "exec.pack.hits": 9,
-    "exec.pack.invalidations": 3,
-    "exec.pack.misses": 3,
     "exec.pool.hits": 6,
     "exec.pool.misses": 2,
     "exec.profiled.matmul.bytes": 3145728,
@@ -820,10 +804,6 @@ mod tests {
         );
         assert!(md.contains("| linear_relu | 4 |"), "{md}");
         assert!(md.contains("| axpy | 1 |"), "{md}");
-        assert!(
-            md.contains("- pack cache: 9 hits / 3 misses (hit rate 75.0%), 3 invalidations"),
-            "{md}"
-        );
         assert!(
             md.contains("- chunk-plan cache: 5 hits / 1 misses (reuse rate 83.3%)"),
             "{md}"

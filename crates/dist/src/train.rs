@@ -13,10 +13,9 @@
 //! construction — the same ownership argument the band engine's chunk
 //! merge uses, applied to the optimizer boundary.
 //!
-//! Workers keep their own persistent [`BufferPool`] and [`PackCache`]
-//! (invalidated at every optimizer boundary, mirroring the single-process
-//! pack invariant); pooling is content-neutral, so which worker computes a
-//! shard never affects its bits.
+//! Workers keep their own persistent [`BufferPool`]; pooling is
+//! content-neutral, so which worker computes a shard never affects its
+//! bits.
 //!
 //! Note the distributed trajectory is *not* bit-compared against
 //! [`Trainer`]: batch normalization couples samples through column
@@ -26,7 +25,7 @@
 //! worker-count invariance at fixed sharding.
 
 use mega_datasets::{Dataset, GraphSample, Task};
-use mega_exec::{BufferPool, PackCache};
+use mega_exec::BufferPool;
 use mega_gnn::nn::Binder;
 use mega_gnn::{cost, metrics};
 use mega_gnn::{
@@ -46,12 +45,6 @@ struct ShardMsg {
     loss: f64,
     metric: f64,
     grads: Vec<(ParamId, Tensor)>,
-}
-
-/// Per-worker persistent execution state, kept across optimizer steps.
-struct WorkerCtx {
-    pool: Arc<BufferPool>,
-    pack_cache: Arc<PackCache>,
 }
 
 /// Trains with `workers` gradient workers and a deterministic all-reduce.
@@ -107,15 +100,12 @@ impl DistTrainer {
         store: &ParamStore,
         batch: &Batch,
         task: Task,
-        ctx: &WorkerCtx,
+        pool: &Arc<BufferPool>,
         want_grads: bool,
     ) -> (f64, f64, Vec<(ParamId, Tensor)>) {
-        let mut tape = Tape::with_exec(self.inner.backend.clone(), ctx.pool.clone());
+        let mut tape = Tape::with_exec(self.inner.backend.clone(), pool.clone());
         tape.set_parallelism(self.inner.parallelism);
-        if self.inner.plan {
-            tape.set_planning(true);
-            tape.set_pack_cache(ctx.pack_cache.clone());
-        }
+        tape.set_planning(self.inner.plan);
         let mut binder = Binder::new();
         let pred = model.forward(&mut tape, &mut binder, store, batch);
         let loss = model.loss(&mut tape, pred, batch, task);
@@ -145,21 +135,21 @@ impl DistTrainer {
         store: &ParamStore,
         shards: &[Batch],
         task: Task,
-        ctxs: &[WorkerCtx],
+        pools: &[Arc<BufferPool>],
         want_grads: bool,
     ) -> Vec<ShardMsg> {
-        let k = ctxs.len();
+        let k = pools.len();
         let (tx, rx) = channel::<ShardMsg>();
         let mut slots: Vec<Option<ShardMsg>> = Vec::new();
         slots.resize_with(shards.len(), || None);
         std::thread::scope(|s| {
-            for (w, ctx) in ctxs.iter().enumerate() {
+            for (w, pool) in pools.iter().enumerate() {
                 let tx = tx.clone();
                 s.spawn(move || {
                     for (shard, batch) in shards.iter().enumerate().skip(w).step_by(k) {
                         let t = mega_obs::timer();
                         let (loss, metric, grads) =
-                            self.run_shard(model, store, batch, task, ctx, want_grads);
+                            self.run_shard(model, store, batch, task, pool, want_grads);
                         t.observe("dist.train.shard_ns");
                         tx.send(ShardMsg {
                             shard,
@@ -194,9 +184,9 @@ impl DistTrainer {
         store: &ParamStore,
         shards: &[Batch],
         task: Task,
-        ctxs: &[WorkerCtx],
+        pools: &[Arc<BufferPool>],
     ) -> (f64, f64) {
-        let results = self.scatter_gather(model, store, shards, task, ctxs, false);
+        let results = self.scatter_gather(model, store, shards, task, pools, false);
         let mut loss_sum = 0.0f64;
         let mut metric_sum = 0.0f64;
         for msg in &results {
@@ -263,11 +253,8 @@ impl DistTrainer {
         // training instead (`export_pool_gauges`), keeping the deterministic
         // snapshot worker-count invariant in what it *carries*, if not in
         // every value (per-pool caps adapt to per-worker demand).
-        let ctxs: Vec<WorkerCtx> = (0..self.workers)
-            .map(|_| WorkerCtx {
-                pool: Arc::new(BufferPool::quiet()),
-                pack_cache: Arc::new(PackCache::default()),
-            })
+        let pools: Vec<Arc<BufferPool>> = (0..self.workers)
+            .map(|_| Arc::new(BufferPool::quiet()))
             .collect();
 
         let mut records = Vec::with_capacity(t.epochs);
@@ -307,7 +294,7 @@ impl DistTrainer {
                 let t_fwd = mega_obs::Stopwatch::start();
                 let results = {
                     let _s = mega_obs::span("forward");
-                    self.scatter_gather(&model, &store, group, task, &ctxs, true)
+                    self.scatter_gather(&model, &store, group, task, &pools, true)
                 };
                 phases.forward += t_fwd.elapsed().as_secs_f64();
                 // Deterministic all-reduce: every shard's gradient folded
@@ -334,13 +321,6 @@ impl DistTrainer {
                     pre_clip
                 };
                 phases.optimizer += t_opt.elapsed().as_secs_f64();
-                // Optimizer boundary: parameters changed, every worker's
-                // cached packs are stale.
-                if t.plan {
-                    for ctx in &ctxs {
-                        ctx.pack_cache.invalidate();
-                    }
-                }
                 step += 1;
                 steps_this_epoch += 1;
                 // NaN/Inf sentinel, mirroring the single-process trainer: a
@@ -374,7 +354,7 @@ impl DistTrainer {
             let t_eval = mega_obs::Stopwatch::start();
             let (val_loss, val_metric) = {
                 let _s = mega_obs::span("evaluate");
-                self.evaluate(&model, &store, &val_shards, task, &ctxs)
+                self.evaluate(&model, &store, &val_shards, task, &pools)
             };
             phases.evaluate = t_eval.elapsed().as_secs_f64();
             sim_clock += epoch_sim_seconds;
@@ -405,7 +385,7 @@ impl DistTrainer {
         let (test_loss, test_metric) = {
             let _s = mega_obs::span("evaluate");
             let test_shards = self.build_shards(&dataset.test);
-            self.evaluate(&model, &store, &test_shards, task, &ctxs)
+            self.evaluate(&model, &store, &test_shards, task, &pools)
         };
 
         // The worker pools are quiet (see above): fold their per-class
@@ -416,8 +396,8 @@ impl DistTrainer {
         if mega_obs::enabled() {
             let mut agg: std::collections::BTreeMap<u32, (u64, u64, u64)> =
                 std::collections::BTreeMap::new();
-            for ctx in &ctxs {
-                for s in ctx.pool.class_stats() {
+            for pool in &pools {
+                for s in pool.class_stats() {
                     let e = agg.entry(s.class).or_default();
                     e.0 += s.resident_bytes;
                     e.1 += s.resident_hwm_bytes;
@@ -531,7 +511,7 @@ mod tests {
     #[test]
     fn shuffle_and_backends_stay_worker_invariant() {
         let (ds, cfg) = tiny(44);
-        for name in ["blocked", "simd"] {
+        for name in ["reference", "simd"] {
             let backend = mega_exec::backend_by_name(name).unwrap();
             let base = Trainer::new(EngineChoice::Baseline)
                 .with_epochs(2)

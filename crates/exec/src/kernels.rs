@@ -7,7 +7,7 @@
 //! `Tensor::matmul_with` inner loops) and the banded kernels from
 //! `mega_core::parallel`; their bit patterns are contractual — backends that
 //! override a kernel must preserve the per-output-element accumulation order
-//! (see `BlockedBackend`), and the parallel variants replay the serial order
+//! (see `SimdBackend`), and the parallel variants replay the serial order
 //! per owned output row so results are bit-identical for every thread count.
 //!
 //! Output conventions: `out` must have exactly the output length; kernels

@@ -8,19 +8,18 @@
 //! (or a profiling decorator — see `mega-gpu-sim`'s `SimBackend`) is a
 //! one-crate change.
 //!
-//! Three concrete backends live here:
+//! Two concrete backends live here:
 //!
 //! * [`ReferenceBackend`] — the default-method loops of [`kernels`], the
-//!   exact arithmetic the workspace has always used.
-//! * [`BlockedBackend`] — cache-tiled GEMM plus fused bias-activation.
-//!   Bit-identical to the reference (tiling only reorders *memory* traffic;
-//!   each output element folds its `k` products in the same ascending
-//!   order), just faster on matrices that overflow cache.
+//!   exact arithmetic the workspace has always used, and the oracle every
+//!   other backend is compared against.
 //! * [`SimdBackend`] — explicit-width vector lanes (AVX intrinsics with a
-//!   portable scalar-lane fallback) over the blocked strip layout, for the
-//!   GEMM micro-kernel, the elementwise family, and the fused epilogue.
-//!   Bit-identical too: lanes vectorize across output elements, never
-//!   across a single element's `k` fold.
+//!   portable scalar-lane fallback) over a packed `k × NR` strip layout,
+//!   for the GEMM micro-kernel, the elementwise family, and the fused
+//!   bias-ReLU epilogue. Bit-identical to the reference: lanes vectorize
+//!   across output elements, never across a single element's `k` fold.
+//!
+//! [`ProfiledBackend`] decorates either with roofline attribution.
 //!
 //! [`BufferPool`] supplies recycled output buffers so steady-state training
 //! stops allocating per tape node.
@@ -32,17 +31,13 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod blocked;
 pub mod kernels;
-mod pack;
 mod partition;
 mod pool;
 mod profiled;
 mod reference;
 mod simd;
 
-pub use blocked::BlockedBackend;
-pub use pack::{Orientation, PackCache, PackedB};
 pub use pool::BufferPool;
 pub use profiled::{Calibration, ProfiledBackend};
 pub use reference::ReferenceBackend;
@@ -65,11 +60,33 @@ pub enum Unary {
     Tanh,
 }
 
+/// What [`Backend::gemm`] applies to the product before returning — the
+/// three GEMM shapes the training stack (and the planner's fusion pass)
+/// emits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Epilogue<'a> {
+    /// Plain product: `out += a · b`.
+    None,
+    /// `out = relu(a · b + bias)` with a `1 × m` bias row.
+    BiasRelu(&'a [f32]),
+    /// `out = leaky_relu(a · b + bias)` with a `1 × m` bias row and slope.
+    BiasLeakyRelu(&'a [f32], f32),
+}
+
+/// Which statistics [`Backend::norm`] normalizes over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NormKind {
+    /// Row-wise layer normalization.
+    Layer,
+    /// Column-wise batch normalization.
+    Batch,
+}
+
 /// One execution backend: every kernel the system runs, behind one dispatch
 /// point.
 ///
 /// All tensors are row-major `f32` slices with explicit shapes. Kernels that
-/// accumulate (`matmul`, `scatter_add_rows`, `banded_*`) expect a zeroed
+/// accumulate (`gemm`, `scatter_add_rows`, `banded_*`) expect a zeroed
 /// `out`; the rest overwrite every element. Default methods delegate to the
 /// reference loops in [`kernels`], so a backend only overrides the kernels
 /// it actually accelerates — and every override must keep the documented
@@ -79,119 +96,33 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Stable name, as accepted by [`backend_by_name`] and the CLI.
     fn name(&self) -> &'static str;
 
-    /// Dense GEMM `out += a · b` (`n × k` times `k × m`), parallelized under
-    /// `par` with bit-identical results for every thread count.
+    /// Dense GEMM `out += a · b` (`n × k` times `k × m`) followed by
+    /// `epilogue`, parallelized under `par` with bit-identical results for
+    /// every thread count.
+    ///
+    /// A fused epilogue is the same arithmetic as the product → add bias
+    /// row → activation chain (each element rounded at every step, nothing
+    /// contracted); fusing saves memory sweeps, never precision.
     #[allow(clippy::too_many_arguments)]
-    fn matmul(
+    fn gemm(
         &self,
         a: &[f32],
         b: &[f32],
         n: usize,
         k: usize,
         m: usize,
+        epilogue: Epilogue<'_>,
         par: &Parallelism,
         out: &mut [f32],
     ) {
         kernels::matmul_par(a, b, n, k, m, par, out);
-    }
-
-    /// Fused dense layer + activation: `out = relu(x · w + bias)`.
-    ///
-    /// Same arithmetic as `matmul` → add bias row → ReLU; fusing saves
-    /// memory sweeps, never precision.
-    #[allow(clippy::too_many_arguments)]
-    fn linear_relu(
-        &self,
-        x: &[f32],
-        w: &[f32],
-        bias: &[f32],
-        n: usize,
-        k: usize,
-        m: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        kernels::matmul_par(x, w, n, k, m, par, out);
-        kernels::bias_relu_inplace(out, bias, n, m);
-    }
-
-    /// Whether [`Backend::prepack`] produces packs (and therefore whether
-    /// [`Backend::matmul_packed`] / [`Backend::linear_relu_packed`] are
-    /// usable). Callers that must do preparatory work *before* packing —
-    /// e.g. transposing `b` for a gradient GEMM — should check this first
-    /// so the preparation is not wasted on a backend that declines to pack.
-    fn supports_prepack(&self) -> bool {
-        false
-    }
-
-    /// Packs a `k × m` GEMM `b` operand into this backend's internal strip
-    /// layout, or `None` when the backend has no packed representation (the
-    /// default). A returned pack is a pure copy — no arithmetic — and is
-    /// only meaningful to the backend that produced it, consumed via
-    /// [`Backend::matmul_packed`] / [`Backend::linear_relu_packed`].
-    fn prepack(&self, b: &[f32], k: usize, m: usize) -> Option<PackedB> {
-        let _ = (b, k, m);
-        None
-    }
-
-    /// [`Backend::matmul`] with `b` already packed by this backend's
-    /// [`Backend::prepack`]. Backends that return `Some` from `prepack`
-    /// must override this; the default cannot consume any pack.
-    fn matmul_packed(
-        &self,
-        a: &[f32],
-        packed: &PackedB,
-        n: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        let _ = (a, packed, n, par, out);
-        panic!(
-            "backend `{}` produced a pack it cannot consume: prepack and \
-             matmul_packed must be overridden together",
-            self.name()
-        );
-    }
-
-    /// [`Backend::linear_relu`] with `w` already packed by this backend's
-    /// [`Backend::prepack`]. Same override contract as
-    /// [`Backend::matmul_packed`].
-    fn linear_relu_packed(
-        &self,
-        x: &[f32],
-        packed: &PackedB,
-        bias: &[f32],
-        n: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        let _ = (x, packed, bias, n, par, out);
-        panic!(
-            "backend `{}` produced a pack it cannot consume: prepack and \
-             linear_relu_packed must be overridden together",
-            self.name()
-        );
-    }
-
-    /// Fused dense layer + LeakyReLU: `out = leaky_relu(x · w + bias)`.
-    ///
-    /// Same arithmetic as `matmul` → add bias row → LeakyReLU (each element
-    /// is rounded at every step; nothing is contracted), one output sweep.
-    #[allow(clippy::too_many_arguments)]
-    fn linear_leaky_relu(
-        &self,
-        x: &[f32],
-        w: &[f32],
-        bias: &[f32],
-        slope: f32,
-        n: usize,
-        k: usize,
-        m: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        self.matmul(x, w, n, k, m, par, out);
-        kernels::bias_leaky_relu_inplace(out, bias, slope, n, m);
+        match epilogue {
+            Epilogue::None => {}
+            Epilogue::BiasRelu(bias) => kernels::bias_relu_inplace(out, bias, n, m),
+            Epilogue::BiasLeakyRelu(bias, slope) => {
+                kernels::bias_leaky_relu_inplace(out, bias, slope, n, m)
+            }
+        }
     }
 
     /// Elementwise `out = a + b`.
@@ -273,70 +204,29 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         kernels::segment_softmax(x, rows, cols, segments, n_segments, out);
     }
 
-    /// Row-wise layer normalization with affine parameters.
+    /// Layer or batch normalization with affine parameters, optionally
+    /// followed by an elementwise activation applied to the normalized
+    /// output in place — bitwise the unfused pair.
     #[allow(clippy::too_many_arguments)]
-    fn layer_norm(
+    fn norm(
         &self,
+        kind: NormKind,
         x: &[f32],
         gamma: &[f32],
         beta: &[f32],
         rows: usize,
         cols: usize,
         eps: f32,
+        act: Option<Unary>,
         out: &mut [f32],
     ) {
-        kernels::layer_norm(x, gamma, beta, rows, cols, eps, out);
-    }
-
-    /// Column-wise batch normalization with affine parameters.
-    #[allow(clippy::too_many_arguments)]
-    fn batch_norm(
-        &self,
-        x: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
-        rows: usize,
-        cols: usize,
-        eps: f32,
-        out: &mut [f32],
-    ) {
-        kernels::batch_norm(x, gamma, beta, rows, cols, eps, out);
-    }
-
-    /// Fused [`Backend::layer_norm`] + elementwise activation, applied to
-    /// the normalized output in place — bitwise the unfused pair.
-    #[allow(clippy::too_many_arguments)]
-    fn layer_norm_act(
-        &self,
-        x: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
-        rows: usize,
-        cols: usize,
-        eps: f32,
-        act: Unary,
-        out: &mut [f32],
-    ) {
-        self.layer_norm(x, gamma, beta, rows, cols, eps, out);
-        kernels::unary_inplace(act, out);
-    }
-
-    /// Fused [`Backend::batch_norm`] + elementwise activation, applied to
-    /// the normalized output in place — bitwise the unfused pair.
-    #[allow(clippy::too_many_arguments)]
-    fn batch_norm_act(
-        &self,
-        x: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
-        rows: usize,
-        cols: usize,
-        eps: f32,
-        act: Unary,
-        out: &mut [f32],
-    ) {
-        self.batch_norm(x, gamma, beta, rows, cols, eps, out);
-        kernels::unary_inplace(act, out);
+        match kind {
+            NormKind::Layer => kernels::layer_norm(x, gamma, beta, rows, cols, eps, out),
+            NormKind::Batch => kernels::batch_norm(x, gamma, beta, rows, cols, eps, out),
+        }
+        if let Some(act) = act {
+            kernels::unary_inplace(act, out);
+        }
     }
 
     /// Banded attention aggregation: `out = A·x` with `A` the symmetric
@@ -372,13 +262,12 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Resolves a backend by its CLI name (`reference`, `blocked`, `simd`, or
+/// Resolves a backend by its CLI name (`reference`, `simd`, or
 /// `profiled` — the roofline decorator over the reference backend; the CLI
 /// also accepts `profiled:<inner>` and wraps the named inner backend).
 pub fn backend_by_name(name: &str) -> Option<Arc<dyn Backend>> {
     match name {
         "reference" => Some(Arc::new(ReferenceBackend)),
-        "blocked" => Some(Arc::new(BlockedBackend)),
         "simd" => Some(Arc::new(SimdBackend::new())),
         "profiled" => Some(Arc::new(ProfiledBackend::new(Arc::new(ReferenceBackend)))),
         _ => None,
@@ -392,10 +281,10 @@ mod tests {
     #[test]
     fn backend_lookup_by_name() {
         assert_eq!(backend_by_name("reference").unwrap().name(), "reference");
-        assert_eq!(backend_by_name("blocked").unwrap().name(), "blocked");
         assert_eq!(backend_by_name("simd").unwrap().name(), "simd");
         assert_eq!(backend_by_name("profiled").unwrap().name(), "profiled");
         assert!(backend_by_name("cuda").is_none());
+        assert!(backend_by_name("blocked").is_none(), "retired backend");
     }
 
     #[test]
@@ -404,7 +293,8 @@ mod tests {
         let a = [1.0f32, 2.0, 3.0, 4.0];
         let c = [5.0f32, 6.0, 7.0, 8.0];
         let mut out = [0.0f32; 4];
-        b.matmul(&a, &c, 2, 2, 2, &Parallelism::with_threads(1), &mut out);
+        let par = Parallelism::with_threads(1);
+        b.gemm(&a, &c, 2, 2, 2, Epilogue::None, &par, &mut out);
         assert_eq!(out, [19.0, 22.0, 43.0, 50.0]);
         b.add(&a, &c, &mut out);
         assert_eq!(out, [6.0, 8.0, 10.0, 12.0]);
@@ -413,36 +303,24 @@ mod tests {
     }
 
     #[test]
-    fn linear_relu_fuses_bias_and_activation() {
+    fn gemm_epilogue_fuses_bias_and_activation() {
         let b = ReferenceBackend;
+        let par = Parallelism::with_threads(1);
         // x = [[1, -1]], w = [[1, 2], [3, 4]], bias = [0.5, -10]
         let x = [1.0f32, -1.0];
         let w = [1.0f32, 2.0, 3.0, 4.0];
         let bias = [0.5f32, -10.0];
         let mut out = [0.0f32; 2];
-        b.linear_relu(
-            &x,
-            &w,
-            &bias,
-            1,
-            2,
-            2,
-            &Parallelism::with_threads(1),
-            &mut out,
-        );
+        b.gemm(&x, &w, 1, 2, 2, Epilogue::BiasRelu(&bias), &par, &mut out);
         // x·w = [-2, -2]; +bias = [-1.5, -12]; relu = [0, 0]
         assert_eq!(out, [0.0, 0.0]);
+        out.fill(0.0);
+        let leaky = Epilogue::BiasLeakyRelu(&bias, 0.5);
+        b.gemm(&x, &w, 1, 2, 2, leaky, &par, &mut out);
+        assert_eq!(out, [-0.75, -6.0]);
+        out.fill(0.0);
         let x2 = [1.0f32, 1.0];
-        b.linear_relu(
-            &x2,
-            &w,
-            &bias,
-            1,
-            2,
-            2,
-            &Parallelism::with_threads(1),
-            &mut out,
-        );
+        b.gemm(&x2, &w, 1, 2, 2, Epilogue::BiasRelu(&bias), &par, &mut out);
         // x·w = [4, 6]; +bias = [4.5, -4]; relu = [4.5, 0]
         assert_eq!(out, [4.5, 0.0]);
     }

@@ -1,6 +1,6 @@
 //! Row ownership for the intra-op threaded GEMM drivers.
 //!
-//! All three matmul drivers (reference, blocked, SIMD) parallelize the same
+//! Both matmul drivers (reference and SIMD) parallelize the same
 //! way: output rows are split into one contiguous range per worker, each
 //! worker computes its rows with the exact serial per-row kernel, and no two
 //! workers ever touch the same output element — so threading cannot

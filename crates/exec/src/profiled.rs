@@ -23,7 +23,7 @@
 //! production trainer; `tests/profiled.rs` gates the overhead at ≤ 5% of
 //! the unwrapped backend on the 512×512 GEMM harness.
 
-use crate::{Backend, PackedB, Unary};
+use crate::{Backend, Epilogue, NormKind, Unary};
 use mega_core::band::BandMask;
 use mega_core::Parallelism;
 use std::sync::Arc;
@@ -88,124 +88,31 @@ impl Backend for ProfiledBackend {
         "profiled"
     }
 
-    fn matmul(
+    fn gemm(
         &self,
         a: &[f32],
         b: &[f32],
         n: usize,
         k: usize,
         m: usize,
+        epilogue: Epilogue<'_>,
         par: &Parallelism,
         out: &mut [f32],
     ) {
         let t = mega_obs::timer();
-        self.inner.matmul(a, b, n, k, m, par, out);
+        self.inner.gemm(a, b, n, k, m, epilogue, par, out);
         let (n64, k64, m64) = (n as u64, k as u64, m as u64);
+        // A fused epilogue reads the bias row and charges its flops per
+        // output: add + max, or add + compare + conditional multiply.
+        let (kernel, epilogue_flops, bias_len) = match epilogue {
+            Epilogue::None => ("matmul", 0, 0),
+            Epilogue::BiasRelu(_) => ("linear_relu", 2, m64),
+            Epilogue::BiasLeakyRelu(..) => ("linear_leaky_relu", 3, m64),
+        };
         self.record(
-            "matmul",
-            2 * n64 * k64 * m64,
-            F32 * (n64 * k64 + k64 * m64 + n64 * m64),
-            t,
-        );
-    }
-
-    fn linear_relu(
-        &self,
-        x: &[f32],
-        w: &[f32],
-        bias: &[f32],
-        n: usize,
-        k: usize,
-        m: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        let t = mega_obs::timer();
-        self.inner.linear_relu(x, w, bias, n, k, m, par, out);
-        let (n64, k64, m64) = (n as u64, k as u64, m as u64);
-        // GEMM plus the fused epilogue: one add + one max per output.
-        self.record(
-            "linear_relu",
-            2 * n64 * k64 * m64 + 2 * n64 * m64,
-            F32 * (n64 * k64 + k64 * m64 + m64 + n64 * m64),
-            t,
-        );
-    }
-
-    fn supports_prepack(&self) -> bool {
-        self.inner.supports_prepack()
-    }
-
-    fn prepack(&self, b: &[f32], k: usize, m: usize) -> Option<PackedB> {
-        let t = mega_obs::timer();
-        let packed = self.inner.prepack(b, k, m)?;
-        // A pure layout copy: read k·m, write the padded strips.
-        self.record("prepack", 0, F32 * 2 * (k as u64) * (m as u64), t);
-        Some(packed)
-    }
-
-    fn matmul_packed(
-        &self,
-        a: &[f32],
-        packed: &PackedB,
-        n: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        let t = mega_obs::timer();
-        self.inner.matmul_packed(a, packed, n, par, out);
-        let (n64, k64, m64) = (n as u64, packed.k() as u64, packed.m() as u64);
-        // Same work as `matmul`; the cached pack only removes the per-call
-        // b copy, charged once at `prepack` time.
-        self.record(
-            "matmul",
-            2 * n64 * k64 * m64,
-            F32 * (n64 * k64 + k64 * m64 + n64 * m64),
-            t,
-        );
-    }
-
-    fn linear_relu_packed(
-        &self,
-        x: &[f32],
-        packed: &PackedB,
-        bias: &[f32],
-        n: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        let t = mega_obs::timer();
-        self.inner.linear_relu_packed(x, packed, bias, n, par, out);
-        let (n64, k64, m64) = (n as u64, packed.k() as u64, packed.m() as u64);
-        self.record(
-            "linear_relu",
-            2 * n64 * k64 * m64 + 2 * n64 * m64,
-            F32 * (n64 * k64 + k64 * m64 + m64 + n64 * m64),
-            t,
-        );
-    }
-
-    fn linear_leaky_relu(
-        &self,
-        x: &[f32],
-        w: &[f32],
-        bias: &[f32],
-        slope: f32,
-        n: usize,
-        k: usize,
-        m: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        let t = mega_obs::timer();
-        self.inner
-            .linear_leaky_relu(x, w, bias, slope, n, k, m, par, out);
-        let (n64, k64, m64) = (n as u64, k as u64, m as u64);
-        // GEMM plus the fused epilogue: add, compare, conditional multiply.
-        self.record(
-            "linear_leaky_relu",
-            2 * n64 * k64 * m64 + 3 * n64 * m64,
-            F32 * (n64 * k64 + k64 * m64 + m64 + n64 * m64),
+            kernel,
+            2 * n64 * k64 * m64 + epilogue_flops * n64 * m64,
+            F32 * (n64 * k64 + k64 * m64 + bias_len + n64 * m64),
             t,
         );
     }
@@ -326,91 +233,33 @@ impl Backend for ProfiledBackend {
         );
     }
 
-    fn layer_norm(
+    fn norm(
         &self,
+        kind: NormKind,
         x: &[f32],
         gamma: &[f32],
         beta: &[f32],
         rows: usize,
         cols: usize,
         eps: f32,
-        out: &mut [f32],
-    ) {
-        let t = mega_obs::timer();
-        self.inner.layer_norm(x, gamma, beta, rows, cols, eps, out);
-        let len = (rows * cols) as u64;
-        // Mean + variance passes, then normalize-scale-shift.
-        self.record(
-            "layer_norm",
-            8 * len,
-            2 * len * F32 + 2 * cols as u64 * F32,
-            t,
-        );
-    }
-
-    fn batch_norm(
-        &self,
-        x: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
-        rows: usize,
-        cols: usize,
-        eps: f32,
-        out: &mut [f32],
-    ) {
-        let t = mega_obs::timer();
-        self.inner.batch_norm(x, gamma, beta, rows, cols, eps, out);
-        let len = (rows * cols) as u64;
-        self.record(
-            "batch_norm",
-            8 * len,
-            2 * len * F32 + 2 * cols as u64 * F32,
-            t,
-        );
-    }
-
-    fn layer_norm_act(
-        &self,
-        x: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
-        rows: usize,
-        cols: usize,
-        eps: f32,
-        act: Unary,
+        act: Option<Unary>,
         out: &mut [f32],
     ) {
         let t = mega_obs::timer();
         self.inner
-            .layer_norm_act(x, gamma, beta, rows, cols, eps, act, out);
+            .norm(kind, x, gamma, beta, rows, cols, eps, act, out);
         let len = (rows * cols) as u64;
-        // Norm passes plus one in-place activation sweep.
+        // Mean + variance passes, then normalize-scale-shift (8 per
+        // element); a fused activation adds one in-place sweep.
+        let (kernel, flops_per_elem) = match (kind, act) {
+            (NormKind::Layer, None) => ("layer_norm", 8),
+            (NormKind::Batch, None) => ("batch_norm", 8),
+            (NormKind::Layer, Some(_)) => ("layer_norm_act", 9),
+            (NormKind::Batch, Some(_)) => ("batch_norm_act", 9),
+        };
         self.record(
-            "layer_norm_act",
-            9 * len,
-            2 * len * F32 + 2 * cols as u64 * F32,
-            t,
-        );
-    }
-
-    fn batch_norm_act(
-        &self,
-        x: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
-        rows: usize,
-        cols: usize,
-        eps: f32,
-        act: Unary,
-        out: &mut [f32],
-    ) {
-        let t = mega_obs::timer();
-        self.inner
-            .batch_norm_act(x, gamma, beta, rows, cols, eps, act, out);
-        let len = (rows * cols) as u64;
-        self.record(
-            "batch_norm_act",
-            9 * len,
+            kernel,
+            flops_per_elem * len,
             2 * len * F32 + 2 * cols as u64 * F32,
             t,
         );
@@ -507,7 +356,7 @@ impl Calibration {
         for _ in 0..REPS {
             out.fill(0.0);
             let sw = mega_obs::Stopwatch::start();
-            backend.matmul(&a, &b, N, N, N, &par, &mut out);
+            backend.gemm(&a, &b, N, N, N, Epilogue::None, &par, &mut out);
             best_gemm = best_gemm.min(sw.elapsed_seconds());
         }
         let gemm_gflops = 2.0 * (N as f64).powi(3) / best_gemm / 1e9;
@@ -564,8 +413,8 @@ mod tests {
         let b = [0.5f32, -1.0, 2.0, 0.25, -0.5, 1.5];
         let mut want = [0.0f32; 4];
         let mut got = [0.0f32; 4];
-        raw.matmul(&a, &b, 2, 3, 2, &par, &mut want);
-        profiled.matmul(&a, &b, 2, 3, 2, &par, &mut got);
+        raw.gemm(&a, &b, 2, 3, 2, Epilogue::None, &par, &mut want);
+        profiled.gemm(&a, &b, 2, 3, 2, Epilogue::None, &par, &mut got);
         assert_eq!(want, got, "decorator must not perturb values");
         let mut w2 = [0.0f32; 6];
         let mut g2 = [0.0f32; 6];
@@ -598,7 +447,7 @@ mod tests {
         let par = Parallelism::with_threads(1);
         let a = [1.0f32; 4];
         let mut out = [0.0f32; 4];
-        profiled.matmul(&a, &a, 2, 2, 2, &par, &mut out);
+        profiled.gemm(&a, &a, 2, 2, 2, Epilogue::None, &par, &mut out);
         let snap = mega_obs::snapshot();
         assert!(!snap
             .counters

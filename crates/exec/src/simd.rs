@@ -1,9 +1,9 @@
-//! Explicit-width SIMD kernels over the blocked strip layout.
+//! Explicit-width SIMD kernels over a packed strip layout.
 //!
-//! [`SimdBackend`] is the workspace's first vectorized hot path: the GEMM
+//! [`SimdBackend`] is the workspace's vectorized hot path: the GEMM
 //! micro-kernel, the elementwise family (`add`/`sub`/`mul`/`scale`,
 //! `scale_rows`, `add_bias_rows`), the clamp-family activations, and the
-//! fused `linear_relu` epilogue all run on explicit-width lane structs —
+//! fused bias-ReLU GEMM epilogue all run on explicit-width lane structs —
 //! AVX `__m256` intrinsics where the CPU has them, a portable
 //! const-generic scalar-lane fallback everywhere else. No new
 //! dependencies: the AVX path is `std::arch` behind a runtime
@@ -13,9 +13,9 @@
 //! **Bit-identity** with [`ReferenceBackend`](crate::ReferenceBackend) is
 //! preserved by construction:
 //!
-//! * The GEMM micro-kernel vectorizes over the `n`/`NR` *column* dimension
-//!   of [`BlockedBackend`](crate::BlockedBackend)'s packed `k × NR` strips,
-//!   so every SIMD lane owns one output element and folds its `k` products
+//! * The GEMM micro-kernel vectorizes over the `NR` *column* dimension of
+//!   the packed `k × NR` strips ([`pack_strips`]), so every SIMD lane owns
+//!   one output element and folds its `k` products
 //!   in the same ascending-`k` scalar order as the reference loop. Lane-wise
 //!   `mul` + `add` only — no FMA (Rust never contracts `a*b + c`), no
 //!   horizontal reductions (a horizontal sum would reassociate the fold and
@@ -34,11 +34,35 @@
 //! arithmetic, so its bits match both the AVX path and the reference.
 //! `backend_matmul --lanes` sweeps the widths.
 
-use crate::blocked::{pack_strips, MC, NR};
 use crate::kernels;
 use crate::partition;
-use crate::{Backend, PackedB, Unary};
+use crate::{Backend, Epilogue, Unary};
 use mega_core::parallel::Parallelism;
+
+/// Output rows per tile: one tile of rows shares each cache-resident strip
+/// of packed `b`.
+const MC: usize = 32;
+/// Output columns held in registers at once (8 SSE / 4 AVX vectors).
+const NR: usize = 32;
+
+/// Packs `b` (`k × m`, row-major) into contiguous `k × NR` column strips,
+/// zero-padded to `NR` wide — the layout the micro-kernels stream through.
+/// Contiguous strips kill the power-of-two row stride that thrashes L1
+/// sets, and each cache-resident strip is reused across `MC` output rows.
+/// The copy is O(k·m) against O(n·k·m) multiply-adds that reuse it.
+fn pack_strips(b: &[f32], k: usize, m: usize) -> Vec<f32> {
+    let strips = m.div_ceil(NR);
+    let mut packed = vec![0.0f32; strips * k * NR];
+    for s in 0..strips {
+        let jt = s * NR;
+        let w = NR.min(m - jt);
+        let slab = &mut packed[s * k * NR..(s + 1) * k * NR];
+        for kk in 0..k {
+            slab[kk * NR..kk * NR + w].copy_from_slice(&b[kk * m + jt..kk * m + jt + w]);
+        }
+    }
+    packed
+}
 
 /// Which lane implementation a [`SimdBackend`] instance dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -502,54 +526,10 @@ macro_rules! portable_widths {
     };
 }
 
-/// SIMD GEMM driver over an already-packed `b` (the strip layout of
-/// [`pack_strips`]): same serial cutoff and `MC`-aligned row split as the
-/// packing entry point, minus the O(k·m) pack — the pack-cache fast path.
-#[allow(clippy::too_many_arguments)]
-fn gemm_simd_packed(
-    mode: Mode,
-    a: &[f32],
-    packed: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    par: &Parallelism,
-    bias_relu: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    assert_eq!(a.len(), n * k, "a must be {n}x{k}");
-    assert_eq!(
-        packed.len(),
-        m.div_ceil(NR) * k * NR,
-        "packed b must hold {k}x{m} in NR strips"
-    );
-    assert_eq!(out.len(), n * m, "out must be {n}x{m}");
-    if let Some(bias) = bias_relu {
-        assert_eq!(bias.len(), m, "bias must be 1x{m}");
-    }
-    let rows = |lo: usize, hi: usize, part: &mut [f32]| match mode {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Mode::Avx is only constructed after
-        // `is_x86_feature_detected!("avx")` returned true.
-        Mode::Avx => unsafe { avx::gemm_rows(a, packed, k, m, lo, hi, bias_relu, part) },
-        Mode::Portable(w) => {
-            portable_widths!(w, gemm_rows(a, packed, k, m, lo, hi, bias_relu, part))
-        }
-    };
-    let threads = par.effective_threads().min(n.max(1));
-    if threads <= 1 || n * k * m < kernels::PAR_MATMUL_MIN_FLOPS {
-        return rows(0, n, out);
-    }
-    // MC-aligned boundaries keep whole row tiles on one worker; each worker
-    // streams the shared packed strips and writes its rows in place.
-    let ranges = partition::row_ranges(n, threads, MC);
-    partition::par_rows(out, n, m, &ranges, |lo, hi, part| rows(lo, hi, part));
-}
-
-/// Full SIMD GEMM: same shape checks, serial cutoff, and per-worker row
-/// split as the blocked driver — only the per-range kernel is vectorized.
-/// Packs `b` fresh; callers holding a cached pack go through
-/// [`gemm_simd_packed`] directly.
+/// SIMD GEMM driver: the same shape checks, serial cutoff, and
+/// `MC`-aligned row-range split as [`kernels::matmul_par`] — only the
+/// per-range kernel is vectorized. `b` is packed **once** here, before the
+/// thread fan-out, and the read-only strips are shared by all workers.
 #[allow(clippy::too_many_arguments)]
 fn gemm_simd(
     mode: Mode,
@@ -562,9 +542,30 @@ fn gemm_simd(
     bias_relu: Option<&[f32]>,
     out: &mut [f32],
 ) {
+    assert_eq!(a.len(), n * k, "a must be {n}x{k}");
     assert_eq!(b.len(), k * m, "b must be {k}x{m}");
+    assert_eq!(out.len(), n * m, "out must be {n}x{m}");
+    if let Some(bias) = bias_relu {
+        assert_eq!(bias.len(), m, "bias must be 1x{m}");
+    }
     let packed = pack_strips(b, k, m);
-    gemm_simd_packed(mode, a, &packed, n, k, m, par, bias_relu, out);
+    let rows = |lo: usize, hi: usize, part: &mut [f32]| match mode {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Mode::Avx is only constructed after
+        // `is_x86_feature_detected!("avx")` returned true.
+        Mode::Avx => unsafe { avx::gemm_rows(a, &packed, k, m, lo, hi, bias_relu, part) },
+        Mode::Portable(w) => {
+            portable_widths!(w, gemm_rows(a, &packed, k, m, lo, hi, bias_relu, part))
+        }
+    };
+    let threads = par.effective_threads().min(n.max(1));
+    if threads <= 1 || n * k * m < kernels::PAR_MATMUL_MIN_FLOPS {
+        return rows(0, n, out);
+    }
+    // MC-aligned boundaries keep whole row tiles on one worker; each worker
+    // streams the shared packed strips and writes its rows in place.
+    let ranges = partition::row_ranges(n, threads, MC);
+    partition::par_rows(out, n, m, &ranges, |lo, hi, part| rows(lo, hi, part));
 }
 
 impl Backend for SimdBackend {
@@ -572,83 +573,27 @@ impl Backend for SimdBackend {
         "simd"
     }
 
-    fn matmul(
+    fn gemm(
         &self,
         a: &[f32],
         b: &[f32],
         n: usize,
         k: usize,
         m: usize,
+        epilogue: Epilogue<'_>,
         par: &Parallelism,
         out: &mut [f32],
     ) {
-        gemm_simd(self.mode, a, b, n, k, m, par, None, out);
-    }
-
-    fn linear_relu(
-        &self,
-        x: &[f32],
-        w: &[f32],
-        bias: &[f32],
-        n: usize,
-        k: usize,
-        m: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        gemm_simd(self.mode, x, w, n, k, m, par, Some(bias), out);
-    }
-
-    fn supports_prepack(&self) -> bool {
-        true
-    }
-
-    fn prepack(&self, b: &[f32], k: usize, m: usize) -> Option<PackedB> {
-        assert_eq!(b.len(), k * m, "b must be {k}x{m}");
-        Some(PackedB::new(pack_strips(b, k, m), k, m))
-    }
-
-    fn matmul_packed(
-        &self,
-        a: &[f32],
-        packed: &PackedB,
-        n: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        gemm_simd_packed(
-            self.mode,
-            a,
-            &packed.data,
-            n,
-            packed.k,
-            packed.m,
-            par,
-            None,
-            out,
-        );
-    }
-
-    fn linear_relu_packed(
-        &self,
-        x: &[f32],
-        packed: &PackedB,
-        bias: &[f32],
-        n: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        gemm_simd_packed(
-            self.mode,
-            x,
-            &packed.data,
-            n,
-            packed.k,
-            packed.m,
-            par,
-            Some(bias),
-            out,
-        );
+        match epilogue {
+            Epilogue::None => gemm_simd(self.mode, a, b, n, k, m, par, None, out),
+            Epilogue::BiasRelu(bias) => gemm_simd(self.mode, a, b, n, k, m, par, Some(bias), out),
+            // No vector leaky epilogue: the reference in-place sweep over
+            // the vectorized product.
+            Epilogue::BiasLeakyRelu(bias, slope) => {
+                gemm_simd(self.mode, a, b, n, k, m, par, None, out);
+                kernels::bias_leaky_relu_inplace(out, bias, slope, n, m);
+            }
+        }
     }
 
     fn add(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -802,9 +747,9 @@ mod tests {
                 for threads in [1usize, 2, 4] {
                     let par = Parallelism::pinned(threads);
                     let mut want = vec![0.0f32; n * m];
-                    ReferenceBackend.matmul(&a, &b, n, k, m, &par, &mut want);
+                    ReferenceBackend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut want);
                     let mut got = vec![0.0f32; n * m];
-                    backend.matmul(&a, &b, n, k, m, &par, &mut got);
+                    backend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut got);
                     for (g, w) in got.iter().zip(&want) {
                         assert_eq!(
                             g.to_bits(),
@@ -830,34 +775,9 @@ mod tests {
         kernels::bias_relu_inplace(&mut unfused, &bias, n, m);
         for backend in modes() {
             let mut fused = vec![0.0f32; n * m];
-            backend.linear_relu(&x, &w, &bias, n, k, m, &par, &mut fused);
+            backend.gemm(&x, &w, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut fused);
             for (a, b) in fused.iter().zip(&unfused) {
                 assert_eq!(a.to_bits(), b.to_bits(), "lanes={}", backend.lane_width());
-            }
-        }
-    }
-
-    #[test]
-    fn packed_entry_points_bit_identical_to_fresh_pack() {
-        let (n, k, m) = (33usize, 64usize, 40usize);
-        let a = sample(n * k, 7);
-        let b = sample(k * m, 8);
-        let bias = sample(m, 9);
-        for backend in modes() {
-            let lanes = backend.lane_width();
-            let packed = backend.prepack(&b, k, m).expect("simd backend packs");
-            for threads in [1usize, 3] {
-                let par = Parallelism::pinned(threads);
-                let mut fresh = vec![0.0f32; n * m];
-                backend.matmul(&a, &b, n, k, m, &par, &mut fresh);
-                let mut cached = vec![0.0f32; n * m];
-                backend.matmul_packed(&a, &packed, n, &par, &mut cached);
-                assert_eq!(fresh, cached, "matmul lanes={lanes} threads={threads}");
-                let mut fresh = vec![0.0f32; n * m];
-                backend.linear_relu(&a, &b, &bias, n, k, m, &par, &mut fresh);
-                let mut cached = vec![0.0f32; n * m];
-                backend.linear_relu_packed(&a, &packed, &bias, n, &par, &mut cached);
-                assert_eq!(fresh, cached, "linear_relu lanes={lanes} threads={threads}");
             }
         }
     }

@@ -17,7 +17,9 @@
 //!    `obs-routing` lint.
 
 use mega_core::Parallelism;
-use mega_exec::{Backend, BlockedBackend, ProfiledBackend, ReferenceBackend, Unary};
+use mega_exec::{
+    Backend, Epilogue, NormKind, ProfiledBackend, ReferenceBackend, SimdBackend, Unary,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -53,9 +55,22 @@ fn profiled_backend_is_transparent_and_deterministic() {
         mega_obs::set_enabled(true);
         let p = ProfiledBackend::new(Arc::new(ReferenceBackend));
         let mut mm = vec![0.0f32; n * m];
-        p.matmul(&a, &b, n, k, m, &par, &mut mm);
+        p.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut mm);
         let mut lr = vec![0.0f32; n * m];
-        p.linear_relu(&a, &b, &bias, n, k, m, &par, &mut lr);
+        p.gemm(&a, &b, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut lr);
+        let mut scratch = vec![0.0f32; n * m];
+        let leaky = Epilogue::BiasLeakyRelu(&bias, 0.1);
+        p.gemm(&a, &b, n, k, m, leaky, &par, &mut scratch);
+        // The norm descriptors: γ = bias-sized row reused as both affine
+        // parameters, over the n × m scratch.
+        for (kind, act) in [
+            (NormKind::Layer, None),
+            (NormKind::Batch, None),
+            (NormKind::Layer, Some(Unary::Relu)),
+            (NormKind::Batch, Some(Unary::LeakyRelu(0.1))),
+        ] {
+            p.norm(kind, &lr, &bias, &bias, n, m, 1e-5, act, &mut scratch);
+        }
         let mut ew = vec![0.0f32; n * k];
         p.add(&a, &a, &mut ew);
         p.mul(&a, &a, &mut ew);
@@ -77,13 +92,13 @@ fn profiled_backend_is_transparent_and_deterministic() {
     // Transparency: bit-identical to the bare inner backend.
     let bare = ReferenceBackend;
     let mut want = vec![0.0f32; n * m];
-    bare.matmul(&a, &b, n, k, m, &par, &mut want);
+    bare.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut want);
     assert_eq!(
         mm, want,
         "matmul must be bit-identical through the profiler"
     );
     want.fill(0.0);
-    bare.linear_relu(&a, &b, &bias, n, k, m, &par, &mut want);
+    bare.gemm(&a, &b, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut want);
     assert_eq!(lr, want, "linear_relu must be bit-identical");
     let mut want_ew = vec![0.0f32; n * k];
     bare.unary(Unary::Tanh, &a, &mut want_ew);
@@ -117,6 +132,34 @@ fn profiled_backend_is_transparent_and_deterministic() {
         2 * n as u64 * k as u64 * m as u64 + 2 * nm2,
         "linear_relu must charge the fused epilogue"
     );
+    // Counter names and work follow the descriptor: one name per epilogue
+    // and per (norm kind, fused activation) pair.
+    assert_eq!(
+        get("exec.profiled.linear_leaky_relu.flops"),
+        2 * n as u64 * k as u64 * m as u64 + 3 * nm2
+    );
+    assert_eq!(
+        get("exec.profiled.linear_leaky_relu.bytes"),
+        4 * (nm + km + m as u64 + nm2)
+    );
+    for (kernel, flops_per_elem) in [
+        ("layer_norm", 8),
+        ("batch_norm", 8),
+        ("layer_norm_act", 9),
+        ("batch_norm_act", 9),
+    ] {
+        assert_eq!(get(&format!("exec.profiled.{kernel}.calls")), 1, "{kernel}");
+        assert_eq!(
+            get(&format!("exec.profiled.{kernel}.flops")),
+            flops_per_elem * nm2,
+            "{kernel}"
+        );
+        assert_eq!(
+            get(&format!("exec.profiled.{kernel}.bytes")),
+            4 * (2 * nm2 + 2 * m as u64),
+            "{kernel}"
+        );
+    }
     assert_eq!(get("exec.profiled.add.calls"), 1);
     assert_eq!(get("exec.profiled.mul.calls"), 1);
     assert_eq!(get("exec.profiled.unary.calls"), 1);
@@ -139,18 +182,18 @@ fn profiling_overhead_within_five_percent_on_gemm_harness() {
     let a = sample(n * k, 21);
     let b = sample(k * m, 22);
     let par = Parallelism::with_threads(1);
-    let bare: Arc<dyn Backend> = Arc::new(BlockedBackend);
+    let bare: Arc<dyn Backend> = Arc::new(SimdBackend::new());
     let profiled = ProfiledBackend::new(Arc::clone(&bare));
     mega_obs::reset();
     mega_obs::set_enabled(true);
     let mut out = vec![0.0f32; n * m];
     let t_bare = time_min(3, || {
         out.fill(0.0);
-        bare.matmul(&a, &b, n, k, m, &par, &mut out);
+        bare.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut out);
     });
     let t_profiled = time_min(3, || {
         out.fill(0.0);
-        profiled.matmul(&a, &b, n, k, m, &par, &mut out);
+        profiled.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut out);
     });
     mega_obs::set_enabled(false);
     mega_obs::reset();

@@ -1,22 +1,23 @@
 //! Property-based tests for the execution backends.
 //!
-//! Two families:
+//! Three families:
 //!
-//! 1. **Blocked ≡ reference** — the cache-tiled [`BlockedBackend`] must be
-//!    bit-for-bit identical to [`ReferenceBackend`] for every matmul shape,
-//!    including shapes that straddle the `MC`/`KC` tile boundaries and the
-//!    serial/parallel flop cutoff, and inputs with exact zeros (the
-//!    zero-skip fast path must fire identically in both).
-//! 2. **SIMD ≡ reference** — the vectorized [`SimdBackend`] must be
-//!    bit-for-bit identical to the reference for every GEMM shape and every
-//!    lane implementation (native intrinsics and all portable widths), and
-//!    its elementwise family must match element-for-element.
+//! 1. **SIMD ≡ reference** — the vectorized [`SimdBackend`] must be
+//!    bit-for-bit identical to [`ReferenceBackend`] for every GEMM shape
+//!    (including shapes that straddle the `MC`/`NR` tile boundaries and the
+//!    serial/parallel flop cutoff, and inputs with exact zeros so the
+//!    zero-skip fast path fires identically) and every lane implementation
+//!    (native intrinsics and all portable widths), and its elementwise
+//!    family must match element-for-element.
+//! 2. **Fused ≡ unfused** — `gemm` under every [`Epilogue`] and `norm`
+//!    under every `(NormKind, activation)` equal the unfused reference
+//!    chain, on every backend and thread count.
 //! 3. **Adjoint structure** — `scatter_add_rows` is the exact adjoint of
 //!    `gather_rows` (⟨G x, y⟩ = ⟨x, Gᵀ y⟩), and both agree with central
 //!    finite differences of the induced scalar loss.
 
 use mega_core::Parallelism;
-use mega_exec::{Backend, BlockedBackend, ReferenceBackend, SimdBackend, Unary};
+use mega_exec::{Backend, Epilogue, NormKind, ReferenceBackend, SimdBackend, Unary};
 use proptest::prelude::*;
 
 /// Every lane implementation of the SIMD backend: the portable widths
@@ -30,6 +31,17 @@ fn simd_modes() -> Vec<SimdBackend> {
     let auto = SimdBackend::new();
     if auto.is_accelerated() {
         v.push(auto);
+    }
+    v
+}
+
+/// The reference backend plus every SIMD lane implementation, labelled for
+/// assert messages.
+fn dense_backends() -> Vec<(String, Box<dyn Backend>)> {
+    let mut v: Vec<(String, Box<dyn Backend>)> =
+        vec![("reference".into(), Box::new(ReferenceBackend))];
+    for simd in simd_modes() {
+        v.push((format!("simd-{}", simd.lane_width()), Box::new(simd)));
     }
     v
 }
@@ -51,64 +63,6 @@ fn arb_matrix(len: usize) -> impl Strategy<Value = Vec<f32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// BlockedBackend's tiled GEMM is bit-identical to the reference loops
-    /// across shapes that cross the 32×64 tile edges and the parallel
-    /// cutoff, for 1 and 4 requested threads.
-    #[test]
-    fn blocked_matmul_bit_identical_to_reference(
-        (n, k, m) in (1usize..70, 1usize..70, 1usize..70),
-        seed in 0u64..1000,
-    ) {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a: Vec<f32> =
-            (0..n * k).map(|_| if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(-2.0f32..2.0) }).collect();
-        let b: Vec<f32> =
-            (0..k * m).map(|_| if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(-2.0f32..2.0) }).collect();
-        for threads in [1usize, 4] {
-            let par = Parallelism::pinned(threads);
-            let mut want = vec![0.0f32; n * m];
-            ReferenceBackend.matmul(&a, &b, n, k, m, &par, &mut want);
-            let mut got = vec![0.0f32; n * m];
-            BlockedBackend.matmul(&a, &b, n, k, m, &par, &mut got);
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(g.to_bits(), w.to_bits(), "threads={}", threads);
-            }
-        }
-    }
-
-    /// The fused bias+ReLU epilogue matches the unfused reference chain
-    /// (matmul, then broadcast-add bias, then clamp) bit-for-bit.
-    #[test]
-    fn blocked_linear_relu_bit_identical_to_reference(
-        (n, k, m) in (1usize..48, 1usize..48, 1usize..48),
-        x in arb_matrix(48 * 48),
-        w in arb_matrix(48 * 48),
-        bias in arb_matrix(48),
-    ) {
-        let par = Parallelism::with_threads(1);
-        let x = &x[..n * k];
-        let w = &w[..k * m];
-        let bias = &bias[..m];
-        let mut want = vec![0.0f32; n * m];
-        ReferenceBackend.linear_relu(x, w, bias, n, k, m, &par, &mut want);
-        let mut got = vec![0.0f32; n * m];
-        BlockedBackend.linear_relu(x, w, bias, n, k, m, &par, &mut got);
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert_eq!(g.to_bits(), w.to_bits());
-        }
-        // And the fused op equals the unfused chain through the reference.
-        let mut chain = vec![0.0f32; n * m];
-        ReferenceBackend.matmul(x, w, n, k, m, &par, &mut chain);
-        let mut biased = vec![0.0f32; n * m];
-        ReferenceBackend.add_bias_rows(&chain, bias, n, m, &mut biased);
-        let mut relued = vec![0.0f32; n * m];
-        ReferenceBackend.unary(Unary::Relu, &biased, &mut relued);
-        for (g, w) in want.iter().zip(&relued) {
-            prop_assert_eq!(g.to_bits(), w.to_bits());
-        }
-    }
-
     /// SimdBackend's vectorized GEMM is bit-identical to the reference
     /// loops for every shape, every lane width, and both thread counts —
     /// the lanes split the output columns, never a single element's fold.
@@ -127,9 +81,9 @@ proptest! {
             for threads in [1usize, 4] {
                 let par = Parallelism::pinned(threads);
                 let mut want = vec![0.0f32; n * m];
-                ReferenceBackend.matmul(&a, &b, n, k, m, &par, &mut want);
+                ReferenceBackend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut want);
                 let mut got = vec![0.0f32; n * m];
-                backend.matmul(&a, &b, n, k, m, &par, &mut got);
+                backend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut got);
                 for (g, w) in got.iter().zip(&want) {
                     prop_assert_eq!(
                         g.to_bits(), w.to_bits(),
@@ -140,7 +94,7 @@ proptest! {
         }
     }
 
-    /// The SIMD fused linear+ReLU and the elementwise family match the
+    /// The SIMD fused GEMM epilogues and the elementwise family match the
     /// reference bit-for-bit, including the scalar tail past the last full
     /// vector and the transcendental delegation.
     #[test]
@@ -156,12 +110,12 @@ proptest! {
         let bias = &bias[..m];
         for backend in simd_modes() {
             let lanes = backend.lane_width();
-            let mut want = vec![0.0f32; n * m];
-            ReferenceBackend.linear_relu(x, w, bias, n, k, m, &par, &mut want);
-            let mut got = vec![0.0f32; n * m];
-            backend.linear_relu(x, w, bias, n, k, m, &par, &mut got);
-            for (g, r) in got.iter().zip(&want) {
-                prop_assert_eq!(g.to_bits(), r.to_bits(), "linear_relu lanes={}", lanes);
+            for epilogue in [Epilogue::BiasRelu(bias), Epilogue::BiasLeakyRelu(bias, slope)] {
+                let mut want = vec![0.0f32; n * m];
+                ReferenceBackend.gemm(x, w, n, k, m, epilogue, &par, &mut want);
+                let mut got = vec![0.0f32; n * m];
+                backend.gemm(x, w, n, k, m, epilogue, &par, &mut got);
+                prop_assert_eq!(bit_vec(&got), bit_vec(&want), "{:?} lanes={}", epilogue, lanes);
             }
             let len = (n * k).min(k * m);
             let (a, b) = (&x[..len], &w[..len]);
@@ -181,17 +135,18 @@ proptest! {
         }
     }
 
-    /// Threaded GEMM ≡ serial, bit-for-bit, over random shapes × pinned
-    /// thread counts {1, 2, 4} × every lane implementation, for both the
-    /// plain matmul and the fused `linear_relu` epilogue. The anchor is the
-    /// *serial* scalar kernel (`kernels::matmul`), not another parallel
-    /// path, so this pins the whole threading stack — row partitioning,
-    /// shared packed strips, direct-write fan-out — to the serial fold.
-    /// Shapes reach past the `1 << 17` flop cutoff so the fan-out really
-    /// runs (pinning bypasses the host-core clamp).
+    /// `gemm` under every [`Epilogue`] ≡ the unfused serial chain,
+    /// bit-for-bit, over random shapes × pinned thread counts {1, 2, 4} ×
+    /// the reference backend and every lane implementation. The anchor is
+    /// the *serial* scalar kernel (`kernels::matmul`) followed by the
+    /// separate `add_bias_rows` and `unary` passes, not another fused or
+    /// parallel path, so this pins the whole stack — row partitioning,
+    /// shared packed strips, direct-write fan-out, fused epilogues — to the
+    /// serial unfused fold. Shapes reach past the `1 << 17` flop cutoff so
+    /// the fan-out really runs (pinning bypasses the host-core clamp).
     #[test]
     fn threaded_gemm_bit_identical_to_serial(
-        (n, k, m) in (1usize..96, 1usize..96, 1usize..96),
+        (n, k, m, slope) in (1usize..96, 1usize..96, 1usize..96, 0.01f32..0.5),
         seed in 0u64..1000,
     ) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -201,32 +156,68 @@ proptest! {
         let b: Vec<f32> =
             (0..k * m).map(|_| if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(-2.0f32..2.0) }).collect();
         let bias: Vec<f32> = (0..m).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mut serial = vec![0.0f32; n * m];
-        mega_exec::kernels::matmul(&a, &b, n, k, m, &mut serial);
-        let mut serial_fused = serial.clone();
-        mega_exec::kernels::bias_relu_inplace(&mut serial_fused, &bias, n, m);
-        let mut dense: Vec<(String, Box<dyn Backend>)> = vec![
-            ("reference".into(), Box::new(ReferenceBackend)),
-            ("blocked".into(), Box::new(BlockedBackend)),
+        let mut product = vec![0.0f32; n * m];
+        mega_exec::kernels::matmul(&a, &b, n, k, m, &mut product);
+        let mut biased = vec![0.0f32; n * m];
+        ReferenceBackend.add_bias_rows(&product, &bias, n, m, &mut biased);
+        let unfused = |act: Unary| {
+            let mut out = vec![0.0f32; n * m];
+            ReferenceBackend.unary(act, &biased, &mut out);
+            out
+        };
+        let cases = [
+            (Epilogue::None, product.clone()),
+            (Epilogue::BiasRelu(&bias), unfused(Unary::Relu)),
+            (Epilogue::BiasLeakyRelu(&bias, slope), unfused(Unary::LeakyRelu(slope))),
         ];
-        for simd in simd_modes() {
-            dense.push((format!("simd-{}", simd.lane_width()), Box::new(simd)));
-        }
+        let dense = dense_backends();
         for threads in [1usize, 2, 4] {
             let par = Parallelism::pinned(threads);
             for (name, backend) in &dense {
-                let mut got = vec![0.0f32; n * m];
-                backend.matmul(&a, &b, n, k, m, &par, &mut got);
-                prop_assert_eq!(
-                    bit_vec(&got), bit_vec(&serial),
-                    "matmul {} threads={}", name, threads
-                );
-                let mut fused = vec![0.0f32; n * m];
-                backend.linear_relu(&a, &b, &bias, n, k, m, &par, &mut fused);
-                prop_assert_eq!(
-                    bit_vec(&fused), bit_vec(&serial_fused),
-                    "linear_relu {} threads={}", name, threads
-                );
+                for (epilogue, want) in &cases {
+                    let mut got = vec![0.0f32; n * m];
+                    backend.gemm(&a, &b, n, k, m, *epilogue, &par, &mut got);
+                    prop_assert_eq!(
+                        bit_vec(&got), bit_vec(want),
+                        "{:?} {} threads={}", epilogue, name, threads
+                    );
+                }
+            }
+        }
+    }
+
+    /// `norm` under every `(NormKind, activation)` ≡ the reference norm
+    /// kernel followed by a separate `unary` pass, bit-for-bit, on the
+    /// reference backend and every lane implementation.
+    #[test]
+    fn norm_bit_identical_to_unfused_chain(
+        (rows, cols, slope) in (1usize..12, 1usize..20, 0.01f32..0.5),
+        x in arb_matrix(12 * 20),
+        gamma in arb_matrix(20),
+        beta in arb_matrix(20),
+    ) {
+        let (x, gamma, beta) = (&x[..rows * cols], &gamma[..cols], &beta[..cols]);
+        let eps = 1e-5f32;
+        let backends = dense_backends();
+        for kind in [NormKind::Layer, NormKind::Batch] {
+            let mut normed = vec![0.0f32; rows * cols];
+            match kind {
+                NormKind::Layer => mega_exec::kernels::layer_norm(x, gamma, beta, rows, cols, eps, &mut normed),
+                NormKind::Batch => mega_exec::kernels::batch_norm(x, gamma, beta, rows, cols, eps, &mut normed),
+            }
+            for act in [None, Some(Unary::Relu), Some(Unary::LeakyRelu(slope))] {
+                let mut want = normed.clone();
+                if let Some(act) = act {
+                    ReferenceBackend.unary(act, &normed, &mut want);
+                }
+                for (name, backend) in &backends {
+                    let mut got = vec![0.0f32; rows * cols];
+                    backend.norm(kind, x, gamma, beta, rows, cols, eps, act, &mut got);
+                    prop_assert_eq!(
+                        bit_vec(&got), bit_vec(&want),
+                        "{:?} {:?} {}", kind, act, name
+                    );
+                }
             }
         }
     }

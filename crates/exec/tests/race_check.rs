@@ -250,22 +250,21 @@ fn gemm_equivalence_passes_under_race_check() {
     // partitions from every backend stay bit-identical to serial with the
     // writer map armed — the checked row-ownership proof for the dense
     // kernels, matching the banded grid above.
-    use mega_exec::{Backend, BlockedBackend, ReferenceBackend, SimdBackend};
+    use mega_exec::{Backend, Epilogue, ReferenceBackend, SimdBackend};
     let (n, k, m) = (96usize, 48usize, 40usize);
     let a = random_rows(n, k, 55);
     let b = random_rows(k, m, 56);
     let mut serial = vec![0.0f32; n * m];
     mega_exec::kernels::matmul(&a, &b, n, k, m, &mut serial);
-    let backends: [(&str, Box<dyn Backend>); 3] = [
+    let backends: [(&str, Box<dyn Backend>); 2] = [
         ("reference", Box::new(ReferenceBackend)),
-        ("blocked", Box::new(BlockedBackend)),
         ("simd", Box::new(SimdBackend::new())),
     ];
     for (name, backend) in backends {
         for threads in [2usize, 4] {
             let par = Parallelism::pinned(threads);
             let mut got = vec![0.0f32; n * m];
-            backend.matmul(&a, &b, n, k, m, &par, &mut got);
+            backend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut got);
             for (g, s) in got.iter().zip(&serial) {
                 assert_eq!(g.to_bits(), s.to_bits(), "{name} threads={threads}");
             }

@@ -6,7 +6,7 @@
 //! 1. **Bit-identity** — threads = {1, 4} (pinned past the host-core clamp,
 //!    so the fan-out really runs) produce bit-identical results to the
 //!    serial kernel over a shapes × backends grid, for both the plain
-//!    matmul and the fused `linear_relu` epilogue.
+//!    matmul and the fused bias-ReLU epilogue.
 //! 2. **Scaling ratios** — wall-clock gates stated as *ratios between two
 //!    runs on the same machine*, so they are machine-speed invariant:
 //!    a slow box scales both numerator and denominator. On a multi-core
@@ -28,7 +28,7 @@ use mega_core::config::{MegaConfig, WindowPolicy};
 use mega_core::parallel::{host_threads, Parallelism};
 use mega_core::traversal::traverse;
 use mega_exec::kernels;
-use mega_exec::{Backend, BlockedBackend, ReferenceBackend, SimdBackend};
+use mega_exec::{Backend, Epilogue, ReferenceBackend, SimdBackend};
 use mega_graph::generate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,7 +57,6 @@ fn sample(len: usize, seed: u64) -> Vec<f32> {
 fn backends() -> Vec<(&'static str, Box<dyn Backend>)> {
     vec![
         ("reference", Box::new(ReferenceBackend)),
-        ("blocked", Box::new(BlockedBackend)),
         ("simd-auto", Box::new(SimdBackend::new())),
         (
             "simd-portable-4",
@@ -97,7 +96,7 @@ fn threaded_gemm_bit_identical_to_serial_across_backends() {
             for threads in [1usize, 4] {
                 let par = Parallelism::pinned(threads);
                 let mut got = vec![0.0f32; n * m];
-                backend.matmul(&a, &b, n, k, m, &par, &mut got);
+                backend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut got);
                 for (i, (g, s)) in got.iter().zip(&serial).enumerate() {
                     assert_eq!(
                         g.to_bits(),
@@ -123,7 +122,7 @@ fn threaded_linear_relu_bit_identical_to_serial_epilogue() {
         for threads in [1usize, 4] {
             let par = Parallelism::pinned(threads);
             let mut got = vec![0.0f32; n * m];
-            backend.linear_relu(&x, &w, &bias, n, k, m, &par, &mut got);
+            backend.gemm(&x, &w, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut got);
             for (g, s) in got.iter().zip(&serial) {
                 assert_eq!(g.to_bits(), s.to_bits(), "{name} threads={threads}");
             }
@@ -139,17 +138,17 @@ fn threaded_gemm_beats_serial_at_512() {
     let serial = Parallelism::with_threads(1);
     let threaded = Parallelism::with_threads(4);
     for (name, backend) in [
-        ("blocked", Box::new(BlockedBackend) as Box<dyn Backend>),
+        ("reference", Box::new(ReferenceBackend) as Box<dyn Backend>),
         ("simd", Box::new(SimdBackend::new())),
     ] {
         let mut out = vec![0.0f32; n * m];
         let t1 = time_min(3, || {
             out.iter_mut().for_each(|v| *v = 0.0);
-            backend.matmul(&a, &b, n, k, m, &serial, &mut out);
+            backend.gemm(&a, &b, n, k, m, Epilogue::None, &serial, &mut out);
         });
         let t4 = time_min(3, || {
             out.iter_mut().for_each(|v| *v = 0.0);
-            backend.matmul(&a, &b, n, k, m, &threaded, &mut out);
+            backend.gemm(&a, &b, n, k, m, Epilogue::None, &threaded, &mut out);
         });
         let ratio = t4 / t1;
         if host_threads() >= 2 {

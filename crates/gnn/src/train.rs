@@ -8,7 +8,7 @@ use crate::model::Gnn;
 use crate::nn::Binder;
 use mega_core::{AttentionSchedule, MegaConfig, Parallelism};
 use mega_datasets::{Dataset, GraphSample, Task};
-use mega_exec::{Backend, BufferPool, PackCache, ReferenceBackend};
+use mega_exec::{Backend, BufferPool, ReferenceBackend};
 use mega_tensor::{Adam, Optimizer, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -151,8 +151,7 @@ pub struct Trainer {
     /// identical across backends too.
     pub backend: Arc<dyn Backend>,
     /// Run tapes through the planner: ops are deferred and fused at flush
-    /// boundaries, and weight packs are cached across batches (invalidated
-    /// at every optimizer step). Planned training is bit-identical to the
+    /// boundaries. Planned training is bit-identical to the
     /// unfused eager path on every backend; disable to use that path as the
     /// exactness oracle.
     pub plan: bool,
@@ -177,7 +176,7 @@ impl Trainer {
         }
     }
 
-    /// Enables or disables the tape planner (fusion + pack caching).
+    /// Enables or disables the tape planner (deferred execution + fusion).
     /// Training histories are bit-identical either way; `false` selects the
     /// unfused eager path used as the planner's exactness oracle.
     pub fn with_plan(mut self, plan: bool) -> Self {
@@ -312,16 +311,6 @@ impl Trainer {
         // One pool for the whole run: tapes recycle node buffers batch to
         // batch instead of re-allocating.
         let pool = Arc::new(BufferPool::new());
-        // One pack cache for the whole run: packed weight strips survive
-        // across batches and epochs, and are invalidated at every optimizer
-        // step (parameter values change, cached packs go stale).
-        let pack_cache = Arc::new(PackCache::default());
-        // Pack-accounting invariant: with the cache invalidated once per
-        // optimizer step, every step packs each weight at most once per
-        // orientation, so the per-step miss count is the same for every
-        // step of the run. Calibrated on the first step, checked on later
-        // ones via the `exec.pack.*` counters the cache maintains.
-        let mut packs_per_step: Option<u64> = None;
         // Global step counter for the health monitors and the sentinel dump.
         let mut step = 0u64;
         for epoch in 1..=self.epochs {
@@ -345,11 +334,7 @@ impl Trainer {
                 mega_obs::counter_add("gnn.train.batches", 1);
                 let mut tape = Tape::with_exec(self.backend.clone(), pool.clone());
                 tape.set_parallelism(self.parallelism);
-                let misses_before = pack_cache.misses();
-                if self.plan {
-                    tape.set_planning(true);
-                    tape.set_pack_cache(pack_cache.clone());
-                }
+                tape.set_planning(self.plan);
                 let mut binder = Binder::new();
                 let t_fwd = mega_obs::Stopwatch::start();
                 let loss = {
@@ -375,20 +360,6 @@ impl Trainer {
                     pre_clip
                 };
                 phases.optimizer += t_opt.elapsed().as_secs_f64();
-                if self.plan {
-                    let packed = pack_cache.misses() - misses_before;
-                    match packs_per_step {
-                        None => packs_per_step = Some(packed),
-                        Some(expected) => assert_eq!(
-                            packed, expected,
-                            "pack-cache invariant violated: step packed {packed} strips, \
-                             earlier steps packed {expected} (each weight must pack exactly \
-                             once per optimizer step)"
-                        ),
-                    }
-                    // Parameters just changed: cached packs are stale.
-                    pack_cache.invalidate();
-                }
                 step += 1;
                 // NaN/Inf sentinel: always on (two float checks per batch).
                 // A non-finite loss or gradient norm poisons every later
@@ -502,16 +473,10 @@ impl Trainer {
         let mut metric_sum = 0.0f64;
         let mut graphs = 0usize;
         let pool = Arc::new(BufferPool::new());
-        // Parameters are frozen during evaluation, so one cache packs each
-        // weight once for all batches and is never invalidated.
-        let pack_cache = Arc::new(PackCache::default());
         for batch in batches {
             let mut tape = Tape::with_exec(self.backend.clone(), pool.clone());
             tape.set_parallelism(self.parallelism);
-            if self.plan {
-                tape.set_planning(true);
-                tape.set_pack_cache(pack_cache.clone());
-            }
+            tape.set_planning(self.plan);
             let mut binder = Binder::new();
             let pred = model.forward(&mut tape, &mut binder, store, batch);
             let loss = model.loss(&mut tape, pred, batch, task);
@@ -716,8 +681,8 @@ mod tests {
 
     #[test]
     fn planned_training_is_bit_identical_to_unplanned() {
-        // The planner (fusion + pack caching) must not change a single bit
-        // of the training history, on any backend, for either model family
+        // The planner (deferred execution + fusion) must not change a single
+        // bit of the training history, on any backend, for either model family
         // (GatedGCN exercises the linear fusions, GT the norm fusions).
         let ds = zinc(&DatasetSpec::tiny(33));
         for kind in [ModelKind::GatedGcn, ModelKind::GraphTransformer] {
@@ -727,7 +692,7 @@ mod tests {
                 .with_batch_size(8)
                 .with_plan(false)
                 .run(&ds, cfg.clone());
-            for name in ["reference", "blocked", "simd", "profiled"] {
+            for name in ["reference", "simd", "profiled"] {
                 let backend = mega_exec::backend_by_name(name).unwrap();
                 let planned = Trainer::new(EngineChoice::Baseline)
                     .with_epochs(3)

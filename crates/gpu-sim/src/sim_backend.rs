@@ -13,7 +13,7 @@ use crate::profiler::Profiler;
 use crate::report::ProfileReport;
 use mega_core::band::BandMask;
 use mega_core::Parallelism;
-use mega_exec::{Backend, Unary};
+use mega_exec::{Backend, Epilogue, NormKind, Unary};
 use std::sync::{Arc, Mutex};
 
 /// Wraps an inner backend and records every kernel launch in a simulated
@@ -66,9 +66,9 @@ impl SimBackend {
         p.launch_elementwise(buf, elements, flops_per_element);
     }
 
-    /// Records a fused linear+ReLU launch of shape `n × k × m` — one sgemm
-    /// whose bias/ReLU epilogue runs in registers, not a separate
-    /// elementwise pass over the output.
+    /// Records a fused linear+activation launch of shape `n × k × m` — one
+    /// sgemm whose bias/activation epilogue runs in registers, not a
+    /// separate elementwise pass over the output.
     fn sim_linear_relu(&self, n: usize, k: usize, m: usize) {
         let mut p = self.profiler.lock().expect("profiler poisoned");
         let a = p.alloc(n * k * 4);
@@ -83,33 +83,22 @@ impl Backend for SimBackend {
         "sim"
     }
 
-    fn matmul(
+    fn gemm(
         &self,
         a: &[f32],
         b: &[f32],
         n: usize,
         k: usize,
         m: usize,
+        epilogue: Epilogue<'_>,
         par: &Parallelism,
         out: &mut [f32],
     ) {
-        self.inner.matmul(a, b, n, k, m, par, out);
-        self.sim_sgemm(n, k, m);
-    }
-
-    fn linear_relu(
-        &self,
-        x: &[f32],
-        w: &[f32],
-        bias: &[f32],
-        n: usize,
-        k: usize,
-        m: usize,
-        par: &Parallelism,
-        out: &mut [f32],
-    ) {
-        self.inner.linear_relu(x, w, bias, n, k, m, par, out);
-        self.sim_linear_relu(n, k, m);
+        self.inner.gemm(a, b, n, k, m, epilogue, par, out);
+        match epilogue {
+            Epilogue::None => self.sim_sgemm(n, k, m),
+            Epilogue::BiasRelu(_) | Epilogue::BiasLeakyRelu(..) => self.sim_linear_relu(n, k, m),
+        }
     }
 
     fn add(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -130,6 +119,11 @@ impl Backend for SimBackend {
     fn scale(&self, a: &[f32], k: f32, out: &mut [f32]) {
         self.inner.scale(a, k, out);
         self.sim_elementwise(out.len(), 1);
+    }
+
+    fn axpy(&self, a: &[f32], k: f32, b: &[f32], out: &mut [f32]) {
+        self.inner.axpy(a, k, b, out);
+        self.sim_elementwise(out.len(), 2);
     }
 
     fn add_bias_rows(&self, x: &[f32], bias: &[f32], n: usize, m: usize, out: &mut [f32]) {
@@ -195,32 +189,22 @@ impl Backend for SimBackend {
         self.sim_elementwise(rows * cols, 10);
     }
 
-    fn layer_norm(
+    fn norm(
         &self,
+        kind: NormKind,
         x: &[f32],
         gamma: &[f32],
         beta: &[f32],
         rows: usize,
         cols: usize,
         eps: f32,
+        act: Option<Unary>,
         out: &mut [f32],
     ) {
-        self.inner.layer_norm(x, gamma, beta, rows, cols, eps, out);
-        self.sim_elementwise(rows * cols, 8);
-    }
-
-    fn batch_norm(
-        &self,
-        x: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
-        rows: usize,
-        cols: usize,
-        eps: f32,
-        out: &mut [f32],
-    ) {
-        self.inner.batch_norm(x, gamma, beta, rows, cols, eps, out);
-        self.sim_elementwise(rows * cols, 8);
+        self.inner
+            .norm(kind, x, gamma, beta, rows, cols, eps, act, out);
+        // A fused activation adds one flop per element to the norm passes.
+        self.sim_elementwise(rows * cols, 8 + u64::from(act.is_some()));
     }
 
     fn banded_aggregate(
@@ -268,17 +252,10 @@ mod tests {
         let a = [1.0f32, 2.0, 3.0, 4.0];
         let b = [5.0f32, 6.0, 7.0, 8.0];
         let mut out = [0.0f32; 4];
-        sim.matmul(&a, &b, 2, 2, 2, &Parallelism::with_threads(1), &mut out);
+        let par = Parallelism::with_threads(1);
+        sim.gemm(&a, &b, 2, 2, 2, Epilogue::None, &par, &mut out);
         let mut reference = [0.0f32; 4];
-        ReferenceBackend.matmul(
-            &a,
-            &b,
-            2,
-            2,
-            2,
-            &Parallelism::with_threads(1),
-            &mut reference,
-        );
+        ReferenceBackend.gemm(&a, &b, 2, 2, 2, Epilogue::None, &par, &mut reference);
         assert_eq!(out, reference);
         let report = sim.report();
         assert!(!report.kernels().is_empty(), "sgemm launch not recorded");
@@ -345,6 +322,106 @@ mod tests {
         assert_eq!(wgrad.invocations, 1, "weight grad attributed separately");
     }
 
+    /// Counts the calls reaching each kernel method and computes nothing:
+    /// decorators attribute from launch shapes alone.
+    #[derive(Debug, Default)]
+    struct CountingBackend {
+        calls: Mutex<std::collections::BTreeMap<&'static str, usize>>,
+    }
+
+    impl CountingBackend {
+        fn hit(&self, method: &'static str) {
+            *self.calls.lock().unwrap().entry(method).or_default() += 1;
+        }
+    }
+
+    #[rustfmt::skip]
+    impl Backend for CountingBackend {
+        fn name(&self) -> &'static str { "counting" }
+        fn gemm(&self, _: &[f32], _: &[f32], _: usize, _: usize, _: usize, _: Epilogue<'_>, _: &Parallelism, _: &mut [f32]) { self.hit("gemm") }
+        fn add(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("add") }
+        fn sub(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("sub") }
+        fn mul(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("mul") }
+        fn scale(&self, _: &[f32], _: f32, _: &mut [f32]) { self.hit("scale") }
+        fn axpy(&self, _: &[f32], _: f32, _: &[f32], _: &mut [f32]) { self.hit("axpy") }
+        fn add_bias_rows(&self, _: &[f32], _: &[f32], _: usize, _: usize, _: &mut [f32]) { self.hit("add_bias_rows") }
+        fn unary(&self, _: Unary, _: &[f32], _: &mut [f32]) { self.hit("unary") }
+        fn gather_rows(&self, _: &[f32], _: usize, _: usize, _: &[usize], _: &mut [f32]) { self.hit("gather_rows") }
+        fn scatter_add_rows(&self, _: &[f32], _: &[usize], _: usize, _: usize, _: &mut [f32]) { self.hit("scatter_add_rows") }
+        fn scale_rows(&self, _: &[f32], _: &[f32], _: usize, _: &mut [f32]) { self.hit("scale_rows") }
+        fn segment_softmax(&self, _: &[f32], _: usize, _: usize, _: &[usize], _: usize, _: &mut [f32]) { self.hit("segment_softmax") }
+        fn norm(&self, _: NormKind, _: &[f32], _: &[f32], _: &[f32], _: usize, _: usize, _: f32, _: Option<Unary>, _: &mut [f32]) { self.hit("norm") }
+        fn banded_aggregate(&self, _: &BandMask, _: &[f32], _: usize, _: &[f32], _: &Parallelism, _: &mut [f32]) { self.hit("banded_aggregate") }
+        fn banded_weight_grad(&self, _: &BandMask, _: &[f32], _: &[f32], _: usize, _: usize, _: &Parallelism, _: &mut [f32]) { self.hit("banded_weight_grad") }
+    }
+
+    #[test]
+    fn decorators_forward_every_kernel_method_exactly_once() {
+        // Every `Backend` method except `name` (a decorator reports its
+        // own) must reach the wrapped backend: a decorator that leaves one
+        // on the trait default silently runs the reference loops instead
+        // of `inner` and records nothing for it.
+        let band = band_fixture();
+        let par = Parallelism::with_threads(1);
+        let x = [1.0f32, -2.0, 3.0, -4.0];
+        let row = [0.5f32, -0.5];
+        let index = [1usize, 0];
+        type Wrap = fn(Arc<dyn Backend>) -> Box<dyn Backend>;
+        let decorators: [(&str, Wrap); 2] = [
+            ("profiled", |inner| {
+                Box::new(mega_exec::ProfiledBackend::new(inner))
+            }),
+            ("sim", |inner| {
+                Box::new(SimBackend::new(inner, DeviceConfig::gtx_1080()))
+            }),
+        ];
+        for (name, wrap) in decorators {
+            let counting = Arc::new(CountingBackend::default());
+            let d = wrap(counting.clone());
+            assert_eq!(d.name(), name);
+            let out = &mut [0.0f32; 4];
+            let leaky = Epilogue::BiasLeakyRelu(&row, 0.1);
+            d.gemm(&x, &x, 2, 2, 2, leaky, &par, out);
+            d.add(&x, &x, out);
+            d.sub(&x, &x, out);
+            d.mul(&x, &x, out);
+            d.scale(&x, 2.0, out);
+            d.axpy(&x, 2.0, &x, out);
+            d.add_bias_rows(&x, &row, 2, 2, out);
+            d.unary(Unary::Relu, &x, out);
+            d.gather_rows(&x, 2, 2, &index, out);
+            d.scatter_add_rows(&x, &index, 2, 2, out);
+            d.scale_rows(&x, &row, 2, out);
+            d.segment_softmax(&x, 2, 2, &index, 2, out);
+            let act = Some(Unary::Relu);
+            d.norm(NormKind::Batch, &x, &row, &row, 2, 2, 1e-5, act, out);
+            d.banded_aggregate(&band, &[], 0, &[], &par, &mut []);
+            d.banded_weight_grad(&band, &[], &[], 0, 0, &par, &mut []);
+            let calls = counting.calls.lock().unwrap();
+            let forwarded: Vec<(&str, usize)> = calls.iter().map(|(k, v)| (*k, *v)).collect();
+            let expected: Vec<(&str, usize)> = [
+                "add",
+                "add_bias_rows",
+                "axpy",
+                "banded_aggregate",
+                "banded_weight_grad",
+                "gather_rows",
+                "gemm",
+                "mul",
+                "norm",
+                "scale",
+                "scale_rows",
+                "scatter_add_rows",
+                "segment_softmax",
+                "sub",
+                "unary",
+            ]
+            .map(|m| (m, 1))
+            .to_vec();
+            assert_eq!(forwarded, expected, "{name}");
+        }
+    }
+
     #[test]
     fn sim_over_simd_matches_sim_over_reference() {
         use mega_exec::SimdBackend;
@@ -364,10 +441,10 @@ mod tests {
         let bias: Vec<f32> = (0..m).map(|i| (i as f32 - 4.0) / 3.0).collect();
         let mut out_ref = vec![0.0f32; n * m];
         let mut out_simd = vec![0.0f32; n * m];
-        over_ref.matmul(&a, &b, n, k, m, &par, &mut out_ref);
-        over_simd.matmul(&a, &b, n, k, m, &par, &mut out_simd);
-        over_ref.linear_relu(&a, &b, &bias, n, k, m, &par, &mut out_ref);
-        over_simd.linear_relu(&a, &b, &bias, n, k, m, &par, &mut out_simd);
+        for epilogue in [Epilogue::None, Epilogue::BiasRelu(&bias)] {
+            over_ref.gemm(&a, &b, n, k, m, epilogue, &par, &mut out_ref);
+            over_simd.gemm(&a, &b, n, k, m, epilogue, &par, &mut out_simd);
+        }
         for (x, y) in out_simd.iter().zip(&out_ref) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

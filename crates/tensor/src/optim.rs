@@ -113,12 +113,9 @@ impl ParamStore {
         &self.names[p.0]
     }
 
-    /// Places the parameter's current value on a tape as a leaf. The
-    /// [`ParamId`] doubles as the tape's stable parameter key, so GEMMs
-    /// against the parameter can reuse packed operands through the tape's
-    /// pack cache across steps.
+    /// Places the parameter's current value on a tape as a leaf.
     pub fn leaf(&self, tape: &mut Tape, p: ParamId) -> Var {
-        tape.leaf_param(self.values[p.0].clone(), p.0 as u64)
+        tape.leaf(self.values[p.0].clone())
     }
 
     /// Adds `grad` into the accumulated gradient of `p`.

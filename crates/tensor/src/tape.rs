@@ -26,20 +26,10 @@
 //! `relu` collapses into one `linear_relu` node) and then executes. Fused
 //! and eager execution are bit-identical, forward and backward; interior
 //! nodes of a fused chain never materialize and panic if read.
-//!
-//! Independently of planning, a [`PackCache`] installed via
-//! [`Tape::set_pack_cache`] lets GEMMs against parameters registered with
-//! [`Tape::leaf_param`] reuse the backend's packed `b`-operand layout
-//! across steps (forward in normal orientation, the `g · wᵀ` gradient GEMM
-//! in transposed orientation) instead of re-packing per call. The trainer
-//! invalidates the cache whenever the optimizer updates parameters.
 
 use crate::plan;
 use crate::tensor::Tensor;
-use mega_exec::{
-    kernels, Backend, BufferPool, Orientation, PackCache, PackedB, ReferenceBackend, Unary,
-};
-use std::collections::BTreeMap;
+use mega_exec::{kernels, Backend, BufferPool, Epilogue, NormKind, ReferenceBackend, Unary};
 use std::sync::Arc;
 
 /// Handle to a node on a [`Tape`].
@@ -228,11 +218,6 @@ pub struct Tape {
     planning: bool,
     /// Recorded-but-unexecuted node indices, in recording order.
     pending: Vec<usize>,
-    /// Node index → stable parameter key, for [`PackCache`] lookups.
-    param_keys: BTreeMap<usize, u64>,
-    /// Cross-step cache of packed GEMM `b` operands, shared with the
-    /// trainer that invalidates it at optimizer-update boundaries.
-    pack_cache: Option<Arc<PackCache>>,
 }
 
 impl Default for Tape {
@@ -271,8 +256,6 @@ impl Tape {
             pool,
             planning: false,
             pending: Vec::new(),
-            param_keys: BTreeMap::new(),
-            pack_cache: None,
         }
     }
 
@@ -292,15 +275,6 @@ impl Tape {
     /// Whether the tape is in plan-then-execute mode.
     pub fn planning(&self) -> bool {
         self.planning
-    }
-
-    /// Installs a shared cross-step cache of packed GEMM `b` operands.
-    /// GEMMs whose `b` side is a parameter registered via
-    /// [`Tape::leaf_param`] reuse the packed layout through this cache.
-    /// The owner must call [`PackCache::invalidate`] whenever parameter
-    /// values change (the trainer does so right after each optimizer step).
-    pub fn set_pack_cache(&mut self, cache: Arc<PackCache>) {
-        self.pack_cache = Some(cache);
     }
 
     /// Swaps the execution backend. Every backend is bit-compatible with the
@@ -468,17 +442,6 @@ impl Tape {
         self.push_value(t, Op::Leaf)
     }
 
-    /// Records a *parameter* leaf with a stable identity `key` (one key per
-    /// parameter, reused across tapes/steps). GEMMs that consume the
-    /// parameter as their `b` operand route through the installed
-    /// [`PackCache`] under this key, reusing the packed layout across steps
-    /// until the cache is invalidated.
-    pub fn leaf_param(&mut self, t: Tensor, key: u64) -> Var {
-        let v = self.leaf(t);
-        self.param_keys.insert(v.0, key);
-        v
-    }
-
     /// Acquires a pooled buffer sized for an `rows × cols` output.
     fn out_buf(&self, rows: usize, cols: usize) -> Vec<f32> {
         self.pool.acquire(rows * cols)
@@ -499,7 +462,7 @@ impl Tape {
     ///
     /// Forward and backward match the unfused `matmul` → `add_row` → `relu`
     /// chain value-for-value while saving two intermediate tensors and two
-    /// memory sweeps; backends may fuse further (see `BlockedBackend`).
+    /// memory sweeps; backends may fuse further (see `SimdBackend`).
     ///
     /// # Panics
     ///
@@ -801,33 +764,6 @@ impl Tape {
         )
     }
 
-    /// Looks up (or builds) the cached packed form of parameter `v` as a
-    /// GEMM `b` operand. `None` when no cache is installed, `v` is not a
-    /// registered parameter, or the backend has no packed representation.
-    ///
-    /// `Orientation::Transposed` caches the pack of the parameter's
-    /// transpose — a cache hit skips both the transpose and the packing of
-    /// the backward pass's `g · wᵀ` GEMM.
-    fn packed_for(&self, v: Var, orientation: Orientation) -> Option<Arc<PackedB>> {
-        let cache = self.pack_cache.as_ref()?;
-        if !self.backend.supports_prepack() {
-            return None;
-        }
-        let key = *self.param_keys.get(&v.0)?;
-        let t = self.nodes[v.0].value.as_ref()?;
-        let (r, c) = t.shape();
-        cache.get_or_pack(key, orientation, || match orientation {
-            Orientation::Normal => self.backend.prepack(t.as_slice(), r, c),
-            Orientation::Transposed => {
-                let mut bt = self.pool.acquire(r * c);
-                kernels::transpose(t.as_slice(), r, c, &mut bt);
-                let packed = self.backend.prepack(&bt, c, r);
-                self.pool.release(bt);
-                packed
-            }
-        })
-    }
-
     /// Executes one recorded node, materializing its value. Flush-boundary
     /// ops (losses, reductions, dropout, concat) compute at record time and
     /// never come through here.
@@ -835,99 +771,14 @@ impl Tape {
         let op = self.nodes[idx].op.clone();
         let (rows, cols) = (self.nodes[idx].rows, self.nodes[idx].cols);
         let value = match &op {
-            Op::MatMul(a, b) => {
-                let t = mega_obs::timer();
-                let (n, k) = self.dims(*a);
-                let m = cols;
-                let mut out = self.out_buf(n, m);
-                if let Some(packed) = self.packed_for(*b, Orientation::Normal) {
-                    self.backend.matmul_packed(
-                        self.value(*a).as_slice(),
-                        &packed,
-                        n,
-                        &self.par,
-                        &mut out,
-                    );
-                } else {
-                    self.backend.matmul(
-                        self.value(*a).as_slice(),
-                        self.value(*b).as_slice(),
-                        n,
-                        k,
-                        m,
-                        &self.par,
-                        &mut out,
-                    );
-                }
-                t.observe("tensor.matmul_ns");
-                Tensor::from_vec(n, m, out)
-            }
+            Op::MatMul(a, b) => self.execute_gemm(*a, *b, Epilogue::None),
             Op::LinearRelu(x, w, bias) => {
-                let t = mega_obs::timer();
-                let (n, k) = self.dims(*x);
-                let m = cols;
-                let mut out = self.out_buf(n, m);
-                if let Some(packed) = self.packed_for(*w, Orientation::Normal) {
-                    self.backend.linear_relu_packed(
-                        self.value(*x).as_slice(),
-                        &packed,
-                        self.value(*bias).as_slice(),
-                        n,
-                        &self.par,
-                        &mut out,
-                    );
-                } else {
-                    self.backend.linear_relu(
-                        self.value(*x).as_slice(),
-                        self.value(*w).as_slice(),
-                        self.value(*bias).as_slice(),
-                        n,
-                        k,
-                        m,
-                        &self.par,
-                        &mut out,
-                    );
-                }
-                t.observe("tensor.matmul_ns");
-                Tensor::from_vec(n, m, out)
+                let bias = self.value(*bias).as_slice();
+                self.execute_gemm(*x, *w, Epilogue::BiasRelu(bias))
             }
             Op::LinearAct(x, w, bias, slope) => {
-                let t = mega_obs::timer();
-                let (n, k) = self.dims(*x);
-                let m = cols;
-                let mut out = self.out_buf(n, m);
-                if let Some(packed) = self.packed_for(*w, Orientation::Normal) {
-                    // Packed GEMM plus the same in-place epilogue the
-                    // default unpacked path applies.
-                    self.backend.matmul_packed(
-                        self.value(*x).as_slice(),
-                        &packed,
-                        n,
-                        &self.par,
-                        &mut out,
-                    );
-                    kernels::bias_leaky_relu_inplace(
-                        &mut out,
-                        self.value(*bias).as_slice(),
-                        *slope,
-                        n,
-                        m,
-                    );
-                } else {
-                    self.backend.linear_leaky_relu(
-                        self.value(*x).as_slice(),
-                        self.value(*w).as_slice(),
-                        self.value(*bias).as_slice(),
-                        *slope,
-                        n,
-                        k,
-                        m,
-                        &self.par,
-                        &mut out,
-                    );
-                }
-                t.observe("tensor.matmul_ns");
-                Tensor::from_vec(n, m, out)
+                let bias = self.value(*bias).as_slice();
+                self.execute_gemm(*x, *w, Epilogue::BiasLeakyRelu(bias, *slope))
             }
             Op::Axpy(a, b, k) => {
                 let mut out = self.out_buf(rows, cols);
@@ -1019,58 +870,16 @@ impl Tape {
                 Tensor::from_vec(rows, cols, out)
             }
             Op::LayerNorm(a, gamma, beta, eps) => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend.layer_norm(
-                    self.value(*a).as_slice(),
-                    self.value(*gamma).as_slice(),
-                    self.value(*beta).as_slice(),
-                    rows,
-                    cols,
-                    *eps,
-                    &mut out,
-                );
-                Tensor::from_vec(rows, cols, out)
+                self.execute_norm(NormKind::Layer, *a, *gamma, *beta, *eps, None)
             }
             Op::BatchNorm(a, gamma, beta, eps) => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend.batch_norm(
-                    self.value(*a).as_slice(),
-                    self.value(*gamma).as_slice(),
-                    self.value(*beta).as_slice(),
-                    rows,
-                    cols,
-                    *eps,
-                    &mut out,
-                );
-                Tensor::from_vec(rows, cols, out)
+                self.execute_norm(NormKind::Batch, *a, *gamma, *beta, *eps, None)
             }
             Op::LayerNormAct(a, gamma, beta, eps, act) => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend.layer_norm_act(
-                    self.value(*a).as_slice(),
-                    self.value(*gamma).as_slice(),
-                    self.value(*beta).as_slice(),
-                    rows,
-                    cols,
-                    *eps,
-                    *act,
-                    &mut out,
-                );
-                Tensor::from_vec(rows, cols, out)
+                self.execute_norm(NormKind::Layer, *a, *gamma, *beta, *eps, Some(*act))
             }
             Op::BatchNormAct(a, gamma, beta, eps, act) => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend.batch_norm_act(
-                    self.value(*a).as_slice(),
-                    self.value(*gamma).as_slice(),
-                    self.value(*beta).as_slice(),
-                    rows,
-                    cols,
-                    *eps,
-                    *act,
-                    &mut out,
-                );
-                Tensor::from_vec(rows, cols, out)
+                self.execute_norm(NormKind::Batch, *a, *gamma, *beta, *eps, Some(*act))
             }
             Op::Leaf
             | Op::Dropout(..)
@@ -1088,12 +897,84 @@ impl Tape {
         self.nodes[idx].value = Some(value);
     }
 
+    /// GEMM executor shared by the plain and fused-epilogue matmul ops:
+    /// `x · w` (an `n × k` by `k × m` product) followed by `epilogue`.
+    fn execute_gemm(&self, x: Var, w: Var, epilogue: Epilogue<'_>) -> Tensor {
+        let t = mega_obs::timer();
+        let ((n, k), (_, m)) = (self.dims(x), self.dims(w));
+        let mut out = self.out_buf(n, m);
+        self.backend.gemm(
+            self.value(x).as_slice(),
+            self.value(w).as_slice(),
+            n,
+            k,
+            m,
+            epilogue,
+            &self.par,
+            &mut out,
+        );
+        t.observe("tensor.matmul_ns");
+        Tensor::from_vec(n, m, out)
+    }
+
+    /// Normalization executor shared by the plain and fused-activation
+    /// norm ops.
+    fn execute_norm(
+        &self,
+        kind: NormKind,
+        x: Var,
+        gamma: Var,
+        beta: Var,
+        eps: f32,
+        act: Option<Unary>,
+    ) -> Tensor {
+        let (rows, cols) = self.dims(x);
+        let mut out = self.out_buf(rows, cols);
+        self.backend.norm(
+            kind,
+            self.value(x).as_slice(),
+            self.value(gamma).as_slice(),
+            self.value(beta).as_slice(),
+            rows,
+            cols,
+            eps,
+            act,
+            &mut out,
+        );
+        Tensor::from_vec(rows, cols, out)
+    }
+
     /// Elementwise activation executor shared by the unary ops.
     fn execute_unary(&self, a: Var, unary: Unary, rows: usize, cols: usize) -> Tensor {
         let mut out = self.out_buf(rows, cols);
         self.backend
             .unary(unary, self.value(a).as_slice(), &mut out);
         Tensor::from_vec(rows, cols, out)
+    }
+
+    /// Backward of `y = x · w` for the upstream gradient `g` (`n × m`):
+    /// accumulates `dx = g · wᵀ` and `dw = xᵀ · g` into `grads` — both
+    /// through the backend, so an accelerated GEMM speeds the backward
+    /// pass too.
+    fn gemm_backward(&self, g: &[f32], x: Var, w: Var, grads: &mut [Tensor]) {
+        let (vx, vw) = (self.node_value(x.0), self.node_value(w.0));
+        let (n, k, m) = (vx.rows(), vx.cols(), vw.cols());
+        let mut dx = self.pool.acquire(n * k);
+        let mut wt = self.pool.acquire(k * m);
+        kernels::transpose(vw.as_slice(), k, m, &mut wt);
+        self.backend
+            .gemm(g, &wt, n, m, k, Epilogue::None, &self.par, &mut dx);
+        self.pool.release(wt);
+        add_slice(&mut grads[x.0], &dx);
+        self.pool.release(dx);
+        let mut xt = self.pool.acquire(n * k);
+        kernels::transpose(vx.as_slice(), n, k, &mut xt);
+        let mut dw = self.pool.acquire(k * m);
+        self.backend
+            .gemm(&xt, g, k, n, m, Epilogue::None, &self.par, &mut dw);
+        add_slice(&mut grads[w.0], &dw);
+        self.pool.release(xt);
+        self.pool.release(dw);
     }
 
     /// Masks an upstream gradient by a sign-preserving activation's output,
@@ -1140,43 +1021,14 @@ impl Tape {
             let g = grads[idx].clone();
             match &self.nodes[idx].op {
                 Op::Leaf => {}
-                Op::MatMul(a, b) => {
-                    let (va, vb) = (self.node_value(a.0), self.node_value(b.0));
-                    let (n, k, m) = (va.rows(), va.cols(), vb.cols());
-                    // da = g · bᵀ, db = aᵀ · g — both through the backend so
-                    // an accelerated GEMM speeds the backward pass too. When
-                    // b is a cached parameter, the packed transpose is
-                    // reused across steps instead of rebuilt per call.
-                    let mut da = self.pool.acquire(n * k);
-                    if let Some(packed) = self.packed_for(*b, Orientation::Transposed) {
-                        self.backend
-                            .matmul_packed(g.as_slice(), &packed, n, &self.par, &mut da);
-                    } else {
-                        let mut bt = self.pool.acquire(k * m);
-                        kernels::transpose(vb.as_slice(), k, m, &mut bt);
-                        self.backend
-                            .matmul(g.as_slice(), &bt, n, m, k, &self.par, &mut da);
-                        self.pool.release(bt);
-                    }
-                    add_slice(&mut grads[a.0], &da);
-                    self.pool.release(da);
-                    let mut at = self.pool.acquire(n * k);
-                    kernels::transpose(va.as_slice(), n, k, &mut at);
-                    let mut db = self.pool.acquire(k * m);
-                    self.backend
-                        .matmul(&at, g.as_slice(), k, n, m, &self.par, &mut db);
-                    add_slice(&mut grads[b.0], &db);
-                    self.pool.release(at);
-                    self.pool.release(db);
-                }
+                Op::MatMul(a, b) => self.gemm_backward(g.as_slice(), *a, *b, &mut grads),
                 Op::LinearRelu(x, w, bias) | Op::LinearAct(x, w, bias, _) => {
                     let slope = match &self.nodes[idx].op {
                         Op::LinearAct(_, _, _, s) => Some(*s),
                         _ => None,
                     };
-                    let (vx, vw) = (self.node_value(x.0), self.node_value(w.0));
                     let out = self.node_value(idx);
-                    let (n, k, m) = (vx.rows(), vx.cols(), vw.cols());
+                    let (n, m) = out.shape();
                     // Mask the upstream gradient by the activation: the kept
                     // pre-activations are exactly the positive outputs (both
                     // activations preserve sign — leaky slopes are positive).
@@ -1208,27 +1060,8 @@ impl Tape {
                     add_slice(&mut grads[bias.0], &db);
                     self.pool.release(db);
                     // dx = gm · wᵀ, dw = xᵀ · gm — the MatMul backward on the
-                    // masked gradient. dx reuses the cached packed transpose
-                    // of a parameter weight when available.
-                    let mut dx = self.pool.acquire(n * k);
-                    if let Some(packed) = self.packed_for(*w, Orientation::Transposed) {
-                        self.backend
-                            .matmul_packed(&gm, &packed, n, &self.par, &mut dx);
-                    } else {
-                        let mut wt = self.pool.acquire(k * m);
-                        kernels::transpose(vw.as_slice(), k, m, &mut wt);
-                        self.backend.matmul(&gm, &wt, n, m, k, &self.par, &mut dx);
-                        self.pool.release(wt);
-                    }
-                    add_slice(&mut grads[x.0], &dx);
-                    self.pool.release(dx);
-                    let mut xt = self.pool.acquire(n * k);
-                    kernels::transpose(vx.as_slice(), n, k, &mut xt);
-                    let mut dw = self.pool.acquire(k * m);
-                    self.backend.matmul(&xt, &gm, k, n, m, &self.par, &mut dw);
-                    add_slice(&mut grads[w.0], &dw);
-                    self.pool.release(xt);
-                    self.pool.release(dw);
+                    // masked gradient.
+                    self.gemm_backward(&gm, *x, *w, &mut grads);
                     self.pool.release(gm);
                 }
                 Op::Axpy(a, b, k) => {
@@ -2151,74 +1984,6 @@ mod tests {
         t.set_planning(false);
         assert!(t.nodes[y.0].value.is_some());
         assert!(!t.planning());
-    }
-
-    #[test]
-    fn pack_cache_packs_each_weight_once_per_step() {
-        use mega_exec::{BlockedBackend, PackCache};
-        let x = sample(9, 16, 90);
-        let w = sample(16, 5, 91);
-        let cache = Arc::new(PackCache::default());
-        let pool = Arc::new(BufferPool::new());
-
-        let step = |cache: &Arc<PackCache>, pool: &Arc<BufferPool>| {
-            let mut t = Tape::with_exec(Arc::new(BlockedBackend), pool.clone());
-            t.set_pack_cache(cache.clone());
-            let vx = t.leaf(x.clone());
-            let vw = t.leaf_param(w.clone(), 7);
-            let y = t.matmul(vx, vw);
-            let loss = t.sum(y);
-            let _ = t.backward(loss);
-        };
-
-        // First step packs w exactly once per orientation (forward normal,
-        // backward transposed): two misses, no hits.
-        step(&cache, &pool);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 0);
-        // Re-running without an optimizer update re-packs nothing.
-        step(&cache, &pool);
-        step(&cache, &pool);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 4);
-        // An optimizer update invalidates; the next step packs once again.
-        cache.invalidate();
-        step(&cache, &pool);
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.invalidations(), 1);
-    }
-
-    #[test]
-    fn pack_cache_matches_uncached_bits() {
-        use mega_exec::{BlockedBackend, PackCache};
-        let x = sample(6, 8, 92);
-        let w = sample(8, 4, 93);
-        let b = sample(1, 4, 94);
-
-        let run = |cached: bool| {
-            let mut t = Tape::with_exec(Arc::new(BlockedBackend), Arc::new(BufferPool::new()));
-            if cached {
-                t.set_pack_cache(Arc::new(PackCache::default()));
-            }
-            let vx = t.leaf(x.clone());
-            let vw = t.leaf_param(w.clone(), 1);
-            let vb = t.leaf(b.clone());
-            let y = t.linear_relu(vx, vw, vb);
-            let loss = t.sum(y);
-            let g = t.backward(loss);
-            (
-                t.value(y).clone(),
-                g.wrt(vx).clone(),
-                g.wrt(vw).clone(),
-                g.wrt(vb).clone(),
-            )
-        };
-        let (uy, ugx, ugw, ugb) = run(false);
-        let (cy, cgx, cgw, cgb) = run(true);
-        assert_bits(&cy, &uy);
-        assert_bits(&cgx, &ugx);
-        assert_bits(&cgw, &ugw);
-        assert_bits(&cgb, &ugb);
     }
 
     #[test]

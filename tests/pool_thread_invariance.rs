@@ -7,7 +7,7 @@
 //! test exists to keep out.
 
 use mega::core::parallel::Parallelism;
-use mega::exec::{Backend, BlockedBackend, BufferPool, ReferenceBackend, SimdBackend};
+use mega::exec::{Backend, BufferPool, ReferenceBackend, SimdBackend};
 use mega::tensor::{Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,7 +27,6 @@ fn pool_traffic_is_thread_count_invariant() {
 
     let backends: Vec<(&str, Arc<dyn Backend>)> = vec![
         ("reference", Arc::new(ReferenceBackend)),
-        ("blocked", Arc::new(BlockedBackend)),
         ("simd", Arc::new(SimdBackend::new())),
     ];
     for (name, backend) in backends {

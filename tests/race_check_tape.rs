@@ -14,7 +14,7 @@
 #![cfg(feature = "race-check")]
 
 use mega::core::parallel::Parallelism;
-use mega::exec::{Backend, BlockedBackend, BufferPool, ReferenceBackend, SimdBackend};
+use mega::exec::{Backend, BufferPool, ReferenceBackend, SimdBackend};
 use mega::tensor::{Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,7 +34,6 @@ fn tape_matmuls_race_checked_and_bit_identical_across_backends() {
 
     let backends: Vec<(&str, Arc<dyn Backend>)> = vec![
         ("reference", Arc::new(ReferenceBackend)),
-        ("blocked", Arc::new(BlockedBackend)),
         ("simd", Arc::new(SimdBackend::new())),
     ];
     for (name, backend) in backends {

@@ -14,9 +14,10 @@
 //! * [`exec`] — the claim, *executed*: a thread-per-segment band engine with
 //!   double-buffered ±ω halo exchange, bit-identical to the serial oracle
 //!   for every worker count.
-//! * [`train`] — a distributed trainer: per-sample gradient shards fanned
-//!   out over workers, all-reduced in a fixed ascending-shard order so the
-//!   loss trajectory is bit-identical for any worker count.
+//! * [`train`] — a distributed trainer: `mega-gnn`'s epoch loop with
+//!   per-sample gradient shards fanned out over workers; the loop
+//!   all-reduces in a fixed ascending-shard order, so the loss trajectory
+//!   is bit-identical for any worker count.
 //! * [`scaling`] — the modeled cluster scaling curves (see
 //!   `bench/dist_scaling` for the modeled/measured split).
 //!

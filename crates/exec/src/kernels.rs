@@ -3,8 +3,8 @@
 //! Each function here is the *reference* implementation the rest of the
 //! workspace dispatches to: plain scalar loops with a fixed, documented
 //! accumulation order and no floating-point reassociation. The dense kernels
-//! were lifted from `mega-tensor` (the former `Tensor::matmul` /
-//! `Tensor::matmul_with` inner loops) and the banded kernels from
+//! were lifted from `mega-tensor` (the former `Tensor::matmul` inner
+//! loops) and the banded kernels from
 //! `mega_core::parallel`; their bit patterns are contractual — backends that
 //! override a kernel must preserve the per-output-element accumulation order
 //! (see `SimdBackend`), and the parallel variants replay the serial order
@@ -823,21 +823,6 @@ pub fn banded_aggregate_with_plan(
     }
     join_workers(jobs);
     out
-}
-
-/// Backward pass through the aggregation, with respect to the inputs.
-///
-/// The aggregation is `out = A·x` with `A` the symmetric banded slot-weight
-/// matrix, so `dx = A·d_out` — the same kernel applied to the upstream
-/// gradient, inheriting the bit-identical chunking guarantee.
-pub fn banded_aggregate_backward_x(
-    band: &BandMask,
-    d_out: &[f32],
-    dim: usize,
-    weights: &[f32],
-    par: &Parallelism,
-) -> Vec<f32> {
-    banded_aggregate(band, d_out, dim, weights, par)
 }
 
 /// Backward pass with respect to the per-edge weights (serial reference).

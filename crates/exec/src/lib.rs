@@ -3,10 +3,10 @@
 //! Every kernel the training stack executes — dense GEMM, elementwise ops,
 //! row gather/scatter, segment softmax, layer/batch norm, and the banded
 //! attention kernels — is dispatched through the [`Backend`] trait. The
-//! autograd tape in `mega-tensor`, the GNN layers, and the `BandScheduler`
-//! all call through a `dyn Backend`, so swapping in a faster implementation
-//! (or a profiling decorator — see `mega-gpu-sim`'s `SimBackend`) is a
-//! one-crate change.
+//! autograd tape in `mega-tensor` and the GNN layers on top of it call
+//! through a `dyn Backend`, so swapping in a faster implementation (or a
+//! profiling decorator — see `mega-gpu-sim`'s `SimBackend`) is a one-crate
+//! change.
 //!
 //! Two concrete backends live here:
 //!

@@ -19,8 +19,10 @@
 //!   behind the paper's "comparable accuracy" claim (verified by this
 //!   crate's tests).
 //!
-//! [`train::Trainer`] runs epochs over a dataset, tracks loss and task
-//! metric, and (via [`cost`]) stamps every epoch with the simulated GPU
+//! [`train::Trainer`] owns the workspace's one epoch loop — whole-batch
+//! here, sharded over worker threads in `mega-dist`, through the
+//! [`train::ShardExecutor`] seam — tracks loss and task metric, and (via
+//! [`cost`]) stamps every epoch with the simulated GPU
 //! wall-clock from `mega-gpu-sim`, which is how the convergence-vs-time
 //! figures (Figs. 11–15) are regenerated.
 
@@ -40,5 +42,5 @@ pub mod train;
 pub use batch::{Batch, EngineIndices};
 pub use config::{EngineChoice, GnnConfig, ModelKind};
 pub use model::Gnn;
-pub use parallel::{preprocess_samples, BandScheduler};
+pub use parallel::preprocess_samples;
 pub use train::{EpochRecord, PhaseSeconds, Trainer, TrainingHistory};

@@ -6,7 +6,8 @@ use mega_tensor::Tensor;
 ///
 /// Empty inputs yield `0.0` (never `NaN`): an empty evaluation split
 /// contributes a neutral value to the graph-weighted averages in
-/// [`crate::Trainer::evaluate`], which weight it by zero graphs anyway.
+/// [`crate::Trainer::run_with`]'s evaluation, which weight it by zero graphs
+/// anyway.
 ///
 /// # Panics
 ///

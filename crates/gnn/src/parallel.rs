@@ -1,23 +1,8 @@
-//! Chunked parallel execution of banded attention schedules.
-//!
-//! This is the GNN-side face of the parallel band engine: a
-//! [`BandScheduler`] pins one preprocessed [`AttentionSchedule`] to a
-//! [`ChunkPlan`] and dispatches the banded forward/backward kernels (now
-//! living in `mega-exec`, behind the [`Backend`] trait) over it under a
-//! [`Parallelism`] budget, and [`preprocess_samples`] fans the per-graph
-//! preprocessing of a batch out across the same thread pool.
-//!
-//! Determinism: every kernel here inherits the row-ownership guarantee of
-//! the core engine — chunks own disjoint output row ranges and fold
-//! contributions in serial slot order, so results are bit-identical to the
-//! serial path for every thread count and chunk size.
+//! Parallel per-graph preprocessing for a batch of samples.
 
-use mega_core::parallel::{self, ChunkPlan, Parallelism};
+use mega_core::parallel::{self, Parallelism};
 use mega_core::{preprocess, AttentionSchedule, MegaConfig, MegaError};
 use mega_datasets::GraphSample;
-use mega_exec::{Backend, ReferenceBackend};
-use mega_tensor::Tensor;
-use std::sync::Arc;
 
 /// Preprocesses every sample of a batch, fanning the independent per-graph
 /// traversals out across the thread budget of `par`.
@@ -41,143 +26,10 @@ pub fn preprocess_samples(
     .collect()
 }
 
-/// A chunk scheduler for one preprocessed graph: splits the path of an
-/// [`AttentionSchedule`] into overlapping segments and runs the banded
-/// attention kernels per chunk on a thread pool.
-#[derive(Debug)]
-pub struct BandScheduler<'a> {
-    sched: &'a AttentionSchedule,
-    par: Parallelism,
-    plan: Arc<ChunkPlan>,
-    edge_count: usize,
-    backend: Arc<dyn Backend>,
-}
-
-impl<'a> BandScheduler<'a> {
-    /// Builds the chunk plan for `sched` under the budget of `par`, running
-    /// kernels on the default [`ReferenceBackend`].
-    pub fn new(sched: &'a AttentionSchedule, par: Parallelism) -> Self {
-        Self::with_backend(sched, par, Arc::new(ReferenceBackend))
-    }
-
-    /// Builds the scheduler with an explicit execution backend.
-    pub fn with_backend(
-        sched: &'a AttentionSchedule,
-        par: Parallelism,
-        backend: Arc<dyn Backend>,
-    ) -> Self {
-        // Bands repeat across batches and epochs (the schedule is fixed per
-        // graph), so the memoized plan builder shares one plan per
-        // (band, parallelism) geometry for the whole process.
-        let plan = ChunkPlan::for_band_cached(sched.band(), &par);
-        let edge_count = sched.working_graph().edge_count();
-        BandScheduler {
-            sched,
-            par,
-            plan,
-            edge_count,
-            backend,
-        }
-    }
-
-    /// The chunk plan (owned row ranges plus ±ω read extents).
-    pub fn plan(&self) -> &ChunkPlan {
-        &self.plan
-    }
-
-    /// The schedule this scheduler executes.
-    pub fn schedule(&self) -> &AttentionSchedule {
-        self.sched
-    }
-
-    /// Chunked banded aggregation forward pass.
-    ///
-    /// `x` is `L × dim` (one row per path position), `weights` holds one
-    /// attention weight per working-graph edge. Returns the `L × dim`
-    /// aggregate, bit-identical to the serial kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows()` differs from the path length or `weights` is
-    /// shorter than the working edge count.
-    pub fn forward(&self, x: &Tensor, weights: &[f32]) -> Tensor {
-        let band = self.sched.band();
-        assert_eq!(
-            x.rows(),
-            band.len(),
-            "x must have one row per path position"
-        );
-        assert!(
-            weights.len() >= self.edge_count,
-            "one weight per working edge"
-        );
-        let mut out = vec![0.0f32; x.rows() * x.cols()];
-        self.backend
-            .banded_aggregate(band, x.as_slice(), x.cols(), weights, &self.par, &mut out);
-        Tensor::from_vec(x.rows(), x.cols(), out)
-    }
-
-    /// Chunked backward pass with respect to the inputs: `dx = A·d_out`
-    /// (the band matrix is symmetric), bit-identical to serial.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as [`BandScheduler::forward`].
-    pub fn backward_x(&self, d_out: &Tensor, weights: &[f32]) -> Tensor {
-        let band = self.sched.band();
-        assert_eq!(
-            d_out.rows(),
-            band.len(),
-            "d_out must have one row per path position"
-        );
-        // The band matrix is symmetric, so dx = A·d_out — the same kernel.
-        let mut dx = vec![0.0f32; d_out.rows() * d_out.cols()];
-        self.backend.banded_aggregate(
-            band,
-            d_out.as_slice(),
-            d_out.cols(),
-            weights,
-            &self.par,
-            &mut dx,
-        );
-        Tensor::from_vec(d_out.rows(), d_out.cols(), dx)
-    }
-
-    /// Chunked backward pass with respect to the per-edge weights.
-    ///
-    /// Slots are partitioned by owning chunk, so each `dw[e]` is written by
-    /// exactly one worker — bit-identical to serial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` and `d_out` shapes differ or rows mismatch the path.
-    pub fn weight_grad(&self, x: &Tensor, d_out: &Tensor) -> Vec<f32> {
-        let band = self.sched.band();
-        assert_eq!(x.shape(), d_out.shape(), "x and d_out must match");
-        assert_eq!(
-            x.rows(),
-            band.len(),
-            "x must have one row per path position"
-        );
-        let mut dw = vec![0.0f32; self.edge_count];
-        self.backend.banded_weight_grad(
-            band,
-            x.as_slice(),
-            d_out.as_slice(),
-            x.cols(),
-            self.edge_count,
-            &self.par,
-            &mut dw,
-        );
-        dw
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mega_datasets::{zinc, DatasetSpec};
-    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn samples() -> Vec<GraphSample> {
         zinc(&DatasetSpec::tiny(5))
@@ -185,16 +37,6 @@ mod tests {
             .into_iter()
             .take(6)
             .collect()
-    }
-
-    fn random_rows(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
-        Tensor::from_vec(
-            rows,
-            cols,
-            (0..rows * cols)
-                .map(|_| rng.gen_range(-1.0f32..1.0))
-                .collect(),
-        )
     }
 
     #[test]
@@ -214,62 +56,5 @@ mod tests {
                 assert_eq!(a.band().window(), b.band().window());
             }
         }
-    }
-
-    #[test]
-    fn scheduler_forward_backward_bit_identical_to_serial() {
-        let ss = samples();
-        let cfg = MegaConfig::default();
-        let mut rng = StdRng::seed_from_u64(42);
-        for s in &ss {
-            let sched = preprocess(&s.graph, &cfg).unwrap();
-            let band = sched.band();
-            let (len, dim) = (band.len(), 7);
-            let edges = sched.working_graph().edge_count();
-            let x = random_rows(&mut rng, len, dim);
-            let d_out = random_rows(&mut rng, len, dim);
-            let weights: Vec<f32> = (0..edges).map(|_| rng.gen_range(0.0f32..1.0)).collect();
-            let fwd_serial =
-                mega_exec::kernels::banded_aggregate_serial(band, x.as_slice(), dim, &weights);
-            let dw_serial = mega_exec::kernels::banded_weight_grad_serial(
-                band,
-                x.as_slice(),
-                d_out.as_slice(),
-                dim,
-                edges,
-            );
-            for threads in [1, 2, 4, 8] {
-                let ex = BandScheduler::new(&sched, Parallelism::pinned(threads));
-                let fwd = ex.forward(&x, &weights);
-                let bwd = ex.backward_x(&d_out, &weights);
-                let dw = ex.weight_grad(&x, &d_out);
-                for (a, b) in fwd.as_slice().iter().zip(&fwd_serial) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "forward, threads={threads}");
-                }
-                let bwd_serial = mega_exec::kernels::banded_aggregate_serial(
-                    band,
-                    d_out.as_slice(),
-                    dim,
-                    &weights,
-                );
-                for (a, b) in bwd.as_slice().iter().zip(&bwd_serial) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "backward_x, threads={threads}");
-                }
-                for (a, b) in dw.iter().zip(&dw_serial) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "weight_grad, threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scheduler_plan_covers_path() {
-        let ss = samples();
-        let sched = preprocess(&ss[0].graph, &MegaConfig::default()).unwrap();
-        let ex = BandScheduler::new(&sched, Parallelism::pinned(4).with_chunk_size(3));
-        let plan = ex.plan();
-        assert_eq!(plan.len(), sched.path().len());
-        let covered: usize = plan.chunks().iter().map(|c| c.owned_len()).sum();
-        assert_eq!(covered, plan.len(), "owned ranges partition the path");
     }
 }

@@ -1,4 +1,10 @@
-//! Training loop with per-epoch metrics and simulated GPU wall clock.
+//! The training loop, with per-epoch metrics and simulated GPU wall clock.
+//!
+//! [`Trainer::run_with`] is the workspace's only epoch loop. It cuts each
+//! optimizer step into shards and leaves one thing to a [`ShardExecutor`]:
+//! how a step's shards are executed — inline as one whole-batch shard
+//! ([`Trainer::run`]) or fanned out over worker threads at one sample per
+//! shard (`mega_dist::DistTrainer`).
 
 use crate::batch::Batch;
 use crate::config::{EngineChoice, GnnConfig};
@@ -6,10 +12,11 @@ use crate::cost;
 use crate::metrics;
 use crate::model::Gnn;
 use crate::nn::Binder;
+use crate::parallel::preprocess_samples;
 use mega_core::{AttentionSchedule, MegaConfig, Parallelism};
 use mega_datasets::{Dataset, GraphSample, Task};
 use mega_exec::{Backend, BufferPool, ReferenceBackend};
-use mega_tensor::{Adam, Optimizer, ParamStore, Tape};
+use mega_tensor::{Adam, Optimizer, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -239,40 +246,79 @@ impl Trainer {
         self
     }
 
-    fn preprocess_all(&self, samples: &[GraphSample]) -> Vec<AttentionSchedule> {
-        crate::parallel::preprocess_samples(samples, &self.mega_config, &self.parallelism)
-            .expect("preprocessing of a valid graph cannot fail")
+    /// MEGA schedules for `samples`, one per sample in order (`None` under
+    /// the baseline engine): the run's one preprocessing site.
+    fn preprocess(&self, samples: &[GraphSample]) -> Option<Vec<AttentionSchedule>> {
+        (self.engine == EngineChoice::Mega).then(|| {
+            preprocess_samples(samples, &self.mega_config, &self.parallelism)
+                .expect("preprocessing of a valid graph cannot fail")
+        })
     }
 
-    fn build_batches(&self, samples: &[GraphSample]) -> Vec<Batch> {
-        let chunks: Vec<&[GraphSample]> = samples.chunks(self.batch_size).collect();
-        match self.engine {
-            EngineChoice::Baseline => chunks.into_iter().map(Batch::baseline).collect(),
-            EngineChoice::Mega => chunks
-                .into_iter()
-                .map(|c| {
-                    let schedules = self.preprocess_all(c);
-                    Batch::mega_with(c, &schedules, &self.parallelism)
-                })
+    /// Cuts `samples` (with their schedules, under the MEGA engine) into
+    /// shards of `shard_size` samples each.
+    fn assemble(
+        &self,
+        samples: &[GraphSample],
+        schedules: Option<&[AttentionSchedule]>,
+        shard_size: usize,
+    ) -> Vec<Batch> {
+        let chunks = samples.chunks(shard_size);
+        match schedules {
+            None => chunks.map(Batch::baseline).collect(),
+            Some(schedules) => chunks
+                .zip(schedules.chunks(shard_size))
+                .map(|(c, s)| Batch::mega_with(c, s, &self.parallelism))
                 .collect(),
         }
     }
 
-    /// Runs training and returns the per-epoch history.
+    /// Preprocesses a split once and cuts it into shards.
+    fn shards_of(&self, samples: &[GraphSample], shard_size: usize) -> Vec<Batch> {
+        self.assemble(samples, self.preprocess(samples).as_deref(), shard_size)
+    }
+
+    /// Runs whole-batch training — every optimizer step is one shard on
+    /// this thread — and returns the per-epoch history.
     pub fn run(&self, dataset: &Dataset, config: GnnConfig) -> TrainingHistory {
+        // One pool for the whole run: tapes recycle node buffers batch to
+        // batch instead of re-allocating.
+        let exec = Inline {
+            pool: Arc::new(BufferPool::new()),
+        };
+        self.run_with(&exec, dataset, config)
+    }
+
+    /// The epoch loop, shared by every way of executing a step's shards.
+    ///
+    /// Each optimizer step takes `batch_size` samples, cut into shards of
+    /// `exec.shard_size(batch_size)`; `exec` computes every shard on its
+    /// own tape and the loop folds the shard gradients into the store in
+    /// ascending shard order, scaled to the step mean. The fold order is
+    /// fixed by the sharding alone, so the trajectory never depends on how
+    /// (or on how many threads) `exec` ran the shards. Whole-batch training
+    /// is the one-shard case: its single gradient is scaled by exactly 1.
+    pub fn run_with(
+        &self,
+        exec: &dyn ShardExecutor,
+        dataset: &Dataset,
+        config: GnnConfig,
+    ) -> TrainingHistory {
         let _train_span = mega_obs::span("train");
         mega_obs::counter_add("gnn.train.runs", 1);
         let start = mega_obs::Stopwatch::start();
         let task = dataset.task;
+        let batch_size = self.batch_size.max(1);
+        let shard_size = exec.shard_size(batch_size);
+        let shards_per_step = batch_size / shard_size;
 
         // One-time preprocessing (CPU side, decoupled from training).
         let pre_start = mega_obs::Stopwatch::start();
-        let (train_batches, val_batches) = {
+        let (train_schedules, mut train_shards, val_shards) = {
             let _s = mega_obs::span("assemble");
-            (
-                self.build_batches(&dataset.train),
-                self.build_batches(&dataset.val),
-            )
+            let schedules = self.preprocess(&dataset.train);
+            let train = self.assemble(&dataset.train, schedules.as_deref(), shard_size);
+            (schedules, train, self.shards_of(&dataset.val, shard_size))
         };
         let preprocess_seconds = if self.engine == EngineChoice::Mega {
             pre_start.elapsed().as_secs_f64()
@@ -281,20 +327,18 @@ impl Trainer {
         };
 
         // Simulated GPU epoch time from a representative batch.
-        let rep = &dataset.train[..dataset.train.len().min(self.batch_size)];
-        let rep_schedules = if self.engine == EngineChoice::Mega {
-            Some(self.preprocess_all(rep))
-        } else {
-            None
-        };
+        let rep = &dataset.train[..dataset.train.len().min(batch_size)];
         let epoch_sim_seconds = cost::epoch_cost(
             &config,
             self.engine,
             rep,
-            rep_schedules.as_deref(),
-            train_batches.len(),
+            train_schedules.as_deref().map(|s| &s[..rep.len()]),
+            dataset.train.len().div_ceil(batch_size),
         )
         .epoch_seconds;
+        // The shards carry what training needs; don't hold the schedules
+        // through the run.
+        drop(train_schedules);
 
         let mut store = ParamStore::new();
         let model = Gnn::new(&mut store, config.clone());
@@ -303,14 +347,9 @@ impl Trainer {
         let mut sim_clock = preprocess_seconds;
         let mut best_val = f64::INFINITY;
         let mut since_best = 0usize;
-        #[allow(unused_assignments)]
-        let mut shuffled_storage: Vec<Batch> = Vec::new();
-
-        let mut shuffle_rng = self.shuffle_seed.map(StdRng::seed_from_u64);
-        let mut shuffled_samples = dataset.train.clone();
-        // One pool for the whole run: tapes recycle node buffers batch to
-        // batch instead of re-allocating.
-        let pool = Arc::new(BufferPool::new());
+        let mut shuffle = self
+            .shuffle_seed
+            .map(|seed| (StdRng::seed_from_u64(seed), dataset.train.clone()));
         // Global step counter for the health monitors and the sentinel dump.
         let mut step = 0u64;
         for epoch in 1..=self.epochs {
@@ -319,54 +358,51 @@ impl Trainer {
             let mut phases = PhaseSeconds::default();
             // Optional per-epoch reshuffle of the sample order.
             let t_assemble = mega_obs::Stopwatch::start();
-            let epoch_batches: &[Batch] = match shuffle_rng.as_mut() {
-                Some(rng) if epoch > 1 => {
-                    let _s = mega_obs::span("assemble");
-                    shuffled_samples.shuffle(rng);
-                    shuffled_storage = self.build_batches(&shuffled_samples);
-                    &shuffled_storage
-                }
-                _ => &train_batches,
-            };
+            if let (Some((rng, samples)), true) = (shuffle.as_mut(), epoch > 1) {
+                let _s = mega_obs::span("assemble");
+                samples.shuffle(rng);
+                train_shards = self.shards_of(samples, shard_size);
+            }
             phases.assemble = t_assemble.elapsed().as_secs_f64();
             let mut loss_sum = 0.0f64;
-            for batch in epoch_batches {
+            let steps = train_shards.chunks(shards_per_step);
+            let n_steps = steps.len();
+            for group in steps {
                 mega_obs::counter_add("gnn.train.batches", 1);
-                let mut tape = Tape::with_exec(self.backend.clone(), pool.clone());
-                tape.set_parallelism(self.parallelism);
-                tape.set_planning(self.plan);
-                let mut binder = Binder::new();
-                let t_fwd = mega_obs::Stopwatch::start();
-                let loss = {
-                    let _s = mega_obs::span("forward");
-                    let pred = model.forward(&mut tape, &mut binder, &store, batch);
-                    model.loss(&mut tape, pred, batch, task)
+                let job = ShardJob {
+                    trainer: self,
+                    model: &model,
+                    store: &store,
+                    task,
                 };
-                phases.forward += t_fwd.elapsed().as_secs_f64();
-                let batch_loss = tape.value(loss).at(0, 0) as f64;
-                loss_sum += batch_loss;
-                let t_bwd = mega_obs::Stopwatch::start();
-                let grads = {
-                    let _s = mega_obs::span("backward");
-                    tape.backward(loss)
-                };
-                phases.backward += t_bwd.elapsed().as_secs_f64();
+                let outs = exec.train_step(&job, group, &mut phases);
+                // Deterministic all-reduce: every shard's gradient folded
+                // into the store in ascending shard order, scaled to the
+                // step mean — the same bits however the shards were run.
                 let t_opt = mega_obs::Stopwatch::start();
+                let inv = 1.0f32 / group.len() as f32;
+                let mut batch_loss = 0.0f64;
                 let grad_norm = {
                     let _s = mega_obs::span("optimizer");
-                    binder.apply(&mut store, &grads);
+                    for out in &outs {
+                        batch_loss += out.loss;
+                        for (p, g) in &out.grads {
+                            store.accumulate(*p, &g.scale(inv));
+                        }
+                    }
                     let pre_clip = store.clip_grad_norm(self.grad_clip);
                     opt.step(&mut store);
                     pre_clip
                 };
+                batch_loss /= group.len() as f64;
+                loss_sum += batch_loss;
                 phases.optimizer += t_opt.elapsed().as_secs_f64();
                 step += 1;
-                // NaN/Inf sentinel: always on (two float checks per batch).
+                // NaN/Inf sentinel: always on (two float checks per step).
                 // A non-finite loss or gradient norm poisons every later
-                // step, so fail fast with the full diagnostic picture while
-                // the offending tape is still alive.
+                // step, so fail fast with the full diagnostic picture.
                 if !batch_loss.is_finite() || !grad_norm.is_finite() {
-                    Self::abort_nonfinite(epoch, step, batch_loss, grad_norm, &tape);
+                    abort_nonfinite(epoch, step, batch_loss, grad_norm, &outs);
                 }
                 if mega_obs::enabled() {
                     mega_obs::record_value(
@@ -380,11 +416,11 @@ impl Trainer {
                     mega_obs::trace_counter("gnn.health.grad_norm", grad_norm as f64);
                 }
             }
-            let train_loss = loss_sum / epoch_batches.len().max(1) as f64;
+            let train_loss = loss_sum / n_steps.max(1) as f64;
             let t_eval = mega_obs::Stopwatch::start();
             let (val_loss, val_metric) = {
                 let _s = mega_obs::span("evaluate");
-                self.evaluate(&model, &store, &val_batches, task)
+                self.evaluate(exec, &model, &store, &val_shards, task)
             };
             phases.evaluate = t_eval.elapsed().as_secs_f64();
             if mega_obs::enabled() {
@@ -422,8 +458,8 @@ impl Trainer {
         // Final held-out evaluation.
         let (test_loss, test_metric) = {
             let _s = mega_obs::span("evaluate");
-            let test_batches = self.build_batches(&dataset.test);
-            self.evaluate(&model, &store, &test_batches, task)
+            let test_shards = self.shards_of(&dataset.test, shard_size);
+            self.evaluate(exec, &model, &store, &test_shards, task)
         };
 
         TrainingHistory {
@@ -438,60 +474,227 @@ impl Trainer {
         }
     }
 
-    /// Aborts training on a non-finite loss or gradient norm with a
-    /// diagnostic dump: the offending tape op (where non-finiteness entered
-    /// the forward pass), the epoch/step coordinates, the full metrics
-    /// snapshot, and the flight-recorder ring of recent span events.
-    ///
-    /// Panicking (rather than returning an error) is deliberate: a poisoned
-    /// parameter store has no recovery path mid-run, and the panic payload
-    /// carries the dump to whatever harness drives training.
-    fn abort_nonfinite(epoch: usize, step: u64, loss: f64, grad_norm: f32, tape: &Tape) -> ! {
-        let offender = match tape.first_nonfinite() {
-            Some((idx, kind)) => format!("node #{idx} ({kind})"),
-            None => "not on the tape (entered through optimizer state)".to_string(),
-        };
-        panic!(
-            "non-finite training signal at epoch {epoch} step {step}: \
-             loss={loss}, pre-clip grad norm={grad_norm}\n\
-             offending op: {offender}\n\
-             metrics snapshot:\n{}\n{}",
-            mega_obs::snapshot().to_json(false),
-            mega_obs::render_flight_recorder(),
-        );
-    }
-
-    /// Evaluates `(loss, metric)` over batches without updating parameters.
-    pub fn evaluate(
+    /// Evaluates `(loss, metric)` over a split's shards without updating
+    /// parameters: shard results folded in ascending shard order, each
+    /// weighted by its graph count.
+    fn evaluate(
         &self,
+        exec: &dyn ShardExecutor,
         model: &Gnn,
         store: &ParamStore,
-        batches: &[Batch],
+        shards: &[Batch],
         task: Task,
     ) -> (f64, f64) {
+        let job = ShardJob {
+            trainer: self,
+            model,
+            store,
+            task,
+        };
         let mut loss_sum = 0.0f64;
         let mut metric_sum = 0.0f64;
         let mut graphs = 0usize;
-        let pool = Arc::new(BufferPool::new());
-        for batch in batches {
-            let mut tape = Tape::with_exec(self.backend.clone(), pool.clone());
-            tape.set_parallelism(self.parallelism);
-            tape.set_planning(self.plan);
-            let mut binder = Binder::new();
-            let pred = model.forward(&mut tape, &mut binder, store, batch);
-            let loss = model.loss(&mut tape, pred, batch, task);
-            loss_sum += tape.value(loss).at(0, 0) as f64 * batch.n_graphs() as f64;
-            let pv = tape.value(pred);
-            let m = match task {
-                Task::Regression => metrics::mae(pv, &batch.regression_targets()),
-                Task::Classification { .. } => metrics::accuracy(pv, &batch.class_targets()),
-            };
-            metric_sum += m * batch.n_graphs() as f64;
+        for (batch, out) in shards.iter().zip(exec.evaluate(&job, shards)) {
+            loss_sum += out.loss * batch.n_graphs() as f64;
+            metric_sum += out.metric * batch.n_graphs() as f64;
             graphs += batch.n_graphs();
         }
         let g = graphs.max(1) as f64;
         (loss_sum / g, metric_sum / g)
     }
+}
+
+/// What every shard of one step (or one evaluation pass) shares.
+#[derive(Clone, Copy)]
+pub struct ShardJob<'a> {
+    /// Backend, planner and thread-budget selection.
+    pub trainer: &'a Trainer,
+    /// The model being trained.
+    pub model: &'a Gnn,
+    /// Its current parameters.
+    pub store: &'a ParamStore,
+    /// The dataset's task (selects the metric).
+    pub task: Task,
+}
+
+/// One shard's contribution to a step or an evaluation pass.
+#[derive(Debug)]
+pub struct ShardOutput {
+    /// Mean loss over the shard's graphs.
+    pub loss: f64,
+    /// Task metric over the shard's graphs (MAE or accuracy).
+    pub metric: f64,
+    /// `(param, grad)` pairs in binding order; empty unless requested.
+    pub grads: Vec<(ParamId, Tensor)>,
+    /// Where non-finiteness entered the forward pass (node index, op
+    /// kind), looked up only when `loss` is not finite.
+    pub nonfinite_op: Option<(usize, &'static str)>,
+}
+
+/// How a step's shards are executed: the one seam of [`Trainer::run_with`].
+///
+/// Both methods return one [`ShardOutput`] per shard, in shard order, each
+/// computed by [`run_shard`] (or its timed equivalent) so that a shard's
+/// bits depend only on the shard and the parameters.
+pub trait ShardExecutor {
+    /// Samples per shard for a step of `batch_size` samples; must divide
+    /// `batch_size`.
+    fn shard_size(&self, batch_size: usize) -> usize;
+
+    /// Runs one optimizer step's shards with gradients, adding the time
+    /// spent to `phases`.
+    fn train_step(
+        &self,
+        job: &ShardJob<'_>,
+        shards: &[Batch],
+        phases: &mut PhaseSeconds,
+    ) -> Vec<ShardOutput>;
+
+    /// Runs a whole split's shards without gradients.
+    fn evaluate(&self, job: &ShardJob<'_>, shards: &[Batch]) -> Vec<ShardOutput>;
+}
+
+/// Whole-batch execution: one shard per step, run on the loop's thread
+/// with the forward and backward halves timed separately.
+struct Inline {
+    pool: Arc<BufferPool>,
+}
+
+impl ShardExecutor for Inline {
+    fn shard_size(&self, batch_size: usize) -> usize {
+        batch_size
+    }
+
+    fn train_step(
+        &self,
+        job: &ShardJob<'_>,
+        shards: &[Batch],
+        phases: &mut PhaseSeconds,
+    ) -> Vec<ShardOutput> {
+        shards
+            .iter()
+            .map(|batch| {
+                let t_fwd = mega_obs::Stopwatch::start();
+                let tape = {
+                    let _s = mega_obs::span("forward");
+                    ShardTape::forward(job, batch, &self.pool)
+                };
+                phases.forward += t_fwd.elapsed().as_secs_f64();
+                let t_bwd = mega_obs::Stopwatch::start();
+                let out = {
+                    let _s = mega_obs::span("backward");
+                    tape.finish(true)
+                };
+                phases.backward += t_bwd.elapsed().as_secs_f64();
+                out
+            })
+            .collect()
+    }
+
+    fn evaluate(&self, job: &ShardJob<'_>, shards: &[Batch]) -> Vec<ShardOutput> {
+        let pool = Arc::new(BufferPool::new());
+        shards
+            .iter()
+            .map(|batch| run_shard(job, batch, &pool, false))
+            .collect()
+    }
+}
+
+/// A shard's tape after its forward pass.
+struct ShardTape<'a> {
+    tape: Tape,
+    binder: Binder,
+    pred: Var,
+    loss: Var,
+    batch: &'a Batch,
+    task: Task,
+}
+
+impl<'a> ShardTape<'a> {
+    /// Tape → forward → loss for one shard, drawing buffers from `pool`.
+    fn forward(job: &ShardJob<'_>, batch: &'a Batch, pool: &Arc<BufferPool>) -> Self {
+        let t = job.trainer;
+        let mut tape = Tape::with_exec(t.backend.clone(), pool.clone());
+        tape.set_parallelism(t.parallelism);
+        tape.set_planning(t.plan);
+        let mut binder = Binder::new();
+        let pred = job.model.forward(&mut tape, &mut binder, job.store, batch);
+        let loss = job.model.loss(&mut tape, pred, batch, job.task);
+        ShardTape {
+            tape,
+            binder,
+            pred,
+            loss,
+            batch,
+            task: job.task,
+        }
+    }
+
+    /// Reads loss and metric off the tape and, when `want_grads`, runs the
+    /// backward pass.
+    fn finish(self, want_grads: bool) -> ShardOutput {
+        let loss = self.tape.value(self.loss).at(0, 0) as f64;
+        let pred = self.tape.value(self.pred);
+        let metric = match self.task {
+            Task::Regression => metrics::mae(pred, &self.batch.regression_targets()),
+            Task::Classification { .. } => metrics::accuracy(pred, &self.batch.class_targets()),
+        };
+        let nonfinite_op = if loss.is_finite() {
+            None
+        } else {
+            self.tape.first_nonfinite()
+        };
+        let grads = if want_grads {
+            self.binder.shard_grads(&self.tape.backward(self.loss))
+        } else {
+            Vec::new()
+        };
+        ShardOutput {
+            loss,
+            metric,
+            grads,
+            nonfinite_op,
+        }
+    }
+}
+
+/// Computes one shard start to finish on its own tape. Self-contained:
+/// the result's bits depend only on the shard and the parameters, never on
+/// the thread or the pool that ran it (pooling is content-neutral).
+pub fn run_shard(
+    job: &ShardJob<'_>,
+    batch: &Batch,
+    pool: &Arc<BufferPool>,
+    want_grads: bool,
+) -> ShardOutput {
+    ShardTape::forward(job, batch, pool).finish(want_grads)
+}
+
+/// Aborts training on a non-finite loss or gradient norm with a diagnostic
+/// dump: the offending tape op (where non-finiteness entered a shard's
+/// forward pass), the epoch/step coordinates, the full metrics snapshot,
+/// and the flight-recorder ring of recent span events.
+///
+/// Panicking (rather than returning an error) is deliberate: a poisoned
+/// parameter store has no recovery path mid-run, and the panic payload
+/// carries the dump to whatever harness drives training.
+fn abort_nonfinite(epoch: usize, step: u64, loss: f64, grad_norm: f32, outs: &[ShardOutput]) -> ! {
+    let offender = outs
+        .iter()
+        .enumerate()
+        .find_map(|(shard, out)| {
+            let (idx, kind) = out.nonfinite_op?;
+            Some(format!("node #{idx} ({kind}) of shard {shard}"))
+        })
+        .unwrap_or_else(|| "not on the tape (entered through optimizer state)".to_string());
+    panic!(
+        "non-finite training signal at epoch {epoch} step {step}: \
+         loss={loss}, pre-clip grad norm={grad_norm}\n\
+         offending op: {offender}\n\
+         metrics snapshot:\n{}\n{}",
+        mega_obs::snapshot().to_json(false),
+        mega_obs::render_flight_recorder(),
+    );
 }
 
 #[cfg(test)]
@@ -648,35 +851,6 @@ mod tests {
         for w in hist.records.windows(2) {
             assert!(w[1].sim_seconds > w[0].sim_seconds);
         }
-    }
-
-    #[test]
-    fn nan_sentinel_aborts_with_diagnostic_dump() {
-        let ds = zinc(&DatasetSpec::tiny(31));
-        let cfg = tiny_config(&ds, ModelKind::GatedGcn, 1);
-        // An infinite learning rate blows the parameters up after the first
-        // optimizer step, so the second batch's forward pass goes non-finite
-        // — the sentinel must abort with the full diagnostic dump. Run on a
-        // scratch thread to capture the panic payload for inspection.
-        let handle = std::thread::spawn(move || {
-            Trainer::new(EngineChoice::Baseline)
-                .with_epochs(3)
-                .with_batch_size(8)
-                .with_lr(f32::INFINITY)
-                .run(&ds, cfg);
-        });
-        let err = handle.join().expect_err("training must abort, not finish");
-        let msg = err
-            .downcast_ref::<String>()
-            .expect("sentinel panics with a formatted dump");
-        assert!(msg.contains("non-finite training signal"), "dump: {msg}");
-        assert!(msg.contains("epoch 1 step"), "dump names the step: {msg}");
-        assert!(
-            msg.contains("offending op: node #"),
-            "dump names the op: {msg}"
-        );
-        assert!(msg.contains("metrics snapshot:"), "dump: {msg}");
-        assert!(msg.contains("flight recorder"), "dump: {msg}");
     }
 
     #[test]

@@ -256,33 +256,6 @@ impl Tensor {
         }
     }
 
-    /// Matrix product computed under the thread budget of `par`.
-    ///
-    /// Delegates to the shared reference kernel in `mega-exec`: output rows
-    /// are split into contiguous chunks, one per worker, and each row is
-    /// produced by the exact scalar kernel of [`Tensor::matmul`] — chunks
-    /// never share an output row, so the result is bit-identical to the
-    /// serial product for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul_with(&self, other: &Tensor, par: &mega_core::Parallelism) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: inner dims {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        let mut out = vec![0.0f32; n * m];
-        mega_exec::kernels::matmul_par(&self.data, &other.data, n, k, m, par, &mut out);
-        Tensor {
-            rows: n,
-            cols: m,
-            data: out,
-        }
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
@@ -356,31 +329,6 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_matmul_bit_identical_to_serial() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(11);
-        let a = Tensor::from_vec(
-            37,
-            64,
-            (0..37 * 64).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
-        );
-        let b = Tensor::from_vec(
-            64,
-            29,
-            (0..64 * 29).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
-        );
-        let serial = a.matmul(&b);
-        for threads in [1, 2, 4, 8] {
-            let par = mega_core::Parallelism::pinned(threads);
-            let p = a.matmul_with(&b, &par);
-            assert_eq!(p.shape(), serial.shape());
-            for (x, y) in p.as_slice().iter().zip(serial.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
-            }
-        }
-    }
 
     #[test]
     fn construction_and_access() {

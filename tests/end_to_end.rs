@@ -3,8 +3,9 @@
 
 use mega::core::{preprocess, MegaConfig, WindowPolicy};
 use mega::datasets::{aqsol, csl, cycles, zinc, Dataset, DatasetSpec, Task};
+use mega::dist::DistTrainer;
 use mega::gnn::nn::Binder;
-use mega::gnn::{Batch, EngineChoice, Gnn, GnnConfig, ModelKind, Trainer};
+use mega::gnn::{Batch, EngineChoice, Gnn, GnnConfig, ModelKind, Trainer, TrainingHistory};
 use mega::tensor::{ParamStore, Tape};
 
 fn tiny(seed: u64) -> DatasetSpec {
@@ -168,5 +169,43 @@ fn window_policy_reaches_training() {
             .with_mega_config(MegaConfig::default().with_window(WindowPolicy::Fixed(w)))
             .run(&ds, cfg.clone());
         assert!(hist.records[0].train_loss.is_finite(), "window {w}");
+    }
+}
+
+/// An infinite learning rate blows the parameters up after the first
+/// optimizer step, so the second step's forward pass goes non-finite — the
+/// sentinel must abort with the full diagnostic dump, naming the offending
+/// op, however the step's shards were executed.
+#[test]
+fn nan_sentinel_aborts_with_diagnostic_dump() {
+    type Run = fn(Trainer, &Dataset, GnnConfig) -> TrainingHistory;
+    let executors: [(&str, Run); 2] = [
+        ("inline", |t, ds, cfg| t.run(ds, cfg)),
+        ("sharded", |t, ds, cfg| DistTrainer::new(t, 2).run(ds, cfg)),
+    ];
+    for (name, run) in executors {
+        let ds = zinc(&tiny(31));
+        let cfg = config_for(&ds, ModelKind::GatedGcn);
+        // A scratch thread captures the panic payload for inspection.
+        let handle = std::thread::spawn(move || {
+            let trainer = Trainer::new(EngineChoice::Baseline)
+                .with_epochs(3)
+                .with_batch_size(8)
+                .with_lr(f32::INFINITY);
+            run(trainer, &ds, cfg);
+        });
+        let err = handle.join().expect_err("training must abort, not finish");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("sentinel panics with a formatted dump");
+        for expected in [
+            "non-finite training signal",
+            "epoch 1 step",
+            "offending op: node #",
+            "metrics snapshot:",
+            "flight recorder",
+        ] {
+            assert!(msg.contains(expected), "{name}: no `{expected}` in {msg}");
+        }
     }
 }

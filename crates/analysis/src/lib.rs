@@ -73,7 +73,7 @@ pub enum Rule {
     UnorderedCollection,
     /// A fused composite-kernel `fn` definition (`*linear_relu*`,
     /// `*axpy*`, `*norm_act*`, ...) outside the audited fusion surface
-    /// (`crates/exec/src/`, the tape planner, the GPU simulator). Fused
+    /// (`crates/exec/src/`, the tape, the GPU simulator). Fused
     /// arithmetic must go through the `Backend` trait so its bit-exactness
     /// proof lives in one reviewed place.
     FusionScope,

@@ -54,14 +54,13 @@ pub(crate) const ORDER_SENSITIVE: [&str; 11] = [
 
 /// The audited fusion surface: the only places allowed to *define* fused
 /// composite kernels. `crates/exec/src/` holds the kernels, backend
-/// drivers, and `Backend` trait defaults; the tape's planner files hold
+/// drivers, and `Backend` trait defaults; the tape holds
 /// the recording/dispatch entry points; the GPU simulator models fused
 /// launches without real arithmetic.
-const FUSION_HOMES: [&str; 4] = [
+const FUSION_HOMES: [&str; 3] = [
     "crates/exec/src/",
     "crates/gpu-sim/src/",
     "crates/tensor/src/tape.rs",
-    "crates/tensor/src/plan.rs",
 ];
 
 /// Name fragments that mark a fused composite kernel: a GEMM with a
@@ -256,7 +255,7 @@ fn fusion_scope(path: &str, lineno: usize, line: &Line, findings: &mut Vec<Findi
                     Rule::FusionScope,
                     format!(
                         "`fn {ident}` defines a fused composite kernel (`*{frag}*`) outside \
-                         the audited fusion surface (crates/exec, the tape planner, the GPU \
+                         the audited fusion surface (crates/exec, the tape, the GPU \
                          simulator); route fused arithmetic through the `Backend` trait"
                     ),
                 );

@@ -1,8 +1,7 @@
-//! Bit-exact equivalence matrix: backend x planner x shard executor.
+//! Bit-exact equivalence matrix: backend x shard executor.
 //!
 //! Trains the same fixed-seed model under every combination of
-//! `--backend a,b` (default `reference,simd`), `--plan on,off` (tape
-//! planner vs the unfused eager oracle) and execution — whole-batch
+//! `--backend a,b` (default `reference,simd`) and execution — whole-batch
 //! `Trainer::run` plus the sharded `DistTrainer` at every `--workers`
 //! count (default `1,2,4`) — under both engines, and prints each loss
 //! trajectory as raw `f64` bit patterns. Whole-batch and sharded runs
@@ -13,7 +12,7 @@
 //! and weight gradients.
 //!
 //! Exits non-zero on the first mismatched bit, so CI can assert
-//! reference ≡ simd, planned ≡ unplanned and 1 ≡ 2 ≡ 4 workers directly.
+//! reference ≡ simd and 1 ≡ 2 ≡ 4 workers directly.
 
 use mega_core::{preprocess, MegaConfig};
 use mega_datasets::{zinc, DatasetSpec};
@@ -37,7 +36,6 @@ const SHARDED: (usize, usize, usize, usize) = (48, 24, 2, 2);
 struct Config {
     label: String,
     backend: Arc<dyn Backend>,
-    plan: bool,
     workers: Option<usize>,
 }
 
@@ -60,8 +58,7 @@ fn train(c: &Config, engine: EngineChoice) -> TrainingHistory {
     let trainer = Trainer::new(engine)
         .with_epochs(epochs)
         .with_batch_size(8)
-        .with_backend(c.backend.clone())
-        .with_plan(c.plan);
+        .with_backend(c.backend.clone());
     match c.workers {
         None => trainer.run(&ds, cfg),
         Some(k) => DistTrainer::new(trainer, k).run(&ds, cfg),
@@ -129,25 +126,12 @@ fn band_leg(worker_counts: &[usize]) -> bool {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut backends = "reference,simd".to_string();
-    let mut plans = "on,off".to_string();
     let mut workers = "1,2,4".to_string();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--backend" => backends = args.next().unwrap_or_default(),
-            "--plan" => plans = args.next().unwrap_or_default(),
             "--workers" => workers = args.next().unwrap_or_default(),
             _ => {}
-        }
-    }
-    let mut plan_flags = Vec::new();
-    for p in plans.split(',') {
-        match p {
-            "on" => plan_flags.push(true),
-            "off" => plan_flags.push(false),
-            other => {
-                eprintln!("unknown --plan value `{other}` (expected on or off)");
-                return ExitCode::FAILURE;
-            }
         }
     }
     let mut counts = Vec::new();
@@ -169,20 +153,16 @@ fn main() -> ExitCode {
             eprintln!("unknown backend `{name}` (expected reference or simd)");
             return ExitCode::FAILURE;
         };
-        for &plan in &plan_flags {
-            for &workers in &executions {
-                let plan_label = if plan { "on" } else { "off" };
-                let label = match workers {
-                    None => format!("{name}[plan={plan_label}]"),
-                    Some(k) => format!("{name}[plan={plan_label},workers={k}]"),
-                };
-                configs.push(Config {
-                    label,
-                    backend: backend.clone(),
-                    plan,
-                    workers,
-                });
-            }
+        for &workers in &executions {
+            let label = match workers {
+                None => name.to_string(),
+                Some(k) => format!("{name}[workers={k}]"),
+            };
+            configs.push(Config {
+                label,
+                backend: backend.clone(),
+                workers,
+            });
         }
     }
 

@@ -197,7 +197,7 @@ pub fn train(args: &Args) -> Result<(), String> {
         .with_hidden(args.get_or("hidden", 32usize)?)
         .with_layers(args.get_or("layers", 2usize)?)
         .with_heads(4);
-    // --threads 0 = auto (RAYON_NUM_THREADS, then hardware); parallel paths
+    // --threads 0 = auto (the hardware); parallel paths
     // are bit-deterministic, so the history is identical for every value.
     let threads = args.get_or("threads", 1usize)?;
     // Backends are bit-identical too: `sim` decorates another backend's

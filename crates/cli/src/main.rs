@@ -47,8 +47,8 @@ COMMANDS:
         --epochs N            (default 5)   --batch N   (default 32)
         --hidden N            (default 32)  --lr F      (default 0.005)
         --threads N           CPU worker threads for preprocessing, batching
-                              and tape matmuls; 0 = auto from
-                              RAYON_NUM_THREADS or the hardware (default 1).
+                              and tape matmuls; 0 = auto from the
+                              hardware (default 1).
                               Results are bit-identical for every value.
         --workers N           run the distributed trainer: shard each
                               optimizer step across N worker threads and

@@ -266,7 +266,6 @@ fn render(
     );
     let _ = writeln!(o, "- roofs: {roofs_label}");
     render_roofline(&mut o, &snap, cal);
-    render_planner(&mut o, &snap);
     render_pool(&mut o, &snap);
     render_traversal(&mut o, &snap);
     render_health(&mut o, &snap);
@@ -373,52 +372,8 @@ fn pct(part: u64, total: u64) -> String {
     }
 }
 
-/// Tape-planner telemetry: fusion traffic (`tensor.plan.*`) and
-/// chunk-plan reuse (`core.parallel.plan_cache.*`).
-fn render_planner(o: &mut String, snap: &Snap) {
-    let deferred = snap.counter("tensor.plan.deferred");
-    let chunk_hits = snap.counter("core.parallel.plan_cache.hits").unwrap_or(0);
-    let chunk_misses = snap.counter("core.parallel.plan_cache.misses").unwrap_or(0);
-    let has_chunk = chunk_hits + chunk_misses > 0;
-    if deferred.is_none() && !has_chunk {
-        return;
-    }
-    let _ = writeln!(o, "\n## Planner");
-    let _ = writeln!(o);
-    if let Some(d) = deferred {
-        let flushes = snap.counter("tensor.plan.flushes").unwrap_or(0);
-        let fused = snap.counter("tensor.plan.fused").unwrap_or(0);
-        let elided = snap.counter("tensor.plan.elided").unwrap_or(0);
-        let _ = writeln!(
-            o,
-            "- deferred ops: {d} across {flushes} flushes; {fused} fusions elided {elided} \
-             nodes (fusion hit rate {})",
-            pct(elided, d)
-        );
-        let kinds: Vec<(&str, u64)> = snap
-            .counters
-            .iter()
-            .filter_map(|(k, v)| k.strip_prefix("tensor.plan.fused.").map(|kind| (kind, *v)))
-            .collect();
-        if !kinds.is_empty() {
-            let _ = writeln!(o);
-            let _ = writeln!(o, "| fused kernel | rewrites |");
-            let _ = writeln!(o, "|---|---|");
-            for (kind, count) in kinds {
-                let _ = writeln!(o, "| {kind} | {count} |");
-            }
-        }
-    }
-    if has_chunk {
-        let _ = writeln!(
-            o,
-            "- chunk-plan cache: {chunk_hits} hits / {chunk_misses} misses (reuse rate {})",
-            pct(chunk_hits, chunk_hits + chunk_misses)
-        );
-    }
-}
-
-/// Buffer-pool residency per size class plus the hit/miss totals.
+/// Buffer-pool residency per size class plus the hit/miss totals, and the
+/// other cross-step cache's reuse (`core.parallel.plan_cache.*`).
 fn render_pool(o: &mut String, snap: &Snap) {
     let mut classes: Vec<&str> = snap
         .gauges
@@ -431,7 +386,10 @@ fn render_pool(o: &mut String, snap: &Snap) {
     classes.sort_by_key(|c| c.parse::<u32>().unwrap_or(u32::MAX));
     let hits = snap.counter("exec.pool.hits");
     let misses = snap.counter("exec.pool.misses");
-    if classes.is_empty() && hits.is_none() && misses.is_none() {
+    let chunk_hits = snap.counter("core.parallel.plan_cache.hits").unwrap_or(0);
+    let chunk_misses = snap.counter("core.parallel.plan_cache.misses").unwrap_or(0);
+    let has_chunk = chunk_hits + chunk_misses > 0;
+    if classes.is_empty() && hits.is_none() && misses.is_none() && !has_chunk {
         return;
     }
     let _ = writeln!(o, "\n## Buffer pool");
@@ -446,6 +404,13 @@ fn render_pool(o: &mut String, snap: &Snap) {
         let _ = writeln!(
             o,
             "- acquires: {total} ({h} hits / {m} misses, hit rate {rate})"
+        );
+    }
+    if has_chunk {
+        let _ = writeln!(
+            o,
+            "- chunk-plan cache: {chunk_hits} hits / {chunk_misses} misses (reuse rate {})",
+            pct(chunk_hits, chunk_hits + chunk_misses)
         );
     }
     if !classes.is_empty() {
@@ -743,14 +708,7 @@ mod tests {
     "exec.pool.misses": 2,
     "exec.profiled.matmul.bytes": 3145728,
     "exec.profiled.matmul.calls": 4,
-    "exec.profiled.matmul.flops": 536870912,
-    "tensor.plan.deferred": 40,
-    "tensor.plan.elided": 10,
-    "tensor.plan.flushes": 6,
-    "tensor.plan.fused": 6,
-    "tensor.plan.fused.axpy": 1,
-    "tensor.plan.fused.layer_norm_act": 1,
-    "tensor.plan.fused.linear_relu": 4
+    "exec.profiled.matmul.flops": 536870912
   },
   "gauges": {
     "exec.pool.class6.cap": 3.0,
@@ -784,34 +742,14 @@ mod tests {
         assert!(a.contains("| - | - | - |"), "{a}");
         // Pool, traversal, health, spans all present.
         assert!(a.contains("hit rate 75.0%"), "{a}");
+        assert!(
+            a.contains("- chunk-plan cache: 5 hits / 1 misses (reuse rate 83.3%)"),
+            "{a}"
+        );
         assert!(a.contains("| 6 | <= 64 | 768 | 768 | 3 |"), "{a}");
         assert!(a.contains("band_window_revisits"), "{a}");
         assert!(a.contains("| loss | 8 | 1.200 |"), "{a}");
         assert!(a.contains("| train/epoch | 2 | - |"), "{a}");
-    }
-
-    #[test]
-    fn planner_section_summarizes_fusion_and_caches() {
-        let cal = Calibration::reference();
-        let md = render("m.json", DET_SNAPSHOT, None, &cal, "r").unwrap();
-        assert!(md.contains("## Planner"), "{md}");
-        assert!(
-            md.contains(
-                "- deferred ops: 40 across 6 flushes; 6 fusions elided 10 nodes \
-                 (fusion hit rate 25.0%)"
-            ),
-            "{md}"
-        );
-        assert!(md.contains("| linear_relu | 4 |"), "{md}");
-        assert!(md.contains("| axpy | 1 |"), "{md}");
-        assert!(
-            md.contains("- chunk-plan cache: 5 hits / 1 misses (reuse rate 83.3%)"),
-            "{md}"
-        );
-        // A snapshot with no planner counters renders no Planner section.
-        let bare = r#"{"counters": {"x": 1}}"#;
-        let md = render("m.json", bare, None, &cal, "r").unwrap();
-        assert!(!md.contains("## Planner"), "{md}");
     }
 
     #[test]

@@ -41,10 +41,7 @@ pub fn host_threads() -> usize {
 
 /// Thread-count and chunking knobs for the parallel band engine.
 ///
-/// `threads == 0` means "auto": use `RAYON_NUM_THREADS` when set (the
-/// conventional env var, honored for CI compatibility even though the pool is
-/// std-based), otherwise [`std::thread::available_parallelism`]. An explicit
-/// non-zero `threads` always wins over the environment.
+/// `threads == 0` means "auto": [`std::thread::available_parallelism`].
 ///
 /// Unless [`pin_threads`](Parallelism::pin_threads) is set, the resolved
 /// count is **clamped to the host's available parallelism**: running more
@@ -58,7 +55,7 @@ pub fn host_threads() -> usize {
 /// with a floor of the band window ω.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Parallelism {
-    /// Worker thread count; 0 = auto (env, then hardware).
+    /// Worker thread count; 0 = auto (the hardware).
     pub threads: usize,
     /// Owned rows per chunk; 0 = auto.
     pub chunk_size: usize,
@@ -97,28 +94,16 @@ impl Parallelism {
         self
     }
 
-    /// Resolves the worker count actually used: explicit `threads`, then
-    /// `RAYON_NUM_THREADS`, then the hardware — clamped to the host's cores
-    /// unless [`pin_threads`](Parallelism::pin_threads) is set.
+    /// Resolves the worker count actually used: explicit `threads`, else
+    /// the hardware — clamped to the host's cores unless
+    /// [`pin_threads`](Parallelism::pin_threads) is set.
     pub fn effective_threads(&self) -> usize {
-        let requested = if self.threads > 0 {
+        if self.threads == 0 {
+            host_threads()
+        } else if self.pin_threads {
             self.threads
         } else {
-            let mut n = 0usize;
-            if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-                if let Ok(parsed) = v.trim().parse::<usize>() {
-                    n = parsed;
-                }
-            }
-            if n == 0 {
-                n = host_threads();
-            }
-            n
-        };
-        if self.pin_threads {
-            requested.max(1)
-        } else {
-            requested.max(1).min(host_threads())
+            self.threads.min(host_threads())
         }
     }
 
@@ -696,9 +681,8 @@ mod tests {
         let many = host_threads() + 7;
         assert_eq!(Parallelism::pinned(many).effective_threads(), many);
         assert!(Parallelism::with_threads(many).effective_threads() <= host_threads());
-        // Degenerate requests still resolve to at least one worker. (No
-        // exact value: threads == 0 defers to RAYON_NUM_THREADS when set.)
-        assert!(Parallelism::pinned(0).effective_threads() >= 1);
+        // Pinning "auto" still resolves to the hardware.
+        assert_eq!(Parallelism::pinned(0).effective_threads(), host_threads());
     }
 
     #[test]

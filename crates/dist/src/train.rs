@@ -35,8 +35,8 @@ use std::sync::Arc;
 
 /// Trains with `workers` gradient workers and a deterministic all-reduce.
 ///
-/// Wraps a [`Trainer`] for all hyperparameters (engine, backend, planner,
-/// parallelism, plateau protocol) and for the epoch loop itself; only the
+/// Wraps a [`Trainer`] for all hyperparameters (engine, backend, parallelism,
+/// plateau protocol) and for the epoch loop itself; only the
 /// execution of a step's shards changes. `workers == 1` runs the identical
 /// sharded protocol on one thread, so it is the in-family oracle the
 /// multi-worker runs are bit-compared against.

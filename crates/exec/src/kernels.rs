@@ -257,18 +257,6 @@ pub fn scale(a: &[f32], k: f32, out: &mut [f32]) {
     }
 }
 
-/// Fused scale-then-add: `out = k · a + b`, elementwise.
-///
-/// Same arithmetic as [`scale`] into a temporary followed by [`add`] — each
-/// element is one multiply then one separately-rounded add (Rust never
-/// contracts `a * k + b` into an FMA), so the fusion saves a full memory
-/// sweep and a buffer, never a bit.
-pub fn axpy(a: &[f32], k: f32, b: &[f32], out: &mut [f32]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x * k + y;
-    }
-}
-
 /// Adds the `1 × m` bias row to every row of the `n × m` input.
 pub fn add_bias_rows(x: &[f32], bias: &[f32], n: usize, m: usize, out: &mut [f32]) {
     assert_eq!(bias.len(), m, "bias must be 1x{m}");
@@ -289,22 +277,6 @@ pub fn bias_relu_inplace(out: &mut [f32], bias: &[f32], n: usize, m: usize) {
         let row = &mut out[r * m..(r + 1) * m];
         for (o, &b) in row.iter_mut().zip(bias) {
             *o = (*o + b).max(0.0);
-        }
-    }
-}
-
-/// Fused bias + LeakyReLU applied in place:
-/// `out[r, c] = f(out[r, c] + bias[c])` with `f(v) = v > 0 ? v : slope·v`.
-///
-/// The LeakyReLU sibling of [`bias_relu_inplace`]: identical arithmetic to
-/// `add_bias_rows` followed by `unary(LeakyRelu)`, one memory sweep.
-pub fn bias_leaky_relu_inplace(out: &mut [f32], bias: &[f32], slope: f32, n: usize, m: usize) {
-    assert_eq!(bias.len(), m, "bias must be 1x{m}");
-    for r in 0..n {
-        let row = &mut out[r * m..(r + 1) * m];
-        for (o, &b) in row.iter_mut().zip(bias) {
-            let v = *o + b;
-            *o = if v > 0.0 { v } else { slope * v };
         }
     }
 }

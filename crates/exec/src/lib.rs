@@ -61,16 +61,13 @@ pub enum Unary {
 }
 
 /// What [`Backend::gemm`] applies to the product before returning — the
-/// three GEMM shapes the training stack (and the planner's fusion pass)
-/// emits.
+/// two GEMM shapes the training stack emits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Epilogue<'a> {
     /// Plain product: `out += a · b`.
     None,
     /// `out = relu(a · b + bias)` with a `1 × m` bias row.
     BiasRelu(&'a [f32]),
-    /// `out = leaky_relu(a · b + bias)` with a `1 × m` bias row and slope.
-    BiasLeakyRelu(&'a [f32], f32),
 }
 
 /// Which statistics [`Backend::norm`] normalizes over.
@@ -119,9 +116,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         match epilogue {
             Epilogue::None => {}
             Epilogue::BiasRelu(bias) => kernels::bias_relu_inplace(out, bias, n, m),
-            Epilogue::BiasLeakyRelu(bias, slope) => {
-                kernels::bias_leaky_relu_inplace(out, bias, slope, n, m)
-            }
         }
     }
 
@@ -143,13 +137,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Elementwise `out = k · a`.
     fn scale(&self, a: &[f32], k: f32, out: &mut [f32]) {
         kernels::scale(a, k, out);
-    }
-
-    /// Fused scale-then-add `out = k · a + b` — the planner's replacement
-    /// for a `scale` feeding a single `add`. Multiply then separately
-    /// rounded add per element, exactly the unfused pair's arithmetic.
-    fn axpy(&self, a: &[f32], k: f32, b: &[f32], out: &mut [f32]) {
-        kernels::axpy(a, k, b, out);
     }
 
     /// Adds a `1 × m` bias row to every row of the `n × m` input.
@@ -314,10 +301,6 @@ mod tests {
         b.gemm(&x, &w, 1, 2, 2, Epilogue::BiasRelu(&bias), &par, &mut out);
         // x·w = [-2, -2]; +bias = [-1.5, -12]; relu = [0, 0]
         assert_eq!(out, [0.0, 0.0]);
-        out.fill(0.0);
-        let leaky = Epilogue::BiasLeakyRelu(&bias, 0.5);
-        b.gemm(&x, &w, 1, 2, 2, leaky, &par, &mut out);
-        assert_eq!(out, [-0.75, -6.0]);
         out.fill(0.0);
         let x2 = [1.0f32, 1.0];
         b.gemm(&x2, &w, 1, 2, 2, Epilogue::BiasRelu(&bias), &par, &mut out);

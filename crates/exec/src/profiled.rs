@@ -102,12 +102,11 @@ impl Backend for ProfiledBackend {
         let t = mega_obs::timer();
         self.inner.gemm(a, b, n, k, m, epilogue, par, out);
         let (n64, k64, m64) = (n as u64, k as u64, m as u64);
-        // A fused epilogue reads the bias row and charges its flops per
-        // output: add + max, or add + compare + conditional multiply.
+        // A fused epilogue reads the bias row and charges add + max per
+        // output.
         let (kernel, epilogue_flops, bias_len) = match epilogue {
             Epilogue::None => ("matmul", 0, 0),
             Epilogue::BiasRelu(_) => ("linear_relu", 2, m64),
-            Epilogue::BiasLeakyRelu(..) => ("linear_leaky_relu", 3, m64),
         };
         self.record(
             kernel,
@@ -143,13 +142,6 @@ impl Backend for ProfiledBackend {
         self.inner.scale(a, k, out);
         let (f, by) = elementwise(out.len(), 1, 1);
         self.record("scale", f, by, t);
-    }
-
-    fn axpy(&self, a: &[f32], k: f32, b: &[f32], out: &mut [f32]) {
-        let t = mega_obs::timer();
-        self.inner.axpy(a, k, b, out);
-        let (f, by) = elementwise(out.len(), 2, 2);
-        self.record("axpy", f, by, t);
     }
 
     fn add_bias_rows(&self, x: &[f32], bias: &[f32], n: usize, m: usize, out: &mut [f32]) {

@@ -587,12 +587,6 @@ impl Backend for SimdBackend {
         match epilogue {
             Epilogue::None => gemm_simd(self.mode, a, b, n, k, m, par, None, out),
             Epilogue::BiasRelu(bias) => gemm_simd(self.mode, a, b, n, k, m, par, Some(bias), out),
-            // No vector leaky epilogue: the reference in-place sweep over
-            // the vectorized product.
-            Epilogue::BiasLeakyRelu(bias, slope) => {
-                gemm_simd(self.mode, a, b, n, k, m, par, None, out);
-                kernels::bias_leaky_relu_inplace(out, bias, slope, n, m);
-            }
         }
     }
 

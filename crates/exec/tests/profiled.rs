@@ -59,8 +59,6 @@ fn profiled_backend_is_transparent_and_deterministic() {
         let mut lr = vec![0.0f32; n * m];
         p.gemm(&a, &b, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut lr);
         let mut scratch = vec![0.0f32; n * m];
-        let leaky = Epilogue::BiasLeakyRelu(&bias, 0.1);
-        p.gemm(&a, &b, n, k, m, leaky, &par, &mut scratch);
         // The norm descriptors: γ = bias-sized row reused as both affine
         // parameters, over the n × m scratch.
         for (kind, act) in [
@@ -132,16 +130,13 @@ fn profiled_backend_is_transparent_and_deterministic() {
         2 * n as u64 * k as u64 * m as u64 + 2 * nm2,
         "linear_relu must charge the fused epilogue"
     );
+    assert_eq!(
+        get("exec.profiled.linear_relu.bytes"),
+        4 * (nm + km + m as u64 + nm2),
+        "linear_relu must charge the bias row"
+    );
     // Counter names and work follow the descriptor: one name per epilogue
     // and per (norm kind, fused activation) pair.
-    assert_eq!(
-        get("exec.profiled.linear_leaky_relu.flops"),
-        2 * n as u64 * k as u64 * m as u64 + 3 * nm2
-    );
-    assert_eq!(
-        get("exec.profiled.linear_leaky_relu.bytes"),
-        4 * (nm + km + m as u64 + nm2)
-    );
     for (kernel, flops_per_elem) in [
         ("layer_norm", 8),
         ("batch_norm", 8),

@@ -94,7 +94,7 @@ proptest! {
         }
     }
 
-    /// The SIMD fused GEMM epilogues and the elementwise family match the
+    /// The SIMD fused GEMM epilogue and the elementwise family match the
     /// reference bit-for-bit, including the scalar tail past the last full
     /// vector and the transcendental delegation.
     #[test]
@@ -110,13 +110,12 @@ proptest! {
         let bias = &bias[..m];
         for backend in simd_modes() {
             let lanes = backend.lane_width();
-            for epilogue in [Epilogue::BiasRelu(bias), Epilogue::BiasLeakyRelu(bias, slope)] {
-                let mut want = vec![0.0f32; n * m];
-                ReferenceBackend.gemm(x, w, n, k, m, epilogue, &par, &mut want);
-                let mut got = vec![0.0f32; n * m];
-                backend.gemm(x, w, n, k, m, epilogue, &par, &mut got);
-                prop_assert_eq!(bit_vec(&got), bit_vec(&want), "{:?} lanes={}", epilogue, lanes);
-            }
+            let epilogue = Epilogue::BiasRelu(bias);
+            let mut want = vec![0.0f32; n * m];
+            ReferenceBackend.gemm(x, w, n, k, m, epilogue, &par, &mut want);
+            let mut got = vec![0.0f32; n * m];
+            backend.gemm(x, w, n, k, m, epilogue, &par, &mut got);
+            prop_assert_eq!(bit_vec(&got), bit_vec(&want), "{:?} lanes={}", epilogue, lanes);
             let len = (n * k).min(k * m);
             let (a, b) = (&x[..len], &w[..len]);
             let mut want = vec![0.0f32; len];
@@ -146,7 +145,7 @@ proptest! {
     /// the fan-out really runs (pinning bypasses the host-core clamp).
     #[test]
     fn threaded_gemm_bit_identical_to_serial(
-        (n, k, m, slope) in (1usize..96, 1usize..96, 1usize..96, 0.01f32..0.5),
+        (n, k, m) in (1usize..96, 1usize..96, 1usize..96),
         seed in 0u64..1000,
     ) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -160,15 +159,11 @@ proptest! {
         mega_exec::kernels::matmul(&a, &b, n, k, m, &mut product);
         let mut biased = vec![0.0f32; n * m];
         ReferenceBackend.add_bias_rows(&product, &bias, n, m, &mut biased);
-        let unfused = |act: Unary| {
-            let mut out = vec![0.0f32; n * m];
-            ReferenceBackend.unary(act, &biased, &mut out);
-            out
-        };
+        let mut relu = vec![0.0f32; n * m];
+        ReferenceBackend.unary(Unary::Relu, &biased, &mut relu);
         let cases = [
             (Epilogue::None, product.clone()),
-            (Epilogue::BiasRelu(&bias), unfused(Unary::Relu)),
-            (Epilogue::BiasLeakyRelu(&bias, slope), unfused(Unary::LeakyRelu(slope))),
+            (Epilogue::BiasRelu(&bias), relu),
         ];
         let dense = dense_backends();
         for threads in [1usize, 2, 4] {

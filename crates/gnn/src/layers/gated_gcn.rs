@@ -66,8 +66,7 @@ impl GatedGcnLayer {
         let ce = self.c.forward(tape, binder, store, e);
         let sum = tape.add(ah, bh);
         let e_hat = tape.add(sum, ce);
-        let e_norm = self.bn_e.batch_norm(tape, binder, store, e_hat);
-        let e_act = tape.relu(e_norm);
+        let e_act = self.bn_e.batch_norm_relu(tape, binder, store, e_hat);
         let e_out = tape.add(e, e_act);
 
         // Gated aggregation keyed by destination node.
@@ -81,8 +80,7 @@ impl GatedGcnLayer {
         // Node update with residual.
         let uh = self.u.forward(tape, binder, store, h);
         let h_hat = tape.add(uh, agg);
-        let h_norm = self.bn_h.batch_norm(tape, binder, store, h_hat);
-        let h_act = tape.relu(h_norm);
+        let h_act = self.bn_h.batch_norm_relu(tape, binder, store, h_hat);
         let h_out = tape.add(h, h_act);
         (h_out, e_out)
     }

@@ -128,8 +128,9 @@ impl NormParams {
         tape.layer_norm(x, g, b, 1e-5)
     }
 
-    /// Column-wise batch norm (training statistics).
-    pub fn batch_norm(
+    /// Column-wise batch norm (training statistics) followed by a ReLU,
+    /// as one fused tape node.
+    pub fn batch_norm_relu(
         &self,
         tape: &mut Tape,
         binder: &mut Binder,
@@ -138,7 +139,7 @@ impl NormParams {
     ) -> Var {
         let g = binder.bind(tape, store, self.gamma);
         let b = binder.bind(tape, store, self.beta);
-        tape.batch_norm(x, g, b, 1e-5)
+        tape.batch_norm_relu(x, g, b, 1e-5)
     }
 }
 

@@ -157,11 +157,6 @@ pub struct Trainer {
     /// bit-compatible with [`ReferenceBackend`], so training histories are
     /// identical across backends too.
     pub backend: Arc<dyn Backend>,
-    /// Run tapes through the planner: ops are deferred and fused at flush
-    /// boundaries. Planned training is bit-identical to the
-    /// unfused eager path on every backend; disable to use that path as the
-    /// exactness oracle.
-    pub plan: bool,
 }
 
 impl Trainer {
@@ -179,16 +174,7 @@ impl Trainer {
             shuffle_seed: None,
             parallelism: Parallelism::with_threads(1),
             backend: Arc::new(ReferenceBackend),
-            plan: true,
         }
-    }
-
-    /// Enables or disables the tape planner (deferred execution + fusion).
-    /// Training histories are bit-identical either way; `false` selects the
-    /// unfused eager path used as the planner's exactness oracle.
-    pub fn with_plan(mut self, plan: bool) -> Self {
-        self.plan = plan;
-        self
     }
 
     /// Sets the kernel execution backend (see `mega_exec::backend_by_name`).
@@ -507,7 +493,7 @@ impl Trainer {
 /// What every shard of one step (or one evaluation pass) shares.
 #[derive(Clone, Copy)]
 pub struct ShardJob<'a> {
-    /// Backend, planner and thread-budget selection.
+    /// Backend and thread-budget selection.
     pub trainer: &'a Trainer,
     /// The model being trained.
     pub model: &'a Gnn,
@@ -616,7 +602,6 @@ impl<'a> ShardTape<'a> {
         let t = job.trainer;
         let mut tape = Tape::with_exec(t.backend.clone(), pool.clone());
         tape.set_parallelism(t.parallelism);
-        tape.set_planning(t.plan);
         let mut binder = Binder::new();
         let pred = job.model.forward(&mut tape, &mut binder, job.store, batch);
         let loss = job.model.loss(&mut tape, pred, batch, job.task);
@@ -854,26 +839,25 @@ mod tests {
     }
 
     #[test]
-    fn planned_training_is_bit_identical_to_unplanned() {
-        // The planner (deferred execution + fusion) must not change a single
-        // bit of the training history, on any backend, for either model family
-        // (GatedGCN exercises the linear fusions, GT the norm fusions).
+    fn training_is_bit_identical_across_backends() {
+        // The backend must not change a single bit of the training history,
+        // for either model family (GatedGCN exercises the fused
+        // `batch_norm_relu`, both the fused `linear_relu`).
         let ds = zinc(&DatasetSpec::tiny(33));
         for kind in [ModelKind::GatedGcn, ModelKind::GraphTransformer] {
             let cfg = tiny_config(&ds, kind, 1);
             let oracle = Trainer::new(EngineChoice::Baseline)
                 .with_epochs(3)
                 .with_batch_size(8)
-                .with_plan(false)
                 .run(&ds, cfg.clone());
-            for name in ["reference", "simd", "profiled"] {
+            for name in ["simd", "profiled"] {
                 let backend = mega_exec::backend_by_name(name).unwrap();
-                let planned = Trainer::new(EngineChoice::Baseline)
+                let run = Trainer::new(EngineChoice::Baseline)
                     .with_epochs(3)
                     .with_batch_size(8)
                     .with_backend(backend)
                     .run(&ds, cfg.clone());
-                for (p, o) in planned.records.iter().zip(&oracle.records) {
+                for (p, o) in run.records.iter().zip(&oracle.records) {
                     assert_eq!(
                         p.train_loss.to_bits(),
                         o.train_loss.to_bits(),
@@ -885,7 +869,7 @@ mod tests {
                     assert_eq!(p.val_loss.to_bits(), o.val_loss.to_bits());
                     assert_eq!(p.val_metric.to_bits(), o.val_metric.to_bits());
                 }
-                assert_eq!(planned.test_loss.to_bits(), oracle.test_loss.to_bits());
+                assert_eq!(run.test_loss.to_bits(), oracle.test_loss.to_bits());
             }
         }
     }

@@ -97,7 +97,7 @@ impl Backend for SimBackend {
         self.inner.gemm(a, b, n, k, m, epilogue, par, out);
         match epilogue {
             Epilogue::None => self.sim_sgemm(n, k, m),
-            Epilogue::BiasRelu(_) | Epilogue::BiasLeakyRelu(..) => self.sim_linear_relu(n, k, m),
+            Epilogue::BiasRelu(_) => self.sim_linear_relu(n, k, m),
         }
     }
 
@@ -119,11 +119,6 @@ impl Backend for SimBackend {
     fn scale(&self, a: &[f32], k: f32, out: &mut [f32]) {
         self.inner.scale(a, k, out);
         self.sim_elementwise(out.len(), 1);
-    }
-
-    fn axpy(&self, a: &[f32], k: f32, b: &[f32], out: &mut [f32]) {
-        self.inner.axpy(a, k, b, out);
-        self.sim_elementwise(out.len(), 2);
     }
 
     fn add_bias_rows(&self, x: &[f32], bias: &[f32], n: usize, m: usize, out: &mut [f32]) {
@@ -343,7 +338,6 @@ mod tests {
         fn sub(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("sub") }
         fn mul(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("mul") }
         fn scale(&self, _: &[f32], _: f32, _: &mut [f32]) { self.hit("scale") }
-        fn axpy(&self, _: &[f32], _: f32, _: &[f32], _: &mut [f32]) { self.hit("axpy") }
         fn add_bias_rows(&self, _: &[f32], _: &[f32], _: usize, _: usize, _: &mut [f32]) { self.hit("add_bias_rows") }
         fn unary(&self, _: Unary, _: &[f32], _: &mut [f32]) { self.hit("unary") }
         fn gather_rows(&self, _: &[f32], _: usize, _: usize, _: &[usize], _: &mut [f32]) { self.hit("gather_rows") }
@@ -380,13 +374,11 @@ mod tests {
             let d = wrap(counting.clone());
             assert_eq!(d.name(), name);
             let out = &mut [0.0f32; 4];
-            let leaky = Epilogue::BiasLeakyRelu(&row, 0.1);
-            d.gemm(&x, &x, 2, 2, 2, leaky, &par, out);
+            d.gemm(&x, &x, 2, 2, 2, Epilogue::BiasRelu(&row), &par, out);
             d.add(&x, &x, out);
             d.sub(&x, &x, out);
             d.mul(&x, &x, out);
             d.scale(&x, 2.0, out);
-            d.axpy(&x, 2.0, &x, out);
             d.add_bias_rows(&x, &row, 2, 2, out);
             d.unary(Unary::Relu, &x, out);
             d.gather_rows(&x, 2, 2, &index, out);
@@ -402,7 +394,6 @@ mod tests {
             let expected: Vec<(&str, usize)> = [
                 "add",
                 "add_bias_rows",
-                "axpy",
                 "banded_aggregate",
                 "banded_weight_grad",
                 "gather_rows",

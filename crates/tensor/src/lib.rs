@@ -33,7 +33,6 @@
 
 pub mod init;
 pub mod optim;
-mod plan;
 pub mod tape;
 pub mod tensor;
 

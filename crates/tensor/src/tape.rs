@@ -14,20 +14,12 @@
 //! so steady-state training recycles allocations instead of making fresh
 //! ones per node. Dropped tapes return their node buffers to the pool.
 //!
-//! # Planning mode
-//!
-//! By default the tape executes eagerly: each op method runs its kernel
-//! before returning. [`Tape::set_planning`] switches to plan-then-execute:
-//! op methods only *record* nodes (shapes are validated immediately, values
-//! stay unmaterialized), and at the next flush boundary — a reduction or
-//! other value-consuming op, an explicit [`Tape::flush`], or
-//! [`Tape::backward`] via the loss op — the pending span first runs through
-//! the peephole fusion pass (`plan.rs`; e.g. `matmul` → `add_row` →
-//! `relu` collapses into one `linear_relu` node) and then executes. Fused
-//! and eager execution are bit-identical, forward and backward; interior
-//! nodes of a fused chain never materialize and panic if read.
+//! Every op method runs its kernel before returning, so a [`Var`] always
+//! has a value. The fused ops ([`Tape::linear_relu`],
+//! [`Tape::batch_norm_relu`]) are called by the layers that want them and
+//! are bit-identical, forward and backward, to the unfused chains they
+//! replace.
 
-use crate::plan;
 use crate::tensor::Tensor;
 use mega_exec::{kernels, Backend, BufferPool, Epilogue, NormKind, ReferenceBackend, Unary};
 use std::sync::Arc;
@@ -36,15 +28,11 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
 
-#[derive(Debug, Clone)]
-pub(crate) enum Op {
+#[derive(Debug)]
+enum Op {
     Leaf,
     MatMul(Var, Var),
     LinearRelu(Var, Var, Var),
-    /// Planner-fused `leaky_relu(x · w + bias)` with a positive slope.
-    LinearAct(Var, Var, Var, f32),
-    /// Planner-fused `k · a + b` (a `scale` folded into an `add`).
-    Axpy(Var, Var, f32),
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
@@ -67,11 +55,7 @@ pub(crate) enum Op {
     SegmentSoftmax(Var, Arc<Vec<usize>>, usize),
     LayerNorm(Var, Var, Var, f32),
     BatchNorm(Var, Var, Var, f32),
-    /// Planner-fused layer norm followed by a sign-preserving activation
-    /// (`Relu` or `LeakyRelu` with positive slope).
-    LayerNormAct(Var, Var, Var, f32, Unary),
-    /// Planner-fused batch norm followed by a sign-preserving activation.
-    BatchNormAct(Var, Var, Var, f32, Unary),
+    BatchNormRelu(Var, Var, Var, f32),
     L1Loss(Var, Arc<Tensor>),
     CrossEntropy(Var, Arc<Vec<usize>>),
 }
@@ -79,13 +63,11 @@ pub(crate) enum Op {
 impl Op {
     /// Stable metric-name suffix of the op kind, for the
     /// `tensor.tape.op.<kind>` counters.
-    pub(crate) fn kind_name(&self) -> &'static str {
+    fn kind_name(&self) -> &'static str {
         match self {
             Op::Leaf => "leaf",
             Op::MatMul(..) => "matmul",
             Op::LinearRelu(..) => "linear_relu",
-            Op::LinearAct(..) => "linear_leaky_relu",
-            Op::Axpy(..) => "axpy",
             Op::Add(..) => "add",
             Op::Sub(..) => "sub",
             Op::Mul(..) => "mul",
@@ -108,74 +90,18 @@ impl Op {
             Op::SegmentSoftmax(..) => "segment_softmax",
             Op::LayerNorm(..) => "layer_norm",
             Op::BatchNorm(..) => "batch_norm",
-            Op::LayerNormAct(..) => "layer_norm_act",
-            Op::BatchNormAct(..) => "batch_norm_act",
+            // Named after the backend's fused-norm profile row.
+            Op::BatchNormRelu(..) => "batch_norm_act",
             Op::L1Loss(..) => "l1_loss",
             Op::CrossEntropy(..) => "cross_entropy",
         }
     }
-
-    /// Calls `f` with every input [`Var`] of this op, in operand order.
-    /// The planner's fusion pass uses this to count consumers.
-    pub(crate) fn for_each_input(&self, mut f: impl FnMut(Var)) {
-        match self {
-            Op::Leaf => {}
-            Op::MatMul(a, b)
-            | Op::Axpy(a, b, _)
-            | Op::Add(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b)
-            | Op::AddRow(a, b)
-            | Op::DivEps(a, b, _)
-            | Op::RowDot(a, b)
-            | Op::MulColBroadcast(a, b) => {
-                f(*a);
-                f(*b);
-            }
-            Op::LinearRelu(x, w, bias) | Op::LinearAct(x, w, bias, _) => {
-                f(*x);
-                f(*w);
-                f(*bias);
-            }
-            Op::Scale(a, _)
-            | Op::Relu(a)
-            | Op::LeakyRelu(a, _)
-            | Op::Dropout(a, _, _)
-            | Op::Sigmoid(a)
-            | Op::Tanh(a)
-            | Op::Sum(a)
-            | Op::Mean(a)
-            | Op::GatherRows(a, _)
-            | Op::ScatterAddRows(a, _)
-            | Op::ScaleRows(a, _)
-            | Op::SegmentSoftmax(a, _, _)
-            | Op::L1Loss(a, _)
-            | Op::CrossEntropy(a, _) => f(*a),
-            Op::ConcatCols(parts) => {
-                for &p in parts.iter() {
-                    f(p);
-                }
-            }
-            Op::LayerNorm(a, gamma, beta, _)
-            | Op::BatchNorm(a, gamma, beta, _)
-            | Op::LayerNormAct(a, gamma, beta, _, _)
-            | Op::BatchNormAct(a, gamma, beta, _, _) => {
-                f(*a);
-                f(*gamma);
-                f(*beta);
-            }
-        }
-    }
 }
 
-/// One tape node. `value` is `None` while the node is pending in planning
-/// mode — and forever, if the planner fuses the node away — so the output
-/// shape is tracked separately for shape validation and gradient sizing.
-pub(crate) struct Node {
-    pub(crate) value: Option<Tensor>,
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
-    pub(crate) op: Op,
+/// One tape node: the op that produced it and its value.
+struct Node {
+    value: Tensor,
+    op: Op,
 }
 
 /// Gradients of one backward pass, indexed by [`Var`].
@@ -213,11 +139,6 @@ pub struct Tape {
     par: mega_core::Parallelism,
     backend: Arc<dyn Backend>,
     pool: Arc<BufferPool>,
-    /// Plan-then-execute mode: op methods defer execution to the next
-    /// flush boundary, where the fusion pass runs first.
-    planning: bool,
-    /// Recorded-but-unexecuted node indices, in recording order.
-    pending: Vec<usize>,
 }
 
 impl Default for Tape {
@@ -231,9 +152,7 @@ impl Drop for Tape {
         // Recycle every node's buffer; with a shared pool the next tape's
         // forward pass allocates (almost) nothing.
         for node in self.nodes.drain(..) {
-            if let Some(value) = node.value {
-                self.pool.release(value.into_data());
-            }
+            self.pool.release(node.value.into_data());
         }
     }
 }
@@ -254,43 +173,7 @@ impl Tape {
             par: mega_core::Parallelism::default(),
             backend,
             pool,
-            planning: false,
-            pending: Vec::new(),
         }
-    }
-
-    /// Switches plan-then-execute mode on or off. Turning planning off
-    /// flushes any pending ops first so every node is materialized.
-    ///
-    /// Planning changes *when* ops run (deferred to flush boundaries, after
-    /// the fusion pass), never *what* they compute: values and gradients
-    /// are bit-identical to eager execution.
-    pub fn set_planning(&mut self, on: bool) {
-        if !on {
-            self.flush();
-        }
-        self.planning = on;
-    }
-
-    /// Whether the tape is in plan-then-execute mode.
-    pub fn planning(&self) -> bool {
-        self.planning
-    }
-
-    /// Swaps the execution backend. Every backend is bit-compatible with the
-    /// reference (enforced by property tests), so this never changes values.
-    pub fn set_backend(&mut self, backend: Arc<dyn Backend>) {
-        self.backend = backend;
-    }
-
-    /// The tape's execution backend.
-    pub fn backend(&self) -> &Arc<dyn Backend> {
-        &self.backend
-    }
-
-    /// Swaps the buffer pool future nodes draw from.
-    pub fn set_pool(&mut self, pool: Arc<BufferPool>) {
-        self.pool = pool;
     }
 
     /// Sets the thread budget used by the tape's heavy kernels (currently the
@@ -300,11 +183,6 @@ impl Tape {
     /// values and gradients alike — are bit-identical for every setting.
     pub fn set_parallelism(&mut self, par: mega_core::Parallelism) {
         self.par = par;
-    }
-
-    /// The tape's current thread budget.
-    pub fn parallelism(&self) -> mega_core::Parallelism {
-        self.par
     }
 
     /// Number of recorded nodes.
@@ -318,36 +196,13 @@ impl Tape {
     }
 
     /// The value held at `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` has no materialized value: it is still pending in
-    /// planning mode (call [`Tape::flush`]) or the planner fused it away
-    /// as the interior of an op chain.
     pub fn value(&self, v: Var) -> &Tensor {
-        self.nodes[v.0].value.as_ref().unwrap_or_else(|| {
-            panic!(
-                "node {} ({}) has no materialized value: it is pending \
-                 (call Tape::flush) or was fused away by the planner",
-                v.0,
-                self.nodes[v.0].op.kind_name()
-            )
-        })
+        &self.nodes[v.0].value
     }
 
-    /// Output shape of `v`, known even before materialization.
+    /// Output shape of `v`.
     fn dims(&self, v: Var) -> (usize, usize) {
-        let n = &self.nodes[v.0];
-        (n.rows, n.cols)
-    }
-
-    /// Backward-pass value access: every node the reverse walk touches is
-    /// materialized (elided nodes receive no gradient by construction).
-    fn node_value(&self, idx: usize) -> &Tensor {
-        self.nodes[idx]
-            .value
-            .as_ref()
-            .expect("backward touched an unmaterialized node")
+        self.value(v).shape()
     }
 
     /// The first node (in recording order) whose value holds a NaN or an
@@ -361,8 +216,7 @@ impl Tape {
     /// diagnostic dump.
     pub fn first_nonfinite(&self) -> Option<(usize, &'static str)> {
         self.nodes.iter().enumerate().find_map(|(i, n)| {
-            let value = n.value.as_ref()?;
-            value
+            n.value
                 .as_slice()
                 .iter()
                 .any(|v| !v.is_finite())
@@ -370,7 +224,8 @@ impl Tape {
         })
     }
 
-    fn push_node(&mut self, value: Option<Tensor>, rows: usize, cols: usize, op: Op) -> Var {
+    /// Records an already-computed value.
+    fn push_value(&mut self, value: Tensor, op: Op) -> Var {
         if mega_obs::enabled() {
             mega_obs::counter_add("tensor.tape.ops", 1);
             let mut name = String::with_capacity(32);
@@ -378,62 +233,15 @@ impl Tape {
             name.push_str(op.kind_name());
             mega_obs::counter_add(&name, 1);
         }
-        self.nodes.push(Node {
-            value,
-            rows,
-            cols,
-            op,
-        });
+        self.nodes.push(Node { value, op });
         Var(self.nodes.len() - 1)
     }
 
-    /// Records an already-computed value (leaves and flush-boundary ops).
-    fn push_value(&mut self, value: Tensor, op: Op) -> Var {
-        let (rows, cols) = value.shape();
-        self.push_node(Some(value), rows, cols, op)
-    }
-
-    /// Records a backend-dispatched op. Eager tapes execute it on the
-    /// spot; planning tapes defer it to the next flush boundary.
+    /// Executes a backend-dispatched op into an `rows × cols` value and
+    /// records it.
     fn record(&mut self, rows: usize, cols: usize, op: Op) -> Var {
-        let v = self.push_node(None, rows, cols, op);
-        if self.planning {
-            if mega_obs::enabled() {
-                mega_obs::counter_add("tensor.plan.deferred", 1);
-            }
-            self.pending.push(v.0);
-        } else {
-            self.execute_node(v.0);
-        }
-        v
-    }
-
-    /// Materializes every pending op, running the fusion pass first.
-    /// A no-op on eager tapes and when nothing is pending.
-    pub fn flush(&mut self) {
-        self.flush_with_roots(&[]);
-    }
-
-    /// Flush variant for value-consuming ops: `roots` are about to be read,
-    /// so the fusion pass must not elide them.
-    fn flush_with_roots(&mut self, roots: &[Var]) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let root_ids: Vec<usize> = roots.iter().map(|v| v.0).collect();
-        let (elided, stats) = plan::fuse(&mut self.nodes, &self.pending, &root_ids);
-        if mega_obs::enabled() {
-            mega_obs::counter_add("tensor.plan.flushes", 1);
-            if stats.elided > 0 {
-                mega_obs::counter_add("tensor.plan.elided", stats.elided as u64);
-            }
-        }
-        let pending = std::mem::take(&mut self.pending);
-        for idx in pending {
-            if !elided.contains(&idx) {
-                self.execute_node(idx);
-            }
-        }
+        let value = self.execute(&op, rows, cols);
+        self.push_value(value, op)
     }
 
     /// Records an input tensor (parameter or constant); gradients are
@@ -553,7 +361,6 @@ impl Tape {
             keep_prob > 0.0 && keep_prob <= 1.0,
             "keep_prob must be in (0, 1]"
         );
-        self.flush_with_roots(&[a]);
         let inv = 1.0 / keep_prob;
         let mut out = self.value(a).clone();
         for (i, o) in out.as_mut_slice().iter_mut().enumerate() {
@@ -574,14 +381,12 @@ impl Tape {
 
     /// Sum of all elements (scalar `1 × 1`).
     pub fn sum(&mut self, a: Var) -> Var {
-        self.flush_with_roots(&[a]);
         let v = Tensor::from_vec(1, 1, vec![self.value(a).sum()]);
         self.push_value(v, Op::Sum(a))
     }
 
     /// Mean of all elements (scalar `1 × 1`).
     pub fn mean(&mut self, a: Var) -> Var {
-        self.flush_with_roots(&[a]);
         let v = Tensor::from_vec(1, 1, vec![self.value(a).mean()]);
         self.push_value(v, Op::Mean(a))
     }
@@ -589,7 +394,6 @@ impl Tape {
     /// Elementwise `a / (b + eps)` for same-shape tensors (the paper's gated
     /// aggregation normalizer).
     pub fn div_eps(&mut self, a: Var, b: Var, eps: f32) -> Var {
-        self.flush_with_roots(&[a, b]);
         let v = self.value(a).zip_map(self.value(b), |x, y| x / (y + eps));
         self.push_value(v, Op::DivEps(a, b, eps))
     }
@@ -598,7 +402,6 @@ impl Tape {
     /// `out[i] = Σ_c a[i,c]·b[i,c]` (attention scores).
     pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.dims(a), self.dims(b), "row_dot shape mismatch");
-        self.flush_with_roots(&[a, b]);
         let (x, y) = (self.value(a), self.value(b));
         let mut out = Tensor::zeros(x.rows(), 1);
         for r in 0..x.rows() {
@@ -614,7 +417,6 @@ impl Tape {
         let ((r, _), (wr, wc)) = (self.dims(a), self.dims(w));
         assert_eq!(wc, 1, "weights must be a column");
         assert_eq!(r, wr, "row count mismatch");
-        self.flush_with_roots(&[a, w]);
         let (x, y) = (self.value(a), self.value(w));
         let mut out = x.clone();
         for r in 0..out.rows() {
@@ -634,7 +436,6 @@ impl Tape {
     /// Panics if `parts` is empty or row counts differ.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat_cols needs at least one part");
-        self.flush_with_roots(parts);
         let rows = self.value(parts[0]).rows();
         let total: usize = parts.iter().map(|&p| self.value(p).cols()).sum();
         let mut out = Tensor::zeros(rows, total);
@@ -712,6 +513,16 @@ impl Tape {
         self.record(r, c, Op::BatchNorm(a, gamma, beta, eps))
     }
 
+    /// Fused `relu(batch_norm(a, gamma, beta, eps))` in one node.
+    ///
+    /// Forward and backward match the unfused `batch_norm` → `relu` chain
+    /// bit for bit while saving the intermediate tensor and one memory
+    /// sweep.
+    pub fn batch_norm_relu(&mut self, a: Var, gamma: Var, beta: Var, eps: f32) -> Var {
+        let (r, c) = self.norm_dims("batch_norm_relu", a, gamma, beta);
+        self.record(r, c, Op::BatchNormRelu(a, gamma, beta, eps))
+    }
+
     /// Mean absolute error against a constant target (scalar output).
     ///
     /// # Panics
@@ -719,7 +530,6 @@ impl Tape {
     /// Panics on shape mismatch.
     pub fn l1_loss(&mut self, pred: Var, target: Tensor) -> Var {
         assert_eq!(self.dims(pred), target.shape(), "l1 target shape mismatch");
-        self.flush_with_roots(&[pred]);
         let p = self.value(pred);
         let n = (p.rows() * p.cols()).max(1) as f32;
         let loss = p
@@ -747,7 +557,6 @@ impl Tape {
             self.dims(logits).0,
             "one label per row required"
         );
-        self.flush_with_roots(&[logits]);
         let x = self.value(logits);
         let mut loss = 0.0f32;
         for i in 0..x.rows() {
@@ -764,31 +573,15 @@ impl Tape {
         )
     }
 
-    /// Executes one recorded node, materializing its value. Flush-boundary
-    /// ops (losses, reductions, dropout, concat) compute at record time and
-    /// never come through here.
-    fn execute_node(&mut self, idx: usize) {
-        let op = self.nodes[idx].op.clone();
-        let (rows, cols) = (self.nodes[idx].rows, self.nodes[idx].cols);
-        let value = match &op {
+    /// Runs the backend kernel of `op`, whose output is `rows × cols`.
+    /// Ops computed inline by their op method (losses, reductions, dropout,
+    /// concat) never come through here.
+    fn execute(&self, op: &Op, rows: usize, cols: usize) -> Tensor {
+        match op {
             Op::MatMul(a, b) => self.execute_gemm(*a, *b, Epilogue::None),
             Op::LinearRelu(x, w, bias) => {
                 let bias = self.value(*bias).as_slice();
                 self.execute_gemm(*x, *w, Epilogue::BiasRelu(bias))
-            }
-            Op::LinearAct(x, w, bias, slope) => {
-                let bias = self.value(*bias).as_slice();
-                self.execute_gemm(*x, *w, Epilogue::BiasLeakyRelu(bias, *slope))
-            }
-            Op::Axpy(a, b, k) => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend.axpy(
-                    self.value(*a).as_slice(),
-                    *k,
-                    self.value(*b).as_slice(),
-                    &mut out,
-                );
-                Tensor::from_vec(rows, cols, out)
             }
             Op::Add(a, b) => {
                 let mut out = self.out_buf(rows, cols);
@@ -875,11 +668,8 @@ impl Tape {
             Op::BatchNorm(a, gamma, beta, eps) => {
                 self.execute_norm(NormKind::Batch, *a, *gamma, *beta, *eps, None)
             }
-            Op::LayerNormAct(a, gamma, beta, eps, act) => {
-                self.execute_norm(NormKind::Layer, *a, *gamma, *beta, *eps, Some(*act))
-            }
-            Op::BatchNormAct(a, gamma, beta, eps, act) => {
-                self.execute_norm(NormKind::Batch, *a, *gamma, *beta, *eps, Some(*act))
+            Op::BatchNormRelu(a, gamma, beta, eps) => {
+                self.execute_norm(NormKind::Batch, *a, *gamma, *beta, *eps, Some(Unary::Relu))
             }
             Op::Leaf
             | Op::Dropout(..)
@@ -891,10 +681,9 @@ impl Tape {
             | Op::ConcatCols(..)
             | Op::L1Loss(..)
             | Op::CrossEntropy(..) => {
-                unreachable!("op `{}` materializes at record time", op.kind_name())
+                unreachable!("op `{}` is computed by its op method", op.kind_name())
             }
-        };
-        self.nodes[idx].value = Some(value);
+        }
     }
 
     /// GEMM executor shared by the plain and fused-epilogue matmul ops:
@@ -957,7 +746,7 @@ impl Tape {
     /// through the backend, so an accelerated GEMM speeds the backward
     /// pass too.
     fn gemm_backward(&self, g: &[f32], x: Var, w: Var, grads: &mut [Tensor]) {
-        let (vx, vw) = (self.node_value(x.0), self.node_value(w.0));
+        let (vx, vw) = (self.value(x), self.value(w));
         let (n, k, m) = (vx.rows(), vx.cols(), vw.cols());
         let mut dx = self.pool.acquire(n * k);
         let mut wt = self.pool.acquire(k * m);
@@ -977,18 +766,6 @@ impl Tape {
         self.pool.release(dw);
     }
 
-    /// Masks an upstream gradient by a sign-preserving activation's output,
-    /// replicating the unfused activation backward element for element.
-    /// Only `Relu` and positive-slope `LeakyRelu` reach here (the planner
-    /// fuses nothing else).
-    fn mask_by_output(&self, g: &Tensor, out: &Tensor, act: Unary) -> Tensor {
-        match act {
-            Unary::Relu => g.zip_map(out, |gg, ov| if ov > 0.0 { gg } else { 0.0 }),
-            Unary::LeakyRelu(s) => g.zip_map(out, |gg, ov| if ov > 0.0 { gg } else { gg * s }),
-            _ => unreachable!("planner only fuses sign-preserving activations"),
-        }
-    }
-
     /// Runs the backward pass from the scalar node `loss`.
     ///
     /// # Panics
@@ -997,11 +774,6 @@ impl Tape {
     pub fn backward(&self, loss: Var) -> Gradients {
         let _span = mega_obs::span("tape_backward");
         mega_obs::counter_add("tensor.tape.backward_passes", 1);
-        assert!(
-            self.pending.is_empty(),
-            "backward on a planning tape with pending ops — flush first \
-             (loss ops flush automatically)"
-        );
         assert_eq!(
             self.value(loss).shape(),
             (1, 1),
@@ -1010,7 +782,7 @@ impl Tape {
         let mut grads: Vec<Tensor> = self
             .nodes
             .iter()
-            .map(|n| Tensor::zeros(n.rows, n.cols))
+            .map(|n| Tensor::zeros(n.value.rows(), n.value.cols()))
             .collect();
         grads[loss.0].set(0, 0, 1.0);
 
@@ -1022,32 +794,14 @@ impl Tape {
             match &self.nodes[idx].op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => self.gemm_backward(g.as_slice(), *a, *b, &mut grads),
-                Op::LinearRelu(x, w, bias) | Op::LinearAct(x, w, bias, _) => {
-                    let slope = match &self.nodes[idx].op {
-                        Op::LinearAct(_, _, _, s) => Some(*s),
-                        _ => None,
-                    };
-                    let out = self.node_value(idx);
+                Op::LinearRelu(x, w, bias) => {
+                    let out = &self.nodes[idx].value;
                     let (n, m) = out.shape();
                     // Mask the upstream gradient by the activation: the kept
-                    // pre-activations are exactly the positive outputs (both
-                    // activations preserve sign — leaky slopes are positive).
+                    // pre-activations are exactly the positive outputs.
                     let mut gm = self.pool.acquire(n * m);
-                    match slope {
-                        None => {
-                            for ((o, &gv), &ov) in
-                                gm.iter_mut().zip(g.as_slice()).zip(out.as_slice())
-                            {
-                                *o = if ov > 0.0 { gv } else { 0.0 };
-                            }
-                        }
-                        Some(s) => {
-                            for ((o, &gv), &ov) in
-                                gm.iter_mut().zip(g.as_slice()).zip(out.as_slice())
-                            {
-                                *o = if ov > 0.0 { gv } else { gv * s };
-                            }
-                        }
+                    for ((o, &gv), &ov) in gm.iter_mut().zip(g.as_slice()).zip(out.as_slice()) {
+                        *o = if ov > 0.0 { gv } else { 0.0 };
                     }
                     // dbias = column sums of gm, folded row-major as the
                     // unfused AddRow backward does.
@@ -1064,13 +818,6 @@ impl Tape {
                     self.gemm_backward(&gm, *x, *w, &mut grads);
                     self.pool.release(gm);
                 }
-                Op::Axpy(a, b, k) => {
-                    // Matches the unfused scale→add reverse order: the add
-                    // side first, then the scaled side.
-                    grads[b.0].add_assign(&g);
-                    let da = g.scale(*k);
-                    grads[a.0].add_assign(&da);
-                }
                 Op::Add(a, b) => {
                     grads[a.0].add_assign(&g);
                     grads[b.0].add_assign(&g);
@@ -1081,8 +828,8 @@ impl Tape {
                     grads[b.0].add_assign(&neg);
                 }
                 Op::Mul(a, b) => {
-                    let da = g.mul(self.node_value(b.0));
-                    let db = g.mul(self.node_value(a.0));
+                    let da = g.mul(self.value(*b));
+                    let db = g.mul(self.value(*a));
                     grads[a.0].add_assign(&da);
                     grads[b.0].add_assign(&db);
                 }
@@ -1101,13 +848,12 @@ impl Tape {
                     grads[a.0].add_assign(&da);
                 }
                 Op::Relu(a) => {
-                    let da =
-                        g.zip_map(self.node_value(a.0), |gg, x| if x > 0.0 { gg } else { 0.0 });
+                    let da = g.zip_map(self.value(*a), |gg, x| if x > 0.0 { gg } else { 0.0 });
                     grads[a.0].add_assign(&da);
                 }
                 Op::LeakyRelu(a, slope) => {
                     let da = g.zip_map(
-                        self.node_value(a.0),
+                        self.value(*a),
                         |gg, x| {
                             if x > 0.0 {
                                 gg
@@ -1127,12 +873,12 @@ impl Tape {
                     grads[a.0].add_assign(&da);
                 }
                 Op::Sigmoid(a) => {
-                    let y = self.node_value(idx);
+                    let y = &self.nodes[idx].value;
                     let da = g.zip_map(y, |gg, s| gg * s * (1.0 - s));
                     grads[a.0].add_assign(&da);
                 }
                 Op::Tanh(a) => {
-                    let y = self.node_value(idx);
+                    let y = &self.nodes[idx].value;
                     let da = g.zip_map(y, |gg, t| gg * (1.0 - t * t));
                     grads[a.0].add_assign(&da);
                 }
@@ -1148,7 +894,7 @@ impl Tape {
                     grads[a.0].add_assign(&da);
                 }
                 Op::DivEps(a, b, eps) => {
-                    let (va, vb) = (self.node_value(a.0), self.node_value(b.0));
+                    let (va, vb) = (self.value(*a), self.value(*b));
                     let da = g.zip_map(vb, |gg, y| gg / (y + eps));
                     let mut db = Tensor::zeros(vb.rows(), vb.cols());
                     for i in 0..db.as_slice().len() {
@@ -1159,7 +905,7 @@ impl Tape {
                     grads[b.0].add_assign(&db);
                 }
                 Op::RowDot(a, b) => {
-                    let (va, vb) = (self.node_value(a.0), self.node_value(b.0));
+                    let (va, vb) = (self.value(*a), self.value(*b));
                     let mut da = Tensor::zeros(va.rows(), va.cols());
                     let mut db = Tensor::zeros(vb.rows(), vb.cols());
                     for r in 0..va.rows() {
@@ -1173,7 +919,7 @@ impl Tape {
                     grads[b.0].add_assign(&db);
                 }
                 Op::MulColBroadcast(a, w) => {
-                    let (va, vw) = (self.node_value(a.0), self.node_value(w.0));
+                    let (va, vw) = (self.value(*a), self.value(*w));
                     let mut da = Tensor::zeros(va.rows(), va.cols());
                     let mut dw = Tensor::zeros(vw.rows(), 1);
                     for r in 0..va.rows() {
@@ -1221,7 +967,7 @@ impl Tape {
                     grads[a.0].add_assign(&da);
                 }
                 Op::SegmentSoftmax(a, segments, n_segments) => {
-                    let p = self.node_value(idx);
+                    let p = &self.nodes[idx].value;
                     let (r, c) = p.shape();
                     // dx = p ⊙ (g - Σ_seg (g ⊙ p)) per column.
                     let mut dots = vec![0.0f32; n_segments * c];
@@ -1240,19 +986,9 @@ impl Tape {
                     }
                     grads[a.0].add_assign(&da);
                 }
-                Op::LayerNorm(a, gamma, beta, eps) | Op::LayerNormAct(a, gamma, beta, eps, _) => {
-                    // For the fused variant, first mask the upstream
-                    // gradient by the activation exactly as the unfused
-                    // activation backward would (output sign == norm-output
-                    // sign because the fused activations preserve sign).
-                    let ge = match &self.nodes[idx].op {
-                        Op::LayerNormAct(_, _, _, _, act) => {
-                            self.mask_by_output(&g, self.node_value(idx), *act)
-                        }
-                        _ => g.clone(),
-                    };
-                    let x = self.node_value(a.0);
-                    let gm = self.node_value(gamma.0);
+                Op::LayerNorm(a, gamma, beta, eps) => {
+                    let x = self.value(*a);
+                    let gm = self.value(*gamma);
                     let (r, c) = x.shape();
                     let cn = c as f32;
                     let mut da = Tensor::zeros(r, c);
@@ -1264,7 +1000,7 @@ impl Tape {
                         let var = row.iter().map(|&v| (v - mean).powi(2)).sum::<f32>() / cn;
                         let inv = 1.0 / (var + eps).sqrt();
                         let xhat: Vec<f32> = row.iter().map(|&v| (v - mean) * inv).collect();
-                        let dxhat: Vec<f32> = (0..c).map(|j| ge.at(i, j) * gm.at(0, j)).collect();
+                        let dxhat: Vec<f32> = (0..c).map(|j| g.at(i, j) * gm.at(0, j)).collect();
                         let mean_dxhat = dxhat.iter().sum::<f32>() / cn;
                         let mean_dxhat_xhat =
                             dxhat.iter().zip(&xhat).map(|(&d, &h)| d * h).sum::<f32>() / cn;
@@ -1274,23 +1010,27 @@ impl Tape {
                                 j,
                                 inv * (dxhat[j] - mean_dxhat - xhat[j] * mean_dxhat_xhat),
                             );
-                            dgamma.set(0, j, dgamma.at(0, j) + ge.at(i, j) * xhat[j]);
-                            dbeta.set(0, j, dbeta.at(0, j) + ge.at(i, j));
+                            dgamma.set(0, j, dgamma.at(0, j) + g.at(i, j) * xhat[j]);
+                            dbeta.set(0, j, dbeta.at(0, j) + g.at(i, j));
                         }
                     }
                     grads[a.0].add_assign(&da);
                     grads[gamma.0].add_assign(&dgamma);
                     grads[beta.0].add_assign(&dbeta);
                 }
-                Op::BatchNorm(a, gamma, beta, eps) | Op::BatchNormAct(a, gamma, beta, eps, _) => {
-                    let ge = match &self.nodes[idx].op {
-                        Op::BatchNormAct(_, _, _, _, act) => {
-                            self.mask_by_output(&g, self.node_value(idx), *act)
+                Op::BatchNorm(a, gamma, beta, eps) | Op::BatchNormRelu(a, gamma, beta, eps) => {
+                    // For the fused variant, first mask the upstream
+                    // gradient exactly as the unfused relu backward would
+                    // (output sign == norm-output sign: relu preserves it).
+                    let node = &self.nodes[idx];
+                    let ge = match node.op {
+                        Op::BatchNormRelu(..) => {
+                            g.zip_map(&node.value, |gg, y| if y > 0.0 { gg } else { 0.0 })
                         }
                         _ => g.clone(),
                     };
-                    let x = self.node_value(a.0);
-                    let gm = self.node_value(gamma.0);
+                    let x = self.value(*a);
+                    let gm = self.value(*gamma);
                     let (r, c) = x.shape();
                     let rn = r.max(1) as f32;
                     let mut da = Tensor::zeros(r, c);
@@ -1328,7 +1068,7 @@ impl Tape {
                     grads[beta.0].add_assign(&dbeta);
                 }
                 Op::L1Loss(pred, target) => {
-                    let p = self.node_value(pred.0);
+                    let p = self.value(*pred);
                     let n = (p.rows() * p.cols()).max(1) as f32;
                     let scale = g.at(0, 0) / n;
                     let dp = p.zip_map(target, |a, b| {
@@ -1343,7 +1083,7 @@ impl Tape {
                     grads[pred.0].add_assign(&dp);
                 }
                 Op::CrossEntropy(logits, labels) => {
-                    let x = self.node_value(logits.0);
+                    let x = self.value(*logits);
                     let (r, c) = x.shape();
                     let scale = g.at(0, 0) / r.max(1) as f32;
                     let mut dx = Tensor::zeros(r, c);
@@ -1490,6 +1230,47 @@ mod tests {
         for (v_f, v_u) in [(fx, ux), (fw, uw), (fb, ub)] {
             for (a, c) in fg.wrt(v_f).as_slice().iter().zip(ug.wrt(v_u).as_slice()) {
                 assert_eq!(a.to_bits(), c.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn batch_norm_relu_matches_unfused_chain() {
+        let x = sample(6, 5, 43);
+        let gamma = sample(1, 5, 44);
+        let beta = sample(1, 5, 45);
+        for backend in ["reference", "simd"] {
+            let tape = || {
+                Tape::with_exec(
+                    mega_exec::backend_by_name(backend).expect("known backend"),
+                    Arc::new(BufferPool::new()),
+                )
+            };
+            let mut fused = tape();
+            let (fx, fg, fb) = (
+                fused.leaf(x.clone()),
+                fused.leaf(gamma.clone()),
+                fused.leaf(beta.clone()),
+            );
+            let fy = fused.batch_norm_relu(fx, fg, fb, 1e-5);
+            let floss = fused.sum(fy);
+            let fgrads = fused.backward(floss);
+
+            let mut unfused = tape();
+            let (ux, ug, ub) = (
+                unfused.leaf(x.clone()),
+                unfused.leaf(gamma.clone()),
+                unfused.leaf(beta.clone()),
+            );
+            let un = unfused.batch_norm(ux, ug, ub, 1e-5);
+            let uy = unfused.relu(un);
+            let uloss = unfused.sum(uy);
+            let ugrads = unfused.backward(uloss);
+
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(fused.value(fy)), bits(unfused.value(uy)), "{backend}");
+            for (v_f, v_u) in [(fx, ux), (fg, ug), (fb, ub)] {
+                assert_eq!(bits(fgrads.wrt(v_f)), bits(ugrads.wrt(v_u)), "{backend}");
             }
         }
     }
@@ -1655,6 +1436,22 @@ mod tests {
     }
 
     #[test]
+    fn grad_batch_norm_relu() {
+        check_grad(
+            sample(4, 3, 35),
+            |t, x| {
+                let gamma = t.leaf(Tensor::full(1, 3, 0.9));
+                let beta = t.leaf(Tensor::full(1, 3, 0.3));
+                let y = t.batch_norm_relu(x, gamma, beta, 1e-5);
+                let w = t.leaf(sample(4, 3, 36));
+                let z = t.mul(y, w);
+                t.sum(z)
+            },
+            3e-2,
+        );
+    }
+
+    #[test]
     fn grad_leaky_relu() {
         check_grad(
             sample(2, 3, 27),
@@ -1784,206 +1581,6 @@ mod tests {
         let (idx, kind) = tape.first_nonfinite().expect("nan on tape");
         assert_eq!((idx, kind), (0, "leaf"));
         let _ = x;
-    }
-
-    /// Asserts two tensors are bitwise identical.
-    fn assert_bits(a: &Tensor, b: &Tensor) {
-        assert_eq!(a.shape(), b.shape());
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn planner_fuses_linear_chain_bit_identical() {
-        let x = sample(5, 7, 60);
-        let w = sample(7, 3, 61);
-        let b = sample(1, 3, 62);
-
-        let mut eager = Tape::new();
-        let (ex, ew, eb) = (
-            eager.leaf(x.clone()),
-            eager.leaf(w.clone()),
-            eager.leaf(b.clone()),
-        );
-        let em = eager.matmul(ex, ew);
-        let ea = eager.add_row(em, eb);
-        let ey = eager.relu(ea);
-        let eloss = eager.sum(ey);
-        let eg = eager.backward(eloss);
-
-        let mut planned = Tape::new();
-        planned.set_planning(true);
-        let (px, pw, pb) = (
-            planned.leaf(x.clone()),
-            planned.leaf(w.clone()),
-            planned.leaf(b.clone()),
-        );
-        let pm = planned.matmul(px, pw);
-        let pa = planned.add_row(pm, pb);
-        let py = planned.relu(pa);
-        let ploss = planned.sum(py); // flush boundary: fusion runs here
-        let pg = planned.backward(ploss);
-
-        assert_bits(planned.value(py), eager.value(ey));
-        assert_bits(planned.value(ploss), eager.value(eloss));
-        for (pv, ev) in [(px, ex), (pw, ew), (pb, eb)] {
-            assert_bits(pg.wrt(pv), eg.wrt(ev));
-        }
-        // The interior nodes were fused away and never materialized.
-        assert!(planned.nodes[pm.0].value.is_none());
-        assert!(planned.nodes[pa.0].value.is_none());
-        // The same chain with a leaky tail fuses too (positive slope).
-        let mut eager = Tape::new();
-        let (ex, ew, eb) = (
-            eager.leaf(x.clone()),
-            eager.leaf(w.clone()),
-            eager.leaf(b.clone()),
-        );
-        let em = eager.matmul(ex, ew);
-        let ea = eager.add_row(em, eb);
-        let ey = eager.leaky_relu(ea, 0.2);
-        let eloss = eager.sum(ey);
-        let eg = eager.backward(eloss);
-        let mut planned = Tape::new();
-        planned.set_planning(true);
-        let (px, pw, pb) = (planned.leaf(x), planned.leaf(w), planned.leaf(b));
-        let pm = planned.matmul(px, pw);
-        let pa = planned.add_row(pm, pb);
-        let py = planned.leaky_relu(pa, 0.2);
-        let ploss = planned.sum(py);
-        let pg = planned.backward(ploss);
-        assert_bits(planned.value(py), eager.value(ey));
-        assert!(planned.nodes[pm.0].value.is_none());
-        assert!(planned.nodes[pa.0].value.is_none());
-        for (pv, ev) in [(px, ex), (pw, ew), (pb, eb)] {
-            assert_bits(pg.wrt(pv), eg.wrt(ev));
-        }
-    }
-
-    #[test]
-    fn planner_fuses_axpy_and_norm_activations() {
-        // scale → add (both operand orders), layer_norm → leaky_relu,
-        // batch_norm → relu: planned values and gradients must be bitwise
-        // equal to the eager unfused chain.
-        let x = sample(4, 6, 70);
-        let o = sample(4, 6, 71);
-        for scale_on_left in [true, false] {
-            let run = |planning: bool| {
-                let mut t = Tape::new();
-                t.set_planning(planning);
-                let (vx, vo) = (t.leaf(x.clone()), t.leaf(o.clone()));
-                let s = t.scale(vx, 0.75);
-                let y = if scale_on_left {
-                    t.add(s, vo)
-                } else {
-                    t.add(vo, s)
-                };
-                let loss = t.mean(y);
-                let g = t.backward(loss);
-                let elided = t.nodes[s.0].value.is_none();
-                (
-                    t.value(y).clone(),
-                    g.wrt(vx).clone(),
-                    g.wrt(vo).clone(),
-                    elided,
-                )
-            };
-            let (ey, egx, ego, _) = run(false);
-            let (py, pgx, pgo, elided) = run(true);
-            assert!(elided, "scale not fused into axpy");
-            assert_bits(&py, &ey);
-            assert_bits(&pgx, &egx);
-            assert_bits(&pgo, &ego);
-        }
-
-        for batch in [false, true] {
-            let run = |planning: bool| {
-                let mut t = Tape::new();
-                t.set_planning(planning);
-                let vx = t.leaf(x.clone());
-                let gamma = t.leaf(Tensor::full(1, 6, 1.1));
-                let beta = t.leaf(Tensor::full(1, 6, -0.3));
-                let n = if batch {
-                    t.batch_norm(vx, gamma, beta, 1e-5)
-                } else {
-                    t.layer_norm(vx, gamma, beta, 1e-5)
-                };
-                let y = if batch {
-                    t.relu(n)
-                } else {
-                    t.leaky_relu(n, 0.1)
-                };
-                let loss = t.sum(y);
-                let g = t.backward(loss);
-                let elided = t.nodes[n.0].value.is_none();
-                (
-                    t.value(y).clone(),
-                    g.wrt(vx).clone(),
-                    g.wrt(gamma).clone(),
-                    g.wrt(beta).clone(),
-                    elided,
-                )
-            };
-            let (ey, egx, egg, egb, _) = run(false);
-            let (py, pgx, pgg, pgb, elided) = run(true);
-            assert!(elided, "norm not fused into norm-activation");
-            assert_bits(&py, &ey);
-            assert_bits(&pgx, &egx);
-            assert_bits(&pgg, &egg);
-            assert_bits(&pgb, &egb);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "fused away")]
-    fn fused_interior_node_panics_on_read() {
-        let mut t = Tape::new();
-        t.set_planning(true);
-        let x = t.leaf(sample(3, 4, 80));
-        let w = t.leaf(sample(4, 2, 81));
-        let b = t.leaf(sample(1, 2, 82));
-        let m = t.matmul(x, w);
-        let a = t.add_row(m, b);
-        let y = t.relu(a);
-        let _loss = t.sum(y);
-        let _ = t.value(m); // interior of the fused chain: never materialized
-    }
-
-    #[test]
-    fn planner_keeps_shared_and_rooted_intermediates() {
-        // An intermediate consumed twice must not be elided.
-        let mut t = Tape::new();
-        t.set_planning(true);
-        let x = t.leaf(sample(3, 3, 83));
-        let s = t.scale(x, 2.0);
-        let y = t.add(s, s); // s has two consumers: no axpy fusion
-        let loss = t.sum(y);
-        assert!(t.nodes[s.0].value.is_some());
-        let _ = t.backward(loss);
-
-        // An intermediate a flush consumer is about to read (a root) must
-        // not be elided either, even with a single recorded consumer.
-        let mut t = Tape::new();
-        t.set_planning(true);
-        let x = t.leaf(sample(3, 3, 84));
-        let o = t.leaf(sample(3, 3, 85));
-        let s = t.scale(x, 0.5);
-        let _y = t.add(s, o);
-        let _probe = t.sum(s); // flushes with s as a root
-        assert!(t.nodes[s.0].value.is_some());
-    }
-
-    #[test]
-    fn disabling_planning_flushes_pending_ops() {
-        let mut t = Tape::new();
-        t.set_planning(true);
-        let x = t.leaf(sample(2, 2, 86));
-        let y = t.relu(x);
-        assert!(t.nodes[y.0].value.is_none());
-        t.set_planning(false);
-        assert!(t.nodes[y.0].value.is_some());
-        assert!(!t.planning());
     }
 
     #[test]

@@ -1,111 +1,12 @@
 //! Property-based tests for the tensor library and autograd.
 
-use mega_core::Parallelism;
-use mega_exec::{backend_by_name, BufferPool};
-use mega_tensor::{Tape, Tensor, Var};
+use mega_tensor::{Tape, Tensor};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 fn arb_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-2.0f32..2.0, rows * cols)
         .prop_map(move |v| Tensor::from_vec(rows, cols, v))
-}
-
-/// A deterministic pseudo-random tensor (LCG), so the planned and unfused
-/// runs of a chain rebuild identical leaves without sharing a tape.
-fn lcg_tensor(seed: u64, rows: usize, cols: usize) -> Tensor {
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-    let data = (0..rows * cols)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
-        })
-        .collect();
-    Tensor::from_vec(rows, cols, data)
-}
-
-/// Builds the op chain encoded by `codes` on a fresh tape and returns the
-/// final value plus the gradients of every leaf, in creation order. Each
-/// code appends one block: a fusable linear/norm/axpy pattern or a plain
-/// unfused op, so random chains mix fusion windows with barriers.
-fn run_chain(
-    codes: &[u8],
-    rows: usize,
-    planning: bool,
-    backend_name: &str,
-    threads: usize,
-) -> (Tensor, Vec<Tensor>) {
-    let backend = backend_by_name(backend_name).expect("known backend");
-    let mut tape = Tape::with_exec(backend, Arc::new(BufferPool::new()));
-    tape.set_parallelism(Parallelism::pinned(threads));
-    tape.set_planning(planning);
-    let mut leaves: Vec<Var> = Vec::new();
-    let mut cols = 4usize;
-    let mut cur = tape.leaf(lcg_tensor(1, rows, cols));
-    leaves.push(cur);
-    for (i, &code) in codes.iter().enumerate() {
-        let seed = 100 + 10 * i as u64;
-        match code % 7 {
-            0 | 1 => {
-                // linear (+ relu or leaky-relu tail): the matmul fusion.
-                let new_cols = [3, 5, 8][i % 3];
-                let w = tape.leaf(lcg_tensor(seed, cols, new_cols));
-                let b = tape.leaf(lcg_tensor(seed + 1, 1, new_cols));
-                leaves.push(w);
-                leaves.push(b);
-                let m = tape.matmul(cur, w);
-                let a = tape.add_row(m, b);
-                cur = if code % 7 == 0 {
-                    tape.relu(a)
-                } else {
-                    tape.leaky_relu(a, 0.2)
-                };
-                cols = new_cols;
-            }
-            2 => {
-                // scale + add (either operand order): the axpy fusion.
-                let o = tape.leaf(lcg_tensor(seed, rows, cols));
-                leaves.push(o);
-                let s = tape.scale(cur, 0.5 + (i % 3) as f32 * 0.25);
-                cur = if i % 2 == 0 {
-                    tape.add(s, o)
-                } else {
-                    tape.add(o, s)
-                };
-            }
-            3 | 4 => {
-                // normalization + activation: the norm-act fusion.
-                let gamma = tape.leaf(lcg_tensor(seed, 1, cols));
-                let beta = tape.leaf(lcg_tensor(seed + 1, 1, cols));
-                leaves.push(gamma);
-                leaves.push(beta);
-                let n = if code % 7 == 3 {
-                    tape.layer_norm(cur, gamma, beta, 1e-5)
-                } else {
-                    tape.batch_norm(cur, gamma, beta, 1e-5)
-                };
-                cur = if i % 2 == 0 {
-                    tape.relu(n)
-                } else {
-                    tape.leaky_relu(n, 0.1)
-                };
-            }
-            5 => cur = tape.tanh(cur), // unfused link between windows
-            _ => {
-                // self-referential axpy: `cur` is consumed twice, so only
-                // the scale link may fuse (and the operands alias).
-                let s = tape.scale(cur, -0.75);
-                cur = tape.add(s, cur);
-            }
-        }
-    }
-    let loss = tape.sum(cur);
-    let grads = tape.backward(loss);
-    let out = tape.value(loss).clone();
-    let leaf_grads = leaves.iter().map(|&v| grads.wrt(v).clone()).collect();
-    (out, leaf_grads)
 }
 
 proptest! {
@@ -210,41 +111,6 @@ proptest! {
         let v2 = tape.leaf(x);
         let nonzero = tape.l1_loss(v2, shifted);
         prop_assert!(tape.value(nonzero).at(0, 0) > 0.0);
-    }
-
-    /// The planner is bit-exact: a random op chain run through planning
-    /// mode (deferred execution + fusion) produces the same forward value and
-    /// leaf gradients, bit for bit, as the unfused eager oracle — across
-    /// backends and pinned thread counts. (Fixed-seed *training* bit-
-    /// identity is asserted end to end in `mega-gnn`'s
-    /// `planned_training_is_bit_identical_to_unplanned`.)
-    #[test]
-    fn planned_chains_match_unfused_oracle(
-        codes in proptest::collection::vec(0u8..7, 1..6),
-        rows in 2usize..7,
-    ) {
-        let (oracle_out, oracle_grads) = run_chain(&codes, rows, false, "reference", 1);
-        for backend in ["reference", "simd"] {
-            for threads in [1usize, 2, 4] {
-                let (out, grads) = run_chain(&codes, rows, true, backend, threads);
-                prop_assert_eq!(
-                    out.at(0, 0).to_bits(),
-                    oracle_out.at(0, 0).to_bits(),
-                    "loss diverged: {}/{} threads, chain {:?}",
-                    backend, threads, &codes
-                );
-                prop_assert_eq!(grads.len(), oracle_grads.len());
-                for (g, og) in grads.iter().zip(&oracle_grads) {
-                    for (a, b) in g.as_slice().iter().zip(og.as_slice()) {
-                        prop_assert_eq!(
-                            a.to_bits(), b.to_bits(),
-                            "grad diverged: {}/{} threads, chain {:?}: {} vs {}",
-                            backend, threads, &codes, a, b
-                        );
-                    }
-                }
-            }
-        }
     }
 
     /// Layer norm output rows have (near) zero mean and unit variance under

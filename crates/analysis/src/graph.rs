@@ -246,10 +246,10 @@ impl Graph {
     ///   `crate`/`self`/`super` are dropped).
     /// - **bare** `name(` — a fn named `name` in the same logical file,
     ///   else in the same crate, else a globally unique match. The
-    ///   cross-file fallbacks skip [`STD_METHODS`] names so `min(a, b)`
+    ///   cross-file fallbacks skip `STD_METHODS` names so `min(a, b)`
     ///   with `use std::cmp::min` never wires to an unrelated crate.
     /// - **method** `.name(` — every impl/trait fn named `name` (skipping
-    ///   [`STD_METHODS`]); deliberately an over-approximation, bounded by
+    ///   `STD_METHODS`); deliberately an over-approximation, bounded by
     ///   the rules' boundary sets.
     pub fn build(files: &[(&str, &str, &[Line])]) -> Graph {
         let mut fns = Vec::new();

@@ -135,7 +135,7 @@ impl ParamStore {
     /// Zeroes all accumulated gradients.
     pub fn zero_grads(&mut self) {
         for g in &mut self.grads {
-            *g = Tensor::zeros(g.rows(), g.cols());
+            g.as_mut_slice().fill(0.0);
         }
     }
 

@@ -1,8 +1,8 @@
 //! Reverse-mode autograd tape.
 //!
 //! A [`Tape`] records a computation as a sequence of nodes; every op method
-//! returns a [`Var`] handle. [`Tape::backward`] walks the nodes in reverse,
-//! producing a gradient tensor per node. The op set is tailored to GNN
+//! returns a [`Var`] handle. [`Tape::backward`] walks the nodes in reverse
+//! and returns the gradients of the *leaves*. The op set is tailored to GNN
 //! training: dense linear algebra, activations, normalizations, losses, and
 //! the index-driven graph ops (row gather, scatter-add, segment softmax)
 //! that express both the DGL-style baseline and MEGA's banded attention.
@@ -14,6 +14,14 @@
 //! so steady-state training recycles allocations instead of making fresh
 //! ones per node. Dropped tapes return their node buffers to the pool.
 //!
+//! The backward pass draws from the same pool and owns every gradient it
+//! makes. A node's gradient does not exist until a consumer's arm
+//! contributes to it; the first contribution is adopted as the gradient,
+//! later ones are added into it. When the walk reaches the node, its arm
+//! takes the gradient, passes the buffer on to an operand or releases it,
+//! and nothing is kept for it. Only leaf gradients survive, in
+//! [`Gradients`], which releases them when dropped (DESIGN.md §6).
+//!
 //! Every op method runs its kernel before returning, so a [`Var`] always
 //! has a value. The fused ops ([`Tape::linear_relu`],
 //! [`Tape::batch_norm_relu`]) are called by the layers that want them and
@@ -22,6 +30,7 @@
 
 use crate::tensor::Tensor;
 use mega_exec::{kernels, Backend, BufferPool, Epilogue, NormKind, ReferenceBackend, Unary};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Handle to a node on a [`Tape`].
@@ -104,31 +113,55 @@ struct Node {
     op: Op,
 }
 
-/// Gradients of one backward pass, indexed by [`Var`].
+/// The leaf gradients of one backward pass, indexed by [`Var`].
+///
+/// Only leaves have a gradient here: every other node's gradient was taken
+/// by that node's backward arm and released once consumed. The buffers come
+/// from the tape's [`BufferPool`] and return to it on drop.
 #[derive(Debug)]
 pub struct Gradients {
-    grads: Vec<Tensor>,
+    grads: Vec<Option<Tensor>>,
+    pool: Arc<BufferPool>,
 }
 
 impl Gradients {
-    /// The gradient with respect to `v` (zeros when `v` has no influence on
-    /// the loss).
+    /// The gradient with respect to the leaf `v` (zeros when `v` has no
+    /// influence on the loss).
     ///
     /// # Panics
     ///
-    /// Panics if `v` came from a different tape (index out of range).
+    /// Panics if `v` came from a different tape (index out of range) or is
+    /// not a leaf: the backward pass keeps no gradient for an op's output.
     pub fn wrt(&self, v: Var) -> &Tensor {
-        &self.grads[v.0]
+        self.grads[v.0]
+            .as_ref()
+            .expect("only leaf gradients survive a backward pass")
     }
 }
 
-/// `t += s` elementwise — the slice-level twin of [`Tensor::add_assign`],
-/// used by the backward pass to fold pooled kernel outputs into gradient
-/// accumulators without wrapping them in a temporary tensor.
-fn add_slice(t: &mut Tensor, s: &[f32]) {
-    debug_assert_eq!(t.as_slice().len(), s.len());
-    for (o, &v) in t.as_mut_slice().iter_mut().zip(s) {
-        *o += v;
+impl Drop for Gradients {
+    fn drop(&mut self) {
+        for g in self.grads.drain(..).flatten() {
+            self.pool.release(g.into_data());
+        }
+    }
+}
+
+/// The rows of a row-major buffer `cols` wide (none for a zero-width one).
+fn rows_of(buf: &[f32], cols: usize) -> std::slice::ChunksExact<'_, f32> {
+    buf.chunks_exact(cols.max(1))
+}
+
+/// [`rows_of`], mutably.
+fn rows_of_mut(buf: &mut [f32], cols: usize) -> std::slice::ChunksExactMut<'_, f32> {
+    buf.chunks_exact_mut(cols.max(1))
+}
+
+/// The relu backward, in place: keeps `g` where `gate` is positive and
+/// zeroes it elsewhere. `gate` is the relu's input or, equally, its output.
+fn keep_where_positive(g: &mut [f32], gate: &[f32]) {
+    for (gv, &x) in g.iter_mut().zip(gate) {
+        *gv = if x > 0.0 { *gv } else { 0.0 };
     }
 }
 
@@ -362,11 +395,15 @@ impl Tape {
             "keep_prob must be in (0, 1]"
         );
         let inv = 1.0 / keep_prob;
-        let mut out = self.value(a).clone();
-        for (i, o) in out.as_mut_slice().iter_mut().enumerate() {
-            *o = if mask[i] { *o * inv } else { 0.0 };
+        let mut out = self.out_buf(r, c);
+        for ((o, &x), &keep) in out
+            .iter_mut()
+            .zip(self.value(a).as_slice())
+            .zip(mask.iter())
+        {
+            *o = if keep { x * inv } else { 0.0 };
         }
-        self.push_value(out, Op::Dropout(a, mask, keep_prob))
+        self.push_value(Tensor::from_vec(r, c, out), Op::Dropout(a, mask, keep_prob))
     }
 
     /// Logistic sigmoid.
@@ -394,38 +431,43 @@ impl Tape {
     /// Elementwise `a / (b + eps)` for same-shape tensors (the paper's gated
     /// aggregation normalizer).
     pub fn div_eps(&mut self, a: Var, b: Var, eps: f32) -> Var {
-        let v = self.value(a).zip_map(self.value(b), |x, y| x / (y + eps));
-        self.push_value(v, Op::DivEps(a, b, eps))
+        assert_eq!(self.dims(a), self.dims(b), "div_eps shape mismatch");
+        let (r, c) = self.dims(a);
+        let mut out = self.out_buf(r, c);
+        let (x, y) = (self.value(a).as_slice(), self.value(b).as_slice());
+        for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+            *o = x / (y + eps);
+        }
+        self.push_value(Tensor::from_vec(r, c, out), Op::DivEps(a, b, eps))
     }
 
     /// Row-wise dot product of same-shape tensors: output is `r × 1` with
     /// `out[i] = Σ_c a[i,c]·b[i,c]` (attention scores).
     pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.dims(a), self.dims(b), "row_dot shape mismatch");
-        let (x, y) = (self.value(a), self.value(b));
-        let mut out = Tensor::zeros(x.rows(), 1);
-        for r in 0..x.rows() {
-            let s: f32 = x.row(r).iter().zip(y.row(r)).map(|(&p, &q)| p * q).sum();
-            out.set(r, 0, s);
+        let (r, c) = self.dims(a);
+        let mut out = self.out_buf(r, 1);
+        let (x, y) = (self.value(a).as_slice(), self.value(b).as_slice());
+        for (o, (x_row, y_row)) in out.iter_mut().zip(rows_of(x, c).zip(rows_of(y, c))) {
+            *o = x_row.iter().zip(y_row).map(|(&p, &q)| p * q).sum();
         }
-        self.push_value(out, Op::RowDot(a, b))
+        self.push_value(Tensor::from_vec(r, 1, out), Op::RowDot(a, b))
     }
 
     /// Broadcast-multiplies each row of `a` (`r × c`) by the matching scalar
     /// in `w` (`r × 1`) — applying attention weights to values.
     pub fn mul_col_broadcast(&mut self, a: Var, w: Var) -> Var {
-        let ((r, _), (wr, wc)) = (self.dims(a), self.dims(w));
+        let ((r, c), (wr, wc)) = (self.dims(a), self.dims(w));
         assert_eq!(wc, 1, "weights must be a column");
         assert_eq!(r, wr, "row count mismatch");
-        let (x, y) = (self.value(a), self.value(w));
-        let mut out = x.clone();
-        for r in 0..out.rows() {
-            let k = y.at(r, 0);
-            for o in out.row_mut(r) {
-                *o *= k;
+        let mut out = self.out_buf(r, c);
+        let rows = rows_of_mut(&mut out, c).zip(rows_of(self.value(a).as_slice(), c));
+        for ((o_row, x_row), &k) in rows.zip(self.value(w).as_slice()) {
+            for (o, &x) in o_row.iter_mut().zip(x_row) {
+                *o = x * k;
             }
         }
-        self.push_value(out, Op::MulColBroadcast(a, w))
+        self.push_value(Tensor::from_vec(r, c, out), Op::MulColBroadcast(a, w))
     }
 
     /// Horizontally concatenates tensors with equal row counts (multi-head
@@ -438,18 +480,21 @@ impl Tape {
         assert!(!parts.is_empty(), "concat_cols needs at least one part");
         let rows = self.value(parts[0]).rows();
         let total: usize = parts.iter().map(|&p| self.value(p).cols()).sum();
-        let mut out = Tensor::zeros(rows, total);
+        let mut out = self.out_buf(rows, total);
         let mut offset = 0usize;
         for &p in parts {
             let t = self.value(p);
             assert_eq!(t.rows(), rows, "concat_cols row mismatch");
-            for r in 0..rows {
-                let src = t.row(r).to_vec();
-                out.row_mut(r)[offset..offset + src.len()].copy_from_slice(&src);
+            let w = t.cols();
+            for (o_row, src) in rows_of_mut(&mut out, total).zip(rows_of(t.as_slice(), w)) {
+                o_row[offset..offset + w].copy_from_slice(src);
             }
-            offset += t.cols();
+            offset += w;
         }
-        self.push_value(out, Op::ConcatCols(Arc::new(parts.to_vec())))
+        self.push_value(
+            Tensor::from_vec(rows, total, out),
+            Op::ConcatCols(Arc::new(parts.to_vec())),
+        )
     }
 
     /// Gathers rows of `a` by `index` (e.g. node features → per-edge source
@@ -741,32 +786,110 @@ impl Tape {
         Tensor::from_vec(rows, cols, out)
     }
 
+    /// Folds one contribution into the gradient of `v` — the only way a
+    /// gradient comes to exist or changes during [`Tape::backward`].
+    ///
+    /// The first contribution to reach `v` becomes its gradient: an owned
+    /// buffer is adopted in place, a borrowed one is copied into a pooled
+    /// buffer. Every later one is added into it elementwise and, if owned,
+    /// released. Adoption stores `0.0 + x`, not `x`: a gradient used to start
+    /// as zeros that the first contribution was added to, which turns a
+    /// `-0.0` into `+0.0`, and the contract is bit-identity (DESIGN.md §6).
+    fn accumulate(&self, grads: &mut [Option<Tensor>], v: Var, contribution: Cow<'_, [f32]>) {
+        let (rows, cols) = self.dims(v);
+        assert_eq!(
+            contribution.len(),
+            rows * cols,
+            "gradient shape mismatch for a {rows}x{cols} node"
+        );
+        match &mut grads[v.0] {
+            Some(acc) => {
+                for (o, &x) in acc.as_mut_slice().iter_mut().zip(contribution.iter()) {
+                    *o += x;
+                }
+                if let Cow::Owned(buf) = contribution {
+                    self.pool.release(buf);
+                }
+            }
+            slot => {
+                let buf = match contribution {
+                    Cow::Owned(mut buf) => {
+                        for x in buf.iter_mut() {
+                            *x += 0.0;
+                        }
+                        buf
+                    }
+                    Cow::Borrowed(src) => {
+                        let mut buf = self.pool.acquire(src.len());
+                        for (o, &x) in buf.iter_mut().zip(src) {
+                            *o = x + 0.0;
+                        }
+                        buf
+                    }
+                };
+                *slot = Some(Tensor::from_vec(rows, cols, buf));
+            }
+        }
+    }
+
+    /// Column sums of the row-major `g` (`cols` wide) into a pooled `1 ×
+    /// cols` buffer, folding rows in ascending order — the bias gradient of
+    /// `AddRow` and `LinearRelu`.
+    fn col_sums(&self, g: &[f32], cols: usize) -> Vec<f32> {
+        let mut sums = self.pool.acquire(cols);
+        for row in rows_of(g, cols) {
+            for (s, &v) in sums.iter_mut().zip(row) {
+                *s += v;
+            }
+        }
+        sums
+    }
+
     /// Backward of `y = x · w` for the upstream gradient `g` (`n × m`):
-    /// accumulates `dx = g · wᵀ` and `dw = xᵀ · g` into `grads` — both
-    /// through the backend, so an accelerated GEMM speeds the backward
-    /// pass too.
-    fn gemm_backward(&self, g: &[f32], x: Var, w: Var, grads: &mut [Tensor]) {
+    /// `dx = g · wᵀ` and `dw = xᵀ · g`, each written by the backend's GEMM
+    /// straight into the pooled buffer that [`Tape::accumulate`] then adopts
+    /// or folds — so an accelerated GEMM speeds the backward pass too.
+    ///
+    /// `xᵀ` is kept in `transposed` for the next product that reads the same
+    /// `x` (every per-head projection of a layer does); the backward walk
+    /// releases it on reaching `x`.
+    fn gemm_backward(
+        &self,
+        g: &[f32],
+        x: Var,
+        w: Var,
+        grads: &mut [Option<Tensor>],
+        transposed: &mut [Option<Vec<f32>>],
+    ) {
         let (vx, vw) = (self.value(x), self.value(w));
         let (n, k, m) = (vx.rows(), vx.cols(), vw.cols());
-        let mut dx = self.pool.acquire(n * k);
         let mut wt = self.pool.acquire(k * m);
         kernels::transpose(vw.as_slice(), k, m, &mut wt);
+        let mut dx = self.pool.acquire(n * k);
         self.backend
             .gemm(g, &wt, n, m, k, Epilogue::None, &self.par, &mut dx);
         self.pool.release(wt);
-        add_slice(&mut grads[x.0], &dx);
-        self.pool.release(dx);
-        let mut xt = self.pool.acquire(n * k);
-        kernels::transpose(vx.as_slice(), n, k, &mut xt);
+        self.accumulate(grads, x, Cow::Owned(dx));
+        let xt = transposed[x.0].get_or_insert_with(|| {
+            let mut xt = self.pool.acquire(n * k);
+            kernels::transpose(vx.as_slice(), n, k, &mut xt);
+            xt
+        });
         let mut dw = self.pool.acquire(k * m);
         self.backend
-            .gemm(&xt, g, k, n, m, Epilogue::None, &self.par, &mut dw);
-        add_slice(&mut grads[w.0], &dw);
-        self.pool.release(xt);
-        self.pool.release(dw);
+            .gemm(xt, g, k, n, m, Epilogue::None, &self.par, &mut dw);
+        self.accumulate(grads, w, Cow::Owned(dw));
     }
 
     /// Runs the backward pass from the scalar node `loss`.
+    ///
+    /// A gradient exists only once something has flowed into it (see
+    /// `Tape::accumulate`). Walking the nodes in reverse, each non-leaf
+    /// node *takes* its finished gradient out of the table, skips its arm if
+    /// nothing or only zeros arrived (so a zero gradient never meets an
+    /// `inf` value), and otherwise hands the buffer on — rewritten in place
+    /// where an operand's gradient has its shape — or releases it to the
+    /// pool. What is left at the end are the leaf gradients.
     ///
     /// # Panics
     ///
@@ -779,329 +902,369 @@ impl Tape {
             (1, 1),
             "backward needs a scalar loss"
         );
-        let mut grads: Vec<Tensor> = self
-            .nodes
-            .iter()
-            .map(|n| Tensor::zeros(n.value.rows(), n.value.cols()))
-            .collect();
-        grads[loss.0].set(0, 0, 1.0);
+        let mut grads: Vec<Option<Tensor>> = self.nodes.iter().map(|_| None).collect();
+        self.accumulate(&mut grads, loss, Cow::Borrowed(&[1.0]));
+        // `xᵀ` of the nodes some already-visited product reads.
+        let mut transposed: Vec<Option<Vec<f32>>> = self.nodes.iter().map(|_| None).collect();
 
         for idx in (0..=loss.0).rev() {
-            if grads[idx].as_slice().iter().all(|&g| g == 0.0) {
+            // Every reader of this node's value has had its turn.
+            if let Some(xt) = transposed[idx].take() {
+                self.pool.release(xt);
+            }
+            let node = &self.nodes[idx];
+            if matches!(node.op, Op::Leaf) {
                 continue;
             }
-            let g = grads[idx].clone();
-            match &self.nodes[idx].op {
-                Op::Leaf => {}
-                Op::MatMul(a, b) => self.gemm_backward(g.as_slice(), *a, *b, &mut grads),
+            let Some(g) = grads[idx].take() else {
+                continue;
+            };
+            let mut g = g.into_data();
+            if g.iter().all(|&v| v == 0.0) {
+                self.pool.release(g);
+                continue;
+            }
+            let (grads, transposed) = (&mut grads[..], &mut transposed[..]);
+            match &node.op {
+                Op::Leaf => unreachable!("leaves keep their gradient"),
+                Op::MatMul(a, b) => {
+                    self.gemm_backward(&g, *a, *b, grads, transposed);
+                    self.pool.release(g);
+                }
                 Op::LinearRelu(x, w, bias) => {
-                    let out = &self.nodes[idx].value;
-                    let (n, m) = out.shape();
                     // Mask the upstream gradient by the activation: the kept
                     // pre-activations are exactly the positive outputs.
-                    let mut gm = self.pool.acquire(n * m);
-                    for ((o, &gv), &ov) in gm.iter_mut().zip(g.as_slice()).zip(out.as_slice()) {
-                        *o = if ov > 0.0 { gv } else { 0.0 };
-                    }
-                    // dbias = column sums of gm, folded row-major as the
-                    // unfused AddRow backward does.
-                    let mut db = self.pool.acquire(m);
-                    for r in 0..n {
-                        for c in 0..m {
-                            db[c] += gm[r * m + c];
-                        }
-                    }
-                    add_slice(&mut grads[bias.0], &db);
-                    self.pool.release(db);
-                    // dx = gm · wᵀ, dw = xᵀ · gm — the MatMul backward on the
-                    // masked gradient.
-                    self.gemm_backward(&gm, *x, *w, &mut grads);
-                    self.pool.release(gm);
+                    keep_where_positive(&mut g, node.value.as_slice());
+                    // dbias = column sums of the masked gradient, as the
+                    // unfused AddRow backward folds them; dx = gm · wᵀ,
+                    // dw = xᵀ · gm — the MatMul backward on the same.
+                    let db = self.col_sums(&g, node.value.cols());
+                    self.accumulate(grads, *bias, Cow::Owned(db));
+                    self.gemm_backward(&g, *x, *w, grads, transposed);
+                    self.pool.release(g);
                 }
                 Op::Add(a, b) => {
-                    grads[a.0].add_assign(&g);
-                    grads[b.0].add_assign(&g);
+                    self.accumulate(grads, *a, Cow::Borrowed(&g));
+                    self.accumulate(grads, *b, Cow::Owned(g));
                 }
                 Op::Sub(a, b) => {
-                    grads[a.0].add_assign(&g);
-                    let neg = g.scale(-1.0);
-                    grads[b.0].add_assign(&neg);
+                    self.accumulate(grads, *a, Cow::Borrowed(&g));
+                    for v in g.iter_mut() {
+                        *v *= -1.0;
+                    }
+                    self.accumulate(grads, *b, Cow::Owned(g));
                 }
                 Op::Mul(a, b) => {
-                    let da = g.mul(self.value(*b));
-                    let db = g.mul(self.value(*a));
-                    grads[a.0].add_assign(&da);
-                    grads[b.0].add_assign(&db);
+                    let mut db = self.pool.acquire(g.len());
+                    for ((o, &gv), &x) in db.iter_mut().zip(&g).zip(self.value(*a).as_slice()) {
+                        *o = gv * x;
+                    }
+                    for (gv, &y) in g.iter_mut().zip(self.value(*b).as_slice()) {
+                        *gv *= y;
+                    }
+                    self.accumulate(grads, *a, Cow::Owned(g));
+                    self.accumulate(grads, *b, Cow::Owned(db));
                 }
                 Op::AddRow(a, bias) => {
-                    grads[a.0].add_assign(&g);
-                    let mut db = Tensor::zeros(1, g.cols());
-                    for r in 0..g.rows() {
-                        for c in 0..g.cols() {
-                            db.set(0, c, db.at(0, c) + g.at(r, c));
-                        }
-                    }
-                    grads[bias.0].add_assign(&db);
+                    let db = self.col_sums(&g, node.value.cols());
+                    self.accumulate(grads, *a, Cow::Owned(g));
+                    self.accumulate(grads, *bias, Cow::Owned(db));
                 }
                 Op::Scale(a, k) => {
-                    let da = g.scale(*k);
-                    grads[a.0].add_assign(&da);
+                    for v in g.iter_mut() {
+                        *v *= *k;
+                    }
+                    self.accumulate(grads, *a, Cow::Owned(g));
                 }
                 Op::Relu(a) => {
-                    let da = g.zip_map(self.value(*a), |gg, x| if x > 0.0 { gg } else { 0.0 });
-                    grads[a.0].add_assign(&da);
+                    keep_where_positive(&mut g, self.value(*a).as_slice());
+                    self.accumulate(grads, *a, Cow::Owned(g));
                 }
                 Op::LeakyRelu(a, slope) => {
-                    let da = g.zip_map(
-                        self.value(*a),
-                        |gg, x| {
-                            if x > 0.0 {
-                                gg
-                            } else {
-                                gg * slope
-                            }
-                        },
-                    );
-                    grads[a.0].add_assign(&da);
+                    for (gv, &x) in g.iter_mut().zip(self.value(*a).as_slice()) {
+                        *gv = if x > 0.0 { *gv } else { *gv * slope };
+                    }
+                    self.accumulate(grads, *a, Cow::Owned(g));
                 }
                 Op::Dropout(a, mask, keep_prob) => {
                     let inv = 1.0 / keep_prob;
-                    let mut da = g.clone();
-                    for (i, o) in da.as_mut_slice().iter_mut().enumerate() {
-                        *o = if mask[i] { *o * inv } else { 0.0 };
+                    for (gv, &keep) in g.iter_mut().zip(mask.iter()) {
+                        *gv = if keep { *gv * inv } else { 0.0 };
                     }
-                    grads[a.0].add_assign(&da);
+                    self.accumulate(grads, *a, Cow::Owned(g));
                 }
                 Op::Sigmoid(a) => {
-                    let y = &self.nodes[idx].value;
-                    let da = g.zip_map(y, |gg, s| gg * s * (1.0 - s));
-                    grads[a.0].add_assign(&da);
+                    for (gv, &s) in g.iter_mut().zip(node.value.as_slice()) {
+                        *gv = *gv * s * (1.0 - s);
+                    }
+                    self.accumulate(grads, *a, Cow::Owned(g));
                 }
                 Op::Tanh(a) => {
-                    let y = &self.nodes[idx].value;
-                    let da = g.zip_map(y, |gg, t| gg * (1.0 - t * t));
-                    grads[a.0].add_assign(&da);
+                    for (gv, &t) in g.iter_mut().zip(node.value.as_slice()) {
+                        *gv *= 1.0 - t * t;
+                    }
+                    self.accumulate(grads, *a, Cow::Owned(g));
                 }
-                Op::Sum(a) => {
+                Op::Sum(a) | Op::Mean(a) => {
                     let (r, c) = self.dims(*a);
-                    let da = Tensor::full(r, c, g.at(0, 0));
-                    grads[a.0].add_assign(&da);
-                }
-                Op::Mean(a) => {
-                    let (r, c) = self.dims(*a);
-                    let n = (r * c).max(1) as f32;
-                    let da = Tensor::full(r, c, g.at(0, 0) / n);
-                    grads[a.0].add_assign(&da);
+                    let each = match node.op {
+                        Op::Mean(_) => g[0] / (r * c).max(1) as f32,
+                        _ => g[0],
+                    };
+                    let mut da = self.pool.acquire(r * c);
+                    da.fill(each);
+                    self.accumulate(grads, *a, Cow::Owned(da));
+                    self.pool.release(g);
                 }
                 Op::DivEps(a, b, eps) => {
-                    let (va, vb) = (self.value(*a), self.value(*b));
-                    let da = g.zip_map(vb, |gg, y| gg / (y + eps));
-                    let mut db = Tensor::zeros(vb.rows(), vb.cols());
-                    for i in 0..db.as_slice().len() {
-                        let y = vb.as_slice()[i] + eps;
-                        db.as_mut_slice()[i] = -g.as_slice()[i] * va.as_slice()[i] / (y * y);
+                    let (va, vb) = (self.value(*a).as_slice(), self.value(*b).as_slice());
+                    let mut db = self.pool.acquire(g.len());
+                    for (((o, &gv), &x), &y) in db.iter_mut().zip(&g).zip(va).zip(vb) {
+                        let y = y + eps;
+                        *o = -gv * x / (y * y);
                     }
-                    grads[a.0].add_assign(&da);
-                    grads[b.0].add_assign(&db);
+                    for (gv, &y) in g.iter_mut().zip(vb) {
+                        *gv /= y + eps;
+                    }
+                    self.accumulate(grads, *a, Cow::Owned(g));
+                    self.accumulate(grads, *b, Cow::Owned(db));
                 }
                 Op::RowDot(a, b) => {
                     let (va, vb) = (self.value(*a), self.value(*b));
-                    let mut da = Tensor::zeros(va.rows(), va.cols());
-                    let mut db = Tensor::zeros(vb.rows(), vb.cols());
-                    for r in 0..va.rows() {
-                        let gr = g.at(r, 0);
-                        for c in 0..va.cols() {
-                            da.set(r, c, gr * vb.at(r, c));
-                            db.set(r, c, gr * va.at(r, c));
+                    let c = va.cols();
+                    let mut da = self.pool.acquire(g.len() * c);
+                    let mut db = self.pool.acquire(g.len() * c);
+                    let outs = rows_of_mut(&mut da, c).zip(rows_of_mut(&mut db, c));
+                    let ins = rows_of(va.as_slice(), c).zip(rows_of(vb.as_slice(), c));
+                    for (((da_row, db_row), (a_row, b_row)), &gr) in outs.zip(ins).zip(&g) {
+                        for (o, &y) in da_row.iter_mut().zip(b_row) {
+                            *o = gr * y;
+                        }
+                        for (o, &x) in db_row.iter_mut().zip(a_row) {
+                            *o = gr * x;
                         }
                     }
-                    grads[a.0].add_assign(&da);
-                    grads[b.0].add_assign(&db);
+                    self.accumulate(grads, *a, Cow::Owned(da));
+                    self.accumulate(grads, *b, Cow::Owned(db));
+                    self.pool.release(g);
                 }
                 Op::MulColBroadcast(a, w) => {
-                    let (va, vw) = (self.value(*a), self.value(*w));
-                    let mut da = Tensor::zeros(va.rows(), va.cols());
-                    let mut dw = Tensor::zeros(vw.rows(), 1);
-                    for r in 0..va.rows() {
-                        let k = vw.at(r, 0);
+                    let (va, vw) = (self.value(*a), self.value(*w).as_slice());
+                    let c = va.cols();
+                    let mut dw = self.pool.acquire(vw.len());
+                    let rows = rows_of_mut(&mut g, c).zip(rows_of(va.as_slice(), c));
+                    for ((g_row, a_row), (o, &k)) in rows.zip(dw.iter_mut().zip(vw)) {
                         let mut acc = 0.0f32;
-                        for c in 0..va.cols() {
-                            da.set(r, c, g.at(r, c) * k);
-                            acc += g.at(r, c) * va.at(r, c);
+                        for (gv, &x) in g_row.iter_mut().zip(a_row) {
+                            acc += *gv * x;
+                            *gv *= k;
                         }
-                        dw.set(r, 0, acc);
+                        *o = acc;
                     }
-                    grads[a.0].add_assign(&da);
-                    grads[w.0].add_assign(&dw);
+                    self.accumulate(grads, *a, Cow::Owned(g));
+                    self.accumulate(grads, *w, Cow::Owned(dw));
                 }
                 Op::ConcatCols(parts) => {
+                    let total = node.value.cols();
                     let mut offset = 0usize;
                     for &p in parts.iter() {
-                        let w = self.dims(p).1;
-                        let mut dp = Tensor::zeros(g.rows(), w);
-                        for r in 0..g.rows() {
-                            for c in 0..w {
-                                dp.set(r, c, g.at(r, offset + c));
-                            }
+                        let (r, w) = self.dims(p);
+                        let mut dp = self.pool.acquire(r * w);
+                        for (o, g_row) in rows_of_mut(&mut dp, w).zip(rows_of(&g, total)) {
+                            o.copy_from_slice(&g_row[offset..offset + w]);
                         }
-                        grads[p.0].add_assign(&dp);
+                        self.accumulate(grads, p, Cow::Owned(dp));
                         offset += w;
                     }
+                    self.pool.release(g);
                 }
                 Op::GatherRows(a, index) => {
-                    let da = g.scatter_add_rows(index, self.dims(*a).0);
-                    grads[a.0].add_assign(&da);
+                    let (r, c) = self.dims(*a);
+                    let mut da = self.pool.acquire(r * c);
+                    kernels::scatter_add_rows(&g, index, c, r, &mut da);
+                    self.accumulate(grads, *a, Cow::Owned(da));
+                    self.pool.release(g);
                 }
                 Op::ScatterAddRows(a, index) => {
-                    let da = g.gather_rows(index);
-                    grads[a.0].add_assign(&da);
+                    let (r, c) = node.value.shape();
+                    let mut da = self.pool.acquire(index.len() * c);
+                    kernels::gather_rows(&g, r, c, index, &mut da);
+                    self.accumulate(grads, *a, Cow::Owned(da));
+                    self.pool.release(g);
                 }
                 Op::ScaleRows(a, factors) => {
-                    let mut da = g.clone();
-                    for r in 0..da.rows() {
-                        let k = factors[r];
-                        for v in da.row_mut(r) {
+                    let c = node.value.cols();
+                    for (g_row, &k) in rows_of_mut(&mut g, c).zip(factors.iter()) {
+                        for v in g_row {
                             *v *= k;
                         }
                     }
-                    grads[a.0].add_assign(&da);
+                    self.accumulate(grads, *a, Cow::Owned(g));
                 }
                 Op::SegmentSoftmax(a, segments, n_segments) => {
-                    let p = &self.nodes[idx].value;
-                    let (r, c) = p.shape();
+                    let p = node.value.as_slice();
+                    let c = node.value.cols();
                     // dx = p ⊙ (g - Σ_seg (g ⊙ p)) per column.
-                    let mut dots = vec![0.0f32; n_segments * c];
-                    for i in 0..r {
-                        let s = segments[i];
-                        for j in 0..c {
-                            dots[s * c + j] += g.at(i, j) * p.at(i, j);
+                    let mut dots = self.pool.acquire(n_segments * c);
+                    for ((g_row, p_row), &s) in
+                        rows_of(&g, c).zip(rows_of(p, c)).zip(segments.iter())
+                    {
+                        let dot_row = &mut dots[s * c..(s + 1) * c];
+                        for ((d, &gv), &pv) in dot_row.iter_mut().zip(g_row).zip(p_row) {
+                            *d += gv * pv;
                         }
                     }
-                    let mut da = Tensor::zeros(r, c);
-                    for i in 0..r {
-                        let s = segments[i];
-                        for j in 0..c {
-                            da.set(i, j, p.at(i, j) * (g.at(i, j) - dots[s * c + j]));
+                    for ((g_row, p_row), &s) in rows_of_mut(&mut g, c)
+                        .zip(rows_of(p, c))
+                        .zip(segments.iter())
+                    {
+                        let dot_row = &dots[s * c..(s + 1) * c];
+                        for ((gv, &pv), &d) in g_row.iter_mut().zip(p_row).zip(dot_row) {
+                            *gv = pv * (*gv - d);
                         }
                     }
-                    grads[a.0].add_assign(&da);
+                    self.pool.release(dots);
+                    self.accumulate(grads, *a, Cow::Owned(g));
                 }
                 Op::LayerNorm(a, gamma, beta, eps) => {
                     let x = self.value(*a);
-                    let gm = self.value(*gamma);
-                    let (r, c) = x.shape();
+                    let gm = self.value(*gamma).as_slice();
+                    let c = x.cols();
                     let cn = c as f32;
-                    let mut da = Tensor::zeros(r, c);
-                    let mut dgamma = Tensor::zeros(1, c);
-                    let mut dbeta = Tensor::zeros(1, c);
-                    for i in 0..r {
-                        let row = x.row(i);
+                    let mut dgamma = self.pool.acquire(c);
+                    let mut dbeta = self.pool.acquire(c);
+                    let mut xhat = self.pool.acquire(c);
+                    let mut dxhat = self.pool.acquire(c);
+                    for (g_row, row) in rows_of_mut(&mut g, c).zip(rows_of(x.as_slice(), c)) {
                         let mean = row.iter().sum::<f32>() / cn;
                         let var = row.iter().map(|&v| (v - mean).powi(2)).sum::<f32>() / cn;
                         let inv = 1.0 / (var + eps).sqrt();
-                        let xhat: Vec<f32> = row.iter().map(|&v| (v - mean) * inv).collect();
-                        let dxhat: Vec<f32> = (0..c).map(|j| g.at(i, j) * gm.at(0, j)).collect();
+                        for (h, &v) in xhat.iter_mut().zip(row) {
+                            *h = (v - mean) * inv;
+                        }
+                        for ((d, &gv), &k) in dxhat.iter_mut().zip(g_row.iter()).zip(gm) {
+                            *d = gv * k;
+                        }
                         let mean_dxhat = dxhat.iter().sum::<f32>() / cn;
                         let mean_dxhat_xhat =
                             dxhat.iter().zip(&xhat).map(|(&d, &h)| d * h).sum::<f32>() / cn;
-                        for j in 0..c {
-                            da.set(
-                                i,
-                                j,
-                                inv * (dxhat[j] - mean_dxhat - xhat[j] * mean_dxhat_xhat),
-                            );
-                            dgamma.set(0, j, dgamma.at(0, j) + g.at(i, j) * xhat[j]);
-                            dbeta.set(0, j, dbeta.at(0, j) + g.at(i, j));
+                        let sums = dgamma.iter_mut().zip(dbeta.iter_mut());
+                        let hats = xhat.iter().zip(&dxhat);
+                        for ((gv, (dg, db)), (&h, &d)) in g_row.iter_mut().zip(sums).zip(hats) {
+                            *dg += *gv * h;
+                            *db += *gv;
+                            *gv = inv * (d - mean_dxhat - h * mean_dxhat_xhat);
                         }
                     }
-                    grads[a.0].add_assign(&da);
-                    grads[gamma.0].add_assign(&dgamma);
-                    grads[beta.0].add_assign(&dbeta);
+                    self.pool.release(xhat);
+                    self.pool.release(dxhat);
+                    self.accumulate(grads, *a, Cow::Owned(g));
+                    self.accumulate(grads, *gamma, Cow::Owned(dgamma));
+                    self.accumulate(grads, *beta, Cow::Owned(dbeta));
                 }
                 Op::BatchNorm(a, gamma, beta, eps) | Op::BatchNormRelu(a, gamma, beta, eps) => {
                     // For the fused variant, first mask the upstream
                     // gradient exactly as the unfused relu backward would
                     // (output sign == norm-output sign: relu preserves it).
-                    let node = &self.nodes[idx];
-                    let ge = match node.op {
-                        Op::BatchNormRelu(..) => {
-                            g.zip_map(&node.value, |gg, y| if y > 0.0 { gg } else { 0.0 })
-                        }
-                        _ => g.clone(),
-                    };
+                    if let Op::BatchNormRelu(..) = node.op {
+                        keep_where_positive(&mut g, node.value.as_slice());
+                    }
                     let x = self.value(*a);
-                    let gm = self.value(*gamma);
+                    let gm = self.value(*gamma).as_slice();
                     let (r, c) = x.shape();
+                    let x = x.as_slice();
                     let rn = r.max(1) as f32;
-                    let mut da = Tensor::zeros(r, c);
-                    let mut dgamma = Tensor::zeros(1, c);
-                    let mut dbeta = Tensor::zeros(1, c);
+                    let mut dgamma = self.pool.acquire(c);
+                    let mut dbeta = self.pool.acquire(c);
+                    let mut xhat = self.pool.acquire(r);
+                    let mut dxhat = self.pool.acquire(r);
+                    // Column `j` is the stride-`c` walk from `j`; its folds
+                    // run down the rows in ascending order.
                     for j in 0..c {
+                        let col = || x[j..].iter().step_by(c);
                         let mut mean = 0.0f32;
-                        for i in 0..r {
-                            mean += x.at(i, j);
+                        for &v in col() {
+                            mean += v;
                         }
                         mean /= rn;
                         let mut var = 0.0f32;
-                        for i in 0..r {
-                            var += (x.at(i, j) - mean).powi(2);
+                        for &v in col() {
+                            var += (v - mean).powi(2);
                         }
                         var /= rn;
                         let inv = 1.0 / (var + eps).sqrt();
-                        let xhat: Vec<f32> = (0..r).map(|i| (x.at(i, j) - mean) * inv).collect();
-                        let dxhat: Vec<f32> = (0..r).map(|i| ge.at(i, j) * gm.at(0, j)).collect();
+                        for (h, &v) in xhat.iter_mut().zip(col()) {
+                            *h = (v - mean) * inv;
+                        }
+                        for (d, &gv) in dxhat.iter_mut().zip(g[j..].iter().step_by(c)) {
+                            *d = gv * gm[j];
+                        }
                         let mean_dxhat = dxhat.iter().sum::<f32>() / rn;
                         let mean_dxhat_xhat =
                             dxhat.iter().zip(&xhat).map(|(&d, &h)| d * h).sum::<f32>() / rn;
-                        for i in 0..r {
-                            da.set(
-                                i,
-                                j,
-                                inv * (dxhat[i] - mean_dxhat - xhat[i] * mean_dxhat_xhat),
-                            );
-                            dgamma.set(0, j, dgamma.at(0, j) + ge.at(i, j) * xhat[i]);
-                            dbeta.set(0, j, dbeta.at(0, j) + ge.at(i, j));
+                        let (mut dg, mut db) = (0.0f32, 0.0f32);
+                        let hats = xhat.iter().zip(&dxhat);
+                        for (gv, (&h, &d)) in g[j..].iter_mut().step_by(c).zip(hats) {
+                            dg += *gv * h;
+                            db += *gv;
+                            *gv = inv * (d - mean_dxhat - h * mean_dxhat_xhat);
                         }
+                        dgamma[j] = dg;
+                        dbeta[j] = db;
                     }
-                    grads[a.0].add_assign(&da);
-                    grads[gamma.0].add_assign(&dgamma);
-                    grads[beta.0].add_assign(&dbeta);
+                    self.pool.release(xhat);
+                    self.pool.release(dxhat);
+                    self.accumulate(grads, *a, Cow::Owned(g));
+                    self.accumulate(grads, *gamma, Cow::Owned(dgamma));
+                    self.accumulate(grads, *beta, Cow::Owned(dbeta));
                 }
                 Op::L1Loss(pred, target) => {
-                    let p = self.value(*pred);
-                    let n = (p.rows() * p.cols()).max(1) as f32;
-                    let scale = g.at(0, 0) / n;
-                    let dp = p.zip_map(target, |a, b| {
-                        if a > b {
+                    let p = self.value(*pred).as_slice();
+                    let scale = g[0] / p.len().max(1) as f32;
+                    let mut dp = self.pool.acquire(p.len());
+                    for ((o, &a), &b) in dp.iter_mut().zip(p).zip(target.as_slice()) {
+                        *o = if a > b {
                             scale
                         } else if a < b {
                             -scale
                         } else {
                             0.0
-                        }
-                    });
-                    grads[pred.0].add_assign(&dp);
+                        };
+                    }
+                    self.accumulate(grads, *pred, Cow::Owned(dp));
+                    self.pool.release(g);
                 }
                 Op::CrossEntropy(logits, labels) => {
                     let x = self.value(*logits);
                     let (r, c) = x.shape();
-                    let scale = g.at(0, 0) / r.max(1) as f32;
-                    let mut dx = Tensor::zeros(r, c);
-                    for i in 0..r {
-                        let row = x.row(i);
+                    let scale = g[0] / r.max(1) as f32;
+                    let mut dx = self.pool.acquire(r * c);
+                    let rows = rows_of_mut(&mut dx, c).zip(rows_of(x.as_slice(), c));
+                    for ((dx_row, row), &label) in rows.zip(labels.iter()) {
                         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
                         let sum: f32 = row.iter().map(|&v| (v - max).exp()).sum();
-                        for (j, &logit) in row.iter().enumerate() {
+                        for (j, (o, &logit)) in dx_row.iter_mut().zip(row).enumerate() {
                             let p = (logit - max).exp() / sum;
-                            let y = if labels[i] == j { 1.0 } else { 0.0 };
-                            dx.set(i, j, scale * (p - y));
+                            let y = if label == j { 1.0 } else { 0.0 };
+                            *o = scale * (p - y);
                         }
                     }
-                    grads[logits.0].add_assign(&dx);
+                    self.accumulate(grads, *logits, Cow::Owned(dx));
+                    self.pool.release(g);
                 }
             }
         }
-        Gradients { grads }
+        // A leaf the loss does not reach reads as zeros.
+        for (slot, node) in grads.iter_mut().zip(&self.nodes) {
+            if slot.is_none() && matches!(node.op, Op::Leaf) {
+                let (r, c) = node.value.shape();
+                *slot = Some(Tensor::from_vec(r, c, self.pool.acquire(r * c)));
+            }
+        }
+        Gradients {
+            grads,
+            pool: self.pool.clone(),
+        }
     }
 }
 
@@ -1273,6 +1436,218 @@ mod tests {
                 assert_eq!(bits(fgrads.wrt(v_f)), bits(ugrads.wrt(v_u)), "{backend}");
             }
         }
+    }
+
+    /// FNV-1a over the little-endian bit patterns of `tensors`, in order.
+    fn fingerprint(tensors: &[&Tensor]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for t in tensors {
+            for v in t.as_slice() {
+                for b in v.to_bits().to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn backward_bits_are_pinned() {
+        for backend in ["reference", "simd"] {
+            let mut t = Tape::with_exec(
+                mega_exec::backend_by_name(backend).expect("known backend"),
+                Arc::new(BufferPool::new()),
+            );
+            let x = t.leaf(sample(6, 4, 60));
+            let w1 = t.leaf(sample(4, 4, 61));
+            let b1 = t.leaf(sample(1, 4, 62));
+            let w2 = t.leaf(sample(4, 4, 63));
+            let b2 = t.leaf(sample(1, 4, 64));
+            let gamma = t.leaf(sample(1, 4, 65));
+            let beta = t.leaf(sample(1, 4, 66));
+            let bn_gamma = t.leaf(sample(1, 8, 67));
+            let bn_beta = t.leaf(sample(1, 8, 68));
+            let wo = t.leaf(sample(8, 1, 69));
+            let xw = t.matmul(x, w1);
+            // `h` feeds four consumers, so its gradient is touched repeatedly.
+            let h = t.add_row(xw, b1);
+            let r = t.linear_relu(h, w2, b2);
+            let m = t.mul(h, r);
+            let s = t.scale(m, -0.5);
+            let src = t.gather_rows(s, Arc::new(vec![0, 2, 2, 5, 1, 3, 4, 0]));
+            let dst = t.gather_rows(h, Arc::new(vec![1, 1, 3, 0, 5, 4, 2, 2]));
+            let score = t.row_dot(src, dst);
+            let weighted = t.mul_col_broadcast(src, score);
+            let agg = t.scatter_add_rows(weighted, Arc::new(vec![1, 1, 3, 0, 5, 4, 2, 2]), 6);
+            let ln = t.layer_norm(agg, gamma, beta, 1e-5);
+            let cat = t.concat_cols(&[ln, h]);
+            let bn = t.batch_norm_relu(cat, bn_gamma, bn_beta, 1e-5);
+            let pred = t.matmul(bn, wo);
+            let loss = t.l1_loss(pred, sample(6, 1, 70));
+            let g = t.backward(loss);
+            let leaves = [x, w1, b1, w2, b2, gamma, beta, bn_gamma, bn_beta, wo];
+            let grads: Vec<&Tensor> = leaves.iter().map(|&v| g.wrt(v)).collect();
+            assert!(grads.iter().all(|t| t.norm() > 0.0), "{backend}: dead leaf");
+            assert_eq!(
+                fingerprint(&grads),
+                0x1e77_5631_58d4_2627,
+                "{backend}: {:#018x}",
+                fingerprint(&grads)
+            );
+        }
+    }
+
+    #[test]
+    fn first_touch_adopts_with_plus_zero_bits() {
+        // The Scale arm hands `x` the contribution [0.0, 2.0] * -1.0 =
+        // [-0.0, -2.0]; added to the zeros a gradient used to start as, the
+        // first entry is +0.0, and adoption must keep that.
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::from_vec(1, 2, vec![1.0, 1.0]));
+        let m = tape.leaf(Tensor::from_vec(1, 2, vec![0.0, 2.0]));
+        let neg = tape.scale(x, -1.0);
+        let y = tape.mul(neg, m);
+        let loss = tape.sum(y);
+        let grads = tape.backward(loss);
+        let bits: Vec<u32> = grads
+            .wrt(x)
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(bits, [0.0f32.to_bits(), (-2.0f32).to_bits()]);
+
+        // Helper level: adopt-then-add is zeros-then-add, bit for bit, with
+        // signed zeros and subnormals among the operands, whether the first
+        // contribution is owned or borrowed.
+        let special = [0.0f32, -0.0, 1e-41, -1e-41, f32::MIN_POSITIVE, 1.0, -1.0];
+        let mut state = 0x2545_f491u32;
+        let mut draw = || {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            match (state >> 8) % 10 {
+                k @ 0..=6 => special[k as usize],
+                _ => (state >> 8) as f32 / (1u32 << 23) as f32 - 1.0,
+            }
+        };
+        for round in 0..200 {
+            let first: Vec<f32> = (0..16).map(|_| draw()).collect();
+            let second: Vec<f32> = (0..16).map(|_| draw()).collect();
+            let mut tape = Tape::new();
+            let v = tape.leaf(Tensor::zeros(2, 8));
+            let mut grads = vec![None];
+            if round % 2 == 0 {
+                tape.accumulate(&mut grads, v, Cow::Owned(first.clone()));
+            } else {
+                tape.accumulate(&mut grads, v, Cow::Borrowed(&first));
+            }
+            tape.accumulate(&mut grads, v, Cow::Borrowed(&second));
+            let got = grads[0].take().expect("adopted");
+            for ((&g, &a), &b) in got.as_slice().iter().zip(&first).zip(&second) {
+                let mut want = 0.0f32;
+                want += a;
+                want += b;
+                assert_eq!(g.to_bits(), want.to_bits(), "0.0 + {a:e} + {b:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn unreached_leaf_gradient_is_zeros() {
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::full(2, 2, 1.0));
+        let before = tape.leaf(Tensor::full(3, 2, 5.0));
+        // Recorded and consumed, but by a branch the loss never sees.
+        let _dead_end = tape.scale(before, 2.0);
+        let loss = tape.sum(x);
+        let after = tape.leaf(Tensor::full(1, 4, -7.0));
+        let grads = tape.backward(loss);
+        for (leaf, shape) in [(before, (3, 2)), (after, (1, 4))] {
+            let g = grads.wrt(leaf);
+            assert_eq!(g.shape(), shape);
+            assert!(g.as_slice().iter().all(|v| v.to_bits() == 0));
+        }
+        assert_eq!(grads.wrt(x).as_slice(), &[1.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "only leaf gradients survive")]
+    fn gradient_of_an_op_output_is_not_kept() {
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::full(1, 2, 1.0));
+        let y = tape.scale(x, 2.0);
+        let loss = tape.sum(y);
+        let _ = tape.backward(loss).wrt(y);
+    }
+
+    #[test]
+    fn zero_upstream_gradient_is_skipped() {
+        // m = x * inf sits behind relu(-m) = 0, whose backward sends m's
+        // consumer an all-zero gradient. Running the arms below it anyway
+        // would fold 0 * inf = NaN into x.
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::from_vec(1, 2, vec![1.0, 2.0]));
+        let w = tape.leaf(Tensor::full(1, 2, f32::INFINITY));
+        let m = tape.mul(x, w);
+        let neg = tape.scale(m, -1.0);
+        let r = tape.relu(neg);
+        let y = tape.add(r, x);
+        let loss = tape.sum(y);
+        let grads = tape.backward(loss);
+        assert_eq!(grads.wrt(x).as_slice(), &[1.0, 1.0]);
+        assert_eq!(grads.wrt(w).as_slice(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn backward_returns_every_buffer_to_the_pool() {
+        // Power-of-two shapes: the pool files a buffer under the largest
+        // power of two its capacity holds and serves a request from the
+        // next one up, so only these come back to the class they left.
+        // Leaf values are not the pool's; oversized, the dropped tape files
+        // them where no request here looks, so they cannot stand in for a
+        // gradient buffer that went missing.
+        let pool = Arc::new(BufferPool::new());
+        let leaf = |t: &mut Tape, rows: usize, cols: usize, seed: u32| {
+            let mut data = Vec::with_capacity(1 << 12);
+            data.extend_from_slice(sample(rows, cols, seed).as_slice());
+            t.leaf(Tensor::from_vec(rows, cols, data))
+        };
+        let step = || {
+            let mut t = Tape::with_exec(Arc::new(ReferenceBackend), pool.clone());
+            let x = leaf(&mut t, 8, 8, 80);
+            let w = leaf(&mut t, 8, 8, 81);
+            let b = leaf(&mut t, 1, 8, 82);
+            let gamma = leaf(&mut t, 1, 8, 83);
+            let beta = leaf(&mut t, 1, 8, 84);
+            let unreached = leaf(&mut t, 4, 4, 85);
+            let xw = t.matmul(x, w);
+            let h = t.add_row(xw, b);
+            let r = t.linear_relu(h, w, b);
+            let m = t.mul(h, r);
+            let d = t.sub(m, x);
+            let score = t.row_dot(d, h);
+            let att = t.segment_softmax(score, Arc::new(vec![0, 0, 1, 1, 1, 2, 3, 3]), 4);
+            let weighted = t.mul_col_broadcast(d, att);
+            let idx = Arc::new(vec![7usize, 0, 3, 3, 1, 6, 2, 5]);
+            let moved = t.gather_rows(weighted, idx.clone());
+            let agg = t.scatter_add_rows(moved, idx, 8);
+            let ln = t.layer_norm(agg, gamma, beta, 1e-5);
+            let bn = t.batch_norm_relu(ln, gamma, beta, 1e-5);
+            let cat = t.concat_cols(&[bn, h]);
+            let act = t.tanh(cat);
+            let loss = t.mean(act);
+            let grads = t.backward(loss);
+            assert!(grads.wrt(w).norm() > 0.0);
+            assert_eq!(grads.wrt(unreached).norm(), 0.0);
+        };
+        step();
+        let warm = pool.misses();
+        step();
+        assert_eq!(
+            pool.misses(),
+            warm,
+            "a buffer acquired by the first step never came back"
+        );
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Integration of the observability layer with the worker-thread pool:
-//! span parent attribution is thread-local, so spans opened inside
-//! `ordered_map` workers are roots of their own thread's tree, while the
-//! inline (single-thread) path nests under the caller's open span.
+//! span parent attribution is thread-local, so spans opened inside the
+//! workers `ordered_map` spawns are roots of their own thread's tree, while
+//! those of the calling thread — worker 0 of the pool, and the whole inline
+//! (single-thread) path — nest under the caller's open span.
 //!
 //! The obs registry and enable flag are process-global; these tests
 //! serialize on a static mutex so the parallel test runner cannot
 //! interleave them (same pattern as the `mega-obs` unit tests).
 
 use mega_core::parallel::ordered_map;
-use std::sync::{Mutex, MutexGuard};
+use std::cell::Cell;
+use std::collections::BTreeSet;
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 static GUARD: Mutex<()> = Mutex::new(());
 
@@ -22,10 +25,19 @@ fn worker_thread_spans_are_thread_local_roots() {
     mega_obs::reset();
     mega_obs::set_enabled(true);
     let items: Vec<usize> = (0..64).collect();
+    // Every worker waits here on its first item until all four have one, so
+    // no worker can drain the queue before another has started.
+    let all_started = Barrier::new(4);
+    thread_local! {
+        static STARTED: Cell<bool> = const { Cell::new(false) };
+    }
     let out = {
         let _outer = mega_obs::span("outer");
         ordered_map(&items, 4, |i, &v| {
             let _w = mega_obs::span("worker_op");
+            if !STARTED.replace(true) {
+                all_started.wait();
+            }
             i + v
         })
     };
@@ -33,26 +45,23 @@ fn worker_thread_spans_are_thread_local_roots() {
     assert_eq!(out[10], 20);
 
     let snap = mega_obs::snapshot();
-    let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
-    // The pool runs f on scoped worker threads: their spans must be
-    // roots, never children of the caller's "outer" span.
-    let worker = snap
-        .spans
-        .iter()
-        .find(|s| s.path == "worker_op")
-        .unwrap_or_else(|| panic!("no root worker_op span in {paths:?}"));
-    assert_eq!(worker.count, 64, "one span per item");
-    assert!(paths.contains(&"outer"));
-    assert!(
-        !paths.contains(&"outer/worker_op"),
-        "worker spans leaked into caller tree"
-    );
+    let count_at = |path: &str| {
+        snap.spans
+            .iter()
+            .find(|s| s.path == path)
+            .map_or(0, |s| s.count)
+    };
+    // The calling thread is worker 0, so the items it ran nest under its
+    // open "outer" span; the three spawned workers have no open span of
+    // their own, so theirs are roots.
+    let (roots, nested) = (count_at("worker_op"), count_at("outer/worker_op"));
+    assert_eq!(roots + nested, 64, "one span per item");
+    assert!(roots >= 3, "spawned workers' spans are roots, got {roots}");
+    assert!(nested >= 1, "the caller's spans nest under outer");
+    assert_eq!(count_at("outer"), 1);
     // Workers get distinct thread ids in the raw span records.
-    let tids: std::collections::BTreeSet<u64> = mega_obs::trace_tids();
-    assert!(
-        tids.len() >= 2,
-        "expected multiple thread ids, got {tids:?}"
-    );
+    let tids: BTreeSet<u64> = mega_obs::trace_tids();
+    assert_eq!(tids.len(), 4, "one thread id per worker, got {tids:?}");
     mega_obs::reset();
 }
 

@@ -635,37 +635,4 @@ mod tests {
         assert_eq!(run.x, x0);
         assert!(run.dw.iter().all(|&v| v == 0.0));
     }
-
-    #[test]
-    fn halo_counters_account_the_chain_topology() {
-        let sched = schedule_for(120, 5);
-        let band = sched.band();
-        let edges = sched.working_graph().edge_count();
-        let (x0, weights) = job_inputs(band, edges, 4, 1);
-        let job = BandJob {
-            band,
-            x0: &x0,
-            dim: 4,
-            weights: &weights,
-            edge_count: edges,
-            steps: 2,
-            damping: 0.5,
-        };
-        mega_obs::reset();
-        mega_obs::set_enabled(true);
-        let plan = SegmentPlan::build(band.len(), band.window(), 4);
-        let k = plan.workers();
-        run_with_plan(&job, &plan);
-        mega_obs::set_enabled(false);
-        let snap = mega_obs::snapshot();
-        let msgs = snap
-            .counters
-            .iter()
-            .find(|(name, _)| name == "dist.halo.msgs")
-            .map(|(_, v)| *v)
-            .unwrap_or(0);
-        // 2(k−1) directed neighbor pairs, one message each per step.
-        assert_eq!(msgs, (2 * (k - 1) * job.steps) as u64);
-        mega_obs::reset();
-    }
 }

@@ -470,8 +470,47 @@ pub fn layer_norm(
     }
 }
 
+/// Per-column batch statistics of the row-major `x` (`cols` wide), added
+/// into the zeroed `cols`-long `mean` and `inv`: the mean over rows and
+/// `1 / sqrt(var + eps)` of the biased variance.
+///
+/// Two row-major sweeps, one accumulator per column: memory is read in the
+/// order it is laid out, and every column's sum still folds down the rows in
+/// ascending order from `0.0`, so the values are those of a
+/// column-by-column walk bit for bit. Shared by [`batch_norm`] and the
+/// tape's batch norm backward.
+pub fn batch_stats(
+    x: &[f32],
+    rows: usize,
+    cols: usize,
+    eps: f32,
+    mean: &mut [f32],
+    inv: &mut [f32],
+) {
+    debug_assert_eq!(x.len(), rows * cols, "x must be {rows}x{cols}");
+    let rn = rows.max(1) as f32;
+    // `max(1)`: a zero-width `x` is empty and has no rows to chunk.
+    for row in x.chunks_exact(cols.max(1)) {
+        for (m, &v) in mean.iter_mut().zip(row) {
+            *m += v;
+        }
+    }
+    for m in mean.iter_mut() {
+        *m /= rn;
+    }
+    for row in x.chunks_exact(cols.max(1)) {
+        for ((s, &v), &m) in inv.iter_mut().zip(row).zip(mean.iter()) {
+            *s += (v - m).powi(2);
+        }
+    }
+    for s in inv.iter_mut() {
+        *s = 1.0 / (*s / rn + eps).sqrt();
+    }
+}
+
 /// Column-wise batch normalization (training-mode statistics over rows) with
-/// affine `gamma`, `beta` (each `1 × cols`).
+/// affine `gamma`, `beta` (each `1 × cols`): [`batch_stats`], then one
+/// row-major sweep applying the affine map.
 pub fn batch_norm(
     x: &[f32],
     gamma: &[f32],
@@ -484,22 +523,16 @@ pub fn batch_norm(
     assert_eq!(gamma.len(), cols, "gamma shape");
     assert_eq!(beta.len(), cols, "beta shape");
     assert_eq!(x.len(), rows * cols, "x must be {rows}x{cols}");
-    let rn = rows.max(1) as f32;
-    for j in 0..cols {
-        let mut mean = 0.0f32;
-        for i in 0..rows {
-            mean += x[i * cols + j];
-        }
-        mean /= rn;
-        let mut var = 0.0f32;
-        for i in 0..rows {
-            var += (x[i * cols + j] - mean).powi(2);
-        }
-        var /= rn;
-        let inv = 1.0 / (var + eps).sqrt();
-        for i in 0..rows {
-            let xhat = (x[i * cols + j] - mean) * inv;
-            out[i * cols + j] = gamma[j] * xhat + beta[j];
+    let (mut mean, mut inv) = (vec![0.0f32; cols], vec![0.0f32; cols]);
+    batch_stats(x, rows, cols, eps, &mut mean, &mut inv);
+    let rows_io = out
+        .chunks_exact_mut(cols.max(1))
+        .zip(x.chunks_exact(cols.max(1)));
+    for (o_row, row) in rows_io {
+        let stats = mean.iter().zip(&inv).zip(gamma.iter().zip(beta));
+        for ((o, &v), ((&m, &k), (&g, &b))) in o_row.iter_mut().zip(row).zip(stats) {
+            let xhat = (v - m) * k;
+            *o = g * xhat + b;
         }
     }
 }

@@ -51,6 +51,55 @@ fn bit_vec(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Matrix entries with the values a fold order shows up on mixed in: both
+/// zeros, subnormals, and magnitudes far enough apart to round.
+fn arb_edge_values(len: usize) -> impl Strategy<Value = Vec<f32>> {
+    proptest::collection::vec(
+        prop_oneof![
+            (-2.0f32..2.0).boxed(),
+            (-1e4f32..1e4).boxed(),
+            Just(0.0f32).boxed(),
+            Just(-0.0f32).boxed(),
+            Just(1e-41f32).boxed(),
+            Just(-1e-41f32).boxed(),
+            Just(f32::MIN_POSITIVE).boxed(),
+        ],
+        len..=len,
+    )
+}
+
+/// The batch norm kernel as it was before it swept row-major: one column at
+/// a time down the rows, stride `cols`. The oracle of
+/// `batch_norm_bit_identical_to_column_walk`.
+fn batch_norm_by_column(
+    x: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    rows: usize,
+    cols: usize,
+    eps: f32,
+    out: &mut [f32],
+) {
+    let rn = rows.max(1) as f32;
+    for j in 0..cols {
+        let mut mean = 0.0f32;
+        for i in 0..rows {
+            mean += x[i * cols + j];
+        }
+        mean /= rn;
+        let mut var = 0.0f32;
+        for i in 0..rows {
+            var += (x[i * cols + j] - mean).powi(2);
+        }
+        var /= rn;
+        let inv = 1.0 / (var + eps).sqrt();
+        for i in 0..rows {
+            let xhat = (x[i * cols + j] - mean) * inv;
+            out[i * cols + j] = gamma[j] * xhat + beta[j];
+        }
+    }
+}
+
 /// Row-major matrix entries with exact zeros mixed in, so the zero-skip
 /// branch in the inner kernel is exercised as well as the dense path.
 fn arb_matrix(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -215,6 +264,26 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The row-major `batch_norm` ≡ the column-by-column walk it replaced,
+    /// bit for bit: empty and single-row inputs, a single column, signed
+    /// zeros and subnormals among the values.
+    #[test]
+    fn batch_norm_bit_identical_to_column_walk(
+        rows in prop_oneof![Just(0usize).boxed(), Just(1usize).boxed(), (2usize..12).boxed()],
+        cols in prop_oneof![Just(0usize).boxed(), Just(1usize).boxed(), (2usize..20).boxed()],
+        x in arb_edge_values(12 * 20),
+        gamma in arb_edge_values(20),
+        beta in arb_edge_values(20),
+    ) {
+        let (x, gamma, beta) = (&x[..rows * cols], &gamma[..cols], &beta[..cols]);
+        let eps = 1e-5f32;
+        let mut want = vec![f32::NAN; rows * cols];
+        batch_norm_by_column(x, gamma, beta, rows, cols, eps, &mut want);
+        let mut got = vec![f32::NAN; rows * cols];
+        mega_exec::kernels::batch_norm(x, gamma, beta, rows, cols, eps, &mut got);
+        prop_assert_eq!(bit_vec(&got), bit_vec(&want), "{}x{}", rows, cols);
     }
 
     /// ⟨gather(x), y⟩ = ⟨x, scatter_add(y)⟩ for every index pattern —

@@ -16,6 +16,7 @@
 use crate::config::EngineChoice;
 use mega_core::AttentionSchedule;
 use mega_datasets::{GraphSample, Target};
+use mega_tensor::{Tape, Var};
 use std::sync::Arc;
 
 /// Message routing for one batch under one engine.
@@ -45,6 +46,19 @@ impl EngineIndices {
     /// Number of messages.
     pub fn msg_count(&self) -> usize {
         self.msg_src_work.len()
+    }
+
+    /// Routes per-node rows `x` to messages by source: node → work row →
+    /// message, so MEGA's path-ordered work buffer stays on the route.
+    pub fn gather_src(&self, tape: &mut Tape, x: Var) -> Var {
+        let work = tape.gather_rows(x, self.node_to_work.clone());
+        tape.gather_rows(work, self.msg_src_work.clone())
+    }
+
+    /// [`EngineIndices::gather_src`], by destination.
+    pub fn gather_dst(&self, tape: &mut Tape, x: Var) -> Var {
+        let work = tape.gather_rows(x, self.node_to_work.clone());
+        tape.gather_rows(work, self.msg_dst_work.clone())
     }
 }
 

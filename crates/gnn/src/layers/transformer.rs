@@ -13,10 +13,25 @@
 //!
 //! Parameter volume: W_Q, W_K, W_V, W_E (4·d²) + O_h, O_e (2·d²) + two-layer
 //! FFNs on nodes and edges (4·d² each) = the paper's 14·d² (Table I).
+//!
+//! The heads are the column blocks of one `d × d` layer per projection
+//! ([`Linear::with_head_blocks`]: block `k` is head `k`'s own Xavier draw), so
+//! all heads of Q, K, V, E take one GEMM each and `concat_k` is the layout
+//! the data already has. Q, K and V read only node states: they run on the
+//! `n_nodes` rows of `h` and their outputs are gathered to messages (node →
+//! work row → message); E runs on message rows. A row gather commutes with
+//! `x·W + b` and a column block of a product is the product with that column
+//! block — every output element is the same ascending-k fold either way — so
+//! the forward values are those of per-head projections of gathered rows,
+//! bit for bit. Backward, `dW` folds over node rows and `dX` over all `d`
+//! columns at once, a different order: gradients agree to the bound of
+//! DESIGN.md §7, not to the bit.
 
 use crate::batch::EngineIndices;
+#[cfg(test)]
+use crate::layers::testing;
 use crate::nn::{Binder, Linear, Mlp, NormParams};
-use mega_tensor::{ParamStore, Tape, Tensor, Var};
+use mega_tensor::{ParamStore, Tape, Var};
 use rand::Rng;
 
 /// Parameters of one Graph Transformer layer.
@@ -24,10 +39,10 @@ use rand::Rng;
 pub struct GraphTransformerLayer {
     heads: usize,
     head_dim: usize,
-    q: Vec<Linear>,
-    k: Vec<Linear>,
-    v: Vec<Linear>,
-    e: Vec<Linear>,
+    q: Linear,
+    k: Linear,
+    v: Linear,
+    e: Linear,
     o_h: Linear,
     o_e: Linear,
     ffn_h: Mlp,
@@ -51,23 +66,13 @@ impl GraphTransformerLayer {
         heads: usize,
         rng: &mut R,
     ) -> Self {
-        assert!(
-            heads > 0 && d.is_multiple_of(heads),
-            "heads {heads} must divide width {d}"
-        );
-        let hd = d / heads;
-        let mut mk = |what: &str, rng: &mut R| -> Vec<Linear> {
-            (0..heads)
-                .map(|h| Linear::new(store, &format!("{name}.{what}{h}"), d, hd, rng))
-                .collect()
+        let mut mk = |what: &str| {
+            Linear::with_head_blocks(store, &format!("{name}.{what}"), d, d, heads, rng)
         };
-        let q = mk("Q", rng);
-        let k = mk("K", rng);
-        let v = mk("V", rng);
-        let e = mk("E", rng);
+        let (q, k, v, e) = (mk("Q"), mk("K"), mk("V"), mk("E"));
         GraphTransformerLayer {
             heads,
-            head_dim: hd,
+            head_dim: d / heads,
             q,
             k,
             v,
@@ -94,18 +99,90 @@ impl GraphTransformerLayer {
         e: Var,
     ) -> (Var, Var) {
         let n = idx.n_nodes;
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        // Q, K and V run once per node, all heads in one product each; their
+        // outputs are routed to messages at full width.
+        let q = self.q.forward(tape, binder, store, h);
+        let k = self.k.forward(tape, binder, store, h);
+        let v = self.v.forward(tape, binder, store, h);
+        let ee = self.e.forward(tape, binder, store, e);
+        let q_dst = idx.gather_dst(tape, q);
+        let k_src = idx.gather_src(tape, k);
+        let v_src = idx.gather_src(tape, v);
+
+        // Column block `k` of every tensor below is head `k`.
+        let qk_prod = tape.mul(q_dst, k_src);
+        let qke = tape.mul(qk_prod, ee);
+        let e_what = tape.scale(qke, scale);
+        let score = tape.row_block_sums(e_what, self.heads);
+        let attn = tape.segment_softmax(score, idx.msg_dst_node.clone(), n);
+        let weighted = tape.mul_col_broadcast(v_src, attn);
+        let h_agg = tape.scatter_add_rows(weighted, idx.msg_dst_node.clone(), n);
+
+        // Node stream: attention output, residual + LN, FFN, residual + LN.
+        let h_attn = self.o_h.forward(tape, binder, store, h_agg);
+        let h_res = tape.add(h, h_attn);
+        let h1 = self.ln_h1.layer_norm(tape, binder, store, h_res);
+        let h_ffn = self.ffn_h.forward(tape, binder, store, h1);
+        let h_res2 = tape.add(h1, h_ffn);
+        let h2 = self.ln_h2.layer_norm(tape, binder, store, h_res2);
+
+        // Edge stream: implicit-attention features, residual + LN, FFN.
+        let e_attn = self.o_e.forward(tape, binder, store, e_what);
+        let e_res = tape.add(e, e_attn);
+        let e1 = self.ln_e1.layer_norm(tape, binder, store, e_res);
+        let e_ffn = self.ffn_e.forward(tape, binder, store, e1);
+        let e_res2 = tape.add(e1, e_ffn);
+        let e2 = self.ln_e2.layer_norm(tape, binder, store, e_res2);
+        (h2, e2)
+    }
+}
+
+#[cfg(test)]
+impl GraphTransformerLayer {
+    /// The composition [`GraphTransformerLayer::forward`] replaced, kept as
+    /// its oracle: `h` gathered to work rows first, then one
+    /// `d × d/heads` projection per head for each of Q, K, V, E — reading
+    /// column block `k` of today's weights as head `k`'s own leaves — a
+    /// per-head score, softmax and aggregation, and two `concat_cols`.
+    fn forward_per_head(
+        &self,
+        tape: &mut Tape,
+        binder: &mut Binder,
+        store: &ParamStore,
+        idx: &EngineIndices,
+        h: Var,
+        e: Var,
+    ) -> (Var, Var, testing::BlockLeaves) {
+        let n = idx.n_nodes;
         let m = idx.msg_count();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let h_work = tape.gather_rows(h, idx.node_to_work.clone());
-        let ones = tape.leaf(Tensor::full(m, self.head_dim, 1.0));
+        let ones = tape.leaf(mega_tensor::Tensor::full(m, self.head_dim, 1.0));
 
+        let mut leaves: testing::BlockLeaves = Vec::new();
+        for lin in [&self.q, &self.k, &self.v, &self.e] {
+            let (w, b) = lin.params();
+            leaves.push((w, Vec::new()));
+            leaves.push((b, Vec::new()));
+        }
         let mut aggs = Vec::with_capacity(self.heads);
         let mut whats = Vec::with_capacity(self.heads);
         for hd in 0..self.heads {
-            let qk = self.q[hd].forward(tape, binder, store, h_work);
-            let kk = self.k[hd].forward(tape, binder, store, h_work);
-            let vk = self.v[hd].forward(tape, binder, store, h_work);
-            let ek = self.e[hd].forward(tape, binder, store, e);
+            // Projection `which` (Q, K, V, E in `leaves` order) of head `hd`.
+            let mut project = |tape: &mut Tape, which: usize, x: Var| {
+                let (w, b) = (leaves[2 * which].0, leaves[2 * which + 1].0);
+                let w = tape.leaf(testing::col_block(store.get(w), hd, self.heads));
+                let b = tape.leaf(testing::col_block(store.get(b), hd, self.heads));
+                leaves[2 * which].1.push(w);
+                leaves[2 * which + 1].1.push(b);
+                let y = tape.matmul(x, w);
+                tape.add_row(y, b)
+            };
+            let qk = project(tape, 0, h_work);
+            let kk = project(tape, 1, h_work);
+            let vk = project(tape, 2, h_work);
+            let ek = project(tape, 3, e);
 
             let q_dst = tape.gather_rows(qk, idx.msg_dst_work.clone());
             let k_src = tape.gather_rows(kk, idx.msg_src_work.clone());
@@ -122,7 +199,6 @@ impl GraphTransformerLayer {
             whats.push(what);
         }
 
-        // Node stream: attention output, residual + LN, FFN, residual + LN.
         let h_agg = tape.concat_cols(&aggs);
         let h_attn = self.o_h.forward(tape, binder, store, h_agg);
         let h_res = tape.add(h, h_attn);
@@ -131,7 +207,6 @@ impl GraphTransformerLayer {
         let h_res2 = tape.add(h1, h_ffn);
         let h2 = self.ln_h2.layer_norm(tape, binder, store, h_res2);
 
-        // Edge stream: implicit-attention features, residual + LN, FFN.
         let e_what = tape.concat_cols(&whats);
         let e_attn = self.o_e.forward(tape, binder, store, e_what);
         let e_res = tape.add(e, e_attn);
@@ -139,7 +214,7 @@ impl GraphTransformerLayer {
         let e_ffn = self.ffn_e.forward(tape, binder, store, e1);
         let e_res2 = tape.add(e1, e_ffn);
         let e2 = self.ln_e2.layer_norm(tape, binder, store, e_res2);
-        (h2, e2)
+        (h2, e2, leaves)
     }
 }
 
@@ -168,18 +243,8 @@ mod tests {
         let mut binder = Binder::new();
         // Varied inputs: with constant rows the attention softmax gradient is
         // exactly zero by symmetry.
-        let varied = |rows: usize, seed: u32| {
-            let data: Vec<f32> = (0..rows * d)
-                .map(|i| {
-                    (((i as u32).wrapping_mul(2654435761).wrapping_add(seed) >> 8) % 1000) as f32
-                        / 1000.0
-                        - 0.5
-                })
-                .collect();
-            Tensor::from_vec(rows, d, data)
-        };
-        let h = tape.leaf(varied(batch.indices.n_nodes, 1));
-        let e = tape.leaf(varied(batch.indices.msg_count(), 2));
+        let h = tape.leaf(testing::varied(batch.indices.n_nodes, d, 1));
+        let e = tape.leaf(testing::varied(batch.indices.msg_count(), d, 2));
         let (h2, e2) = layer.forward(&mut tape, &mut binder, &store, &batch.indices, h, e);
         assert_eq!(tape.value(h2).shape(), (batch.indices.n_nodes, d));
         assert_eq!(tape.value(e2).shape(), (batch.indices.msg_count(), d));
@@ -188,11 +253,34 @@ mod tests {
         let loss = tape.mean(h2);
         let grads = tape.backward(loss);
         binder.apply(&mut store, &grads);
-        let q0 = store.id_of("t0.Q0.w").unwrap();
+        let q = store.id_of("t0.Q.w").unwrap();
         assert!(
-            store.grad(q0).norm() > 0.0,
+            store.grad(q).norm() > 0.0,
             "gradient must reach Q projection"
         );
+    }
+
+    #[test]
+    fn head_blocks_match_per_head_projections() {
+        let d = 8;
+        for heads in [1, 2, 4] {
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(6);
+            let layer = GraphTransformerLayer::new(&mut store, "t0", d, heads, &mut rng);
+            testing::perturb(&mut store);
+            testing::check_against_reference(
+                &mut store,
+                d,
+                &[],
+                &|tape, binder, store, idx, h, e| {
+                    let (h2, e2) = layer.forward(tape, binder, store, idx, h, e);
+                    (h2, e2, Vec::new())
+                },
+                &|tape, binder, store, idx, h, e| {
+                    layer.forward_per_head(tape, binder, store, idx, h, e)
+                },
+            );
+        }
     }
 
     #[test]

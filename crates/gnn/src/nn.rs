@@ -76,6 +76,52 @@ impl Linear {
         Linear { weight, bias }
     }
 
+    /// Registers a `d_in × d_out` layer under `name` whose `heads`
+    /// equal-width column blocks are the per-head projections of a
+    /// multi-head layer: block `h` holds the numbers of head `h`'s own
+    /// `xavier_uniform(d_in, d_out / heads)`, drawn head by head, so the
+    /// parameters (and the `rng` afterwards) are those of `heads` separate
+    /// [`Linear::new`] calls — one GEMM wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `heads` does not divide `d_out`.
+    pub fn with_head_blocks<R: Rng>(
+        store: &mut ParamStore,
+        name: &str,
+        d_in: usize,
+        d_out: usize,
+        heads: usize,
+        rng: &mut R,
+    ) -> Self {
+        assert!(
+            heads > 0 && d_out.is_multiple_of(heads),
+            "heads {heads} must divide width {d_out}"
+        );
+        let hd = d_out / heads;
+        let mut w = Tensor::zeros(d_in, d_out);
+        for h in 0..heads {
+            let block = init::xavier_uniform(d_in, hd, rng);
+            for (row, src) in w
+                .as_mut_slice()
+                .chunks_exact_mut(d_out)
+                .zip(block.as_slice().chunks_exact(hd))
+            {
+                row[h * hd..(h + 1) * hd].copy_from_slice(src);
+            }
+        }
+        let weight = store.register(&format!("{name}.w"), w);
+        let bias = store.register(&format!("{name}.b"), Tensor::zeros(1, d_out));
+        Linear { weight, bias }
+    }
+
+    /// The `(weight, bias)` parameters, for the reference compositions of
+    /// the layer tests.
+    #[cfg(test)]
+    pub(crate) fn params(&self) -> (ParamId, ParamId) {
+        (self.weight, self.bias)
+    }
+
     /// Applies the layer on the tape.
     pub fn forward(&self, tape: &mut Tape, binder: &mut Binder, store: &ParamStore, x: Var) -> Var {
         let w = binder.bind(tape, store, self.weight);
@@ -229,6 +275,43 @@ mod tests {
         let wid = store.id_of("l.w").unwrap();
         assert!(store.grad(wid).norm() > 0.0);
         assert_eq!(binder.len(), 2);
+    }
+
+    #[test]
+    fn head_blocks_are_the_per_head_draws() {
+        let (d, heads) = (8, 4);
+        let hd = d / heads;
+        let mut per_head = ParamStore::new();
+        let mut rng_a = StdRng::seed_from_u64(9);
+        for h in 0..heads {
+            Linear::new(&mut per_head, &format!("Q{h}"), d, hd, &mut rng_a);
+        }
+        let mut blocked = ParamStore::new();
+        let mut rng_b = StdRng::seed_from_u64(9);
+        Linear::with_head_blocks(&mut blocked, "Q", d, d, heads, &mut rng_b);
+
+        let w = blocked.get(blocked.id_of("Q.w").unwrap());
+        assert_eq!(w.shape(), (d, d));
+        for h in 0..heads {
+            let block = per_head.get(per_head.id_of(&format!("Q{h}.w")).unwrap());
+            for r in 0..d {
+                let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&w.row(r)[h * hd..(h + 1) * hd]),
+                    bits(block.row(r)),
+                    "head {h}, row {r}"
+                );
+            }
+        }
+        let b = blocked.get(blocked.id_of("Q.b").unwrap());
+        assert_eq!(b.shape(), (1, d));
+        assert!(b.as_slice().iter().all(|v| v.to_bits() == 0));
+        assert_eq!(blocked.scalar_count(), per_head.scalar_count());
+        // The next layer draws what it would have drawn after the per-head
+        // layers.
+        let next_a = init::xavier_uniform(d, d, &mut rng_a);
+        let next_b = init::xavier_uniform(d, d, &mut rng_b);
+        assert_eq!(next_a, next_b);
     }
 
     #[test]

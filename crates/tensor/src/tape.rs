@@ -56,6 +56,7 @@ enum Op {
     Mean(Var),
     DivEps(Var, Var, f32),
     RowDot(Var, Var),
+    RowBlockSums(Var),
     MulColBroadcast(Var, Var),
     ConcatCols(Arc<Vec<Var>>),
     GatherRows(Var, Arc<Vec<usize>>),
@@ -91,6 +92,7 @@ impl Op {
             Op::Mean(..) => "mean",
             Op::DivEps(..) => "div_eps",
             Op::RowDot(..) => "row_dot",
+            Op::RowBlockSums(..) => "row_block_sums",
             Op::MulColBroadcast(..) => "mul_col_broadcast",
             Op::ConcatCols(..) => "concat_cols",
             Op::GatherRows(..) => "gather_rows",
@@ -454,17 +456,51 @@ impl Tape {
         self.push_value(Tensor::from_vec(r, 1, out), Op::RowDot(a, b))
     }
 
-    /// Broadcast-multiplies each row of `a` (`r × c`) by the matching scalar
-    /// in `w` (`r × 1`) — applying attention weights to values.
+    /// Sums each of the `blocks` equal-width column blocks of every row of
+    /// `a` (`r × c`): output is `r × blocks`, each entry the ascending sum of
+    /// its block — per-head attention scores when the blocks are the heads.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `blocks` is positive and divides `a.cols()`.
+    pub fn row_block_sums(&mut self, a: Var, blocks: usize) -> Var {
+        let (r, c) = self.dims(a);
+        assert!(
+            blocks > 0 && c.is_multiple_of(blocks),
+            "row_block_sums: {blocks} blocks must divide {c} columns"
+        );
+        let mut out = self.out_buf(r, blocks);
+        // Row-major, the blocks of all rows are consecutive runs.
+        let runs = rows_of(self.value(a).as_slice(), c / blocks);
+        for (o, block) in out.iter_mut().zip(runs) {
+            *o = block.iter().sum();
+        }
+        self.push_value(Tensor::from_vec(r, blocks, out), Op::RowBlockSums(a))
+    }
+
+    /// Broadcast-multiplies each row of `a` (`r × c`) by the matching row of
+    /// `w` (`r × k`, `k` dividing `c`): weight `j` scales the `j`-th of the
+    /// row's `k` equal-width column blocks — applying per-head attention
+    /// weights to values (`k = 1`: one scalar per row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row counts differ or `w.cols()` does not divide
+    /// `a.cols()`.
     pub fn mul_col_broadcast(&mut self, a: Var, w: Var) -> Var {
-        let ((r, c), (wr, wc)) = (self.dims(a), self.dims(w));
-        assert_eq!(wc, 1, "weights must be a column");
+        let ((r, c), (wr, k)) = (self.dims(a), self.dims(w));
         assert_eq!(r, wr, "row count mismatch");
+        assert!(
+            k > 0 && c.is_multiple_of(k),
+            "mul_col_broadcast: w.cols() = {k} must divide a.cols() = {c}"
+        );
         let mut out = self.out_buf(r, c);
-        let rows = rows_of_mut(&mut out, c).zip(rows_of(self.value(a).as_slice(), c));
-        for ((o_row, x_row), &k) in rows.zip(self.value(w).as_slice()) {
-            for (o, &x) in o_row.iter_mut().zip(x_row) {
-                *o = x * k;
+        // Row-major, the blocks of all rows are consecutive runs, one per
+        // weight.
+        let runs = rows_of_mut(&mut out, c / k).zip(rows_of(self.value(a).as_slice(), c / k));
+        for ((o_run, x_run), &wv) in runs.zip(self.value(w).as_slice()) {
+            for (o, &x) in o_run.iter_mut().zip(x_run) {
+                *o = x * wv;
             }
         }
         self.push_value(Tensor::from_vec(r, c, out), Op::MulColBroadcast(a, w))
@@ -722,6 +758,7 @@ impl Tape {
             | Op::Mean(..)
             | Op::DivEps(..)
             | Op::RowDot(..)
+            | Op::RowBlockSums(..)
             | Op::MulColBroadcast(..)
             | Op::ConcatCols(..)
             | Op::L1Loss(..)
@@ -843,6 +880,70 @@ impl Tape {
             }
         }
         sums
+    }
+
+    /// Backward of column-wise batch norm: rewrites the upstream gradient `g`
+    /// into `dx` in place and returns the pooled `[dgamma, dbeta]`.
+    ///
+    /// Row-major sweeps over per-column accumulators — the forward's
+    /// [`kernels::batch_stats`], then the two `dxhat` means, then `dgamma`,
+    /// `dbeta` and `dx` — with `xhat` and `dxhat` recomputed per element
+    /// rather than staged per column. Every column's sums fold down the rows
+    /// in ascending order from the value a column-by-column walk starts them
+    /// at — `0.0` for its explicit accumulators, the `Sum` identity for its
+    /// two iterator sums — so the bits are that walk's.
+    fn batch_norm_backward(
+        &self,
+        g: &mut [f32],
+        x: &Tensor,
+        gamma: &[f32],
+        eps: f32,
+    ) -> [Vec<f32>; 2] {
+        let (r, c) = x.shape();
+        let x = x.as_slice();
+        let rn = r.max(1) as f32;
+        let mut mean = self.pool.acquire(c);
+        let mut inv = self.pool.acquire(c);
+        kernels::batch_stats(x, r, c, eps, &mut mean, &mut inv);
+        let mut mean_dxhat = self.pool.acquire(c);
+        let mut mean_dxhat_xhat = self.pool.acquire(c);
+        let sum_identity: f32 = std::iter::empty::<f32>().sum();
+        mean_dxhat.fill(sum_identity);
+        mean_dxhat_xhat.fill(sum_identity);
+        for (g_row, row) in rows_of(g, c).zip(rows_of(x, c)) {
+            let stats = mean.iter().zip(&inv).zip(gamma);
+            let sums = mean_dxhat.iter_mut().zip(mean_dxhat_xhat.iter_mut());
+            for (((&gv, &v), ((&m, &k), &gm)), (sd, sdh)) in
+                g_row.iter().zip(row).zip(stats).zip(sums)
+            {
+                let d = gv * gm;
+                *sd += d;
+                *sdh += d * ((v - m) * k);
+            }
+        }
+        for s in mean_dxhat.iter_mut().chain(mean_dxhat_xhat.iter_mut()) {
+            *s /= rn;
+        }
+        let mut dgamma = self.pool.acquire(c);
+        let mut dbeta = self.pool.acquire(c);
+        for (g_row, row) in rows_of_mut(g, c).zip(rows_of(x, c)) {
+            let stats = mean.iter().zip(&inv).zip(gamma);
+            let means = mean_dxhat.iter().zip(&mean_dxhat_xhat);
+            let sums = dgamma.iter_mut().zip(dbeta.iter_mut());
+            for ((((gv, &v), ((&m, &k), &gm)), (&md, &mdh)), (dg, db)) in
+                g_row.iter_mut().zip(row).zip(stats).zip(means).zip(sums)
+            {
+                let h = (v - m) * k;
+                let d = *gv * gm;
+                *dg += *gv * h;
+                *db += *gv;
+                *gv = k * (d - md - h * mdh);
+            }
+        }
+        for buf in [mean, inv, mean_dxhat, mean_dxhat_xhat] {
+            self.pool.release(buf);
+        }
+        [dgamma, dbeta]
     }
 
     /// Backward of `y = x · w` for the upstream gradient `g` (`n × m`):
@@ -1048,16 +1149,26 @@ impl Tape {
                     self.accumulate(grads, *b, Cow::Owned(db));
                     self.pool.release(g);
                 }
+                Op::RowBlockSums(a) => {
+                    let (r, c) = self.dims(*a);
+                    let blocks = node.value.cols();
+                    let mut da = self.pool.acquire(r * c);
+                    for (run, &gv) in rows_of_mut(&mut da, c / blocks).zip(&g) {
+                        run.fill(gv);
+                    }
+                    self.accumulate(grads, *a, Cow::Owned(da));
+                    self.pool.release(g);
+                }
                 Op::MulColBroadcast(a, w) => {
-                    let (va, vw) = (self.value(*a), self.value(*w).as_slice());
-                    let c = va.cols();
-                    let mut dw = self.pool.acquire(vw.len());
-                    let rows = rows_of_mut(&mut g, c).zip(rows_of(va.as_slice(), c));
-                    for ((g_row, a_row), (o, &k)) in rows.zip(dw.iter_mut().zip(vw)) {
+                    let (va, vw) = (self.value(*a), self.value(*w));
+                    let (c, k) = (va.cols(), vw.cols());
+                    let mut dw = self.pool.acquire(vw.as_slice().len());
+                    let runs = rows_of_mut(&mut g, c / k).zip(rows_of(va.as_slice(), c / k));
+                    for ((g_run, a_run), (o, &wv)) in runs.zip(dw.iter_mut().zip(vw.as_slice())) {
                         let mut acc = 0.0f32;
-                        for (gv, &x) in g_row.iter_mut().zip(a_row) {
+                        for (gv, &x) in g_run.iter_mut().zip(a_run) {
                             acc += *gv * x;
-                            *gv *= k;
+                            *gv *= wv;
                         }
                         *o = acc;
                     }
@@ -1169,51 +1280,9 @@ impl Tape {
                     if let Op::BatchNormRelu(..) = node.op {
                         keep_where_positive(&mut g, node.value.as_slice());
                     }
-                    let x = self.value(*a);
                     let gm = self.value(*gamma).as_slice();
-                    let (r, c) = x.shape();
-                    let x = x.as_slice();
-                    let rn = r.max(1) as f32;
-                    let mut dgamma = self.pool.acquire(c);
-                    let mut dbeta = self.pool.acquire(c);
-                    let mut xhat = self.pool.acquire(r);
-                    let mut dxhat = self.pool.acquire(r);
-                    // Column `j` is the stride-`c` walk from `j`; its folds
-                    // run down the rows in ascending order.
-                    for j in 0..c {
-                        let col = || x[j..].iter().step_by(c);
-                        let mut mean = 0.0f32;
-                        for &v in col() {
-                            mean += v;
-                        }
-                        mean /= rn;
-                        let mut var = 0.0f32;
-                        for &v in col() {
-                            var += (v - mean).powi(2);
-                        }
-                        var /= rn;
-                        let inv = 1.0 / (var + eps).sqrt();
-                        for (h, &v) in xhat.iter_mut().zip(col()) {
-                            *h = (v - mean) * inv;
-                        }
-                        for (d, &gv) in dxhat.iter_mut().zip(g[j..].iter().step_by(c)) {
-                            *d = gv * gm[j];
-                        }
-                        let mean_dxhat = dxhat.iter().sum::<f32>() / rn;
-                        let mean_dxhat_xhat =
-                            dxhat.iter().zip(&xhat).map(|(&d, &h)| d * h).sum::<f32>() / rn;
-                        let (mut dg, mut db) = (0.0f32, 0.0f32);
-                        let hats = xhat.iter().zip(&dxhat);
-                        for (gv, (&h, &d)) in g[j..].iter_mut().step_by(c).zip(hats) {
-                            dg += *gv * h;
-                            db += *gv;
-                            *gv = inv * (d - mean_dxhat - h * mean_dxhat_xhat);
-                        }
-                        dgamma[j] = dg;
-                        dbeta[j] = db;
-                    }
-                    self.pool.release(xhat);
-                    self.pool.release(dxhat);
+                    let [dgamma, dbeta] =
+                        self.batch_norm_backward(&mut g, self.value(*a), gm, *eps);
                     self.accumulate(grads, *a, Cow::Owned(g));
                     self.accumulate(grads, *gamma, Cow::Owned(dgamma));
                     self.accumulate(grads, *beta, Cow::Owned(dbeta));
@@ -1552,6 +1621,97 @@ mod tests {
         }
     }
 
+    /// The batch norm backward as it was before it swept row-major: one
+    /// column at a time down the rows, stride `c`, `xhat` and `dxhat` staged
+    /// per column. The oracle of
+    /// `batch_norm_backward_bit_identical_to_column_walk`.
+    fn batch_norm_backward_by_column(
+        g: &mut [f32],
+        x: &Tensor,
+        gm: &[f32],
+        eps: f32,
+    ) -> [Vec<f32>; 2] {
+        let (r, c) = x.shape();
+        let x = x.as_slice();
+        let rn = r.max(1) as f32;
+        let (mut dgamma, mut dbeta) = (vec![0.0f32; c], vec![0.0f32; c]);
+        let (mut xhat, mut dxhat) = (vec![0.0f32; r], vec![0.0f32; r]);
+        // Without rows there is nothing to fold and `x[j..]` has no start.
+        for j in 0..if r == 0 { 0 } else { c } {
+            let col = || x[j..].iter().step_by(c);
+            let mut mean = 0.0f32;
+            for &v in col() {
+                mean += v;
+            }
+            mean /= rn;
+            let mut var = 0.0f32;
+            for &v in col() {
+                var += (v - mean).powi(2);
+            }
+            var /= rn;
+            let inv = 1.0 / (var + eps).sqrt();
+            for (h, &v) in xhat.iter_mut().zip(col()) {
+                *h = (v - mean) * inv;
+            }
+            for (d, &gv) in dxhat.iter_mut().zip(g[j..].iter().step_by(c)) {
+                *d = gv * gm[j];
+            }
+            let mean_dxhat = dxhat.iter().sum::<f32>() / rn;
+            let mean_dxhat_xhat = dxhat.iter().zip(&xhat).map(|(&d, &h)| d * h).sum::<f32>() / rn;
+            let (mut dg, mut db) = (0.0f32, 0.0f32);
+            let hats = xhat.iter().zip(&dxhat);
+            for (gv, (&h, &d)) in g[j..].iter_mut().step_by(c).zip(hats) {
+                dg += *gv * h;
+                db += *gv;
+                *gv = inv * (d - mean_dxhat - h * mean_dxhat_xhat);
+            }
+            dgamma[j] = dg;
+            dbeta[j] = db;
+        }
+        [dgamma, dbeta]
+    }
+
+    #[test]
+    fn batch_norm_backward_bit_identical_to_column_walk() {
+        // Signed zeros, subnormals and magnitudes far enough apart to round,
+        // so a fold that started from another value or ran in another order
+        // shows; shapes down to no rows, one row, no columns, one column.
+        let special = [0.0f32, -0.0, 1e-41, -1e-41, f32::MIN_POSITIVE, 1e4, -1e4];
+        let mut state = 0x9e37_79b9u32;
+        let mut next = move || {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            state >> 8
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let tape = Tape::new();
+        for round in 0..300 {
+            let (r, c) = match round % 5 {
+                0 => (0, 1 + next() as usize % 4),
+                1 => (1, 1 + next() as usize % 9),
+                2 => (1 + next() as usize % 9, 1),
+                3 => (next() as usize % 4, 0),
+                _ => (2 + next() as usize % 10, 2 + next() as usize % 18),
+            };
+            let mut draw = |n: usize| -> Vec<f32> {
+                (0..n)
+                    .map(|_| match next() % 10 {
+                        k @ 0..=6 if round % 2 == 0 => special[k as usize],
+                        _ => next() as f32 / (1u32 << 23) as f32 - 1.0,
+                    })
+                    .collect()
+            };
+            let x = Tensor::from_vec(r, c, draw(r * c));
+            let gamma = draw(c);
+            let g = draw(r * c);
+            let (mut want_dx, mut got_dx) = (g.clone(), g);
+            let want = batch_norm_backward_by_column(&mut want_dx, &x, &gamma, 1e-5);
+            let got = tape.batch_norm_backward(&mut got_dx, &x, &gamma, 1e-5);
+            assert_eq!(bits(&got_dx), bits(&want_dx), "dx of a {r}x{c}");
+            assert_eq!(bits(&got[0]), bits(&want[0]), "dgamma of a {r}x{c}");
+            assert_eq!(bits(&got[1]), bits(&want[1]), "dbeta of a {r}x{c}");
+        }
+    }
+
     #[test]
     fn unreached_leaf_gradient_is_zeros() {
         let mut tape = Tape::new();
@@ -1746,6 +1906,74 @@ mod tests {
             },
             2e-2,
         );
+    }
+
+    #[test]
+    fn grad_row_block_sums_and_block_broadcast() {
+        check_grad(
+            sample(3, 6, 90),
+            |t, x| {
+                let s = t.row_block_sums(x, 3);
+                let w = t.leaf(sample(3, 3, 91));
+                let y = t.mul(s, w);
+                t.sum(y)
+            },
+            2e-2,
+        );
+        // `mul_col_broadcast` with one weight per block of two columns:
+        // through the values, then through the weights.
+        check_grad(
+            sample(3, 6, 92),
+            |t, x| {
+                let w = t.leaf(sample(3, 3, 93));
+                let y = t.mul_col_broadcast(x, w);
+                let sq = t.mul(y, y);
+                t.sum(sq)
+            },
+            2e-2,
+        );
+        check_grad(
+            sample(3, 3, 94),
+            |t, w| {
+                let x = t.leaf(sample(3, 6, 95));
+                let y = t.mul_col_broadcast(x, w);
+                let sq = t.mul(y, y);
+                t.sum(sq)
+            },
+            2e-2,
+        );
+    }
+
+    #[test]
+    fn row_block_sums_of_one_block_is_row_dot_with_ones() {
+        let a = sample(5, 7, 96);
+        let weights = sample(5, 1, 97);
+        let run = |block_sums: bool| {
+            let mut t = Tape::new();
+            let x = t.leaf(a.clone());
+            let s = if block_sums {
+                t.row_block_sums(x, 1)
+            } else {
+                let ones = t.leaf(Tensor::full(5, 7, 1.0));
+                t.row_dot(x, ones)
+            };
+            let w = t.leaf(weights.clone());
+            let y = t.mul(s, w);
+            let loss = t.sum(y);
+            let grads = t.backward(loss);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (bits(t.value(s)), bits(grads.wrt(x)))
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "w.cols() = 4 must divide a.cols() = 6")]
+    fn mul_col_broadcast_weights_must_divide_the_width() {
+        let mut tape = Tape::new();
+        let a = tape.leaf(Tensor::zeros(2, 6));
+        let w = tape.leaf(Tensor::zeros(2, 4));
+        tape.mul_col_broadcast(a, w);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Criterion benches of the parallel band-execution engine: serial banded
-//! aggregation versus the chunked engine at 1/2/4/8 worker threads on a
-//! 10k-node synthetic graph. The chunked results are bit-identical to
-//! serial at every setting — this bench measures only the scheduling cost
-//! and (on multi-core hosts) the scaling.
+//! Criterion benches of the parallel band-execution engine: the slot walk
+//! versus the public entry point at 1/2/4/8 requested worker threads on a
+//! 10k-node synthetic graph, every iteration re-zeroing and writing one
+//! shared output buffer. The results are bit-identical at every setting —
+//! this bench measures only the scheduling cost and (on multi-core hosts)
+//! the scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mega_core::parallel::Parallelism;
@@ -28,14 +29,21 @@ fn bench_banded_aggregate(c: &mut Criterion) {
         .map(|_| rng.gen_range(0.0f32..1.0))
         .collect();
 
+    let mut out = vec![0.0f32; x.len()];
     let mut group = c.benchmark_group("banded_aggregate");
     group.bench_function(BenchmarkId::new("serial", format!("ba-{NODES}")), |b| {
-        b.iter(|| banded_aggregate_serial(band, &x, FEAT, &weights))
+        b.iter(|| {
+            out.fill(0.0);
+            banded_aggregate_serial(band, &x, FEAT, &weights, &mut out);
+        })
     });
     for threads in [1usize, 2, 4, 8] {
         let par = Parallelism::with_threads(threads);
         group.bench_function(BenchmarkId::new("chunked", format!("{threads}t")), |b| {
-            b.iter(|| banded_aggregate(band, &x, FEAT, &weights, &par))
+            b.iter(|| {
+                out.fill(0.0);
+                banded_aggregate(band, &x, FEAT, &weights, &par, &mut out);
+            })
         });
     }
     group.finish();

@@ -372,8 +372,7 @@ fn pct(part: u64, total: u64) -> String {
     }
 }
 
-/// Buffer-pool residency per size class plus the hit/miss totals, and the
-/// other cross-step cache's reuse (`core.parallel.plan_cache.*`).
+/// Buffer-pool residency per size class plus the hit/miss totals.
 fn render_pool(o: &mut String, snap: &Snap) {
     let mut classes: Vec<&str> = snap
         .gauges
@@ -386,10 +385,7 @@ fn render_pool(o: &mut String, snap: &Snap) {
     classes.sort_by_key(|c| c.parse::<u32>().unwrap_or(u32::MAX));
     let hits = snap.counter("exec.pool.hits");
     let misses = snap.counter("exec.pool.misses");
-    let chunk_hits = snap.counter("core.parallel.plan_cache.hits").unwrap_or(0);
-    let chunk_misses = snap.counter("core.parallel.plan_cache.misses").unwrap_or(0);
-    let has_chunk = chunk_hits + chunk_misses > 0;
-    if classes.is_empty() && hits.is_none() && misses.is_none() && !has_chunk {
+    if classes.is_empty() && hits.is_none() && misses.is_none() {
         return;
     }
     let _ = writeln!(o, "\n## Buffer pool");
@@ -404,13 +400,6 @@ fn render_pool(o: &mut String, snap: &Snap) {
         let _ = writeln!(
             o,
             "- acquires: {total} ({h} hits / {m} misses, hit rate {rate})"
-        );
-    }
-    if has_chunk {
-        let _ = writeln!(
-            o,
-            "- chunk-plan cache: {chunk_hits} hits / {chunk_misses} misses (reuse rate {})",
-            pct(chunk_hits, chunk_hits + chunk_misses)
         );
     }
     if !classes.is_empty() {
@@ -701,8 +690,6 @@ mod tests {
     const DET_SNAPSHOT: &str = r#"{
   "deterministic": true,
   "counters": {
-    "core.parallel.plan_cache.hits": 5,
-    "core.parallel.plan_cache.misses": 1,
     "core.traversal.hot_nodes": 3,
     "exec.pool.hits": 6,
     "exec.pool.misses": 2,
@@ -742,10 +729,6 @@ mod tests {
         assert!(a.contains("| - | - | - |"), "{a}");
         // Pool, traversal, health, spans all present.
         assert!(a.contains("hit rate 75.0%"), "{a}");
-        assert!(
-            a.contains("- chunk-plan cache: 5 hits / 1 misses (reuse rate 83.3%)"),
-            "{a}"
-        );
         assert!(a.contains("| 6 | <= 64 | 768 | 768 | 3 |"), "{a}");
         assert!(a.contains("band_window_revisits"), "{a}");
         assert!(a.contains("| loss | 8 | 1.200 |"), "{a}");

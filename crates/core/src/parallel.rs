@@ -1,11 +1,16 @@
-//! Parallel band execution: chunked, deterministic banded aggregation.
+//! Parallel band execution: chunk plans and the scoped-thread primitives the
+//! band engine runs on.
 //!
 //! The width-ω band makes attention *local in path position*: every pair
-//! `(i, j)` with an active slot satisfies `|i - j| ≤ ω`. This module exploits
-//! that locality to split the path into `ceil(L / chunk)` segments whose read
+//! `(i, j)` with an active slot satisfies `|i - j| ≤ ω`. A [`ChunkPlan`]
+//! exploits that locality to split the path into contiguous chunks whose read
 //! extents overlap by exactly ω positions, so **no in-band pair straddles a
 //! cut**: every active [`BandSlot`](crate::band::BandSlot) relevant to a chunk's owned rows is fully
-//! visible inside that chunk's extent.
+//! visible inside that chunk's extent. The rule for how many chunks is one
+//! place, [`ChunkPlan::for_workers`]: one chunk per worker, fewer when a
+//! chunk would be thinner than ω. The intra-op kernels
+//! (`mega_exec::kernels::banded_*`) and the segment executor
+//! (`mega_dist::ThreadExecutor`) both take their plan from it.
 //!
 //! # Determinism guarantee
 //!
@@ -13,19 +18,20 @@
 //! folding slot contributions in the same ascending `(lo, offset)` order the
 //! serial kernel uses. Because row accumulators are per-row and never shared
 //! across chunks, the parallel result is **bit-identical** to the serial
-//! result for every thread count and every chunk size — there is no
-//! cross-chunk floating-point re-association at all. The reduction step is a
-//! plain in-order concatenation of owned row ranges.
+//! result for every worker count and every chunk size — there is no
+//! cross-chunk floating-point re-association at all, and every chunk writes
+//! its rows straight into its own slice of the caller's output
+//! ([`join_workers`]).
 //!
-//! Worker threads are plain `std::thread::scope` workers pulling chunk
-//! indices from an atomic counter; results land in their slot of a
-//! pre-allocated vector, so scheduling order cannot affect output order.
+//! [`ordered_map`] is the other primitive: plain `std::thread::scope` workers
+//! pulling item indices from an atomic counter, each result landing in its
+//! slot of a pre-allocated vector, so scheduling order cannot affect output
+//! order.
 
 use crate::band::BandMask;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// The host's available parallelism, resolved once per process.
 ///
@@ -39,7 +45,7 @@ pub fn host_threads() -> usize {
     *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Thread-count and chunking knobs for the parallel band engine.
+/// The worker-count request every parallel path resolves.
 ///
 /// `threads == 0` means "auto": [`std::thread::available_parallelism`].
 ///
@@ -50,15 +56,10 @@ pub fn host_threads() -> usize {
 /// core while paying all the coordination cost — the measured band-engine
 /// regression that motivated the clamp. Results are bit-identical for every
 /// worker count, so the clamp is purely a performance decision.
-///
-/// `chunk_size == 0` means "auto": size chunks so each worker gets several,
-/// with a floor of the band window ω.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Parallelism {
     /// Worker thread count; 0 = auto (the hardware).
     pub threads: usize,
-    /// Owned rows per chunk; 0 = auto.
-    pub chunk_size: usize,
     /// Honor `threads` exactly, even beyond the host's cores. Test harnesses
     /// set this to force the parallel code paths (and their bit-identity
     /// proofs) to execute on any machine; production configs leave it off.
@@ -71,7 +72,6 @@ impl Parallelism {
     pub fn with_threads(threads: usize) -> Self {
         Parallelism {
             threads,
-            chunk_size: 0,
             pin_threads: false,
         }
     }
@@ -83,15 +83,8 @@ impl Parallelism {
     pub fn pinned(threads: usize) -> Self {
         Parallelism {
             threads,
-            chunk_size: 0,
             pin_threads: true,
         }
-    }
-
-    /// Sets the owned-rows-per-chunk size (0 = auto).
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size;
-        self
     }
 
     /// Resolves the worker count actually used: explicit `threads`, else
@@ -106,32 +99,6 @@ impl Parallelism {
             self.threads.min(host_threads())
         }
     }
-
-    /// Resolves the owned-rows-per-chunk size for a path of length `len`
-    /// under window ω.
-    pub fn effective_chunk_size(&self, len: usize, window: usize) -> usize {
-        if self.chunk_size > 0 {
-            return self.chunk_size.max(1);
-        }
-        let workers = self.effective_threads();
-        // Several chunks per worker for load balance, floored at ω so the
-        // overlap stays a small fraction of each chunk.
-        (len / (4 * workers).max(1)).max(window).max(1)
-    }
-}
-
-/// Upper bound on memoized plans: a training run touches a handful of
-/// (band, parallelism) geometries, so the cap only matters to pathological
-/// callers sweeping lengths — beyond it, plans are built but not retained.
-const PLAN_CACHE_CAP: usize = 1024;
-
-/// Memo key for a cached plan: `(band length, window, chunk size)`.
-type PlanKey = (usize, usize, usize);
-
-/// The process-wide plan memo behind [`ChunkPlan::for_band_cached`].
-fn plan_cache() -> &'static Mutex<BTreeMap<PlanKey, Arc<ChunkPlan>>> {
-    static CACHE: OnceLock<Mutex<BTreeMap<PlanKey, Arc<ChunkPlan>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 /// One segment of the path: owns rows `[start, end)` exclusively and reads
@@ -240,8 +207,8 @@ impl ChunkPlan {
     /// `race-check` harness in `mega-exec`) can construct deliberately
     /// corrupt plans and prove that [`ChunkPlan::validate`] and the shadow
     /// writer map reject them. Production code must use
-    /// [`ChunkPlan::build`] / [`ChunkPlan::for_band`], which only produce
-    /// valid plans.
+    /// [`ChunkPlan::build`] / [`ChunkPlan::for_workers`], which only
+    /// produce valid plans.
     #[doc(hidden)]
     pub fn from_raw_parts(len: usize, window: usize, chunks: Vec<Chunk>) -> Self {
         ChunkPlan {
@@ -350,61 +317,38 @@ impl ChunkPlan {
         Ok(())
     }
 
-    /// The plan a `Parallelism` config resolves to for this band geometry.
+    /// The one plan rule: one chunk per worker. `[0, len)` is cut into at
+    /// most `workers` chunks of `ceil(len / k)` rows — the quotient
+    /// `mega_dist::path_segments` uses, so position `i` lands in chunk
+    /// `i / ceil(len / k)`.
+    ///
+    /// `k` starts at `workers` and is clamped down until every chunk but the
+    /// last spans at least ω rows: a chunk's ±ω read extent then reaches
+    /// into its immediate neighbors only, which is what the segment
+    /// executor's adjacent-only halo exchange needs (a path shorter than
+    /// `workers · ω` simply runs on fewer workers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0`.
+    pub fn for_workers(len: usize, window: usize, workers: usize) -> Self {
+        assert!(workers > 0, "need at least one worker");
+        let mut k = workers;
+        while k > 1 && len.div_ceil(k) < window.max(1) {
+            k -= 1;
+        }
+        Self::build(len, window, len.div_ceil(k).max(1))
+    }
+
+    /// [`ChunkPlan::for_workers`] for this band at the worker count `par`
+    /// resolves to.
     ///
     /// Every plan handed out is [validated](ChunkPlan::validate); a failure
     /// here would mean [`ChunkPlan::build`] itself is broken, so it panics.
     pub fn for_band(band: &BandMask, par: &Parallelism) -> Self {
-        let plan = Self::build(
-            band.len(),
-            band.window(),
-            par.effective_chunk_size(band.len(), band.window()),
-        );
+        let plan = Self::for_workers(band.len(), band.window(), par.effective_threads());
         if let Err(v) = plan.validate() {
-            panic!("ChunkPlan::build produced an invalid plan: {v}");
-        }
-        if mega_obs::enabled() {
-            mega_obs::counter_add("core.parallel.plans", 1);
-            mega_obs::record_value("core.parallel.plan_chunks", plan.chunks.len() as u64);
-            for c in &plan.chunks {
-                mega_obs::record_value("core.parallel.chunk_rows", c.owned_len() as u64);
-            }
-        }
-        plan
-    }
-
-    /// The memoized twin of [`ChunkPlan::for_band`]: plans are pure
-    /// functions of `(len, window, chunk_size)`, so identical band/
-    /// parallelism pairs across steps and epochs share one `Arc`'d plan
-    /// instead of rebuilding it per call. Hits and misses are counted as
-    /// `core.parallel.plan_cache.{hits,misses}`; the cache is process-wide
-    /// and never invalidated (the key fully determines the value).
-    pub fn for_band_cached(band: &BandMask, par: &Parallelism) -> Arc<ChunkPlan> {
-        let key = (
-            band.len(),
-            band.window(),
-            par.effective_chunk_size(band.len(), band.window()),
-        );
-        let cache = plan_cache();
-        {
-            let guard = cache.lock().expect("plan cache poisoned");
-            if let Some(plan) = guard.get(&key) {
-                if mega_obs::enabled() {
-                    mega_obs::counter_add("core.parallel.plan_cache.hits", 1);
-                }
-                return plan.clone();
-            }
-        }
-        // Build outside the lock: for_band validates and records its own
-        // construction counters, and a racing duplicate build is harmless
-        // (both produce the identical plan; last insert wins).
-        let plan = Arc::new(Self::for_band(band, par));
-        if mega_obs::enabled() {
-            mega_obs::counter_add("core.parallel.plan_cache.misses", 1);
-        }
-        let mut guard = cache.lock().expect("plan cache poisoned");
-        if guard.len() < PLAN_CACHE_CAP {
-            guard.insert(key, plan.clone());
+            panic!("ChunkPlan::for_workers produced an invalid plan: {v}");
         }
         plan
     }
@@ -541,10 +485,6 @@ where
     });
 }
 
-// The banded aggregation / weight-grad kernels that used to live here moved
-// to `mega-exec` (`mega_exec::kernels::banded_*`): they are execution-backend
-// concerns now, dispatched through the `Backend` trait alongside the dense
-// kernels. This module keeps the *scheduling* primitives they run on.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,22 +576,6 @@ mod tests {
         assert!(ChunkPlan::from_raw_parts(3, 1, Vec::new())
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn for_band_cached_shares_one_plan_per_geometry() {
-        let g = mega_graph::generate::cycle(12).unwrap();
-        let path: Vec<usize> = (0..12).collect();
-        let band = BandMask::build(&g, &path, 2);
-        let par = Parallelism::pinned(2).with_chunk_size(5);
-        let a = ChunkPlan::for_band_cached(&band, &par);
-        let b = ChunkPlan::for_band_cached(&band, &par);
-        assert!(Arc::ptr_eq(&a, &b), "same geometry must share one plan");
-        assert_eq!(*a, ChunkPlan::for_band(&band, &par));
-        // A different chunking is a different plan, not a stale hit.
-        let c = ChunkPlan::for_band_cached(&band, &Parallelism::pinned(2).with_chunk_size(3));
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(*c, ChunkPlan::build(12, 2, 3));
     }
 
     #[test]

@@ -201,22 +201,29 @@ proptest! {
     fn band_plans_validate_over_thread_chunk_grid((g, cfg) in (arb_graph(), arb_config())) {
         let s = preprocess(&g, &cfg).unwrap();
         let band = s.band();
-        for threads in [1usize, 2, 4, 8] {
-            for chunk in [1usize, band.window(), 4 * band.window(), band.len().max(1)] {
-                let par = mega_core::Parallelism::pinned(threads)
-                    .with_chunk_size(chunk.max(1));
-                let plan = ChunkPlan::for_band(band, &par);
-                prop_assert!(plan.validate().is_ok(), "threads={} chunk={}", threads, chunk);
-                // Owned ranges partition [0, len) and reads stay within ±ω.
-                let mut expected_start = 0usize;
-                for c in plan.chunks() {
-                    prop_assert_eq!(c.start, expected_start);
-                    prop_assert_eq!(c.read_lo, c.start.saturating_sub(band.window()));
-                    prop_assert_eq!(c.read_hi, (c.end + band.window()).min(band.len()));
-                    expected_start = c.end;
-                }
-                prop_assert_eq!(expected_start, band.len());
+        let (len, w) = (band.len(), band.window());
+        // The plan each worker count resolves to (one chunk per worker at
+        // most), then explicit geometries.
+        let mut plans = Vec::new();
+        for t in [1usize, 2, 4, 8] {
+            let plan = ChunkPlan::for_band(band, &mega_core::Parallelism::pinned(t));
+            plans.push((format!("threads={t}"), plan, t));
+        }
+        for chunk in [1usize, w, 4 * w, len.max(1)] {
+            plans.push((format!("chunk={chunk}"), ChunkPlan::build(len, w, chunk), usize::MAX));
+        }
+        for (what, plan, max_chunks) in &plans {
+            prop_assert!(plan.validate().is_ok(), "{}", what);
+            prop_assert!(plan.chunks().len() <= *max_chunks, "{}", what);
+            // Owned ranges partition [0, len) and reads stay within ±ω.
+            let mut expected_start = 0usize;
+            for c in plan.chunks() {
+                prop_assert_eq!(c.start, expected_start);
+                prop_assert_eq!(c.read_lo, c.start.saturating_sub(w));
+                prop_assert_eq!(c.read_hi, (c.end + w).min(len));
+                expected_start = c.end;
             }
+            prop_assert_eq!(expected_start, len);
         }
     }
 

@@ -14,8 +14,12 @@
 //!
 //! ## Halo protocol
 //!
-//! Each worker owns the rows of one [`SegmentPlan`] segment and holds two
-//! slabs (`x`, `y`) covering its ±ω read extent. Per step:
+//! The path is cut by [`ChunkPlan::for_workers`] — the rule the intra-op
+//! kernels use, one chunk per worker, no chunk but the last thinner than ω —
+//! so a read extent never reaches past an immediate neighbor. Each worker
+//! owns the rows of one chunk and holds two slabs (`x`, `y`) covering its ±ω
+//! read extent, plus two slot-ordered weight-gradient runs (accumulator and
+//! step), all allocated once per run. Per step:
 //!
 //! 1. zero `y`; compute the owned *boundary* rows (first ω, last ω) into
 //!    `y` and scale by the damping factor;
@@ -29,116 +33,14 @@
 //!
 //! Per-row folds replay the serial kernel's slot order exactly
 //! (`mega_exec::kernels::banded_aggregate_segment`), so no float is ever
-//! re-associated; determinism does not depend on scheduling.
+//! re-associated; determinism does not depend on scheduling. [`run_serial`]
+//! is the same evolution on the slot walk itself — the one-worker engine, and
+//! an oracle that shares no loop with the workers' row fold.
 
-use mega_core::{AttentionSchedule, BandMask, Chunk, ChunkPlan};
+use mega_core::{BandMask, Chunk, ChunkPlan};
 use mega_exec::kernels;
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
-
-/// The path cut into `k` contiguous segments with ±ω read extents —
-/// exactly the assignment [`crate::path_segments`] produces, carried as a
-/// validated [`ChunkPlan`] so the distributed workers share the
-/// single-process engine's chunk geometry (and its race-check proofs).
-#[derive(Debug, Clone)]
-pub struct SegmentPlan {
-    plan: ChunkPlan,
-    requested: usize,
-}
-
-impl SegmentPlan {
-    /// Cuts a path of `len` rows under a width-`window` band into at most
-    /// `workers` segments of `ceil(len / k)` rows — the same quotient
-    /// [`crate::path_segments`] uses, so position `i` lands in segment
-    /// `i / ceil(len / k)`.
-    ///
-    /// The halo protocol is adjacent-only: every segment but the last must
-    /// span at least ω rows, otherwise a halo would have to hop across a
-    /// worker. `workers` is clamped down until that holds (a path shorter
-    /// than `workers · ω` simply runs on fewer workers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn build(len: usize, window: usize, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        let mut k = workers;
-        while k > 1 && len.div_ceil(k) < window.max(1) {
-            k -= 1;
-        }
-        let chunk = len.div_ceil(k).max(1);
-        SegmentPlan {
-            plan: ChunkPlan::build(len, window, chunk),
-            requested: workers,
-        }
-    }
-
-    /// [`SegmentPlan::build`] for a preprocessed schedule's band.
-    // mega-lint: allow(span-coverage, reason = "plan construction, not kernel work; runs before any step loop")
-    pub fn for_schedule(schedule: &AttentionSchedule, workers: usize) -> Self {
-        let band = schedule.band();
-        SegmentPlan::build(band.len(), band.window(), workers)
-    }
-
-    /// Wraps a raw, possibly invalid chunk layout — the race-check
-    /// harness's entry point for proving that corrupt segment ownership
-    /// panics instead of racing. Not validated.
-    #[doc(hidden)]
-    // mega-lint: allow(span-coverage, reason = "race-check harness constructor; never on a measured path")
-    pub fn from_raw_parts(len: usize, window: usize, chunks: Vec<Chunk>) -> Self {
-        let requested = chunks.len().max(1);
-        SegmentPlan {
-            plan: ChunkPlan::from_raw_parts(len, window, chunks),
-            requested,
-        }
-    }
-
-    /// The effective worker count: the number of segments after clamping
-    /// (≤ the requested count).
-    // mega-lint: allow(span-coverage, reason = "O(1) plan accessor; nothing to attribute")
-    pub fn workers(&self) -> usize {
-        self.plan.chunks().len()
-    }
-
-    /// The worker count originally requested, before clamping.
-    // mega-lint: allow(span-coverage, reason = "O(1) plan accessor; nothing to attribute")
-    pub fn requested(&self) -> usize {
-        self.requested
-    }
-
-    /// The segments, in path order.
-    pub fn segments(&self) -> &[Chunk] {
-        self.plan.chunks()
-    }
-
-    /// Path length.
-    // mega-lint: allow(span-coverage, reason = "O(1) plan accessor; nothing to attribute")
-    pub fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// Whether the path is empty.
-    // mega-lint: allow(span-coverage, reason = "O(1) plan accessor; nothing to attribute")
-    pub fn is_empty(&self) -> bool {
-        self.plan.len() == 0
-    }
-
-    /// Band half-width ω.
-    pub fn window(&self) -> usize {
-        self.plan.window()
-    }
-
-    /// Segment id per path position — must equal
-    /// [`crate::path_segments`]'s assignment (proven by proptest).
-    // mega-lint: allow(span-coverage, reason = "test/proptest oracle over the plan, not step-loop work")
-    pub fn assignment(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.len());
-        for (seg, chunk) in self.segments().iter().enumerate() {
-            out.extend(std::iter::repeat_n(seg, chunk.owned_len()));
-        }
-        out
-    }
-}
 
 /// One multi-step band-engine job: evolve `x_{t+1} = damping · A·x_t`
 /// (`A` the banded slot-weight matrix) for `steps` steps, accumulating
@@ -206,19 +108,19 @@ struct Mailbox {
     from_right: Option<Receiver<HaloMsg>>,
 }
 
-/// What one worker hands back: its owned rows of the final state and its
-/// owned slots' accumulated weight-grad, merged by the coordinator in
-/// ascending segment order.
+/// What one worker hands back: its owned rows of the final state and the
+/// accumulated weight-grad of its owned slots, in slot order
+/// (`kernels::owned_slots`), merged by the coordinator in ascending segment
+/// order.
 struct SegmentResult {
     x_owned: Vec<f32>,
-    dw: Vec<(usize, f32)>,
+    dw: Vec<f32>,
 }
 
 /// Thread-per-segment executor with typed message channels.
 #[derive(Debug, Clone)]
 pub struct ThreadExecutor {
     workers: usize,
-    plan: Option<SegmentPlan>,
 }
 
 impl ThreadExecutor {
@@ -231,31 +133,7 @@ impl ThreadExecutor {
     // mega-lint: allow(span-coverage, reason = "executor constructor; spans open in run_with_plan")
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
-        ThreadExecutor {
-            workers,
-            plan: None,
-        }
-    }
-
-    /// An executor pinned to an explicit segment plan — the race-check
-    /// harness's entry point (corrupt plans must panic under
-    /// `--features race-check`, not race).
-    // mega-lint: allow(span-coverage, reason = "race-check harness constructor; spans open in run_with_plan")
-    pub fn with_plan(plan: SegmentPlan) -> Self {
-        ThreadExecutor {
-            workers: plan.workers().max(1),
-            plan: Some(plan),
-        }
-    }
-
-    fn plan_for(&self, band: &BandMask) -> SegmentPlan {
-        match &self.plan {
-            Some(p) => {
-                assert_eq!(p.len(), band.len(), "pinned plan length mismatch");
-                p.clone()
-            }
-            None => SegmentPlan::build(band.len(), band.window(), self.workers),
-        }
+        ThreadExecutor { workers }
     }
 }
 
@@ -266,39 +144,48 @@ impl DistExecutor for ThreadExecutor {
     }
 
     fn run(&self, job: &BandJob<'_>) -> BandRun {
-        let plan = self.plan_for(job.band);
+        let band = job.band;
+        let plan = ChunkPlan::for_workers(band.len(), band.window(), self.workers);
         run_with_plan(job, &plan)
     }
 }
 
-/// Serial oracle: the same evolution on one process, using the serial
-/// reference kernels. Every [`DistExecutor`] run must match this
-/// bit-for-bit.
+/// The one-worker engine and the serial oracle: the same evolution on the
+/// calling thread through the slot-walk kernels, two state buffers swapped
+/// per step and nothing allocated inside the loop. Every [`DistExecutor`]
+/// run must match this bit-for-bit.
 pub fn run_serial(job: &BandJob<'_>) -> BandRun {
     assert_eq!(job.x0.len(), job.band.len() * job.dim, "x0 must be L x dim");
     let _span = mega_obs::span("dist_serial");
     let mut x = job.x0.to_vec();
+    let mut y = vec![0.0f32; x.len()];
     let mut dw = vec![0.0f32; job.edge_count];
+    // Never re-zeroed: the weight-grad walk assigns the same entries (one
+    // per active slot) every step and leaves the rest at their initial zero.
+    let mut step_dw = vec![0.0f32; job.edge_count];
     for _ in 0..job.steps {
-        let mut y = kernels::banded_aggregate_serial(job.band, &x, job.dim, job.weights);
+        y.fill(0.0);
+        kernels::banded_aggregate_serial(job.band, &x, job.dim, job.weights, &mut y);
         for v in &mut y {
             *v *= job.damping;
         }
-        let step_dw = kernels::banded_weight_grad_serial(job.band, &x, &y, job.dim, job.edge_count);
+        kernels::banded_weight_grad_serial(job.band, &x, &y, job.dim, &mut step_dw);
         for (acc, v) in dw.iter_mut().zip(&step_dw) {
             *acc += *v;
         }
-        x = y;
+        std::mem::swap(&mut x, &mut y);
     }
     BandRun { x, dw }
 }
 
-/// Runs `job` over an explicit segment plan: one thread per segment,
+/// Runs `job` over an explicit plan: one thread per chunk ("segment"),
 /// boundary-first compute, double-buffered halo exchange, fixed-order merge.
-pub fn run_with_plan(job: &BandJob<'_>, plan: &SegmentPlan) -> BandRun {
+/// [`ThreadExecutor`] passes [`ChunkPlan::for_workers`]; the race-check
+/// harness passes corrupt plans, which must panic here instead of racing.
+pub fn run_with_plan(job: &BandJob<'_>, plan: &ChunkPlan) -> BandRun {
     assert_eq!(job.x0.len(), job.band.len() * job.dim, "x0 must be L x dim");
     let _span = mega_obs::span("dist_run");
-    let segs = plan.segments();
+    let segs = plan.chunks();
     let k = segs.len();
     mega_obs::counter_add("dist.runs", 1);
     mega_obs::counter_add("dist.workers", k as u64);
@@ -316,6 +203,17 @@ pub fn run_with_plan(job: &BandJob<'_>, plan: &SegmentPlan) -> BandRun {
         }
         writers.assert_complete();
     }
+    // The halo exchange is adjacent-only: a segment thinner than ω would
+    // need rows from beyond its neighbor ([`ChunkPlan::for_workers`] never
+    // builds one; an arbitrary plan can).
+    assert!(
+        segs.iter()
+            .rev()
+            .skip(1)
+            .all(|s| s.owned_len() >= plan.window()),
+        "every segment but the last must span at least ω = {} rows",
+        plan.window()
+    );
 
     // Chain topology: one channel per directed neighbor edge — 2(k−1)
     // endpoints, the O(k) halo-pair structure the accounting model prices.
@@ -352,13 +250,15 @@ pub fn run_with_plan(job: &BandJob<'_>, plan: &SegmentPlan) -> BandRun {
 
     let mut x = vec![0.0f32; job.x0.len()];
     let mut dw = vec![0.0f32; job.edge_count];
+    let slots = job.band.active_slots();
     for (seg, res) in segs.iter().zip(&results) {
         x[seg.start * job.dim..seg.end * job.dim].copy_from_slice(&res.x_owned);
         // Each edge claims exactly one slot and each slot has exactly one
         // owning segment, so this "all-reduce" is a disjoint fixed-order
         // scatter — no float is ever summed across workers.
-        for &(e, v) in &res.dw {
-            dw[e] = v;
+        let owned = &slots[kernels::owned_slots(job.band, seg)];
+        for (s, &v) in owned.iter().zip(&res.dw) {
+            dw[s.edge] = v;
         }
     }
     BandRun { x, dw }
@@ -379,10 +279,12 @@ fn worker(job: &BandJob<'_>, seg: &Chunk, mailbox: Mailbox) -> SegmentResult {
     // need. When the segment is narrower than 2ω the two regions meet.
     let b1_hi = (seg.start + omega).min(seg.end);
     let b2_lo = seg.end.saturating_sub(omega).max(b1_hi);
-    // Slots owned by this segment (lo ∈ [start, end)), fixed across steps;
-    // the accumulator is aligned to this slice so per-edge sums fold in
+    // One value per slot owned by this segment (lo ∈ [start, end)), fixed
+    // across steps; the accumulator starts at zero so per-edge sums fold in
     // step order exactly like the serial oracle's `dw[e] += step_dw[e]`.
-    let mut dw_acc: Vec<(usize, f32)> = Vec::new();
+    let n_owned = kernels::owned_slots(job.band, seg).len();
+    let mut dw_acc = vec![0.0f32; n_owned];
+    let mut dw_step = vec![0.0f32; n_owned];
 
     for step in 0..job.steps {
         let t_step = mega_obs::timer();
@@ -454,15 +356,9 @@ fn worker(job: &BandJob<'_>, seg: &Chunk, mailbox: Mailbox) -> SegmentResult {
         // 5. Weight-grad for owned slots: reads x (pre-step) and y
         // (post-step, halo included — a slot reaches up to ω rows right of
         // the owned range, which is exactly the halo just received).
-        let step_dw = kernels::banded_weight_grad_segment(job.band, seg, &x, base, &y, base, dim);
-        if dw_acc.is_empty() {
-            dw_acc = step_dw;
-        } else {
-            debug_assert_eq!(dw_acc.len(), step_dw.len());
-            for (acc, v) in dw_acc.iter_mut().zip(&step_dw) {
-                debug_assert_eq!(acc.0, v.0);
-                acc.1 += v.1;
-            }
+        kernels::banded_weight_grad_segment(job.band, seg, &x, &y, base, dim, &mut dw_step);
+        for (acc, v) in dw_acc.iter_mut().zip(&dw_step) {
+            *acc += *v;
         }
         // 6. Double-buffer swap: the received halo is next step's input.
         std::mem::swap(&mut x, &mut y);
@@ -522,7 +418,7 @@ fn recv_halo(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mega_core::{preprocess, MegaConfig};
+    use mega_core::{preprocess, AttentionSchedule, MegaConfig};
     use mega_graph::generate;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -546,19 +442,43 @@ mod tests {
     fn segment_plan_clamps_to_window() {
         // 10 rows, ω = 4: 8 workers would leave segments thinner than the
         // halo; the plan must fall back to fewer.
-        let plan = SegmentPlan::build(10, 4, 8);
-        assert!(plan.workers() <= plan.requested());
-        for seg in &plan.segments()[..plan.workers() - 1] {
+        let plan = ChunkPlan::for_workers(10, 4, 8);
+        let segs = plan.chunks();
+        assert!(segs.len() <= 8);
+        for seg in &segs[..segs.len() - 1] {
             assert!(seg.owned_len() >= 4, "segment thinner than ω: {seg:?}");
         }
     }
 
     #[test]
     fn assignment_matches_path_segments_quotient() {
-        let plan = SegmentPlan::build(11, 1, 3);
+        let plan = ChunkPlan::for_workers(11, 1, 3);
         let chunk = 11usize.div_ceil(3);
         let expect: Vec<usize> = (0..11).map(|i| (i / chunk).min(2)).collect();
-        assert_eq!(plan.assignment(), expect);
+        let got: Vec<usize> = (0..11).map(|i| plan.owner_of(i)).collect();
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "must span at least ω")]
+    fn plans_thinner_than_the_halo_are_refused() {
+        let sched = schedule_for(40, 2);
+        let band = sched.band();
+        assert!(band.window() > 1);
+        let edges = sched.working_graph().edge_count();
+        let (x0, weights) = job_inputs(band, edges, 2, 4);
+        let job = BandJob {
+            band,
+            x0: &x0,
+            dim: 2,
+            weights: &weights,
+            edge_count: edges,
+            steps: 1,
+            damping: 1.0,
+        };
+        // A valid partition, but a one-row segment's halo reaches past its
+        // neighbor.
+        run_with_plan(&job, &ChunkPlan::build(band.len(), band.window(), 1));
     }
 
     #[test]

@@ -52,9 +52,7 @@ pub mod scaling;
 pub mod train;
 
 pub use comm::{edge_cut_volume, path_partition_volume, CommStats};
-pub use exec::{
-    run_serial, run_with_plan, BandJob, BandRun, DistExecutor, SegmentPlan, ThreadExecutor,
-};
+pub use exec::{run_serial, run_with_plan, BandJob, BandRun, DistExecutor, ThreadExecutor};
 pub use partition::{bfs_partition, hash_partition, path_segments};
 pub use scaling::{epoch_scaling, ClusterConfig, ScalingPoint};
 pub use train::DistTrainer;

@@ -6,8 +6,8 @@
 //! process, the sibling tests that run executors concurrently would be
 //! counted too.
 
-use mega_core::{preprocess, MegaConfig};
-use mega_dist::{run_with_plan, BandJob, SegmentPlan};
+use mega_core::{preprocess, ChunkPlan, MegaConfig};
+use mega_dist::{run_with_plan, BandJob};
 use mega_graph::generate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,8 +33,8 @@ fn halo_counters_account_the_chain_topology() {
         damping: 0.5,
     };
     mega_obs::set_enabled(true);
-    let plan = SegmentPlan::build(band.len(), band.window(), 4);
-    let k = plan.workers();
+    let plan = ChunkPlan::for_workers(band.len(), band.window(), 4);
+    let k = plan.chunks().len();
     run_with_plan(&job, &plan);
     mega_obs::set_enabled(false);
     let snap = mega_obs::snapshot();

@@ -4,7 +4,7 @@
 use mega_core::{preprocess, ChunkPlan, MegaConfig};
 use mega_dist::{
     bfs_partition, edge_cut_volume, epoch_scaling, hash_partition, path_partition_volume,
-    path_segments, run_serial, BandJob, ClusterConfig, DistExecutor, SegmentPlan, ThreadExecutor,
+    path_segments, run_serial, BandJob, ClusterConfig, DistExecutor, ThreadExecutor,
 };
 use mega_graph::{Graph, GraphBuilder};
 use proptest::prelude::*;
@@ -76,18 +76,21 @@ proptest! {
         prop_assert!((point.compute_seconds + point.comm_seconds - point.total_seconds).abs() < 1e-12);
     }
 
-    /// The segment partition reconstructs the single-process `ChunkPlan`'s
-    /// band windows exactly: for random (len, window, workers) triples, the
-    /// segments are byte-for-byte the chunks `ChunkPlan::build` produces for
-    /// the same quotient, and every halo window is the ±ω read extent.
+    /// The one-chunk-per-worker plan is a segment partition the halo protocol
+    /// can run on: for random (len, window, workers) triples the segments
+    /// partition the path in order, every halo window is the ±ω read extent,
+    /// no segment but the last is thinner than ω, and so every read extent
+    /// stays inside the segment's immediate neighbors.
     #[test]
     fn segment_plan_reconstructs_chunk_plan_windows(
         len in 0usize..400,
         window in 1usize..16,
         workers in 1usize..12,
     ) {
-        let plan = SegmentPlan::build(len, window, workers);
-        let segs = plan.segments();
+        let plan = ChunkPlan::for_workers(len, window, workers);
+        prop_assert!(plan.validate().is_ok());
+        let segs = plan.chunks();
+        prop_assert!(segs.len() <= workers);
         // Segments partition the path in order.
         let mut cursor = 0usize;
         for seg in segs {
@@ -98,13 +101,8 @@ proptest! {
             prop_assert_eq!(seg.read_hi, (seg.end + window).min(len));
         }
         prop_assert_eq!(cursor, len);
-        // The same chunk quotient through `ChunkPlan::build` yields the
-        // identical segment list — the distributed plan *is* the
-        // single-process plan, worker-count included.
-        if plan.workers() > 1 {
-            let chunk_size = segs[0].owned_len();
-            let cp = ChunkPlan::build(len, window, chunk_size);
-            prop_assert_eq!(segs, cp.chunks());
+        for seg in &segs[..segs.len() - 1] {
+            prop_assert!(seg.owned_len() >= window, "segment thinner than ω: {:?}", seg);
         }
         // Adjacent-only halos: every read extent is covered by the segment
         // plus its immediate neighbors, so the chain exchange suffices.
@@ -118,17 +116,17 @@ proptest! {
         }
     }
 
-    /// On a real schedule, the segment plan's assignment is exactly
-    /// `path_segments`' quotient assignment (when no worker clamping is
-    /// needed — the clamp only engages when a segment would be thinner
-    /// than the band).
+    /// On a real schedule, the plan's assignment is exactly `path_segments`'
+    /// quotient assignment (when no worker clamping is needed — the clamp
+    /// only engages when a segment would be thinner than the band).
     #[test]
     fn segment_assignment_matches_path_segments(g in arb_graph(), k in 1usize..8) {
         let s = preprocess(&g, &MegaConfig::default()).unwrap();
         let band = s.band();
         prop_assume!(k == 1 || band.len().div_ceil(k) >= band.window().max(1));
-        let plan = SegmentPlan::for_schedule(&s, k);
-        prop_assert_eq!(plan.assignment(), path_segments(&s, k));
+        let plan = ChunkPlan::for_workers(band.len(), band.window(), k);
+        let assignment: Vec<usize> = (0..band.len()).map(|i| plan.owner_of(i)).collect();
+        prop_assert_eq!(assignment, path_segments(&s, k));
     }
 
     /// Distributed execution through the halo protocol is bit-identical to

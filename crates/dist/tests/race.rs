@@ -7,8 +7,8 @@
 
 #![cfg(feature = "race-check")]
 
-use mega_core::{preprocess, Chunk, MegaConfig};
-use mega_dist::{run_with_plan, BandJob, SegmentPlan};
+use mega_core::{preprocess, Chunk, ChunkPlan, MegaConfig};
+use mega_dist::{run_with_plan, BandJob};
 use mega_graph::generate;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +24,7 @@ fn fixture() -> (mega_core::AttentionSchedule, Vec<f32>, Vec<f32>) {
     (s, x0, weights)
 }
 
-fn run_with(plan: SegmentPlan) -> std::thread::Result<()> {
+fn run_with(plan: ChunkPlan) -> std::thread::Result<()> {
     let (s, x0, weights) = fixture();
     std::thread::spawn(move || {
         let band = s.band();
@@ -57,7 +57,7 @@ fn overlapping_segment_ownership_panics() {
     let (len, w) = (s.band().len(), s.band().window());
     let mid = len / 2;
     // Two segments both claim the rows around the midpoint.
-    let corrupt = SegmentPlan::from_raw_parts(
+    let corrupt = ChunkPlan::from_raw_parts(
         len,
         w,
         vec![chunk(0, mid + w, w, len), chunk(mid, len, w, len)],
@@ -75,7 +75,7 @@ fn gappy_segment_coverage_panics() {
     let (len, w) = (s.band().len(), s.band().window());
     let mid = len / 2;
     // Nobody owns the rows just after the midpoint.
-    let corrupt = SegmentPlan::from_raw_parts(
+    let corrupt = ChunkPlan::from_raw_parts(
         len,
         w,
         vec![
@@ -93,6 +93,6 @@ fn gappy_segment_coverage_panics() {
 #[test]
 fn valid_plan_passes_the_checked_run() {
     let (s, _, _) = fixture();
-    let plan = SegmentPlan::for_schedule(&s, 4);
+    let plan = ChunkPlan::for_workers(s.band().len(), s.band().window(), 4);
     run_with(plan).expect("valid plan must pass under race-check");
 }

@@ -2,22 +2,28 @@
 //!
 //! Each function here is the *reference* implementation the rest of the
 //! workspace dispatches to: plain scalar loops with a fixed, documented
-//! accumulation order and no floating-point reassociation. The dense kernels
-//! were lifted from `mega-tensor` (the former `Tensor::matmul` inner
-//! loops) and the banded kernels from
-//! `mega_core::parallel`; their bit patterns are contractual — backends that
-//! override a kernel must preserve the per-output-element accumulation order
-//! (see `SimdBackend`), and the parallel variants replay the serial order
-//! per owned output row so results are bit-identical for every thread count.
+//! accumulation order and no floating-point reassociation. Their bit patterns
+//! are contractual — backends that override a kernel must preserve the
+//! per-output-element accumulation order (see `SimdBackend`), and the
+//! parallel variants replay the serial order per owned output row so results
+//! are bit-identical for every thread count.
 //!
-//! Output conventions: `out` must have exactly the output length; kernels
-//! that accumulate (`matmul*`, `scatter_add_rows`, the banded aggregates)
-//! require `out` to be zeroed on entry, all others overwrite every element.
+//! The band engine is two loops, each written once: the *slot walk*
+//! (`banded_*_serial`) visits the active slots in order and is both the
+//! reference and the one-worker kernel; the *row fold* (`banded_*_segment`)
+//! replays it for the rows a worker owns, addressed through slabs so the
+//! intra-op kernels and the distributed workers share it.
+//!
+//! Output conventions: `out` is the caller's, has exactly the output length
+//! and is written in place. Kernels that accumulate (`matmul*`,
+//! `scatter_add_rows`, the banded kernels) require `out` to be zeroed on
+//! entry, all others overwrite every element.
 
 use crate::partition;
 use crate::Unary;
-use mega_core::band::BandMask;
-use mega_core::parallel::{join_workers, ordered_map, Chunk, ChunkPlan, Parallelism};
+use mega_core::band::{BandMask, BandSlot};
+use mega_core::parallel::{join_workers, Chunk, ChunkPlan, Parallelism};
+use std::ops::Range;
 
 /// Below this many multiply-adds (`n·k·m`) the parallel matmul falls back to
 /// the serial kernel: spawn cost dominates, and the bits are identical either
@@ -538,10 +544,8 @@ pub fn batch_norm(
 }
 
 /// One active slot's weight-gradient contribution, folding the `lo`/`hi`
-/// products interleaved per feature — the shared inner loop of the serial,
-/// chunk-parallel, and segment-local weight-grad kernels (they must agree
-/// bit-for-bit, so there is exactly one copy of it). Takes the four rows as
-/// slices so callers can offset into segment-local slabs.
+/// products interleaved per feature. Called from [`slot_grads`] only, so the
+/// slot walk and the chunked replay cannot disagree on a bit.
 #[inline]
 fn slot_weight_grad(
     band_dim: usize,
@@ -558,31 +562,68 @@ fn slot_weight_grad(
     acc
 }
 
-/// Row `r` of a full-length `L × dim` slab, as a `dim`-element slice.
+/// Row `r` of a row-major `dim`-wide slab, as a `dim`-element slice.
 #[inline]
 fn row(buf: &[f32], r: usize, dim: usize) -> &[f32] {
     &buf[r * dim..(r + 1) * dim]
 }
 
-/// Serial reference kernel: masked banded aggregation.
+/// The weight-gradient value of each of `slots`, in order. `x` and `d_out`
+/// are slabs whose row 0 is global path row `base`.
+fn slot_grads<'a>(
+    slots: &'a [BandSlot],
+    x: &'a [f32],
+    d_out: &'a [f32],
+    base: usize,
+    dim: usize,
+) -> impl Iterator<Item = f32> + 'a {
+    slots.iter().map(move |s| {
+        let (lo, hi) = (s.lo - base, s.hi - base);
+        slot_weight_grad(
+            dim,
+            row(x, lo, dim),
+            row(x, hi, dim),
+            row(d_out, lo, dim),
+            row(d_out, hi, dim),
+        )
+    })
+}
+
+/// Asserts that `buf` holds one `dim`-wide row per path position of `band`,
+/// naming the offending argument. Every band entry point checks its
+/// arguments through this, once, before any job is spawned.
+fn assert_path_rows(band: &BandMask, dim: usize, name: &str, buf: &[f32]) {
+    assert_eq!(
+        buf.len(),
+        band.len() * dim,
+        "{name} must be L x dim = {} x {dim}",
+        band.len()
+    );
+}
+
+/// The slot walk — the reference every band test compares against *and* the
+/// one-worker kernel: masked banded aggregation into the caller's zeroed
+/// `L × dim` buffer `out`.
 ///
 /// `x` is row-major `L × dim` (one row per path position), `weights` has one
 /// entry per working-graph edge. Every active slot `(lo, hi, e)` contributes
 /// `w[e] · x[hi]` to row `lo` and `w[e] · x[lo]` to row `hi` — the symmetric
 /// weighted 1-hop neighbor sum of banded attention, applied in ascending
-/// `(lo, offset)` slot order.
+/// `(lo, offset)` slot order. Two slots may write the same row, so the walk
+/// cannot be split across workers.
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != band.len() * dim`.
+/// Panics if `x` or `out` is not `band.len() * dim` long.
 pub fn banded_aggregate_serial(
     band: &BandMask,
     x: &[f32],
     dim: usize,
     weights: &[f32],
-) -> Vec<f32> {
-    assert_eq!(x.len(), band.len() * dim, "x must be L x dim");
-    let mut out = vec![0.0f32; x.len()];
+    out: &mut [f32],
+) {
+    assert_path_rows(band, dim, "x", x);
+    assert_path_rows(band, dim, "out", out);
     for s in band.active_slots() {
         let w = weights[s.edge];
         for d in 0..dim {
@@ -590,50 +631,21 @@ pub fn banded_aggregate_serial(
             out[s.hi * dim + d] += w * x[s.lo * dim + d];
         }
     }
-    out
 }
 
-/// Contributions to owned rows of `chunk`, folded in serial slot order.
+/// The row fold — the slot walk replayed per output row: rows
+/// `[row_lo, row_hi)` of `chunk`'s owned range, each accumulated in exactly
+/// the order [`banded_aggregate_serial`] reaches it. For row `r` that is
+/// first the slots `(lo, r)` with `lo` ascending in `[r - ω, r)` (row `r` is
+/// the `hi` side), then the slots `(r, r + k)` with `k` ascending (row `r` is
+/// the `lo` side). Nobody else touches a row's accumulator, so chunks can run
+/// concurrently; the price is 2ω mask probes per row whatever the density.
 ///
-/// For each owned row `r`, the serial kernel's contributions arrive in
-/// ascending slot order: first slots `(lo, r)` with `lo` ascending in
-/// `[r - ω, r)` (row `r` is the `hi` side), then slots `(r, r + k)` with `k`
-/// ascending (row `r` is the `lo` side). Replaying exactly that order makes
-/// each owned row bit-identical to the serial result.
-fn aggregate_chunk_into(
-    band: &BandMask,
-    chunk: &Chunk,
-    x: &[f32],
-    dim: usize,
-    weights: &[f32],
-    out: &mut [f32],
-) {
-    debug_assert_eq!(out.len(), chunk.owned_len() * dim);
-    banded_aggregate_segment(
-        band,
-        chunk,
-        chunk.start,
-        chunk.end,
-        x,
-        0,
-        dim,
-        weights,
-        out,
-        chunk.start,
-    );
-}
-
-/// Segment-local banded aggregation: rows `[row_lo, row_hi)` of `chunk`'s
-/// owned range, folded in exactly `aggregate_chunk_into`'s serial slot
-/// order, but reading `x` and writing `out` as *slabs* — `x` covers global
-/// path rows `[x_base, x_base + x.len()/dim)` and `out` covers
-/// `[out_base, out_base + out.len()/dim)`. This is the distributed
-/// executor's entry point: each worker holds only its segment's ±ω read
-/// extent, so every index must be translated by the slab base.
-///
-/// Bit-identical to the same rows of [`banded_aggregate_serial`] for any
-/// slab placement, because the per-row fold order never changes — only
-/// where the rows live in memory.
+/// `x` and `out` are *slabs*: `x` covers global path rows from `x_base` and
+/// `out` from `out_base`. [`banded_aggregate_with_plan`] passes the whole `x`
+/// (base 0) and each chunk's own slice of the output; a distributed worker
+/// holds only its segment's ±ω read extent and passes that slab's base for
+/// both. The bits do not depend on where the rows live in memory.
 ///
 /// # Panics
 ///
@@ -659,9 +671,9 @@ pub fn banded_aggregate_segment(
         chunk.end
     );
     assert!(
-        x_base <= chunk.read_lo && chunk.read_hi <= x_base + x.len() / dim.max(1),
-        "x slab [{x_base}, {}) does not cover read extent [{}, {})",
-        x_base + x.len() / dim.max(1),
+        x_base <= chunk.read_lo && (chunk.read_hi - x_base) * dim <= x.len(),
+        "x slab of {} values at row {x_base} does not cover read extent [{}, {})",
+        x.len(),
         chunk.read_lo,
         chunk.read_hi
     );
@@ -693,99 +705,64 @@ pub fn banded_aggregate_segment(
     }
 }
 
-/// Segment-local weight gradient: the `(edge, value)` pairs for every active
-/// slot whose `lo` row is owned by `chunk`, in ascending `(lo, offset)` slot
-/// order, computed by the shared `slot_weight_grad` fold. `x` and `d_out`
-/// are slabs covering global rows `[x_base, …)` and `[d_base, …)`; both
-/// must span `chunk`'s ±ω read extent, since a slot reaches up to ω rows
-/// past the owned range. Each edge claims exactly one slot, so the returned
-/// pairs are disjoint across segments and a fixed-order merge reproduces
-/// [`banded_weight_grad_serial`] bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-pub fn banded_weight_grad_segment(
-    band: &BandMask,
-    chunk: &Chunk,
-    x: &[f32],
-    x_base: usize,
-    d_out: &[f32],
-    d_base: usize,
-    dim: usize,
-) -> Vec<(usize, f32)> {
-    let slots = band.active_slots();
-    let begin = slots.partition_point(|s| s.lo < chunk.start);
-    let end = slots.partition_point(|s| s.lo < chunk.end);
-    let mut local: Vec<(usize, f32)> = Vec::with_capacity(end - begin);
-    for s in &slots[begin..end] {
-        check_read(chunk, s.lo);
-        check_read(chunk, s.hi);
-        local.push((
-            s.edge,
-            slot_weight_grad(
-                dim,
-                row(x, s.lo - x_base, dim),
-                row(x, s.hi - x_base, dim),
-                row(d_out, s.lo - d_base, dim),
-                row(d_out, s.hi - d_base, dim),
-            ),
-        ));
-    }
-    local
-}
-
-/// Parallel chunked banded aggregation — bit-identical to
-/// [`banded_aggregate_serial`] for every thread count and chunk size.
+/// Banded aggregation under a thread budget, into the caller's zeroed
+/// `L × dim` buffer `out` — bit-identical to [`banded_aggregate_serial`] for
+/// every worker count.
 ///
-/// The reduction concatenates owned row ranges in chunk order; no partial is
-/// ever summed across chunks.
+/// One worker runs the slot walk itself; more than one replay it per row
+/// ([`banded_aggregate_segment`]) over the one-chunk-per-worker plan. The
+/// choice reads only `par.effective_threads()`: neither loop is the faster
+/// one on every band (DESIGN §4c has both measurements), and only the fold
+/// can be split.
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != band.len() * dim`.
+/// Panics if `x` or `out` is not `band.len() * dim` long.
 pub fn banded_aggregate(
     band: &BandMask,
     x: &[f32],
     dim: usize,
     weights: &[f32],
     par: &Parallelism,
-) -> Vec<f32> {
-    assert_eq!(x.len(), band.len() * dim, "x must be L x dim");
+    out: &mut [f32],
+) {
     let _span = mega_obs::span("band_aggregate");
-    mega_obs::counter_add("core.band.aggregate_calls", 1);
-    // One worker cannot benefit from the per-row scan layout; the serial
-    // slot-walk produces the identical bits at a fraction of the cost.
     if par.effective_threads() <= 1 {
-        return banded_aggregate_serial(band, x, dim, weights);
+        return banded_aggregate_serial(band, x, dim, weights, out);
     }
-    let plan = ChunkPlan::for_band_cached(band, par);
-    banded_aggregate_with_plan(band, x, dim, weights, &plan, par.effective_threads())
+    let plan = ChunkPlan::for_band(band, par);
+    banded_aggregate_with_plan(band, x, dim, weights, &plan, out);
 }
 
-/// [`banded_aggregate`] over an explicit, caller-supplied [`ChunkPlan`].
+/// [`banded_aggregate`]'s row fold over an explicit, caller-supplied
+/// [`ChunkPlan`]: one job per chunk ([`join_workers`]), each writing its
+/// owned rows straight into its disjoint slice of `out`.
 ///
-/// This is the entry point the `race-check` harness drives with
-/// deliberately corrupt plans (overlapping or gappy ownership built via
-/// `ChunkPlan::from_raw_parts`) to prove the shadow writer map actually
-/// fires; [`banded_aggregate`] calls it with the validated plan the
-/// `Parallelism` config resolves to. Under `race-check`, every chunk's
-/// owned rows are claimed in a shared writer-id map *before* any work is
-/// scheduled (cross-chunk overlap and coverage gaps panic up front), and
-/// every read is bounds-checked against the chunk's ±ω window.
+/// The equivalence grid sweeps chunk geometries through this entry point and
+/// the `race-check` harness drives it with deliberately corrupt plans
+/// (`ChunkPlan::from_raw_parts`) to prove the shadow writer map fires;
+/// [`banded_aggregate`] calls it with the validated plan `par` resolves to.
+/// Under `race-check`, every chunk's owned rows are claimed in a shared
+/// writer-id map *before* any job is spawned (overlap and coverage gaps panic
+/// up front), and every read is checked against the chunk's ±ω window.
 ///
-/// Scheduling: the plan's chunks are grouped into at most `threads`
-/// contiguous *runs*, one worker per run, and each chunk writes its rows
-/// directly into the run's disjoint slice of the output. This keeps the
-/// plan's chunk granularity (and the read-window geometry the race checker
-/// verifies) while paying the spawn/timer overhead once per worker rather
-/// than once per chunk — the per-chunk partial buffers and the O(L·dim)
-/// concatenation copy of the previous reduction are gone entirely.
+/// # Panics
+///
+/// Panics if `x` or `out` is not `band.len() * dim` long, or the plan's
+/// chunks do not partition the path in order.
 pub fn banded_aggregate_with_plan(
     band: &BandMask,
     x: &[f32],
     dim: usize,
     weights: &[f32],
     plan: &ChunkPlan,
-    threads: usize,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
+    assert_path_rows(band, dim, "x", x);
+    assert_path_rows(band, dim, "out", out);
+    if x.is_empty() {
+        return;
+    }
     #[cfg(feature = "race-check")]
     {
         let writers = race::WriterMap::new("output row", plan.len());
@@ -794,152 +771,183 @@ pub fn banded_aggregate_with_plan(
         }
         writers.assert_complete();
     }
-    let chunks = plan.chunks();
-    let mut out = vec![0.0f32; x.len()];
-    let workers = threads.max(1).min(chunks.len());
-    let runs: Vec<(usize, usize)> = (0..workers)
-        .map(|w| (w * chunks.len() / workers, (w + 1) * chunks.len() / workers))
-        .filter(|(a, b)| a < b)
-        .collect();
-    let mut jobs = Vec::with_capacity(runs.len());
-    let mut rest = out.as_mut_slice();
+    let mut jobs = Vec::with_capacity(plan.chunks().len());
+    let mut rest = out;
     let mut cursor = 0usize;
-    for &(c0, c1) in &runs {
-        let run = &chunks[c0..c1];
-        let start = run[0].start;
-        let end = run[run.len() - 1].end;
+    for chunk in plan.chunks() {
         assert!(
-            start == cursor,
-            "chunk runs must partition the path in order: run starts at \
-             {start}, expected {cursor}"
+            chunk.start == cursor && chunk.end >= cursor,
+            "chunks must partition the path in order: chunk [{}, {}) follows row {cursor}",
+            chunk.start,
+            chunk.end
         );
-        let (rows, tail) = rest.split_at_mut((end - start) * dim);
+        let (rows, tail) = rest.split_at_mut((chunk.end - cursor) * dim);
         rest = tail;
-        cursor = end;
+        cursor = chunk.end;
         jobs.push(move || {
-            let t = mega_obs::timer();
-            for chunk in run {
-                let lo = (chunk.start - start) * dim;
-                let hi = (chunk.end - start) * dim;
-                aggregate_chunk_into(band, chunk, x, dim, weights, &mut rows[lo..hi]);
-            }
-            t.observe("core.parallel.run_fwd_ns");
+            let (lo, hi) = (chunk.start, chunk.end);
+            banded_aggregate_segment(band, chunk, lo, hi, x, 0, dim, weights, rows, lo);
         });
     }
     join_workers(jobs);
-    out
 }
 
-/// Backward pass with respect to the per-edge weights (serial reference).
+/// The slot walk of the backward pass with respect to the per-edge weights,
+/// into the caller's per-edge buffer `out` — the reference and the
+/// one-worker kernel, like [`banded_aggregate_serial`].
 ///
-/// `dw[e] = ⟨d_out[lo], x[hi]⟩ + ⟨d_out[hi], x[lo]⟩` for the slot claimed by
-/// edge `e`.
+/// `out[e] = ⟨d_out[lo], x[hi]⟩ + ⟨d_out[hi], x[lo]⟩` for the slot claimed by
+/// edge `e`: assigned, not added to. Edges without a slot keep what `out`
+/// held, hence the zeroed `out`.
+///
+/// # Panics
+///
+/// Panics if `x` or `d_out` is not `band.len() * dim` long, or a slot's edge
+/// id is outside `out`.
 pub fn banded_weight_grad_serial(
     band: &BandMask,
     x: &[f32],
     d_out: &[f32],
     dim: usize,
-    edge_count: usize,
-) -> Vec<f32> {
-    let mut dw = vec![0.0f32; edge_count];
-    for s in band.active_slots() {
-        dw[s.edge] = slot_weight_grad(
-            dim,
-            row(x, s.lo, dim),
-            row(x, s.hi, dim),
-            row(d_out, s.lo, dim),
-            row(d_out, s.hi, dim),
-        );
+    out: &mut [f32],
+) {
+    assert_path_rows(band, dim, "x", x);
+    assert_path_rows(band, dim, "d_out", d_out);
+    let slots = band.active_slots();
+    for (s, v) in slots.iter().zip(slot_grads(slots, x, d_out, 0, dim)) {
+        out[s.edge] = v;
     }
-    dw
 }
 
-/// Parallel weight gradient: slots are partitioned by their owning chunk
-/// (the chunk whose owned rows contain `slot.lo`); each edge claims exactly
-/// one slot, so writes never collide and each `dw[e]` is computed by a single
-/// chunk exactly as the serial kernel would — bit-identical by construction.
+/// The active slots `chunk` owns — those whose `lo` row lies in its owned
+/// range — as an index range into `band.active_slots()`. The list is sorted
+/// ascending by `(lo, offset)`, so they are one contiguous run: two binary
+/// searches, and consecutive chunks own consecutive runs.
+pub fn owned_slots(band: &BandMask, chunk: &Chunk) -> Range<usize> {
+    let slots = band.active_slots();
+    slots.partition_point(|s| s.lo < chunk.start)..slots.partition_point(|s| s.lo < chunk.end)
+}
+
+/// Segment-local weight gradient: the value of every slot `chunk` owns
+/// ([`owned_slots`]), in slot order, into the equally long `out`. `x` and
+/// `d_out` are slabs whose row 0 is global path row `base`; both must span
+/// `chunk`'s ±ω read extent, since a slot reaches up to ω rows past the owned
+/// range. Each edge claims exactly one slot, so scattering the runs of
+/// different chunks by `slot.edge` reproduces [`banded_weight_grad_serial`].
+///
+/// # Panics
+///
+/// Panics if `out` is not as long as the run of owned slots.
+pub fn banded_weight_grad_segment(
+    band: &BandMask,
+    chunk: &Chunk,
+    x: &[f32],
+    d_out: &[f32],
+    base: usize,
+    dim: usize,
+    out: &mut [f32],
+) {
+    let slots = &band.active_slots()[owned_slots(band, chunk)];
+    assert_eq!(
+        out.len(),
+        slots.len(),
+        "out must hold one value per owned slot"
+    );
+    for s in slots {
+        check_read(chunk, s.lo);
+        check_read(chunk, s.hi);
+    }
+    for (o, v) in out.iter_mut().zip(slot_grads(slots, x, d_out, base, dim)) {
+        *o = v;
+    }
+}
+
+/// Weight gradient under a thread budget, into the caller's zeroed per-edge
+/// buffer `out` — bit-identical to [`banded_weight_grad_serial`] for every
+/// worker count, and selected between the walk and its chunked replay the
+/// way [`banded_aggregate`] is.
+///
+/// # Panics
+///
+/// Panics if `x` or `d_out` is not `band.len() * dim` long.
 pub fn banded_weight_grad(
     band: &BandMask,
     x: &[f32],
     d_out: &[f32],
     dim: usize,
-    edge_count: usize,
     par: &Parallelism,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     let _span = mega_obs::span("band_wgrad");
-    mega_obs::counter_add("core.band.wgrad_calls", 1);
     if par.effective_threads() <= 1 {
-        return banded_weight_grad_serial(band, x, d_out, dim, edge_count);
+        return banded_weight_grad_serial(band, x, d_out, dim, out);
     }
-    let plan = ChunkPlan::for_band_cached(band, par);
-    banded_weight_grad_with_plan(
-        band,
-        x,
-        d_out,
-        dim,
-        edge_count,
-        &plan,
-        par.effective_threads(),
-    )
+    let plan = ChunkPlan::for_band(band, par);
+    banded_weight_grad_with_plan(band, x, d_out, dim, &plan, out);
 }
 
 /// [`banded_weight_grad`] over an explicit, caller-supplied [`ChunkPlan`] —
 /// the race-checkable entry point, mirroring [`banded_aggregate_with_plan`].
 ///
-/// Under `race-check`, each chunk claims every edge slot it writes in a
-/// shared writer-id map (each edge claims exactly one band slot, so a
-/// second claim means two chunks both think they own the slot's `lo` row),
-/// and both slot endpoints are bounds-checked against the chunk's ±ω read
-/// window. No completeness assertion: edges without an active slot are
-/// legitimately never written.
-#[allow(clippy::too_many_arguments)]
+/// One job per chunk folds the chunk's owned slots
+/// ([`banded_weight_grad_segment`]) into its disjoint run of a slot-ordered
+/// scratch; the runs are scattered to `out[slot.edge]` once all jobs are
+/// done, so every `out[e]` is computed by a single chunk as the walk would.
+///
+/// Under `race-check`, each chunk claims every edge slot it owns in a shared
+/// writer-id map before any job is spawned (a second claim means two chunks
+/// both think they own the slot's `lo` row), and both slot endpoints are
+/// checked against the chunk's ±ω read window. No completeness assertion:
+/// edges without an active slot are legitimately never written.
+///
+/// # Panics
+///
+/// Panics if `x` or `d_out` is not `band.len() * dim` long, or the plan's
+/// chunks do not own the active slots in order.
 pub fn banded_weight_grad_with_plan(
     band: &BandMask,
     x: &[f32],
     d_out: &[f32],
     dim: usize,
-    edge_count: usize,
     plan: &ChunkPlan,
-    threads: usize,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
+    assert_path_rows(band, dim, "x", x);
+    assert_path_rows(band, dim, "d_out", d_out);
+    if x.is_empty() {
+        return;
+    }
     #[cfg(feature = "race-check")]
-    let writers = race::WriterMap::new("edge slot", edge_count);
-    let slots = band.active_slots();
-    let partials = ordered_map(plan.chunks(), threads, |chunk_id, chunk| {
-        #[cfg(not(feature = "race-check"))]
-        let _ = chunk_id;
-        let t = mega_obs::timer();
-        // `active_slots` is sorted ascending by `(lo, offset)`, so the slots
-        // owned by this chunk (`start <= lo < end`) are one contiguous
-        // subrange — two binary searches instead of the full-list scan that
-        // made the kernel O(chunks × slots) and sank 4-thread scaling.
-        let begin = slots.partition_point(|s| s.lo < chunk.start);
-        let end = slots.partition_point(|s| s.lo < chunk.end);
-        let mut local: Vec<(usize, f32)> = Vec::with_capacity(end - begin);
-        for s in &slots[begin..end] {
-            check_read(chunk, s.lo);
-            check_read(chunk, s.hi);
-            #[cfg(feature = "race-check")]
-            writers.claim(s.edge, chunk_id as u32);
-            local.push((
-                s.edge,
-                slot_weight_grad(
-                    dim,
-                    row(x, s.lo, dim),
-                    row(x, s.hi, dim),
-                    row(d_out, s.lo, dim),
-                    row(d_out, s.hi, dim),
-                ),
-            ));
-        }
-        t.observe("core.parallel.chunk_wgrad_ns");
-        local
-    });
-    let mut dw = vec![0.0f32; edge_count];
-    for partial in partials {
-        for (e, v) in partial {
-            dw[e] = v;
+    {
+        let writers = race::WriterMap::new("edge slot", out.len());
+        for (chunk_id, chunk) in plan.chunks().iter().enumerate() {
+            for s in &band.active_slots()[owned_slots(band, chunk)] {
+                writers.claim(s.edge, chunk_id as u32);
+            }
         }
     }
-    dw
+    let slots = band.active_slots();
+    let mut by_slot = vec![0.0f32; slots.len()];
+    let mut jobs = Vec::with_capacity(plan.chunks().len());
+    let mut rest = by_slot.as_mut_slice();
+    let mut cursor = 0usize;
+    for chunk in plan.chunks() {
+        let owned = owned_slots(band, chunk);
+        assert!(
+            owned.start == cursor,
+            "chunks must own the active slots in order: chunk [{}, {}) owns slots from \
+             {}, expected {cursor}",
+            chunk.start,
+            chunk.end,
+            owned.start
+        );
+        let (vals, tail) = rest.split_at_mut(owned.len());
+        rest = tail;
+        cursor = owned.end;
+        jobs.push(move || banded_weight_grad_segment(band, chunk, x, d_out, 0, dim, vals));
+    }
+    join_workers(jobs);
+    for (s, &v) in slots.iter().zip(&by_slot) {
+        out[s.edge] = v;
+    }
 }

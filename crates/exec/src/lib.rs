@@ -216,8 +216,11 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         }
     }
 
-    /// Banded attention aggregation: `out = A·x` with `A` the symmetric
-    /// banded slot-weight matrix. `out` must be a zeroed `L × dim` buffer.
+    /// Banded attention aggregation `out += A·x`, with `A` the symmetric
+    /// banded slot-weight matrix, written in place into the caller's zeroed
+    /// `L × dim` buffer `out` — no scratch of that size exists on this path.
+    /// One resolved worker runs the slot walk, more run its row-fold replay;
+    /// the bits are the same for every `par`.
     fn banded_aggregate(
         &self,
         band: &BandMask,
@@ -227,12 +230,12 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         par: &Parallelism,
         out: &mut [f32],
     ) {
-        let v = kernels::banded_aggregate(band, x, dim, weights, par);
-        out.copy_from_slice(&v);
+        kernels::banded_aggregate(band, x, dim, weights, par, out);
     }
 
-    /// Banded attention per-edge weight gradient into a zeroed
-    /// `edge_count`-length buffer.
+    /// Banded attention per-edge weight gradient, assigned in place into the
+    /// caller's zeroed `edge_count`-long buffer `out`; same walk-or-replay
+    /// selection and the same bits for every `par`.
     #[allow(clippy::too_many_arguments)]
     fn banded_weight_grad(
         &self,
@@ -244,8 +247,8 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         par: &Parallelism,
         out: &mut [f32],
     ) {
-        let v = kernels::banded_weight_grad(band, x, d_out, dim, edge_count, par);
-        out.copy_from_slice(&v);
+        assert_eq!(out.len(), edge_count, "out must hold edge_count values");
+        kernels::banded_weight_grad(band, x, d_out, dim, par, out);
     }
 }
 

@@ -1,19 +1,19 @@
 //! The `race-check` harness: proves the shadow writer map actually fires.
 //!
 //! A race detector that has never been seen to detect anything proves
-//! nothing, so half of these tests drive the `_with_plan` kernel entry
-//! points with deliberately corrupt [`ChunkPlan`]s — overlapping owned
-//! ranges, coverage gaps, read windows narrower than ω — built through the
+//! nothing, so these tests drive the `_with_plan` kernel entry points with
+//! deliberately corrupt [`ChunkPlan`]s — overlapping owned ranges, coverage
+//! gaps, read windows narrower than ω — built through the
 //! validation-bypassing `ChunkPlan::from_raw_parts`, and assert the panic
-//! each corruption must produce. The other half re-runs the serial/parallel
-//! equivalence grid with checking enabled, proving the instrumented kernels
-//! still produce bit-identical results on valid plans.
+//! each corruption must produce. That the instrumented kernels still produce
+//! bit-identical results on valid plans is `tests/banded.rs`' grid, which
+//! CI's race-check leg runs with the feature on.
 //!
-//! Corrupt-plan runs use `threads = 1`: `ordered_map` then runs the chunk
-//! closures inline, so the panic payload (with its diagnostic message)
-//! reaches `catch_unwind` intact instead of being replaced by
-//! `std::thread::scope`'s generic "a scoped thread panicked". One test
-//! drives the threaded path too, asserting the panic still propagates.
+//! The ownership claims are made before any job is spawned, and
+//! `join_workers` runs the last chunk's job on the calling thread, so those
+//! panic payloads (with their diagnostic messages) reach `catch_unwind`
+//! intact instead of being replaced by `std::thread::scope`'s generic "a
+//! scoped thread panicked".
 
 #![cfg(feature = "race-check")]
 
@@ -22,10 +22,7 @@ use mega_core::config::{MegaConfig, WindowPolicy};
 use mega_core::parallel::{Chunk, ChunkPlan, Parallelism};
 use mega_core::traversal::traverse;
 use mega_exec::kernels::race::WriterMap;
-use mega_exec::kernels::{
-    banded_aggregate, banded_aggregate_serial, banded_aggregate_with_plan, banded_weight_grad,
-    banded_weight_grad_serial, banded_weight_grad_with_plan,
-};
+use mega_exec::kernels::{banded_aggregate_with_plan, banded_weight_grad_with_plan};
 use mega_graph::generate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,6 +67,12 @@ fn panic_message<R>(f: impl FnOnce() -> R) -> String {
         .unwrap_or_default()
 }
 
+/// The message `banded_aggregate_with_plan` panics with on `corrupt` (dim 4).
+fn aggregate_panic(band: &BandMask, x: &[f32], weights: &[f32], corrupt: &ChunkPlan) -> String {
+    let mut out = vec![0.0f32; x.len()];
+    panic_message(|| banded_aggregate_with_plan(band, x, 4, weights, corrupt, &mut out))
+}
+
 /// A chunk whose read extent is exactly the legal ω-window.
 fn chunk(start: usize, end: usize, window: usize, len: usize) -> Chunk {
     Chunk {
@@ -101,31 +104,6 @@ fn writer_map_completeness_detects_gaps() {
 }
 
 #[test]
-fn equivalence_grid_passes_under_race_check() {
-    let band = band_fixture(40, 3);
-    let dim = 5;
-    let x = random_rows(band.len(), dim, 7);
-    let edges = edge_count(&band);
-    let weights = random_weights(edges, 9);
-    let d_out = random_rows(band.len(), dim, 11);
-    let fwd = banded_aggregate_serial(&band, &x, dim, &weights);
-    let grad = banded_weight_grad_serial(&band, &x, &d_out, dim, edges);
-    for threads in [2usize, 4, 8] {
-        for chunk in [band.window(), 4 * band.window(), band.len().max(1)] {
-            let par = Parallelism::pinned(threads).with_chunk_size(chunk);
-            let got_fwd = banded_aggregate(&band, &x, dim, &weights, &par);
-            let got_grad = banded_weight_grad(&band, &x, &d_out, dim, edges, &par);
-            for (a, b) in fwd.iter().zip(&got_fwd) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads} chunk={chunk}");
-            }
-            for (a, b) in grad.iter().zip(&got_grad) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads} chunk={chunk}");
-            }
-        }
-    }
-}
-
-#[test]
 fn overlapping_ownership_panics_in_aggregate() {
     let band = band_fixture(40, 3);
     let (len, w) = (band.len(), band.window());
@@ -138,7 +116,7 @@ fn overlapping_ownership_panics_in_aggregate() {
         w,
         vec![chunk(0, half, w, len), chunk(half - w, len, w, len)],
     );
-    let msg = panic_message(|| banded_aggregate_with_plan(&band, &x, 4, &weights, &corrupt, 1));
+    let msg = aggregate_panic(&band, &x, &weights, &corrupt);
     assert!(msg.contains("race-check"), "got: {msg}");
     assert!(msg.contains("owned ranges overlap"), "got: {msg}");
 }
@@ -156,7 +134,7 @@ fn coverage_gap_panics_on_completeness() {
         w,
         vec![chunk(0, half, w, len), chunk(half + 1, len, w, len)],
     );
-    let msg = panic_message(|| banded_aggregate_with_plan(&band, &x, 4, &weights, &corrupt, 1));
+    let msg = aggregate_panic(&band, &x, &weights, &corrupt);
     assert!(msg.contains("never claimed"), "got: {msg}");
 }
 
@@ -187,7 +165,7 @@ fn narrow_read_window_panics_on_cross_boundary_read() {
             },
         ],
     );
-    let msg = panic_message(|| banded_aggregate_with_plan(&band, &x, 4, &weights, &corrupt, 1));
+    let msg = aggregate_panic(&band, &x, &weights, &corrupt);
     assert!(msg.contains("outside its"), "got: {msg}");
 }
 
@@ -203,10 +181,11 @@ fn overlap_panics_through_the_threaded_path_too() {
         w,
         vec![chunk(0, half, w, len), chunk(half - w, len, w, len)],
     );
-    // std::thread::scope swallows the payload, but the panic must still
-    // propagate out of the harness rather than corrupt results silently.
+    // Whatever thread would have raised it, the panic must propagate out of
+    // the harness rather than corrupt results silently.
+    let mut out = vec![0.0f32; x.len()];
     let result = catch_unwind(AssertUnwindSafe(|| {
-        banded_aggregate_with_plan(&band, &x, 4, &weights, &corrupt, 4)
+        banded_aggregate_with_plan(&band, &x, 4, &weights, &corrupt, &mut out)
     }));
     assert!(
         result.is_err(),
@@ -249,7 +228,7 @@ fn gemm_equivalence_passes_under_race_check() {
     // The happy path through the instrumented GEMM partitioner: valid
     // partitions from every backend stay bit-identical to serial with the
     // writer map armed — the checked row-ownership proof for the dense
-    // kernels, matching the banded grid above.
+    // kernels, matching the banded grid in `tests/banded.rs`.
     use mega_exec::{Backend, Epilogue, ReferenceBackend, SimdBackend};
     let (n, k, m) = (96usize, 48usize, 40usize);
     let a = random_rows(n, k, 55);
@@ -278,12 +257,12 @@ fn weight_grad_duplicate_slot_claims_panic() {
     let (len, w) = (band.len(), band.window());
     let x = random_rows(len, 4, 9);
     let d_out = random_rows(len, 4, 10);
-    let edges = edge_count(&band);
     // Two chunks that both own every row: every active slot is claimed
     // twice, by different writers.
     let corrupt = ChunkPlan::from_raw_parts(len, w, vec![chunk(0, len, w, len); 2]);
+    let mut dw = vec![0.0f32; edge_count(&band)];
     let msg =
-        panic_message(|| banded_weight_grad_with_plan(&band, &x, &d_out, 4, edges, &corrupt, 1));
+        panic_message(|| banded_weight_grad_with_plan(&band, &x, &d_out, 4, &corrupt, &mut dw));
     assert!(msg.contains("race-check"), "got: {msg}");
     assert!(msg.contains("edge slot"), "got: {msg}");
 }

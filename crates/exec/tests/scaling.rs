@@ -1,5 +1,5 @@
 //! Wall-clock equivalence-and-scaling gate for the intra-op threaded GEMM
-//! and the band engine (CI job `thread-scaling`).
+//! and the band engine (the scaling steps of CI job `equivalence`).
 //!
 //! Two halves, mirroring the two promises the threading work makes:
 //!
@@ -19,7 +19,7 @@
 //!
 //! The ratio legs are `#[ignore]`d: inside a plain `cargo test`, sibling
 //! test binaries and threads share the cores and the ratios measure them.
-//! The `thread-scaling` job runs them alone (`--include-ignored
+//! CI's `equivalence` job runs them alone (`--include-ignored
 //! --test-threads=1`); the bit-identity legs run everywhere.
 //!
 //! Timing uses the min over several repetitions: the minimum is the run
@@ -136,7 +136,7 @@ fn threaded_linear_relu_bit_identical_to_serial_epilogue() {
 }
 
 #[test]
-#[ignore = "wall-clock ratio; CI job thread-scaling runs it with --include-ignored --test-threads=1"]
+#[ignore = "wall-clock ratio; CI job equivalence runs it with --include-ignored --test-threads=1"]
 fn threaded_gemm_beats_serial_at_512() {
     let (n, k, m) = (512usize, 512usize, 512usize);
     let a = sample(n * k, 21);
@@ -184,7 +184,7 @@ fn threaded_gemm_beats_serial_at_512() {
 }
 
 #[test]
-#[ignore = "wall-clock ratio; CI job thread-scaling runs it with --include-ignored --test-threads=1"]
+#[ignore = "wall-clock ratio; CI job equivalence runs it with --include-ignored --test-threads=1"]
 fn band_engine_threads_4_not_slower_than_1() {
     // Large enough that per-call fixed costs (plan build, spawn) are small
     // against the kernel work — the regime the 1 → 4 thread regression
@@ -203,13 +203,17 @@ fn band_engine_threads_4_not_slower_than_1() {
     let weights = sample(edges, 32);
     let d_out = sample(band.len() * dim, 33);
 
+    let mut fwd = vec![0.0f32; x.len()];
+    let mut dw = vec![0.0f32; edges];
     let mut times = [0.0f64; 2];
     for (slot, threads) in [(0usize, 1usize), (1, 4)] {
         let par = Parallelism::with_threads(threads);
         times[slot] = time_min(3, || {
-            let fwd = kernels::banded_aggregate(&band, &x, dim, &weights, &par);
-            let dw = kernels::banded_weight_grad(&band, &x, &d_out, dim, edges, &par);
-            std::hint::black_box((fwd, dw));
+            fwd.fill(0.0);
+            dw.fill(0.0);
+            kernels::banded_aggregate(&band, &x, dim, &weights, &par, &mut fwd);
+            kernels::banded_weight_grad(&band, &x, &d_out, dim, &par, &mut dw);
+            std::hint::black_box((&fwd, &dw));
         });
     }
     let ratio = times[1] / times[0];
@@ -227,7 +231,7 @@ fn band_engine_threads_4_not_slower_than_1() {
 }
 
 #[test]
-#[ignore = "wall-clock ratio; CI job thread-scaling runs it with --include-ignored --test-threads=1"]
+#[ignore = "wall-clock ratio; CI job equivalence runs it with --include-ignored --test-threads=1"]
 fn oversubscription_is_clamped_not_paid_for() {
     // Requesting absurd thread counts must cost the same as requesting the
     // host's own width — the clamp, measured. (Pre-clamp, 16 workers on a
@@ -248,12 +252,16 @@ fn oversubscription_is_clamped_not_paid_for() {
     let sane = Parallelism::with_threads(host_threads());
     let absurd = Parallelism::with_threads(host_threads() * 16);
     assert_eq!(absurd.effective_threads(), host_threads());
-    let t_sane = time_min(3, || {
-        std::hint::black_box(kernels::banded_aggregate(&band, &x, dim, &weights, &sane));
-    });
-    let t_absurd = time_min(3, || {
-        std::hint::black_box(kernels::banded_aggregate(&band, &x, dim, &weights, &absurd));
-    });
+    let mut out = vec![0.0f32; x.len()];
+    let mut timed = |par: &Parallelism| {
+        time_min(3, || {
+            out.fill(0.0);
+            kernels::banded_aggregate(&band, &x, dim, &weights, par, &mut out);
+            std::hint::black_box(&out);
+        })
+    };
+    let t_sane = timed(&sane);
+    let t_absurd = timed(&absurd);
     let ratio = t_absurd / t_sane;
     assert!(
         ratio <= NOISE_TOLERANCE,

@@ -9,11 +9,12 @@
 //!    serial kernel for every thread count and chunk size, because chunks
 //!    own disjoint output rows and fold contributions in serial slot order.
 
-use mega::core::parallel::Parallelism;
+use mega::core::parallel::{ChunkPlan, Parallelism};
 use mega::core::{preprocess, traverse, traverse_parallel, MegaConfig};
 use mega::datasets::{zinc, DatasetSpec};
 use mega::exec::kernels::{
-    banded_aggregate, banded_aggregate_serial, banded_weight_grad, banded_weight_grad_serial,
+    banded_aggregate, banded_aggregate_serial, banded_aggregate_with_plan, banded_weight_grad,
+    banded_weight_grad_serial, banded_weight_grad_with_plan,
 };
 use mega::graph::generate;
 use mega::tensor::Tensor;
@@ -57,7 +58,8 @@ fn banded_aggregation_equals_dense_masked_attention() {
         let xt = Tensor::from_vec(len, DIM, x.clone());
         let reference = dense.matmul(&xt);
 
-        let banded = banded_aggregate_serial(band, &x, DIM, &weights);
+        let mut banded = vec![0.0f32; x.len()];
+        banded_aggregate_serial(band, &x, DIM, &weights, &mut banded);
         for (i, (a, b)) in banded.iter().zip(reference.as_slice()).enumerate() {
             assert!(
                 (a - b).abs() <= 1e-5 * b.abs().max(1.0),
@@ -70,8 +72,9 @@ fn banded_aggregation_equals_dense_masked_attention() {
 }
 
 /// The chunked parallel engine is bit-for-bit identical to the serial
-/// kernel across thread counts {1, 2, 4, 8} and chunk sizes {ω, 4ω, n} —
-/// forward aggregation and both backward passes.
+/// kernel across thread counts {1, 2, 4, 8} (the public entry points) and
+/// chunk sizes {ω, 4ω, n} (explicit plans) — forward aggregation and the
+/// weight gradient.
 #[test]
 fn parallel_chunked_bit_identical_to_serial() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -88,30 +91,32 @@ fn parallel_chunked_bit_identical_to_serial() {
         let d_out = random_vec(&mut rng, len * DIM);
         let weights = random_weights(&mut rng, edges);
 
-        let fwd_serial = banded_aggregate_serial(band, &x, DIM, &weights);
-        let dw_serial = banded_weight_grad_serial(band, &x, &d_out, DIM, edges);
-
-        for threads in [1usize, 2, 4, 8] {
-            for chunk in [omega, 4 * omega, len] {
-                let par = Parallelism::pinned(threads).with_chunk_size(chunk);
-                let fwd = banded_aggregate(band, &x, DIM, &weights, &par);
-                assert_eq!(fwd.len(), fwd_serial.len());
-                for (a, b) in fwd.iter().zip(&fwd_serial) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "forward, threads={threads} chunk={chunk}"
-                    );
-                }
-                let dw = banded_weight_grad(band, &x, &d_out, DIM, edges, &par);
-                for (a, b) in dw.iter().zip(&dw_serial) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "dw, threads={threads} chunk={chunk}"
-                    );
-                }
+        let zeroed = || (vec![0.0f32; x.len()], vec![0.0f32; edges]);
+        let (mut fwd_serial, mut dw_serial) = zeroed();
+        banded_aggregate_serial(band, &x, DIM, &weights, &mut fwd_serial);
+        banded_weight_grad_serial(band, &x, &d_out, DIM, &mut dw_serial);
+        let check = |what: String, fwd: &[f32], dw: &[f32]| {
+            assert_eq!(fwd.len(), fwd_serial.len());
+            for (a, b) in fwd.iter().zip(&fwd_serial) {
+                assert_eq!(a.to_bits(), b.to_bits(), "forward, {what}");
             }
+            for (a, b) in dw.iter().zip(&dw_serial) {
+                assert_eq!(a.to_bits(), b.to_bits(), "dw, {what}");
+            }
+        };
+        for threads in [1usize, 2, 4, 8] {
+            let par = Parallelism::pinned(threads);
+            let (mut fwd, mut dw) = zeroed();
+            banded_aggregate(band, &x, DIM, &weights, &par, &mut fwd);
+            banded_weight_grad(band, &x, &d_out, DIM, &par, &mut dw);
+            check(format!("threads={threads}"), &fwd, &dw);
+        }
+        for chunk in [omega, 4 * omega, len] {
+            let plan = ChunkPlan::build(len, omega, chunk);
+            let (mut fwd, mut dw) = zeroed();
+            banded_aggregate_with_plan(band, &x, DIM, &weights, &plan, &mut fwd);
+            banded_weight_grad_with_plan(band, &x, &d_out, DIM, &plan, &mut dw);
+            check(format!("chunk={chunk}"), &fwd, &dw);
         }
     }
 }

@@ -489,8 +489,10 @@ enum Pending {
     None,
     /// Saw `fn`, awaiting the name.
     FnName,
-    /// Consuming a signature until `{` (body) or `;` (declaration).
-    FnSig(Box<FnItem>),
+    /// Consuming a signature until `{` (body) or `;` (declaration); the
+    /// count is the open `[` depth, inside which `;` is an array length
+    /// (`[f32; 4]`), not the end of the item.
+    FnSig(Box<FnItem>, usize),
     /// Saw `mod`, awaiting the name.
     ModName,
     /// Saw `mod name`, awaiting `{` or `;`.
@@ -663,13 +665,13 @@ pub fn extract(file: &str, scope: &str, lines: &[Line], fns: &mut Vec<FnItem>) {
                             panics: Vec::new(),
                         };
                         ex.carry = Carry::default();
-                        ex.pending = Pending::FnSig(Box::new(item));
+                        ex.pending = Pending::FnSig(Box::new(item), 0);
                         t += 1;
                         continue;
                     }
                     // Not an item fn (fn-pointer type); fall through.
                 }
-                Pending::FnSig(mut item) => match tok {
+                Pending::FnSig(mut item, brackets) => match tok {
                     Tok::LBrace => {
                         item.has_body = true;
                         let idx = fns.len();
@@ -678,12 +680,17 @@ pub fn extract(file: &str, scope: &str, lines: &[Line], fns: &mut Vec<FnItem>) {
                         t += 1;
                         continue;
                     }
-                    Tok::Semi => {
+                    Tok::Semi if brackets == 0 => {
                         fns.push(*item);
                         t += 1;
                         continue;
                     }
                     other => {
+                        let brackets = match other {
+                            Tok::Other('[') => brackets + 1,
+                            Tok::Other(']') => brackets.saturating_sub(1),
+                            _ => brackets,
+                        };
                         if let Tok::Ident(w) = other {
                             if w == "unsafe" {
                                 item.has_unsafe = true;
@@ -694,7 +701,7 @@ pub fn extract(file: &str, scope: &str, lines: &[Line], fns: &mut Vec<FnItem>) {
                                 line_hash = true;
                             }
                         }
-                        ex.pending = Pending::FnSig(item);
+                        ex.pending = Pending::FnSig(item, brackets);
                         t += 1;
                         continue;
                     }
@@ -1110,7 +1117,8 @@ mod tests {
                  t.elapsed().as_nanos() as u32 + s\n\
              }\n\
              pub unsafe fn u() {}\n\
-             pub fn b() { let x: Option<u32> = None; x.unwrap(); }\n",
+             pub fn b() { let x: Option<u32> = None; x.unwrap(); }\n\
+             pub fn arr(rows: [&[f32]; 2]) -> [u8; 4] { unsafe { g() } }\n",
         )]);
         let f = by_name(&g, "f");
         assert_eq!(
@@ -1126,6 +1134,11 @@ mod tests {
         assert_eq!(f.panics[0].what, "assert!");
         assert!(by_name(&g, "u").has_unsafe);
         assert_eq!(by_name(&g, "b").panics[0].what, "unwrap");
+        let arr = by_name(&g, "arr");
+        assert!(
+            arr.has_body && arr.has_unsafe,
+            "`;` in an array type ends no signature"
+        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Dense-GEMM backend micro-benchmark and CI performance gate.
 //!
-//! Times both execution backends (reference loops, SIMD) across square
-//! sizes, single-threaded (the packing and vectorization wins are
-//! per-core, not parallelism), plus a lane-width sweep of the
-//! SIMD backend's portable fallback at the gate size. Results land in
+//! Times both execution backends (reference loops, SIMD at the widest tier
+//! the host has) across square sizes, single-threaded (the packing and
+//! vectorization wins are per-core, not parallelism), plus a sweep of every
+//! SIMD tier the host runs at the gate size. The table and the JSON name
+//! the native tier behind the `simd` rows. Results land in
 //! `bench_results/backend_matmul.json`.
 //!
 //! Gates (process exits non-zero on violation):
@@ -39,20 +40,28 @@ struct Row {
     gflops: f64,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct LaneRow {
+    tier: String,
     lanes: usize,
-    accelerated: bool,
     ms: f64,
     gflops: f64,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct Report {
     threads: usize,
     reps: usize,
+    /// The SIMD tier the `simd` rows ran on (`avx512`, `avx`, `portable`).
+    tier: String,
     rows: Vec<Row>,
     lane_sweep: Vec<LaneRow>,
+}
+
+/// The part of a committed report the regression gate reads.
+#[derive(Deserialize)]
+struct Baseline {
+    rows: Vec<Row>,
 }
 
 /// Best-of-`REPS` wall time. The minimum is the noise-robust statistic
@@ -154,9 +163,12 @@ fn main() -> ExitCode {
 
     let mut rng = StdRng::seed_from_u64(42);
     let simd = SimdBackend::new();
+    let tier = simd.tier();
     let backends: [(&str, &dyn Backend); 2] = [("reference", &ReferenceBackend), ("simd", &simd)];
 
-    let mut table = TableWriter::new(&["size", "reference(ms)", "simd(ms)", "reference/simd"]);
+    mega_obs::data!("simd tier: {tier} ({} lanes)", simd.lane_width());
+    let simd_header = format!("simd-{tier}(ms)");
+    let mut table = TableWriter::new(&["size", "reference(ms)", &simd_header, "reference/simd"]);
     let mut rows = Vec::new();
     for &n in &SIZES {
         let a = square(n, &mut rng);
@@ -181,44 +193,35 @@ fn main() -> ExitCode {
     }
     table.print();
 
-    // Lane-width sweep at the gate size: the portable scalar-lane fallback
-    // at each supported width, plus the auto-detected native path.
+    // Tier sweep at the gate size: every native tier the host has, then
+    // the portable scalar-lane fallback at each supported width.
     let n = GATE_SIZE;
     let a = square(n, &mut rng);
     let b = square(n, &mut rng);
-    let mut sweep_table = TableWriter::new(&["lanes", "path", "ms", "gflops"]);
+    let mut sweep_table = TableWriter::new(&["tier", "lanes", "ms", "gflops"]);
     let mut lane_sweep = Vec::new();
-    let sweep: Vec<SimdBackend> = [4usize, 8, 16]
-        .iter()
-        .map(|&w| SimdBackend::with_portable_lanes(w))
-        .chain(std::iter::once(SimdBackend::new()))
-        .collect();
-    for be in sweep {
+    for be in SimdBackend::all_on_host() {
         let ms = time_backend(&be, &a, &b, n);
         sweep_table.row(&[
+            be.tier().to_string(),
             fmt(be.lane_width() as f64, 0),
-            if be.is_accelerated() {
-                "native".to_string()
-            } else {
-                "portable".to_string()
-            },
             fmt(ms, 3),
             fmt(gflops(n, ms), 2),
         ]);
         lane_sweep.push(LaneRow {
+            tier: be.tier().to_string(),
             lanes: be.lane_width(),
-            accelerated: be.is_accelerated(),
             ms,
             gflops: gflops(n, ms),
         });
     }
-    mega_obs::data!("\nlane-width sweep at {n}x{n}:");
+    mega_obs::data!("\ntier sweep at {n}x{n}:");
     sweep_table.print();
 
     let reference = lookup(&rows, GATE_SIZE, "reference").expect("gate row present");
     let simd_ms = lookup(&rows, GATE_SIZE, "simd").expect("gate row present");
     mega_obs::data!(
-        "{GATE_SIZE}x{GATE_SIZE} gate: reference {:.3} ms, simd {:.3} ms",
+        "{GATE_SIZE}x{GATE_SIZE} gate: reference {:.3} ms, simd ({tier}) {:.3} ms",
         reference,
         simd_ms
     );
@@ -232,7 +235,7 @@ fn main() -> ExitCode {
     if let Some(path) = baseline_path {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("baseline {path} unreadable: {e}"));
-        let base: Report = serde_json::from_str(&text)
+        let base: Baseline = serde_json::from_str(&text)
             .unwrap_or_else(|e| panic!("baseline {path} unparsable: {e}"));
         let regs = regressions(&rows, &base.rows, tolerance);
         if regs.is_empty() {
@@ -254,6 +257,7 @@ fn main() -> ExitCode {
         &Report {
             threads: 1,
             reps: REPS,
+            tier: tier.to_string(),
             rows,
             lane_sweep,
         },

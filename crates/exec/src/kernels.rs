@@ -143,8 +143,9 @@ fn check_read(chunk: &Chunk, row: usize) {
 fn check_read(_chunk: &Chunk, _row: usize) {}
 
 /// One output row of a matrix product: `out_row += a_row · b`, folding the
-/// `k` contributions in ascending order. Rows that came out of embedding
-/// lookups are mostly zero, hence the skip.
+/// `k` contributions in ascending order and skipping `a == 0.0` terms. The
+/// skip stays because this loop defines the bits every backend matches
+/// (`Backend::gemm` says when a backend may add those terms instead).
 #[inline]
 pub fn matmul_row(a_row: &[f32], b: &[f32], m: usize, out_row: &mut [f32]) {
     for (kk, &a) in a_row.iter().enumerate() {

@@ -13,11 +13,12 @@
 //! * [`ReferenceBackend`] — the default-method loops of [`kernels`], the
 //!   exact arithmetic the workspace has always used, and the oracle every
 //!   other backend is compared against.
-//! * [`SimdBackend`] — explicit-width vector lanes (AVX intrinsics with a
-//!   portable scalar-lane fallback) over a packed `k × NR` strip layout,
-//!   for the GEMM micro-kernel, the elementwise family, and the fused
-//!   bias-ReLU epilogue. Bit-identical to the reference: lanes vectorize
-//!   across output elements, never across a single element's `k` fold.
+//! * [`SimdBackend`] — explicit-width vector lanes over a packed `k × NR`
+//!   strip layout: register-blocked GEMM tiles (AVX-512, AVX, or portable
+//!   scalar lanes, chosen by CPU feature detection), the elementwise
+//!   family, and the fused bias-ReLU epilogue. Bit-identical to the
+//!   reference: lanes vectorize across output elements, never across a
+//!   single element's `k` fold.
 //!
 //! [`ProfiledBackend`] decorates either with roofline attribution.
 //!
@@ -96,6 +97,14 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Dense GEMM `out += a · b` (`n × k` times `k × m`) followed by
     /// `epilogue`, parallelized under `par` with bit-identical results for
     /// every thread count.
+    ///
+    /// `out` must start zeroed, every element `+0.0`. Each output element is
+    /// the fold `acc + a[i][k]·b[k][j]` in ascending `k`, and the reference
+    /// skips the terms with `a[i][k] == 0.0`. An implementation may add
+    /// those terms instead, because from a `+0.0` start `acc` never becomes
+    /// `-0.0` under round-to-nearest, and with a finite `b` every skipped
+    /// term is `±0`, which leaves any other `acc` unchanged. A `b` with a
+    /// non-finite value must keep the skip (`0 · inf` is NaN).
     ///
     /// A fused epilogue is the same arithmetic as the product → add bias
     /// row → activation chain (each element rounded at every step, nothing

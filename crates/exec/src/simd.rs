@@ -1,27 +1,38 @@
 //! Explicit-width SIMD kernels over a packed strip layout.
 //!
-//! [`SimdBackend`] is the workspace's vectorized hot path: the GEMM
-//! micro-kernel, the elementwise family (`add`/`sub`/`mul`/`scale`,
-//! `scale_rows`, `add_bias_rows`), the clamp-family activations, and the
-//! fused bias-ReLU GEMM epilogue all run on explicit-width lane structs —
-//! AVX `__m256` intrinsics where the CPU has them, a portable
-//! const-generic scalar-lane fallback everywhere else. No new
-//! dependencies: the AVX path is `std::arch` behind a runtime
-//! `is_x86_feature_detected!` check, and every other architecture takes
-//! the portable path.
+//! [`SimdBackend`] is the workspace's vectorized hot path: the GEMM tiles,
+//! the elementwise family (`add`/`sub`/`mul`/`scale`, `scale_rows`,
+//! `add_bias_rows`), the clamp-family activations, and the fused bias-ReLU
+//! GEMM epilogue all run on explicit-width lanes. No new dependencies: the
+//! native tiers are `std::arch` intrinsics behind runtime
+//! `is_x86_feature_detected!` checks, and every other architecture takes
+//! the portable path. Three GEMM tiers, one tile driver ([`gemm_rows`]):
 //!
-//! **Bit-identity** with [`ReferenceBackend`](crate::ReferenceBackend) is
-//! preserved by construction:
+//! | tier | tile (`MR` rows × `NR` = 32 columns) | accumulators |
+//! |---|---|---|
+//! | AVX-512 (`avx512f`) | 6 × 32 | twelve `__m512` |
+//! | AVX (`avx`) | 3 × 32 | twelve `__m256` |
+//! | portable, `W ∈ {4, 8, 16}` lanes | 4 × 32, one `W`-wide chunk at a time | four `[f32; W]` arrays |
 //!
-//! * The GEMM micro-kernel vectorizes over the `NR` *column* dimension of
-//!   the packed `k × NR` strips ([`pack_strips`]), so every SIMD lane owns
-//!   one output element and folds its `k` products
-//!   in the same ascending-`k` scalar order as the reference loop. Lane-wise
-//!   `mul` + `add` only — no FMA (Rust never contracts `a*b + c`), no
-//!   horizontal reductions (a horizontal sum would reassociate the fold and
-//!   change the bits).
-//! * The reference kernel's `a == 0.0` zero-skip is a *scalar* test on the
-//!   broadcast multiplier, so it fires identically for all lanes.
+//! A native tile keeps its `MR × NR` block of `out` in registers for the
+//! whole depth loop: per `k` step it loads one row of the packed strip once
+//! and reuses it for `MR` broadcast multipliers, so twelve independent add
+//! chains hide the add latency. The elementwise family runs on the AVX
+//! kernels for both native tiers.
+//!
+//! **Bit-identity** with [`ReferenceBackend`] holds by construction:
+//!
+//! * Every lane owns one output element and folds `acc + a·b` in
+//!   ascending `k`, one `mul` then one `add` per step — no FMA (Rust never
+//!   contracts `a*b + c`), no horizontal reductions (a horizontal sum would
+//!   reassociate the fold and change the bits).
+//! * The reference skips `a == 0.0` terms; the tiles add them, with no
+//!   branch. The extra terms are invisible: (i) `out` starts zeroed (the
+//!   [`Backend::gemm`] contract, a `debug_assert!` here), so `acc` starts
+//!   at `+0.0` and round-to-nearest never makes it `-0.0`; (ii) when every
+//!   `b` is finite, `0·b = ±0` and `x + ±0 = x` for every `x ≠ -0.0`,
+//!   including ±inf and quiet NaN. [`pack_strips`] checks (ii) while it
+//!   copies `b`; a product with a non-finite `b` runs the reference loops.
 //! * Elementwise lanes are independent by definition; `vmaxps(x, 0)` and
 //!   scalar `f32::max(x, 0.0)` agree on every input including `-0.0` and
 //!   NaN (both return the second operand for NaN inputs).
@@ -29,55 +40,66 @@
 //!   libm loops — a vectorized `exp` approximation could not be
 //!   bit-identical — so [`SimdBackend`] simply delegates those.
 //!
-//! The portable fallback mirrors the AVX loop structure with `[f32; W]`
-//! lane structs (`W ∈ {4, 8, 16}`): same strip walk, same per-lane
-//! arithmetic, so its bits match both the AVX path and the reference.
-//! `backend_matmul --lanes` sweeps the widths.
+//! [`SimdBackend::all_on_host`] lists every tier the host can run, so tests
+//! hold each of them to the reference; `backend_matmul` times them.
 
 use crate::kernels;
 use crate::partition;
-use crate::{Backend, Epilogue, Unary};
+use crate::{Backend, Epilogue, ReferenceBackend, Unary};
 use mega_core::parallel::Parallelism;
 
-/// Output rows per tile: one tile of rows shares each cache-resident strip
-/// of packed `b`.
-const MC: usize = 32;
-/// Output columns held in registers at once (8 SSE / 4 AVX vectors).
+/// Output rows per block: one block of rows shares each cache-resident
+/// strip of packed `b`. A multiple of every tile height (6, 3, 4), so worker
+/// ranges — cut at `MC` boundaries — split into whole tiles and only the
+/// last tile of the last range can be short.
+const MC: usize = 48;
+/// Output columns per packed strip, and the width of every tile.
 const NR: usize = 32;
 
 /// Packs `b` (`k × m`, row-major) into contiguous `k × NR` column strips,
-/// zero-padded to `NR` wide — the layout the micro-kernels stream through.
+/// zero-padded to `NR` wide — the layout the tiles stream through.
 /// Contiguous strips kill the power-of-two row stride that thrashes L1
 /// sets, and each cache-resident strip is reused across `MC` output rows.
 /// The copy is O(k·m) against O(n·k·m) multiply-adds that reuse it.
-fn pack_strips(b: &[f32], k: usize, m: usize) -> Vec<f32> {
+///
+/// Returns `None` when `b` holds a non-finite value: the tiles' skipped
+/// zero terms are invisible only when every `b` is finite (module docs).
+fn pack_strips(b: &[f32], k: usize, m: usize) -> Option<Vec<f32>> {
     let strips = m.div_ceil(NR);
     let mut packed = vec![0.0f32; strips * k * NR];
+    let mut finite = true;
     for s in 0..strips {
         let jt = s * NR;
         let w = NR.min(m - jt);
         let slab = &mut packed[s * k * NR..(s + 1) * k * NR];
         for kk in 0..k {
-            slab[kk * NR..kk * NR + w].copy_from_slice(&b[kk * m + jt..kk * m + jt + w]);
+            let src = &b[kk * m + jt..kk * m + jt + w];
+            finite = src.iter().fold(finite, |f, v| f & v.is_finite());
+            slab[kk * NR..kk * NR + w].copy_from_slice(src);
         }
     }
-    packed
+    finite.then_some(packed)
 }
 
-/// Which lane implementation a [`SimdBackend`] instance dispatches to.
+/// Which tier a [`SimdBackend`] instance dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// 8-lane `__m256` intrinsics (x86-64 with AVX, detected at runtime).
+    /// 6 × 32 `__m512` GEMM tiles (x86-64 with AVX-512F and AVX, detected
+    /// at runtime); the AVX elementwise kernels.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// 3 × 32 `__m256` GEMM tiles and elementwise kernels (x86-64 with AVX,
+    /// detected at runtime).
     #[cfg(target_arch = "x86_64")]
     Avx,
-    /// Portable `[f32; W]` scalar lanes; `W` must divide [`NR`].
+    /// Portable `[f32; W]` lanes; `W` must divide [`NR`].
     Portable(usize),
 }
 
-/// Explicit-width vector backend: AVX lanes when the host has them, the
-/// portable scalar-lane structs otherwise. Bit-identical to
-/// [`ReferenceBackend`](crate::ReferenceBackend) for every kernel (see the
-/// module docs for why), faster wherever lanes beat scalars.
+/// Explicit-width vector backend: the widest native tier the host has, the
+/// portable lanes otherwise. Bit-identical to [`ReferenceBackend`] for
+/// every kernel (see the module docs for why), faster wherever lanes beat
+/// scalars.
 #[derive(Debug, Clone, Copy)]
 pub struct SimdBackend {
     mode: Mode,
@@ -90,20 +112,44 @@ impl Default for SimdBackend {
 }
 
 impl SimdBackend {
-    /// Auto-detects the widest supported lane implementation.
+    /// Auto-detects the widest tier the CPU supports (8 portable lanes
+    /// without AVX). Feature detection only: nothing is timed or allocated.
     pub fn new() -> Self {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx") {
-            return SimdBackend { mode: Mode::Avx };
+            let mode = if std::arch::is_x86_feature_detected!("avx512f") {
+                Mode::Avx512
+            } else {
+                Mode::Avx
+            };
+            return SimdBackend { mode };
         }
         SimdBackend {
             mode: Mode::Portable(8),
         }
     }
 
-    /// Forces the portable scalar-lane path at `width` lanes — the
-    /// lane-width sweep in `backend_matmul` uses this to measure how the
-    /// kernels scale with vector width. `width` must be 4, 8, or 16.
+    /// Every tier this host can run, widest first: the native tiers the
+    /// CPU has (AVX-512 and AVX on an AVX-512 machine), then the portable
+    /// lanes at widths 4, 8 and 16. Tests hold each to the reference.
+    pub fn all_on_host() -> Vec<SimdBackend> {
+        let native: &[Mode] = match SimdBackend::new().mode {
+            #[cfg(target_arch = "x86_64")]
+            Mode::Avx512 => &[Mode::Avx512, Mode::Avx],
+            #[cfg(target_arch = "x86_64")]
+            Mode::Avx => &[Mode::Avx],
+            Mode::Portable(_) => &[],
+        };
+        native
+            .iter()
+            .map(|&mode| SimdBackend { mode })
+            .chain([4, 8, 16].map(SimdBackend::with_portable_lanes))
+            .collect()
+    }
+
+    /// Forces the portable scalar-lane path at `width` lanes, to test and
+    /// time it on hosts that have a native tier. `width` must be 4, 8, or
+    /// 16.
     pub fn with_portable_lanes(width: usize) -> Self {
         assert!(
             matches!(width, 4 | 8 | 16),
@@ -114,25 +160,91 @@ impl SimdBackend {
         }
     }
 
-    /// The number of f32 lanes the active mode processes per vector op.
+    /// The tier's name: `avx512`, `avx` or `portable`.
+    pub fn tier(&self) -> &'static str {
+        match self.mode {
+            #[cfg(target_arch = "x86_64")]
+            Mode::Avx512 => "avx512",
+            #[cfg(target_arch = "x86_64")]
+            Mode::Avx => "avx",
+            Mode::Portable(_) => "portable",
+        }
+    }
+
+    /// The number of f32 lanes the tier's GEMM tile processes per vector op.
     pub fn lane_width(&self) -> usize {
         match self.mode {
+            #[cfg(target_arch = "x86_64")]
+            Mode::Avx512 => 16,
             #[cfg(target_arch = "x86_64")]
             Mode::Avx => 8,
             Mode::Portable(w) => w,
         }
     }
+}
 
-    /// Whether the hardware-intrinsic path (rather than the portable
-    /// scalar-lane fallback) is active.
-    pub fn is_accelerated(&self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.mode == Mode::Avx
+// ---------------------------------------------------------------------------
+// The tile driver
+// ---------------------------------------------------------------------------
+
+/// The one GEMM driver every tier runs: rows `[lo, hi)` of `out += a · b`
+/// (`part` holds exactly those rows) in `MC`-row blocks. Each block walks
+/// the packed strips and covers its rows with `MR`-row calls of `tile`,
+/// which folds the full depth of one `MR × NR` block of `out` in registers;
+/// the fused `bias_relu_row` epilogue then sweeps the block while it is
+/// still in cache.
+///
+/// `tile(a_rows, strip, c, ldc)` reads row `r` of `a` from `a_rows[r]`,
+/// the `k × NR` strip from `strip`, and row `r` of its output block from
+/// `c[r·ldc..r·ldc + NR]`. Full tiles write `out` in place. A short tile
+/// (the last rows of a range, or the last strip when `NR ∤ m`) runs on a
+/// copy: its missing rows repeat the last real row of `a`, and only the
+/// real rows and columns are copied back.
+#[allow(clippy::too_many_arguments)]
+fn gemm_rows<const MR: usize>(
+    a: &[f32],
+    packed: &[f32],
+    k: usize,
+    m: usize,
+    lo: usize,
+    hi: usize,
+    bias_relu: Option<&[f32]>,
+    part: &mut [f32],
+    tile: impl Fn([&[f32]; MR], &[f32], &mut [f32], usize),
+    bias_relu_row: impl Fn(&mut [f32], &[f32]),
+) {
+    let strips = m.div_ceil(NR);
+    for ib in (lo..hi).step_by(MC) {
+        let i_end = (ib + MC).min(hi);
+        for s in 0..strips {
+            let jt = s * NR;
+            let w = NR.min(m - jt);
+            let strip = &packed[s * k * NR..(s + 1) * k * NR];
+            for ir in (ib..i_end).step_by(MR) {
+                let rows = MR.min(i_end - ir);
+                let a_rows = std::array::from_fn(|r| {
+                    let i = ir + r.min(rows - 1);
+                    &a[i * k..(i + 1) * k]
+                });
+                let c0 = (ir - lo) * m + jt;
+                if rows == MR && w == NR {
+                    tile(a_rows, strip, &mut part[c0..], m);
+                    continue;
+                }
+                let mut c = [[0.0f32; NR]; MR];
+                for (r, c_row) in c.iter_mut().take(rows).enumerate() {
+                    c_row[..w].copy_from_slice(&part[c0 + r * m..c0 + r * m + w]);
+                }
+                tile(a_rows, strip, c.as_flattened_mut(), NR);
+                for (r, c_row) in c.iter().take(rows).enumerate() {
+                    part[c0 + r * m..c0 + r * m + w].copy_from_slice(&c_row[..w]);
+                }
+            }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
+        if let Some(bias) = bias_relu {
+            for i in ib..i_end {
+                bias_relu_row(&mut part[(i - lo) * m..(i - lo + 1) * m], bias);
+            }
         }
     }
 }
@@ -141,18 +253,18 @@ impl SimdBackend {
 // Portable lane structs
 // ---------------------------------------------------------------------------
 
-/// Portable `W`-lane vector: scalar per-lane ops with the exact semantics of
-/// the AVX path (and of the reference loops — each lane is one independent
-/// scalar chain). The fixed-width arrays give LLVM the same unrolled shape
-/// the intrinsics spell out explicitly.
+/// Portable `W`-lane vectors: scalar per-lane ops with the exact semantics
+/// of the native tiers (and of the reference loops — each lane is one
+/// independent scalar chain). The fixed-width arrays give LLVM the same
+/// unrolled shape the intrinsics spell out explicitly.
 mod wide {
-    use super::{MC, NR};
+    use super::NR;
 
-    /// GEMM over rows `[lo, hi)` with `W`-lane accumulators: the
-    /// caller-packed strip (shared read-only across workers, packed once
-    /// per GEMM) is walked one `W`-wide column chunk at a time, each chunk
-    /// folding its `k` products in ascending order — per output element
-    /// this is exactly the reference fold.
+    /// Tile height of the portable tier: 4 rows × `W` lanes of
+    /// accumulators stay within sixteen 128-bit registers at `W = 16`.
+    pub const MR: usize = 4;
+
+    /// [`super::gemm_rows`] with the `W`-lane tile and epilogue.
     #[allow(clippy::too_many_arguments)]
     pub fn gemm_rows<const W: usize>(
         a: &[f32],
@@ -162,55 +274,34 @@ mod wide {
         lo: usize,
         hi: usize,
         bias_relu: Option<&[f32]>,
-        out: &mut [f32],
+        part: &mut [f32],
     ) {
-        let strips = m.div_ceil(NR);
-        let mut ib = lo;
-        while ib < hi {
-            let i_end = (ib + MC).min(hi);
-            for s in 0..strips {
-                let jt = s * NR;
-                let w = NR.min(m - jt);
-                let strip = &packed[s * k * NR..(s + 1) * k * NR];
-                for i in ib..i_end {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut out[(i - lo) * m..(i - lo + 1) * m];
-                    let mut acc = [0.0f32; NR];
-                    acc[..w].copy_from_slice(&out_row[jt..jt + w]);
-                    micro_tile::<W>(a_row, strip, &mut acc);
-                    out_row[jt..jt + w].copy_from_slice(&acc[..w]);
-                }
-            }
-            if let Some(bias) = bias_relu {
-                for i in ib..i_end {
-                    let out_row = &mut out[(i - lo) * m..(i - lo + 1) * m];
-                    bias_relu_row::<W>(out_row, bias);
-                }
-            }
-            ib = i_end;
-        }
+        let (tile, relu) = (tile::<W>, bias_relu_row::<W>);
+        super::gemm_rows(a, packed, k, m, lo, hi, bias_relu, part, tile, relu);
     }
 
-    /// The `W`-lane micro-kernel: each `W`-wide chunk of the `NR`
-    /// accumulator folds ascending `k`, with the scalar zero-skip on the
-    /// broadcast multiplier.
-    #[inline]
-    fn micro_tile<const W: usize>(a_row: &[f32], strip: &[f32], acc: &mut [f32; NR]) {
-        let chunks = NR / W;
-        for c in 0..chunks {
-            let base = c * W;
-            let mut v = [0.0f32; W];
-            v.copy_from_slice(&acc[base..base + W]);
-            for (kk, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
+    /// The portable tile: each `W`-wide column chunk of the `MR × NR`
+    /// block folds the full depth in `MR` accumulator arrays, every lane
+    /// `acc + a·b` in ascending `k`, no zero test.
+    pub fn tile<const W: usize>(a: [&[f32]; MR], strip: &[f32], c: &mut [f32], ldc: usize) {
+        let k = strip.len() / NR;
+        for base in (0..NR).step_by(W) {
+            let mut acc = [[0.0f32; W]; MR];
+            for (r, v) in acc.iter_mut().enumerate() {
+                v.copy_from_slice(&c[r * ldc + base..r * ldc + base + W]);
+            }
+            for kk in 0..k {
                 let b = &strip[kk * NR + base..kk * NR + base + W];
-                for l in 0..W {
-                    v[l] += av * b[l];
+                for (v, a_row) in acc.iter_mut().zip(&a) {
+                    let av = a_row[kk];
+                    for l in 0..W {
+                        v[l] += av * b[l];
+                    }
                 }
             }
-            acc[base..base + W].copy_from_slice(&v);
+            for (r, v) in acc.iter().enumerate() {
+                c[r * ldc + base..r * ldc + base + W].copy_from_slice(v);
+            }
         }
     }
 
@@ -264,6 +355,63 @@ mod wide {
 }
 
 // ---------------------------------------------------------------------------
+// AVX-512 tile (x86-64, runtime-detected)
+// ---------------------------------------------------------------------------
+
+/// The 6 × 32 `__m512` GEMM tile. Its one function carries
+/// `#[target_feature(enable = "avx512f")]`; [`SimdBackend`] only reaches
+/// it after `is_x86_feature_detected!("avx512f")` succeeded, which makes
+/// the `unsafe` call site in the dispatcher sound.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::NR;
+    use std::arch::x86_64::*;
+
+    /// Tile height: six rows × two `__m512` = twelve accumulators.
+    pub const MR: usize = 6;
+
+    /// Folds the full depth of one `MR × NR` block of `out`: per `k` step
+    /// two 16-lane strip loads, six broadcasts, twelve `vmulps` + `vaddps`
+    /// (never `vfmadd`: FMA's single rounding would change the bits).
+    #[target_feature(enable = "avx512f")]
+    pub fn tile(a: [&[f32]; MR], strip: &[f32], c: &mut [f32], ldc: usize) {
+        let k = strip.len() / NR;
+        let a = a.map(|row| &row[..k]);
+        let c = &mut c[..(MR - 1) * ldc + NR];
+        // SAFETY: the slicing above (which panics rather than truncates)
+        // leaves every row of `a` exactly `k` floats and `c` holding `NR`
+        // floats at `r·ldc` for every `r < MR`; `strip` holds at least
+        // `k · NR`. So for `kk < k` the broadcast of `a[r][kk]` and the
+        // 16-lane loads at `kk·NR` and `kk·NR + 16` are in bounds, as are
+        // the loads and stores of `c`. AVX-512F itself is guaranteed by this
+        // module's `#[target_feature]` + runtime-detection contract.
+        unsafe {
+            let cp = c.as_mut_ptr();
+            let ap = a.map(<[f32]>::as_ptr);
+            let mut acc = [_mm512_setzero_ps(); 2 * MR];
+            for r in 0..MR {
+                acc[2 * r] = _mm512_loadu_ps(cp.add(r * ldc));
+                acc[2 * r + 1] = _mm512_loadu_ps(cp.add(r * ldc + 16));
+            }
+            let sp = strip.as_ptr();
+            for kk in 0..k {
+                let b0 = _mm512_loadu_ps(sp.add(kk * NR));
+                let b1 = _mm512_loadu_ps(sp.add(kk * NR + 16));
+                for r in 0..MR {
+                    let av = _mm512_set1_ps(*ap[r].add(kk));
+                    acc[2 * r] = _mm512_add_ps(acc[2 * r], _mm512_mul_ps(av, b0));
+                    acc[2 * r + 1] = _mm512_add_ps(acc[2 * r + 1], _mm512_mul_ps(av, b1));
+                }
+            }
+            for r in 0..MR {
+                _mm512_storeu_ps(cp.add(r * ldc), acc[2 * r]);
+                _mm512_storeu_ps(cp.add(r * ldc + 16), acc[2 * r + 1]);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // AVX lane structs (x86-64, runtime-detected)
 // ---------------------------------------------------------------------------
 
@@ -273,83 +421,57 @@ mod wide {
 /// the `unsafe` call sites in the dispatcher sound.
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{MC, NR};
+    use super::NR;
     use std::arch::x86_64::*;
 
-    /// GEMM over rows `[lo, hi)`: caller-packed strips (packed once per
-    /// GEMM, shared read-only across workers), `MC`-row tiles, four
-    /// `__m256` accumulators spanning the `NR`-column tile. Per lane this
-    /// is `acc += av * b` in ascending `k` — `vmulps` + `vaddps`, never
-    /// `vfmadd` (FMA's single rounding would change the bits).
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx")]
-    pub fn gemm_rows(
-        a: &[f32],
-        packed: &[f32],
-        k: usize,
-        m: usize,
-        lo: usize,
-        hi: usize,
-        bias_relu: Option<&[f32]>,
-        out: &mut [f32],
-    ) {
-        let strips = m.div_ceil(NR);
-        let mut ib = lo;
-        while ib < hi {
-            let i_end = (ib + MC).min(hi);
-            for s in 0..strips {
-                let jt = s * NR;
-                let w = NR.min(m - jt);
-                let strip = &packed[s * k * NR..(s + 1) * k * NR];
-                for i in ib..i_end {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut out[(i - lo) * m..(i - lo + 1) * m];
-                    let mut acc = [0.0f32; NR];
-                    acc[..w].copy_from_slice(&out_row[jt..jt + w]);
-                    micro_tile(a_row, strip, &mut acc);
-                    out_row[jt..jt + w].copy_from_slice(&acc[..w]);
-                }
-            }
-            if let Some(bias) = bias_relu {
-                for i in ib..i_end {
-                    bias_relu_row(&mut out[(i - lo) * m..(i - lo + 1) * m], bias);
-                }
-            }
-            ib = i_end;
-        }
-    }
+    /// Tile height: three rows × four `__m256` = twelve accumulators.
+    pub const MR: usize = 3;
 
-    /// The AVX micro-kernel: the whole `NR = 32` accumulator tile lives in
-    /// four `__m256` registers across the depth loop; the packed strip row
-    /// is one contiguous 128-byte load sequence per `k` step.
+    /// Folds the full depth of one `MR × NR` block of `out`: per `k` step
+    /// four 8-lane strip loads, three broadcasts, twelve `vmulps` +
+    /// `vaddps` (never `vfmadd`: FMA's single rounding would change the
+    /// bits).
     #[target_feature(enable = "avx")]
-    fn micro_tile(a_row: &[f32], strip: &[f32], acc: &mut [f32; NR]) {
-        // SAFETY: `acc` is exactly NR = 32 floats, so the four 8-lane
-        // loads/stores at offsets 0/8/16/24 stay in bounds; `strip` is a
-        // packed k×NR buffer, so `kk * NR + 24 + 8 <= strip.len()` for every
-        // `kk < k` iterated here. AVX itself is guaranteed by this module's
-        // `#[target_feature]` + runtime-detection contract.
+    pub fn tile(a: [&[f32]; MR], strip: &[f32], c: &mut [f32], ldc: usize) {
+        let k = strip.len() / NR;
+        let a = a.map(|row| &row[..k]);
+        let c = &mut c[..(MR - 1) * ldc + NR];
+        // SAFETY: the slicing above (which panics rather than truncates)
+        // leaves every row of `a` exactly `k` floats and `c` holding `NR`
+        // floats at `r·ldc` for every `r < MR`; `strip` holds at least
+        // `k · NR`. So for `kk < k` the broadcast of `a[r][kk]` and the
+        // 8-lane loads at `kk·NR + 8q`, `q < 4`, are in bounds, as are the
+        // loads and stores of `c`. AVX per the module contract.
         unsafe {
-            let p = acc.as_mut_ptr();
-            let mut v0 = _mm256_loadu_ps(p);
-            let mut v1 = _mm256_loadu_ps(p.add(8));
-            let mut v2 = _mm256_loadu_ps(p.add(16));
-            let mut v3 = _mm256_loadu_ps(p.add(24));
-            for (kk, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
+            let cp = c.as_mut_ptr();
+            let ap = a.map(<[f32]>::as_ptr);
+            let mut acc = [_mm256_setzero_ps(); 4 * MR];
+            for r in 0..MR {
+                for q in 0..4 {
+                    acc[4 * r + q] = _mm256_loadu_ps(cp.add(r * ldc + 8 * q));
                 }
-                let s = strip.as_ptr().add(kk * NR);
-                let vav = _mm256_set1_ps(av);
-                v0 = _mm256_add_ps(v0, _mm256_mul_ps(vav, _mm256_loadu_ps(s)));
-                v1 = _mm256_add_ps(v1, _mm256_mul_ps(vav, _mm256_loadu_ps(s.add(8))));
-                v2 = _mm256_add_ps(v2, _mm256_mul_ps(vav, _mm256_loadu_ps(s.add(16))));
-                v3 = _mm256_add_ps(v3, _mm256_mul_ps(vav, _mm256_loadu_ps(s.add(24))));
             }
-            _mm256_storeu_ps(p, v0);
-            _mm256_storeu_ps(p.add(8), v1);
-            _mm256_storeu_ps(p.add(16), v2);
-            _mm256_storeu_ps(p.add(24), v3);
+            let sp = strip.as_ptr();
+            for kk in 0..k {
+                let s = sp.add(kk * NR);
+                let b = [
+                    _mm256_loadu_ps(s),
+                    _mm256_loadu_ps(s.add(8)),
+                    _mm256_loadu_ps(s.add(16)),
+                    _mm256_loadu_ps(s.add(24)),
+                ];
+                for r in 0..MR {
+                    let av = _mm256_set1_ps(*ap[r].add(kk));
+                    for q in 0..4 {
+                        acc[4 * r + q] = _mm256_add_ps(acc[4 * r + q], _mm256_mul_ps(av, b[q]));
+                    }
+                }
+            }
+            for r in 0..MR {
+                for q in 0..4 {
+                    _mm256_storeu_ps(cp.add(r * ldc + 8 * q), acc[4 * r + q]);
+                }
+            }
         }
     }
 
@@ -526,10 +648,11 @@ macro_rules! portable_widths {
     };
 }
 
-/// SIMD GEMM driver: the same shape checks, serial cutoff, and
-/// `MC`-aligned row-range split as [`kernels::matmul_par`] — only the
-/// per-range kernel is vectorized. `b` is packed **once** here, before the
-/// thread fan-out, and the read-only strips are shared by all workers.
+/// SIMD GEMM: the same shape checks, serial cutoff, and `MC`-aligned
+/// row-range split as [`kernels::matmul_par`], with [`gemm_rows`] and the
+/// tier's tile per range. `b` is packed **once** here, before the thread
+/// fan-out, and the read-only strips are shared by all workers; a `b` with
+/// a non-finite value goes to the reference loops instead.
 #[allow(clippy::too_many_arguments)]
 fn gemm_simd(
     mode: Mode,
@@ -538,32 +661,67 @@ fn gemm_simd(
     n: usize,
     k: usize,
     m: usize,
+    epilogue: Epilogue<'_>,
     par: &Parallelism,
-    bias_relu: Option<&[f32]>,
     out: &mut [f32],
 ) {
     assert_eq!(a.len(), n * k, "a must be {n}x{k}");
     assert_eq!(b.len(), k * m, "b must be {k}x{m}");
     assert_eq!(out.len(), n * m, "out must be {n}x{m}");
-    if let Some(bias) = bias_relu {
-        assert_eq!(bias.len(), m, "bias must be 1x{m}");
-    }
-    let packed = pack_strips(b, k, m);
+    let bias_relu = match epilogue {
+        Epilogue::None => None,
+        Epilogue::BiasRelu(bias) => {
+            assert_eq!(bias.len(), m, "bias must be 1x{m}");
+            Some(bias)
+        }
+    };
+    let Some(packed) = pack_strips(b, k, m) else {
+        return ReferenceBackend.gemm(a, b, n, k, m, epilogue, par, out);
+    };
+    let packed = &packed;
     let rows = |lo: usize, hi: usize, part: &mut [f32]| match mode {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Mode::Avx is only constructed after
-        // `is_x86_feature_detected!("avx")` returned true.
-        Mode::Avx => unsafe { avx::gemm_rows(a, &packed, k, m, lo, hi, bias_relu, part) },
+        Mode::Avx512 => gemm_rows(
+            a,
+            packed,
+            k,
+            m,
+            lo,
+            hi,
+            bias_relu,
+            part,
+            // SAFETY: Mode::Avx512 is only constructed after
+            // `is_x86_feature_detected!` found both avx512f and avx.
+            |a, s, c, ldc| unsafe { avx512::tile(a, s, c, ldc) },
+            // SAFETY: as above; AVX-512 hosts run the AVX epilogue.
+            |row, bias| unsafe { avx::bias_relu_row(row, bias) },
+        ),
+        #[cfg(target_arch = "x86_64")]
+        Mode::Avx => gemm_rows(
+            a,
+            packed,
+            k,
+            m,
+            lo,
+            hi,
+            bias_relu,
+            part,
+            // SAFETY: Mode::Avx is only constructed after
+            // `is_x86_feature_detected!("avx")` returned true.
+            |a, s, c, ldc| unsafe { avx::tile(a, s, c, ldc) },
+            // SAFETY: as above.
+            |row, bias| unsafe { avx::bias_relu_row(row, bias) },
+        ),
         Mode::Portable(w) => {
-            portable_widths!(w, gemm_rows(a, &packed, k, m, lo, hi, bias_relu, part))
+            portable_widths!(w, gemm_rows(a, packed, k, m, lo, hi, bias_relu, part))
         }
     };
     let threads = par.effective_threads().min(n.max(1));
     if threads <= 1 || n * k * m < kernels::PAR_MATMUL_MIN_FLOPS {
         return rows(0, n, out);
     }
-    // MC-aligned boundaries keep whole row tiles on one worker; each worker
-    // streams the shared packed strips and writes its rows in place.
+    // MC-aligned boundaries keep whole row blocks on one worker; each
+    // worker streams the shared packed strips and writes its rows in place.
     let ranges = partition::row_ranges(n, threads, MC);
     partition::par_rows(out, n, m, &ranges, |lo, hi, part| rows(lo, hi, part));
 }
@@ -584,17 +742,18 @@ impl Backend for SimdBackend {
         par: &Parallelism,
         out: &mut [f32],
     ) {
-        match epilogue {
-            Epilogue::None => gemm_simd(self.mode, a, b, n, k, m, par, None, out),
-            Epilogue::BiasRelu(bias) => gemm_simd(self.mode, a, b, n, k, m, par, Some(bias), out),
-        }
+        debug_assert!(
+            out.iter().all(|v| v.to_bits() == 0),
+            "gemm needs `out` zeroed to +0.0: the tiles' unskipped zero terms are invisible only from there"
+        );
+        gemm_simd(self.mode, a, b, n, k, m, epilogue, par, out);
     }
 
     fn add(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
         match self.mode {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Mode::Avx implies AVX was detected at construction.
-            Mode::Avx => unsafe { avx::add(a, b, out) },
+            // SAFETY: both native modes imply AVX was detected at construction.
+            Mode::Avx | Mode::Avx512 => unsafe { avx::add(a, b, out) },
             Mode::Portable(w) => portable_widths!(w, zip(a, b, out, |x, y| x + y)),
         }
     }
@@ -602,8 +761,8 @@ impl Backend for SimdBackend {
     fn sub(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
         match self.mode {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Mode::Avx implies AVX was detected at construction.
-            Mode::Avx => unsafe { avx::sub(a, b, out) },
+            // SAFETY: both native modes imply AVX was detected at construction.
+            Mode::Avx | Mode::Avx512 => unsafe { avx::sub(a, b, out) },
             Mode::Portable(w) => portable_widths!(w, zip(a, b, out, |x, y| x - y)),
         }
     }
@@ -611,8 +770,8 @@ impl Backend for SimdBackend {
     fn mul(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
         match self.mode {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Mode::Avx implies AVX was detected at construction.
-            Mode::Avx => unsafe { avx::mul(a, b, out) },
+            // SAFETY: both native modes imply AVX was detected at construction.
+            Mode::Avx | Mode::Avx512 => unsafe { avx::mul(a, b, out) },
             Mode::Portable(w) => portable_widths!(w, zip(a, b, out, |x, y| x * y)),
         }
     }
@@ -620,8 +779,8 @@ impl Backend for SimdBackend {
     fn scale(&self, a: &[f32], k: f32, out: &mut [f32]) {
         match self.mode {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Mode::Avx implies AVX was detected at construction.
-            Mode::Avx => unsafe { avx::scale(a, k, out) },
+            // SAFETY: both native modes imply AVX was detected at construction.
+            Mode::Avx | Mode::Avx512 => unsafe { avx::scale(a, k, out) },
             Mode::Portable(w) => portable_widths!(w, map(a, out, |x| x * k)),
         }
     }
@@ -630,8 +789,8 @@ impl Backend for SimdBackend {
         assert_eq!(bias.len(), m, "bias must be 1x{m}");
         match self.mode {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Mode::Avx implies AVX was detected at construction.
-            Mode::Avx => unsafe { avx::add_bias_rows(x, bias, n, m, out) },
+            // SAFETY: both native modes imply AVX was detected at construction.
+            Mode::Avx | Mode::Avx512 => unsafe { avx::add_bias_rows(x, bias, n, m, out) },
             Mode::Portable(w) => {
                 for r in 0..n {
                     portable_widths!(
@@ -651,11 +810,13 @@ impl Backend for SimdBackend {
     fn unary(&self, op: Unary, x: &[f32], out: &mut [f32]) {
         match (op, self.mode) {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Mode::Avx implies AVX was detected at construction.
-            (Unary::Relu, Mode::Avx) => unsafe { avx::relu(x, out) },
+            // SAFETY: both native modes imply AVX was detected at construction.
+            (Unary::Relu, Mode::Avx | Mode::Avx512) => unsafe { avx::relu(x, out) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above.
-            (Unary::LeakyRelu(s), Mode::Avx) => unsafe { avx::leaky_relu(x, s, out) },
+            (Unary::LeakyRelu(s), Mode::Avx | Mode::Avx512) => unsafe {
+                avx::leaky_relu(x, s, out)
+            },
             (Unary::Relu, Mode::Portable(w)) => portable_widths!(w, map(x, out, |v| v.max(0.0))),
             (Unary::LeakyRelu(s), Mode::Portable(w)) => {
                 portable_widths!(w, map(x, out, |v| if v > 0.0 { v } else { s * v }))
@@ -670,8 +831,8 @@ impl Backend for SimdBackend {
         assert_eq!(x.len(), factors.len() * cols, "one factor per row required");
         match self.mode {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Mode::Avx implies AVX was detected at construction.
-            Mode::Avx => unsafe { avx::scale_rows(x, factors, cols, out) },
+            // SAFETY: both native modes imply AVX was detected at construction.
+            Mode::Avx | Mode::Avx512 => unsafe { avx::scale_rows(x, factors, cols, out) },
             Mode::Portable(w) => {
                 for (r, &f) in factors.iter().enumerate() {
                     portable_widths!(
@@ -694,8 +855,8 @@ mod tests {
     use crate::ReferenceBackend;
 
     fn sample(len: usize, seed: u32) -> Vec<f32> {
-        // Deterministic values with exact zeros (zero-skip path) and a
-        // negative zero sprinkled in (max/blend edge cases).
+        // Deterministic values with exact zeros (the terms the reference
+        // skips) and a negative zero sprinkled in (max/blend edge cases).
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(17);
         (0..len)
             .map(|i| {
@@ -714,17 +875,8 @@ mod tests {
             .collect()
     }
 
-    fn modes() -> Vec<SimdBackend> {
-        let mut v = vec![
-            SimdBackend::with_portable_lanes(4),
-            SimdBackend::with_portable_lanes(8),
-            SimdBackend::with_portable_lanes(16),
-        ];
-        let auto = SimdBackend::new();
-        if auto.is_accelerated() {
-            v.push(auto);
-        }
-        v
+    fn label(backend: &SimdBackend) -> String {
+        format!("{}-{}", backend.tier(), backend.lane_width())
     }
 
     #[test]
@@ -734,10 +886,11 @@ mod tests {
             (7, 13, 5),
             (33, 64, 17),
             (40, 70, 65),
+            (53, 9, 96),
         ] {
             let a = sample(n * k, (n * 31 + k) as u32);
             let b = sample(k * m, (k * 17 + m) as u32);
-            for backend in modes() {
+            for backend in SimdBackend::all_on_host() {
                 for threads in [1usize, 2, 4] {
                     let par = Parallelism::pinned(threads);
                     let mut want = vec![0.0f32; n * m];
@@ -748,8 +901,8 @@ mod tests {
                         assert_eq!(
                             g.to_bits(),
                             w.to_bits(),
-                            "{n}x{k}x{m} lanes={} threads={threads}",
-                            backend.lane_width()
+                            "{n}x{k}x{m} {} threads={threads}",
+                            label(&backend)
                         );
                     }
                 }
@@ -767,13 +920,22 @@ mod tests {
         let mut unfused = vec![0.0f32; n * m];
         kernels::matmul_par(&x, &w, n, k, m, &par, &mut unfused);
         kernels::bias_relu_inplace(&mut unfused, &bias, n, m);
-        for backend in modes() {
+        for backend in SimdBackend::all_on_host() {
             let mut fused = vec![0.0f32; n * m];
             backend.gemm(&x, &w, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut fused);
             for (a, b) in fused.iter().zip(&unfused) {
-                assert_eq!(a.to_bits(), b.to_bits(), "lanes={}", backend.lane_width());
+                assert_eq!(a.to_bits(), b.to_bits(), "{}", label(&backend));
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "gemm needs `out` zeroed")]
+    fn gemm_rejects_an_out_that_is_not_zeroed_in_debug_builds() {
+        let (ab, par) = ([1.0f32; 4], Parallelism::with_threads(1));
+        let mut out = [-0.0f32; 4];
+        SimdBackend::new().gemm(&ab, &ab, 2, 2, 2, Epilogue::None, &par, &mut out);
     }
 
     #[test]
@@ -781,30 +943,30 @@ mod tests {
         // 67 elements: 8 full 8-lane vectors plus a 3-element scalar tail.
         let a = sample(67, 11);
         let b = sample(67, 12);
-        for backend in modes() {
-            let lanes = backend.lane_width();
+        for backend in SimdBackend::all_on_host() {
+            let tier = label(&backend);
             let mut want = vec![0.0f32; 67];
             let mut got = vec![0.0f32; 67];
             ReferenceBackend.add(&a, &b, &mut want);
             backend.add(&a, &b, &mut got);
-            assert_eq!(bits(&got), bits(&want), "add lanes={lanes}");
+            assert_eq!(bits(&got), bits(&want), "add {tier}");
             ReferenceBackend.sub(&a, &b, &mut want);
             backend.sub(&a, &b, &mut got);
-            assert_eq!(bits(&got), bits(&want), "sub lanes={lanes}");
+            assert_eq!(bits(&got), bits(&want), "sub {tier}");
             ReferenceBackend.mul(&a, &b, &mut want);
             backend.mul(&a, &b, &mut got);
-            assert_eq!(bits(&got), bits(&want), "mul lanes={lanes}");
+            assert_eq!(bits(&got), bits(&want), "mul {tier}");
             ReferenceBackend.scale(&a, -1.75, &mut want);
             backend.scale(&a, -1.75, &mut got);
-            assert_eq!(bits(&got), bits(&want), "scale lanes={lanes}");
+            assert_eq!(bits(&got), bits(&want), "scale {tier}");
         }
     }
 
     #[test]
     fn activations_and_row_ops_bit_identical_to_reference() {
         let x = sample(67, 21);
-        for backend in modes() {
-            let lanes = backend.lane_width();
+        for backend in SimdBackend::all_on_host() {
+            let tier = label(&backend);
             let mut want = vec![0.0f32; 67];
             let mut got = vec![0.0f32; 67];
             for op in [
@@ -815,7 +977,7 @@ mod tests {
             ] {
                 ReferenceBackend.unary(op, &x, &mut want);
                 backend.unary(op, &x, &mut got);
-                assert_eq!(bits(&got), bits(&want), "{op:?} lanes={lanes}");
+                assert_eq!(bits(&got), bits(&want), "{op:?} {tier}");
             }
             // 5 rows x 13 cols exercises the unaligned row width.
             let rows = sample(5 * 13, 22);
@@ -825,20 +987,29 @@ mod tests {
             let mut got = vec![0.0f32; 5 * 13];
             ReferenceBackend.scale_rows(&rows, &factors, 13, &mut want);
             backend.scale_rows(&rows, &factors, 13, &mut got);
-            assert_eq!(bits(&got), bits(&want), "scale_rows lanes={lanes}");
+            assert_eq!(bits(&got), bits(&want), "scale_rows {tier}");
             ReferenceBackend.add_bias_rows(&rows, &bias, 5, 13, &mut want);
             backend.add_bias_rows(&rows, &bias, 5, 13, &mut got);
-            assert_eq!(bits(&got), bits(&want), "add_bias_rows lanes={lanes}");
+            assert_eq!(bits(&got), bits(&want), "add_bias_rows {tier}");
         }
     }
 
     #[test]
     fn lane_width_reporting() {
-        assert_eq!(SimdBackend::with_portable_lanes(4).lane_width(), 4);
-        assert_eq!(SimdBackend::with_portable_lanes(16).lane_width(), 16);
-        assert!(!SimdBackend::with_portable_lanes(8).is_accelerated());
-        let auto = SimdBackend::new();
-        assert!(matches!(auto.lane_width(), 4 | 8 | 16));
+        let tiers = SimdBackend::all_on_host();
+        let described: Vec<(&str, usize)> =
+            tiers.iter().map(|t| (t.tier(), t.lane_width())).collect();
+        let mut want = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                want.push(("avx512", 16));
+            }
+            want.push(("avx", 8));
+        }
+        want.extend([("portable", 4), ("portable", 8), ("portable", 16)]);
+        assert_eq!(described, want, "native tiers widest first, then portable");
+        assert_eq!(SimdBackend::new().tier(), want[0].0);
     }
 
     #[test]

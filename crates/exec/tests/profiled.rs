@@ -182,14 +182,20 @@ fn profiling_overhead_within_five_percent_on_gemm_harness() {
     mega_obs::reset();
     mega_obs::set_enabled(true);
     let mut out = vec![0.0f32; n * m];
-    let t_bare = time_min(3, || {
-        out.fill(0.0);
-        bare.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut out);
-    });
-    let t_profiled = time_min(3, || {
-        out.fill(0.0);
-        profiled.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut out);
-    });
+    // Alternating single runs, best of nine each: a product of a few
+    // milliseconds is short enough that a host slowdown during one side's
+    // block of runs would read as decoration overhead.
+    let (mut t_bare, mut t_profiled) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..9 {
+        t_bare = t_bare.min(time_min(1, || {
+            out.fill(0.0);
+            bare.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut out);
+        }));
+        t_profiled = t_profiled.min(time_min(1, || {
+            out.fill(0.0);
+            profiled.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut out);
+        }));
+    }
     mega_obs::set_enabled(false);
     mega_obs::reset();
     let ratio = t_profiled / t_bare;

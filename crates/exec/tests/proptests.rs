@@ -4,11 +4,12 @@
 //!
 //! 1. **SIMD ≡ reference** — the vectorized [`SimdBackend`] must be
 //!    bit-for-bit identical to [`ReferenceBackend`] for every GEMM shape
-//!    (including shapes that straddle the `MC`/`NR` tile boundaries and the
-//!    serial/parallel flop cutoff, and inputs with exact zeros so the
-//!    zero-skip fast path fires identically) and every lane implementation
-//!    (native intrinsics and all portable widths), and its elementwise
-//!    family must match element-for-element.
+//!    (including shapes that straddle the `MC`/`MR`/`NR` tile boundaries and
+//!    the serial/parallel flop cutoff, inputs with the exact zeros the
+//!    reference skips and the tiles add, and a non-finite `b`, which the
+//!    tiles hand to the reference loops) on every tier
+//!    [`SimdBackend::all_on_host`] lists, and its elementwise family must
+//!    match element-for-element.
 //! 2. **Fused ≡ unfused** — `gemm` under every [`Epilogue`] and `norm`
 //!    under every `(NormKind, activation)` equal the unfused reference
 //!    chain, on every backend and thread count.
@@ -20,28 +21,18 @@ use mega_core::Parallelism;
 use mega_exec::{Backend, Epilogue, NormKind, ReferenceBackend, SimdBackend, Unary};
 use proptest::prelude::*;
 
-/// Every lane implementation of the SIMD backend: the portable widths
-/// everywhere, plus the auto-detected native path when the host has it.
-fn simd_modes() -> Vec<SimdBackend> {
-    let mut v = vec![
-        SimdBackend::with_portable_lanes(4),
-        SimdBackend::with_portable_lanes(8),
-        SimdBackend::with_portable_lanes(16),
-    ];
-    let auto = SimdBackend::new();
-    if auto.is_accelerated() {
-        v.push(auto);
-    }
-    v
+/// Labels a SIMD tier for assert messages: `simd-avx512-16`, `simd-portable-4`.
+fn tier_label(simd: &SimdBackend) -> String {
+    format!("simd-{}-{}", simd.tier(), simd.lane_width())
 }
 
-/// The reference backend plus every SIMD lane implementation, labelled for
+/// The reference backend plus every SIMD tier the host runs, labelled for
 /// assert messages.
 fn dense_backends() -> Vec<(String, Box<dyn Backend>)> {
     let mut v: Vec<(String, Box<dyn Backend>)> =
         vec![("reference".into(), Box::new(ReferenceBackend))];
-    for simd in simd_modes() {
-        v.push((format!("simd-{}", simd.lane_width()), Box::new(simd)));
+    for simd in SimdBackend::all_on_host() {
+        v.push((tier_label(&simd), Box::new(simd)));
     }
     v
 }
@@ -100,8 +91,8 @@ fn batch_norm_by_column(
     }
 }
 
-/// Row-major matrix entries with exact zeros mixed in, so the zero-skip
-/// branch in the inner kernel is exercised as well as the dense path.
+/// Row-major matrix entries with exact zeros mixed in: the terms the
+/// reference skips and the SIMD tiles add.
 fn arb_matrix(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(
         prop_oneof![(-2.0f32..2.0).boxed(), Just(0.0f32).boxed()],
@@ -113,8 +104,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// SimdBackend's vectorized GEMM is bit-identical to the reference
-    /// loops for every shape, every lane width, and both thread counts —
-    /// the lanes split the output columns, never a single element's fold.
+    /// loops for every shape, every tier, and both thread counts — the
+    /// lanes split the output columns, never a single element's fold.
     #[test]
     fn simd_matmul_bit_identical_to_reference(
         (n, k, m) in (1usize..70, 1usize..70, 1usize..70),
@@ -126,7 +117,7 @@ proptest! {
             (0..n * k).map(|_| if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(-2.0f32..2.0) }).collect();
         let b: Vec<f32> =
             (0..k * m).map(|_| if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(-2.0f32..2.0) }).collect();
-        for backend in simd_modes() {
+        for backend in SimdBackend::all_on_host() {
             for threads in [1usize, 4] {
                 let par = Parallelism::pinned(threads);
                 let mut want = vec![0.0f32; n * m];
@@ -136,7 +127,62 @@ proptest! {
                 for (g, w) in got.iter().zip(&want) {
                     prop_assert_eq!(
                         g.to_bits(), w.to_bits(),
-                        "lanes={} threads={}", backend.lane_width(), threads
+                        "{} threads={}", tier_label(&backend), threads
+                    );
+                }
+            }
+        }
+    }
+
+    /// The two conditions that make the tiles' unskipped zero terms
+    /// invisible, and the short tiles, under adversarial inputs: `a` mixes
+    /// ±0.0, subnormals and (in half the cases) NaN; `b` is finite in half
+    /// the cases and carries ±inf or NaN in the other half, which the SIMD
+    /// backend must hand to the reference loops (a tile would turn a
+    /// skipped `0 · inf` into NaN); `n mod 6`, `n mod 4`, `n mod 3` and
+    /// `m mod 32` are never zero, so every tier ends on a short tile and
+    /// on a short strip. Every tier, pinned threads {1, 2, 4}, both
+    /// epilogues, against the reference.
+    #[test]
+    fn simd_tiles_match_reference_on_non_finite_and_tail_inputs(
+        (n_blocks, n_tail, k) in (0usize..5, 0usize..6, 1usize..48),
+        (m_strips, m_tail) in (0usize..3, 1usize..32),
+        seed in 0u64..1000,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 12 * n_blocks + [1, 2, 5, 7, 10, 11][n_tail];
+        let m = 32 * m_strips + m_tail;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nan_rate = if rng.gen_bool(0.5) { 0.0 } else { 0.01 };
+        let a: Vec<f32> = (0..n * k)
+            .map(|_| match rng.gen_range(0.0f64..1.0) {
+                u if u < 0.2 => 0.0,
+                u if u < 0.4 => -0.0,
+                u if u < 0.45 => 1e-41,
+                u if u < 0.5 => -1e-41,
+                u if u < 0.5 + nan_rate => f32::NAN,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect();
+        let mut b: Vec<f32> = (0..k * m).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        if rng.gen_bool(0.5) {
+            for _ in 0..rng.gen_range(1usize..4) {
+                let i = rng.gen_range(0..b.len());
+                b[i] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.gen_range(0usize..3)];
+            }
+        }
+        let bias: Vec<f32> = (0..m).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        for backend in SimdBackend::all_on_host() {
+            for threads in [1usize, 2, 4] {
+                let par = Parallelism::pinned(threads);
+                for epilogue in [Epilogue::None, Epilogue::BiasRelu(&bias)] {
+                    let mut want = vec![0.0f32; n * m];
+                    ReferenceBackend.gemm(&a, &b, n, k, m, epilogue, &par, &mut want);
+                    let mut got = vec![0.0f32; n * m];
+                    backend.gemm(&a, &b, n, k, m, epilogue, &par, &mut got);
+                    prop_assert_eq!(
+                        bit_vec(&got), bit_vec(&want),
+                        "{} {}x{}x{} threads={} {:?}", tier_label(&backend), n, k, m, threads, epilogue
                     );
                 }
             }
@@ -157,28 +203,28 @@ proptest! {
         let x = &x[..n * k];
         let w = &w[..k * m];
         let bias = &bias[..m];
-        for backend in simd_modes() {
-            let lanes = backend.lane_width();
+        for backend in SimdBackend::all_on_host() {
+            let tier = tier_label(&backend);
             let epilogue = Epilogue::BiasRelu(bias);
             let mut want = vec![0.0f32; n * m];
             ReferenceBackend.gemm(x, w, n, k, m, epilogue, &par, &mut want);
             let mut got = vec![0.0f32; n * m];
             backend.gemm(x, w, n, k, m, epilogue, &par, &mut got);
-            prop_assert_eq!(bit_vec(&got), bit_vec(&want), "{:?} lanes={}", epilogue, lanes);
+            prop_assert_eq!(bit_vec(&got), bit_vec(&want), "{:?} tier={}", epilogue, tier);
             let len = (n * k).min(k * m);
             let (a, b) = (&x[..len], &w[..len]);
             let mut want = vec![0.0f32; len];
             let mut got = vec![0.0f32; len];
             ReferenceBackend.add(a, b, &mut want);
             backend.add(a, b, &mut got);
-            prop_assert_eq!(bit_vec(&got), bit_vec(&want), "add lanes={}", lanes);
+            prop_assert_eq!(bit_vec(&got), bit_vec(&want), "add tier={}", tier);
             ReferenceBackend.mul(a, b, &mut want);
             backend.mul(a, b, &mut got);
-            prop_assert_eq!(bit_vec(&got), bit_vec(&want), "mul lanes={}", lanes);
+            prop_assert_eq!(bit_vec(&got), bit_vec(&want), "mul tier={}", tier);
             for op in [Unary::Relu, Unary::LeakyRelu(slope), Unary::Sigmoid, Unary::Tanh] {
                 ReferenceBackend.unary(op, a, &mut want);
                 backend.unary(op, a, &mut got);
-                prop_assert_eq!(bit_vec(&got), bit_vec(&want), "{:?} lanes={}", op, lanes);
+                prop_assert_eq!(bit_vec(&got), bit_vec(&want), "{:?} tier={}", op, tier);
             }
         }
     }

@@ -29,9 +29,10 @@ pub struct EngineIndices {
     /// Rows of the working buffer (nodes for baseline, path positions for
     /// MEGA).
     pub work_rows: usize,
-    /// For each work row, the node whose embedding it carries (identity for
-    /// baseline).
-    pub node_to_work: Arc<Vec<usize>>,
+    /// For each work row, the node whose embedding it carries; `None` when
+    /// work rows *are* node rows (the baseline engine), so nothing is
+    /// gathered.
+    pub node_to_work: Option<Arc<Vec<usize>>>,
     /// Message source work row.
     pub msg_src_work: Arc<Vec<usize>>,
     /// Message destination work row.
@@ -48,16 +49,30 @@ impl EngineIndices {
         self.msg_src_work.len()
     }
 
+    /// The node whose embedding work row `row` carries.
+    pub fn node_of_work(&self, row: usize) -> usize {
+        self.node_to_work.as_ref().map_or(row, |index| index[row])
+    }
+
+    /// Routes per-node rows `x` to work rows: `x` itself on the baseline
+    /// engine, one `gather_rows` through `node_to_work` on MEGA.
+    pub fn to_work(&self, tape: &mut Tape, x: Var) -> Var {
+        match &self.node_to_work {
+            Some(index) => tape.gather_rows(x, index.clone()),
+            None => x,
+        }
+    }
+
     /// Routes per-node rows `x` to messages by source: node → work row →
     /// message, so MEGA's path-ordered work buffer stays on the route.
     pub fn gather_src(&self, tape: &mut Tape, x: Var) -> Var {
-        let work = tape.gather_rows(x, self.node_to_work.clone());
+        let work = self.to_work(tape, x);
         tape.gather_rows(work, self.msg_src_work.clone())
     }
 
     /// [`EngineIndices::gather_src`], by destination.
     pub fn gather_dst(&self, tape: &mut Tape, x: Var) -> Var {
-        let work = tape.gather_rows(x, self.node_to_work.clone());
+        let work = self.to_work(tape, x);
         tape.gather_rows(work, self.msg_dst_work.clone())
     }
 }
@@ -157,7 +172,6 @@ impl Batch {
             offset += g.node_count();
         }
         let n_nodes = offset;
-        let identity: Vec<usize> = (0..n_nodes).collect();
         let msg_dst_rc = Arc::new(msg_dst);
         Batch {
             node_feats: Arc::new(node_feats),
@@ -168,7 +182,7 @@ impl Batch {
                 engine: EngineChoice::Baseline,
                 n_nodes,
                 work_rows: n_nodes,
-                node_to_work: Arc::new(identity),
+                node_to_work: None,
                 msg_src_work: Arc::new(msg_src),
                 msg_dst_work: msg_dst_rc.clone(),
                 msg_dst_node: msg_dst_rc,
@@ -246,7 +260,7 @@ impl Batch {
                 engine: EngineChoice::Mega,
                 n_nodes: node_offset,
                 work_rows: pos_offset,
-                node_to_work: Arc::new(node_to_work),
+                node_to_work: Some(Arc::new(node_to_work)),
                 msg_src_work: Arc::new(msg_src),
                 msg_dst_work: Arc::new(msg_dst),
                 msg_dst_node: Arc::new(msg_dst_node),
@@ -335,7 +349,7 @@ mod tests {
         let collect = |b: &Batch| {
             let mut m: std::collections::BTreeMap<usize, Vec<(usize, usize)>> = Default::default();
             for i in 0..b.indices.msg_count() {
-                let src_node = b.indices.node_to_work[b.indices.msg_src_work[i]];
+                let src_node = b.indices.node_of_work(b.indices.msg_src_work[i]);
                 m.entry(b.indices.msg_dst_node[i])
                     .or_default()
                     .push((src_node, b.indices.msg_edge_feat[i]));
@@ -345,8 +359,6 @@ mod tests {
             }
             m
         };
-        // Baseline work rows are node rows (identity), so node_to_work maps
-        // sources correctly for both.
         assert_eq!(collect(&base), collect(&mega));
     }
 

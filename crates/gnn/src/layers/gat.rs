@@ -82,7 +82,7 @@ impl GatLayer {
         e: Var,
     ) -> (Var, Var) {
         let n = idx.n_nodes;
-        let h_work = tape.gather_rows(h, idx.node_to_work.clone());
+        let h_work = idx.to_work(tape, h);
         let mut aggs = Vec::with_capacity(self.heads);
         for k in 0..self.heads {
             let z = self.w[k].forward(tape, binder, store, h_work);

@@ -111,7 +111,7 @@ impl GatedGcnLayer {
         e: Var,
     ) -> (Var, Var) {
         let n = idx.n_nodes;
-        let h_work = tape.gather_rows(h, idx.node_to_work.clone());
+        let h_work = idx.to_work(tape, h);
         let h_src = tape.gather_rows(h_work, idx.msg_src_work.clone());
         let h_dst = tape.gather_rows(h_work, idx.msg_dst_work.clone());
 

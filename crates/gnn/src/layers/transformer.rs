@@ -157,7 +157,7 @@ impl GraphTransformerLayer {
         let n = idx.n_nodes;
         let m = idx.msg_count();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let h_work = tape.gather_rows(h, idx.node_to_work.clone());
+        let h_work = idx.to_work(tape, h);
         let ones = tape.leaf(mega_tensor::Tensor::full(m, self.head_dim, 1.0));
 
         let mut leaves: testing::BlockLeaves = Vec::new();

@@ -68,7 +68,7 @@ proptest! {
         let collect = |b: &Batch| {
             let mut m: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
             for i in 0..b.indices.msg_count() {
-                let src = b.indices.node_to_work[b.indices.msg_src_work[i]];
+                let src = b.indices.node_of_work(b.indices.msg_src_work[i]);
                 m.entry(b.indices.msg_dst_node[i]).or_default().push(src);
             }
             for v in m.values_mut() {

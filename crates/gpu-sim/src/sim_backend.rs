@@ -433,11 +433,14 @@ mod tests {
         let mut out_ref = vec![0.0f32; n * m];
         let mut out_simd = vec![0.0f32; n * m];
         for epilogue in [Epilogue::None, Epilogue::BiasRelu(&bias)] {
+            // `gemm` accumulates into a zeroed `out` (the `Backend` contract).
+            out_ref.fill(0.0);
+            out_simd.fill(0.0);
             over_ref.gemm(&a, &b, n, k, m, epilogue, &par, &mut out_ref);
             over_simd.gemm(&a, &b, n, k, m, epilogue, &par, &mut out_simd);
-        }
-        for (x, y) in out_simd.iter().zip(&out_ref) {
-            assert_eq!(x.to_bits(), y.to_bits());
+            for (x, y) in out_simd.iter().zip(&out_ref) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{epilogue:?}");
+            }
         }
         let (ra, rb) = (over_ref.report(), over_simd.report());
         for (kr, ks) in ra.kernels().iter().zip(rb.kernels()) {

@@ -20,7 +20,7 @@
 
 use mega_bench::{fmt, save_json, TableWriter};
 use mega_core::Parallelism;
-use mega_exec::{Backend, Epilogue, ReferenceBackend, SimdBackend};
+use mega_exec::{Backend, Epilogue, Operand, ReferenceBackend, SimdBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -79,9 +79,9 @@ fn best_ms<F: FnMut()>(mut f: F) -> f64 {
 
 fn time_backend(backend: &dyn Backend, a: &[f32], b: &[f32], n: usize) -> f64 {
     let par = Parallelism::with_threads(1);
+    let (a, b) = (Operand::RowMajor(a), Operand::RowMajor(b));
     let mut out = vec![0.0f32; n * n];
     best_ms(|| {
-        out.iter_mut().for_each(|v| *v = 0.0);
         backend.gemm(a, b, n, n, n, Epilogue::None, &par, &mut out);
         std::hint::black_box(&out);
     })

@@ -1,10 +1,13 @@
 //! Bit-exact equivalence matrix: backend x shard executor.
 //!
-//! Trains the same fixed-seed model under every combination of
-//! `--backend a,b` (default `reference,simd`) and execution — whole-batch
-//! `Trainer::run` plus the sharded `DistTrainer` at every `--workers`
-//! count (default `1,2,4`) — under both engines, and prints each loss
-//! trajectory as raw `f64` bit patterns. Whole-batch and sharded runs
+//! Trains the same fixed-seed models — GatedGCN, Graph Transformer and GAT,
+//! so every `Linear`, every backward GEMM and GAT's per-head projections
+//! are in the matrix — under every combination of `--backend a,b` (default
+//! `reference,simd`) and execution — whole-batch `Trainer::run` plus the
+//! sharded `DistTrainer` at every `--workers` count (default `1,2,4`) —
+//! under both engines, and prints each loss trajectory as raw `f64` bit
+//! patterns. GatedGCN's rows keep their labels; the other models' carry
+//! the model as a suffix (`simd[workers=2]/MEGA/GT`). Whole-batch and sharded runs
 //! legitimately differ at this batch size (batch norm sees different
 //! statistics per shard), so every configuration is compared against the
 //! first of its own family. The band leg runs the halo-exchange executor
@@ -39,7 +42,14 @@ struct Config {
     workers: Option<usize>,
 }
 
-fn train(c: &Config, engine: EngineChoice) -> TrainingHistory {
+/// The models every cell trains, GatedGCN first.
+const MODELS: [ModelKind; 3] = [
+    ModelKind::GatedGcn,
+    ModelKind::GraphTransformer,
+    ModelKind::Gat,
+];
+
+fn train(c: &Config, model: ModelKind, engine: EngineChoice) -> TrainingHistory {
     let (train, hidden, heads, epochs) = if c.workers.is_some() {
         SHARDED
     } else {
@@ -51,7 +61,7 @@ fn train(c: &Config, engine: EngineChoice) -> TrainingHistory {
         test: 16,
         seed: 7,
     });
-    let cfg = GnnConfig::new(ModelKind::GatedGcn, ds.node_vocab, ds.edge_vocab, 1)
+    let cfg = GnnConfig::new(model, ds.node_vocab, ds.edge_vocab, 1)
         .with_hidden(hidden)
         .with_layers(2)
         .with_heads(heads);
@@ -168,13 +178,19 @@ fn main() -> ExitCode {
 
     let mut ok = band_leg(&counts);
     // Every configuration must match the first of its family (whole-batch
-    // or sharded), engine by engine.
-    let mut oracles: BTreeMap<(bool, &str), (String, Vec<u64>)> = BTreeMap::new();
-    for c in &configs {
+    // or sharded), model by model and engine by engine.
+    let mut oracles: BTreeMap<(&str, bool, &str), (String, Vec<u64>)> = BTreeMap::new();
+    for (model, c) in MODELS
+        .iter()
+        .flat_map(|m| configs.iter().map(move |c| (*m, c)))
+    {
         for engine in [EngineChoice::Baseline, EngineChoice::Mega] {
-            let label = format!("{}/{}", c.label, engine.label());
-            let bits = trajectory(&label, &train(c, engine));
-            match oracles.entry((c.workers.is_some(), engine.label())) {
+            let label = match model {
+                ModelKind::GatedGcn => format!("{}/{}", c.label, engine.label()),
+                _ => format!("{}/{}/{}", c.label, engine.label(), model.label()),
+            };
+            let bits = trajectory(&label, &train(c, model, engine));
+            match oracles.entry((model.label(), c.workers.is_some(), engine.label())) {
                 Entry::Vacant(slot) => {
                     slot.insert((label, bits));
                 }

@@ -372,7 +372,8 @@ fn pct(part: u64, total: u64) -> String {
     }
 }
 
-/// Buffer-pool residency per size class plus the hit/miss totals.
+/// Buffer-pool residency per `⌊log₂ capacity⌋` bucket plus the hit/miss
+/// totals.
 fn render_pool(o: &mut String, snap: &Snap) {
     let mut classes: Vec<&str> = snap
         .gauges
@@ -406,9 +407,9 @@ fn render_pool(o: &mut String, snap: &Snap) {
         let _ = writeln!(o);
         let _ = writeln!(
             o,
-            "| class | buffer elems | resident bytes | high-water bytes | park cap |"
+            "| class | buffer elems | resident bytes | high-water bytes |"
         );
-        let _ = writeln!(o, "|---|---|---|---|---|");
+        let _ = writeln!(o, "|---|---|---|---|");
         for class in classes {
             let gauge = |suffix: &str| {
                 snap.gauges
@@ -424,13 +425,13 @@ fn render_pool(o: &mut String, snap: &Snap) {
                 .parse::<u32>()
                 .ok()
                 .and_then(|c| 1u64.checked_shl(c))
-                .map_or("-".to_string(), |e| format!("<= {e}"));
+                // `e + (e - 1)`: `2 * e` overflows for bucket 63.
+                .map_or("-".to_string(), |e| format!("{e}..{}", e + (e - 1)));
             let _ = writeln!(
                 o,
-                "| {class} | {elems} | {:.0} | {:.0} | {:.0} |",
+                "| {class} | {elems} | {:.0} | {:.0} |",
                 gauge(".resident_bytes"),
                 gauge(".resident_hwm_bytes"),
-                gauge(".cap"),
             );
         }
     }
@@ -698,7 +699,6 @@ mod tests {
     "exec.profiled.matmul.flops": 536870912
   },
   "gauges": {
-    "exec.pool.class6.cap": 3.0,
     "exec.pool.class6.resident_bytes": 768.0,
     "exec.pool.class6.resident_hwm_bytes": 768.0
   },
@@ -729,10 +729,27 @@ mod tests {
         assert!(a.contains("| - | - | - |"), "{a}");
         // Pool, traversal, health, spans all present.
         assert!(a.contains("hit rate 75.0%"), "{a}");
-        assert!(a.contains("| 6 | <= 64 | 768 | 768 | 3 |"), "{a}");
+        assert!(a.contains("| 6 | 64..127 | 768 | 768 |"), "{a}");
         assert!(a.contains("band_window_revisits"), "{a}");
         assert!(a.contains("| loss | 8 | 1.200 |"), "{a}");
         assert!(a.contains("| train/epoch | 2 | - |"), "{a}");
+    }
+
+    #[test]
+    fn pool_buckets_at_the_top_of_u64_render_without_overflow() {
+        let snap = DET_SNAPSHOT.replace(
+            "\"exec.pool.class6.resident_bytes\": 768.0,",
+            "\"exec.pool.class6.resident_bytes\": 768.0,
+    \"exec.pool.class63.resident_bytes\": 1.0,
+    \"exec.pool.class64.resident_bytes\": 2.0,",
+        );
+        let cal = Calibration::reference();
+        let md = render("m.json", &snap, None, &cal, "r").unwrap();
+        assert!(
+            md.contains("| 63 | 9223372036854775808..18446744073709551615 | 1 | 0 |"),
+            "{md}"
+        );
+        assert!(md.contains("| 64 | - | 2 | 0 |"), "{md}");
     }
 
     #[test]

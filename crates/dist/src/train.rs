@@ -137,17 +137,16 @@ impl FanOut {
         if !mega_obs::enabled() {
             return;
         }
-        let mut agg: std::collections::BTreeMap<u32, (u64, u64, u64)> =
+        let mut agg: std::collections::BTreeMap<u32, (u64, u64)> =
             std::collections::BTreeMap::new();
         for pool in &self.pools {
             for s in pool.class_stats() {
                 let e = agg.entry(s.class).or_default();
                 e.0 += s.resident_bytes;
                 e.1 += s.resident_hwm_bytes;
-                e.2 += s.cap as u64;
             }
         }
-        for (class, (resident, hwm, cap)) in agg {
+        for (class, (resident, hwm)) in agg {
             mega_obs::gauge_set(
                 &format!("exec.pool.class{class}.resident_bytes"),
                 resident as f64,
@@ -156,7 +155,6 @@ impl FanOut {
                 &format!("exec.pool.class{class}.resident_hwm_bytes"),
                 hwm as f64,
             );
-            mega_obs::gauge_set(&format!("exec.pool.class{class}.cap"), cap as f64);
         }
     }
 }

@@ -15,12 +15,12 @@
 //! intra-op kernels and the distributed workers share it.
 //!
 //! Output conventions: `out` is the caller's, has exactly the output length
-//! and is written in place. Kernels that accumulate (`matmul*`,
-//! `scatter_add_rows`, the banded kernels) require `out` to be zeroed on
-//! entry, all others overwrite every element.
+//! and is written in place. Kernels that accumulate (`scatter_add_rows`,
+//! the banded kernels) require `out` to be zeroed on entry, all others
+//! (`matmul*` included) overwrite every element.
 
 use crate::partition;
-use crate::Unary;
+use crate::{Epilogue, Operand, Unary};
 use mega_core::band::{BandMask, BandSlot};
 use mega_core::parallel::{join_workers, Chunk, ChunkPlan, Parallelism};
 use std::ops::Range;
@@ -142,50 +142,97 @@ fn check_read(chunk: &Chunk, row: usize) {
 #[inline(always)]
 fn check_read(_chunk: &Chunk, _row: usize) {}
 
-/// One output row of a matrix product: `out_row += a_row · b`, folding the
-/// `k` contributions in ascending order and skipping `a == 0.0` terms. The
-/// skip stays because this loop defines the bits every backend matches
-/// (`Backend::gemm` says when a backend may add those terms instead).
-#[inline]
-pub fn matmul_row(a_row: &[f32], b: &[f32], m: usize, out_row: &mut [f32]) {
-    for (kk, &a) in a_row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
+/// Row `i` of the `n × k` product `a · b`, written over `out_row`: every
+/// element folds `acc + a[i][kk]·b[kk][j]` in ascending `kk` from
+/// `acc = +0.0`, skipping `a == 0.0` terms. The skip stays because this loop
+/// defines the bits every backend matches (`Backend::gemm` says when a
+/// backend may add those terms instead). A row-major `b` is swept row by
+/// row, a transposed one column by column; either way each element sees the
+/// same terms in the same order.
+fn matmul_row(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    i: usize,
+    (n, k, m): (usize, usize, usize),
+    out_row: &mut [f32],
+) {
+    let a_at = |kk: usize| match a {
+        Operand::RowMajor(a) => a[i * k + kk],
+        Operand::Transposed(at) => at[kk * n + i],
+    };
+    match b {
+        Operand::RowMajor(b) => {
+            out_row.fill(0.0);
+            for kk in 0..k {
+                let av = a_at(kk);
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out_row.iter_mut().zip(&b[kk * m..(kk + 1) * m]) {
+                    *o += av * bv;
+                }
+            }
         }
-        let b_row = &b[kk * m..(kk + 1) * m];
-        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-            *o += a * bv;
+        Operand::Transposed(bt) => {
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for (kk, &bv) in bt[j * k..(j + 1) * k].iter().enumerate() {
+                    let av = a_at(kk);
+                    if av != 0.0 {
+                        acc += av * bv;
+                    }
+                }
+                *o = acc;
+            }
         }
     }
 }
 
-/// Serial matrix product `out += a · b` with `a` of shape `n × k` and `b` of
-/// shape `k × m`; `out` must be a zeroed `n × m` buffer.
+/// Rows `lo..` of the `n × k` by `k × m` product into `rows`, one
+/// [`matmul_row`] per `m`-wide row.
+fn matmul_rows(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    dims: (usize, usize, usize),
+    lo: usize,
+    rows: &mut [f32],
+) {
+    for (i, out_row) in (lo..).zip(rows.chunks_exact_mut(dims.2.max(1))) {
+        matmul_row(a, b, i, dims, out_row);
+    }
+}
+
+/// Asserts the operand and output lengths of an `n × k` by `k × m` product.
+fn assert_product_shapes(a: Operand<'_>, b: Operand<'_>, n: usize, k: usize, m: usize) {
+    assert_eq!(a.data().len(), n * k, "a must be {n}x{k}");
+    assert_eq!(b.data().len(), k * m, "b must be {k}x{m}");
+}
+
+/// Serial matrix product `out = a · b` with `a` of shape `n × k` and `b` of
+/// shape `k × m`, each in its own layout, written over the `n × m` buffer
+/// `out`.
 ///
 /// # Panics
 ///
 /// Panics when any slice length disagrees with the shapes.
-pub fn matmul(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), n * k, "a must be {n}x{k}");
-    assert_eq!(b.len(), k * m, "b must be {k}x{m}");
+pub fn matmul(a: Operand<'_>, b: Operand<'_>, n: usize, k: usize, m: usize, out: &mut [f32]) {
+    assert_product_shapes(a, b, n, k, m);
     assert_eq!(out.len(), n * m, "out must be {n}x{m}");
-    for i in 0..n {
-        matmul_row(&a[i * k..(i + 1) * k], b, m, &mut out[i * m..(i + 1) * m]);
-    }
+    matmul_rows(a, b, (n, k, m), 0, out);
 }
 
 /// Matrix product under a thread budget, bit-identical to [`matmul`] for
-/// every thread count: output rows are split into contiguous per-worker
-/// ranges and each row is produced by the exact serial row kernel, written
-/// directly into its disjoint slice of `out` (no partial buffers, no
-/// copy-back).
+/// every thread count and either layout of each operand: output rows are
+/// split into contiguous per-worker ranges and each row is produced by the
+/// exact serial row kernel, written directly into its disjoint slice of
+/// `out` (no partial buffers, no copy-back).
 ///
 /// # Panics
 ///
 /// Panics when any slice length disagrees with the shapes.
 pub fn matmul_par(
-    a: &[f32],
-    b: &[f32],
+    a: Operand<'_>,
+    b: Operand<'_>,
     n: usize,
     k: usize,
     m: usize,
@@ -207,33 +254,18 @@ pub fn matmul_par(
 /// valid partition [`partition::row_ranges`] computes.
 #[doc(hidden)]
 pub fn matmul_par_with_ranges(
-    a: &[f32],
-    b: &[f32],
+    a: Operand<'_>,
+    b: Operand<'_>,
     n: usize,
     k: usize,
     m: usize,
     ranges: &[(usize, usize)],
     out: &mut [f32],
 ) {
-    assert_eq!(a.len(), n * k, "a must be {n}x{k}");
-    assert_eq!(b.len(), k * m, "b must be {k}x{m}");
-    partition::par_rows(out, n, m, ranges, |lo, hi, rows| {
-        for r in lo..hi {
-            let out_row = &mut rows[(r - lo) * m..(r - lo + 1) * m];
-            matmul_row(&a[r * k..(r + 1) * k], b, m, out_row);
-        }
+    assert_product_shapes(a, b, n, k, m);
+    partition::par_rows(out, n, m, ranges, |lo, _, rows| {
+        matmul_rows(a, b, (n, k, m), lo, rows)
     });
-}
-
-/// `out = aᵀ` for a row-major `rows × cols` input.
-pub fn transpose(a: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), rows * cols, "a must be {rows}x{cols}");
-    assert_eq!(out.len(), rows * cols, "out must be {cols}x{rows}");
-    for r in 0..rows {
-        for c in 0..cols {
-            out[c * rows + r] = a[r * cols + c];
-        }
-    }
 }
 
 /// Elementwise `out = a + b`.
@@ -274,16 +306,22 @@ pub fn add_bias_rows(x: &[f32], bias: &[f32], n: usize, m: usize, out: &mut [f32
     }
 }
 
-/// Fused bias + ReLU applied in place: `out[r, c] = max(out[r, c] + bias[c], 0)`.
+/// A GEMM epilogue applied in place to the `m`-wide rows of `out`:
+/// `out[r, c] + bias[c]`, then `max(·, 0)` for [`Epilogue::BiasRelu`].
 ///
 /// Same arithmetic as `add_bias_rows` followed by a ReLU pass — the fusion
-/// saves one full memory sweep, never a bit of precision.
-pub fn bias_relu_inplace(out: &mut [f32], bias: &[f32], n: usize, m: usize) {
+/// saves memory sweeps, never a bit of precision.
+pub fn epilogue(epilogue: Epilogue<'_>, out: &mut [f32], m: usize) {
+    let (bias, relu) = match epilogue {
+        Epilogue::None => return,
+        Epilogue::Bias(bias) => (bias, false),
+        Epilogue::BiasRelu(bias) => (bias, true),
+    };
     assert_eq!(bias.len(), m, "bias must be 1x{m}");
-    for r in 0..n {
-        let row = &mut out[r * m..(r + 1) * m];
+    for row in out.chunks_exact_mut(m.max(1)) {
         for (o, &b) in row.iter_mut().zip(bias) {
-            *o = (*o + b).max(0.0);
+            let v = *o + b;
+            *o = if relu { v.max(0.0) } else { v };
         }
     }
 }

@@ -16,7 +16,7 @@
 //! * [`SimdBackend`] — explicit-width vector lanes over a packed `k × NR`
 //!   strip layout: register-blocked GEMM tiles (AVX-512, AVX, or portable
 //!   scalar lanes, chosen by CPU feature detection), the elementwise
-//!   family, and the fused bias-ReLU epilogue. Bit-identical to the
+//!   family, and the fused bias and bias-ReLU epilogues. Bit-identical to the
 //!   reference: lanes vectorize across output elements, never across a
 //!   single element's `k` fold.
 //!
@@ -61,12 +61,34 @@ pub enum Unary {
     Tanh,
 }
 
+/// One [`Backend::gemm`] operand: a row-major slice holding the logical
+/// matrix or its transpose. A transposed operand is read in place, so the
+/// backward products `g · wᵀ` and `xᵀ · g` copy nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Operand<'a> {
+    /// The slice is the `r × c` matrix itself.
+    RowMajor(&'a [f32]),
+    /// The slice is the `c × r` transpose of the `r × c` matrix.
+    Transposed(&'a [f32]),
+}
+
+impl<'a> Operand<'a> {
+    /// The slice, whichever layout it holds.
+    pub fn data(self) -> &'a [f32] {
+        match self {
+            Operand::RowMajor(s) | Operand::Transposed(s) => s,
+        }
+    }
+}
+
 /// What [`Backend::gemm`] applies to the product before returning — the
-/// two GEMM shapes the training stack emits.
+/// three GEMM shapes the training stack emits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Epilogue<'a> {
-    /// Plain product: `out += a · b`.
+    /// Plain product: `out = a · b`.
     None,
+    /// `out = a · b + bias` with a `1 × m` bias row.
+    Bias(&'a [f32]),
     /// `out = relu(a · b + bias)` with a `1 × m` bias row.
     BiasRelu(&'a [f32]),
 }
@@ -84,8 +106,9 @@ pub enum NormKind {
 /// point.
 ///
 /// All tensors are row-major `f32` slices with explicit shapes. Kernels that
-/// accumulate (`gemm`, `scatter_add_rows`, `banded_*`) expect a zeroed
-/// `out`; the rest overwrite every element. Default methods delegate to the
+/// accumulate (`scatter_add_rows`, `banded_*`) expect a zeroed `out`; the
+/// rest, `gemm` included, overwrite every element and never read what `out`
+/// held. Default methods delegate to the
 /// reference loops in [`kernels`], so a backend only overrides the kernels
 /// it actually accelerates — and every override must keep the documented
 /// per-output-element accumulation order, because training histories are
@@ -94,26 +117,28 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Stable name, as accepted by [`backend_by_name`] and the CLI.
     fn name(&self) -> &'static str;
 
-    /// Dense GEMM `out += a · b` (`n × k` times `k × m`) followed by
-    /// `epilogue`, parallelized under `par` with bit-identical results for
-    /// every thread count.
+    /// Dense GEMM `out = a · b` (`n × k` times `k × m`, each operand in its
+    /// own [`Operand`] layout) followed by `epilogue`, parallelized under
+    /// `par` with bit-identical results for every thread count.
     ///
-    /// `out` must start zeroed, every element `+0.0`. Each output element is
-    /// the fold `acc + a[i][k]·b[k][j]` in ascending `k`, and the reference
-    /// skips the terms with `a[i][k] == 0.0`. An implementation may add
-    /// those terms instead, because from a `+0.0` start `acc` never becomes
-    /// `-0.0` under round-to-nearest, and with a finite `b` every skipped
-    /// term is `±0`, which leaves any other `acc` unchanged. A `b` with a
-    /// non-finite value must keep the skip (`0 · inf` is NaN).
+    /// `out` is write-only: every element is written and nothing it held is
+    /// read. Each output element is the fold `acc + a[i][k]·b[k][j]` in
+    /// ascending `k` from `acc = +0.0`, and the reference skips the terms
+    /// with `a[i][k] == 0.0`. An implementation may add those terms instead,
+    /// because from a `+0.0` start `acc` never becomes `-0.0` under
+    /// round-to-nearest, and with a finite `b` every skipped term is `±0`,
+    /// which leaves any other `acc` unchanged. A `b` with a non-finite value
+    /// must keep the skip (`0 · inf` is NaN). The same argument makes the
+    /// product free of `-0.0`.
     ///
-    /// A fused epilogue is the same arithmetic as the product → add bias
-    /// row → activation chain (each element rounded at every step, nothing
+    /// An epilogue is the same arithmetic as the product → add bias row →
+    /// activation chain (each element rounded at every step, nothing
     /// contracted); fusing saves memory sweeps, never precision.
     #[allow(clippy::too_many_arguments)]
     fn gemm(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: Operand<'_>,
+        b: Operand<'_>,
         n: usize,
         k: usize,
         m: usize,
@@ -122,10 +147,7 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         out: &mut [f32],
     ) {
         kernels::matmul_par(a, b, n, k, m, par, out);
-        match epilogue {
-            Epilogue::None => {}
-            Epilogue::BiasRelu(bias) => kernels::bias_relu_inplace(out, bias, n, m),
-        }
+        kernels::epilogue(epilogue, out, m);
     }
 
     /// Elementwise `out = a + b`.
@@ -288,13 +310,35 @@ mod tests {
 
     #[test]
     fn default_methods_match_kernels() {
+        use Operand::{RowMajor, Transposed};
         let b = ReferenceBackend;
         let a = [1.0f32, 2.0, 3.0, 4.0];
         let c = [5.0f32, 6.0, 7.0, 8.0];
-        let mut out = [0.0f32; 4];
+        let mut out = [f32::NAN; 4];
         let par = Parallelism::with_threads(1);
-        b.gemm(&a, &c, 2, 2, 2, Epilogue::None, &par, &mut out);
+        b.gemm(
+            RowMajor(&a),
+            RowMajor(&c),
+            2,
+            2,
+            2,
+            Epilogue::None,
+            &par,
+            &mut out,
+        );
         assert_eq!(out, [19.0, 22.0, 43.0, 50.0]);
+        // aᵀ·cᵀ = (c·a)ᵀ, and c·a = [[23, 34], [31, 46]].
+        b.gemm(
+            Transposed(&a),
+            Transposed(&c),
+            2,
+            2,
+            2,
+            Epilogue::None,
+            &par,
+            &mut out,
+        );
+        assert_eq!(out, [23.0, 31.0, 34.0, 46.0]);
         b.add(&a, &c, &mut out);
         assert_eq!(out, [6.0, 8.0, 10.0, 12.0]);
         b.unary(Unary::Relu, &[-1.0, 2.0], &mut out[..2]);
@@ -309,13 +353,18 @@ mod tests {
         let x = [1.0f32, -1.0];
         let w = [1.0f32, 2.0, 3.0, 4.0];
         let bias = [0.5f32, -10.0];
+        let (x, x2, w) = (
+            Operand::RowMajor(&x),
+            Operand::RowMajor(&[1.0f32, 1.0]),
+            Operand::RowMajor(&w),
+        );
         let mut out = [0.0f32; 2];
-        b.gemm(&x, &w, 1, 2, 2, Epilogue::BiasRelu(&bias), &par, &mut out);
+        b.gemm(x, w, 1, 2, 2, Epilogue::BiasRelu(&bias), &par, &mut out);
         // x·w = [-2, -2]; +bias = [-1.5, -12]; relu = [0, 0]
         assert_eq!(out, [0.0, 0.0]);
-        out.fill(0.0);
-        let x2 = [1.0f32, 1.0];
-        b.gemm(&x2, &w, 1, 2, 2, Epilogue::BiasRelu(&bias), &par, &mut out);
+        b.gemm(x, w, 1, 2, 2, Epilogue::Bias(&bias), &par, &mut out);
+        assert_eq!(out, [-1.5, -12.0]);
+        b.gemm(x2, w, 1, 2, 2, Epilogue::BiasRelu(&bias), &par, &mut out);
         // x·w = [4, 6]; +bias = [4.5, -4]; relu = [4.5, 0]
         assert_eq!(out, [4.5, 0.0]);
     }

@@ -23,7 +23,7 @@
 //! production trainer; `tests/profiled.rs` gates the overhead at ≤ 5% of
 //! the unwrapped backend on the 512×512 GEMM harness.
 
-use crate::{Backend, Epilogue, NormKind, Unary};
+use crate::{Backend, Epilogue, NormKind, Operand, Unary};
 use mega_core::band::BandMask;
 use mega_core::Parallelism;
 use std::sync::Arc;
@@ -90,8 +90,8 @@ impl Backend for ProfiledBackend {
 
     fn gemm(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: Operand<'_>,
+        b: Operand<'_>,
         n: usize,
         k: usize,
         m: usize,
@@ -102,10 +102,11 @@ impl Backend for ProfiledBackend {
         let t = mega_obs::timer();
         self.inner.gemm(a, b, n, k, m, epilogue, par, out);
         let (n64, k64, m64) = (n as u64, k as u64, m as u64);
-        // A fused epilogue reads the bias row and charges add + max per
-        // output.
+        // An epilogue reads the bias row and charges its add (and max) per
+        // output; a bias alone stays under `matmul`, the GEMM it finishes.
         let (kernel, epilogue_flops, bias_len) = match epilogue {
             Epilogue::None => ("matmul", 0, 0),
+            Epilogue::Bias(_) => ("matmul", 1, m64),
             Epilogue::BiasRelu(_) => ("linear_relu", 2, m64),
         };
         self.record(
@@ -343,12 +344,12 @@ impl Calibration {
         let par = Parallelism::with_threads(1);
         let a = vec![1.0f32; N * N];
         let b = vec![0.5f32; N * N];
+        let (a, b) = (Operand::RowMajor(&a), Operand::RowMajor(&b));
         let mut out = vec![0.0f32; N * N];
         let mut best_gemm = f64::INFINITY;
         for _ in 0..REPS {
-            out.fill(0.0);
             let sw = mega_obs::Stopwatch::start();
-            backend.gemm(&a, &b, N, N, N, Epilogue::None, &par, &mut out);
+            backend.gemm(a, b, N, N, N, Epilogue::None, &par, &mut out);
             best_gemm = best_gemm.min(sw.elapsed_seconds());
         }
         let gemm_gflops = 2.0 * (N as f64).powi(3) / best_gemm / 1e9;
@@ -403,10 +404,11 @@ mod tests {
         let par = Parallelism::with_threads(1);
         let a = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
         let b = [0.5f32, -1.0, 2.0, 0.25, -0.5, 1.5];
+        let (oa, ob) = (Operand::RowMajor(&a), Operand::RowMajor(&b));
         let mut want = [0.0f32; 4];
         let mut got = [0.0f32; 4];
-        raw.gemm(&a, &b, 2, 3, 2, Epilogue::None, &par, &mut want);
-        profiled.gemm(&a, &b, 2, 3, 2, Epilogue::None, &par, &mut got);
+        raw.gemm(oa, ob, 2, 3, 2, Epilogue::None, &par, &mut want);
+        profiled.gemm(oa, ob, 2, 3, 2, Epilogue::None, &par, &mut got);
         assert_eq!(want, got, "decorator must not perturb values");
         let mut w2 = [0.0f32; 6];
         let mut g2 = [0.0f32; 6];
@@ -437,9 +439,9 @@ mod tests {
         mega_obs::set_enabled(false);
         let profiled = ProfiledBackend::new(Arc::new(ReferenceBackend));
         let par = Parallelism::with_threads(1);
-        let a = [1.0f32; 4];
+        let a = Operand::RowMajor(&[1.0f32; 4]);
         let mut out = [0.0f32; 4];
-        profiled.gemm(&a, &a, 2, 2, 2, Epilogue::None, &par, &mut out);
+        profiled.gemm(a, a, 2, 2, 2, Epilogue::None, &par, &mut out);
         let snap = mega_obs::snapshot();
         assert!(!snap
             .counters

@@ -2,8 +2,8 @@
 //!
 //! [`SimdBackend`] is the workspace's vectorized hot path: the GEMM tiles,
 //! the elementwise family (`add`/`sub`/`mul`/`scale`, `scale_rows`,
-//! `add_bias_rows`), the clamp-family activations, and the fused bias-ReLU
-//! GEMM epilogue all run on explicit-width lanes. No new dependencies: the
+//! `add_bias_rows`), the clamp-family activations, and the bias and
+//! bias-ReLU GEMM epilogues all run on explicit-width lanes. No new dependencies: the
 //! native tiers are `std::arch` intrinsics behind runtime
 //! `is_x86_feature_detected!` checks, and every other architecture takes
 //! the portable path. Three GEMM tiers, one tile driver ([`gemm_rows`]):
@@ -20,6 +20,14 @@
 //! chains hide the add latency. The elementwise family runs on the AVX
 //! kernels for both native tiers.
 //!
+//! **Operands are read where they lie.** A transposed `b` (`wᵀ` for
+//! `dx = g · wᵀ`) is packed column by column straight from `w`; a
+//! transposed `a` (`xᵀ` for `dw = xᵀ · g`) is read by the same tiles with
+//! a stride: element `kk` of row `i` sits `kk · n` past `x[i]`, so the `MR`
+//! broadcasts of one step are adjacent floats. No transpose is ever copied.
+//! `out` is write-only: the tiles start from `setzero` and store, never
+//! load, so whatever the buffer held is never read.
+//!
 //! **Bit-identity** with [`ReferenceBackend`] holds by construction:
 //!
 //! * Every lane owns one output element and folds `acc + a·b` in
@@ -27,12 +35,12 @@
 //!   contracts `a*b + c`), no horizontal reductions (a horizontal sum would
 //!   reassociate the fold and change the bits).
 //! * The reference skips `a == 0.0` terms; the tiles add them, with no
-//!   branch. The extra terms are invisible: (i) `out` starts zeroed (the
-//!   [`Backend::gemm`] contract, a `debug_assert!` here), so `acc` starts
-//!   at `+0.0` and round-to-nearest never makes it `-0.0`; (ii) when every
-//!   `b` is finite, `0·b = ±0` and `x + ±0 = x` for every `x ≠ -0.0`,
-//!   including ±inf and quiet NaN. [`pack_strips`] checks (ii) while it
-//!   copies `b`; a product with a non-finite `b` runs the reference loops.
+//!   branch. The extra terms are invisible: (i) every accumulator starts at
+//!   `+0.0` (`_mm512_setzero_ps`, `_mm256_setzero_ps`, `[0.0; W]`) and
+//!   round-to-nearest never makes it `-0.0`; (ii) when every `b` is
+//!   finite, `0·b = ±0` and `x + ±0 = x` for every `x ≠ -0.0`, including
+//!   ±inf and quiet NaN. [`pack_strips`] checks (ii) while it copies `b`; a
+//!   product with a non-finite `b` runs the reference loops.
 //! * Elementwise lanes are independent by definition; `vmaxps(x, 0)` and
 //!   scalar `f32::max(x, 0.0)` agree on every input including `-0.0` and
 //!   NaN (both return the second operand for NaN inputs).
@@ -45,7 +53,7 @@
 
 use crate::kernels;
 use crate::partition;
-use crate::{Backend, Epilogue, ReferenceBackend, Unary};
+use crate::{Backend, Epilogue, Operand, ReferenceBackend, Unary};
 use mega_core::parallel::Parallelism;
 
 /// Output rows per block: one block of rows shares each cache-resident
@@ -56,29 +64,75 @@ const MC: usize = 48;
 /// Output columns per packed strip, and the width of every tile.
 const NR: usize = 32;
 
-/// Packs `b` (`k × m`, row-major) into contiguous `k × NR` column strips,
-/// zero-padded to `NR` wide — the layout the tiles stream through.
+/// Packs the `k × m` operand `b` into contiguous `k × NR` column strips,
+/// zero-padded to `NR` wide — the layout the tiles stream through. A
+/// row-major `b` is copied row by row, a transposed one (`wᵀ` read from
+/// `w`) column by column, so neither layout costs a separate transpose.
 /// Contiguous strips kill the power-of-two row stride that thrashes L1
 /// sets, and each cache-resident strip is reused across `MC` output rows.
 /// The copy is O(k·m) against O(n·k·m) multiply-adds that reuse it.
 ///
 /// Returns `None` when `b` holds a non-finite value: the tiles' skipped
 /// zero terms are invisible only when every `b` is finite (module docs).
-fn pack_strips(b: &[f32], k: usize, m: usize) -> Option<Vec<f32>> {
+fn pack_strips(b: Operand<'_>, k: usize, m: usize) -> Option<Vec<f32>> {
     let strips = m.div_ceil(NR);
     let mut packed = vec![0.0f32; strips * k * NR];
     let mut finite = true;
-    for s in 0..strips {
+    // Without depth there is nothing to pack (and no strip to chunk by).
+    for (s, slab) in packed.chunks_exact_mut((k * NR).max(1)).enumerate() {
         let jt = s * NR;
         let w = NR.min(m - jt);
-        let slab = &mut packed[s * k * NR..(s + 1) * k * NR];
-        for kk in 0..k {
-            let src = &b[kk * m + jt..kk * m + jt + w];
-            finite = src.iter().fold(finite, |f, v| f & v.is_finite());
-            slab[kk * NR..kk * NR + w].copy_from_slice(src);
+        match b {
+            Operand::RowMajor(b) => {
+                for (kk, dst) in slab.chunks_exact_mut(NR).enumerate() {
+                    let src = &b[kk * m + jt..kk * m + jt + w];
+                    finite = src.iter().fold(finite, |f, v| f & v.is_finite());
+                    dst[..w].copy_from_slice(src);
+                }
+            }
+            Operand::Transposed(bt) => {
+                for (j, col) in bt[jt * k..(jt + w) * k].chunks_exact(k).enumerate() {
+                    for (kk, &v) in col.iter().enumerate() {
+                        finite &= v.is_finite();
+                        slab[kk * NR + j] = v;
+                    }
+                }
+            }
         }
     }
     finite.then_some(packed)
+}
+
+/// The left operand as the tiles read it: row `i` of the logical `n × k`
+/// matrix starts at `data[i · row_stride]` and its `kk`-th element sits
+/// `kk · k_stride` further on. Row-major `a` has strides `(k, 1)`; a
+/// transposed one, where row `i` of `a` is column `i` of the stored
+/// matrix (`xᵀ` read from `x`), has `(1, n)`.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    k_stride: usize,
+}
+
+impl<'a> Strided<'a> {
+    fn new(a: Operand<'a>, n: usize, k: usize) -> Self {
+        let (data, row_stride, k_stride) = match a {
+            Operand::RowMajor(a) => (a, k, 1),
+            Operand::Transposed(at) => (at, 1, n),
+        };
+        Strided {
+            data,
+            row_stride,
+            k_stride,
+        }
+    }
+
+    /// The storage from row `i`'s first element on; a tile reads its
+    /// elements `k_stride` apart. Empty when there is no depth to read.
+    fn row(self, i: usize) -> &'a [f32] {
+        &self.data[(i * self.row_stride).min(self.data.len())..]
+    }
 }
 
 /// Which tier a [`SimdBackend`] instance dispatches to.
@@ -187,31 +241,32 @@ impl SimdBackend {
 // The tile driver
 // ---------------------------------------------------------------------------
 
-/// The one GEMM driver every tier runs: rows `[lo, hi)` of `out += a · b`
+/// The one GEMM driver every tier runs: rows `[lo, hi)` of `out = a · b`
 /// (`part` holds exactly those rows) in `MC`-row blocks. Each block walks
 /// the packed strips and covers its rows with `MR`-row calls of `tile`,
-/// which folds the full depth of one `MR × NR` block of `out` in registers;
-/// the fused `bias_relu_row` epilogue then sweeps the block while it is
-/// still in cache.
+/// which folds the full depth of one `MR × NR` block of `out` in registers
+/// and stores it over whatever `out` held; the `bias_row` epilogue (bias,
+/// then ReLU when asked) then sweeps the block while it is still in cache.
 ///
-/// `tile(a_rows, strip, c, ldc)` reads row `r` of `a` from `a_rows[r]`,
-/// the `k × NR` strip from `strip`, and row `r` of its output block from
-/// `c[r·ldc..r·ldc + NR]`. Full tiles write `out` in place. A short tile
-/// (the last rows of a range, or the last strip when `NR ∤ m`) runs on a
-/// copy: its missing rows repeat the last real row of `a`, and only the
-/// real rows and columns are copied back.
+/// `tile(a_rows, k_stride, strip, c, ldc)` reads element `kk` of row `r` of
+/// `a` from `a_rows[r][kk · k_stride]`, the `k × NR` strip from `strip`,
+/// and writes row `r` of its output block to `c[r·ldc..r·ldc + NR]`. Full
+/// tiles write `out` in place. A short tile (the last rows of a range, or
+/// the last strip when `NR ∤ m`) writes a stack block: its missing rows
+/// repeat the last real row of `a`, and only the real rows and columns are
+/// copied out.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows<const MR: usize>(
-    a: &[f32],
+    a: Strided<'_>,
     packed: &[f32],
     k: usize,
     m: usize,
     lo: usize,
     hi: usize,
-    bias_relu: Option<&[f32]>,
+    bias: Option<(&[f32], bool)>,
     part: &mut [f32],
-    tile: impl Fn([&[f32]; MR], &[f32], &mut [f32], usize),
-    bias_relu_row: impl Fn(&mut [f32], &[f32]),
+    tile: impl Fn([&[f32]; MR], usize, &[f32], &mut [f32], usize),
+    bias_row: impl Fn(&mut [f32], &[f32], bool),
 ) {
     let strips = m.div_ceil(NR);
     for ib in (lo..hi).step_by(MC) {
@@ -222,28 +277,22 @@ fn gemm_rows<const MR: usize>(
             let strip = &packed[s * k * NR..(s + 1) * k * NR];
             for ir in (ib..i_end).step_by(MR) {
                 let rows = MR.min(i_end - ir);
-                let a_rows = std::array::from_fn(|r| {
-                    let i = ir + r.min(rows - 1);
-                    &a[i * k..(i + 1) * k]
-                });
+                let a_rows = std::array::from_fn(|r| a.row(ir + r.min(rows - 1)));
                 let c0 = (ir - lo) * m + jt;
                 if rows == MR && w == NR {
-                    tile(a_rows, strip, &mut part[c0..], m);
+                    tile(a_rows, a.k_stride, strip, &mut part[c0..], m);
                     continue;
                 }
                 let mut c = [[0.0f32; NR]; MR];
-                for (r, c_row) in c.iter_mut().take(rows).enumerate() {
-                    c_row[..w].copy_from_slice(&part[c0 + r * m..c0 + r * m + w]);
-                }
-                tile(a_rows, strip, c.as_flattened_mut(), NR);
+                tile(a_rows, a.k_stride, strip, c.as_flattened_mut(), NR);
                 for (r, c_row) in c.iter().take(rows).enumerate() {
                     part[c0 + r * m..c0 + r * m + w].copy_from_slice(&c_row[..w]);
                 }
             }
         }
-        if let Some(bias) = bias_relu {
-            for i in ib..i_end {
-                bias_relu_row(&mut part[(i - lo) * m..(i - lo + 1) * m], bias);
+        if let Some((bias, relu)) = bias {
+            for row in part[(ib - lo) * m..(i_end - lo) * m].chunks_exact_mut(m.max(1)) {
+                bias_row(row, bias, relu);
             }
         }
     }
@@ -258,7 +307,7 @@ fn gemm_rows<const MR: usize>(
 /// independent scalar chain). The fixed-width arrays give LLVM the same
 /// unrolled shape the intrinsics spell out explicitly.
 mod wide {
-    use super::NR;
+    use super::{Strided, NR};
 
     /// Tile height of the portable tier: 4 rows × `W` lanes of
     /// accumulators stay within sixteen 128-bit registers at `W = 16`.
@@ -267,33 +316,36 @@ mod wide {
     /// [`super::gemm_rows`] with the `W`-lane tile and epilogue.
     #[allow(clippy::too_many_arguments)]
     pub fn gemm_rows<const W: usize>(
-        a: &[f32],
+        a: Strided<'_>,
         packed: &[f32],
         k: usize,
         m: usize,
         lo: usize,
         hi: usize,
-        bias_relu: Option<&[f32]>,
+        bias: Option<(&[f32], bool)>,
         part: &mut [f32],
     ) {
-        let (tile, relu) = (tile::<W>, bias_relu_row::<W>);
-        super::gemm_rows(a, packed, k, m, lo, hi, bias_relu, part, tile, relu);
+        let (tile, bias_row) = (tile::<W>, bias_relu_row::<W>);
+        super::gemm_rows(a, packed, k, m, lo, hi, bias, part, tile, bias_row);
     }
 
     /// The portable tile: each `W`-wide column chunk of the `MR × NR`
-    /// block folds the full depth in `MR` accumulator arrays, every lane
-    /// `acc + a·b` in ascending `k`, no zero test.
-    pub fn tile<const W: usize>(a: [&[f32]; MR], strip: &[f32], c: &mut [f32], ldc: usize) {
+    /// block folds the full depth in `MR` accumulator arrays from `+0.0`,
+    /// every lane `acc + a·b` in ascending `k`, no zero test.
+    pub fn tile<const W: usize>(
+        a: [&[f32]; MR],
+        ks: usize,
+        strip: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+    ) {
         let k = strip.len() / NR;
         for base in (0..NR).step_by(W) {
             let mut acc = [[0.0f32; W]; MR];
-            for (r, v) in acc.iter_mut().enumerate() {
-                v.copy_from_slice(&c[r * ldc + base..r * ldc + base + W]);
-            }
             for kk in 0..k {
                 let b = &strip[kk * NR + base..kk * NR + base + W];
                 for (v, a_row) in acc.iter_mut().zip(&a) {
-                    let av = a_row[kk];
+                    let av = a_row[kk * ks];
                     for l in 0..W {
                         v[l] += av * b[l];
                     }
@@ -305,18 +357,19 @@ mod wide {
         }
     }
 
-    /// Fused `out = max(out + bias, 0)` over one row.
+    /// `out = out + bias`, then `max(·, 0)` when `relu`, over one row.
     #[inline]
-    pub fn bias_relu_row<const W: usize>(out_row: &mut [f32], bias: &[f32]) {
+    pub fn bias_relu_row<const W: usize>(out_row: &mut [f32], bias: &[f32], relu: bool) {
+        let f = |o: f32, b: f32| if relu { (o + b).max(0.0) } else { o + b };
         let mut j = 0;
         while j + W <= out_row.len() {
             for l in 0..W {
-                out_row[j + l] = (out_row[j + l] + bias[j + l]).max(0.0);
+                out_row[j + l] = f(out_row[j + l], bias[j + l]);
             }
             j += W;
         }
         while j < out_row.len() {
-            out_row[j] = (out_row[j] + bias[j]).max(0.0);
+            out_row[j] = f(out_row[j], bias[j]);
             j += 1;
         }
     }
@@ -370,35 +423,35 @@ mod avx512 {
     /// Tile height: six rows × two `__m512` = twelve accumulators.
     pub const MR: usize = 6;
 
-    /// Folds the full depth of one `MR × NR` block of `out`: per `k` step
-    /// two 16-lane strip loads, six broadcasts, twelve `vmulps` + `vaddps`
-    /// (never `vfmadd`: FMA's single rounding would change the bits).
+    /// Folds the full depth of one `MR × NR` block of `out` from `+0.0`:
+    /// per `k` step two 16-lane strip loads, six broadcasts of
+    /// `a[r][kk · ks]`, twelve `vmulps` + `vaddps` (never `vfmadd`: FMA's
+    /// single rounding would change the bits). Stores the block; never
+    /// loads `c`.
     #[target_feature(enable = "avx512f")]
-    pub fn tile(a: [&[f32]; MR], strip: &[f32], c: &mut [f32], ldc: usize) {
+    pub fn tile(a: [&[f32]; MR], ks: usize, strip: &[f32], c: &mut [f32], ldc: usize) {
         let k = strip.len() / NR;
-        let a = a.map(|row| &row[..k]);
+        let span = if k == 0 { 0 } else { (k - 1) * ks + 1 };
+        let a = a.map(|row| &row[..span]);
         let c = &mut c[..(MR - 1) * ldc + NR];
         // SAFETY: the slicing above (which panics rather than truncates)
-        // leaves every row of `a` exactly `k` floats and `c` holding `NR`
-        // floats at `r·ldc` for every `r < MR`; `strip` holds at least
-        // `k · NR`. So for `kk < k` the broadcast of `a[r][kk]` and the
-        // 16-lane loads at `kk·NR` and `kk·NR + 16` are in bounds, as are
-        // the loads and stores of `c`. AVX-512F itself is guaranteed by this
-        // module's `#[target_feature]` + runtime-detection contract.
+        // leaves every row of `a` exactly `(k − 1)·ks + 1` floats and `c`
+        // holding `NR` floats at `r·ldc` for every `r < MR`; `strip` holds
+        // at least `k · NR`. So for `kk < k` the broadcast of `a[r][kk·ks]`
+        // (offset at most `(k − 1)·ks`) and the 16-lane loads at `kk·NR`
+        // and `kk·NR + 16` are in bounds, as are the stores to `c`.
+        // AVX-512F itself is guaranteed by this module's
+        // `#[target_feature]` + runtime-detection contract.
         unsafe {
             let cp = c.as_mut_ptr();
             let ap = a.map(<[f32]>::as_ptr);
             let mut acc = [_mm512_setzero_ps(); 2 * MR];
-            for r in 0..MR {
-                acc[2 * r] = _mm512_loadu_ps(cp.add(r * ldc));
-                acc[2 * r + 1] = _mm512_loadu_ps(cp.add(r * ldc + 16));
-            }
             let sp = strip.as_ptr();
             for kk in 0..k {
                 let b0 = _mm512_loadu_ps(sp.add(kk * NR));
                 let b1 = _mm512_loadu_ps(sp.add(kk * NR + 16));
                 for r in 0..MR {
-                    let av = _mm512_set1_ps(*ap[r].add(kk));
+                    let av = _mm512_set1_ps(*ap[r].add(kk * ks));
                     acc[2 * r] = _mm512_add_ps(acc[2 * r], _mm512_mul_ps(av, b0));
                     acc[2 * r + 1] = _mm512_add_ps(acc[2 * r + 1], _mm512_mul_ps(av, b1));
                 }
@@ -427,30 +480,28 @@ mod avx {
     /// Tile height: three rows × four `__m256` = twelve accumulators.
     pub const MR: usize = 3;
 
-    /// Folds the full depth of one `MR × NR` block of `out`: per `k` step
-    /// four 8-lane strip loads, three broadcasts, twelve `vmulps` +
-    /// `vaddps` (never `vfmadd`: FMA's single rounding would change the
-    /// bits).
+    /// Folds the full depth of one `MR × NR` block of `out` from `+0.0`:
+    /// per `k` step four 8-lane strip loads, three broadcasts of
+    /// `a[r][kk · ks]`, twelve `vmulps` + `vaddps` (never `vfmadd`: FMA's
+    /// single rounding would change the bits). Stores the block; never
+    /// loads `c`.
     #[target_feature(enable = "avx")]
-    pub fn tile(a: [&[f32]; MR], strip: &[f32], c: &mut [f32], ldc: usize) {
+    pub fn tile(a: [&[f32]; MR], ks: usize, strip: &[f32], c: &mut [f32], ldc: usize) {
         let k = strip.len() / NR;
-        let a = a.map(|row| &row[..k]);
+        let span = if k == 0 { 0 } else { (k - 1) * ks + 1 };
+        let a = a.map(|row| &row[..span]);
         let c = &mut c[..(MR - 1) * ldc + NR];
         // SAFETY: the slicing above (which panics rather than truncates)
-        // leaves every row of `a` exactly `k` floats and `c` holding `NR`
-        // floats at `r·ldc` for every `r < MR`; `strip` holds at least
-        // `k · NR`. So for `kk < k` the broadcast of `a[r][kk]` and the
-        // 8-lane loads at `kk·NR + 8q`, `q < 4`, are in bounds, as are the
-        // loads and stores of `c`. AVX per the module contract.
+        // leaves every row of `a` exactly `(k − 1)·ks + 1` floats and `c`
+        // holding `NR` floats at `r·ldc` for every `r < MR`; `strip` holds
+        // at least `k · NR`. So for `kk < k` the broadcast of `a[r][kk·ks]`
+        // (offset at most `(k − 1)·ks`) and the 8-lane loads at
+        // `kk·NR + 8q`, `q < 4`, are in bounds, as are the stores to `c`.
+        // AVX per the module contract.
         unsafe {
             let cp = c.as_mut_ptr();
             let ap = a.map(<[f32]>::as_ptr);
             let mut acc = [_mm256_setzero_ps(); 4 * MR];
-            for r in 0..MR {
-                for q in 0..4 {
-                    acc[4 * r + q] = _mm256_loadu_ps(cp.add(r * ldc + 8 * q));
-                }
-            }
             let sp = strip.as_ptr();
             for kk in 0..k {
                 let s = sp.add(kk * NR);
@@ -461,7 +512,7 @@ mod avx {
                     _mm256_loadu_ps(s.add(24)),
                 ];
                 for r in 0..MR {
-                    let av = _mm256_set1_ps(*ap[r].add(kk));
+                    let av = _mm256_set1_ps(*ap[r].add(kk * ks));
                     for q in 0..4 {
                         acc[4 * r + q] = _mm256_add_ps(acc[4 * r + q], _mm256_mul_ps(av, b[q]));
                     }
@@ -475,16 +526,17 @@ mod avx {
         }
     }
 
-    /// Fused `out = max(out + bias, 0)` over one row; `vmaxps(x, 0)`
-    /// matches scalar `f32::max(x, 0.0)` on every input (both return the
-    /// second operand for NaN).
+    /// `out = out + bias`, then `max(·, 0)` when `relu`, over one row;
+    /// `vmaxps(x, 0)` matches scalar `f32::max(x, 0.0)` on every input
+    /// (both return the second operand for NaN).
     #[target_feature(enable = "avx")]
-    pub fn bias_relu_row(out_row: &mut [f32], bias: &[f32]) {
+    pub fn bias_relu_row(out_row: &mut [f32], bias: &[f32], relu: bool) {
+        let bias = &bias[..out_row.len()];
         // SAFETY: the vector loop only touches `j..j + 8` while
-        // `j + 8 <= out_row.len()`, and the caller passes `bias` of the
-        // same row width (asserted in `gemm_simd`), so every 8-lane
-        // load/store on both pointers is in bounds; the tail is safe
-        // indexing. AVX is guaranteed by the module contract.
+        // `j + 8 <= out_row.len()`, and `bias` was just sliced to that
+        // length (panicking if shorter), so every 8-lane load/store on
+        // both pointers is in bounds; the tail is safe indexing. AVX is
+        // guaranteed by the module contract.
         unsafe {
             let zero = _mm256_setzero_ps();
             let n = out_row.len();
@@ -493,11 +545,12 @@ mod avx {
             let mut j = 0;
             while j + 8 <= n {
                 let v = _mm256_add_ps(_mm256_loadu_ps(o.add(j)), _mm256_loadu_ps(b.add(j)));
-                _mm256_storeu_ps(o.add(j), _mm256_max_ps(v, zero));
+                _mm256_storeu_ps(o.add(j), if relu { _mm256_max_ps(v, zero) } else { v });
                 j += 8;
             }
             while j < n {
-                out_row[j] = (out_row[j] + bias[j]).max(0.0);
+                let v = out_row[j] + bias[j];
+                out_row[j] = if relu { v.max(0.0) } else { v };
                 j += 1;
             }
         }
@@ -648,93 +701,20 @@ macro_rules! portable_widths {
     };
 }
 
-/// SIMD GEMM: the same shape checks, serial cutoff, and `MC`-aligned
-/// row-range split as [`kernels::matmul_par`], with [`gemm_rows`] and the
-/// tier's tile per range. `b` is packed **once** here, before the thread
-/// fan-out, and the read-only strips are shared by all workers; a `b` with
-/// a non-finite value goes to the reference loops instead.
-#[allow(clippy::too_many_arguments)]
-fn gemm_simd(
-    mode: Mode,
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    epilogue: Epilogue<'_>,
-    par: &Parallelism,
-    out: &mut [f32],
-) {
-    assert_eq!(a.len(), n * k, "a must be {n}x{k}");
-    assert_eq!(b.len(), k * m, "b must be {k}x{m}");
-    assert_eq!(out.len(), n * m, "out must be {n}x{m}");
-    let bias_relu = match epilogue {
-        Epilogue::None => None,
-        Epilogue::BiasRelu(bias) => {
-            assert_eq!(bias.len(), m, "bias must be 1x{m}");
-            Some(bias)
-        }
-    };
-    let Some(packed) = pack_strips(b, k, m) else {
-        return ReferenceBackend.gemm(a, b, n, k, m, epilogue, par, out);
-    };
-    let packed = &packed;
-    let rows = |lo: usize, hi: usize, part: &mut [f32]| match mode {
-        #[cfg(target_arch = "x86_64")]
-        Mode::Avx512 => gemm_rows(
-            a,
-            packed,
-            k,
-            m,
-            lo,
-            hi,
-            bias_relu,
-            part,
-            // SAFETY: Mode::Avx512 is only constructed after
-            // `is_x86_feature_detected!` found both avx512f and avx.
-            |a, s, c, ldc| unsafe { avx512::tile(a, s, c, ldc) },
-            // SAFETY: as above; AVX-512 hosts run the AVX epilogue.
-            |row, bias| unsafe { avx::bias_relu_row(row, bias) },
-        ),
-        #[cfg(target_arch = "x86_64")]
-        Mode::Avx => gemm_rows(
-            a,
-            packed,
-            k,
-            m,
-            lo,
-            hi,
-            bias_relu,
-            part,
-            // SAFETY: Mode::Avx is only constructed after
-            // `is_x86_feature_detected!("avx")` returned true.
-            |a, s, c, ldc| unsafe { avx::tile(a, s, c, ldc) },
-            // SAFETY: as above.
-            |row, bias| unsafe { avx::bias_relu_row(row, bias) },
-        ),
-        Mode::Portable(w) => {
-            portable_widths!(w, gemm_rows(a, packed, k, m, lo, hi, bias_relu, part))
-        }
-    };
-    let threads = par.effective_threads().min(n.max(1));
-    if threads <= 1 || n * k * m < kernels::PAR_MATMUL_MIN_FLOPS {
-        return rows(0, n, out);
-    }
-    // MC-aligned boundaries keep whole row blocks on one worker; each
-    // worker streams the shared packed strips and writes its rows in place.
-    let ranges = partition::row_ranges(n, threads, MC);
-    partition::par_rows(out, n, m, &ranges, |lo, hi, part| rows(lo, hi, part));
-}
-
 impl Backend for SimdBackend {
     fn name(&self) -> &'static str {
         "simd"
     }
 
+    // The same shape checks, serial cutoff, and `MC`-aligned row-range
+    // split as `kernels::matmul_par`, with `gemm_rows` and the tier's tile
+    // per range. `b` is packed once here, before the thread fan-out, and
+    // the read-only strips are shared by all workers; a `b` with a
+    // non-finite value goes to the reference loops instead.
     fn gemm(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: Operand<'_>,
+        b: Operand<'_>,
         n: usize,
         k: usize,
         m: usize,
@@ -742,11 +722,67 @@ impl Backend for SimdBackend {
         par: &Parallelism,
         out: &mut [f32],
     ) {
-        debug_assert!(
-            out.iter().all(|v| v.to_bits() == 0),
-            "gemm needs `out` zeroed to +0.0: the tiles' unskipped zero terms are invisible only from there"
-        );
-        gemm_simd(self.mode, a, b, n, k, m, epilogue, par, out);
+        assert_eq!(a.data().len(), n * k, "a must be {n}x{k}");
+        assert_eq!(b.data().len(), k * m, "b must be {k}x{m}");
+        assert_eq!(out.len(), n * m, "out must be {n}x{m}");
+        let bias = match epilogue {
+            Epilogue::None => None,
+            Epilogue::Bias(bias) => Some((bias, false)),
+            Epilogue::BiasRelu(bias) => Some((bias, true)),
+        };
+        if let Some((bias, _)) = bias {
+            assert_eq!(bias.len(), m, "bias must be 1x{m}");
+        }
+        let Some(packed) = pack_strips(b, k, m) else {
+            return ReferenceBackend.gemm(a, b, n, k, m, epilogue, par, out);
+        };
+        let (a, packed) = (Strided::new(a, n, k), &packed);
+        let rows = |lo: usize, hi: usize, part: &mut [f32]| match self.mode {
+            #[cfg(target_arch = "x86_64")]
+            Mode::Avx512 => gemm_rows(
+                a,
+                packed,
+                k,
+                m,
+                lo,
+                hi,
+                bias,
+                part,
+                // SAFETY: Mode::Avx512 is only constructed after
+                // `is_x86_feature_detected!` found both avx512f and avx.
+                |a, ks, s, c, ldc| unsafe { avx512::tile(a, ks, s, c, ldc) },
+                // SAFETY: as above; AVX-512 hosts run the AVX epilogue.
+                |row, bias, relu| unsafe { avx::bias_relu_row(row, bias, relu) },
+            ),
+            #[cfg(target_arch = "x86_64")]
+            Mode::Avx => gemm_rows(
+                a,
+                packed,
+                k,
+                m,
+                lo,
+                hi,
+                bias,
+                part,
+                // SAFETY: Mode::Avx is only constructed after
+                // `is_x86_feature_detected!("avx")` returned true.
+                |a, ks, s, c, ldc| unsafe { avx::tile(a, ks, s, c, ldc) },
+                // SAFETY: as above.
+                |row, bias, relu| unsafe { avx::bias_relu_row(row, bias, relu) },
+            ),
+            Mode::Portable(w) => {
+                portable_widths!(w, gemm_rows(a, packed, k, m, lo, hi, bias, part))
+            }
+        };
+        let threads = par.effective_threads().min(n.max(1));
+        if threads <= 1 || n * k * m < kernels::PAR_MATMUL_MIN_FLOPS {
+            return rows(0, n, out);
+        }
+        // MC-aligned boundaries keep whole row blocks on one worker; each
+        // worker streams the shared packed strips and writes its rows in
+        // place.
+        let ranges = partition::row_ranges(n, threads, MC);
+        partition::par_rows(out, n, m, &ranges, |lo, hi, part| rows(lo, hi, part));
     }
 
     fn add(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -879,10 +915,20 @@ mod tests {
         format!("{}-{}", backend.tier(), backend.lane_width())
     }
 
+    /// The row-major `cols × rows` transpose of a row-major `rows × cols`
+    /// matrix.
+    fn transpose(v: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..cols * rows)
+            .map(|i| v[(i % rows) * cols + i / rows])
+            .collect()
+    }
+
     #[test]
     fn simd_matmul_bit_identical_to_reference() {
+        use Operand::{RowMajor, Transposed};
         for &(n, k, m) in &[
             (1usize, 1usize, 1usize),
+            (5, 0, 7),
             (7, 13, 5),
             (33, 64, 17),
             (40, 70, 65),
@@ -890,18 +936,22 @@ mod tests {
         ] {
             let a = sample(n * k, (n * 31 + k) as u32);
             let b = sample(k * m, (k * 17 + m) as u32);
+            let (at, bt) = (transpose(&a, n, k), transpose(&b, k, m));
+            let mut want = vec![0.0f32; n * m];
+            let par = Parallelism::with_threads(1);
+            let (ra, rb) = (RowMajor(&a), RowMajor(&b));
+            ReferenceBackend.gemm(ra, rb, n, k, m, Epilogue::None, &par, &mut want);
             for backend in SimdBackend::all_on_host() {
                 for threads in [1usize, 2, 4] {
                     let par = Parallelism::pinned(threads);
-                    let mut want = vec![0.0f32; n * m];
-                    ReferenceBackend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut want);
-                    let mut got = vec![0.0f32; n * m];
-                    backend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut got);
-                    for (g, w) in got.iter().zip(&want) {
+                    for (oa, ob) in [(ra, rb), (Transposed(&at), Transposed(&bt))] {
+                        // Whatever `out` held is overwritten, never read.
+                        let mut got = vec![f32::NAN; n * m];
+                        backend.gemm(oa, ob, n, k, m, Epilogue::None, &par, &mut got);
                         assert_eq!(
-                            g.to_bits(),
-                            w.to_bits(),
-                            "{n}x{k}x{m} {} threads={threads}",
+                            bits(&got),
+                            bits(&want),
+                            "{n}x{k}x{m} {} threads={threads} {oa:?}",
                             label(&backend)
                         );
                     }
@@ -911,31 +961,23 @@ mod tests {
     }
 
     #[test]
-    fn simd_linear_relu_bit_identical_to_unfused() {
+    fn simd_epilogues_bit_identical_to_unfused() {
         let (n, k, m) = (35usize, 70usize, 33usize);
         let x = sample(n * k, 3);
         let w = sample(k * m, 4);
         let bias = sample(m, 5);
         let par = Parallelism::with_threads(1);
-        let mut unfused = vec![0.0f32; n * m];
-        kernels::matmul_par(&x, &w, n, k, m, &par, &mut unfused);
-        kernels::bias_relu_inplace(&mut unfused, &bias, n, m);
-        for backend in SimdBackend::all_on_host() {
-            let mut fused = vec![0.0f32; n * m];
-            backend.gemm(&x, &w, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut fused);
-            for (a, b) in fused.iter().zip(&unfused) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{}", label(&backend));
+        let (ox, ow) = (Operand::RowMajor(&x), Operand::RowMajor(&w));
+        for epilogue in [Epilogue::Bias(&bias), Epilogue::BiasRelu(&bias)] {
+            let mut unfused = vec![0.0f32; n * m];
+            kernels::matmul(ox, ow, n, k, m, &mut unfused);
+            kernels::epilogue(epilogue, &mut unfused, m);
+            for backend in SimdBackend::all_on_host() {
+                let mut fused = vec![-0.0f32; n * m];
+                backend.gemm(ox, ow, n, k, m, epilogue, &par, &mut fused);
+                assert_eq!(bits(&fused), bits(&unfused), "{}", label(&backend));
             }
         }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "gemm needs `out` zeroed")]
-    fn gemm_rejects_an_out_that_is_not_zeroed_in_debug_builds() {
-        let (ab, par) = ([1.0f32; 4], Parallelism::with_threads(1));
-        let mut out = [-0.0f32; 4];
-        SimdBackend::new().gemm(&ab, &ab, 2, 2, 2, Epilogue::None, &par, &mut out);
     }
 
     #[test]

@@ -37,14 +37,14 @@ fn pool_counters_mirror_obs_counters() {
     assert_eq!(pool.misses(), 3);
 
     // ... return two of them ...
-    pool.release(a); // parks in class 6 (capacity 64)
-    pool.release(c); // parks in class 7 (largest power of two fitting 200+)
+    pool.release(a); // parks in class 72, one above the request's 64
+    pool.release(c); // parks in class 224, one above the request's 208
 
     // ... then re-acquire shapes the freelist can serve (hits) and one it
-    // cannot (miss: class 6 now empty after the hit drains it).
-    let d = pool.acquire(60); // class 6 request <- recycled `a`: hit
+    // cannot (miss: class 72 empty again after the hit drains it).
+    let d = pool.acquire(62); // class 64 request <- recycled `a`: hit
     assert_eq!(pool.hits(), 1);
-    let _e = pool.acquire(64); // class 6 empty again: miss
+    let _e = pool.acquire(64); // classes 64..=80 empty: miss
     assert_eq!(pool.misses(), 4);
 
     // The obs counters must tell exactly the same story as the pool's own
@@ -58,7 +58,7 @@ fn pool_counters_mirror_obs_counters() {
     // emitting to the obs layer.
     mega_obs::set_enabled(false);
     pool.release(d);
-    let _f = pool.acquire(32); // class 5 is empty: internal miss
+    let _f = pool.acquire(32); // class 32 is empty: internal miss
     let _g = pool.acquire(64); // served by recycled `d`: internal hit
     assert_eq!(pool.hits(), 2);
     assert_eq!(pool.misses(), 5);

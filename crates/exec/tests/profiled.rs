@@ -18,7 +18,7 @@
 
 use mega_core::Parallelism;
 use mega_exec::{
-    Backend, Epilogue, NormKind, ProfiledBackend, ReferenceBackend, SimdBackend, Unary,
+    Backend, Epilogue, NormKind, Operand, ProfiledBackend, ReferenceBackend, SimdBackend, Unary,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,10 +54,11 @@ fn profiled_backend_is_transparent_and_deterministic() {
         mega_obs::reset();
         mega_obs::set_enabled(true);
         let p = ProfiledBackend::new(Arc::new(ReferenceBackend));
+        let (oa, ob) = (Operand::RowMajor(&a), Operand::RowMajor(&b));
         let mut mm = vec![0.0f32; n * m];
-        p.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut mm);
+        p.gemm(oa, ob, n, k, m, Epilogue::None, &par, &mut mm);
         let mut lr = vec![0.0f32; n * m];
-        p.gemm(&a, &b, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut lr);
+        p.gemm(oa, ob, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut lr);
         let mut scratch = vec![0.0f32; n * m];
         // The norm descriptors: γ = bias-sized row reused as both affine
         // parameters, over the n × m scratch.
@@ -89,14 +90,14 @@ fn profiled_backend_is_transparent_and_deterministic() {
 
     // Transparency: bit-identical to the bare inner backend.
     let bare = ReferenceBackend;
+    let (oa, ob) = (Operand::RowMajor(&a), Operand::RowMajor(&b));
     let mut want = vec![0.0f32; n * m];
-    bare.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut want);
+    bare.gemm(oa, ob, n, k, m, Epilogue::None, &par, &mut want);
     assert_eq!(
         mm, want,
         "matmul must be bit-identical through the profiler"
     );
-    want.fill(0.0);
-    bare.gemm(&a, &b, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut want);
+    bare.gemm(oa, ob, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut want);
     assert_eq!(lr, want, "linear_relu must be bit-identical");
     let mut want_ew = vec![0.0f32; n * k];
     bare.unary(Unary::Tanh, &a, &mut want_ew);
@@ -187,13 +188,12 @@ fn profiling_overhead_within_five_percent_on_gemm_harness() {
     // block of runs would read as decoration overhead.
     let (mut t_bare, mut t_profiled) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..9 {
+        let (a, b) = (Operand::RowMajor(&a), Operand::RowMajor(&b));
         t_bare = t_bare.min(time_min(1, || {
-            out.fill(0.0);
-            bare.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut out);
+            bare.gemm(a, b, n, k, m, Epilogue::None, &par, &mut out);
         }));
         t_profiled = t_profiled.min(time_min(1, || {
-            out.fill(0.0);
-            profiled.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut out);
+            profiled.gemm(a, b, n, k, m, Epilogue::None, &par, &mut out);
         }));
     }
     mega_obs::set_enabled(false);

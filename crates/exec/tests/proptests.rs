@@ -10,6 +10,8 @@
 //!    tiles hand to the reference loops) on every tier
 //!    [`SimdBackend::all_on_host`] lists, and its elementwise family must
 //!    match element-for-element.
+//!    Every backend reads both [`Operand`] layouts of both GEMM operands and
+//!    overwrites whatever `out` held.
 //! 2. **Fused ≡ unfused** — `gemm` under every [`Epilogue`] and `norm`
 //!    under every `(NormKind, activation)` equal the unfused reference
 //!    chain, on every backend and thread count.
@@ -18,8 +20,9 @@
 //!    finite differences of the induced scalar loss.
 
 use mega_core::Parallelism;
-use mega_exec::{Backend, Epilogue, NormKind, ReferenceBackend, SimdBackend, Unary};
+use mega_exec::{Backend, Epilogue, NormKind, Operand, ReferenceBackend, SimdBackend, Unary};
 use proptest::prelude::*;
+use Operand::{RowMajor, Transposed};
 
 /// Labels a SIMD tier for assert messages: `simd-avx512-16`, `simd-portable-4`.
 fn tier_label(simd: &SimdBackend) -> String {
@@ -100,6 +103,72 @@ fn arb_matrix(len: usize) -> impl Strategy<Value = Vec<f32>> {
     )
 }
 
+/// The row-major `cols × rows` transpose of a row-major `rows × cols`
+/// matrix: the storage a [`Operand::Transposed`] operand reads.
+fn transpose(v: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    (0..cols * rows)
+        .map(|i| v[(i % rows) * cols + i / rows])
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `gemm` reads either layout of either operand and writes every
+    /// element of `out`, whatever it held: on the reference backend and
+    /// every SIMD tier, all four layout pairs under every [`Epilogue`],
+    /// into an `out` pre-filled with NaN or `-0.0`, equal the reference on
+    /// row-major copies bit for bit. `n mod 6`, `n mod 3` and `m mod 32` are
+    /// never zero, so every tier ends on a short tile and a short strip.
+    #[test]
+    fn gemm_reads_both_layouts_and_overwrites_out(
+        (n_blocks, n_tail, k) in (0usize..5, 0usize..6, 1usize..40),
+        (m_strips, m_tail) in (0usize..3, 1usize..32),
+        seed in 0u64..1000,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 12 * n_blocks + [1, 2, 5, 7, 10, 11][n_tail];
+        let m = 32 * m_strips + m_tail;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draw = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| match rng.gen_range(0u32..8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-2.0f32..2.0),
+                })
+                .collect()
+        };
+        let (a, b, bias) = (draw(n * k), draw(k * m), draw(m));
+        let (at, bt) = (transpose(&a, n, k), transpose(&b, k, m));
+        let layouts = [
+            (RowMajor(&a), RowMajor(&b)),
+            (Transposed(&at), RowMajor(&b)),
+            (RowMajor(&a), Transposed(&bt)),
+            (Transposed(&at), Transposed(&bt)),
+        ];
+        let serial = Parallelism::with_threads(1);
+        let dense = dense_backends();
+        for epilogue in [Epilogue::None, Epilogue::Bias(&bias), Epilogue::BiasRelu(&bias)] {
+            let mut want = vec![0.0f32; n * m];
+            ReferenceBackend.gemm(layouts[0].0, layouts[0].1, n, k, m, epilogue, &serial, &mut want);
+            for (name, backend) in &dense {
+                for threads in [1usize, 4] {
+                    let par = Parallelism::pinned(threads);
+                    for (i, &(oa, ob)) in layouts.iter().enumerate() {
+                        let mut got = vec![if i % 2 == 0 { f32::NAN } else { -0.0 }; n * m];
+                        backend.gemm(oa, ob, n, k, m, epilogue, &par, &mut got);
+                        prop_assert_eq!(
+                            bit_vec(&got), bit_vec(&want),
+                            "{} {}x{}x{} threads={} layouts {} {:?}", name, n, k, m, threads, i, epilogue
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -120,10 +189,11 @@ proptest! {
         for backend in SimdBackend::all_on_host() {
             for threads in [1usize, 4] {
                 let par = Parallelism::pinned(threads);
+                let (oa, ob) = (RowMajor(&a), RowMajor(&b));
                 let mut want = vec![0.0f32; n * m];
-                ReferenceBackend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut want);
+                ReferenceBackend.gemm(oa, ob, n, k, m, Epilogue::None, &par, &mut want);
                 let mut got = vec![0.0f32; n * m];
-                backend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut got);
+                backend.gemm(oa, ob, n, k, m, Epilogue::None, &par, &mut got);
                 for (g, w) in got.iter().zip(&want) {
                     prop_assert_eq!(
                         g.to_bits(), w.to_bits(),
@@ -142,7 +212,7 @@ proptest! {
     /// skipped `0 · inf` into NaN); `n mod 6`, `n mod 4`, `n mod 3` and
     /// `m mod 32` are never zero, so every tier ends on a short tile and
     /// on a short strip. Every tier, pinned threads {1, 2, 4}, both
-    /// epilogues, against the reference.
+    /// epilogues, all four operand layout pairs, against the reference.
     #[test]
     fn simd_tiles_match_reference_on_non_finite_and_tail_inputs(
         (n_blocks, n_tail, k) in (0usize..5, 0usize..6, 1usize..48),
@@ -172,18 +242,30 @@ proptest! {
             }
         }
         let bias: Vec<f32> = (0..m).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        // The non-finite check runs in both of `pack_strips`' branches, so
+        // every layout pair is drawn, against the reference on row-major.
+        let (at, bt) = (transpose(&a, n, k), transpose(&b, k, m));
+        let layouts = [
+            (RowMajor(&a), RowMajor(&b)),
+            (Transposed(&at), RowMajor(&b)),
+            (RowMajor(&a), Transposed(&bt)),
+            (Transposed(&at), Transposed(&bt)),
+        ];
         for backend in SimdBackend::all_on_host() {
             for threads in [1usize, 2, 4] {
                 let par = Parallelism::pinned(threads);
                 for epilogue in [Epilogue::None, Epilogue::BiasRelu(&bias)] {
                     let mut want = vec![0.0f32; n * m];
-                    ReferenceBackend.gemm(&a, &b, n, k, m, epilogue, &par, &mut want);
-                    let mut got = vec![0.0f32; n * m];
-                    backend.gemm(&a, &b, n, k, m, epilogue, &par, &mut got);
-                    prop_assert_eq!(
-                        bit_vec(&got), bit_vec(&want),
-                        "{} {}x{}x{} threads={} {:?}", tier_label(&backend), n, k, m, threads, epilogue
-                    );
+                    ReferenceBackend.gemm(layouts[0].0, layouts[0].1, n, k, m, epilogue, &par, &mut want);
+                    for (i, &(oa, ob)) in layouts.iter().enumerate() {
+                        let mut got = vec![0.0f32; n * m];
+                        backend.gemm(oa, ob, n, k, m, epilogue, &par, &mut got);
+                        prop_assert_eq!(
+                            bit_vec(&got), bit_vec(&want),
+                            "{} {}x{}x{} threads={} layouts {} {:?}",
+                            tier_label(&backend), n, k, m, threads, i, epilogue
+                        );
+                    }
                 }
             }
         }
@@ -200,16 +282,15 @@ proptest! {
         bias in arb_matrix(40),
     ) {
         let par = Parallelism::with_threads(1);
-        let x = &x[..n * k];
-        let w = &w[..k * m];
-        let bias = &bias[..m];
+        let (x, w, bias) = (&x[..n * k], &w[..k * m], &bias[..m]);
+        let (ox, ow) = (RowMajor(x), RowMajor(w));
         for backend in SimdBackend::all_on_host() {
             let tier = tier_label(&backend);
             let epilogue = Epilogue::BiasRelu(bias);
             let mut want = vec![0.0f32; n * m];
-            ReferenceBackend.gemm(x, w, n, k, m, epilogue, &par, &mut want);
+            ReferenceBackend.gemm(ox, ow, n, k, m, epilogue, &par, &mut want);
             let mut got = vec![0.0f32; n * m];
-            backend.gemm(x, w, n, k, m, epilogue, &par, &mut got);
+            backend.gemm(ox, ow, n, k, m, epilogue, &par, &mut got);
             prop_assert_eq!(bit_vec(&got), bit_vec(&want), "{:?} tier={}", epilogue, tier);
             let len = (n * k).min(k * m);
             let (a, b) = (&x[..len], &w[..len]);
@@ -251,13 +332,14 @@ proptest! {
             (0..k * m).map(|_| if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(-2.0f32..2.0) }).collect();
         let bias: Vec<f32> = (0..m).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let mut product = vec![0.0f32; n * m];
-        mega_exec::kernels::matmul(&a, &b, n, k, m, &mut product);
+        mega_exec::kernels::matmul(RowMajor(&a), RowMajor(&b), n, k, m, &mut product);
         let mut biased = vec![0.0f32; n * m];
         ReferenceBackend.add_bias_rows(&product, &bias, n, m, &mut biased);
         let mut relu = vec![0.0f32; n * m];
         ReferenceBackend.unary(Unary::Relu, &biased, &mut relu);
         let cases = [
             (Epilogue::None, product.clone()),
+            (Epilogue::Bias(&bias), biased),
             (Epilogue::BiasRelu(&bias), relu),
         ];
         let dense = dense_backends();
@@ -266,7 +348,7 @@ proptest! {
             for (name, backend) in &dense {
                 for (epilogue, want) in &cases {
                     let mut got = vec![0.0f32; n * m];
-                    backend.gemm(&a, &b, n, k, m, *epilogue, &par, &mut got);
+                    backend.gemm(RowMajor(&a), RowMajor(&b), n, k, m, *epilogue, &par, &mut got);
                     prop_assert_eq!(
                         bit_vec(&got), bit_vec(want),
                         "{:?} {} threads={}", epilogue, name, threads

@@ -23,6 +23,7 @@ use mega_core::parallel::{Chunk, ChunkPlan, Parallelism};
 use mega_core::traversal::traverse;
 use mega_exec::kernels::race::WriterMap;
 use mega_exec::kernels::{banded_aggregate_with_plan, banded_weight_grad_with_plan};
+use mega_exec::Operand;
 use mega_graph::generate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -203,7 +204,8 @@ fn gemm_overlapping_row_partition_panics() {
     let b = random_rows(k, m, 52);
     let mut out = vec![0.0f32; n * m];
     let msg = panic_message(|| {
-        mega_exec::kernels::matmul_par_with_ranges(&a, &b, n, k, m, &[(0, 8), (4, 16)], &mut out);
+        let (a, b) = (Operand::RowMajor(&a), Operand::RowMajor(&b));
+        mega_exec::kernels::matmul_par_with_ranges(a, b, n, k, m, &[(0, 8), (4, 16)], &mut out);
     });
     assert!(msg.contains("race-check"), "got: {msg}");
     assert!(msg.contains("owned ranges overlap"), "got: {msg}");
@@ -218,7 +220,8 @@ fn gemm_row_coverage_gap_panics() {
     let mut out = vec![0.0f32; n * m];
     // Rows [8, 10) belong to no range.
     let msg = panic_message(|| {
-        mega_exec::kernels::matmul_par_with_ranges(&a, &b, n, k, m, &[(0, 8), (10, 16)], &mut out);
+        let (a, b) = (Operand::RowMajor(&a), Operand::RowMajor(&b));
+        mega_exec::kernels::matmul_par_with_ranges(a, b, n, k, m, &[(0, 8), (10, 16)], &mut out);
     });
     assert!(msg.contains("never claimed"), "got: {msg}");
 }
@@ -230,11 +233,12 @@ fn gemm_equivalence_passes_under_race_check() {
     // writer map armed — the checked row-ownership proof for the dense
     // kernels, matching the banded grid in `tests/banded.rs`.
     use mega_exec::{Backend, Epilogue, ReferenceBackend, SimdBackend};
+    use Operand::RowMajor;
     let (n, k, m) = (96usize, 48usize, 40usize);
     let a = random_rows(n, k, 55);
     let b = random_rows(k, m, 56);
     let mut serial = vec![0.0f32; n * m];
-    mega_exec::kernels::matmul(&a, &b, n, k, m, &mut serial);
+    mega_exec::kernels::matmul(RowMajor(&a), RowMajor(&b), n, k, m, &mut serial);
     let backends: [(&str, Box<dyn Backend>); 2] = [
         ("reference", Box::new(ReferenceBackend)),
         ("simd", Box::new(SimdBackend::new())),
@@ -243,7 +247,16 @@ fn gemm_equivalence_passes_under_race_check() {
         for threads in [2usize, 4] {
             let par = Parallelism::pinned(threads);
             let mut got = vec![0.0f32; n * m];
-            backend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut got);
+            backend.gemm(
+                RowMajor(&a),
+                RowMajor(&b),
+                n,
+                k,
+                m,
+                Epilogue::None,
+                &par,
+                &mut got,
+            );
             for (g, s) in got.iter().zip(&serial) {
                 assert_eq!(g.to_bits(), s.to_bits(), "{name} threads={threads}");
             }

@@ -33,7 +33,7 @@ use mega_core::config::{MegaConfig, WindowPolicy};
 use mega_core::parallel::{host_threads, Parallelism};
 use mega_core::traversal::traverse;
 use mega_exec::kernels;
-use mega_exec::{Backend, Epilogue, ReferenceBackend, SimdBackend};
+use mega_exec::{Backend, Epilogue, Operand, ReferenceBackend, SimdBackend};
 use mega_graph::generate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,12 +96,20 @@ fn threaded_gemm_bit_identical_to_serial_across_backends() {
         let a = sample(n * k, (n * 1000 + k) as u64);
         let b = sample(k * m, (k * 1000 + m) as u64);
         let mut serial = vec![0.0f32; n * m];
-        kernels::matmul(&a, &b, n, k, m, &mut serial);
+        kernels::matmul(
+            Operand::RowMajor(&a),
+            Operand::RowMajor(&b),
+            n,
+            k,
+            m,
+            &mut serial,
+        );
         for (name, backend) in backends() {
             for threads in [1usize, 4] {
                 let par = Parallelism::pinned(threads);
                 let mut got = vec![0.0f32; n * m];
-                backend.gemm(&a, &b, n, k, m, Epilogue::None, &par, &mut got);
+                let (oa, ob) = (Operand::RowMajor(&a), Operand::RowMajor(&b));
+                backend.gemm(oa, ob, n, k, m, Epilogue::None, &par, &mut got);
                 for (i, (g, s)) in got.iter().zip(&serial).enumerate() {
                     assert_eq!(
                         g.to_bits(),
@@ -121,13 +129,21 @@ fn threaded_linear_relu_bit_identical_to_serial_epilogue() {
     let w = sample(k * m, 12);
     let bias = sample(m, 13);
     let mut serial = vec![0.0f32; n * m];
-    kernels::matmul(&x, &w, n, k, m, &mut serial);
-    kernels::bias_relu_inplace(&mut serial, &bias, n, m);
+    kernels::matmul(
+        Operand::RowMajor(&x),
+        Operand::RowMajor(&w),
+        n,
+        k,
+        m,
+        &mut serial,
+    );
+    kernels::epilogue(Epilogue::BiasRelu(&bias), &mut serial, m);
     for (name, backend) in backends() {
         for threads in [1usize, 4] {
             let par = Parallelism::pinned(threads);
             let mut got = vec![0.0f32; n * m];
-            backend.gemm(&x, &w, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut got);
+            let (ox, ow) = (Operand::RowMajor(&x), Operand::RowMajor(&w));
+            backend.gemm(ox, ow, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut got);
             for (g, s) in got.iter().zip(&serial) {
                 assert_eq!(g.to_bits(), s.to_bits(), "{name} threads={threads}");
             }
@@ -148,13 +164,12 @@ fn threaded_gemm_beats_serial_at_512() {
         ("simd", Box::new(SimdBackend::new())),
     ] {
         let mut out = vec![0.0f32; n * m];
+        let (oa, ob) = (Operand::RowMajor(&a), Operand::RowMajor(&b));
         let t1 = time_min(3, || {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            backend.gemm(&a, &b, n, k, m, Epilogue::None, &serial, &mut out);
+            backend.gemm(oa, ob, n, k, m, Epilogue::None, &serial, &mut out);
         });
         let t4 = time_min(3, || {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            backend.gemm(&a, &b, n, k, m, Epilogue::None, &threaded, &mut out);
+            backend.gemm(oa, ob, n, k, m, Epilogue::None, &threaded, &mut out);
         });
         let ratio = t4 / t1;
         if host_threads() >= 2 {

@@ -100,18 +100,26 @@ impl MegaSegment {
         // edge dropping is configured that equals the sample graph. Its
         // edge list order matches the sample's edge_features indexing.
         let working_pairs: Vec<(usize, usize)> = sched.working_graph().edges().collect();
-        let sample_pairs: Vec<(usize, usize)> = g.edges().collect();
+        // `(min, max)` endpoint pair → sample edge id, sorted: each slot's
+        // feature is one binary search away. Equal pairs keep ascending
+        // ids, so the first sample edge joining two nodes wins.
+        let unordered = |(a, b): (usize, usize)| (a.min(b), a.max(b));
+        let mut sample_pairs: Vec<((usize, usize), usize)> = g
+            .edges()
+            .enumerate()
+            .map(|(eid, pair)| (unordered(pair), eid))
+            .collect();
+        sample_pairs.sort_unstable();
         let mut msgs = Vec::new();
         for slot in sched.band().active_slots() {
             let (a, b) = working_pairs[slot.edge];
             // Map the working-graph edge back to the sample edge id for
             // its feature (identical when nothing was dropped).
-            let feat = match sample_pairs
-                .iter()
-                .position(|&p| p == (a, b) || p == (b, a))
-            {
-                Some(eid) => s.edge_features[eid],
-                None => 0,
+            let key = unordered((a, b));
+            let at = sample_pairs.partition_point(|&(pair, _)| pair < key);
+            let feat = match sample_pairs.get(at) {
+                Some(&(pair, eid)) if pair == key => s.edge_features[eid],
+                _ => 0,
             };
             let (lo_node, hi_node) = (path.node_at(slot.lo), path.node_at(slot.hi));
             // Two directed messages per band slot.

@@ -122,12 +122,12 @@ impl Linear {
         (self.weight, self.bias)
     }
 
-    /// Applies the layer on the tape.
+    /// Applies the layer on the tape as one node (`x·W + b`, the bias in
+    /// the GEMM's epilogue). Matches `add_row(matmul(..))` bit for bit.
     pub fn forward(&self, tape: &mut Tape, binder: &mut Binder, store: &ParamStore, x: Var) -> Var {
         let w = binder.bind(tape, store, self.weight);
         let b = binder.bind(tape, store, self.bias);
-        let y = tape.matmul(x, w);
-        tape.add_row(y, b)
+        tape.linear(x, w, b)
     }
 
     /// Applies the layer followed by a ReLU as one fused tape node

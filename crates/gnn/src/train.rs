@@ -578,10 +578,11 @@ impl ShardExecutor for Inline {
     }
 
     fn evaluate(&self, job: &ShardJob<'_>, shards: &[Batch]) -> Vec<ShardOutput> {
-        let pool = Arc::new(BufferPool::new());
+        // The run's pool, as the sharded trainer's workers do: evaluation
+        // tapes recycle the parked training buffers instead of allocating.
         shards
             .iter()
-            .map(|batch| run_shard(job, batch, &pool, false))
+            .map(|batch| run_shard(job, batch, &self.pool, false))
             .collect()
     }
 }

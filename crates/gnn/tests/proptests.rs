@@ -106,6 +106,47 @@ proptest! {
         }
     }
 
+    /// Every MEGA message carries the feature of the sample edge its band
+    /// slot maps back to, exactly as a scan of the sample's edge list finds
+    /// it (first match, either orientation) — with and without edge
+    /// dropping, where some working edges are gone.
+    #[test]
+    fn mega_edge_features_match_the_scan(
+        samples in proptest::collection::vec(arb_sample(), 1..4),
+        seed in 0u64..1000,
+        edge_drop in prop_oneof![Just(0.0f64).boxed(), (0.05f64..0.5).boxed()],
+    ) {
+        let samples: Vec<GraphSample> = samples
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut s)| {
+                let salt = i + seed as usize;
+                s.edge_features = (0..s.graph.edge_count()).map(|e| (7 * e + salt) % 11).collect();
+                s
+            })
+            .collect();
+        let cfg = MegaConfig::default().with_edge_drop(edge_drop).with_seed(seed);
+        let schedules: Vec<_> = samples
+            .iter()
+            .map(|s| preprocess(&s.graph, &cfg).unwrap())
+            .collect();
+        let mut scanned = Vec::new();
+        for (s, sched) in samples.iter().zip(&schedules) {
+            let working: Vec<(usize, usize)> = sched.working_graph().edges().collect();
+            let sample: Vec<(usize, usize)> = s.graph.edges().collect();
+            for slot in sched.band().active_slots() {
+                let (a, b) = working[slot.edge];
+                let feat = sample
+                    .iter()
+                    .position(|&p| p == (a, b) || p == (b, a))
+                    .map_or(0, |eid| s.edge_features[eid]);
+                scanned.extend([feat, feat]);
+            }
+        }
+        let mega = Batch::mega(&samples, &schedules);
+        prop_assert_eq!(mega.indices.msg_edge_feat.as_slice(), scanned.as_slice());
+    }
+
     /// Batch indices are always in range.
     #[test]
     fn batch_indices_in_range(samples in proptest::collection::vec(arb_sample(), 1..4)) {

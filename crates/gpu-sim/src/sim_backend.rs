@@ -13,7 +13,7 @@ use crate::profiler::Profiler;
 use crate::report::ProfileReport;
 use mega_core::band::BandMask;
 use mega_core::Parallelism;
-use mega_exec::{Backend, Epilogue, NormKind, Unary};
+use mega_exec::{Backend, Epilogue, NormKind, Operand, Unary};
 use std::sync::{Arc, Mutex};
 
 /// Wraps an inner backend and records every kernel launch in a simulated
@@ -85,8 +85,8 @@ impl Backend for SimBackend {
 
     fn gemm(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: Operand<'_>,
+        b: Operand<'_>,
         n: usize,
         k: usize,
         m: usize,
@@ -96,7 +96,8 @@ impl Backend for SimBackend {
     ) {
         self.inner.gemm(a, b, n, k, m, epilogue, par, out);
         match epilogue {
-            Epilogue::None => self.sim_sgemm(n, k, m),
+            // A bias alone rides the accumulator store: no extra sweep.
+            Epilogue::None | Epilogue::Bias(_) => self.sim_sgemm(n, k, m),
             Epilogue::BiasRelu(_) => self.sim_linear_relu(n, k, m),
         }
     }
@@ -246,11 +247,12 @@ mod tests {
         let sim = SimBackend::new(Arc::new(ReferenceBackend), DeviceConfig::gtx_1080());
         let a = [1.0f32, 2.0, 3.0, 4.0];
         let b = [5.0f32, 6.0, 7.0, 8.0];
+        let (a, b) = (Operand::RowMajor(&a), Operand::RowMajor(&b));
         let mut out = [0.0f32; 4];
         let par = Parallelism::with_threads(1);
-        sim.gemm(&a, &b, 2, 2, 2, Epilogue::None, &par, &mut out);
+        sim.gemm(a, b, 2, 2, 2, Epilogue::None, &par, &mut out);
         let mut reference = [0.0f32; 4];
-        ReferenceBackend.gemm(&a, &b, 2, 2, 2, Epilogue::None, &par, &mut reference);
+        ReferenceBackend.gemm(a, b, 2, 2, 2, Epilogue::None, &par, &mut reference);
         assert_eq!(out, reference);
         let report = sim.report();
         assert!(!report.kernels().is_empty(), "sgemm launch not recorded");
@@ -333,7 +335,7 @@ mod tests {
     #[rustfmt::skip]
     impl Backend for CountingBackend {
         fn name(&self) -> &'static str { "counting" }
-        fn gemm(&self, _: &[f32], _: &[f32], _: usize, _: usize, _: usize, _: Epilogue<'_>, _: &Parallelism, _: &mut [f32]) { self.hit("gemm") }
+        fn gemm(&self, _: Operand<'_>, _: Operand<'_>, _: usize, _: usize, _: usize, _: Epilogue<'_>, _: &Parallelism, _: &mut [f32]) { self.hit("gemm") }
         fn add(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("add") }
         fn sub(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("sub") }
         fn mul(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("mul") }
@@ -374,7 +376,8 @@ mod tests {
             let d = wrap(counting.clone());
             assert_eq!(d.name(), name);
             let out = &mut [0.0f32; 4];
-            d.gemm(&x, &x, 2, 2, 2, Epilogue::BiasRelu(&row), &par, out);
+            let xo = Operand::RowMajor(&x);
+            d.gemm(xo, xo, 2, 2, 2, Epilogue::BiasRelu(&row), &par, out);
             d.add(&x, &x, out);
             d.sub(&x, &x, out);
             d.mul(&x, &x, out);
@@ -430,14 +433,16 @@ mod tests {
             .map(|i| ((i * 17 % 23) as f32 - 11.0) / 6.0)
             .collect();
         let bias: Vec<f32> = (0..m).map(|i| (i as f32 - 4.0) / 3.0).collect();
+        let (a, b) = (Operand::RowMajor(&a), Operand::RowMajor(&b));
         let mut out_ref = vec![0.0f32; n * m];
         let mut out_simd = vec![0.0f32; n * m];
-        for epilogue in [Epilogue::None, Epilogue::BiasRelu(&bias)] {
-            // `gemm` accumulates into a zeroed `out` (the `Backend` contract).
-            out_ref.fill(0.0);
-            out_simd.fill(0.0);
-            over_ref.gemm(&a, &b, n, k, m, epilogue, &par, &mut out_ref);
-            over_simd.gemm(&a, &b, n, k, m, epilogue, &par, &mut out_simd);
+        for epilogue in [
+            Epilogue::None,
+            Epilogue::Bias(&bias),
+            Epilogue::BiasRelu(&bias),
+        ] {
+            over_ref.gemm(a, b, n, k, m, epilogue, &par, &mut out_ref);
+            over_simd.gemm(a, b, n, k, m, epilogue, &par, &mut out_simd);
             for (x, y) in out_simd.iter().zip(&out_ref) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{epilogue:?}");
             }

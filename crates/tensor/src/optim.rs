@@ -113,9 +113,9 @@ impl ParamStore {
         &self.names[p.0]
     }
 
-    /// Places the parameter's current value on a tape as a leaf.
+    /// Places a copy of the parameter's current value on a tape as a leaf.
     pub fn leaf(&self, tape: &mut Tape, p: ParamId) -> Var {
-        tape.leaf(self.values[p.0].clone())
+        tape.leaf_copy(&self.values[p.0])
     }
 
     /// Adds `grad` into the accumulated gradient of `p`.

@@ -23,13 +23,17 @@
 //! [`Gradients`], which releases them when dropped (DESIGN.md §6).
 //!
 //! Every op method runs its kernel before returning, so a [`Var`] always
-//! has a value. The fused ops ([`Tape::linear_relu`],
+//! has a value. The fused ops ([`Tape::linear`], [`Tape::linear_relu`],
 //! [`Tape::batch_norm_relu`]) are called by the layers that want them and
 //! are bit-identical, forward and backward, to the unfused chains they
-//! replace.
+//! replace. An op whose kernel writes every element of its output takes a
+//! buffer that may hold stale values ([`BufferPool::acquire_for_overwrite`]);
+//! only accumulators are zeroed.
 
 use crate::tensor::Tensor;
-use mega_exec::{kernels, Backend, BufferPool, Epilogue, NormKind, ReferenceBackend, Unary};
+use mega_exec::{
+    kernels, Backend, BufferPool, Epilogue, NormKind, Operand, ReferenceBackend, Unary,
+};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -41,7 +45,13 @@ pub struct Var(pub(crate) usize);
 enum Op {
     Leaf,
     MatMul(Var, Var),
-    LinearRelu(Var, Var, Var),
+    /// `x · w + bias`, then a ReLU when `relu`.
+    Linear {
+        x: Var,
+        w: Var,
+        bias: Var,
+        relu: bool,
+    },
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
@@ -77,7 +87,8 @@ impl Op {
         match self {
             Op::Leaf => "leaf",
             Op::MatMul(..) => "matmul",
-            Op::LinearRelu(..) => "linear_relu",
+            Op::Linear { relu: false, .. } => "linear",
+            Op::Linear { relu: true, .. } => "linear_relu",
             Op::Add(..) => "add",
             Op::Sub(..) => "sub",
             Op::Mul(..) => "mul",
@@ -285,9 +296,20 @@ impl Tape {
         self.push_value(t, Op::Leaf)
     }
 
-    /// Acquires a pooled buffer sized for an `rows × cols` output.
+    /// Records a copy of `t` as a leaf, in a pooled buffer: how parameters
+    /// enter each step's tape without a fresh allocation, and come back to
+    /// the pool as the buffers the next step's copies reuse.
+    pub fn leaf_copy(&mut self, t: &Tensor) -> Var {
+        let (rows, cols) = t.shape();
+        let mut buf = self.out_buf(rows, cols);
+        buf.copy_from_slice(t.as_slice());
+        self.leaf(Tensor::from_vec(rows, cols, buf))
+    }
+
+    /// Acquires a pooled buffer sized for an `rows × cols` output that the
+    /// caller writes in full before reading: its contents are stale.
     fn out_buf(&self, rows: usize, cols: usize) -> Vec<f32> {
-        self.pool.acquire(rows * cols)
+        self.pool.acquire_for_overwrite(rows * cols)
     }
 
     /// Matrix product.
@@ -301,21 +323,37 @@ impl Tape {
         self.record(n, m, Op::MatMul(a, b))
     }
 
-    /// Fused dense layer: `relu(x · w + bias)` in one node.
+    /// Dense layer `x · w + bias` in one node: the bias is the GEMM's
+    /// epilogue.
     ///
-    /// Forward and backward match the unfused `matmul` → `add_row` → `relu`
-    /// chain value-for-value while saving two intermediate tensors and two
-    /// memory sweeps; backends may fuse further (see `SimdBackend`).
+    /// Forward and backward match the unfused `matmul` → `add_row` chain bit
+    /// for bit while saving the intermediate tensor and a memory sweep each
+    /// way.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch or if `bias` is not `1 × w.cols()`.
+    pub fn linear(&mut self, x: Var, w: Var, bias: Var) -> Var {
+        self.linear_op(x, w, bias, false)
+    }
+
+    /// Fused dense layer: `relu(x · w + bias)` in one node, matching the
+    /// unfused `matmul` → `add_row` → `relu` chain bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tape::linear`].
     pub fn linear_relu(&mut self, x: Var, w: Var, bias: Var) -> Var {
+        self.linear_op(x, w, bias, true)
+    }
+
+    /// Shape-checked recorder of [`Op::Linear`].
+    fn linear_op(&mut self, x: Var, w: Var, bias: Var, relu: bool) -> Var {
         let ((n, k), (wr, m), (br, bc)) = (self.dims(x), self.dims(w), self.dims(bias));
-        assert_eq!(k, wr, "linear_relu: inner dims {n}x{k} · {wr}x{m}");
+        assert_eq!(k, wr, "linear: inner dims {n}x{k} · {wr}x{m}");
         assert_eq!(br, 1, "bias must be a single row");
         assert_eq!(bc, m, "bias width mismatch");
-        self.record(n, m, Op::LinearRelu(x, w, bias))
+        self.record(n, m, Op::Linear { x, w, bias, relu })
     }
 
     /// Shape-checked recorder for same-shape elementwise binary ops.
@@ -448,7 +486,8 @@ impl Tape {
     pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.dims(a), self.dims(b), "row_dot shape mismatch");
         let (r, c) = self.dims(a);
-        let mut out = self.out_buf(r, 1);
+        // Zeroed: a zero-width `a` has no rows to write.
+        let mut out = self.pool.acquire(r);
         let (x, y) = (self.value(a).as_slice(), self.value(b).as_slice());
         for (o, (x_row, y_row)) in out.iter_mut().zip(rows_of(x, c).zip(rows_of(y, c))) {
             *o = x_row.iter().zip(y_row).map(|(&p, &q)| p * q).sum();
@@ -469,7 +508,8 @@ impl Tape {
             blocks > 0 && c.is_multiple_of(blocks),
             "row_block_sums: {blocks} blocks must divide {c} columns"
         );
-        let mut out = self.out_buf(r, blocks);
+        // Zeroed: a zero-width `a` has no blocks to sum.
+        let mut out = self.pool.acquire(r * blocks);
         // Row-major, the blocks of all rows are consecutive runs.
         let runs = rows_of(self.value(a).as_slice(), c / blocks);
         for (o, block) in out.iter_mut().zip(runs) {
@@ -660,9 +700,13 @@ impl Tape {
     fn execute(&self, op: &Op, rows: usize, cols: usize) -> Tensor {
         match op {
             Op::MatMul(a, b) => self.execute_gemm(*a, *b, Epilogue::None),
-            Op::LinearRelu(x, w, bias) => {
+            Op::Linear { x, w, bias, relu } => {
                 let bias = self.value(*bias).as_slice();
-                self.execute_gemm(*x, *w, Epilogue::BiasRelu(bias))
+                let epilogue = match relu {
+                    false => Epilogue::Bias(bias),
+                    true => Epilogue::BiasRelu(bias),
+                };
+                self.execute_gemm(*x, *w, epilogue)
             }
             Op::Add(a, b) => {
                 let mut out = self.out_buf(rows, cols);
@@ -720,7 +764,7 @@ impl Tape {
             }
             Op::ScatterAddRows(a, index) => {
                 let x = self.value(*a);
-                let mut out = self.out_buf(rows, cols);
+                let mut out = self.pool.acquire(rows * cols);
                 self.backend
                     .scatter_add_rows(x.as_slice(), index, cols, rows, &mut out);
                 Tensor::from_vec(rows, cols, out)
@@ -775,8 +819,8 @@ impl Tape {
         let ((n, k), (_, m)) = (self.dims(x), self.dims(w));
         let mut out = self.out_buf(n, m);
         self.backend.gemm(
-            self.value(x).as_slice(),
-            self.value(w).as_slice(),
+            Operand::RowMajor(self.value(x).as_slice()),
+            Operand::RowMajor(self.value(w).as_slice()),
             n,
             k,
             m,
@@ -823,8 +867,9 @@ impl Tape {
         Tensor::from_vec(rows, cols, out)
     }
 
-    /// Folds one contribution into the gradient of `v` — the only way a
-    /// gradient comes to exist or changes during [`Tape::backward`].
+    /// Folds one contribution into the gradient of `v` — with
+    /// [`Tape::accumulate_product`], the only way a gradient comes to exist
+    /// or changes during [`Tape::backward`].
     ///
     /// The first contribution to reach `v` becomes its gradient: an owned
     /// buffer is adopted in place, a borrowed one is copied into a pooled
@@ -857,7 +902,7 @@ impl Tape {
                         buf
                     }
                     Cow::Borrowed(src) => {
-                        let mut buf = self.pool.acquire(src.len());
+                        let mut buf = self.pool.acquire_for_overwrite(src.len());
                         for (o, &x) in buf.iter_mut().zip(src) {
                             *o = x + 0.0;
                         }
@@ -869,9 +914,22 @@ impl Tape {
         }
     }
 
+    /// [`Tape::accumulate`] for a product a backend GEMM wrote: adopted as
+    /// it is, since a GEMM's fold starts at `+0.0` and so never yields the
+    /// `-0.0` the `0.0 + x` pass exists to turn into `+0.0`.
+    fn accumulate_product(&self, grads: &mut [Option<Tensor>], v: Var, product: Vec<f32>) {
+        match &mut grads[v.0] {
+            slot @ None => {
+                let (rows, cols) = self.dims(v);
+                *slot = Some(Tensor::from_vec(rows, cols, product));
+            }
+            Some(_) => self.accumulate(grads, v, Cow::Owned(product)),
+        }
+    }
+
     /// Column sums of the row-major `g` (`cols` wide) into a pooled `1 ×
     /// cols` buffer, folding rows in ascending order — the bias gradient of
-    /// `AddRow` and `LinearRelu`.
+    /// `AddRow` and `Linear`.
     fn col_sums(&self, g: &[f32], cols: usize) -> Vec<f32> {
         let mut sums = self.pool.acquire(cols);
         for row in rows_of(g, cols) {
@@ -905,8 +963,8 @@ impl Tape {
         let mut mean = self.pool.acquire(c);
         let mut inv = self.pool.acquire(c);
         kernels::batch_stats(x, r, c, eps, &mut mean, &mut inv);
-        let mut mean_dxhat = self.pool.acquire(c);
-        let mut mean_dxhat_xhat = self.pool.acquire(c);
+        let mut mean_dxhat = self.pool.acquire_for_overwrite(c);
+        let mut mean_dxhat_xhat = self.pool.acquire_for_overwrite(c);
         let sum_identity: f32 = std::iter::empty::<f32>().sum();
         mean_dxhat.fill(sum_identity);
         mean_dxhat_xhat.fill(sum_identity);
@@ -948,38 +1006,26 @@ impl Tape {
 
     /// Backward of `y = x · w` for the upstream gradient `g` (`n × m`):
     /// `dx = g · wᵀ` and `dw = xᵀ · g`, each written by the backend's GEMM
-    /// straight into the pooled buffer that [`Tape::accumulate`] then adopts
-    /// or folds — so an accelerated GEMM speeds the backward pass too.
-    ///
-    /// `xᵀ` is kept in `transposed` for the next product that reads the same
-    /// `x` (every per-head projection of a layer does); the backward walk
-    /// releases it on reaching `x`.
-    fn gemm_backward(
-        &self,
-        g: &[f32],
-        x: Var,
-        w: Var,
-        grads: &mut [Option<Tensor>],
-        transposed: &mut [Option<Vec<f32>>],
-    ) {
+    /// straight into a pooled buffer that [`Tape::accumulate_product`] then
+    /// adopts or folds — so an accelerated GEMM speeds the backward pass
+    /// too. Both products read `w` and `x` where they lie, as transposed
+    /// operands: nothing is copied.
+    fn gemm_backward(&self, g: &[f32], x: Var, w: Var, grads: &mut [Option<Tensor>]) {
         let (vx, vw) = (self.value(x), self.value(w));
         let (n, k, m) = (vx.rows(), vx.cols(), vw.cols());
-        let mut wt = self.pool.acquire(k * m);
-        kernels::transpose(vw.as_slice(), k, m, &mut wt);
-        let mut dx = self.pool.acquire(n * k);
+        let (g_op, w_t, x_t) = (
+            Operand::RowMajor(g),
+            Operand::Transposed(vw.as_slice()),
+            Operand::Transposed(vx.as_slice()),
+        );
+        let mut dx = self.pool.acquire_for_overwrite(n * k);
         self.backend
-            .gemm(g, &wt, n, m, k, Epilogue::None, &self.par, &mut dx);
-        self.pool.release(wt);
-        self.accumulate(grads, x, Cow::Owned(dx));
-        let xt = transposed[x.0].get_or_insert_with(|| {
-            let mut xt = self.pool.acquire(n * k);
-            kernels::transpose(vx.as_slice(), n, k, &mut xt);
-            xt
-        });
-        let mut dw = self.pool.acquire(k * m);
+            .gemm(g_op, w_t, n, m, k, Epilogue::None, &self.par, &mut dx);
+        self.accumulate_product(grads, x, dx);
+        let mut dw = self.pool.acquire_for_overwrite(k * m);
         self.backend
-            .gemm(xt, g, k, n, m, Epilogue::None, &self.par, &mut dw);
-        self.accumulate(grads, w, Cow::Owned(dw));
+            .gemm(x_t, g_op, k, n, m, Epilogue::None, &self.par, &mut dw);
+        self.accumulate_product(grads, w, dw);
     }
 
     /// Runs the backward pass from the scalar node `loss`.
@@ -1005,14 +1051,8 @@ impl Tape {
         );
         let mut grads: Vec<Option<Tensor>> = self.nodes.iter().map(|_| None).collect();
         self.accumulate(&mut grads, loss, Cow::Borrowed(&[1.0]));
-        // `xᵀ` of the nodes some already-visited product reads.
-        let mut transposed: Vec<Option<Vec<f32>>> = self.nodes.iter().map(|_| None).collect();
 
         for idx in (0..=loss.0).rev() {
-            // Every reader of this node's value has had its turn.
-            if let Some(xt) = transposed[idx].take() {
-                self.pool.release(xt);
-            }
             let node = &self.nodes[idx];
             if matches!(node.op, Op::Leaf) {
                 continue;
@@ -1025,23 +1065,27 @@ impl Tape {
                 self.pool.release(g);
                 continue;
             }
-            let (grads, transposed) = (&mut grads[..], &mut transposed[..]);
+            let grads = &mut grads[..];
             match &node.op {
                 Op::Leaf => unreachable!("leaves keep their gradient"),
                 Op::MatMul(a, b) => {
-                    self.gemm_backward(&g, *a, *b, grads, transposed);
+                    self.gemm_backward(&g, *a, *b, grads);
                     self.pool.release(g);
                 }
-                Op::LinearRelu(x, w, bias) => {
+                Op::Linear { x, w, bias, relu } => {
                     // Mask the upstream gradient by the activation: the kept
                     // pre-activations are exactly the positive outputs.
-                    keep_where_positive(&mut g, node.value.as_slice());
-                    // dbias = column sums of the masked gradient, as the
-                    // unfused AddRow backward folds them; dx = gm · wᵀ,
-                    // dw = xᵀ · gm — the MatMul backward on the same.
+                    if *relu {
+                        keep_where_positive(&mut g, node.value.as_slice());
+                    }
+                    // dbias = column sums of the gradient, as the unfused
+                    // AddRow backward folds them; dx = g · wᵀ, dw = xᵀ · g —
+                    // the MatMul backward on the same `g`, which the
+                    // unfused chain's intermediate would have adopted
+                    // unchanged (an adopted gradient holds no `-0.0`).
                     let db = self.col_sums(&g, node.value.cols());
                     self.accumulate(grads, *bias, Cow::Owned(db));
-                    self.gemm_backward(&g, *x, *w, grads, transposed);
+                    self.gemm_backward(&g, *x, *w, grads);
                     self.pool.release(g);
                 }
                 Op::Add(a, b) => {
@@ -1056,7 +1100,7 @@ impl Tape {
                     self.accumulate(grads, *b, Cow::Owned(g));
                 }
                 Op::Mul(a, b) => {
-                    let mut db = self.pool.acquire(g.len());
+                    let mut db = self.pool.acquire_for_overwrite(g.len());
                     for ((o, &gv), &x) in db.iter_mut().zip(&g).zip(self.value(*a).as_slice()) {
                         *o = gv * x;
                     }
@@ -1112,14 +1156,14 @@ impl Tape {
                         Op::Mean(_) => g[0] / (r * c).max(1) as f32,
                         _ => g[0],
                     };
-                    let mut da = self.pool.acquire(r * c);
+                    let mut da = self.pool.acquire_for_overwrite(r * c);
                     da.fill(each);
                     self.accumulate(grads, *a, Cow::Owned(da));
                     self.pool.release(g);
                 }
                 Op::DivEps(a, b, eps) => {
                     let (va, vb) = (self.value(*a).as_slice(), self.value(*b).as_slice());
-                    let mut db = self.pool.acquire(g.len());
+                    let mut db = self.pool.acquire_for_overwrite(g.len());
                     for (((o, &gv), &x), &y) in db.iter_mut().zip(&g).zip(va).zip(vb) {
                         let y = y + eps;
                         *o = -gv * x / (y * y);
@@ -1133,8 +1177,8 @@ impl Tape {
                 Op::RowDot(a, b) => {
                     let (va, vb) = (self.value(*a), self.value(*b));
                     let c = va.cols();
-                    let mut da = self.pool.acquire(g.len() * c);
-                    let mut db = self.pool.acquire(g.len() * c);
+                    let mut da = self.pool.acquire_for_overwrite(g.len() * c);
+                    let mut db = self.pool.acquire_for_overwrite(g.len() * c);
                     let outs = rows_of_mut(&mut da, c).zip(rows_of_mut(&mut db, c));
                     let ins = rows_of(va.as_slice(), c).zip(rows_of(vb.as_slice(), c));
                     for (((da_row, db_row), (a_row, b_row)), &gr) in outs.zip(ins).zip(&g) {
@@ -1152,7 +1196,7 @@ impl Tape {
                 Op::RowBlockSums(a) => {
                     let (r, c) = self.dims(*a);
                     let blocks = node.value.cols();
-                    let mut da = self.pool.acquire(r * c);
+                    let mut da = self.pool.acquire_for_overwrite(r * c);
                     for (run, &gv) in rows_of_mut(&mut da, c / blocks).zip(&g) {
                         run.fill(gv);
                     }
@@ -1162,6 +1206,7 @@ impl Tape {
                 Op::MulColBroadcast(a, w) => {
                     let (va, vw) = (self.value(*a), self.value(*w));
                     let (c, k) = (va.cols(), vw.cols());
+                    // Zeroed: a zero-width `a` has no runs to fold.
                     let mut dw = self.pool.acquire(vw.as_slice().len());
                     let runs = rows_of_mut(&mut g, c / k).zip(rows_of(va.as_slice(), c / k));
                     for ((g_run, a_run), (o, &wv)) in runs.zip(dw.iter_mut().zip(vw.as_slice())) {
@@ -1180,7 +1225,7 @@ impl Tape {
                     let mut offset = 0usize;
                     for &p in parts.iter() {
                         let (r, w) = self.dims(p);
-                        let mut dp = self.pool.acquire(r * w);
+                        let mut dp = self.pool.acquire_for_overwrite(r * w);
                         for (o, g_row) in rows_of_mut(&mut dp, w).zip(rows_of(&g, total)) {
                             o.copy_from_slice(&g_row[offset..offset + w]);
                         }
@@ -1198,7 +1243,7 @@ impl Tape {
                 }
                 Op::ScatterAddRows(a, index) => {
                     let (r, c) = node.value.shape();
-                    let mut da = self.pool.acquire(index.len() * c);
+                    let mut da = self.pool.acquire_for_overwrite(index.len() * c);
                     kernels::gather_rows(&g, r, c, index, &mut da);
                     self.accumulate(grads, *a, Cow::Owned(da));
                     self.pool.release(g);
@@ -1244,8 +1289,8 @@ impl Tape {
                     let cn = c as f32;
                     let mut dgamma = self.pool.acquire(c);
                     let mut dbeta = self.pool.acquire(c);
-                    let mut xhat = self.pool.acquire(c);
-                    let mut dxhat = self.pool.acquire(c);
+                    let mut xhat = self.pool.acquire_for_overwrite(c);
+                    let mut dxhat = self.pool.acquire_for_overwrite(c);
                     for (g_row, row) in rows_of_mut(&mut g, c).zip(rows_of(x.as_slice(), c)) {
                         let mean = row.iter().sum::<f32>() / cn;
                         let var = row.iter().map(|&v| (v - mean).powi(2)).sum::<f32>() / cn;
@@ -1290,7 +1335,7 @@ impl Tape {
                 Op::L1Loss(pred, target) => {
                     let p = self.value(*pred).as_slice();
                     let scale = g[0] / p.len().max(1) as f32;
-                    let mut dp = self.pool.acquire(p.len());
+                    let mut dp = self.pool.acquire_for_overwrite(p.len());
                     for ((o, &a), &b) in dp.iter_mut().zip(p).zip(target.as_slice()) {
                         *o = if a > b {
                             scale
@@ -1307,7 +1352,7 @@ impl Tape {
                     let x = self.value(*logits);
                     let (r, c) = x.shape();
                     let scale = g[0] / r.max(1) as f32;
-                    let mut dx = self.pool.acquire(r * c);
+                    let mut dx = self.pool.acquire_for_overwrite(r * c);
                     let rows = rows_of_mut(&mut dx, c).zip(rows_of(x.as_slice(), c));
                     for ((dx_row, row), &label) in rows.zip(labels.iter()) {
                         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -1428,40 +1473,54 @@ mod tests {
     }
 
     #[test]
-    fn linear_relu_matches_unfused_chain() {
+    fn linear_matches_unfused_chain() {
         let x = sample(5, 7, 40);
         let w = sample(7, 3, 41);
         let b = sample(1, 3, 42);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (backend, relu) in [
+            ("reference", false),
+            ("reference", true),
+            ("simd", false),
+            ("simd", true),
+        ] {
+            let tape = || {
+                Tape::with_exec(
+                    mega_exec::backend_by_name(backend).expect("known backend"),
+                    Arc::new(BufferPool::new()),
+                )
+            };
+            let mut fused = tape();
+            let (fx, fw, fb) = (
+                fused.leaf(x.clone()),
+                fused.leaf(w.clone()),
+                fused.leaf(b.clone()),
+            );
+            let fy = match relu {
+                false => fused.linear(fx, fw, fb),
+                true => fused.linear_relu(fx, fw, fb),
+            };
+            let fsq = fused.mul(fy, fy);
+            let floss = fused.sum(fsq);
+            let fg = fused.backward(floss);
 
-        let mut fused = Tape::new();
-        let (fx, fw, fb) = (
-            fused.leaf(x.clone()),
-            fused.leaf(w.clone()),
-            fused.leaf(b.clone()),
-        );
-        let fy = fused.linear_relu(fx, fw, fb);
-        let floss = fused.sum(fy);
-        let fg = fused.backward(floss);
+            let mut unfused = tape();
+            let (ux, uw, ub) = (
+                unfused.leaf(x.clone()),
+                unfused.leaf(w.clone()),
+                unfused.leaf(b.clone()),
+            );
+            let um = unfused.matmul(ux, uw);
+            let ua = unfused.add_row(um, ub);
+            let uy = if relu { unfused.relu(ua) } else { ua };
+            let usq = unfused.mul(uy, uy);
+            let uloss = unfused.sum(usq);
+            let ug = unfused.backward(uloss);
 
-        let mut unfused = Tape::new();
-        let (ux, uw, ub) = (unfused.leaf(x), unfused.leaf(w), unfused.leaf(b));
-        let um = unfused.matmul(ux, uw);
-        let ua = unfused.add_row(um, ub);
-        let uy = unfused.relu(ua);
-        let uloss = unfused.sum(uy);
-        let ug = unfused.backward(uloss);
-
-        for (a, c) in fused
-            .value(fy)
-            .as_slice()
-            .iter()
-            .zip(unfused.value(uy).as_slice())
-        {
-            assert_eq!(a.to_bits(), c.to_bits());
-        }
-        for (v_f, v_u) in [(fx, ux), (fw, uw), (fb, ub)] {
-            for (a, c) in fg.wrt(v_f).as_slice().iter().zip(ug.wrt(v_u).as_slice()) {
-                assert_eq!(a.to_bits(), c.to_bits());
+            let case = format!("{backend} relu={relu}");
+            assert_eq!(bits(fused.value(fy)), bits(unfused.value(uy)), "{case}");
+            for (v_f, v_u) in [(fx, ux), (fw, uw), (fb, ub)] {
+                assert_eq!(bits(fg.wrt(v_f)), bits(ug.wrt(v_u)), "{case}");
             }
         }
     }
@@ -1523,7 +1582,8 @@ mod tests {
 
     #[test]
     fn backward_bits_are_pinned() {
-        for backend in ["reference", "simd"] {
+        let cases = ["reference", "simd"].map(|b| [(b, false), (b, true)]);
+        for (backend, fused) in cases.into_iter().flatten() {
             let mut t = Tape::with_exec(
                 mega_exec::backend_by_name(backend).expect("known backend"),
                 Arc::new(BufferPool::new()),
@@ -1538,9 +1598,14 @@ mod tests {
             let bn_gamma = t.leaf(sample(1, 8, 67));
             let bn_beta = t.leaf(sample(1, 8, 68));
             let wo = t.leaf(sample(8, 1, 69));
-            let xw = t.matmul(x, w1);
             // `h` feeds four consumers, so its gradient is touched repeatedly.
-            let h = t.add_row(xw, b1);
+            // One `Linear` node or the chain it replaced: the same bits.
+            let h = if fused {
+                t.linear(x, w1, b1)
+            } else {
+                let xw = t.matmul(x, w1);
+                t.add_row(xw, b1)
+            };
             let r = t.linear_relu(h, w2, b2);
             let m = t.mul(h, r);
             let s = t.scale(m, -0.5);
@@ -1561,7 +1626,7 @@ mod tests {
             assert_eq!(
                 fingerprint(&grads),
                 0x1e77_5631_58d4_2627,
-                "{backend}: {:#018x}",
+                "{backend} fused={fused}: {:#018x}",
                 fingerprint(&grads)
             );
         }
@@ -1760,13 +1825,16 @@ mod tests {
 
     #[test]
     fn backward_returns_every_buffer_to_the_pool() {
-        // Power-of-two shapes: the pool files a buffer under the largest
-        // power of two its capacity holds and serves a request from the
-        // next one up, so only these come back to the class they left.
         // Leaf values are not the pool's; oversized, the dropped tape files
         // them where no request here looks, so they cannot stand in for a
-        // gradient buffer that went missing.
+        // gradient buffer that went missing. The pool parks up to twice the
+        // bytes it once had checked out at the same time: buffers taken and
+        // never returned raise that budget past everything the steps
+        // release, so a miss in the second step can only be a buffer the
+        // first one kept.
         let pool = Arc::new(BufferPool::new());
+        let budget: Vec<Vec<f32>> = (0..64).map(|_| pool.acquire(1 << 12)).collect();
+        drop(budget);
         let leaf = |t: &mut Tape, rows: usize, cols: usize, seed: u32| {
             let mut data = Vec::with_capacity(1 << 12);
             data.extend_from_slice(sample(rows, cols, seed).as_slice());

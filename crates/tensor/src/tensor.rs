@@ -1,5 +1,6 @@
 //! Row-major 2-D `f32` tensor and its raw (non-differentiable) kernels.
 
+use mega_exec::Operand::RowMajor;
 use std::fmt;
 
 /// A dense row-major matrix of `f32`.
@@ -248,7 +249,8 @@ impl Tensor {
         );
         let (n, k, m) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0f32; n * m];
-        mega_exec::kernels::matmul(&self.data, &other.data, n, k, m, &mut out);
+        let (a, b) = (&self.data, &other.data);
+        mega_exec::kernels::matmul(RowMajor(a), RowMajor(b), n, k, m, &mut out);
         Tensor {
             rows: n,
             cols: m,

@@ -1,8 +1,11 @@
-//! Shared harness for the per-figure/per-table benchmark binaries.
+//! Benchmark harness regenerating every table and figure of the paper.
 //!
-//! Every binary under `src/bin/` regenerates one table or figure of the
-//! paper: it prints the same rows/series the paper reports and writes a JSON
-//! record under `bench_results/` for EXPERIMENTS.md. Criterion benches of the
+//! [`figures`] holds one function per table or figure; the `figures`
+//! binary prints the ones it is named and writes each as a JSON record
+//! under `bench_results/` for EXPERIMENTS.md. The other binaries are gates
+//! with their own flags: `equivalence` (bit-identity across backends and
+//! worker counts), `backend_matmul` (GEMM timings) and `dist_scaling`
+//! (modeled and measured distributed scaling). Criterion benches of the
 //! hot paths live under `benches/`.
 
 #![forbid(unsafe_code)]
@@ -12,6 +15,8 @@ use mega_datasets::{aqsol, csl, cycles, zinc, Dataset, DatasetSpec};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+
+pub mod figures;
 
 /// The directory JSON results are written to (`bench_results/` at the
 /// workspace root), created on demand.
@@ -90,36 +95,6 @@ impl TableWriter {
 /// Formats a float with `digits` decimals.
 pub fn fmt(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
-}
-
-/// Simulated profile of one training epoch for a dataset/model/engine
-/// combination (paper profiling setup: one representative batch, scaled by
-/// the epoch's batch count).
-pub fn profile_config(
-    ds: &Dataset,
-    kind: mega_gnn::ModelKind,
-    engine: mega_gnn::EngineChoice,
-    batch_size: usize,
-    hidden: usize,
-    layers: usize,
-) -> mega_gpu_sim::EpochCost {
-    use mega_core::{preprocess, MegaConfig};
-    let samples = &ds.train[..ds.train.len().min(batch_size)];
-    let schedules: Option<Vec<_>> = match engine {
-        mega_gnn::EngineChoice::Mega => Some(
-            samples
-                .iter()
-                .map(|s| preprocess(&s.graph, &MegaConfig::default()).expect("valid graph"))
-                .collect(),
-        ),
-        mega_gnn::EngineChoice::Baseline => None,
-    };
-    let cfg = mega_gnn::GnnConfig::new(kind, ds.node_vocab, ds.edge_vocab, 1)
-        .with_hidden(hidden)
-        .with_layers(layers)
-        .with_heads(if hidden.is_multiple_of(4) { 4 } else { 1 });
-    let steps = ds.train.len().div_ceil(batch_size).max(1);
-    mega_gnn::cost::epoch_cost(&cfg, engine, samples, schedules.as_deref(), steps)
 }
 
 #[cfg(test)]

@@ -230,9 +230,10 @@ pub fn train(args: &Args) -> Result<(), String> {
         }
         name => mega_exec::backend_by_name(name).ok_or_else(|| unknown(name))?,
     };
+    let batch = args.get_or("batch", 32usize)?;
     let trainer = Trainer::new(engine)
         .with_epochs(args.get_or("epochs", 5usize)?)
-        .with_batch_size(args.get_or("batch", 32usize)?)
+        .with_batch_size(batch)
         .with_lr(args.get_or("lr", 5e-3f32)?)
         .with_parallelism(mega_core::Parallelism::with_threads(threads))
         .with_backend(backend);
@@ -267,8 +268,8 @@ pub fn train(args: &Args) -> Result<(), String> {
         mega_obs::set_enabled(true);
     }
     let hist = match workers {
-        Some(k) => mega_dist::DistTrainer::new(trainer, k).run(&ds, cfg),
-        None => trainer.run(&ds, cfg),
+        Some(k) => mega_dist::DistTrainer::new(trainer, k).run(&ds, cfg.clone()),
+        None => trainer.run(&ds, cfg.clone()),
     };
     if instrument {
         mega_obs::set_enabled(false);
@@ -281,26 +282,25 @@ pub fn train(args: &Args) -> Result<(), String> {
             sim.elapsed_seconds() * 1e3
         );
     }
+    let modeled = mega_gnn::cost::modeled_epoch(&ds, &cfg, engine, batch, &MegaConfig::default());
     data!(
-        "simulated GPU epoch: {:.3} ms",
-        hist.epoch_sim_seconds * 1e3
+        "modeled (gpu-sim GTX 1080) epoch: {:.3} ms",
+        modeled.epoch_seconds * 1e3
     );
     data!(
-        "{:>5} {:>12} {:>10} {:>10} {:>12}",
+        "{:>5} {:>12} {:>10} {:>10}",
         "epoch",
         "train-loss",
         "val-loss",
-        "metric",
-        "sim-clock(s)"
+        "metric"
     );
     for r in &hist.records {
         data!(
-            "{:>5} {:>12.4} {:>10.4} {:>10.4} {:>12.4}",
+            "{:>5} {:>12.4} {:>10.4} {:>10.4}",
             r.epoch,
             r.train_loss,
             r.val_loss,
-            r.val_metric,
-            r.sim_seconds
+            r.val_metric
         );
     }
     write_obs_outputs(args)
@@ -330,6 +330,10 @@ pub fn profile(args: &Args) -> Result<(), String> {
         Task::Regression => 1,
         Task::Classification { classes } => classes,
     };
+    let cfg = GnnConfig::new(kind, ds.node_vocab, ds.edge_vocab, out)
+        .with_hidden(hidden)
+        .with_layers(2)
+        .with_heads(4);
 
     mega_obs::reset();
     mega_obs::set_enabled(true);
@@ -342,7 +346,7 @@ pub fn profile(args: &Args) -> Result<(), String> {
         let _span = mega_obs::span(engine_span);
 
         // Simulated-GPU kernel profile of one training step.
-        let cost = mega_bench_profile(&ds, kind, engine, batch, hidden)?;
+        let cost = mega_gnn::cost::modeled_epoch(&ds, &cfg, engine, batch, &MegaConfig::default());
         cost.report.export_obs(gpusim_prefix);
         data!(
             "\n=== {} engine — one epoch ({} steps) ===",
@@ -353,15 +357,11 @@ pub fn profile(args: &Args) -> Result<(), String> {
         data!("simulated epoch: {:.3} ms", cost.epoch_seconds * 1e3);
 
         // Instrumented host-side training.
-        let cfg = GnnConfig::new(kind, ds.node_vocab, ds.edge_vocab, out)
-            .with_hidden(hidden)
-            .with_layers(2)
-            .with_heads(4);
         let trainer = Trainer::new(engine)
             .with_epochs(epochs)
             .with_batch_size(batch)
             .with_parallelism(mega_core::Parallelism::with_threads(threads));
-        let hist = trainer.run(&ds, cfg);
+        let hist = trainer.run(&ds, cfg.clone());
         data!(
             "trained {epochs} epochs: final train-loss {:.4} | host phases/epoch \
              (assemble {:.1}ms, forward {:.1}ms, backward {:.1}ms, opt {:.1}ms, eval {:.1}ms)",
@@ -390,39 +390,6 @@ fn mean_phase<F: Fn(&mega_gnn::PhaseSeconds) -> f64>(
         return 0.0;
     }
     hist.records.iter().map(|r| f(&r.phases)).sum::<f64>() / hist.records.len() as f64
-}
-
-fn mega_bench_profile(
-    ds: &Dataset,
-    kind: ModelKind,
-    engine: EngineChoice,
-    batch: usize,
-    hidden: usize,
-) -> Result<mega_gpu_sim::EpochCost, String> {
-    let samples = &ds.train[..ds.train.len().min(batch)];
-    let schedules: Option<Vec<_>> = match engine {
-        EngineChoice::Mega => Some(
-            samples
-                .iter()
-                .map(|s| {
-                    mega_preprocess(&s.graph, &MegaConfig::default()).map_err(|e| e.to_string())
-                })
-                .collect::<Result<_, _>>()?,
-        ),
-        EngineChoice::Baseline => None,
-    };
-    let cfg = GnnConfig::new(kind, ds.node_vocab, ds.edge_vocab, 1)
-        .with_hidden(hidden)
-        .with_layers(2)
-        .with_heads(4);
-    let steps = ds.train.len().div_ceil(batch).max(1);
-    Ok(mega_gnn::cost::epoch_cost(
-        &cfg,
-        engine,
-        samples,
-        schedules.as_deref(),
-        steps,
-    ))
 }
 
 #[cfg(test)]

@@ -51,7 +51,6 @@ pub mod band;
 pub mod config;
 pub mod edge_drop;
 pub mod error;
-pub mod hetero;
 pub mod parallel;
 pub mod path;
 pub mod persist;
@@ -62,7 +61,6 @@ pub mod window;
 pub use band::BandMask;
 pub use config::{CandidatePolicy, MegaConfig, WindowPolicy};
 pub use error::MegaError;
-pub use hetero::{preprocess_hetero, HeteroGraph, MultiPathSchedule};
 pub use parallel::{Chunk, ChunkPlan, Parallelism};
 pub use path::PathRepresentation;
 pub use schedule::AttentionSchedule;

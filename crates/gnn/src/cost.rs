@@ -1,12 +1,16 @@
-//! Glue to the GPU cost model: stamps training epochs with simulated
-//! GTX 1080 wall-clock time.
+//! The modeled GPU clock: what one training epoch would cost on the paper's
+//! GTX 1080, computed by the `mega-gpu-sim` cost model.
+//!
+//! Nothing here is measured, and training never calls it — a
+//! [`TrainingHistory`](crate::TrainingHistory) holds host measurements only.
+//! Code that prints a modeled number (the figures, `mega train`/`profile`,
+//! the paper-claim tests) calls [`modeled_epoch`] and labels the result as
+//! modeled.
 
 use crate::config::{EngineChoice, GnnConfig, ModelKind};
-use mega_core::AttentionSchedule;
-use mega_datasets::GraphSample;
+use mega_core::{preprocess, MegaConfig};
+use mega_datasets::Dataset;
 use mega_gpu_sim::{BatchTopology, DeviceConfig, EngineKind, EpochCost, GnnCostModel, ModelSpec};
-
-pub use mega_gpu_sim::model::BatchTopology as Topology;
 
 /// The Table I operator counts for a model configuration.
 pub fn model_spec(config: &GnnConfig) -> ModelSpec {
@@ -19,35 +23,47 @@ pub fn model_spec(config: &GnnConfig) -> ModelSpec {
     }
 }
 
-/// Builds the simulator topology for a representative batch.
-pub fn topology(samples: &[GraphSample], schedules: Option<&[AttentionSchedule]>) -> BatchTopology {
-    let graphs: Vec<mega_graph::Graph> = samples.iter().map(|s| s.graph.clone()).collect();
-    match schedules {
-        Some(s) => BatchTopology::from_graphs_with_schedules(&graphs, s),
-        None => BatchTopology::from_graphs(&graphs),
-    }
-}
-
-/// Simulated cost of one epoch of `steps` batches shaped like `samples`.
-pub fn epoch_cost(
+/// Modeled GTX 1080 cost of one training epoch of `config` under `engine`
+/// (the paper's profiling setup): the first `batch_size` training samples —
+/// preprocessed with `mega_config` under the MEGA engine — stand for every
+/// step, and the step is scaled by the epoch's batch count.
+///
+/// # Panics
+///
+/// If preprocessing a training graph fails (generated datasets hold valid
+/// graphs only).
+pub fn modeled_epoch(
+    dataset: &Dataset,
     config: &GnnConfig,
     engine: EngineChoice,
-    samples: &[GraphSample],
-    schedules: Option<&[AttentionSchedule]>,
-    steps: usize,
+    batch_size: usize,
+    mega_config: &MegaConfig,
 ) -> EpochCost {
-    let topo = topology(samples, schedules);
-    let kind = match engine {
-        EngineChoice::Baseline => EngineKind::DglBaseline,
-        EngineChoice::Mega => EngineKind::Mega,
+    let batch_size = batch_size.max(1);
+    let samples = &dataset.train[..dataset.train.len().min(batch_size)];
+    let graphs: Vec<mega_graph::Graph> = samples.iter().map(|s| s.graph.clone()).collect();
+    let (topo, kind) = match engine {
+        EngineChoice::Baseline => (BatchTopology::from_graphs(&graphs), EngineKind::DglBaseline),
+        EngineChoice::Mega => {
+            let schedules: Vec<_> = graphs
+                .iter()
+                .map(|g| {
+                    preprocess(g, mega_config).expect("preprocessing of a valid graph cannot fail")
+                })
+                .collect();
+            (
+                BatchTopology::from_graphs_with_schedules(&graphs, &schedules),
+                EngineKind::Mega,
+            )
+        }
     };
+    let steps = dataset.train.len().div_ceil(batch_size).max(1);
     GnnCostModel::new(DeviceConfig::gtx_1080(), model_spec(config), kind).epoch_cost(&topo, steps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mega_core::{preprocess, MegaConfig};
     use mega_datasets::{zinc, DatasetSpec};
 
     #[test]
@@ -64,17 +80,14 @@ mod tests {
     #[test]
     fn mega_epoch_costs_less() {
         let ds = zinc(&DatasetSpec::tiny(9));
-        let samples = &ds.train[..16];
-        let schedules: Vec<_> = samples
-            .iter()
-            .map(|s| preprocess(&s.graph, &MegaConfig::default()).unwrap())
-            .collect();
         let cfg = GnnConfig::new(ModelKind::GraphTransformer, ds.node_vocab, ds.edge_vocab, 1)
             .with_hidden(64)
             .with_layers(2);
-        let base = epoch_cost(&cfg, EngineChoice::Baseline, samples, None, 5);
-        let mega = epoch_cost(&cfg, EngineChoice::Mega, samples, Some(&schedules), 5);
+        let mc = MegaConfig::default();
+        let base = modeled_epoch(&ds, &cfg, EngineChoice::Baseline, 16, &mc);
+        let mega = modeled_epoch(&ds, &cfg, EngineChoice::Mega, 16, &mc);
         assert!(mega.epoch_seconds < base.epoch_seconds);
         assert!(base.epoch_seconds > 0.0);
+        assert_eq!(base.steps, ds.train.len().div_ceil(16));
     }
 }

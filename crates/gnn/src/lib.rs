@@ -21,10 +21,10 @@
 //!
 //! [`train::Trainer`] owns the workspace's one epoch loop — whole-batch
 //! here, sharded over worker threads in `mega-dist`, through the
-//! [`train::ShardExecutor`] seam — tracks loss and task metric, and (via
-//! [`cost`]) stamps every epoch with the simulated GPU
-//! wall-clock from `mega-gpu-sim`, which is how the convergence-vs-time
-//! figures (Figs. 11–15) are regenerated.
+//! [`train::ShardExecutor`] seam — and records measured loss, task metric
+//! and host seconds only. [`cost::modeled_epoch`] models one epoch on the
+//! paper's GTX 1080 with `mega-gpu-sim`; the convergence-vs-time figures
+//! (Figs. 11–15) multiply it by the epochs a run needed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,19 +1,20 @@
-//! The training loop, with per-epoch metrics and simulated GPU wall clock.
+//! The training loop, with per-epoch metrics and host wall clock.
 //!
 //! [`Trainer::run_with`] is the workspace's only epoch loop. It cuts each
 //! optimizer step into shards and leaves one thing to a [`ShardExecutor`]:
 //! how a step's shards are executed — inline as one whole-batch shard
 //! ([`Trainer::run`]) or fanned out over worker threads at one sample per
-//! shard (`mega_dist::DistTrainer`).
+//! shard (`mega_dist::DistTrainer`). A [`TrainingHistory`] holds measured
+//! values only; the modeled GPU epoch lives in [`crate::cost`], outside
+//! the loop.
 
 use crate::batch::Batch;
 use crate::config::{EngineChoice, GnnConfig};
-use crate::cost;
 use crate::metrics;
 use crate::model::Gnn;
 use crate::nn::Binder;
 use crate::parallel::preprocess_samples;
-use mega_core::{AttentionSchedule, MegaConfig, Parallelism};
+use mega_core::{MegaConfig, Parallelism};
 use mega_datasets::{Dataset, GraphSample, Task};
 use mega_exec::{Backend, BufferPool, ReferenceBackend};
 use mega_tensor::{Adam, Optimizer, ParamId, ParamStore, Tape, Tensor, Var};
@@ -53,7 +54,8 @@ impl PhaseSeconds {
     }
 }
 
-/// One epoch of the training history.
+/// One epoch of the training history — measured only: losses and
+/// metrics from the run, seconds from the host clock.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpochRecord {
     /// Epoch index (1-based).
@@ -65,9 +67,6 @@ pub struct EpochRecord {
     /// Validation task metric (MAE for regression — lower is better;
     /// accuracy for classification — higher is better).
     pub val_metric: f64,
-    /// Cumulative *simulated GPU* seconds at the end of this epoch
-    /// (including MEGA's one-time preprocessing, charged up front).
-    pub sim_seconds: f64,
     /// Cumulative host (real) seconds of the run.
     pub real_seconds: f64,
     /// Host wall-clock breakdown of this epoch by training phase.
@@ -87,8 +86,6 @@ pub struct TrainingHistory {
     pub records: Vec<EpochRecord>,
     /// CPU seconds spent in MEGA preprocessing (0 for the baseline).
     pub preprocess_seconds: f64,
-    /// Simulated seconds for one epoch.
-    pub epoch_sim_seconds: f64,
     /// Held-out test loss after the final epoch.
     pub test_loss: f64,
     /// Held-out test metric after the final epoch (MAE or accuracy).
@@ -110,13 +107,15 @@ impl TrainingHistory {
         self.records.last().map(|r| r.val_metric)
     }
 
-    /// Simulated seconds needed to first reach `target` validation loss, if
-    /// ever reached (the paper's convergence-time measure).
-    pub fn sim_seconds_to_loss(&self, target: f64) -> Option<f64> {
+    /// Epochs needed to first reach `target` validation loss, if ever
+    /// reached. Multiplied by the modeled epoch and added to
+    /// [`preprocess_seconds`](Self::preprocess_seconds), it gives the
+    /// paper's convergence time.
+    pub fn epochs_to_loss(&self, target: f64) -> Option<usize> {
         self.records
             .iter()
             .find(|r| r.val_loss <= target)
-            .map(|r| r.sim_seconds)
+            .map(|r| r.epoch)
     }
 }
 
@@ -232,36 +231,21 @@ impl Trainer {
         self
     }
 
-    /// MEGA schedules for `samples`, one per sample in order (`None` under
-    /// the baseline engine): the run's one preprocessing site.
-    fn preprocess(&self, samples: &[GraphSample]) -> Option<Vec<AttentionSchedule>> {
-        (self.engine == EngineChoice::Mega).then(|| {
-            preprocess_samples(samples, &self.mega_config, &self.parallelism)
-                .expect("preprocessing of a valid graph cannot fail")
-        })
-    }
-
-    /// Cuts `samples` (with their schedules, under the MEGA engine) into
-    /// shards of `shard_size` samples each.
-    fn assemble(
-        &self,
-        samples: &[GraphSample],
-        schedules: Option<&[AttentionSchedule]>,
-        shard_size: usize,
-    ) -> Vec<Batch> {
-        let chunks = samples.chunks(shard_size);
-        match schedules {
-            None => chunks.map(Batch::baseline).collect(),
-            Some(schedules) => chunks
-                .zip(schedules.chunks(shard_size))
-                .map(|(c, s)| Batch::mega_with(c, s, &self.parallelism))
-                .collect(),
-        }
-    }
-
-    /// Preprocesses a split once and cuts it into shards.
+    /// Preprocesses a split once (under the MEGA engine: the run's one
+    /// preprocessing site) and cuts it into shards of `shard_size` samples.
     fn shards_of(&self, samples: &[GraphSample], shard_size: usize) -> Vec<Batch> {
-        self.assemble(samples, self.preprocess(samples).as_deref(), shard_size)
+        let chunks = samples.chunks(shard_size);
+        match self.engine {
+            EngineChoice::Baseline => chunks.map(Batch::baseline).collect(),
+            EngineChoice::Mega => {
+                let schedules = preprocess_samples(samples, &self.mega_config, &self.parallelism)
+                    .expect("preprocessing of a valid graph cannot fail");
+                chunks
+                    .zip(schedules.chunks(shard_size))
+                    .map(|(c, s)| Batch::mega_with(c, s, &self.parallelism))
+                    .collect()
+            }
+        }
     }
 
     /// Runs whole-batch training — every optimizer step is one shard on
@@ -300,11 +284,10 @@ impl Trainer {
 
         // One-time preprocessing (CPU side, decoupled from training).
         let pre_start = mega_obs::Stopwatch::start();
-        let (train_schedules, mut train_shards, val_shards) = {
+        let (mut train_shards, val_shards) = {
             let _s = mega_obs::span("assemble");
-            let schedules = self.preprocess(&dataset.train);
-            let train = self.assemble(&dataset.train, schedules.as_deref(), shard_size);
-            (schedules, train, self.shards_of(&dataset.val, shard_size))
+            let train = self.shards_of(&dataset.train, shard_size);
+            (train, self.shards_of(&dataset.val, shard_size))
         };
         let preprocess_seconds = if self.engine == EngineChoice::Mega {
             pre_start.elapsed().as_secs_f64()
@@ -312,25 +295,10 @@ impl Trainer {
             0.0
         };
 
-        // Simulated GPU epoch time from a representative batch.
-        let rep = &dataset.train[..dataset.train.len().min(batch_size)];
-        let epoch_sim_seconds = cost::epoch_cost(
-            &config,
-            self.engine,
-            rep,
-            train_schedules.as_deref().map(|s| &s[..rep.len()]),
-            dataset.train.len().div_ceil(batch_size),
-        )
-        .epoch_seconds;
-        // The shards carry what training needs; don't hold the schedules
-        // through the run.
-        drop(train_schedules);
-
         let mut store = ParamStore::new();
         let model = Gnn::new(&mut store, config.clone());
         let mut opt = Adam::new(self.lr);
         let mut records = Vec::with_capacity(self.epochs);
-        let mut sim_clock = preprocess_seconds;
         let mut best_val = f64::INFINITY;
         let mut since_best = 0usize;
         let mut shuffle = self
@@ -415,13 +383,11 @@ impl Trainer {
                     std::time::Duration::from_secs_f64(phases.total()),
                 );
             }
-            sim_clock += epoch_sim_seconds;
             records.push(EpochRecord {
                 epoch,
                 train_loss,
                 val_loss,
                 val_metric,
-                sim_seconds: sim_clock,
                 real_seconds: start.elapsed().as_secs_f64(),
                 phases,
             });
@@ -454,7 +420,6 @@ impl Trainer {
             dataset: dataset.name.clone(),
             records,
             preprocess_seconds,
-            epoch_sim_seconds,
             test_loss,
             test_metric,
         }
@@ -721,7 +686,7 @@ mod tests {
         let mega = Trainer::new(EngineChoice::Mega)
             .with_epochs(6)
             .with_batch_size(8)
-            .run(&ds, cfg);
+            .run(&ds, cfg.clone());
         // Same initialization and equivalent math: final losses comparable.
         let b = base.records.last().unwrap().train_loss;
         let m = mega.records.last().unwrap().train_loss;
@@ -729,8 +694,11 @@ mod tests {
             (b - m).abs() < 0.35 * b.max(m).max(0.1),
             "baseline {b} vs mega {m}"
         );
-        // And the simulated clock runs faster for MEGA.
-        assert!(mega.epoch_sim_seconds < base.epoch_sim_seconds);
+        // And the modeled epoch is cheaper for MEGA.
+        let modeled = |engine| {
+            crate::cost::modeled_epoch(&ds, &cfg, engine, 8, &MegaConfig::default()).epoch_seconds
+        };
+        assert!(modeled(EngineChoice::Mega) < modeled(EngineChoice::Baseline));
     }
 
     #[test]
@@ -831,12 +799,11 @@ mod tests {
             assert!(r.phases.forward > 0.0, "forward time should be nonzero");
         }
         let worst = hist.records.iter().map(|r| r.val_loss).fold(0.0, f64::max);
-        assert!(hist.sim_seconds_to_loss(worst + 1.0).is_some());
-        assert!(hist.sim_seconds_to_loss(-1.0).is_none());
-        // Sim clock is monotone.
-        for w in hist.records.windows(2) {
-            assert!(w[1].sim_seconds > w[0].sim_seconds);
-        }
+        assert_eq!(hist.epochs_to_loss(worst + 1.0), Some(1));
+        assert!(hist.epochs_to_loss(-1.0).is_none());
+        let best = hist.best_val_loss();
+        let first_best = hist.records.iter().find(|r| r.val_loss == best).unwrap();
+        assert_eq!(hist.epochs_to_loss(best), Some(first_best.epoch));
     }
 
     #[test]
@@ -883,12 +850,11 @@ mod tests {
             dataset: "empty".to_string(),
             records: Vec::new(),
             preprocess_seconds: 0.0,
-            epoch_sim_seconds: 0.0,
             test_loss: 0.0,
             test_metric: 0.0,
         };
         assert_eq!(hist.final_metric(), None);
         assert!(hist.best_val_loss().is_infinite());
-        assert!(hist.sim_seconds_to_loss(0.0).is_none());
+        assert!(hist.epochs_to_loss(0.0).is_none());
     }
 }

@@ -1,14 +1,15 @@
 //! Molecular property regression: train GatedGCN on the ZINC-like dataset
-//! under both engines and compare quality and simulated GPU time.
+//! under both engines and compare quality and the modeled GPU epoch.
 //!
 //! Run with: `cargo run --release --example molecular_regression`
 //!
 //! This is the workload of the paper's Fig. 12 at example scale: the MEGA
 //! engine computes the same math as the DGL-style baseline (identical final
-//! MAE up to float noise) but its simulated epoch is substantially cheaper.
+//! MAE up to float noise) but its modeled epoch is substantially cheaper.
 
+use mega::core::MegaConfig;
 use mega::datasets::{zinc, DatasetSpec};
-use mega::gnn::{EngineChoice, GnnConfig, ModelKind, Trainer};
+use mega::gnn::{cost, EngineChoice, GnnConfig, ModelKind, Trainer};
 
 fn main() {
     let ds = zinc(&DatasetSpec {
@@ -36,9 +37,10 @@ fn main() {
             .with_lr(5e-3);
         let hist = trainer.run(&ds, cfg.clone());
         println!("\n== engine: {} ==", hist.engine);
+        let modeled = cost::modeled_epoch(&ds, &cfg, engine, 32, &MegaConfig::default());
         println!(
-            "simulated GPU epoch: {:.3} ms",
-            hist.epoch_sim_seconds * 1e3
+            "modeled (gpu-sim GTX 1080) epoch: {:.3} ms",
+            modeled.epoch_seconds * 1e3
         );
         if hist.preprocess_seconds > 0.0 {
             println!(
@@ -46,14 +48,14 @@ fn main() {
                 hist.preprocess_seconds
             );
         }
-        println!("epoch  train-loss  val-loss  val-MAE  sim-clock(s)");
+        println!("epoch  train-loss  val-loss  val-MAE");
         for r in &hist.records {
             println!(
-                "{:>5}  {:>10.4}  {:>8.4}  {:>7.4}  {:>11.4}",
-                r.epoch, r.train_loss, r.val_loss, r.val_metric, r.sim_seconds
+                "{:>5}  {:>10.4}  {:>8.4}  {:>7.4}",
+                r.epoch, r.train_loss, r.val_loss, r.val_metric
             );
         }
     }
-    println!("\nBoth engines converge to the same quality; the Mega column of simulated");
-    println!("seconds advances ~1.3-1.8x slower per epoch (see fig10_runtime for the sweep).");
+    println!("\nBoth engines converge to the same quality; Mega's modeled epoch is");
+    println!("~1.3-1.8x cheaper (`figures fig10_runtime` has the sweep).");
 }

@@ -1,11 +1,12 @@
 //! End-to-end integration tests spanning the whole workspace:
-//! datasets → preprocessing → both GNN engines → training → simulated timing.
+//! datasets → preprocessing → both GNN engines → training, and the modeled
+//! GPU epoch beside it.
 
 use mega::core::{preprocess, MegaConfig, WindowPolicy};
 use mega::datasets::{aqsol, csl, cycles, zinc, Dataset, DatasetSpec, Task};
 use mega::dist::DistTrainer;
 use mega::gnn::nn::Binder;
-use mega::gnn::{Batch, EngineChoice, Gnn, GnnConfig, ModelKind, Trainer, TrainingHistory};
+use mega::gnn::{cost, Batch, EngineChoice, Gnn, GnnConfig, ModelKind, Trainer, TrainingHistory};
 use mega::tensor::{ParamStore, Tape};
 
 fn tiny(seed: u64) -> DatasetSpec {
@@ -55,7 +56,6 @@ fn all_combinations_train() {
                         engine
                     );
                 }
-                assert!(hist.epoch_sim_seconds > 0.0);
             }
         }
     }
@@ -109,7 +109,7 @@ fn engines_agree_on_every_dataset() {
     }
 }
 
-/// MEGA's simulated epoch is cheaper than the baseline's for every dataset.
+/// MEGA's modeled epoch is cheaper than the baseline's for every dataset.
 #[test]
 fn mega_epoch_is_cheaper_everywhere() {
     let datasets = [
@@ -122,39 +122,25 @@ fn mega_epoch_is_cheaper_everywhere() {
         let cfg = config_for(ds, ModelKind::GraphTransformer)
             .with_hidden(64)
             .with_heads(4);
-        let base = Trainer::new(EngineChoice::Baseline)
-            .with_epochs(1)
-            .with_batch_size(16)
-            .run(ds, cfg.clone());
-        let mega = Trainer::new(EngineChoice::Mega)
-            .with_epochs(1)
-            .with_batch_size(16)
-            .run(ds, cfg);
-        assert!(
-            mega.epoch_sim_seconds < base.epoch_sim_seconds,
-            "{}: mega {} vs baseline {}",
-            ds.name,
-            mega.epoch_sim_seconds,
-            base.epoch_sim_seconds
-        );
+        let modeled = |engine| {
+            cost::modeled_epoch(ds, &cfg, engine, 16, &MegaConfig::default()).epoch_seconds
+        };
+        let (base, mega) = (modeled(EngineChoice::Baseline), modeled(EngineChoice::Mega));
+        assert!(mega < base, "{}: mega {mega} vs baseline {base}", ds.name);
     }
 }
 
-/// Edge dropping shortens the simulated epoch further (the Fig. 15 setup).
+/// Edge dropping shortens the modeled epoch further (the Fig. 15 setup).
 #[test]
 fn edge_dropping_compounds_the_speedup() {
     let ds = aqsol(&tiny(13));
     let cfg = config_for(&ds, ModelKind::GraphTransformer);
-    let full = Trainer::new(EngineChoice::Mega)
-        .with_epochs(1)
-        .with_batch_size(8)
-        .run(&ds, cfg.clone());
-    let dropped = Trainer::new(EngineChoice::Mega)
-        .with_epochs(1)
-        .with_batch_size(8)
-        .with_mega_config(MegaConfig::default().with_edge_drop(0.3))
-        .run(&ds, cfg);
-    assert!(dropped.epoch_sim_seconds < full.epoch_sim_seconds);
+    let modeled = |mega_config: MegaConfig| {
+        cost::modeled_epoch(&ds, &cfg, EngineChoice::Mega, 8, &mega_config).epoch_seconds
+    };
+    let full = modeled(MegaConfig::default());
+    let dropped = modeled(MegaConfig::default().with_edge_drop(0.3));
+    assert!(dropped < full, "dropped {dropped} vs full {full}");
 }
 
 /// Preprocessing honors custom window policies end to end.

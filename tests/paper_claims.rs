@@ -4,49 +4,32 @@
 use mega::core::{preprocess, revisit_lower_bound, traverse, MegaConfig, WindowPolicy};
 use mega::datasets::{csl, zinc, DatasetSpec};
 use mega::dist::{edge_cut_volume, hash_partition, path_partition_volume};
-use mega::gpu_sim::{BatchTopology, DeviceConfig, EngineKind, GnnCostModel, KernelKind, ModelSpec};
+use mega::gnn::{cost, EngineChoice, GnnConfig, ModelKind};
+use mega::gpu_sim::{EpochCost, KernelKind};
 use mega::graph::generate;
 use mega::wl::{global_similarity, path_similarity};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn molecular_batch(count: usize) -> Vec<mega::graph::Graph> {
+/// The modeled cost of one step over a batch of 64 ZINC-like graphs, for a
+/// two-layer `kind` model of width `hidden`.
+fn costed(kind: ModelKind, hidden: usize, engine: EngineChoice) -> EpochCost {
     let ds = zinc(&DatasetSpec {
-        train: count,
+        train: 64,
         val: 1,
         test: 1,
         seed: 77,
     });
-    ds.train.into_iter().map(|s| s.graph).collect()
-}
-
-fn costed(
-    graphs: &[mega::graph::Graph],
-    spec: ModelSpec,
-    engine: EngineKind,
-) -> mega::gpu_sim::EpochCost {
-    let topo = match engine {
-        EngineKind::Mega => {
-            let schedules: Vec<_> = graphs
-                .iter()
-                .map(|g| preprocess(g, &MegaConfig::default()).unwrap())
-                .collect();
-            BatchTopology::from_graphs_with_schedules(graphs, &schedules)
-        }
-        EngineKind::DglBaseline => BatchTopology::from_graphs(graphs),
-    };
-    GnnCostModel::new(DeviceConfig::gtx_1080(), spec, engine).epoch_cost(&topo, 1)
+    let cfg = GnnConfig::new(kind, ds.node_vocab, ds.edge_vocab, 1)
+        .with_hidden(hidden)
+        .with_layers(2);
+    cost::modeled_epoch(&ds, &cfg, engine, 64, &MegaConfig::default())
 }
 
 /// Fig. 4: sgemm SM efficiency dominates the graph kernels.
 #[test]
 fn fig04_sgemm_efficiency_dominates() {
-    let graphs = molecular_batch(64);
-    let cost = costed(
-        &graphs,
-        ModelSpec::graph_transformer(128, 2),
-        EngineKind::DglBaseline,
-    );
+    let cost = costed(ModelKind::GraphTransformer, 128, EngineChoice::Baseline);
     let r = &cost.report;
     let sgemm = r.kernel(KernelKind::Sgemm).unwrap().sm_efficiency;
     for k in [
@@ -62,17 +45,8 @@ fn fig04_sgemm_efficiency_dominates() {
 /// Fig. 5: GT spends a larger time share on graph operations than GCN.
 #[test]
 fn fig05_gt_more_graph_bound_than_gcn() {
-    let graphs = molecular_batch(64);
-    let gcn = costed(
-        &graphs,
-        ModelSpec::gated_gcn(128, 2),
-        EngineKind::DglBaseline,
-    );
-    let gt = costed(
-        &graphs,
-        ModelSpec::graph_transformer(128, 2),
-        EngineKind::DglBaseline,
-    );
+    let gcn = costed(ModelKind::GatedGcn, 128, EngineChoice::Baseline);
+    let gt = costed(ModelKind::GraphTransformer, 128, EngineChoice::Baseline);
     assert!(gt.report.graph_op_time_share() > gcn.report.graph_op_time_share());
     assert!(gt.report.sgemm_time_share() < gcn.report.sgemm_time_share() + 0.15);
 }
@@ -80,12 +54,7 @@ fn fig05_gt_more_graph_bound_than_gcn() {
 /// Fig. 6: graph kernels stall more than sgemm.
 #[test]
 fn fig06_graph_kernels_stall() {
-    let graphs = molecular_batch(64);
-    let cost = costed(
-        &graphs,
-        ModelSpec::graph_transformer(128, 2),
-        EngineKind::DglBaseline,
-    );
+    let cost = costed(ModelKind::GraphTransformer, 128, EngineChoice::Baseline);
     let r = &cost.report;
     let sgemm_stall = r.kernel(KernelKind::Sgemm).unwrap().stall_pct;
     let gather_stall = r.kernel(KernelKind::DglGather).unwrap().stall_pct;
@@ -111,13 +80,9 @@ fn fig08_similarity_shape() {
 /// models.
 #[test]
 fn fig09_mega_aggregates_better() {
-    let graphs = molecular_batch(64);
-    for spec in [
-        ModelSpec::gated_gcn(128, 2),
-        ModelSpec::graph_transformer(128, 2),
-    ] {
-        let dgl = costed(&graphs, spec.clone(), EngineKind::DglBaseline);
-        let mega = costed(&graphs, spec, EngineKind::Mega);
+    for kind in [ModelKind::GatedGcn, ModelKind::GraphTransformer] {
+        let dgl = costed(kind, 128, EngineChoice::Baseline);
+        let mega = costed(kind, 128, EngineChoice::Mega);
         assert!(mega.report.aggregate_sm_efficiency() > dgl.report.aggregate_sm_efficiency());
         assert!(mega.report.aggregate_stall_pct() < dgl.report.aggregate_stall_pct());
     }
@@ -127,14 +92,10 @@ fn fig09_mega_aggregates_better() {
 /// least as much as GCN.
 #[test]
 fn fig10_runtime_shape() {
-    let graphs = molecular_batch(64);
     let mut speedups = Vec::new();
-    for spec in [
-        ModelSpec::gated_gcn(64, 2),
-        ModelSpec::graph_transformer(64, 2),
-    ] {
-        let dgl = costed(&graphs, spec.clone(), EngineKind::DglBaseline);
-        let mega = costed(&graphs, spec, EngineKind::Mega);
+    for kind in [ModelKind::GatedGcn, ModelKind::GraphTransformer] {
+        let dgl = costed(kind, 64, EngineChoice::Baseline);
+        let mega = costed(kind, 64, EngineChoice::Mega);
         assert!(mega.epoch_seconds < dgl.epoch_seconds);
         assert!(mega.report.sgemm_time_share() > dgl.report.sgemm_time_share());
         speedups.push(dgl.epoch_seconds / mega.epoch_seconds);

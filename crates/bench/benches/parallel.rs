@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mega_core::parallel::Parallelism;
 use mega_core::{preprocess, MegaConfig};
-use mega_exec::kernels::{banded_aggregate, banded_aggregate_serial};
+use mega_exec::kernels::{banded_aggregate, banded_aggregate_serial, BandLanes};
 use mega_graph::generate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,7 +34,7 @@ fn bench_banded_aggregate(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("serial", format!("ba-{NODES}")), |b| {
         b.iter(|| {
             out.fill(0.0);
-            banded_aggregate_serial(band, &x, FEAT, &weights, &mut out);
+            banded_aggregate_serial(BandLanes::SCALAR, band, &x, FEAT, &weights, &mut out);
         })
     });
     for threads in [1usize, 2, 4, 8] {
@@ -42,7 +42,7 @@ fn bench_banded_aggregate(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("chunked", format!("{threads}t")), |b| {
             b.iter(|| {
                 out.fill(0.0);
-                banded_aggregate(band, &x, FEAT, &weights, &par, &mut out);
+                banded_aggregate(BandLanes::SCALAR, band, &x, FEAT, &weights, &par, &mut out);
             })
         });
     }

@@ -12,14 +12,18 @@
 //! statistics per shard), so every configuration is compared against the
 //! first of its own family. The band leg runs the halo-exchange executor
 //! at every worker count against the serial oracle (`run_serial`), states
-//! and weight gradients.
+//! and weight gradients, and every backend's `banded_aggregate` and
+//! `banded_weight_grad` at dims 16 and 67 and every worker count against
+//! the scalar slot walk — so a `simd` run covers the SIMD band lanes.
 //!
 //! Exits non-zero on the first mismatched bit, so CI can assert
 //! reference ≡ simd and 1 ≡ 2 ≡ 4 workers directly.
 
+use mega_core::Parallelism;
 use mega_core::{preprocess, MegaConfig};
 use mega_datasets::{zinc, DatasetSpec};
 use mega_dist::{run_serial, BandJob, DistExecutor, DistTrainer, ThreadExecutor};
+use mega_exec::kernels::{self, BandLanes};
 use mega_exec::{backend_by_name, Backend};
 use mega_gnn::{EngineChoice, GnnConfig, ModelKind, Trainer, TrainingHistory};
 use mega_graph::generate;
@@ -98,14 +102,40 @@ fn mix(i: usize) -> f32 {
     ((h >> 32) as f32 / u32::MAX as f32) - 0.5
 }
 
-/// The halo-exchange executor must be bit-identical to the serial oracle
-/// for every worker count.
-fn band_leg(worker_counts: &[usize]) -> bool {
+/// The halo-exchange executor must be bit-identical to the serial oracle,
+/// and every backend's band kernels to the scalar walk, for every worker
+/// count.
+fn band_leg(backends: &[(&str, Arc<dyn Backend>)], worker_counts: &[usize]) -> bool {
     let mut rng = StdRng::seed_from_u64(23);
     let g = generate::barabasi_albert(300, 3, &mut rng).expect("BA graph");
     let s = preprocess(&g, &MegaConfig::default()).expect("preprocess");
     let band = s.band();
     let edges = s.working_graph().edge_count();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let mut ok = true;
+    for dim in [16usize, 67] {
+        let x: Vec<f32> = (0..band.len() * dim).map(mix).collect();
+        let d_out: Vec<f32> = (0..band.len() * dim).map(|i| mix(i + 7)).collect();
+        let weights: Vec<f32> = (0..edges).map(|e| mix(e + band.len() * dim)).collect();
+        let (mut fwd, mut dw) = (vec![0.0f32; x.len()], vec![0.0f32; edges]);
+        kernels::banded_aggregate_serial(BandLanes::SCALAR, band, &x, dim, &weights, &mut fwd);
+        kernels::banded_weight_grad_serial(BandLanes::SCALAR, band, &x, &d_out, dim, &mut dw);
+        for (name, backend) in backends {
+            for &k in worker_counts {
+                let par = Parallelism::pinned(k);
+                let (mut out, mut grad) = (vec![0.0f32; x.len()], vec![0.0f32; edges]);
+                backend.banded_aggregate(band, &x, dim, &weights, &par, &mut out);
+                backend.banded_weight_grad(band, &x, &d_out, dim, edges, &par, &mut grad);
+                let label = format!("band kernels {name}[workers={k}] dim={dim}");
+                if bits(&out) == bits(&fwd) && bits(&grad) == bits(&dw) {
+                    println!("MATCH: {label} == scalar walk (bit-exact, forward + weight grad)");
+                } else {
+                    eprintln!("MISMATCH: {label} differs from the scalar walk");
+                    ok = false;
+                }
+            }
+        }
+    }
     let dim = 16usize;
     let x0: Vec<f32> = (0..band.len() * dim).map(mix).collect();
     let weights: Vec<f32> = (0..edges).map(|e| mix(e + band.len() * dim)).collect();
@@ -118,9 +148,7 @@ fn band_leg(worker_counts: &[usize]) -> bool {
         steps: 6,
         damping: 0.8,
     };
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
     let oracle = run_serial(&job);
-    let mut ok = true;
     for &k in worker_counts {
         let run = ThreadExecutor::new(k).run(&job);
         if bits(&run.x) == bits(&oracle.x) && bits(&run.dw) == bits(&oracle.dw) {
@@ -158,11 +186,13 @@ fn main() -> ExitCode {
         .chain(counts.iter().copied().map(Some))
         .collect();
     let mut configs = Vec::new();
+    let mut named = Vec::new();
     for name in backends.split(',') {
         let Some(backend) = backend_by_name(name) else {
             eprintln!("unknown backend `{name}` (expected reference or simd)");
             return ExitCode::FAILURE;
         };
+        named.push((name, backend.clone()));
         for &workers in &executions {
             let label = match workers {
                 None => name.to_string(),
@@ -176,7 +206,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut ok = band_leg(&counts);
+    let mut ok = band_leg(&named, &counts);
     // Every configuration must match the first of its family (whole-batch
     // or sharded), model by model and engine by engine.
     let mut oracles: BTreeMap<(&str, bool, &str), (String, Vec<u64>)> = BTreeMap::new();

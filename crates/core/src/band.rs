@@ -47,13 +47,9 @@ pub struct BandMask {
     len: usize,
     window: usize,
     working_edges: usize,
-    /// `slot[i * window + (k - 1)]` = edge id carried by pair `(i, i + k)`,
-    /// or `usize::MAX` when inactive.
-    slots: Vec<usize>,
+    /// The active slots, sorted by `(lo, hi)`: the band's only storage.
     active: Vec<BandSlot>,
 }
-
-const INACTIVE: usize = usize::MAX;
 
 impl BandMask {
     /// Builds the mask by greedily claiming, for each original edge, its
@@ -78,7 +74,6 @@ impl BandMask {
             edge_of.insert((s.min(d), s.max(d)), eid);
         }
         let mut claimed = vec![false; g.edge_count()];
-        let mut slots = vec![INACTIVE; len * window];
         let mut active = Vec::new();
         for i in 0..len {
             let u = path[i];
@@ -95,7 +90,6 @@ impl BandMask {
                 if let Some(&eid) = edge_of.get(&(u.min(v), u.max(v))) {
                     if !claimed[eid] {
                         claimed[eid] = true;
-                        slots[i * window + (k - 1)] = eid;
                         active.push(BandSlot {
                             lo: i,
                             hi: j,
@@ -109,7 +103,6 @@ impl BandMask {
             len,
             window,
             working_edges: g.edge_count(),
-            slots,
             active,
         }
     }
@@ -129,7 +122,8 @@ impl BandMask {
         self.window
     }
 
-    /// The edge id carried by pair `(i, i + k)`, if that slot is active.
+    /// The edge id carried by pair `(i, i + k)`, if that slot is active — a
+    /// binary search of [`BandMask::active_slots`].
     ///
     /// # Panics
     ///
@@ -140,13 +134,11 @@ impl BandMask {
             "offset {k} outside 1..={}",
             self.window
         );
-        if i + k >= self.len {
-            return None;
-        }
-        match self.slots[i * self.window + (k - 1)] {
-            INACTIVE => None,
-            e => Some(e),
-        }
+        let key = (i, i.checked_add(k)?);
+        self.active
+            .binary_search_by(|s| (s.lo, s.hi).cmp(&key))
+            .ok()
+            .map(|at| self.active[at].edge)
     }
 
     /// All active slots in claim order (ascending `lo`, then offset).
@@ -252,8 +244,16 @@ mod tests {
         for s in b.active_slots() {
             assert_eq!(b.slot(s.lo, s.hi - s.lo), Some(s.edge));
         }
-        // Out-of-path slot is None.
+        // Every other in-band pair, and an out-of-path one, is inactive.
+        let active =
+            |i: usize, k: usize| b.active_slots().iter().any(|s| (s.lo, s.hi) == (i, i + k));
+        for i in 0..b.len() + 2 {
+            for k in 1..=b.window() {
+                assert_eq!(b.slot(i, k).is_some(), active(i, k), "slot ({i}, {k})");
+            }
+        }
         assert_eq!(b.slot(b.len() - 1, 1), None);
+        assert_eq!(b.slot(usize::MAX, 1), None);
     }
 
     #[test]

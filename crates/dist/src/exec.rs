@@ -38,9 +38,13 @@
 //! an oracle that shares no loop with the workers' row fold.
 
 use mega_core::{BandMask, Chunk, ChunkPlan};
-use mega_exec::kernels;
+use mega_exec::kernels::{self, BandLanes};
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
+
+/// The band kernels' inner loops on every path here: the scalar ones, so
+/// the workers and their `run_serial` oracle compute the reference bits.
+const LANES: BandLanes = BandLanes::SCALAR;
 
 /// One multi-step band-engine job: evolve `x_{t+1} = damping · A·x_t`
 /// (`A` the banded slot-weight matrix) for `steps` steps, accumulating
@@ -165,11 +169,11 @@ pub fn run_serial(job: &BandJob<'_>) -> BandRun {
     let mut step_dw = vec![0.0f32; job.edge_count];
     for _ in 0..job.steps {
         y.fill(0.0);
-        kernels::banded_aggregate_serial(job.band, &x, job.dim, job.weights, &mut y);
+        kernels::banded_aggregate_serial(LANES, job.band, &x, job.dim, job.weights, &mut y);
         for v in &mut y {
             *v *= job.damping;
         }
-        kernels::banded_weight_grad_serial(job.band, &x, &y, job.dim, &mut step_dw);
+        kernels::banded_weight_grad_serial(LANES, job.band, &x, &y, job.dim, &mut step_dw);
         for (acc, v) in dw.iter_mut().zip(&step_dw) {
             *acc += *v;
         }
@@ -291,6 +295,7 @@ fn worker(job: &BandJob<'_>, seg: &Chunk, mailbox: Mailbox) -> SegmentResult {
         y.fill(0.0);
         // 1. Boundary rows first, then scale: y = damping · A·x.
         kernels::banded_aggregate_segment(
+            LANES,
             job.band,
             seg,
             seg.start,
@@ -303,6 +308,7 @@ fn worker(job: &BandJob<'_>, seg: &Chunk, mailbox: Mailbox) -> SegmentResult {
             base,
         );
         kernels::banded_aggregate_segment(
+            LANES,
             job.band,
             seg,
             b2_lo,
@@ -330,6 +336,7 @@ fn worker(job: &BandJob<'_>, seg: &Chunk, mailbox: Mailbox) -> SegmentResult {
         }
         // 3. Interior rows while the halos are in flight.
         kernels::banded_aggregate_segment(
+            LANES,
             job.band,
             seg,
             b1_hi,
@@ -356,7 +363,7 @@ fn worker(job: &BandJob<'_>, seg: &Chunk, mailbox: Mailbox) -> SegmentResult {
         // 5. Weight-grad for owned slots: reads x (pre-step) and y
         // (post-step, halo included — a slot reaches up to ω rows right of
         // the owned range, which is exactly the halo just received).
-        kernels::banded_weight_grad_segment(job.band, seg, &x, &y, base, dim, &mut dw_step);
+        kernels::banded_weight_grad_segment(LANES, job.band, seg, &x, &y, base, dim, &mut dw_step);
         for (acc, v) in dw_acc.iter_mut().zip(&dw_step) {
             *acc += *v;
         }

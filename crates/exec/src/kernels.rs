@@ -12,7 +12,9 @@
 //! (`banded_*_serial`) visits the active slots in order and is both the
 //! reference and the one-worker kernel; the *row fold* (`banded_*_segment`)
 //! replays it for the rows a worker owns, addressed through slabs so the
-//! intra-op kernels and the distributed workers share it.
+//! intra-op kernels and the distributed workers share it. Both take their
+//! two inner loops as a [`BandLanes`]: [`BandLanes::SCALAR`] here, a SIMD
+//! tier's lanes from `SimdBackend`, the same bits either way.
 //!
 //! Output conventions: `out` is the caller's, has exactly the output length
 //! and is written in place. Kernels that accumulate (`scatter_add_rows`,
@@ -582,23 +584,67 @@ pub fn batch_norm(
     }
 }
 
-/// One active slot's weight-gradient contribution, folding the `lo`/`hi`
-/// products interleaved per feature. Called from [`slot_grads`] only, so the
-/// slot walk and the chunked replay cannot disagree on a bit.
-#[inline]
-fn slot_weight_grad(
-    band_dim: usize,
-    x_lo: &[f32],
-    x_hi: &[f32],
-    d_lo: &[f32],
-    d_hi: &[f32],
-) -> f32 {
-    let mut acc = 0.0f32;
-    for d in 0..band_dim {
-        acc += d_lo[d] * x_hi[d];
-        acc += d_hi[d] * x_lo[d];
+/// The two inner loops of the band engine, as the walk, the row fold and
+/// the segment kernels call them. Those loops are written once and do all
+/// their arithmetic through these two, so a backend chooses how the
+/// arithmetic runs — scalar or on SIMD lanes — never which terms meet in
+/// which order.
+///
+/// * `row_update(w, x_row, out_row)`: `out_row[d] += w · x_row[d]` for every
+///   `d`, one `mul` then one `add` per element. The elements are
+///   independent, so lanes may run across `d`.
+/// * `weight_grads(slots, x, d_out, base, dim, out)`: assigns to `out[j]` the
+///   weight-gradient value of `slots[j]`, folded from `acc = +0.0` over the
+///   features `d` in ascending order as `acc + d_lo[d]·x_hi[d]`, then
+///   `acc + d_hi[d]·x_lo[d]` (`x_lo` is row `slots[j].lo` of `x`, and so
+///   on). `x` and `d_out` are slabs whose row 0 is global path row `base`.
+///   The slots are independent, so lanes may run across slots, one slot's
+///   fold per lane.
+#[derive(Debug, Clone, Copy)]
+pub struct BandLanes {
+    /// `out_row += w · x_row`, elementwise.
+    pub row_update: fn(f32, &[f32], &mut [f32]),
+    /// The weight-gradient value of each slot of a run, into `out`.
+    pub weight_grads: WeightGrads,
+}
+
+/// [`BandLanes::weight_grads`]: `(slots, x, d_out, base, dim, out)`.
+pub type WeightGrads = fn(&[BandSlot], &[f32], &[f32], usize, usize, &mut [f32]);
+
+impl BandLanes {
+    /// The scalar loops: the reference every SIMD tier is held to, and what
+    /// `ReferenceBackend` and `dist::exec` run.
+    pub const SCALAR: BandLanes = BandLanes {
+        row_update: scalar_row_update,
+        weight_grads: scalar_weight_grads,
+    };
+}
+
+fn scalar_row_update(w: f32, x_row: &[f32], out_row: &mut [f32]) {
+    for (o, &v) in out_row.iter_mut().zip(x_row) {
+        *o += w * v;
     }
-    acc
+}
+
+fn scalar_weight_grads(
+    slots: &[BandSlot],
+    x: &[f32],
+    d_out: &[f32],
+    base: usize,
+    dim: usize,
+    out: &mut [f32],
+) {
+    for (o, s) in out.iter_mut().zip(slots) {
+        let (lo, hi) = (s.lo - base, s.hi - base);
+        let (x_lo, x_hi) = (row(x, lo, dim), row(x, hi, dim));
+        let (d_lo, d_hi) = (row(d_out, lo, dim), row(d_out, hi, dim));
+        let mut acc = 0.0f32;
+        for d in 0..dim {
+            acc += d_lo[d] * x_hi[d];
+            acc += d_hi[d] * x_lo[d];
+        }
+        *o = acc;
+    }
 }
 
 /// Row `r` of a row-major `dim`-wide slab, as a `dim`-element slice.
@@ -607,26 +653,19 @@ fn row(buf: &[f32], r: usize, dim: usize) -> &[f32] {
     &buf[r * dim..(r + 1) * dim]
 }
 
-/// The weight-gradient value of each of `slots`, in order. `x` and `d_out`
-/// are slabs whose row 0 is global path row `base`.
-fn slot_grads<'a>(
-    slots: &'a [BandSlot],
-    x: &'a [f32],
-    d_out: &'a [f32],
-    base: usize,
-    dim: usize,
-) -> impl Iterator<Item = f32> + 'a {
-    slots.iter().map(move |s| {
-        let (lo, hi) = (s.lo - base, s.hi - base);
-        slot_weight_grad(
-            dim,
-            row(x, lo, dim),
-            row(x, hi, dim),
-            row(d_out, lo, dim),
-            row(d_out, hi, dim),
-        )
-    })
+/// Rows `a < b` of the `dim`-wide `buf`, as two disjoint mutable slices.
+#[inline]
+fn two_rows(buf: &mut [f32], a: usize, b: usize, dim: usize) -> (&mut [f32], &mut [f32]) {
+    let (head, tail) = buf.split_at_mut(b * dim);
+    (&mut head[a * dim..(a + 1) * dim], &mut tail[..dim])
 }
+
+/// Slots per [`BandLanes::weight_grads`] call of the weight-gradient walk,
+/// which scatters each run's values by edge from a stack buffer of this
+/// size. A multiple of the SIMD tiers' 8-slot group, so only the last run
+/// can leave slots to the scalar loop, and short, so that one run's scatter
+/// stores drain while the next run folds.
+const WALK_SLOT_RUN: usize = 64;
 
 /// Asserts that `buf` holds one `dim`-wide row per path position of `band`,
 /// naming the offending argument. Every band entry point checks its
@@ -649,12 +688,15 @@ fn assert_path_rows(band: &BandMask, dim: usize, name: &str, buf: &[f32]) {
 /// `w[e] · x[hi]` to row `lo` and `w[e] · x[lo]` to row `hi` — the symmetric
 /// weighted 1-hop neighbor sum of banded attention, applied in ascending
 /// `(lo, offset)` slot order. Two slots may write the same row, so the walk
-/// cannot be split across workers.
+/// cannot be split across workers. Each slot's two row updates touch
+/// different rows of `out` and read only `x`, so running one after the other
+/// is the per-element interleaving they replaced, bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if `x` or `out` is not `band.len() * dim` long.
 pub fn banded_aggregate_serial(
+    lanes: BandLanes,
     band: &BandMask,
     x: &[f32],
     dim: usize,
@@ -665,10 +707,9 @@ pub fn banded_aggregate_serial(
     assert_path_rows(band, dim, "out", out);
     for s in band.active_slots() {
         let w = weights[s.edge];
-        for d in 0..dim {
-            out[s.lo * dim + d] += w * x[s.hi * dim + d];
-            out[s.hi * dim + d] += w * x[s.lo * dim + d];
-        }
+        let (out_lo, out_hi) = two_rows(out, s.lo, s.hi, dim);
+        (lanes.row_update)(w, row(x, s.hi, dim), out_lo);
+        (lanes.row_update)(w, row(x, s.lo, dim), out_hi);
     }
 }
 
@@ -678,7 +719,13 @@ pub fn banded_aggregate_serial(
 /// first the slots `(lo, r)` with `lo` ascending in `[r - ω, r)` (row `r` is
 /// the `hi` side), then the slots `(r, r + k)` with `k` ascending (row `r` is
 /// the `lo` side). Nobody else touches a row's accumulator, so chunks can run
-/// concurrently; the price is 2ω mask probes per row whatever the density.
+/// concurrently.
+///
+/// Both kinds are read off `band.active_slots()`, sorted by `(lo, offset)`,
+/// with two cursors: the slots whose `lo` lies in `[r - ω, r)` — among them,
+/// in ascending `lo`, the ones with `hi == r` — and row `r`'s own run of
+/// slots, which follows them in the list. No mask is probed; each slot is
+/// looked at by at most ω + 1 rows.
 ///
 /// `x` and `out` are *slabs*: `x` covers global path rows from `x_base` and
 /// `out` from `out_base`. [`banded_aggregate_with_plan`] passes the whole `x`
@@ -692,6 +739,7 @@ pub fn banded_aggregate_serial(
 /// slabs do not cover the rows the fold touches.
 #[allow(clippy::too_many_arguments)]
 pub fn banded_aggregate_segment(
+    lanes: BandLanes,
     band: &BandMask,
     chunk: &Chunk,
     row_lo: usize,
@@ -720,27 +768,25 @@ pub fn banded_aggregate_segment(
         out_base <= row_lo && (row_hi - out_base) * dim <= out.len(),
         "out slab does not cover rows [{row_lo}, {row_hi})"
     );
-    let w_max = band.window();
+    let (slots, w_max) = (band.active_slots(), band.window());
+    // `slots[back..own]` are the slots with `lo` in `[r - ω, r)`.
+    let mut back = slots.partition_point(|s| s.lo + w_max < row_lo);
+    let mut own = slots.partition_point(|s| s.lo < row_lo);
     for r in row_lo..row_hi {
-        let row = &mut out[(r - out_base) * dim..(r - out_base + 1) * dim];
-        for lo in r.saturating_sub(w_max)..r {
-            if let Some(e) = band.slot(lo, r - lo) {
-                check_read(chunk, lo);
-                let w = weights[e];
-                for d in 0..dim {
-                    row[d] += w * x[(lo - x_base) * dim + d];
-                }
-            }
+        let out_row = &mut out[(r - out_base) * dim..(r - out_base + 1) * dim];
+        while back < own && slots[back].lo + w_max < r {
+            back += 1;
         }
-        for k in 1..=w_max {
-            if let Some(e) = band.slot(r, k) {
-                check_read(chunk, r + k);
-                let w = weights[e];
-                for d in 0..dim {
-                    row[d] += w * x[(r + k - x_base) * dim + d];
-                }
-            }
+        for s in slots[back..own].iter().filter(|s| s.hi == r) {
+            check_read(chunk, s.lo);
+            (lanes.row_update)(weights[s.edge], row(x, s.lo - x_base, dim), out_row);
         }
+        let run = slots[own..].iter().take_while(|s| s.lo == r).count();
+        for s in &slots[own..own + run] {
+            check_read(chunk, s.hi);
+            (lanes.row_update)(weights[s.edge], row(x, s.hi - x_base, dim), out_row);
+        }
+        own += run;
     }
 }
 
@@ -750,14 +796,15 @@ pub fn banded_aggregate_segment(
 ///
 /// One worker runs the slot walk itself; more than one replay it per row
 /// ([`banded_aggregate_segment`]) over the one-chunk-per-worker plan. The
-/// choice reads only `par.effective_threads()`: neither loop is the faster
-/// one on every band (DESIGN §4c has both measurements), and only the fold
-/// can be split.
+/// choice reads only `par.effective_threads()`: on one thread the walk is
+/// the faster loop, and only the fold can be split (DESIGN §4c has both
+/// measurements).
 ///
 /// # Panics
 ///
 /// Panics if `x` or `out` is not `band.len() * dim` long.
 pub fn banded_aggregate(
+    lanes: BandLanes,
     band: &BandMask,
     x: &[f32],
     dim: usize,
@@ -767,10 +814,10 @@ pub fn banded_aggregate(
 ) {
     let _span = mega_obs::span("band_aggregate");
     if par.effective_threads() <= 1 {
-        return banded_aggregate_serial(band, x, dim, weights, out);
+        return banded_aggregate_serial(lanes, band, x, dim, weights, out);
     }
     let plan = ChunkPlan::for_band(band, par);
-    banded_aggregate_with_plan(band, x, dim, weights, &plan, out);
+    banded_aggregate_with_plan(lanes, band, x, dim, weights, &plan, out);
 }
 
 /// [`banded_aggregate`]'s row fold over an explicit, caller-supplied
@@ -790,6 +837,7 @@ pub fn banded_aggregate(
 /// Panics if `x` or `out` is not `band.len() * dim` long, or the plan's
 /// chunks do not partition the path in order.
 pub fn banded_aggregate_with_plan(
+    lanes: BandLanes,
     band: &BandMask,
     x: &[f32],
     dim: usize,
@@ -825,7 +873,7 @@ pub fn banded_aggregate_with_plan(
         cursor = chunk.end;
         jobs.push(move || {
             let (lo, hi) = (chunk.start, chunk.end);
-            banded_aggregate_segment(band, chunk, lo, hi, x, 0, dim, weights, rows, lo);
+            banded_aggregate_segment(lanes, band, chunk, lo, hi, x, 0, dim, weights, rows, lo);
         });
     }
     join_workers(jobs);
@@ -844,6 +892,7 @@ pub fn banded_aggregate_with_plan(
 /// Panics if `x` or `d_out` is not `band.len() * dim` long, or a slot's edge
 /// id is outside `out`.
 pub fn banded_weight_grad_serial(
+    lanes: BandLanes,
     band: &BandMask,
     x: &[f32],
     d_out: &[f32],
@@ -852,9 +901,13 @@ pub fn banded_weight_grad_serial(
 ) {
     assert_path_rows(band, dim, "x", x);
     assert_path_rows(band, dim, "d_out", d_out);
-    let slots = band.active_slots();
-    for (s, v) in slots.iter().zip(slot_grads(slots, x, d_out, 0, dim)) {
-        out[s.edge] = v;
+    let mut vals = [0.0f32; WALK_SLOT_RUN];
+    for run in band.active_slots().chunks(WALK_SLOT_RUN) {
+        let vals = &mut vals[..run.len()];
+        (lanes.weight_grads)(run, x, d_out, 0, dim, vals);
+        for (s, &v) in run.iter().zip(vals.iter()) {
+            out[s.edge] = v;
+        }
     }
 }
 
@@ -877,7 +930,9 @@ pub fn owned_slots(band: &BandMask, chunk: &Chunk) -> Range<usize> {
 /// # Panics
 ///
 /// Panics if `out` is not as long as the run of owned slots.
+#[allow(clippy::too_many_arguments)]
 pub fn banded_weight_grad_segment(
+    lanes: BandLanes,
     band: &BandMask,
     chunk: &Chunk,
     x: &[f32],
@@ -896,9 +951,7 @@ pub fn banded_weight_grad_segment(
         check_read(chunk, s.lo);
         check_read(chunk, s.hi);
     }
-    for (o, v) in out.iter_mut().zip(slot_grads(slots, x, d_out, base, dim)) {
-        *o = v;
-    }
+    (lanes.weight_grads)(slots, x, d_out, base, dim, out);
 }
 
 /// Weight gradient under a thread budget, into the caller's zeroed per-edge
@@ -910,6 +963,7 @@ pub fn banded_weight_grad_segment(
 ///
 /// Panics if `x` or `d_out` is not `band.len() * dim` long.
 pub fn banded_weight_grad(
+    lanes: BandLanes,
     band: &BandMask,
     x: &[f32],
     d_out: &[f32],
@@ -919,10 +973,10 @@ pub fn banded_weight_grad(
 ) {
     let _span = mega_obs::span("band_wgrad");
     if par.effective_threads() <= 1 {
-        return banded_weight_grad_serial(band, x, d_out, dim, out);
+        return banded_weight_grad_serial(lanes, band, x, d_out, dim, out);
     }
     let plan = ChunkPlan::for_band(band, par);
-    banded_weight_grad_with_plan(band, x, d_out, dim, &plan, out);
+    banded_weight_grad_with_plan(lanes, band, x, d_out, dim, &plan, out);
 }
 
 /// [`banded_weight_grad`] over an explicit, caller-supplied [`ChunkPlan`] —
@@ -944,6 +998,7 @@ pub fn banded_weight_grad(
 /// Panics if `x` or `d_out` is not `band.len() * dim` long, or the plan's
 /// chunks do not own the active slots in order.
 pub fn banded_weight_grad_with_plan(
+    lanes: BandLanes,
     band: &BandMask,
     x: &[f32],
     d_out: &[f32],
@@ -983,7 +1038,7 @@ pub fn banded_weight_grad_with_plan(
         let (vals, tail) = rest.split_at_mut(owned.len());
         rest = tail;
         cursor = owned.end;
-        jobs.push(move || banded_weight_grad_segment(band, chunk, x, d_out, 0, dim, vals));
+        jobs.push(move || banded_weight_grad_segment(lanes, band, chunk, x, d_out, 0, dim, vals));
     }
     join_workers(jobs);
     for (s, &v) in slots.iter().zip(&by_slot) {

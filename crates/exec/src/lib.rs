@@ -16,9 +16,10 @@
 //! * [`SimdBackend`] — explicit-width vector lanes over a packed `k × NR`
 //!   strip layout: register-blocked GEMM tiles (AVX-512, AVX, or portable
 //!   scalar lanes, chosen by CPU feature detection), the elementwise
-//!   family, and the fused bias and bias-ReLU epilogues. Bit-identical to the
-//!   reference: lanes vectorize across output elements, never across a
-//!   single element's `k` fold.
+//!   family, the fused bias and bias-ReLU epilogues, and the band kernels'
+//!   row update and weight-gradient fold. Bit-identical to the reference:
+//!   lanes vectorize across output elements, never across a single
+//!   element's fold.
 //!
 //! [`ProfiledBackend`] decorates either with roofline attribution.
 //!
@@ -44,6 +45,7 @@ pub use profiled::{Calibration, ProfiledBackend};
 pub use reference::ReferenceBackend;
 pub use simd::SimdBackend;
 
+use kernels::BandLanes;
 use mega_core::band::BandMask;
 use mega_core::Parallelism;
 use std::sync::Arc;
@@ -251,7 +253,9 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// banded slot-weight matrix, written in place into the caller's zeroed
     /// `L × dim` buffer `out` — no scratch of that size exists on this path.
     /// One resolved worker runs the slot walk, more run its row-fold replay;
-    /// the bits are the same for every `par`.
+    /// the bits are the same for every `par`. The default runs both on
+    /// [`BandLanes::SCALAR`]; a backend overrides this only to pass its own
+    /// lanes to the same `kernels` loops.
     fn banded_aggregate(
         &self,
         band: &BandMask,
@@ -261,7 +265,7 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         par: &Parallelism,
         out: &mut [f32],
     ) {
-        kernels::banded_aggregate(band, x, dim, weights, par, out);
+        kernels::banded_aggregate(BandLanes::SCALAR, band, x, dim, weights, par, out);
     }
 
     /// Banded attention per-edge weight gradient, assigned in place into the
@@ -279,7 +283,7 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         out: &mut [f32],
     ) {
         assert_eq!(out.len(), edge_count, "out must hold edge_count values");
-        kernels::banded_weight_grad(band, x, d_out, dim, par, out);
+        kernels::banded_weight_grad(BandLanes::SCALAR, band, x, d_out, dim, par, out);
     }
 }
 

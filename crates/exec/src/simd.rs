@@ -2,17 +2,18 @@
 //!
 //! [`SimdBackend`] is the workspace's vectorized hot path: the GEMM tiles,
 //! the elementwise family (`add`/`sub`/`mul`/`scale`, `scale_rows`,
-//! `add_bias_rows`), the clamp-family activations, and the bias and
-//! bias-ReLU GEMM epilogues all run on explicit-width lanes. No new dependencies: the
+//! `add_bias_rows`), the clamp-family activations, the bias and
+//! bias-ReLU GEMM epilogues, and the two inner loops of the band kernels
+//! all run on explicit-width lanes. No new dependencies: the
 //! native tiers are `std::arch` intrinsics behind runtime
 //! `is_x86_feature_detected!` checks, and every other architecture takes
 //! the portable path. Three GEMM tiers, one tile driver ([`gemm_rows`]):
 //!
-//! | tier | tile (`MR` rows × `NR` = 32 columns) | accumulators |
-//! |---|---|---|
-//! | AVX-512 (`avx512f`) | 6 × 32 | twelve `__m512` |
-//! | AVX (`avx`) | 3 × 32 | twelve `__m256` |
-//! | portable, `W ∈ {4, 8, 16}` lanes | 4 × 32, one `W`-wide chunk at a time | four `[f32; W]` arrays |
+//! | tier | tile (`MR` rows × `NR` = 32 columns) | accumulators | band row update | band weight gradient |
+//! |---|---|---|---|---|
+//! | AVX-512 (`avx512f`) | 6 × 32 | twelve `__m512` | 16 features per `__m512` | 8 slots per `__m256`, transposed fold |
+//! | AVX (`avx`) | 3 × 32 | twelve `__m256` | 8 features per `__m256` | 8 slots per `__m256`, transposed fold |
+//! | portable, `W ∈ {4, 8, 16}` lanes | 4 × 32, one `W`-wide chunk at a time | four `[f32; W]` arrays | `W` features per chunk | scalar |
 //!
 //! A native tile keeps its `MR × NR` block of `out` in registers for the
 //! whole depth loop: per `k` step it loads one row of the packed strip once
@@ -47,14 +48,33 @@
 //! * Transcendental activations (`sigmoid`, `tanh`) stay on the scalar
 //!   libm loops — a vectorized `exp` approximation could not be
 //!   bit-identical — so [`SimdBackend`] simply delegates those.
+//! * The band kernels keep the walk and the row fold of `kernels` and swap
+//!   only their two inner loops ([`BandLanes`]). The row update
+//!   `out_row += w·x_row` runs lanes across features: elements are
+//!   independent, each still one `mul` then one `add`, rows still updated
+//!   in slot order. The weight gradient folds each slot's
+//!   `acc + d_lo[d]·x_hi[d]`, `acc + d_hi[d]·x_lo[d]` over `d` ascending
+//!   from `+0.0`; lanes run across slots, never across one slot's
+//!   features. Per 8-feature block, 8 slots' products are formed as rows
+//!   (`p_j = d_lo_j·x_hi_j`, `q_j = d_hi_j·x_lo_j`, the scalar products
+//!   elementwise) and transposed in registers, so vector `d` holds feature
+//!   `d` of every slot and lane `j` adds `p[0], q[0], p[1], q[1], …` — the
+//!   scalar order, term for term. A transpose moves values without
+//!   touching them; features past the last full block and slots past the
+//!   last full group continue in scalar code in the same order. Both native
+//!   band lanes also prefetch the rows just ahead of the ones they touch,
+//!   which moves time, never a value.
 //!
 //! [`SimdBackend::all_on_host`] lists every tier the host can run, so tests
 //! hold each of them to the reference; `backend_matmul` times them.
 
-use crate::kernels;
+use crate::kernels::{self, BandLanes};
 use crate::partition;
 use crate::{Backend, Epilogue, Operand, ReferenceBackend, Unary};
+use mega_core::band::{BandMask, BandSlot};
 use mega_core::parallel::Parallelism;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 
 /// Output rows per block: one block of rows shares each cache-resident
 /// strip of packed `b`. A multiple of every tile height (6, 3, 4), so worker
@@ -390,6 +410,20 @@ mod wide {
         }
     }
 
+    /// The band row update `out_row += w · x_row` in `W`-lane chunks with a
+    /// scalar tail.
+    pub fn row_update<const W: usize>(w: f32, x_row: &[f32], out_row: &mut [f32]) {
+        let (mut os, mut xs) = (out_row.chunks_exact_mut(W), x_row.chunks_exact(W));
+        for (o, x) in (&mut os).zip(&mut xs) {
+            for l in 0..W {
+                o[l] += w * x[l];
+            }
+        }
+        for (o, &v) in os.into_remainder().iter_mut().zip(xs.remainder()) {
+            *o += w * v;
+        }
+    }
+
     /// `W`-lane unary elementwise loop with a scalar tail.
     #[inline]
     pub fn map<const W: usize>(x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
@@ -686,6 +720,249 @@ mod avx {
 }
 
 // ---------------------------------------------------------------------------
+// Band lanes
+// ---------------------------------------------------------------------------
+
+/// The tier's [`BandLanes`] for the band kernels. The native lanes are
+/// private to this module and reached only through the pointers built here,
+/// for a mode that was detected. Both native tiers prefetch [`ROWS_AHEAD`]
+/// rows ahead and fold the weight gradient 8 slots at a time on `__m256`
+/// lanes: on AVX-512 hosts a 16-slot fold on `__m512` measured slower,
+/// since every 512-bit shuffle issues on one port while 256-bit ones share
+/// two (EXPERIMENTS.md "Band kernels on SIMD lanes"). The portable tier
+/// runs its `W`-lane row update and the scalar weight gradient.
+fn band_lanes(mode: Mode) -> BandLanes {
+    match mode {
+        #[cfg(target_arch = "x86_64")]
+        Mode::Avx512 => BandLanes {
+            // SAFETY: Mode::Avx512 is only constructed after
+            // `is_x86_feature_detected!` found avx512f and avx.
+            row_update: |w, x_row, out_row| unsafe { row_update_avx512(w, x_row, out_row) },
+            // SAFETY: as above.
+            weight_grads: |slots, x, d_out, base, dim, out| unsafe {
+                weight_grads_avx(slots, x, d_out, base, dim, out)
+            },
+        },
+        #[cfg(target_arch = "x86_64")]
+        Mode::Avx => BandLanes {
+            // SAFETY: Mode::Avx is only constructed after
+            // `is_x86_feature_detected!("avx")` returned true.
+            row_update: |w, x_row, out_row| unsafe { row_update_avx(w, x_row, out_row) },
+            // SAFETY: as above.
+            weight_grads: |slots, x, d_out, base, dim, out| unsafe {
+                weight_grads_avx(slots, x, d_out, base, dim, out)
+            },
+        },
+        Mode::Portable(w) => BandLanes {
+            row_update: match w {
+                4 => wide::row_update::<4>,
+                8 => wide::row_update::<8>,
+                _ => wide::row_update::<16>,
+            },
+            ..BandLanes::SCALAR
+        },
+    }
+}
+
+/// `out_row += w · x_row` on 16 lanes across features — per element one
+/// `vmulps` then one `vaddps`, the scalar `out + w·x` — and a scalar tail.
+/// The rows [`ROWS_AHEAD`] rows on are prefetched first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn row_update_avx512(w: f32, x_row: &[f32], out_row: &mut [f32]) {
+    let x_row = &x_row[..out_row.len()];
+    prefetch_rows_ahead(x_row, out_row);
+    let vw = _mm512_set1_ps(w);
+    let (xp, op) = (x_row.as_ptr(), out_row.as_mut_ptr());
+    let mut d = 0;
+    while d + 16 <= out_row.len() {
+        // SAFETY: `d + 16` is within `out_row`, and `x_row` was just cut to
+        // the same length; AVX-512F per the caller's detected mode.
+        unsafe {
+            let v = _mm512_mul_ps(vw, _mm512_loadu_ps(xp.add(d)));
+            _mm512_storeu_ps(op.add(d), _mm512_add_ps(_mm512_loadu_ps(op.add(d)), v));
+        }
+        d += 16;
+    }
+    for (o, &v) in out_row[d..].iter_mut().zip(&x_row[d..]) {
+        *o += w * v;
+    }
+}
+
+/// [`row_update_avx512`] on 8 lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn row_update_avx(w: f32, x_row: &[f32], out_row: &mut [f32]) {
+    let x_row = &x_row[..out_row.len()];
+    prefetch_rows_ahead(x_row, out_row);
+    let vw = _mm256_set1_ps(w);
+    let (xp, op) = (x_row.as_ptr(), out_row.as_mut_ptr());
+    let mut d = 0;
+    while d + 8 <= out_row.len() {
+        // SAFETY: `d + 8` is within `out_row`, and `x_row` was just cut to
+        // the same length; AVX per the caller's detected mode.
+        unsafe {
+            let v = _mm256_mul_ps(vw, _mm256_loadu_ps(xp.add(d)));
+            _mm256_storeu_ps(op.add(d), _mm256_add_ps(_mm256_loadu_ps(op.add(d)), v));
+        }
+        d += 8;
+    }
+    for (o, &v) in out_row[d..].iter_mut().zip(&x_row[d..]) {
+        *o += w * v;
+    }
+}
+
+/// How many rows past the ones they touch the native band lanes prefetch.
+/// The walk, the row fold and the weight gradient all move through their
+/// slabs in ascending rows, so the rows just ahead are the ones about to be
+/// read; the hardware prefetcher alone left the band kernels waiting on
+/// memory (EXPERIMENTS.md "Band kernels on SIMD lanes").
+#[cfg(target_arch = "x86_64")]
+const ROWS_AHEAD: usize = 16;
+
+/// Prefetches the row [`ROWS_AHEAD`] rows past `x_row` and the one as far
+/// past `out_row`, each as long as `out_row`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn prefetch_rows_ahead(x_row: &[f32], out_row: &[f32]) {
+    let n = out_row.len();
+    prefetch([x_row, out_row], ROWS_AHEAD * n..(ROWS_AHEAD + 1) * n);
+}
+
+/// Prefetches the cache lines that hold floats `span` of each of `bufs`,
+/// counted from its start, alternating between the buffers line by line.
+/// `span` may run past the end of a buffer: a prefetch loads nothing
+/// architecturally and cannot fault, so that hint is just wasted.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn prefetch<const N: usize>(bufs: [&[f32]; N], span: std::ops::Range<usize>) {
+    for at in span.step_by(16) {
+        for buf in bufs {
+            let line = buf.as_ptr().wrapping_add(at).cast();
+            // SAFETY: a prefetch cannot fault, so `line` need not lie in
+            // `buf` (it is formed with wrapping arithmetic). SSE is part of
+            // every x86-64 target.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line) };
+        }
+    }
+}
+
+/// The weight gradient 8 slots at a time, one slot per lane: each group's
+/// full 8-feature blocks run through [`fold_avx`], the features past the
+/// last full block continue each lane's fold in scalar code — still
+/// `acc + d_lo·x_hi` then `acc + d_hi·x_lo` per feature — and fewer than 8
+/// slots left over take the scalar loop. Every slot's value therefore has
+/// the terms, order and roundings of the scalar [`BandLanes::weight_grads`].
+/// Before a group folds, the rows up to [`ROWS_AHEAD`] past its last slot
+/// are prefetched.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn weight_grads_avx(
+    slots: &[BandSlot],
+    x: &[f32],
+    d_out: &[f32],
+    base: usize,
+    dim: usize,
+    out: &mut [f32],
+) {
+    let (mut groups, mut outs) = (slots.chunks_exact(8), out.chunks_exact_mut(8));
+    let mut offsets = [[0usize; 2]; 8];
+    let mut fetched = 0;
+    for (group, vals) in (&mut groups).zip(&mut outs) {
+        let end = (group[7].hi + 1 + ROWS_AHEAD - base) * dim;
+        prefetch([x, d_out], fetched.max((group[0].lo - base) * dim)..end);
+        fetched = fetched.max(end);
+        for (o, s) in offsets.iter_mut().zip(group) {
+            *o = [(s.lo - base) * dim, (s.hi - base) * dim];
+        }
+        let mut acc = fold_avx(x, d_out, dim / 8, &offsets);
+        for d in dim / 8 * 8..dim {
+            for (a, &[lo, hi]) in acc.iter_mut().zip(&offsets) {
+                *a += d_out[lo + d] * x[hi + d];
+                *a += d_out[hi + d] * x[lo + d];
+            }
+        }
+        vals.copy_from_slice(&acc);
+    }
+    let (rest, rest_out) = (groups.remainder(), outs.into_remainder());
+    (BandLanes::SCALAR.weight_grads)(rest, x, d_out, base, dim, rest_out);
+}
+
+/// The transposed fold of 8 slots, whose `lo` and `hi` rows start at
+/// `offsets[j]` in both slabs, over their first `blocks` 8-feature blocks.
+/// Per block, row `j` of `p` holds slot `j`'s products `d_lo·x_hi` across
+/// the block's features and `q` its `d_hi·x_lo`; transposed, vector `d`
+/// holds feature `d` of every slot, lane `j` slot `j`, and the accumulator
+/// adds `p[0], q[0], p[1], q[1], …` from `+0.0` — each lane the scalar fold
+/// of its slot. No FMA, no horizontal sum.
+///
+/// No closure runs here: a closure inherits its function's target features
+/// and then cannot be inlined into the `std` helper that calls it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn fold_avx(x: &[f32], d_out: &[f32], blocks: usize, offsets: &[[usize; 2]; 8]) -> [f32; 8] {
+    let len = 8 * blocks;
+    let slab = x.len().min(d_out.len());
+    for &[lo, hi] in offsets {
+        assert!(lo.max(hi) + len <= slab, "slot row outside the slabs");
+    }
+    let (xp, dp) = (x.as_ptr(), d_out.as_ptr());
+    let mut acc = _mm256_setzero_ps();
+    for d0 in (0..len).step_by(8) {
+        let (mut p, mut q) = ([_mm256_setzero_ps(); 8], [_mm256_setzero_ps(); 8]);
+        for (j, &[lo, hi]) in offsets.iter().enumerate() {
+            // SAFETY: `lo + d0 + 8` and `hi + d0 + 8` are at most
+            // `max(lo, hi) + len`, which the assert above holds within both
+            // slabs; AVX per the caller's detected mode.
+            unsafe {
+                let (d_lo, x_hi) = (dp.add(lo + d0), xp.add(hi + d0));
+                let (d_hi, x_lo) = (dp.add(hi + d0), xp.add(lo + d0));
+                p[j] = _mm256_mul_ps(_mm256_loadu_ps(d_lo), _mm256_loadu_ps(x_hi));
+                q[j] = _mm256_mul_ps(_mm256_loadu_ps(d_hi), _mm256_loadu_ps(x_lo));
+            }
+        }
+        let (p, q) = (transpose8(p), transpose8(q));
+        for (&pd, &qd) in p.iter().zip(&q) {
+            acc = _mm256_add_ps(_mm256_add_ps(acc, pd), qd);
+        }
+    }
+    let mut lanes = [0.0f32; 8];
+    // SAFETY: `lanes` holds 8 floats; AVX as above.
+    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
+    lanes
+}
+
+/// The 8 × 8 transpose of `r` (row `i` in vector `i`) in registers: 32-bit
+/// unpacks and 64-bit shuffles of row pairs leave, in each 128-bit lane
+/// `L`, rows `4g..4g + 4` of column `4L + k` in vector `4g + k`; one 128-bit
+/// permute per column joins its two lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+    let mut t = [_mm256_setzero_ps(); 8];
+    for i in (0..8).step_by(2) {
+        t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+    }
+    let mut s = [_mm256_setzero_ps(); 8];
+    for g in (0..8).step_by(4) {
+        let [a0, a1, b0, b1] = [t[g], t[g + 1], t[g + 2], t[g + 3]];
+        s[g] = _mm256_shuffle_ps::<0x44>(a0, b0);
+        s[g + 1] = _mm256_shuffle_ps::<0xee>(a0, b0);
+        s[g + 2] = _mm256_shuffle_ps::<0x44>(a1, b1);
+        s[g + 3] = _mm256_shuffle_ps::<0xee>(a1, b1);
+    }
+    let mut c = [_mm256_setzero_ps(); 8];
+    for k in 0..4 {
+        c[k] = _mm256_permute2f128_ps::<0x20>(s[k], s[4 + k]);
+        c[4 + k] = _mm256_permute2f128_ps::<0x31>(s[k], s[4 + k]);
+    }
+    c
+}
+
+// ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
@@ -882,6 +1159,34 @@ impl Backend for SimdBackend {
                 }
             }
         }
+    }
+
+    fn banded_aggregate(
+        &self,
+        band: &BandMask,
+        x: &[f32],
+        dim: usize,
+        weights: &[f32],
+        par: &Parallelism,
+        out: &mut [f32],
+    ) {
+        let lanes = band_lanes(self.mode);
+        kernels::banded_aggregate(lanes, band, x, dim, weights, par, out);
+    }
+
+    fn banded_weight_grad(
+        &self,
+        band: &BandMask,
+        x: &[f32],
+        d_out: &[f32],
+        dim: usize,
+        edge_count: usize,
+        par: &Parallelism,
+        out: &mut [f32],
+    ) {
+        assert_eq!(out.len(), edge_count, "out must hold edge_count values");
+        let lanes = band_lanes(self.mode);
+        kernels::banded_weight_grad(lanes, band, x, d_out, dim, par, out);
     }
 }
 

@@ -22,7 +22,7 @@ use mega_core::config::{MegaConfig, WindowPolicy};
 use mega_core::parallel::{Chunk, ChunkPlan, Parallelism};
 use mega_core::traversal::traverse;
 use mega_exec::kernels::race::WriterMap;
-use mega_exec::kernels::{banded_aggregate_with_plan, banded_weight_grad_with_plan};
+use mega_exec::kernels::{banded_aggregate_with_plan, banded_weight_grad_with_plan, BandLanes};
 use mega_exec::Operand;
 use mega_graph::generate;
 use rand::rngs::StdRng;
@@ -71,7 +71,9 @@ fn panic_message<R>(f: impl FnOnce() -> R) -> String {
 /// The message `banded_aggregate_with_plan` panics with on `corrupt` (dim 4).
 fn aggregate_panic(band: &BandMask, x: &[f32], weights: &[f32], corrupt: &ChunkPlan) -> String {
     let mut out = vec![0.0f32; x.len()];
-    panic_message(|| banded_aggregate_with_plan(band, x, 4, weights, corrupt, &mut out))
+    panic_message(|| {
+        banded_aggregate_with_plan(BandLanes::SCALAR, band, x, 4, weights, corrupt, &mut out)
+    })
 }
 
 /// A chunk whose read extent is exactly the legal ω-window.
@@ -186,7 +188,15 @@ fn overlap_panics_through_the_threaded_path_too() {
     // the harness rather than corrupt results silently.
     let mut out = vec![0.0f32; x.len()];
     let result = catch_unwind(AssertUnwindSafe(|| {
-        banded_aggregate_with_plan(&band, &x, 4, &weights, &corrupt, &mut out)
+        banded_aggregate_with_plan(
+            BandLanes::SCALAR,
+            &band,
+            &x,
+            4,
+            &weights,
+            &corrupt,
+            &mut out,
+        )
     }));
     assert!(
         result.is_err(),
@@ -274,8 +284,9 @@ fn weight_grad_duplicate_slot_claims_panic() {
     // twice, by different writers.
     let corrupt = ChunkPlan::from_raw_parts(len, w, vec![chunk(0, len, w, len); 2]);
     let mut dw = vec![0.0f32; edge_count(&band)];
-    let msg =
-        panic_message(|| banded_weight_grad_with_plan(&band, &x, &d_out, 4, &corrupt, &mut dw));
+    let msg = panic_message(|| {
+        banded_weight_grad_with_plan(BandLanes::SCALAR, &band, &x, &d_out, 4, &corrupt, &mut dw)
+    });
     assert!(msg.contains("race-check"), "got: {msg}");
     assert!(msg.contains("edge slot"), "got: {msg}");
 }

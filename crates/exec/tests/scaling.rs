@@ -32,7 +32,7 @@ use mega_core::band::BandMask;
 use mega_core::config::{MegaConfig, WindowPolicy};
 use mega_core::parallel::{host_threads, Parallelism};
 use mega_core::traversal::traverse;
-use mega_exec::kernels;
+use mega_exec::kernels::{self, BandLanes};
 use mega_exec::{Backend, Epilogue, Operand, ReferenceBackend, SimdBackend};
 use mega_graph::generate;
 use rand::rngs::StdRng;
@@ -226,8 +226,8 @@ fn band_engine_threads_4_not_slower_than_1() {
         times[slot] = time_min(3, || {
             fwd.fill(0.0);
             dw.fill(0.0);
-            kernels::banded_aggregate(&band, &x, dim, &weights, &par, &mut fwd);
-            kernels::banded_weight_grad(&band, &x, &d_out, dim, &par, &mut dw);
+            kernels::banded_aggregate(BandLanes::SCALAR, &band, &x, dim, &weights, &par, &mut fwd);
+            kernels::banded_weight_grad(BandLanes::SCALAR, &band, &x, &d_out, dim, &par, &mut dw);
             std::hint::black_box((&fwd, &dw));
         });
     }
@@ -271,7 +271,7 @@ fn oversubscription_is_clamped_not_paid_for() {
     let mut timed = |par: &Parallelism| {
         time_min(3, || {
             out.fill(0.0);
-            kernels::banded_aggregate(&band, &x, dim, &weights, par, &mut out);
+            kernels::banded_aggregate(BandLanes::SCALAR, &band, &x, dim, &weights, par, &mut out);
             std::hint::black_box(&out);
         })
     };

@@ -58,9 +58,18 @@ impl Graph {
     /// * [`GraphError::SelfLoop`] on any `(v, v)` pair.
     /// * [`GraphError::DuplicateEdge`] on repeated pairs (orientation-blind
     ///   for undirected graphs).
+    /// * [`GraphError::InvalidParameter`] for a node count whose CSR offset
+    ///   table could not be allocated at all (a count read from untrusted
+    ///   input, say).
     pub fn from_edge_list(edges: EdgeList, direction: Direction) -> Result<Self, GraphError> {
         if edges.node_count() == 0 {
             return Err(GraphError::Empty);
+        }
+        if edges.node_count() >= isize::MAX as usize / std::mem::size_of::<usize>() {
+            return Err(GraphError::InvalidParameter {
+                name: "node_count",
+                reason: format!("{} nodes exceed any addressable CSR", edges.node_count()),
+            });
         }
         // mega-lint: allow(unordered-collection, reason = "membership test only; never iterated")
         let mut seen = std::collections::HashSet::with_capacity(edges.len());
@@ -222,6 +231,18 @@ mod tests {
         // Directed graphs allow the reverse orientation as a distinct edge.
         let e = EdgeList::from_pairs(2, vec![(0, 1), (1, 0)]).unwrap();
         assert!(Graph::from_edge_list(e, Direction::Directed).is_ok());
+    }
+
+    #[test]
+    fn rejects_an_unaddressable_node_count() {
+        let e = EdgeList::from_pairs(usize::MAX, vec![(0, 1)]).unwrap();
+        assert!(matches!(
+            Graph::from_edge_list(e, Direction::Undirected),
+            Err(GraphError::InvalidParameter {
+                name: "node_count",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use crate::coo::EdgeList;
 use crate::error::GraphError;
 use crate::graph::{Direction, Graph};
+use serde::Deserialize;
 use std::io::{BufRead, Write};
 
 /// Parses a whitespace edge list.
@@ -73,7 +74,12 @@ pub fn read_edge_list<R: BufRead>(reader: R, direction: Direction) -> Result<Gra
         None if pairs.is_empty() => {
             return Err(GraphError::Empty);
         }
-        None => max_id + 1,
+        None => max_id
+            .checked_add(1)
+            .ok_or_else(|| GraphError::InvalidParameter {
+                name: "line",
+                reason: format!("node id {max_id} leaves no room for a node count"),
+            })?,
     };
     let coo = EdgeList::from_pairs(n, pairs)?;
     Graph::from_edge_list(coo, direction)
@@ -105,16 +111,38 @@ pub fn to_json(g: &Graph) -> String {
     serde_json::to_string(g).expect("graph serialization is infallible")
 }
 
-/// Deserializes a graph from JSON.
+/// What [`from_json`] reads of [`to_json`]'s output: the direction and the
+/// edge list. The CSR index in the document is ignored and rebuilt.
+#[derive(Deserialize)]
+struct GraphJson {
+    direction: Direction,
+    edges: EdgeListJson,
+}
+
+#[derive(Deserialize)]
+struct EdgeListJson {
+    node_count: usize,
+    pairs: Vec<(usize, usize)>,
+}
+
+/// Deserializes a graph from JSON written by [`to_json`]. Only the direction
+/// and the edge list are read; the graph is rebuilt from them through
+/// [`Graph::from_edge_list`], so a document whose stored CSR disagrees with
+/// its edges (or whose edges are invalid) yields an error, not a graph that
+/// panics later.
 ///
 /// # Errors
 ///
-/// [`GraphError::InvalidParameter`] when the JSON is malformed.
+/// * [`GraphError::InvalidParameter`] when the JSON is malformed.
+/// * The [`EdgeList::from_pairs`] and [`Graph::from_edge_list`] validation
+///   errors.
 pub fn from_json(json: &str) -> Result<Graph, GraphError> {
-    serde_json::from_str(json).map_err(|e| GraphError::InvalidParameter {
+    let doc: GraphJson = serde_json::from_str(json).map_err(|e| GraphError::InvalidParameter {
         name: "json",
         reason: e.to_string(),
-    })
+    })?;
+    let edges = EdgeList::from_pairs(doc.edges.node_count, doc.edges.pairs)?;
+    Graph::from_edge_list(edges, doc.direction)
 }
 
 #[cfg(test)]
@@ -164,5 +192,27 @@ mod tests {
         let back = from_json(&to_json(&g)).unwrap();
         assert_eq!(g, back);
         assert!(from_json("{not json").is_err());
+    }
+
+    #[test]
+    fn json_csr_is_rebuilt_not_trusted() {
+        let g = generate::cycle(5).unwrap();
+        let json = to_json(&g);
+        // Offsets that disagree with the edge list: the rebuilt graph is the
+        // cycle's, whatever the document's CSR says.
+        let (head, tail) = json.split_once("\"offsets\":[").unwrap();
+        let lied = format!("{head}\"offsets\":[0,0,0,{tail}");
+        assert_eq!(from_json(&lied).unwrap(), g);
+        let dangling = json.replacen("[0,1]", "[0,9]", 1);
+        assert!(matches!(
+            from_json(&dangling),
+            Err(GraphError::NodeOutOfRange { node: 9, .. })
+        ));
+    }
+
+    #[test]
+    fn largest_id_is_an_error_not_an_overflow() {
+        let text = format!("0 {}\n", usize::MAX);
+        assert!(read_edge_list(text.as_bytes(), Direction::Undirected).is_err());
     }
 }

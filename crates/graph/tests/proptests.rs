@@ -1,6 +1,9 @@
 //! Property-based tests for the graph substrate.
 
-use mega_graph::{algo, generate, ks, Csr, DenseAdjacency, EdgeList, Graph, GraphBuilder};
+use mega_graph::io::{from_json, read_edge_list, to_json, write_edge_list};
+use mega_graph::{
+    algo, generate, ks, Csr, DenseAdjacency, Direction, EdgeList, Graph, GraphBuilder,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,6 +21,76 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
             b.build().unwrap()
         })
     })
+}
+
+/// `doc` with each `(at, byte)` edit overwriting the byte at `at` (modulo
+/// the length) and, when `cut` falls inside it, the tail cut off there.
+/// Overwrites keep the document's length, so no number in it grows by more
+/// than a few digits.
+fn mutated(mut doc: Vec<u8>, edits: &[(usize, u8)], cut: usize) -> Vec<u8> {
+    if doc.is_empty() {
+        return doc;
+    }
+    for &(at, byte) in edits {
+        let at = at % doc.len();
+        doc[at] = byte;
+    }
+    doc.truncate(cut % (2 * doc.len()));
+    doc
+}
+
+/// What an edit writes: mostly the bytes the two formats are made of, so
+/// that edits often leave a document that still parses, and one byte that is
+/// never valid UTF-8.
+const EDIT_BYTES: &[u8] = b"0123456789012345,[]{}:\" -\n#ax\xff";
+
+/// Panics unless `g` answers every neighbor query consistently with its
+/// edge list — what a graph built through `Graph::from_edge_list` does.
+fn assert_consistent(g: &Graph) {
+    let slots: usize = (0..g.node_count()).map(|v| g.neighbors(v).len()).sum();
+    let per_edge = if g.is_undirected() { 2 } else { 1 };
+    assert_eq!(slots, per_edge * g.edge_count());
+    assert!(g.edges().all(|(s, d)| g.contains_edge(s, d)));
+}
+
+fn edits() -> impl Strategy<Value = Vec<(usize, u8)>> {
+    let edit = (0usize..1 << 16, 0..EDIT_BYTES.len()).prop_map(|(at, b)| (at, EDIT_BYTES[b]));
+    proptest::collection::vec(edit, 0..5)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Mutated bytes of a valid JSON document never panic the parser, and
+    /// whatever it accepts is a consistent graph.
+    #[test]
+    fn from_json_never_panics_on_mutated_bytes(
+        g in arb_graph(),
+        edits in edits(),
+        cut in 0usize..1 << 16,
+    ) {
+        let doc = mutated(to_json(&g).into_bytes(), &edits, cut);
+        if let Ok(h) = from_json(&String::from_utf8_lossy(&doc)) {
+            assert_consistent(&h);
+        }
+    }
+
+    /// The same for the text edge list, both directions.
+    #[test]
+    fn read_edge_list_never_panics_on_mutated_bytes(
+        g in arb_graph(),
+        edits in edits(),
+        cut in 0usize..1 << 16,
+        directed in 0usize..2,
+    ) {
+        let mut text = Vec::new();
+        write_edge_list(&g, &mut text).unwrap();
+        let doc = mutated(text, &edits, cut);
+        let direction = [Direction::Undirected, Direction::Directed][directed];
+        if let Ok(h) = read_edge_list(&doc[..], direction) {
+            assert_consistent(&h);
+        }
+    }
 }
 
 proptest! {

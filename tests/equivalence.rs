@@ -14,7 +14,7 @@ use mega::core::{preprocess, traverse, traverse_parallel, MegaConfig};
 use mega::datasets::{zinc, DatasetSpec};
 use mega::exec::kernels::{
     banded_aggregate, banded_aggregate_serial, banded_aggregate_with_plan, banded_weight_grad,
-    banded_weight_grad_serial, banded_weight_grad_with_plan,
+    banded_weight_grad_serial, banded_weight_grad_with_plan, BandLanes,
 };
 use mega::graph::generate;
 use mega::tensor::Tensor;
@@ -59,7 +59,7 @@ fn banded_aggregation_equals_dense_masked_attention() {
         let reference = dense.matmul(&xt);
 
         let mut banded = vec![0.0f32; x.len()];
-        banded_aggregate_serial(band, &x, DIM, &weights, &mut banded);
+        banded_aggregate_serial(BandLanes::SCALAR, band, &x, DIM, &weights, &mut banded);
         for (i, (a, b)) in banded.iter().zip(reference.as_slice()).enumerate() {
             assert!(
                 (a - b).abs() <= 1e-5 * b.abs().max(1.0),
@@ -93,8 +93,8 @@ fn parallel_chunked_bit_identical_to_serial() {
 
         let zeroed = || (vec![0.0f32; x.len()], vec![0.0f32; edges]);
         let (mut fwd_serial, mut dw_serial) = zeroed();
-        banded_aggregate_serial(band, &x, DIM, &weights, &mut fwd_serial);
-        banded_weight_grad_serial(band, &x, &d_out, DIM, &mut dw_serial);
+        banded_aggregate_serial(BandLanes::SCALAR, band, &x, DIM, &weights, &mut fwd_serial);
+        banded_weight_grad_serial(BandLanes::SCALAR, band, &x, &d_out, DIM, &mut dw_serial);
         let check = |what: String, fwd: &[f32], dw: &[f32]| {
             assert_eq!(fwd.len(), fwd_serial.len());
             for (a, b) in fwd.iter().zip(&fwd_serial) {
@@ -107,15 +107,15 @@ fn parallel_chunked_bit_identical_to_serial() {
         for threads in [1usize, 2, 4, 8] {
             let par = Parallelism::pinned(threads);
             let (mut fwd, mut dw) = zeroed();
-            banded_aggregate(band, &x, DIM, &weights, &par, &mut fwd);
-            banded_weight_grad(band, &x, &d_out, DIM, &par, &mut dw);
+            banded_aggregate(BandLanes::SCALAR, band, &x, DIM, &weights, &par, &mut fwd);
+            banded_weight_grad(BandLanes::SCALAR, band, &x, &d_out, DIM, &par, &mut dw);
             check(format!("threads={threads}"), &fwd, &dw);
         }
         for chunk in [omega, 4 * omega, len] {
             let plan = ChunkPlan::build(len, omega, chunk);
             let (mut fwd, mut dw) = zeroed();
-            banded_aggregate_with_plan(band, &x, DIM, &weights, &plan, &mut fwd);
-            banded_weight_grad_with_plan(band, &x, &d_out, DIM, &plan, &mut dw);
+            banded_aggregate_with_plan(BandLanes::SCALAR, band, &x, DIM, &weights, &plan, &mut fwd);
+            banded_weight_grad_with_plan(BandLanes::SCALAR, band, &x, &d_out, DIM, &plan, &mut dw);
             check(format!("chunk={chunk}"), &fwd, &dw);
         }
     }

@@ -69,6 +69,30 @@ impl Args {
     pub fn has_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
+
+    /// Rejects every `--name` that `command` does not read. `options` and
+    /// `flags` are space-separated names: options take a value, flags do
+    /// not, and the global `--quiet` flag is accepted everywhere.
+    ///
+    /// # Errors
+    ///
+    /// Names the first unknown option, then the first flag given a value,
+    /// then the first option given none.
+    pub fn accept_only(&self, command: &str, options: &str, flags: &str) -> Result<(), String> {
+        let is_option = |name: &str| options.split_whitespace().any(|o| o == name);
+        let is_flag = |name: &str| name == "quiet" || flags.split_whitespace().any(|f| f == name);
+        let mut given = self.options.keys().chain(&self.flags);
+        if let Some(name) = given.find(|n| !is_option(n) && !is_flag(n)) {
+            return Err(format!("unknown option `--{name}` for `{command}`"));
+        }
+        if let Some(name) = self.options.keys().find(|n| is_flag(n)) {
+            return Err(format!("flag `--{name}` for `{command}` takes no value"));
+        }
+        if let Some(name) = self.flags.iter().find(|n| is_option(n)) {
+            return Err(format!("option `--{name}` for `{command}` needs a value"));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -97,6 +121,20 @@ mod tests {
         assert!(a.get_or::<usize>("batch", 0).is_ok());
         let b = parse("--batch nope");
         assert!(b.get_or::<usize>("batch", 0).is_err());
+    }
+
+    #[test]
+    fn accept_only_rejects_what_the_command_does_not_read() {
+        let check = |s: &str| parse(s).accept_only("report", "out", "json");
+        assert_eq!(check("m.json --out r.md --json --quiet"), Ok(()));
+        for (argv, err) in [
+            ("m --x 1", "unknown option `--x` for `report`"),
+            ("m --out", "option `--out` for `report` needs a value"),
+            ("--json m", "flag `--json` for `report` takes no value"),
+            ("--quiet m", "flag `--quiet` for `report` takes no value"),
+        ] {
+            assert_eq!(check(argv), Err(err.to_string()), "{argv}");
+        }
     }
 
     #[test]

@@ -60,7 +60,8 @@ fn engine_by_name(name: &str) -> Result<EngineChoice, String> {
 }
 
 /// `mega demo` — preprocess the paper's Fig. 3a graph and print the path.
-pub fn demo() -> Result<(), String> {
+pub fn demo(args: &Args) -> Result<(), String> {
+    args.accept_only("demo", "", "")?;
     let g = mega_graph::GraphBuilder::undirected(7)
         .edges([
             (0, 1),
@@ -101,6 +102,7 @@ pub fn demo() -> Result<(), String> {
 
 /// `mega preprocess <file>` — preprocess a user graph.
 pub fn preprocess(args: &Args) -> Result<(), String> {
+    args.accept_only("preprocess", "window coverage drop", "json")?;
     let path = args
         .positional()
         .first()
@@ -145,6 +147,7 @@ pub fn preprocess(args: &Args) -> Result<(), String> {
 
 /// `mega stats` — Table II/III rows for the synthetic datasets.
 pub fn stats(args: &Args) -> Result<(), String> {
+    args.accept_only("stats", "dataset", "")?;
     let which = args.get("dataset").unwrap_or("all");
     let spec = DatasetSpec::small(2024);
     let names: Vec<&str> = match which {
@@ -180,6 +183,12 @@ pub fn stats(args: &Args) -> Result<(), String> {
 
 /// `mega train` — train one model/engine combination and print the history.
 pub fn train(args: &Args) -> Result<(), String> {
+    args.accept_only(
+        "train",
+        "dataset model engine backend epochs batch hidden layers lr threads workers \
+         trace-out metrics-out",
+        "",
+    )?;
     let spec = DatasetSpec {
         train: 256,
         val: 64,
@@ -200,36 +209,12 @@ pub fn train(args: &Args) -> Result<(), String> {
     // --threads 0 = auto (the hardware); parallel paths
     // are bit-deterministic, so the history is identical for every value.
     let threads = args.get_or("threads", 1usize)?;
-    // Backends are bit-identical too: `sim` decorates another backend's
-    // kernels with the simulated-GPU profiler and reports the launches
-    // afterwards — `sim` alone wraps the reference loops, `sim:simd` wraps
-    // the SIMD backend so simulated profiling sees the same launch shapes
-    // the accelerated run executes.
+    // Backends are bit-identical too; `profiled` decorates another backend
+    // with per-kernel FLOP/byte/time attribution (surfaced by `mega report`).
     let backend_name = args.get("backend").unwrap_or("reference");
-    let mut sim: Option<std::sync::Arc<mega_gpu_sim::SimBackend>> = None;
-    let unknown = |name: &str| {
-        format!("unknown backend `{name}` (reference | simd | sim[:inner] | profiled[:inner])")
-    };
-    let backend: std::sync::Arc<dyn mega_exec::Backend> = match backend_name {
-        name if name == "sim" || name.starts_with("sim:") => {
-            let inner_name = name.strip_prefix("sim:").unwrap_or("reference");
-            let inner = mega_exec::backend_by_name(inner_name).ok_or_else(|| unknown(name))?;
-            let s = std::sync::Arc::new(mega_gpu_sim::SimBackend::new(
-                inner,
-                mega_gpu_sim::DeviceConfig::gtx_1080(),
-            ));
-            sim = Some(s.clone());
-            s
-        }
-        // `profiled` decorates another backend with per-kernel
-        // FLOP/byte/time attribution (surfaced by `mega report`).
-        name if name.starts_with("profiled:") => {
-            let inner_name = name.strip_prefix("profiled:").unwrap_or("reference");
-            let inner = mega_exec::backend_by_name(inner_name).ok_or_else(|| unknown(name))?;
-            std::sync::Arc::new(mega_exec::ProfiledBackend::new(inner))
-        }
-        name => mega_exec::backend_by_name(name).ok_or_else(|| unknown(name))?,
-    };
+    let backend = mega_exec::backend_by_name(backend_name).ok_or_else(|| {
+        format!("unknown backend `{backend_name}` (reference | simd | profiled[:inner])")
+    })?;
     let batch = args.get_or("batch", 32usize)?;
     let trainer = Trainer::new(engine)
         .with_epochs(args.get_or("epochs", 5usize)?)
@@ -274,14 +259,6 @@ pub fn train(args: &Args) -> Result<(), String> {
     if instrument {
         mega_obs::set_enabled(false);
     }
-    if let Some(sim) = &sim {
-        data!("\n=== simulated kernel launches (--backend sim, GTX 1080) ===");
-        data!("{}", sim.report());
-        data!(
-            "simulated backend time: {:.3} ms",
-            sim.elapsed_seconds() * 1e3
-        );
-    }
     let modeled = mega_gnn::cost::modeled_epoch(&ds, &cfg, engine, batch, &MegaConfig::default());
     data!(
         "modeled (gpu-sim GTX 1080) epoch: {:.3} ms",
@@ -314,6 +291,11 @@ pub fn train(args: &Args) -> Result<(), String> {
 /// (`gpusim.dgl.*` / `gpusim.mega.*`), and prints a span tree showing
 /// where host time went. `--trace-out` / `--metrics-out` export the run.
 pub fn profile(args: &Args) -> Result<(), String> {
+    args.accept_only(
+        "profile",
+        "dataset model batch hidden epochs threads trace-out metrics-out",
+        "",
+    )?;
     let spec = DatasetSpec {
         train: 64,
         val: 8,
@@ -398,15 +380,48 @@ mod tests {
 
     #[test]
     fn retired_and_unknown_backends_are_typed_errors() {
-        for name in ["blocked", "sim:blocked", "profiled:blocked", "cuda"] {
+        for name in [
+            "blocked",
+            "sim",
+            "sim:simd",
+            "sim:blocked",
+            "profiled:blocked",
+            "cuda",
+        ] {
             let args = Args::parse(["--backend", name].map(String::from));
             let err = train(&args).expect_err("unknown backend must not train");
             assert_eq!(
                 err,
-                format!(
-                    "unknown backend `{name}` (reference | simd | sim[:inner] | profiled[:inner])"
-                )
+                format!("unknown backend `{name}` (reference | simd | profiled[:inner])")
             );
         }
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_before_any_work() {
+        type Command = fn(&Args) -> Result<(), String>;
+        let report: Command = crate::report::report;
+        let parse = |argv: &str| Args::parse(argv.split_whitespace().map(String::from));
+        // A misspelled `--epochs` no longer trains the default 5 epochs, and
+        // the retired report modes no longer open the snapshot.
+        for (command, name, argv) in [
+            (train as Command, "train", "--epoch 10"),
+            (profile, "profile", "--workers 2"),
+            (stats, "stats", "--dataset zinc --json"),
+            (preprocess, "preprocess", "g.txt --windows 2"),
+            (demo, "demo", "--window 2"),
+            (report, "report", "m.json --baseline b.json"),
+            (report, "report", "m.json --calibration c.json"),
+            (report, "report", "m.json --calibrate-backend simd"),
+            (report, "report", "m.json --calibrate"),
+        ] {
+            let option = argv.split_whitespace().rfind(|t| t.starts_with("--"));
+            let want = format!("unknown option `{}` for `{name}`", option.unwrap());
+            assert_eq!(command(&parse(argv)), Err(want));
+        }
+        let err = train(&parse("--epochs")).unwrap_err();
+        assert_eq!(err, "option `--epochs` for `train` needs a value");
+        // `--quiet` is accepted everywhere.
+        assert_eq!(stats(&parse("--dataset zinc --quiet")), Ok(()));
     }
 }

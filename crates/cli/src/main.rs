@@ -36,16 +36,16 @@ COMMANDS:
         --model NAME          gcn | gt | gat (default gcn)
         --engine NAME         dgl | mega (default mega)
         --backend NAME        kernel backend: reference | simd |
-                              sim[:inner] | profiled[:inner]
-                              (default reference). All backends are
-                              bit-identical; `simd` uses vectorized
-                              kernels, `sim` wraps reference and prints a
-                              simulated GTX 1080 kernel report after
-                              training, `profiled` wraps another backend
-                              and attributes FLOPs/bytes/time per kernel
-                              into the metrics registry (see `mega report`).
+                              profiled[:inner] (default reference). All
+                              backends are bit-identical; `simd` uses
+                              vectorized kernels, `profiled` wraps another
+                              backend (reference unless `:inner` names
+                              one) and attributes FLOPs/bytes/time per
+                              kernel into the metrics registry (see
+                              `mega report`).
         --epochs N            (default 5)   --batch N   (default 32)
         --hidden N            (default 32)  --lr F      (default 0.005)
+        --layers N            (default 2)
         --threads N           CPU worker threads for preprocessing, batching
                               and tape matmuls; 0 = auto from the
                               hardware (default 1).
@@ -72,19 +72,16 @@ COMMANDS:
                               metrics snapshot: per-kernel roofline table
                               (from `--backend profiled` runs), buffer-pool
                               residency, traversal locality, training
-                              health, and spans
-        --baseline FILE       diff against an earlier snapshot, or place a
-                              bench_results/backend_matmul.json sweep on
-                              the GEMM roof
+                              health, simulated-GPU counters, and spans,
+                              at fixed reference roofs (deterministic)
         --out FILE            write the markdown to FILE instead of stdout
-        --calibration FILE    load roofs from FILE (or save, with --calibrate)
-        --calibrate           measure machine roofs now instead of using
-                              the fixed deterministic reference roofs
-        --calibrate-backend N backend to calibrate on (default simd)
 
 GLOBAL OPTIONS:
     --quiet                   suppress status messages (data output only);
                               MEGA_LOG=quiet|info|debug sets the same level
+
+Every command rejects an option it does not read. An option's value is the
+token after it, so give bare flags (`--json`, `--quiet`) last.
 ";
 
 fn main() -> ExitCode {
@@ -100,7 +97,7 @@ fn main() -> ExitCode {
         mega_obs::report::set_level(mega_obs::report::Level::Quiet);
     }
     let result = match command.as_str() {
-        "demo" => commands::demo(),
+        "demo" => commands::demo(&args),
         "preprocess" => commands::preprocess(&args),
         "stats" => commands::stats(&args),
         "train" => commands::train(&args),

@@ -6,19 +6,15 @@
 //! the run as markdown: a per-kernel roofline table from the
 //! `exec.profiled.*` counters, buffer-pool residency and high-water marks,
 //! traversal locality, training health, the simulated-GPU bridge, and the
-//! span census. With `--baseline` it appends a diff against an earlier
-//! snapshot or a `bench_results/backend_matmul.json` sweep.
+//! span census. Diffing two runs is `benchmark/run.sh --compare`'s job.
 //!
-//! Determinism contract: rendering is a pure function of the input bytes
-//! and the roofs in play. Deterministic snapshots carry counts-only
-//! timings, so their reports place kernels on the roofline (arithmetic
-//! intensity, bound, attainable rate at the fixed
-//! [`Calibration::reference`] roofs) without wall-clock columns —
-//! byte-identical across identical runs, which CI enforces. Full snapshots
-//! add achieved GFLOP/s / GB/s and roof utilization from measured
-//! nanoseconds. `--calibrate` swaps in machine roofs measured on the spot
-//! (and `--calibration FILE` persists/loads them), trading determinism for
-//! absolute utilization numbers.
+//! Determinism contract: rendering is a pure function of the input bytes.
+//! Deterministic snapshots carry counts-only timings, so their reports
+//! place kernels on the roofline (arithmetic intensity, bound, attainable
+//! rate at the fixed [`Calibration::reference`] roofs) without wall-clock
+//! columns — byte-identical across identical runs, which CI enforces. Full
+//! snapshots add achieved GFLOP/s / GB/s and roof utilization from
+//! measured nanoseconds.
 
 use crate::args::Args;
 use mega_exec::Calibration;
@@ -28,26 +24,13 @@ use std::fmt::Write as _;
 
 /// `mega report <snapshot.json>` — render the markdown report.
 pub fn report(args: &Args) -> Result<(), String> {
+    args.accept_only("report", "out", "")?;
     let snap_path = args.positional().first().ok_or(
         "report needs a metrics snapshot JSON (write one with `mega train --metrics-out`)",
     )?;
     let source =
         std::fs::read_to_string(snap_path).map_err(|e| format!("cannot read {snap_path}: {e}"))?;
-    let (cal, roofs_label) = resolve_calibration(args)?;
-    let baseline = match args.get("baseline") {
-        Some(p) => Some((
-            p.to_string(),
-            std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?,
-        )),
-        None => None,
-    };
-    let md = render(
-        snap_path,
-        &source,
-        baseline.as_ref().map(|(p, s)| (p.as_str(), s.as_str())),
-        &cal,
-        &roofs_label,
-    )?;
+    let md = render(snap_path, &source)?;
     match args.get("out") {
         Some(path) => {
             std::fs::write(path, &md).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -56,54 +39,6 @@ pub fn report(args: &Args) -> Result<(), String> {
         None => data!("{md}"),
     }
     Ok(())
-}
-
-/// Picks the roofs: `--calibration FILE` loads saved machine roofs,
-/// `--calibrate` measures them now (on `--calibrate-backend`, default
-/// `simd`) and saves to `--calibration FILE` when both are given; the
-/// default is the fixed reference pair, keeping the report deterministic.
-fn resolve_calibration(args: &Args) -> Result<(Calibration, String), String> {
-    if args.has_flag("calibrate") {
-        let name = args.get("calibrate-backend").unwrap_or("simd");
-        let backend = mega_exec::backend_by_name(name)
-            .ok_or_else(|| format!("unknown --calibrate-backend `{name}`"))?;
-        let cal = Calibration::measure(backend.as_ref());
-        if let Some(path) = args.get("calibration") {
-            let json = format!(
-                "{{\n  \"gemm_gflops\": {},\n  \"triad_gbps\": {}\n}}\n",
-                cal.gemm_gflops, cal.triad_gbps
-            );
-            std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            info!("[calibration written to {path}]");
-        }
-        let label = format!(
-            "measured on `{name}` ({:.2} GFLOP/s GEMM, {:.2} GB/s triad) — not run-deterministic",
-            cal.gemm_gflops, cal.triad_gbps
-        );
-        return Ok((cal, label));
-    }
-    if let Some(path) = args.get("calibration") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let v: Value =
-            serde_json::from_str(&text).map_err(|e| format!("bad calibration {path}: {e:?}"))?;
-        let cal = Calibration {
-            gemm_gflops: get_f64(&v, "gemm_gflops")
-                .ok_or_else(|| format!("{path}: missing `gemm_gflops`"))?,
-            triad_gbps: get_f64(&v, "triad_gbps")
-                .ok_or_else(|| format!("{path}: missing `triad_gbps`"))?,
-        };
-        let label = format!(
-            "loaded from `{path}` ({:.2} GFLOP/s GEMM, {:.2} GB/s triad)",
-            cal.gemm_gflops, cal.triad_gbps
-        );
-        return Ok((cal, label));
-    }
-    let cal = Calibration::reference();
-    let label = format!(
-        "reference ({:.1} GFLOP/s GEMM, {:.1} GB/s triad); pass --calibrate for machine roofs",
-        cal.gemm_gflops, cal.triad_gbps
-    );
-    Ok((cal, label))
 }
 
 // ---------------------------------------------------------------- parsing
@@ -156,10 +91,6 @@ fn as_f64(v: &Value) -> Option<f64> {
 
 fn get_u64(v: &Value, key: &str) -> Option<u64> {
     get(v, key).and_then(as_u64)
-}
-
-fn get_f64(v: &Value, key: &str) -> Option<f64> {
-    get(v, key).and_then(as_f64)
 }
 
 fn entries<'a>(v: &'a Value, key: &str) -> Vec<(&'a str, &'a Value)> {
@@ -243,14 +174,9 @@ impl Snap {
 
 /// Renders the full markdown report. Pure: identical inputs produce
 /// identical bytes.
-fn render(
-    snap_path: &str,
-    source: &str,
-    baseline: Option<(&str, &str)>,
-    cal: &Calibration,
-    roofs_label: &str,
-) -> Result<String, String> {
+fn render(snap_path: &str, source: &str) -> Result<String, String> {
     let snap = parse_snapshot(source)?;
+    let cal = Calibration::reference();
     let mut o = String::with_capacity(4096);
     let _ = writeln!(o, "# MEGA performance report");
     let _ = writeln!(o);
@@ -264,17 +190,18 @@ fn render(
             "full (wall-clock timings; achieved rates are measured)"
         }
     );
-    let _ = writeln!(o, "- roofs: {roofs_label}");
-    render_roofline(&mut o, &snap, cal);
+    let _ = writeln!(
+        o,
+        "- roofs: reference ({:.1} GFLOP/s GEMM, {:.1} GB/s triad)",
+        cal.gemm_gflops, cal.triad_gbps
+    );
+    render_roofline(&mut o, &snap, &cal);
     render_pool(&mut o, &snap);
     render_traversal(&mut o, &snap);
     render_health(&mut o, &snap);
     render_dist(&mut o, &snap);
     render_gpusim(&mut o, &snap);
     render_spans(&mut o, &snap);
-    if let Some((path, text)) = baseline {
-        render_baseline(&mut o, &snap, path, text, cal)?;
-    }
     Ok(o)
 }
 
@@ -614,76 +541,6 @@ fn render_spans(o: &mut String, snap: &Snap) {
     }
 }
 
-/// `--baseline` diff. A snapshot baseline diffs counters and gauges; a
-/// `backend_matmul.json` sweep is placed against the GEMM roof instead.
-fn render_baseline(
-    o: &mut String,
-    snap: &Snap,
-    path: &str,
-    text: &str,
-    cal: &Calibration,
-) -> Result<(), String> {
-    let v: Value = serde_json::from_str(text).map_err(|e| format!("bad baseline {path}: {e:?}"))?;
-    if get(&v, "counters").is_some() {
-        let base = parse_snapshot(text)?;
-        let _ = writeln!(o, "\n## Diff vs baseline snapshot `{path}`");
-        let _ = writeln!(o);
-        let mut names: Vec<&str> = snap
-            .counters
-            .iter()
-            .chain(base.counters.iter())
-            .map(|(k, _)| k.as_str())
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        let mut changed = 0usize;
-        let mut rows = String::new();
-        for name in names {
-            let old = base.counter(name).unwrap_or(0);
-            let new = snap.counter(name).unwrap_or(0);
-            if old != new {
-                changed += 1;
-                let delta = new as i128 - old as i128;
-                let _ = writeln!(rows, "| {name} | {old} | {new} | {delta:+} |");
-            }
-        }
-        if changed == 0 {
-            let _ = writeln!(o, "No counter differences.");
-        } else {
-            let _ = writeln!(o, "| counter | baseline | current | delta |");
-            let _ = writeln!(o, "|---|---|---|---|");
-            o.push_str(&rows);
-        }
-        return Ok(());
-    }
-    if let Some(Value::Array(rows)) = get(&v, "rows") {
-        let _ = writeln!(o, "\n## Baseline GEMM sweep `{path}` vs roof");
-        let _ = writeln!(o);
-        let _ = writeln!(o, "| size | backend | ms | GFLOP/s | % of GEMM roof |");
-        let _ = writeln!(o, "|---|---|---|---|---|");
-        for row in rows {
-            let size = get_u64(row, "size").unwrap_or(0);
-            let backend = match get(row, "backend") {
-                Some(Value::Str(s)) => s.as_str(),
-                _ => "?",
-            };
-            let ms = get_f64(row, "ms").unwrap_or(0.0);
-            let gflops = get_f64(row, "gflops").unwrap_or(0.0);
-            let _ = writeln!(
-                o,
-                "| {size} | {backend} | {} | {} | {:.1}% |",
-                eng(ms),
-                eng(gflops),
-                gflops / cal.gemm_gflops * 100.0
-            );
-        }
-        return Ok(());
-    }
-    Err(format!(
-        "baseline {path} is neither a metrics snapshot nor a backend_matmul sweep"
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,9 +575,8 @@ mod tests {
 
     #[test]
     fn deterministic_snapshot_renders_identically_twice() {
-        let cal = Calibration::reference();
-        let a = render("m.json", DET_SNAPSHOT, None, &cal, "reference").unwrap();
-        let b = render("m.json", DET_SNAPSHOT, None, &cal, "reference").unwrap();
+        let a = render("m.json", DET_SNAPSHOT).unwrap();
+        let b = render("m.json", DET_SNAPSHOT).unwrap();
         assert_eq!(a, b);
         // Roofline row: AI = 536870912/3145728 ≈ 170.7 flop/B, compute
         // bound at the reference roofs, no measured columns.
@@ -743,8 +599,7 @@ mod tests {
     \"exec.pool.class63.resident_bytes\": 1.0,
     \"exec.pool.class64.resident_bytes\": 2.0,",
         );
-        let cal = Calibration::reference();
-        let md = render("m.json", &snap, None, &cal, "r").unwrap();
+        let md = render("m.json", &snap).unwrap();
         assert!(
             md.contains("| 63 | 9223372036854775808..18446744073709551615 | 1 | 0 |"),
             "{md}"
@@ -762,17 +617,15 @@ mod tests {
                 "\"exec.profiled.matmul.ns\": {\"count\": 4}",
                 "\"exec.profiled.matmul.ns\": {\"count\": 4, \"sum_ns\": 100000000, \"p50_ns\": 1, \"p90_ns\": 1, \"p99_ns\": 1}",
             );
-        let cal = Calibration::reference();
-        let md = render("m.json", &full, None, &cal, "reference").unwrap();
+        let md = render("m.json", &full).unwrap();
         assert!(md.contains("| 5.369 |"), "{md}");
         assert!(md.contains("67.1%"), "{md}");
     }
 
     #[test]
     fn distributed_section_summarizes_shards_and_halos() {
-        let cal = Calibration::reference();
         // No dist counters → no Distributed section.
-        let md = render("m.json", DET_SNAPSHOT, None, &cal, "r").unwrap();
+        let md = render("m.json", DET_SNAPSHOT).unwrap();
         assert!(!md.contains("## Distributed"), "{md}");
         let dist = r#"{
   "deterministic": true,
@@ -791,7 +644,7 @@ mod tests {
     "dist.train.shard_ns": {"count": 24}
   }
 }"#;
-        let md = render("m.json", dist, None, &cal, "r").unwrap();
+        let md = render("m.json", dist).unwrap();
         assert!(md.contains("## Distributed"), "{md}");
         assert!(
             md.contains(
@@ -817,7 +670,7 @@ mod tests {
     "dist.step_ns": {"count": 8, "sum_ns": 4000000},
     "dist.halo.wait_ns": {"count": 24, "sum_ns": 1000000}"#,
         );
-        let md = render("m.json", &full, None, &cal, "r").unwrap();
+        let md = render("m.json", &full).unwrap();
         assert!(md.contains("- shard compute: 2.000 ms total"), "{md}");
         assert!(
             md.contains(
@@ -828,41 +681,46 @@ mod tests {
     }
 
     #[test]
-    fn baseline_snapshot_diff_lists_changed_counters_only() {
-        let base = DET_SNAPSHOT.replace(
-            "\"exec.profiled.matmul.calls\": 4",
-            "\"exec.profiled.matmul.calls\": 3",
-        );
-        let cal = Calibration::reference();
-        let md = render("m.json", DET_SNAPSHOT, Some(("b.json", &base)), &cal, "r").unwrap();
+    fn gpusim_bridge_renders_counters_and_gauges() {
+        // No gpusim counters → no section.
+        let md = render("m.json", DET_SNAPSHOT).unwrap();
+        assert!(!md.contains("## Simulated GPU counters"), "{md}");
+        let sim = r#"{
+  "deterministic": true,
+  "counters": {
+    "exec.pool.hits": 1,
+    "gpusim.mega.sgemm.invocations": 12,
+    "gpusim.mega.total_cycles": 34567
+  },
+  "gauges": {
+    "exec.pool.class6.resident_bytes": 768.0,
+    "gpusim.mega.aggregate_sm_efficiency": 0.75,
+    "gpusim.mega.sgemm.stall_pct": 123.4
+  }
+}"#;
+        let md = render("m.json", sim).unwrap();
+        assert!(md.contains("## Simulated GPU counters"), "{md}");
         assert!(
-            md.contains("| exec.profiled.matmul.calls | 3 | 4 | +1 |"),
+            md.contains("| gpusim.mega.sgemm.invocations | 12 |"),
             "{md}"
         );
-        assert!(!md.contains("| exec.pool.hits |"), "{md}");
-    }
-
-    #[test]
-    fn baseline_matmul_sweep_places_rows_on_the_roof() {
-        let sweep = r#"{"threads": 1, "reps": 7, "rows": [
-            {"size": 64, "backend": "simd", "ms": 0.017, "gflops": 4.0}
-        ]}"#;
-        let cal = Calibration::reference();
-        let md = render(
-            "m.json",
-            DET_SNAPSHOT,
-            Some(("bench.json", sweep)),
-            &cal,
-            "r",
-        )
-        .unwrap();
-        assert!(md.contains("| 64 | simd | 0.017 | 4.000 | 50.0% |"), "{md}");
+        assert!(md.contains("| gpusim.mega.total_cycles | 34567 |"), "{md}");
+        assert!(
+            md.contains("| gpusim.mega.aggregate_sm_efficiency | 0.750 |"),
+            "{md}"
+        );
+        assert!(
+            md.contains("| gpusim.mega.sgemm.stall_pct | 123.4 |"),
+            "{md}"
+        );
+        // Only `gpusim.*` names land in the section.
+        let section = &md[md.find("## Simulated GPU counters").unwrap()..];
+        assert!(!section.contains("exec.pool"), "{md}");
     }
 
     #[test]
     fn rejects_non_snapshot_input() {
-        let cal = Calibration::reference();
-        assert!(render("m.json", "[1, 2]", None, &cal, "r").is_err());
-        assert!(render("m.json", "{\"rows\": []}", None, &cal, "r").is_err());
+        assert!(render("m.json", "[1, 2]").is_err());
+        assert!(render("m.json", "{\"rows\": []}").is_err());
     }
 }

@@ -408,26 +408,13 @@ where
     let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = threads.min(items.len());
-    if mega_obs::enabled() {
-        mega_obs::counter_add("core.parallel.pool_runs", 1);
-        mega_obs::record_value("core.parallel.pool_items", items.len() as u64);
-        mega_obs::record_value("core.parallel.pool_workers", workers as u64);
-    }
-    let worker = || {
-        let mut done = 0u64;
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= items.len() {
-                break;
-            }
-            let out = f(i, &items[i]);
-            *slots[i].lock().expect("result slot poisoned") = Some(out);
-            done += 1;
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            break;
         }
-        // Items-per-worker is scheduling-dependent, hence volatile.
-        if done > 0 && mega_obs::enabled() {
-            mega_obs::record_volatile("core.parallel.worker_items", done);
-        }
+        let out = f(i, &items[i]);
+        *slots[i].lock().expect("result slot poisoned") = Some(out);
     };
     std::thread::scope(|scope| {
         // The calling thread is an idle core until the scope joins — make it
@@ -472,10 +459,6 @@ where
         }
         first();
         return;
-    }
-    if mega_obs::enabled() {
-        mega_obs::counter_add("core.parallel.pool_runs", 1);
-        mega_obs::record_value("core.parallel.pool_workers", (jobs.len() + 1) as u64);
     }
     std::thread::scope(|scope| {
         for job in jobs {

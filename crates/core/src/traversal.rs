@@ -53,9 +53,6 @@ pub struct Traversal {
     pub revisits: usize,
     /// Number of virtual steps taken.
     pub virtual_edge_count: usize,
-    /// Number of stack entries popped while searching for a revisit target
-    /// (pool 2 of the walk loop; an observability statistic).
-    pub stack_pops: usize,
     /// The working graph the traversal ran over (equals the input unless edge
     /// dropping was configured).
     pub working_graph: Graph,
@@ -133,7 +130,6 @@ struct State<'g> {
     virtual_step: Vec<bool>,
     stack: Vec<usize>,
     revisits: usize,
-    stack_pops: usize,
 }
 
 impl<'g> State<'g> {
@@ -165,7 +161,6 @@ impl<'g> State<'g> {
             virtual_step: Vec::with_capacity(n + 2 * g.edge_count()),
             stack: Vec::new(),
             revisits: 0,
-            stack_pops: 0,
         }
     }
 
@@ -249,7 +244,6 @@ impl<'g> State<'g> {
     /// Pops the stack until a node with uncovered-edge neighbors surfaces.
     fn pop_open(&mut self) -> Option<usize> {
         while let Some(v) = self.stack.pop() {
-            self.stack_pops += 1;
             if !self.open_nbrs[v].is_empty() {
                 return Some(v);
             }
@@ -351,7 +345,6 @@ struct WalkOutput {
     virtual_step: Vec<bool>,
     covered_count: usize,
     revisits: usize,
-    stack_pops: usize,
 }
 
 impl State<'_> {
@@ -361,7 +354,6 @@ impl State<'_> {
             virtual_step: self.virtual_step,
             covered_count: self.covered_count,
             revisits: self.revisits,
-            stack_pops: self.stack_pops,
         }
     }
 }
@@ -381,7 +373,6 @@ fn finish(
         working_edges,
         revisits: out.revisits,
         virtual_edge_count,
-        stack_pops: out.stack_pops,
         working_graph: working,
     })
 }
@@ -392,12 +383,6 @@ fn emit_traversal_obs(t: &Traversal) {
     if !mega_obs::enabled() {
         return;
     }
-    mega_obs::counter_add("core.traversal.walks", 1);
-    mega_obs::counter_add("core.traversal.visits", t.path.len() as u64);
-    mega_obs::counter_add("core.traversal.revisits", t.revisits as u64);
-    mega_obs::counter_add("core.traversal.virtual_edges", t.virtual_edge_count as u64);
-    mega_obs::counter_add("core.traversal.stack_pops", t.stack_pops as u64);
-    mega_obs::counter_add("core.traversal.covered_edges", t.covered_edges as u64);
     mega_obs::record_value("core.traversal.path_len", t.path.len() as u64);
     mega_obs::record_value("core.traversal.window", t.window as u64);
     // Revisit placement per band window and node re-materialization counts:
@@ -457,7 +442,6 @@ pub fn traverse_parallel(
         emit_traversal_obs(&out);
         return Ok(out);
     }
-    mega_obs::counter_add("core.traversal.agents", agents as u64);
     let window = resolve_window(&working, config.window);
     let m = working.edge_count();
 
@@ -479,7 +463,6 @@ pub fn traverse_parallel(
         par.effective_threads(),
         |a, &(lo, hi)| -> Result<Vec<usize>, MegaError> {
             let _agent_span = mega_obs::span("traverse_agent");
-            let walk_timer = mega_obs::timer();
             let mut b = if working.is_undirected() {
                 mega_graph::GraphBuilder::undirected(hi - lo)
             } else {
@@ -500,7 +483,6 @@ pub fn traverse_parallel(
                         .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(a as u64 + 1)),
                 ),
             )?;
-            walk_timer.observe("core.traversal.agent_walk_ns");
             Ok(local.path.iter().map(|&v| v + lo).collect())
         },
     );

@@ -4,9 +4,8 @@
 //! row gather/scatter, segment softmax, layer/batch norm, and the banded
 //! attention kernels — is dispatched through the [`Backend`] trait. The
 //! autograd tape in `mega-tensor` and the GNN layers on top of it call
-//! through a `dyn Backend`, so swapping in a faster implementation (or a
-//! profiling decorator — see `mega-gpu-sim`'s `SimBackend`) is a one-crate
-//! change.
+//! through a `dyn Backend`, so swapping in a faster implementation (or the
+//! profiling decorator, [`ProfiledBackend`]) is a one-crate change.
 //!
 //! Two concrete backends live here:
 //!
@@ -21,7 +20,8 @@
 //!   lanes vectorize across output elements, never across a single
 //!   element's fold.
 //!
-//! [`ProfiledBackend`] decorates either with roofline attribution.
+//! [`ProfiledBackend`], the one decorator, wraps either with roofline
+//! attribution.
 //!
 //! [`BufferPool`] supplies recycled output buffers so steady-state training
 //! stops allocating per tape node.
@@ -287,10 +287,13 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Resolves a backend by its CLI name (`reference`, `simd`, or
-/// `profiled` — the roofline decorator over the reference backend; the CLI
-/// also accepts `profiled:<inner>` and wraps the named inner backend).
+/// Resolves a backend by its CLI name: `reference`, `simd`, or `profiled`
+/// — the roofline decorator over the reference backend, or over the named
+/// inner backend as `profiled:<inner>`.
 pub fn backend_by_name(name: &str) -> Option<Arc<dyn Backend>> {
+    if let Some(inner) = name.strip_prefix("profiled:") {
+        return Some(Arc::new(ProfiledBackend::new(backend_by_name(inner)?)));
+    }
     match name {
         "reference" => Some(Arc::new(ReferenceBackend)),
         "simd" => Some(Arc::new(SimdBackend::new())),
@@ -308,6 +311,8 @@ mod tests {
         assert_eq!(backend_by_name("reference").unwrap().name(), "reference");
         assert_eq!(backend_by_name("simd").unwrap().name(), "simd");
         assert_eq!(backend_by_name("profiled").unwrap().name(), "profiled");
+        assert_eq!(backend_by_name("profiled:simd").unwrap().name(), "profiled");
+        assert!(backend_by_name("profiled:cuda").is_none());
         assert!(backend_by_name("cuda").is_none());
         assert!(backend_by_name("blocked").is_none(), "retired backend");
     }

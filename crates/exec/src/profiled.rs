@@ -46,11 +46,6 @@ impl ProfiledBackend {
         ProfiledBackend { inner }
     }
 
-    /// The wrapped backend.
-    pub fn inner(&self) -> &Arc<dyn Backend> {
-        &self.inner
-    }
-
     /// Records one attributed kernel call. `timer` was started before the
     /// inner dispatch, so the observed duration covers the kernel alone —
     /// the counter bookkeeping below it is excluded from the measurement.
@@ -310,11 +305,11 @@ impl Backend for ProfiledBackend {
 /// STREAM-triad memory bandwidth.
 ///
 /// [`Calibration::measure`] produces machine-specific roofs (wall-clock —
-/// never byte-stable across hosts); [`Calibration::reference`] is the fixed
-/// documented fallback `mega report` uses by default, so CI reports stay
-/// byte-identical. Utilization numbers against the reference roofs are
-/// *relative placements*, not absolute hardware efficiency — recalibrate
-/// (`mega report --calibrate`) before reading them as machine truth.
+/// never byte-stable across hosts; the benchmark records them as
+/// `exec.calibration.*`); [`Calibration::reference`] is the fixed pair
+/// `mega report` renders at, so CI reports stay byte-identical.
+/// Utilization numbers against the reference roofs are *relative
+/// placements*, not absolute hardware efficiency.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Peak sustained dense-GEMM rate, GFLOP/s.
@@ -447,6 +442,81 @@ mod tests {
             .counters
             .iter()
             .any(|(n, _)| n.starts_with("exec.profiled.")));
+    }
+
+    /// Counts the calls reaching each kernel method and computes nothing:
+    /// the decorator attributes from launch shapes alone.
+    #[derive(Debug, Default)]
+    struct CountingBackend {
+        calls: std::sync::Mutex<std::collections::BTreeMap<&'static str, usize>>,
+    }
+
+    impl CountingBackend {
+        fn hit(&self, method: &'static str) {
+            *self.calls.lock().unwrap().entry(method).or_default() += 1;
+        }
+    }
+
+    #[rustfmt::skip]
+    impl Backend for CountingBackend {
+        fn name(&self) -> &'static str { "counting" }
+        fn gemm(&self, _: Operand<'_>, _: Operand<'_>, _: usize, _: usize, _: usize, _: Epilogue<'_>, _: &Parallelism, _: &mut [f32]) { self.hit("gemm") }
+        fn add(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("add") }
+        fn sub(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("sub") }
+        fn mul(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("mul") }
+        fn scale(&self, _: &[f32], _: f32, _: &mut [f32]) { self.hit("scale") }
+        fn add_bias_rows(&self, _: &[f32], _: &[f32], _: usize, _: usize, _: &mut [f32]) { self.hit("add_bias_rows") }
+        fn unary(&self, _: Unary, _: &[f32], _: &mut [f32]) { self.hit("unary") }
+        fn gather_rows(&self, _: &[f32], _: usize, _: usize, _: &[usize], _: &mut [f32]) { self.hit("gather_rows") }
+        fn scatter_add_rows(&self, _: &[f32], _: &[usize], _: usize, _: usize, _: &mut [f32]) { self.hit("scatter_add_rows") }
+        fn scale_rows(&self, _: &[f32], _: &[f32], _: usize, _: &mut [f32]) { self.hit("scale_rows") }
+        fn segment_softmax(&self, _: &[f32], _: usize, _: usize, _: &[usize], _: usize, _: &mut [f32]) { self.hit("segment_softmax") }
+        fn norm(&self, _: NormKind, _: &[f32], _: &[f32], _: &[f32], _: usize, _: usize, _: f32, _: Option<Unary>, _: &mut [f32]) { self.hit("norm") }
+        fn banded_aggregate(&self, _: &BandMask, _: &[f32], _: usize, _: &[f32], _: &Parallelism, _: &mut [f32]) { self.hit("banded_aggregate") }
+        fn banded_weight_grad(&self, _: &BandMask, _: &[f32], _: &[f32], _: usize, _: usize, _: &Parallelism, _: &mut [f32]) { self.hit("banded_weight_grad") }
+    }
+
+    #[test]
+    fn forwards_every_kernel_method_exactly_once() {
+        // Every `Backend` method except `name` (the decorator reports its
+        // own) must reach the wrapped backend: a method left on the trait
+        // default would silently run the reference loops instead of
+        // `inner`.
+        let g = mega_graph::GraphBuilder::undirected(1).build().unwrap();
+        let band = BandMask::build(&g, &[0], 1);
+        let par = Parallelism::with_threads(1);
+        let x = [1.0f32, -2.0, 3.0, -4.0];
+        let row = [0.5f32, -0.5];
+        let index = [1usize, 0];
+        let counting = Arc::new(CountingBackend::default());
+        let d = ProfiledBackend::new(counting.clone());
+        assert_eq!(d.name(), "profiled");
+        let out = &mut [0.0f32; 4];
+        let xo = Operand::RowMajor(&x);
+        d.gemm(xo, xo, 2, 2, 2, Epilogue::BiasRelu(&row), &par, out);
+        d.add(&x, &x, out);
+        d.sub(&x, &x, out);
+        d.mul(&x, &x, out);
+        d.scale(&x, 2.0, out);
+        d.add_bias_rows(&x, &row, 2, 2, out);
+        d.unary(Unary::Relu, &x, out);
+        d.gather_rows(&x, 2, 2, &index, out);
+        d.scatter_add_rows(&x, &index, 2, 2, out);
+        d.scale_rows(&x, &row, 2, out);
+        d.segment_softmax(&x, 2, 2, &index, 2, out);
+        let act = Some(Unary::Relu);
+        d.norm(NormKind::Batch, &x, &row, &row, 2, 2, 1e-5, act, out);
+        d.banded_aggregate(&band, &[], 0, &[], &par, &mut []);
+        d.banded_weight_grad(&band, &[], &[], 0, 0, &par, &mut []);
+        let calls = counting.calls.lock().unwrap();
+        let forwarded: Vec<(&str, usize)> = calls.iter().map(|(k, v)| (*k, *v)).collect();
+        let expected: Vec<(&str, usize)> = "add add_bias_rows banded_aggregate \
+            banded_weight_grad gather_rows gemm mul norm scale scale_rows scatter_add_rows \
+            segment_softmax sub unary"
+            .split_whitespace()
+            .map(|m| (m, 1))
+            .collect();
+        assert_eq!(forwarded, expected);
     }
 
     #[test]

@@ -155,10 +155,8 @@ impl GraphTransformerLayer {
         e: Var,
     ) -> (Var, Var, testing::BlockLeaves) {
         let n = idx.n_nodes;
-        let m = idx.msg_count();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let h_work = idx.to_work(tape, h);
-        let ones = tape.leaf(mega_tensor::Tensor::full(m, self.head_dim, 1.0));
 
         let mut leaves: testing::BlockLeaves = Vec::new();
         for lin in [&self.q, &self.k, &self.v, &self.e] {
@@ -191,7 +189,7 @@ impl GraphTransformerLayer {
             let qk_prod = tape.mul(q_dst, k_src);
             let qke = tape.mul(qk_prod, ek);
             let what = tape.scale(qke, scale);
-            let score = tape.row_dot(what, ones);
+            let score = tape.row_block_sums(what, 1);
             let attn = tape.segment_softmax(score, idx.msg_dst_node.clone(), n);
             let weighted = tape.mul_col_broadcast(v_src, attn);
             let agg = tape.scatter_add_rows(weighted, idx.msg_dst_node.clone(), n);

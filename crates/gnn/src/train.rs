@@ -308,7 +308,6 @@ impl Trainer {
         let mut step = 0u64;
         for epoch in 1..=self.epochs {
             let _epoch_span = mega_obs::span("epoch");
-            mega_obs::counter_add("gnn.train.epochs", 1);
             let mut phases = PhaseSeconds::default();
             // Optional per-epoch reshuffle of the sample order.
             let t_assemble = mega_obs::Stopwatch::start();
@@ -322,7 +321,6 @@ impl Trainer {
             let steps = train_shards.chunks(shards_per_step);
             let n_steps = steps.len();
             for group in steps {
-                mega_obs::counter_add("gnn.train.batches", 1);
                 let job = ShardJob {
                     trainer: self,
                     model: &model,
@@ -377,12 +375,6 @@ impl Trainer {
                 self.evaluate(exec, &model, &store, &val_shards, task)
             };
             phases.evaluate = t_eval.elapsed().as_secs_f64();
-            if mega_obs::enabled() {
-                mega_obs::record_duration(
-                    "gnn.train.epoch_ns",
-                    std::time::Duration::from_secs_f64(phases.total()),
-                );
-            }
             records.push(EpochRecord {
                 epoch,
                 train_loss,

@@ -52,7 +52,6 @@ pub mod kernel;
 pub mod model;
 pub mod profiler;
 pub mod report;
-pub mod sim_backend;
 
 pub use cache::SectoredCache;
 pub use device::DeviceConfig;
@@ -60,4 +59,3 @@ pub use kernel::{KernelKind, KernelStats};
 pub use model::{BatchTopology, EngineKind, EpochCost, GnnCostModel, ModelSpec};
 pub use profiler::{DevicePtr, Profiler};
 pub use report::{KernelRow, ProfileReport};
-pub use sim_backend::SimBackend;

@@ -229,24 +229,6 @@ pub fn record_time_ns(name: &str, ns: u64) {
     record_hist(true, name, ns);
 }
 
-/// [`record_time_ns`] for a [`Duration`].
-pub fn record_duration(name: &str, d: Duration) {
-    if !enabled() {
-        return;
-    }
-    record_hist(true, name, d.as_nanos().min(u64::MAX as u128) as u64);
-}
-
-/// Records a *scheduling-dependent* sample (e.g. items processed per pool
-/// worker) into the volatile histogram family: like wall-clock timings, only
-/// its sample count appears in deterministic snapshots. No-op when disabled.
-pub fn record_volatile(name: &str, v: u64) {
-    if !enabled() {
-        return;
-    }
-    record_hist(true, name, v);
-}
-
 /// A wall-clock stopwatch that measures regardless of the global enable
 /// flag.
 ///
@@ -283,7 +265,7 @@ impl Stopwatch {
 ///
 /// [`timer`] costs one atomic load when disabled (no clock read at all);
 /// enabled, [`Timer::observe`] records the elapsed wall-clock time into the
-/// named timing-histogram, exactly like [`record_duration`]. Instrumented
+/// named timing-histogram, exactly like [`record_time_ns`]. Instrumented
 /// hot paths use this instead of hand-rolling
 /// `enabled().then(Instant::now)` — which the `obs-routing` lint would
 /// reject outside this crate.
@@ -306,7 +288,7 @@ impl Timer {
     /// timer is live. Consumes the timer; the disabled path does nothing.
     pub fn observe(self, name: &str) {
         if let Some(t0) = self.start {
-            record_duration(name, t0.elapsed());
+            record_time_ns(name, t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
     }
 }
@@ -763,19 +745,18 @@ mod tests {
     fn deterministic_snapshot_is_stable_across_runs() {
         let _g = guard();
         // Two "runs" with identical logical work but different wall-clock
-        // timings and volatile samples: the deterministic JSON must match
-        // byte for byte; the full JSON generally differs.
-        let run = |time_ns: u64, volatile: u64| {
+        // timings: the deterministic JSON must match byte for byte; the
+        // full JSON generally differs.
+        let run = |time_ns: u64, sleep_us: u64| {
             reset();
             set_enabled(true);
             counter_add("det.counter", 7);
             gauge_set("det.gauge", 0.25);
             record_value("det.value", 1024);
             record_time_ns("det.timing", time_ns);
-            record_volatile("det.volatile", volatile);
             {
                 let _outer = span("det_outer");
-                std::thread::sleep(std::time::Duration::from_micros(volatile));
+                std::thread::sleep(std::time::Duration::from_micros(sleep_us));
                 let _inner = span("det_inner");
             }
             set_enabled(false);

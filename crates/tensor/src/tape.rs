@@ -65,7 +65,6 @@ enum Op {
     Sum(Var),
     Mean(Var),
     DivEps(Var, Var, f32),
-    RowDot(Var, Var),
     RowBlockSums(Var),
     MulColBroadcast(Var, Var),
     ConcatCols(Arc<Vec<Var>>),
@@ -81,8 +80,7 @@ enum Op {
 }
 
 impl Op {
-    /// Stable metric-name suffix of the op kind, for the
-    /// `tensor.tape.op.<kind>` counters.
+    /// Stable name of the op kind, for diagnostics.
     fn kind_name(&self) -> &'static str {
         match self {
             Op::Leaf => "leaf",
@@ -102,7 +100,6 @@ impl Op {
             Op::Sum(..) => "sum",
             Op::Mean(..) => "mean",
             Op::DivEps(..) => "div_eps",
-            Op::RowDot(..) => "row_dot",
             Op::RowBlockSums(..) => "row_block_sums",
             Op::MulColBroadcast(..) => "mul_col_broadcast",
             Op::ConcatCols(..) => "concat_cols",
@@ -274,10 +271,6 @@ impl Tape {
     fn push_value(&mut self, value: Tensor, op: Op) -> Var {
         if mega_obs::enabled() {
             mega_obs::counter_add("tensor.tape.ops", 1);
-            let mut name = String::with_capacity(32);
-            name.push_str("tensor.tape.op.");
-            name.push_str(op.kind_name());
-            mega_obs::counter_add(&name, 1);
         }
         self.nodes.push(Node { value, op });
         Var(self.nodes.len() - 1)
@@ -479,20 +472,6 @@ impl Tape {
             *o = x / (y + eps);
         }
         self.push_value(Tensor::from_vec(r, c, out), Op::DivEps(a, b, eps))
-    }
-
-    /// Row-wise dot product of same-shape tensors: output is `r × 1` with
-    /// `out[i] = Σ_c a[i,c]·b[i,c]` (attention scores).
-    pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.dims(a), self.dims(b), "row_dot shape mismatch");
-        let (r, c) = self.dims(a);
-        // Zeroed: a zero-width `a` has no rows to write.
-        let mut out = self.pool.acquire(r);
-        let (x, y) = (self.value(a).as_slice(), self.value(b).as_slice());
-        for (o, (x_row, y_row)) in out.iter_mut().zip(rows_of(x, c).zip(rows_of(y, c))) {
-            *o = x_row.iter().zip(y_row).map(|(&p, &q)| p * q).sum();
-        }
-        self.push_value(Tensor::from_vec(r, 1, out), Op::RowDot(a, b))
     }
 
     /// Sums each of the `blocks` equal-width column blocks of every row of
@@ -801,7 +780,6 @@ impl Tape {
             | Op::Sum(..)
             | Op::Mean(..)
             | Op::DivEps(..)
-            | Op::RowDot(..)
             | Op::RowBlockSums(..)
             | Op::MulColBroadcast(..)
             | Op::ConcatCols(..)
@@ -815,7 +793,6 @@ impl Tape {
     /// GEMM executor shared by the plain and fused-epilogue matmul ops:
     /// `x · w` (an `n × k` by `k × m` product) followed by `epilogue`.
     fn execute_gemm(&self, x: Var, w: Var, epilogue: Epilogue<'_>) -> Tensor {
-        let t = mega_obs::timer();
         let ((n, k), (_, m)) = (self.dims(x), self.dims(w));
         let mut out = self.out_buf(n, m);
         self.backend.gemm(
@@ -828,7 +805,6 @@ impl Tape {
             &self.par,
             &mut out,
         );
-        t.observe("tensor.matmul_ns");
         Tensor::from_vec(n, m, out)
     }
 
@@ -1043,7 +1019,6 @@ impl Tape {
     /// Panics if `loss` is not `1 × 1`.
     pub fn backward(&self, loss: Var) -> Gradients {
         let _span = mega_obs::span("tape_backward");
-        mega_obs::counter_add("tensor.tape.backward_passes", 1);
         assert_eq!(
             self.value(loss).shape(),
             (1, 1),
@@ -1173,25 +1148,6 @@ impl Tape {
                     }
                     self.accumulate(grads, *a, Cow::Owned(g));
                     self.accumulate(grads, *b, Cow::Owned(db));
-                }
-                Op::RowDot(a, b) => {
-                    let (va, vb) = (self.value(*a), self.value(*b));
-                    let c = va.cols();
-                    let mut da = self.pool.acquire_for_overwrite(g.len() * c);
-                    let mut db = self.pool.acquire_for_overwrite(g.len() * c);
-                    let outs = rows_of_mut(&mut da, c).zip(rows_of_mut(&mut db, c));
-                    let ins = rows_of(va.as_slice(), c).zip(rows_of(vb.as_slice(), c));
-                    for (((da_row, db_row), (a_row, b_row)), &gr) in outs.zip(ins).zip(&g) {
-                        for (o, &y) in da_row.iter_mut().zip(b_row) {
-                            *o = gr * y;
-                        }
-                        for (o, &x) in db_row.iter_mut().zip(a_row) {
-                            *o = gr * x;
-                        }
-                    }
-                    self.accumulate(grads, *a, Cow::Owned(da));
-                    self.accumulate(grads, *b, Cow::Owned(db));
-                    self.pool.release(g);
                 }
                 Op::RowBlockSums(a) => {
                     let (r, c) = self.dims(*a);
@@ -1611,7 +1567,8 @@ mod tests {
             let s = t.scale(m, -0.5);
             let src = t.gather_rows(s, Arc::new(vec![0, 2, 2, 5, 1, 3, 4, 0]));
             let dst = t.gather_rows(h, Arc::new(vec![1, 1, 3, 0, 5, 4, 2, 2]));
-            let score = t.row_dot(src, dst);
+            let prod = t.mul(src, dst);
+            let score = t.row_block_sums(prod, 1);
             let weighted = t.mul_col_broadcast(src, score);
             let agg = t.scatter_add_rows(weighted, Arc::new(vec![1, 1, 3, 0, 5, 4, 2, 2]), 6);
             let ln = t.layer_norm(agg, gamma, beta, 1e-5);
@@ -1853,7 +1810,8 @@ mod tests {
             let r = t.linear_relu(h, w, b);
             let m = t.mul(h, r);
             let d = t.sub(m, x);
-            let score = t.row_dot(d, h);
+            let dh = t.mul(d, h);
+            let score = t.row_block_sums(dh, 1);
             let att = t.segment_softmax(score, Arc::new(vec![0, 0, 1, 1, 1, 2, 3, 3]), 4);
             let weighted = t.mul_col_broadcast(d, att);
             let idx = Arc::new(vec![7usize, 0, 3, 3, 1, 6, 2, 5]);
@@ -1968,7 +1926,8 @@ mod tests {
             sample(3, 4, 10),
             |t, x| {
                 let other = t.leaf(sample(3, 4, 11));
-                let w = t.row_dot(x, other);
+                let xo = t.mul(x, other);
+                let w = t.row_block_sums(xo, 1);
                 let y = t.mul_col_broadcast(other, w);
                 t.sum(y)
             },
@@ -2010,29 +1969,6 @@ mod tests {
             },
             2e-2,
         );
-    }
-
-    #[test]
-    fn row_block_sums_of_one_block_is_row_dot_with_ones() {
-        let a = sample(5, 7, 96);
-        let weights = sample(5, 1, 97);
-        let run = |block_sums: bool| {
-            let mut t = Tape::new();
-            let x = t.leaf(a.clone());
-            let s = if block_sums {
-                t.row_block_sums(x, 1)
-            } else {
-                let ones = t.leaf(Tensor::full(5, 7, 1.0));
-                t.row_dot(x, ones)
-            };
-            let w = t.leaf(weights.clone());
-            let y = t.mul(s, w);
-            let loss = t.sum(y);
-            let grads = t.backward(loss);
-            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            (bits(t.value(s)), bits(grads.wrt(x)))
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! under `bench_results/` for EXPERIMENTS.md. The other binaries are gates
 //! with their own flags: `equivalence` (bit-identity across backends and
 //! worker counts), `backend_matmul` (GEMM timings) and `dist_scaling`
-//! (modeled and measured distributed scaling). Criterion benches of the
-//! hot paths live under `benches/`.
+//! (modeled and measured distributed scaling). `benches/obs_overhead.rs`
+//! asserts the disabled-instrumentation overhead bound.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

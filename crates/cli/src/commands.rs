@@ -206,6 +206,13 @@ pub fn train(args: &Args) -> Result<(), String> {
         .with_hidden(args.get_or("hidden", 32usize)?)
         .with_layers(args.get_or("layers", 2usize)?)
         .with_heads(4);
+    cfg.validate().map_err(|e| format!("invalid model: {e}"))?;
+    let lr = args.get_or("lr", 5e-3f32)?;
+    if !(lr.is_finite() && lr > 0.0) {
+        return Err(format!(
+            "invalid value for --lr: {lr} (must be finite and > 0)"
+        ));
+    }
     // --threads 0 = auto (the hardware); parallel paths
     // are bit-deterministic, so the history is identical for every value.
     let threads = args.get_or("threads", 1usize)?;
@@ -219,7 +226,7 @@ pub fn train(args: &Args) -> Result<(), String> {
     let trainer = Trainer::new(engine)
         .with_epochs(args.get_or("epochs", 5usize)?)
         .with_batch_size(batch)
-        .with_lr(args.get_or("lr", 5e-3f32)?)
+        .with_lr(lr)
         .with_parallelism(mega_core::Parallelism::with_threads(threads))
         .with_backend(backend);
     // Passing --workers (any N >= 1, including 1) routes the run through the
@@ -316,6 +323,7 @@ pub fn profile(args: &Args) -> Result<(), String> {
         .with_hidden(hidden)
         .with_layers(2)
         .with_heads(4);
+    cfg.validate().map_err(|e| format!("invalid model: {e}"))?;
 
     mega_obs::reset();
     mega_obs::set_enabled(true);
@@ -423,5 +431,32 @@ mod tests {
         assert_eq!(err, "option `--epochs` for `train` needs a value");
         // `--quiet` is accepted everywhere.
         assert_eq!(stats(&parse("--dataset zinc --quiet")), Ok(()));
+    }
+
+    #[test]
+    fn bad_model_flags_are_typed_errors() {
+        type Command = fn(&Args) -> Result<(), String>;
+        let parse = |argv: &str| Args::parse(argv.split_whitespace().map(String::from));
+        let heads = "invalid model: heads 4 must divide hidden_dim 30";
+        for (command, argv, want) in [
+            (train as Command, "--model gt --hidden 30", heads),
+            (profile, "--hidden 30", heads),
+            (
+                train,
+                "--hidden 0",
+                "invalid model: hidden_dim must be at least 1",
+            ),
+            (
+                train,
+                "--layers 0",
+                "invalid model: layers must be at least 1",
+            ),
+        ] {
+            assert_eq!(command(&parse(argv)), Err(want.to_string()), "{argv}");
+        }
+        for (lr, shown) in [("nan", "NaN"), ("inf", "inf"), ("-1", "-1"), ("0", "0")] {
+            let want = format!("invalid value for --lr: {shown} (must be finite and > 0)");
+            assert_eq!(train(&parse(&format!("--lr {lr}"))), Err(want));
+        }
     }
 }

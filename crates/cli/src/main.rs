@@ -44,8 +44,9 @@ COMMANDS:
                               kernel into the metrics registry (see
                               `mega report`).
         --epochs N            (default 5)   --batch N   (default 32)
-        --hidden N            (default 32)  --lr F      (default 0.005)
-        --layers N            (default 2)
+        --hidden N            (default 32; gt/gat run 4 heads, so a
+                              multiple of 4)
+        --layers N            (default 2)   --lr F      (default 0.005, > 0)
         --threads N           CPU worker threads for preprocessing, batching
                               and tape matmuls; 0 = auto from the
                               hardware (default 1).

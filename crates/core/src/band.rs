@@ -11,7 +11,7 @@
 //! both directions of the edge.
 
 use crate::traversal::Traversal;
-use mega_graph::{DenseAdjacency, Graph};
+use mega_graph::Graph;
 use serde::{Deserialize, Serialize};
 
 /// One active band slot: positions `(lo, hi)` carry original edge `edge`.
@@ -171,18 +171,6 @@ impl BandMask {
         }
         self.active.len() as f64 / total as f64
     }
-
-    /// Materializes the `L × L` path adjacency matrix restricted to active
-    /// band slots (symmetric). Bandwidth is ≤ ω by construction — this is the
-    /// diagonal picture of Fig. 7.
-    pub fn to_dense(&self) -> DenseAdjacency {
-        let mut adj = DenseAdjacency::zeros(self.len);
-        for s in &self.active {
-            adj.set(s.lo, s.hi, true);
-            adj.set(s.hi, s.lo, true);
-        }
-        adj
-    }
 }
 
 #[cfg(test)]
@@ -234,7 +222,6 @@ mod tests {
         for s in b.active_slots() {
             assert!(s.hi > s.lo && s.hi - s.lo <= 2);
         }
-        assert!(b.to_dense().bandwidth() <= 2);
     }
 
     #[test]
@@ -254,13 +241,6 @@ mod tests {
         }
         assert_eq!(b.slot(b.len() - 1, 1), None);
         assert_eq!(b.slot(usize::MAX, 1), None);
-    }
-
-    #[test]
-    fn dense_band_is_symmetric() {
-        let g = generate::complete(6).unwrap();
-        let (_, b) = band_for(&g, 2);
-        assert!(b.to_dense().is_symmetric());
     }
 
     #[test]

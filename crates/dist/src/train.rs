@@ -36,7 +36,7 @@ use std::sync::Arc;
 /// Trains with `workers` gradient workers and a deterministic all-reduce.
 ///
 /// Wraps a [`Trainer`] for all hyperparameters (engine, backend, parallelism,
-/// plateau protocol) and for the epoch loop itself; only the
+/// shuffle) and for the epoch loop itself; only the
 /// execution of a step's shards changes. `workers == 1` runs the identical
 /// sharded protocol on one thread, so it is the in-family oracle the
 /// multi-worker runs are bit-compared against.

@@ -277,13 +277,6 @@ pub fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Elementwise `out = a - b`.
-pub fn sub(a: &[f32], b: &[f32], out: &mut [f32]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x - y;
-    }
-}
-
 /// Elementwise (Hadamard) `out = a ⊙ b`.
 pub fn mul(a: &[f32], b: &[f32], out: &mut [f32]) {
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
@@ -350,11 +343,6 @@ pub fn unary_inplace(op: Unary, out: &mut [f32]) {
                 *o = 1.0 / (1.0 + (-*o).exp());
             }
         }
-        Unary::Tanh => {
-            for o in out.iter_mut() {
-                *o = o.tanh();
-            }
-        }
     }
 }
 
@@ -374,11 +362,6 @@ pub fn unary(op: Unary, x: &[f32], out: &mut [f32]) {
         Unary::Sigmoid => {
             for (o, &v) in out.iter_mut().zip(x) {
                 *o = 1.0 / (1.0 + (-v).exp());
-            }
-        }
-        Unary::Tanh => {
-            for (o, &v) in out.iter_mut().zip(x) {
-                *o = v.tanh();
             }
         }
     }

@@ -59,8 +59,6 @@ pub enum Unary {
     LeakyRelu(f32),
     /// `1 / (1 + e^{-x})`.
     Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
 }
 
 /// One [`Backend::gemm`] operand: a row-major slice holding the logical
@@ -155,11 +153,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Elementwise `out = a + b`.
     fn add(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
         kernels::add(a, b, out);
-    }
-
-    /// Elementwise `out = a - b`.
-    fn sub(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        kernels::sub(a, b, out);
     }
 
     /// Elementwise `out = a ⊙ b`.

@@ -119,13 +119,6 @@ impl Backend for ProfiledBackend {
         self.record("add", f, by, t);
     }
 
-    fn sub(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let t = mega_obs::timer();
-        self.inner.sub(a, b, out);
-        let (f, by) = elementwise(out.len(), 1, 2);
-        self.record("sub", f, by, t);
-    }
-
     fn mul(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
         let t = mega_obs::timer();
         self.inner.mul(a, b, out);
@@ -152,11 +145,11 @@ impl Backend for ProfiledBackend {
         self.inner.unary(op, x, out);
         // Fixed per-op flop charges so the attribution is deterministic:
         // cheap comparisons for the ReLU family, a nominal 8 for the
-        // transcendentals.
+        // sigmoid's transcendental.
         let fpe = match op {
             Unary::Relu => 1,
             Unary::LeakyRelu(_) => 2,
-            Unary::Sigmoid | Unary::Tanh => 8,
+            Unary::Sigmoid => 8,
         };
         let (f, by) = elementwise(out.len(), fpe, 1);
         self.record("unary", f, by, t);
@@ -462,7 +455,6 @@ mod tests {
         fn name(&self) -> &'static str { "counting" }
         fn gemm(&self, _: Operand<'_>, _: Operand<'_>, _: usize, _: usize, _: usize, _: Epilogue<'_>, _: &Parallelism, _: &mut [f32]) { self.hit("gemm") }
         fn add(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("add") }
-        fn sub(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("sub") }
         fn mul(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("mul") }
         fn scale(&self, _: &[f32], _: f32, _: &mut [f32]) { self.hit("scale") }
         fn add_bias_rows(&self, _: &[f32], _: &[f32], _: usize, _: usize, _: &mut [f32]) { self.hit("add_bias_rows") }
@@ -495,7 +487,6 @@ mod tests {
         let xo = Operand::RowMajor(&x);
         d.gemm(xo, xo, 2, 2, 2, Epilogue::BiasRelu(&row), &par, out);
         d.add(&x, &x, out);
-        d.sub(&x, &x, out);
         d.mul(&x, &x, out);
         d.scale(&x, 2.0, out);
         d.add_bias_rows(&x, &row, 2, 2, out);
@@ -512,7 +503,7 @@ mod tests {
         let forwarded: Vec<(&str, usize)> = calls.iter().map(|(k, v)| (*k, *v)).collect();
         let expected: Vec<(&str, usize)> = "add add_bias_rows banded_aggregate \
             banded_weight_grad gather_rows gemm mul norm scale scale_rows scatter_add_rows \
-            segment_softmax sub unary"
+            segment_softmax unary"
             .split_whitespace()
             .map(|m| (m, 1))
             .collect();

@@ -1,7 +1,7 @@
 //! Explicit-width SIMD kernels over a packed strip layout.
 //!
 //! [`SimdBackend`] is the workspace's vectorized hot path: the GEMM tiles,
-//! the elementwise family (`add`/`sub`/`mul`/`scale`, `scale_rows`,
+//! the elementwise family (`add`/`mul`/`scale`, `scale_rows`,
 //! `add_bias_rows`), the clamp-family activations, the bias and
 //! bias-ReLU GEMM epilogues, and the two inner loops of the band kernels
 //! all run on explicit-width lanes. No new dependencies: the
@@ -45,9 +45,9 @@
 //! * Elementwise lanes are independent by definition; `vmaxps(x, 0)` and
 //!   scalar `f32::max(x, 0.0)` agree on every input including `-0.0` and
 //!   NaN (both return the second operand for NaN inputs).
-//! * Transcendental activations (`sigmoid`, `tanh`) stay on the scalar
-//!   libm loops — a vectorized `exp` approximation could not be
-//!   bit-identical — so [`SimdBackend`] simply delegates those.
+//! * The transcendental activation (`sigmoid`) stays on the scalar
+//!   libm loop — a vectorized `exp` approximation could not be
+//!   bit-identical — so [`SimdBackend`] simply delegates it.
 //! * The band kernels keep the walk and the row fold of `kernels` and swap
 //!   only their two inner loops ([`BandLanes`]). The row update
 //!   `out_row += w·x_row` runs lanes across features: elements are
@@ -621,7 +621,6 @@ mod avx {
     }
 
     avx_zip!(add, _mm256_add_ps, |x: f32, y: f32| x + y);
-    avx_zip!(sub, _mm256_sub_ps, |x: f32, y: f32| x - y);
     avx_zip!(mul, _mm256_mul_ps, |x: f32, y: f32| x * y);
 
     /// `out = k · a`, broadcast multiply.
@@ -1071,15 +1070,6 @@ impl Backend for SimdBackend {
         }
     }
 
-    fn sub(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        match self.mode {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: both native modes imply AVX was detected at construction.
-            Mode::Avx | Mode::Avx512 => unsafe { avx::sub(a, b, out) },
-            Mode::Portable(w) => portable_widths!(w, zip(a, b, out, |x, y| x - y)),
-        }
-    }
-
     fn mul(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
         match self.mode {
             #[cfg(target_arch = "x86_64")]
@@ -1134,9 +1124,9 @@ impl Backend for SimdBackend {
             (Unary::LeakyRelu(s), Mode::Portable(w)) => {
                 portable_widths!(w, map(x, out, |v| if v > 0.0 { v } else { s * v }))
             }
-            // Transcendentals go through libm one element at a time; a
-            // vectorized approximation would break bit-identity.
-            (Unary::Sigmoid | Unary::Tanh, _) => kernels::unary(op, x, out),
+            // The transcendental goes through libm one element at a time;
+            // a vectorized approximation would break bit-identity.
+            (Unary::Sigmoid, _) => kernels::unary(op, x, out),
         }
     }
 
@@ -1297,9 +1287,6 @@ mod tests {
             ReferenceBackend.add(&a, &b, &mut want);
             backend.add(&a, &b, &mut got);
             assert_eq!(bits(&got), bits(&want), "add {tier}");
-            ReferenceBackend.sub(&a, &b, &mut want);
-            backend.sub(&a, &b, &mut got);
-            assert_eq!(bits(&got), bits(&want), "sub {tier}");
             ReferenceBackend.mul(&a, &b, &mut want);
             backend.mul(&a, &b, &mut got);
             assert_eq!(bits(&got), bits(&want), "mul {tier}");
@@ -1316,12 +1303,7 @@ mod tests {
             let tier = label(&backend);
             let mut want = vec![0.0f32; 67];
             let mut got = vec![0.0f32; 67];
-            for op in [
-                Unary::Relu,
-                Unary::LeakyRelu(0.2),
-                Unary::Sigmoid,
-                Unary::Tanh,
-            ] {
+            for op in [Unary::Relu, Unary::LeakyRelu(0.2), Unary::Sigmoid] {
                 ReferenceBackend.unary(op, &x, &mut want);
                 backend.unary(op, &x, &mut got);
                 assert_eq!(bits(&got), bits(&want), "{op:?} {tier}");

@@ -73,7 +73,7 @@ fn profiled_backend_is_transparent_and_deterministic() {
         let mut ew = vec![0.0f32; n * k];
         p.add(&a, &a, &mut ew);
         p.mul(&a, &a, &mut ew);
-        p.unary(Unary::Tanh, &a, &mut ew);
+        p.unary(Unary::Sigmoid, &a, &mut ew);
         let index: Vec<usize> = (0..n).map(|i| (i * 7) % n).collect();
         let mut ga = vec![0.0f32; n * k];
         p.gather_rows(&a, n, k, &index, &mut ga);
@@ -100,7 +100,7 @@ fn profiled_backend_is_transparent_and_deterministic() {
     bare.gemm(oa, ob, n, k, m, Epilogue::BiasRelu(&bias), &par, &mut want);
     assert_eq!(lr, want, "linear_relu must be bit-identical");
     let mut want_ew = vec![0.0f32; n * k];
-    bare.unary(Unary::Tanh, &a, &mut want_ew);
+    bare.unary(Unary::Sigmoid, &a, &mut want_ew);
     assert_eq!(ew, want_ew, "unary must be bit-identical");
     let index: Vec<usize> = (0..n).map(|i| (i * 7) % n).collect();
     let mut want_ga = vec![0.0f32; n * k];

@@ -105,22 +105,43 @@ impl GnnConfig {
         self
     }
 
-    /// Validates divisibility and non-zero dimensions.
+    /// Checks non-zero dimensions and, for the attention models, that the
+    /// head count divides the hidden width.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that makes the configuration unbuildable.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("hidden_dim", self.hidden_dim),
+            ("layers", self.layers),
+            ("out_dim", self.out_dim),
+            ("node_vocab", self.node_vocab),
+            ("edge_vocab", self.edge_vocab),
+        ] {
+            if value == 0 {
+                return Err(format!("{name} must be at least 1"));
+            }
+        }
+        let attention = matches!(self.kind, ModelKind::GraphTransformer | ModelKind::Gat);
+        if attention && (self.heads == 0 || !self.hidden_dim.is_multiple_of(self.heads)) {
+            return Err(format!(
+                "heads {} must divide hidden_dim {}",
+                self.heads, self.hidden_dim
+            ));
+        }
+        Ok(())
+    }
+
+    /// [`validate`](Self::validate) for the model constructors, which
+    /// take a configuration their caller built.
     ///
     /// # Panics
     ///
-    /// Panics on invalid combinations — configuration errors are programmer
-    /// errors in this workspace.
+    /// Panics with `validate`'s message on an invalid configuration.
     pub fn assert_valid(&self) {
-        assert!(self.hidden_dim > 0 && self.layers > 0 && self.out_dim > 0);
-        assert!(self.node_vocab > 0 && self.edge_vocab > 0);
-        if matches!(self.kind, ModelKind::GraphTransformer | ModelKind::Gat) {
-            assert!(
-                self.heads > 0 && self.hidden_dim.is_multiple_of(self.heads),
-                "heads {} must divide hidden_dim {}",
-                self.heads,
-                self.hidden_dim
-            );
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
     }
 }
@@ -155,5 +176,19 @@ mod tests {
             .with_hidden(30)
             .with_heads(4)
             .assert_valid();
+    }
+
+    #[test]
+    fn validate_checks_heads_only_for_attention_models() {
+        let at_30 = |kind| GnnConfig::new(kind, 8, 4, 1).with_hidden(30).validate();
+        assert_eq!(at_30(ModelKind::GatedGcn), Ok(()));
+        for kind in [ModelKind::GraphTransformer, ModelKind::Gat] {
+            assert_eq!(at_30(kind), Err("heads 4 must divide hidden_dim 30".into()));
+        }
+        let no_heads = GnnConfig::new(ModelKind::Gat, 8, 4, 1).with_heads(0);
+        assert_eq!(
+            no_heads.validate(),
+            Err("heads 0 must divide hidden_dim 32".into())
+        );
     }
 }

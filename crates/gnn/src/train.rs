@@ -17,7 +17,7 @@ use crate::parallel::preprocess_samples;
 use mega_core::{MegaConfig, Parallelism};
 use mega_datasets::{Dataset, GraphSample, Task};
 use mega_exec::{Backend, BufferPool, ReferenceBackend};
-use mega_tensor::{Adam, Optimizer, ParamId, ParamStore, Tape, Tensor, Var};
+use mega_tensor::{Adam, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -124,7 +124,7 @@ impl TrainingHistory {
 pub struct Trainer {
     /// Graphs per batch.
     pub batch_size: usize,
-    /// Epochs to run (upper bound when early stopping is enabled).
+    /// Epochs to run.
     pub epochs: usize,
     /// Adam learning rate.
     pub lr: f32,
@@ -134,13 +134,6 @@ pub struct Trainer {
     pub engine: EngineChoice,
     /// MEGA preprocessing configuration (used when `engine` is Mega).
     pub mega_config: MegaConfig,
-    /// Reduce-on-plateau: halve the learning rate after this many epochs
-    /// without validation-loss improvement (0 disables). The protocol of the
-    /// benchmark the paper builds on (Dwivedi et al.).
-    pub lr_patience: usize,
-    /// Early stopping: end the run after this many epochs without
-    /// validation-loss improvement (0 disables).
-    pub early_stop_patience: usize,
     /// Reshuffle the sample-to-batch assignment every epoch with this seed
     /// (`None` keeps the fixed dataset order). Batches are rebuilt per epoch,
     /// which for the MEGA engine re-batches precomputed index structures —
@@ -168,8 +161,6 @@ impl Trainer {
             grad_clip: 5.0,
             engine,
             mega_config: MegaConfig::default(),
-            lr_patience: 0,
-            early_stop_patience: 0,
             shuffle_seed: None,
             parallelism: Parallelism::with_threads(1),
             backend: Arc::new(ReferenceBackend),
@@ -185,18 +176,6 @@ impl Trainer {
     /// Enables per-epoch batch shuffling.
     pub fn with_shuffle(mut self, seed: u64) -> Self {
         self.shuffle_seed = Some(seed);
-        self
-    }
-
-    /// Enables reduce-on-plateau LR halving with the given patience.
-    pub fn with_lr_patience(mut self, patience: usize) -> Self {
-        self.lr_patience = patience;
-        self
-    }
-
-    /// Enables early stopping with the given patience.
-    pub fn with_early_stop(mut self, patience: usize) -> Self {
-        self.early_stop_patience = patience;
         self
     }
 
@@ -299,8 +278,6 @@ impl Trainer {
         let model = Gnn::new(&mut store, config.clone());
         let mut opt = Adam::new(self.lr);
         let mut records = Vec::with_capacity(self.epochs);
-        let mut best_val = f64::INFINITY;
-        let mut since_best = 0usize;
         let mut shuffle = self
             .shuffle_seed
             .map(|seed| (StdRng::seed_from_u64(seed), dataset.train.clone()));
@@ -383,20 +360,6 @@ impl Trainer {
                 real_seconds: start.elapsed().as_secs_f64(),
                 phases,
             });
-            // Plateau handling (the reference benchmark's protocol).
-            if val_loss < best_val - 1e-6 {
-                best_val = val_loss;
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if self.lr_patience > 0 && since_best.is_multiple_of(self.lr_patience) {
-                    let lr = opt.learning_rate() * 0.5;
-                    opt.set_learning_rate(lr);
-                }
-                if self.early_stop_patience > 0 && since_best >= self.early_stop_patience {
-                    break;
-                }
-            }
         }
 
         // Final held-out evaluation.
@@ -711,33 +674,6 @@ mod tests {
         let last = hist.records.last().unwrap();
         assert!(last.val_metric >= 0.6, "accuracy {}", last.val_metric);
         assert!(last.train_loss < hist.records[0].train_loss);
-    }
-
-    #[test]
-    fn early_stopping_cuts_the_run() {
-        let ds = zinc(&DatasetSpec::tiny(25));
-        let cfg = tiny_config(&ds, ModelKind::GatedGcn, 1);
-        // Zero LR: validation loss cannot improve after epoch 1.
-        let hist = Trainer::new(EngineChoice::Baseline)
-            .with_epochs(20)
-            .with_batch_size(8)
-            .with_lr(0.0)
-            .with_early_stop(2)
-            .run(&ds, cfg);
-        assert!(hist.records.len() <= 4, "ran {} epochs", hist.records.len());
-    }
-
-    #[test]
-    fn lr_patience_is_accepted() {
-        let ds = zinc(&DatasetSpec::tiny(26));
-        let cfg = tiny_config(&ds, ModelKind::GatedGcn, 1);
-        let hist = Trainer::new(EngineChoice::Baseline)
-            .with_epochs(4)
-            .with_batch_size(8)
-            .with_lr_patience(1)
-            .run(&ds, cfg);
-        assert_eq!(hist.records.len(), 4);
-        assert!(hist.records.iter().all(|r| r.train_loss.is_finite()));
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod algo;
 pub mod builder;
 pub mod coo;
 pub mod csr;
-pub mod dense;
 pub mod error;
 pub mod generate;
 pub mod graph;
@@ -51,7 +50,6 @@ pub mod stats;
 pub use builder::GraphBuilder;
 pub use coo::EdgeList;
 pub use csr::Csr;
-pub use dense::DenseAdjacency;
 pub use error::GraphError;
 pub use graph::{Direction, Graph, NodeId};
 pub use stats::{DatasetStats, DegreeStats};

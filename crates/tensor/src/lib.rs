@@ -11,7 +11,7 @@
 //!   scatter-add, segment softmax, segment mean) so both the DGL-style
 //!   baseline engine and MEGA's banded engine are expressible.
 //! * [`init`] — Xavier/He initializers.
-//! * [`optim`] — a parameter store with SGD and Adam.
+//! * [`optim`] — a parameter store and the Adam optimizer.
 //!
 //! # Example
 //!
@@ -36,6 +36,6 @@ pub mod optim;
 pub mod tape;
 pub mod tensor;
 
-pub use optim::{Adam, Optimizer, ParamId, ParamStore, Sgd};
+pub use optim::{Adam, ParamId, ParamStore};
 pub use tape::{Gradients, Tape, Var};
 pub use tensor::Tensor;

@@ -1,11 +1,11 @@
-//! Parameter store and optimizers (SGD, Adam).
+//! Parameter store and the Adam optimizer.
 //!
 //! Training loops in this workspace rebuild the autograd tape every step; the
 //! long-lived state — parameter tensors and optimizer moments — lives in a
 //! [`ParamStore`]. A step looks like:
 //!
 //! ```
-//! use mega_tensor::{Adam, Optimizer, ParamStore, Tape, Tensor};
+//! use mega_tensor::{Adam, ParamStore, Tape, Tensor};
 //!
 //! let mut store = ParamStore::new();
 //! let w = store.register("w", Tensor::full(2, 2, 1.0));
@@ -164,124 +164,34 @@ impl ParamStore {
     }
 }
 
-/// An optimizer updates all parameters of a store from their accumulated
-/// gradients and zeroes the gradients.
-pub trait Optimizer {
-    /// Applies one update step.
-    fn step(&mut self, store: &mut ParamStore);
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (schedulers).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Plain SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        if self.velocity.len() != store.len() {
-            self.velocity = store
-                .ids()
-                .map(|p| {
-                    let t = store.get(p);
-                    Tensor::zeros(t.rows(), t.cols())
-                })
-                .collect();
-        }
-        for (i, p) in store.ids().enumerate() {
-            let g = store.grad(p).clone();
-            let v = if self.momentum > 0.0 {
-                let v = self.velocity[i].scale(self.momentum).add(&g);
-                self.velocity[i] = v.clone();
-                v
-            } else {
-                g
-            };
-            let updated = store.get(p).sub(&v.scale(self.lr));
-            store.set(p, updated);
-        }
-        store.zero_grads();
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction.
+/// Adam (Kingma & Ba) with bias correction and the standard betas
+/// (0.9, 0.999) and eps 1e-8.
 #[derive(Debug)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     t: u32,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
 }
 
+const BETA1: f32 = 0.9;
+const BETA2: f32 = 0.999;
+const EPS: f32 = 1e-8;
+
 impl Adam {
-    /// Adam with the standard betas (0.9, 0.999) and eps 1e-8.
+    /// Adam with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
     }
 
-    /// Adam with explicit hyperparameters.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
-        Adam {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
+    /// Applies one update step to every parameter of `store` from its
+    /// accumulated gradient, then zeroes the gradients.
+    pub fn step(&mut self, store: &mut ParamStore) {
         if self.m.len() != store.len() {
             let zeros: Vec<Tensor> = store
                 .ids()
@@ -294,29 +204,19 @@ impl Optimizer for Adam {
             self.v = zeros;
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for (i, p) in store.ids().enumerate() {
             let g = store.grad(p);
-            self.m[i] = self.m[i].scale(self.beta1).add(&g.scale(1.0 - self.beta1));
-            self.v[i] = self.v[i]
-                .scale(self.beta2)
-                .add(&g.mul(g).scale(1.0 - self.beta2));
+            self.m[i] = self.m[i].scale(BETA1).add(&g.scale(1.0 - BETA1));
+            self.v[i] = self.v[i].scale(BETA2).add(&g.mul(g).scale(1.0 - BETA2));
             let mhat = self.m[i].scale(1.0 / bc1);
             let vhat = self.v[i].scale(1.0 / bc2);
-            let update = mhat.zip_map(&vhat, |mm, vv| mm / (vv.sqrt() + self.eps));
+            let update = mhat.zip_map(&vhat, |mm, vv| mm / (vv.sqrt() + EPS));
             let updated = store.get(p).sub(&update.scale(self.lr));
             store.set(p, updated);
         }
         store.zero_grads();
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -328,28 +228,14 @@ mod tests {
         // loss = mean((w - 3)^2); minimum at w = 3.
         let mut tape = Tape::new();
         let w = store.leaf(&mut tape, p);
-        let target = tape.leaf(Tensor::full(2, 2, 3.0));
-        let d = tape.sub(w, target);
+        let minus_target = tape.leaf(Tensor::full(2, 2, -3.0));
+        let d = tape.add(w, minus_target);
         let sq = tape.mul(d, d);
         let loss = tape.mean(sq);
         let lv = tape.value(loss).at(0, 0);
         let grads = tape.backward(loss);
         store.accumulate(p, grads.wrt(w));
         lv
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        let p = store.register("w", Tensor::zeros(2, 2));
-        let mut opt = Sgd::new(0.5);
-        let mut last = f32::MAX;
-        for _ in 0..50 {
-            last = quadratic_step(&mut store, p);
-            opt.step(&mut store);
-        }
-        assert!(last < 1e-4, "loss {last}");
-        assert!((store.get(p).at(0, 0) - 3.0).abs() < 0.01);
     }
 
     #[test]
@@ -363,23 +249,6 @@ mod tests {
             opt.step(&mut store);
         }
         assert!(last < 1e-3, "loss {last}");
-    }
-
-    #[test]
-    fn momentum_accelerates_sgd() {
-        let run = |mut opt: Sgd| {
-            let mut store = ParamStore::new();
-            let p = store.register("w", Tensor::zeros(2, 2));
-            let mut last = 0.0;
-            for _ in 0..10 {
-                last = quadratic_step(&mut store, p);
-                opt.step(&mut store);
-            }
-            last
-        };
-        let plain = run(Sgd::new(0.05));
-        let momo = run(Sgd::with_momentum(0.05, 0.9));
-        assert!(momo < plain);
     }
 
     #[test]

@@ -53,15 +53,12 @@ enum Op {
         relu: bool,
     },
     Add(Var, Var),
-    Sub(Var, Var),
     Mul(Var, Var),
     AddRow(Var, Var),
     Scale(Var, f32),
     Relu(Var),
     LeakyRelu(Var, f32),
-    Dropout(Var, Arc<Vec<bool>>, f32),
     Sigmoid(Var),
-    Tanh(Var),
     Sum(Var),
     Mean(Var),
     DivEps(Var, Var, f32),
@@ -88,15 +85,12 @@ impl Op {
             Op::Linear { relu: false, .. } => "linear",
             Op::Linear { relu: true, .. } => "linear_relu",
             Op::Add(..) => "add",
-            Op::Sub(..) => "sub",
             Op::Mul(..) => "mul",
             Op::AddRow(..) => "add_row",
             Op::Scale(..) => "scale",
             Op::Relu(..) => "relu",
             Op::LeakyRelu(..) => "leaky_relu",
-            Op::Dropout(..) => "dropout",
             Op::Sigmoid(..) => "sigmoid",
-            Op::Tanh(..) => "tanh",
             Op::Sum(..) => "sum",
             Op::Mean(..) => "mean",
             Op::DivEps(..) => "div_eps",
@@ -368,11 +362,6 @@ impl Tape {
         self.elementwise_op(a, b, Op::Add(a, b))
     }
 
-    /// Elementwise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        self.elementwise_op(a, b, Op::Sub(a, b))
-    }
-
     /// Elementwise product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         self.elementwise_op(a, b, Op::Mul(a, b))
@@ -412,41 +401,9 @@ impl Tape {
         self.unary_op(a, Op::LeakyRelu(a, slope))
     }
 
-    /// Inverted dropout with a precomputed keep-mask: kept elements are
-    /// scaled by `1 / keep_prob`, dropped elements become zero. The caller
-    /// supplies the mask so training loops control the randomness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask length differs from the element count or
-    /// `keep_prob` is not in `(0, 1]`.
-    pub fn dropout(&mut self, a: Var, mask: Arc<Vec<bool>>, keep_prob: f32) -> Var {
-        let (r, c) = self.dims(a);
-        assert_eq!(mask.len(), r * c, "one mask bit per element");
-        assert!(
-            keep_prob > 0.0 && keep_prob <= 1.0,
-            "keep_prob must be in (0, 1]"
-        );
-        let inv = 1.0 / keep_prob;
-        let mut out = self.out_buf(r, c);
-        for ((o, &x), &keep) in out
-            .iter_mut()
-            .zip(self.value(a).as_slice())
-            .zip(mask.iter())
-        {
-            *o = if keep { x * inv } else { 0.0 };
-        }
-        self.push_value(Tensor::from_vec(r, c, out), Op::Dropout(a, mask, keep_prob))
-    }
-
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         self.unary_op(a, Op::Sigmoid(a))
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        self.unary_op(a, Op::Tanh(a))
     }
 
     /// Sum of all elements (scalar `1 × 1`).
@@ -674,8 +631,8 @@ impl Tape {
     }
 
     /// Runs the backend kernel of `op`, whose output is `rows × cols`.
-    /// Ops computed inline by their op method (losses, reductions, dropout,
-    /// concat) never come through here.
+    /// Ops computed inline by their op method (losses, reductions, concat)
+    /// never come through here.
     fn execute(&self, op: &Op, rows: usize, cols: usize) -> Tensor {
         match op {
             Op::MatMul(a, b) => self.execute_gemm(*a, *b, Epilogue::None),
@@ -690,15 +647,6 @@ impl Tape {
             Op::Add(a, b) => {
                 let mut out = self.out_buf(rows, cols);
                 self.backend.add(
-                    self.value(*a).as_slice(),
-                    self.value(*b).as_slice(),
-                    &mut out,
-                );
-                Tensor::from_vec(rows, cols, out)
-            }
-            Op::Sub(a, b) => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend.sub(
                     self.value(*a).as_slice(),
                     self.value(*b).as_slice(),
                     &mut out,
@@ -733,7 +681,6 @@ impl Tape {
             Op::Relu(a) => self.execute_unary(*a, Unary::Relu, rows, cols),
             Op::LeakyRelu(a, slope) => self.execute_unary(*a, Unary::LeakyRelu(*slope), rows, cols),
             Op::Sigmoid(a) => self.execute_unary(*a, Unary::Sigmoid, rows, cols),
-            Op::Tanh(a) => self.execute_unary(*a, Unary::Tanh, rows, cols),
             Op::GatherRows(a, index) => {
                 let x = self.value(*a);
                 let mut out = self.out_buf(rows, cols);
@@ -776,7 +723,6 @@ impl Tape {
                 self.execute_norm(NormKind::Batch, *a, *gamma, *beta, *eps, Some(Unary::Relu))
             }
             Op::Leaf
-            | Op::Dropout(..)
             | Op::Sum(..)
             | Op::Mean(..)
             | Op::DivEps(..)
@@ -1067,13 +1013,6 @@ impl Tape {
                     self.accumulate(grads, *a, Cow::Borrowed(&g));
                     self.accumulate(grads, *b, Cow::Owned(g));
                 }
-                Op::Sub(a, b) => {
-                    self.accumulate(grads, *a, Cow::Borrowed(&g));
-                    for v in g.iter_mut() {
-                        *v *= -1.0;
-                    }
-                    self.accumulate(grads, *b, Cow::Owned(g));
-                }
                 Op::Mul(a, b) => {
                     let mut db = self.pool.acquire_for_overwrite(g.len());
                     for ((o, &gv), &x) in db.iter_mut().zip(&g).zip(self.value(*a).as_slice()) {
@@ -1106,22 +1045,9 @@ impl Tape {
                     }
                     self.accumulate(grads, *a, Cow::Owned(g));
                 }
-                Op::Dropout(a, mask, keep_prob) => {
-                    let inv = 1.0 / keep_prob;
-                    for (gv, &keep) in g.iter_mut().zip(mask.iter()) {
-                        *gv = if keep { *gv * inv } else { 0.0 };
-                    }
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                }
                 Op::Sigmoid(a) => {
                     for (gv, &s) in g.iter_mut().zip(node.value.as_slice()) {
                         *gv = *gv * s * (1.0 - s);
-                    }
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                }
-                Op::Tanh(a) => {
-                    for (gv, &t) in g.iter_mut().zip(node.value.as_slice()) {
-                        *gv *= 1.0 - t * t;
                     }
                     self.accumulate(grads, *a, Cow::Owned(g));
                 }
@@ -1809,18 +1735,17 @@ mod tests {
             let h = t.add_row(xw, b);
             let r = t.linear_relu(h, w, b);
             let m = t.mul(h, r);
-            let d = t.sub(m, x);
-            let dh = t.mul(d, h);
+            let dh = t.mul(m, h);
             let score = t.row_block_sums(dh, 1);
             let att = t.segment_softmax(score, Arc::new(vec![0, 0, 1, 1, 1, 2, 3, 3]), 4);
-            let weighted = t.mul_col_broadcast(d, att);
+            let weighted = t.mul_col_broadcast(m, att);
             let idx = Arc::new(vec![7usize, 0, 3, 3, 1, 6, 2, 5]);
             let moved = t.gather_rows(weighted, idx.clone());
             let agg = t.scatter_add_rows(moved, idx, 8);
             let ln = t.layer_norm(agg, gamma, beta, 1e-5);
             let bn = t.batch_norm_relu(ln, gamma, beta, 1e-5);
             let cat = t.concat_cols(&[bn, h]);
-            let act = t.tanh(cat);
+            let act = t.sigmoid(cat);
             let loss = t.mean(act);
             let grads = t.backward(loss);
             assert!(grads.wrt(w).norm() > 0.0);
@@ -1871,14 +1796,6 @@ mod tests {
             sample(2, 3, 4),
             |t, x| {
                 let y = t.sigmoid(x);
-                t.sum(y)
-            },
-            1e-2,
-        );
-        check_grad(
-            sample(2, 3, 5),
-            |t, x| {
-                let y = t.tanh(x);
                 t.sum(y)
             },
             1e-2,
@@ -2071,26 +1988,6 @@ mod tests {
     }
 
     #[test]
-    fn dropout_forward_and_grad() {
-        let mask = Arc::new(vec![true, false, true, true]);
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::from_rows(&[&[2.0, 2.0], &[2.0, 2.0]]));
-        let y = tape.dropout(x, mask.clone(), 0.5);
-        assert_eq!(tape.value(y).as_slice(), &[4.0, 0.0, 4.0, 4.0]);
-        let loss = tape.sum(y);
-        let grads = tape.backward(loss);
-        assert_eq!(grads.wrt(x).as_slice(), &[2.0, 0.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one mask bit per element")]
-    fn dropout_mask_length_checked() {
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::zeros(2, 2));
-        tape.dropout(x, Arc::new(vec![true]), 0.5);
-    }
-
-    #[test]
     fn grad_losses() {
         let target = sample(3, 1, 19);
         check_grad(
@@ -2122,14 +2019,14 @@ mod tests {
     }
 
     #[test]
-    fn grad_scale_rows_and_sub() {
+    fn grad_scale_rows() {
         let f = Arc::new(vec![0.5f32, 2.0, -1.0]);
         check_grad(
             sample(3, 2, 25),
             move |t, x| {
                 let y = t.scale_rows(x, f.clone());
                 let o = t.leaf(sample(3, 2, 26));
-                let d = t.sub(y, o);
+                let d = t.add(y, o);
                 let sq = t.mul(d, d);
                 t.mean(sq)
             },

@@ -76,8 +76,7 @@ fn scaling_model_prefers_path_partition() {
     }
 }
 
-/// Training protocol extensions hold together: shuffle + LR patience + early
-/// stop in one run.
+/// The per-epoch reshuffle trains under the MEGA engine.
 #[test]
 fn full_protocol_run() {
     let ds = zinc(&DatasetSpec::tiny(6));
@@ -88,8 +87,6 @@ fn full_protocol_run() {
         .with_epochs(6)
         .with_batch_size(8)
         .with_shuffle(7)
-        .with_lr_patience(2)
-        .with_early_stop(4)
         .run(&ds, cfg);
     assert!(!hist.records.is_empty() && hist.records.len() <= 6);
     assert!(hist.best_val_loss().is_finite());

@@ -3,12 +3,14 @@
 use crate::args::Args;
 use mega_core::{preprocess as mega_preprocess, MegaConfig, WindowPolicy};
 use mega_datasets::{aqsol, csl, cycles, zinc, Dataset, DatasetSpec, Task};
+use mega_exec::{ProfiledBackend, ReferenceBackend};
 use mega_gnn::{EngineChoice, GnnConfig, ModelKind, Trainer};
 use mega_graph::{io, Direction};
 use mega_obs::{data, info};
 use mega_wl::{global_similarity, path_similarity};
 use std::fs::File;
 use std::io::BufReader;
+use std::sync::Arc;
 
 /// Whether `--trace-out` / `--metrics-out` ask for instrumented output.
 fn wants_obs(args: &Args) -> bool {
@@ -293,10 +295,12 @@ pub fn train(args: &Args) -> Result<(), String> {
 /// `mega profile` — instrumented training run plus simulated GTX 1080
 /// kernel tables, for both engines.
 ///
-/// Trains `--epochs` epochs under full observability, bridges the
-/// simulated-GPU kernel statistics into the same registry
-/// (`gpusim.dgl.*` / `gpusim.mega.*`), and prints a span tree showing
-/// where host time went. `--trace-out` / `--metrics-out` export the run.
+/// Trains `--epochs` epochs under full observability on the `profiled`
+/// backend (so every kernel call lands in `exec.profiled.*` for `mega
+/// report`'s roofline), bridges the simulated-GPU kernel statistics into the
+/// same registry (`gpusim.dgl.*` / `gpusim.mega.*`), and prints a span tree
+/// showing where host time went. `--trace-out` / `--metrics-out` export the
+/// run.
 pub fn profile(args: &Args) -> Result<(), String> {
     args.accept_only(
         "profile",
@@ -350,7 +354,8 @@ pub fn profile(args: &Args) -> Result<(), String> {
         let trainer = Trainer::new(engine)
             .with_epochs(epochs)
             .with_batch_size(batch)
-            .with_parallelism(mega_core::Parallelism::with_threads(threads));
+            .with_parallelism(mega_core::Parallelism::with_threads(threads))
+            .with_backend(Arc::new(ProfiledBackend::new(Arc::new(ReferenceBackend))));
         let hist = trainer.run(&ds, cfg.clone());
         data!(
             "trained {epochs} epochs: final train-loss {:.4} | host phases/epoch \

@@ -31,11 +31,12 @@
 //! 6. swap `x ↔ y` — the received halo doubles as the next step's input
 //!    halo, so each row crosses the wire exactly once per step.
 //!
-//! Per-row folds replay the serial kernel's slot order exactly
-//! (`mega_exec::kernels::banded_aggregate_segment`), so no float is ever
-//! re-associated; determinism does not depend on scheduling. [`run_serial`]
-//! is the same evolution on the slot walk itself — the one-worker engine, and
-//! an oracle that shares no loop with the workers' row fold.
+//! Each worker's clipped walk gives every row it owns the serial kernel's
+//! updates in its slot order (`mega_exec::kernels::banded_aggregate_segment`),
+//! so no float is ever re-associated; determinism does not depend on
+//! scheduling. [`run_serial`] is the same evolution on the slot walk itself —
+//! the one-worker engine, and an oracle that shares no loop with the
+//! workers' clipped walk.
 
 use mega_core::{BandMask, Chunk, ChunkPlan};
 use mega_exec::kernels::{self, BandLanes};

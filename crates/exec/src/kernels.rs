@@ -8,13 +8,20 @@
 //! parallel variants replay the serial order per owned output row so results
 //! are bit-identical for every thread count.
 //!
-//! The band engine is two loops, each written once: the *slot walk*
-//! (`banded_*_serial`) visits the active slots in order and is both the
-//! reference and the one-worker kernel; the *row fold* (`banded_*_segment`)
-//! replays it for the rows a worker owns, addressed through slabs so the
-//! intra-op kernels and the distributed workers share it. Both take their
-//! two inner loops as a [`BandLanes`]: [`BandLanes::SCALAR`] here, a SIMD
-//! tier's lanes from `SimdBackend`, the same bits either way.
+//! The band engine is one *slot walk*, written once and generic over where
+//! a path position's row lives and over each slot's per-direction, per-head
+//! weights. Its band-engine instance (`banded_aggregate_serial`: one row per
+//! position, one symmetric weight per edge, one head) is both the reference
+//! and the one-worker kernel; the *clipped walk* (`banded_*_segment`) makes
+//! only the updates that land in the rows a worker owns, addressed through
+//! slabs so the intra-op kernels and the distributed workers share it; its
+//! attention instance (`band_attend`: node rows through a position → node
+//! map, per-message, per-head weights) aggregates a Graph Transformer layer
+//! on a MEGA batch, beside the three per-message passes it needs
+//! (`band_edge_scores`, `band_edge_scores_grad`, `band_attend_weight_grad`).
+//! The walks take their two inner loops as a [`BandLanes`]:
+//! [`BandLanes::SCALAR`] here, a SIMD tier's lanes from `SimdBackend`, the
+//! same bits either way.
 //!
 //! Output conventions: `out` is the caller's, has exactly the output length
 //! and is written in place. Kernels that accumulate (`scatter_add_rows`,
@@ -567,8 +574,8 @@ pub fn batch_norm(
     }
 }
 
-/// The two inner loops of the band engine, as the walk, the row fold and
-/// the segment kernels call them. Those loops are written once and do all
+/// The two inner loops of the band engine, as the walks and the segment
+/// kernels call them. Those loops are written once and do all
 /// their arithmetic through these two, so a backend chooses how the
 /// arithmetic runs — scalar or on SIMD lanes — never which terms meet in
 /// which order.
@@ -662,6 +669,127 @@ fn assert_path_rows(band: &BandMask, dim: usize, name: &str, buf: &[f32]) {
     );
 }
 
+/// Where a slot walk finds the row of a path position, in every buffer it
+/// reads and writes.
+trait PathRows {
+    /// Whether `row(lo) < row(hi)` for every slot, so that a slot's two rows
+    /// split the output without a comparison.
+    const ASCENDING: bool;
+    /// The row of path position `pos`.
+    fn row_at(&self, pos: usize) -> usize;
+}
+
+/// One row per path position: the band engine's own layout.
+struct PathOrder;
+
+impl PathRows for PathOrder {
+    const ASCENDING: bool = true;
+    #[inline(always)]
+    fn row_at(&self, pos: usize) -> usize {
+        pos
+    }
+}
+
+/// A batch's position → node map: position `p` reads and writes node row
+/// `self[p]`, and a revisited node sits at several positions.
+impl PathRows for [usize] {
+    const ASCENDING: bool = false;
+    #[inline(always)]
+    fn row_at(&self, pos: usize) -> usize {
+        self[pos]
+    }
+}
+
+/// The weights of a slot walk, per slot, per direction and per head.
+trait SlotWeights {
+    /// Heads: head `h` weights the `h`-th of `heads` equal column blocks.
+    fn heads(&self) -> usize;
+    /// The weight with which slot `j` (`s`) adds its `hi` row into its `lo`
+    /// row (`into_lo`) or its `lo` row into its `hi` row, for head `h`.
+    fn weight(&self, j: usize, s: &BandSlot, into_lo: bool, h: usize) -> f32;
+}
+
+/// One weight per working-graph edge, the same both ways, one head: the
+/// symmetric `A` of [`banded_aggregate`].
+struct EdgeWeights<'a>(&'a [f32]);
+
+impl SlotWeights for EdgeWeights<'_> {
+    #[inline(always)]
+    fn heads(&self) -> usize {
+        1
+    }
+    #[inline(always)]
+    fn weight(&self, _: usize, s: &BandSlot, _: bool, _: usize) -> f32 {
+        self.0[s.edge]
+    }
+}
+
+/// Attention weights, one row of `heads` per message ([`BandRoute`]): the
+/// message `hi → lo` (`2j + 1`) weights slot `j`'s update into `lo`, and
+/// `lo → hi` (`2j`) the one into `hi`. `transposed` swaps the two, which is
+/// the walk of the backward pass: there each message carries gradient from
+/// its destination back to its source.
+struct MessageWeights<'a> {
+    attn: &'a [f32],
+    heads: usize,
+    transposed: bool,
+}
+
+impl SlotWeights for MessageWeights<'_> {
+    #[inline(always)]
+    fn heads(&self) -> usize {
+        self.heads
+    }
+    #[inline(always)]
+    fn weight(&self, j: usize, _: &BandSlot, into_lo: bool, h: usize) -> f32 {
+        let msg = 2 * j + usize::from(into_lo != self.transposed);
+        self.attn[msg * self.heads + h]
+    }
+}
+
+/// The slot walk, written once: every slot `j` of `slots`, in order, adds
+/// `w · x[row(hi)]` into `out[row(lo)]` and `w · x[row(lo)]` into
+/// `out[row(hi)]`, head block by head block, with `w` the slot's weight for
+/// that direction and head. A slot's two rows are distinct (no slot joins a
+/// position to one carrying the same node), so its updates touch different
+/// rows and their order within the slot changes no bit; across slots each
+/// row takes its updates in slot order. The band engine's walk is the
+/// [`PathOrder`], [`EdgeWeights`] instance — one head, so one row update per
+/// direction, the loop it has always been.
+fn slot_walk<R: PathRows + ?Sized, W: SlotWeights>(
+    lanes: BandLanes,
+    slots: &[BandSlot],
+    rows: &R,
+    weights: &W,
+    x: &[f32],
+    dim: usize,
+    out: &mut [f32],
+) {
+    let heads = weights.heads();
+    debug_assert!(
+        heads > 0 && dim.is_multiple_of(heads),
+        "heads must divide dim"
+    );
+    let width = dim / heads;
+    for (j, s) in slots.iter().enumerate() {
+        let (lo, hi) = (rows.row_at(s.lo), rows.row_at(s.hi));
+        let (out_lo, out_hi) = if R::ASCENDING || lo < hi {
+            two_rows(out, lo, hi, dim)
+        } else {
+            let (out_hi, out_lo) = two_rows(out, hi, lo, dim);
+            (out_lo, out_hi)
+        };
+        let (x_lo, x_hi) = (row(x, lo, dim), row(x, hi, dim));
+        for h in 0..heads {
+            let cols = h * width..(h + 1) * width;
+            let w_lo = weights.weight(j, s, true, h);
+            (lanes.row_update)(w_lo, &x_hi[cols.clone()], &mut out_lo[cols.clone()]);
+            let w_hi = weights.weight(j, s, false, h);
+            (lanes.row_update)(w_hi, &x_lo[cols.clone()], &mut out_hi[cols]);
+        }
+    }
+}
+
 /// The slot walk — the reference every band test compares against *and* the
 /// one-worker kernel: masked banded aggregation into the caller's zeroed
 /// `L × dim` buffer `out`.
@@ -688,27 +816,25 @@ pub fn banded_aggregate_serial(
 ) {
     assert_path_rows(band, dim, "x", x);
     assert_path_rows(band, dim, "out", out);
-    for s in band.active_slots() {
-        let w = weights[s.edge];
-        let (out_lo, out_hi) = two_rows(out, s.lo, s.hi, dim);
-        (lanes.row_update)(w, row(x, s.hi, dim), out_lo);
-        (lanes.row_update)(w, row(x, s.lo, dim), out_hi);
-    }
+    let weights = EdgeWeights(weights);
+    slot_walk(
+        lanes,
+        band.active_slots(),
+        &PathOrder,
+        &weights,
+        x,
+        dim,
+        out,
+    );
 }
 
-/// The row fold — the slot walk replayed per output row: rows
-/// `[row_lo, row_hi)` of `chunk`'s owned range, each accumulated in exactly
-/// the order [`banded_aggregate_serial`] reaches it. For row `r` that is
-/// first the slots `(lo, r)` with `lo` ascending in `[r - ω, r)` (row `r` is
-/// the `hi` side), then the slots `(r, r + k)` with `k` ascending (row `r` is
-/// the `lo` side). Nobody else touches a row's accumulator, so chunks can run
-/// concurrently.
-///
-/// Both kinds are read off `band.active_slots()`, sorted by `(lo, offset)`,
-/// with two cursors: the slots whose `lo` lies in `[r - ω, r)` — among them,
-/// in ascending `lo`, the ones with `hi == r` — and row `r`'s own run of
-/// slots, which follows them in the list. No mask is probed; each slot is
-/// looked at by at most ω + 1 rows.
+/// The clipped walk — the slot walk restricted to the output rows
+/// `[row_lo, row_hi)` of `chunk`'s owned range: it visits, in the walk's
+/// order, every slot that can touch one of those rows (those whose `lo` lies
+/// in `[row_lo - ω, row_hi)`) and makes only the updates that land in the
+/// range. Each row therefore takes exactly the walk's updates in the walk's
+/// order, and nobody else touches it, so chunks can run concurrently. Per
+/// slot it costs the walk's two row updates or fewer plus two comparisons.
 ///
 /// `x` and `out` are *slabs*: `x` covers global path rows from `x_base` and
 /// `out` from `out_base`. [`banded_aggregate_with_plan`] passes the whole `x`
@@ -719,7 +845,7 @@ pub fn banded_aggregate_serial(
 /// # Panics
 ///
 /// Panics if the requested rows fall outside `chunk`'s owned range or the
-/// slabs do not cover the rows the fold touches.
+/// slabs do not cover the rows the walk touches.
 #[allow(clippy::too_many_arguments)]
 pub fn banded_aggregate_segment(
     lanes: BandLanes,
@@ -752,24 +878,21 @@ pub fn banded_aggregate_segment(
         "out slab does not cover rows [{row_lo}, {row_hi})"
     );
     let (slots, w_max) = (band.active_slots(), band.window());
-    // `slots[back..own]` are the slots with `lo` in `[r - ω, r)`.
-    let mut back = slots.partition_point(|s| s.lo + w_max < row_lo);
-    let mut own = slots.partition_point(|s| s.lo < row_lo);
-    for r in row_lo..row_hi {
-        let out_row = &mut out[(r - out_base) * dim..(r - out_base + 1) * dim];
-        while back < own && slots[back].lo + w_max < r {
-            back += 1;
-        }
-        for s in slots[back..own].iter().filter(|s| s.hi == r) {
-            check_read(chunk, s.lo);
-            (lanes.row_update)(weights[s.edge], row(x, s.lo - x_base, dim), out_row);
-        }
-        let run = slots[own..].iter().take_while(|s| s.lo == r).count();
-        for s in &slots[own..own + run] {
+    let first = slots.partition_point(|s| s.lo + w_max < row_lo);
+    let end = slots.partition_point(|s| s.lo < row_hi);
+    let owned = row_lo..row_hi;
+    for s in &slots[first..end] {
+        let w = weights[s.edge];
+        if owned.contains(&s.lo) {
             check_read(chunk, s.hi);
-            (lanes.row_update)(weights[s.edge], row(x, s.hi - x_base, dim), out_row);
+            let out_row = &mut out[(s.lo - out_base) * dim..(s.lo - out_base + 1) * dim];
+            (lanes.row_update)(w, row(x, s.hi - x_base, dim), out_row);
         }
-        own += run;
+        if owned.contains(&s.hi) {
+            check_read(chunk, s.lo);
+            let out_row = &mut out[(s.hi - out_base) * dim..(s.hi - out_base + 1) * dim];
+            (lanes.row_update)(w, row(x, s.lo - x_base, dim), out_row);
+        }
     }
 }
 
@@ -777,11 +900,10 @@ pub fn banded_aggregate_segment(
 /// `L × dim` buffer `out` — bit-identical to [`banded_aggregate_serial`] for
 /// every worker count.
 ///
-/// One worker runs the slot walk itself; more than one replay it per row
-/// ([`banded_aggregate_segment`]) over the one-chunk-per-worker plan. The
-/// choice reads only `par.effective_threads()`: on one thread the walk is
-/// the faster loop, and only the fold can be split (DESIGN §4c has both
-/// measurements).
+/// One worker runs the slot walk itself; more than one run its clipped walk
+/// ([`banded_aggregate_segment`]) over the one-chunk-per-worker plan, each
+/// for the rows it owns. The choice reads only `par.effective_threads()`:
+/// on one thread the plain walk skips the clipping and the plan.
 ///
 /// # Panics
 ///
@@ -803,7 +925,7 @@ pub fn banded_aggregate(
     banded_aggregate_with_plan(lanes, band, x, dim, weights, &plan, out);
 }
 
-/// [`banded_aggregate`]'s row fold over an explicit, caller-supplied
+/// [`banded_aggregate`]'s clipped walks over an explicit, caller-supplied
 /// [`ChunkPlan`]: one job per chunk ([`join_workers`]), each writing its
 /// owned rows straight into its disjoint slice of `out`.
 ///
@@ -1026,5 +1148,184 @@ pub fn banded_weight_grad_with_plan(
     join_workers(jobs);
     for (s, &v) in slots.iter().zip(&by_slot) {
         out[s.edge] = v;
+    }
+}
+
+/// A band over a batch's path positions, read through the position → node
+/// map: the operand of the attention form of the slot walk.
+///
+/// Slot `j` carries two messages: `2j` runs `lo → hi` (its source is the
+/// node at position `lo`, its destination the node at `hi`) and `2j + 1`
+/// runs `hi → lo`. A message tensor has one row per message in that order,
+/// a node tensor one row per node.
+#[derive(Debug, Clone, Copy)]
+pub struct BandRoute<'a> {
+    /// The active slots over the batch's path positions, ascending.
+    pub slots: &'a [BandSlot],
+    /// The node row of each path position.
+    pub rows: &'a [usize],
+}
+
+impl BandRoute<'_> {
+    /// Number of messages: two per slot.
+    pub fn message_count(&self) -> usize {
+        2 * self.slots.len()
+    }
+
+    /// `(source row, destination row)` of every message, in message order.
+    fn messages(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.slots.iter().flat_map(move |s| {
+            let (lo, hi) = (self.rows[s.lo], self.rows[s.hi]);
+            [(lo, hi), (hi, lo)]
+        })
+    }
+}
+
+/// Graph Transformer edge scores over a band: row `i` of `out` (`m × dim`)
+/// is `((q[dst] ⊙ k[src]) ⊙ ee[i]) · scale` for message `i` from `src` to
+/// `dst`, `q` and `k` being node rows and `ee` message rows. Each element
+/// takes the roundings of the `mul`, `mul`, `scale` chain it replaces, in
+/// that order, so the output is that chain's on gathered rows, bit for bit.
+/// `out` is write-only.
+pub fn band_edge_scores(
+    route: BandRoute<'_>,
+    q: &[f32],
+    k: &[f32],
+    ee: &[f32],
+    dim: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    let _span = mega_obs::span("band_edge_scores");
+    debug_assert_eq!(ee.len(), route.message_count() * dim, "ee must be m x dim");
+    debug_assert_eq!(out.len(), ee.len(), "out must be m x dim");
+    // `max(1)`: a zero-width tensor has no rows to chunk.
+    let rows = out
+        .chunks_exact_mut(dim.max(1))
+        .zip(ee.chunks_exact(dim.max(1)));
+    for ((src, dst), (o_row, e_row)) in route.messages().zip(rows) {
+        let (q_row, k_row) = (row(q, dst, dim), row(k, src, dim));
+        for (((o, &qv), &kv), &ev) in o_row.iter_mut().zip(q_row).zip(k_row).zip(e_row) {
+            *o = ((qv * kv) * ev) * scale;
+        }
+    }
+}
+
+/// The backward pass of [`band_edge_scores`] for the upstream gradient `g`
+/// (`m × dim`), which is rewritten in place into the gradient with respect to
+/// `ee`; the gradients with respect to `q` and `k` are added into the zeroed
+/// node-row buffers `dq` and `dk`.
+///
+/// Per element the products are those of the unfused chain's backward arms
+/// (`gs = g · scale`, `dee = gs · (q ⊙ k)`, `dq += (gs · ee) · k`,
+/// `dk += (gs · ee) · q`), so `dee` keeps its bits. `dq` and `dk` sum each
+/// node's messages in message order straight into its row, where the chain
+/// first summed them per path position: the grouping of the sums is all
+/// that differs.
+#[allow(clippy::too_many_arguments)]
+pub fn band_edge_scores_grad(
+    route: BandRoute<'_>,
+    q: &[f32],
+    k: &[f32],
+    ee: &[f32],
+    dim: usize,
+    scale: f32,
+    g: &mut [f32],
+    dq: &mut [f32],
+    dk: &mut [f32],
+) {
+    let _span = mega_obs::span("band_edge_scores_grad");
+    debug_assert_eq!(g.len(), route.message_count() * dim, "g must be m x dim");
+    debug_assert_eq!(ee.len(), g.len(), "ee must be m x dim");
+    debug_assert_eq!((dq.len(), dk.len()), (q.len(), k.len()), "node-row grads");
+    let rows = g
+        .chunks_exact_mut(dim.max(1))
+        .zip(ee.chunks_exact(dim.max(1)));
+    for ((src, dst), (g_row, e_row)) in route.messages().zip(rows) {
+        let (q_row, k_row) = (row(q, dst, dim), row(k, src, dim));
+        let dq_row = &mut dq[dst * dim..(dst + 1) * dim];
+        let dk_row = &mut dk[src * dim..(src + 1) * dim];
+        for c in 0..dim {
+            let gs = g_row[c] * scale;
+            let dqk = gs * e_row[c];
+            g_row[c] = gs * (q_row[c] * k_row[c]);
+            dq_row[c] += dqk * k_row[c];
+            dk_row[c] += dqk * q_row[c];
+        }
+    }
+}
+
+/// The attention form of the slot walk: for every message, `attn`'s weight
+/// of each head times the head's block of the source's `x` row, added into
+/// the destination's row of the zeroed node-row buffer `out` — the weighted
+/// aggregation `h_agg[dst] += α · v[src]` in message order, each element one
+/// `mul` then one `add`, so the bits of `mul_col_broadcast` followed by
+/// `scatter_add_rows`. `attn` is `m × heads`.
+///
+/// `transposed` runs every message backwards (`out[src] += α · x[dst]`):
+/// with `x` the gradient of the aggregate that is the gradient with respect
+/// to the values. The walk runs on one worker, so its bits never depend on a
+/// thread budget.
+#[allow(clippy::too_many_arguments)]
+pub fn band_attend(
+    lanes: BandLanes,
+    route: BandRoute<'_>,
+    x: &[f32],
+    attn: &[f32],
+    heads: usize,
+    dim: usize,
+    transposed: bool,
+    out: &mut [f32],
+) {
+    let _span = mega_obs::span("band_attend");
+    debug_assert_eq!(
+        attn.len(),
+        route.message_count() * heads,
+        "attn must be m x heads"
+    );
+    debug_assert_eq!(x.len(), out.len(), "x and out must be node rows");
+    let weights = MessageWeights {
+        attn,
+        heads,
+        transposed,
+    };
+    slot_walk(lanes, route.slots, route.rows, &weights, x, dim, out);
+}
+
+/// The gradient of [`band_attend`] with respect to its weights, into the
+/// `m × heads` buffer `out`: entry `(i, h)` is the dot product of head `h`'s
+/// blocks of `g[dst]` and `v[src]` for message `i`, folded from `+0.0` in
+/// ascending feature order as `acc + g·v` — the weight gradient of
+/// `mul_col_broadcast` on gathered rows, bit for bit. A fold, so it runs
+/// scalar on every backend. `out` is write-only.
+pub fn band_attend_weight_grad(
+    route: BandRoute<'_>,
+    g: &[f32],
+    v: &[f32],
+    heads: usize,
+    dim: usize,
+    out: &mut [f32],
+) {
+    let _span = mega_obs::span("band_attend_weight_grad");
+    debug_assert_eq!(
+        out.len(),
+        route.message_count() * heads,
+        "out must be m x heads"
+    );
+    debug_assert!(
+        heads > 0 && dim.is_multiple_of(heads),
+        "heads must divide dim"
+    );
+    let width = dim / heads;
+    for ((src, dst), o_row) in route.messages().zip(out.chunks_exact_mut(heads.max(1))) {
+        let (g_row, v_row) = (row(g, dst, dim), row(v, src, dim));
+        for (h, o) in o_row.iter_mut().enumerate() {
+            let cols = h * width..(h + 1) * width;
+            let mut acc = 0.0f32;
+            for (&gv, &vv) in g_row[cols.clone()].iter().zip(&v_row[cols]) {
+                acc += gv * vv;
+            }
+            *o = acc;
+        }
     }
 }

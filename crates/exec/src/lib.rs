@@ -45,6 +45,8 @@ pub use profiled::{Calibration, ProfiledBackend};
 pub use reference::ReferenceBackend;
 pub use simd::SimdBackend;
 
+pub use kernels::BandRoute;
+
 use kernels::BandLanes;
 use mega_core::band::BandMask;
 use mega_core::Parallelism;
@@ -245,8 +247,8 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Banded attention aggregation `out += A·x`, with `A` the symmetric
     /// banded slot-weight matrix, written in place into the caller's zeroed
     /// `L × dim` buffer `out` — no scratch of that size exists on this path.
-    /// One resolved worker runs the slot walk, more run its row-fold replay;
-    /// the bits are the same for every `par`. The default runs both on
+    /// One resolved worker runs the slot walk, more run it clipped to the
+    /// rows each owns; the bits are the same for every `par`. The default runs both on
     /// [`BandLanes::SCALAR`]; a backend overrides this only to pass its own
     /// lanes to the same `kernels` loops.
     fn banded_aggregate(
@@ -277,6 +279,89 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     ) {
         assert_eq!(out.len(), edge_count, "out must hold edge_count values");
         kernels::banded_weight_grad(BandLanes::SCALAR, band, x, d_out, dim, par, out);
+    }
+
+    /// Graph Transformer edge scores over a batch's band, into the
+    /// write-only `m × dim` buffer `out`: `((q[dst] ⊙ k[src]) ⊙ ee) · scale`
+    /// per message, with `q`, `k` node rows read through the route
+    /// ([`kernels::band_edge_scores`]). The first of the attention form's
+    /// two forward passes: no per-message copy of `q` or `k` exists.
+    #[allow(clippy::too_many_arguments)]
+    fn band_edge_scores(
+        &self,
+        route: BandRoute<'_>,
+        q: &[f32],
+        k: &[f32],
+        ee: &[f32],
+        dim: usize,
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        kernels::band_edge_scores(route, q, k, ee, dim, scale, out);
+    }
+
+    /// The backward pass of [`Backend::band_edge_scores`]: rewrites `g` into
+    /// the gradient with respect to `ee` and adds those with respect to `q`
+    /// and `k` into the zeroed node-row buffers `dq`, `dk`
+    /// ([`kernels::band_edge_scores_grad`]).
+    #[allow(clippy::too_many_arguments)]
+    fn band_edge_scores_grad(
+        &self,
+        route: BandRoute<'_>,
+        q: &[f32],
+        k: &[f32],
+        ee: &[f32],
+        dim: usize,
+        scale: f32,
+        g: &mut [f32],
+        dq: &mut [f32],
+        dk: &mut [f32],
+    ) {
+        kernels::band_edge_scores_grad(route, q, k, ee, dim, scale, g, dq, dk);
+    }
+
+    /// The attention form of the slot walk: per-message, per-head weights
+    /// `attn` (`m × heads`) times source rows of `x`, added into destination
+    /// rows of the zeroed node-row buffer `out`; `transposed` runs every
+    /// message backwards, the values' gradient ([`kernels::band_attend`]).
+    /// One worker, always. The default runs [`BandLanes::SCALAR`]; a backend
+    /// overrides this only to pass its own lanes.
+    #[allow(clippy::too_many_arguments)]
+    fn band_attend(
+        &self,
+        route: BandRoute<'_>,
+        x: &[f32],
+        attn: &[f32],
+        heads: usize,
+        dim: usize,
+        transposed: bool,
+        out: &mut [f32],
+    ) {
+        kernels::band_attend(
+            BandLanes::SCALAR,
+            route,
+            x,
+            attn,
+            heads,
+            dim,
+            transposed,
+            out,
+        );
+    }
+
+    /// The gradient of [`Backend::band_attend`] with respect to `attn`, into
+    /// the write-only `m × heads` buffer `out`: one per-head dot product of
+    /// `g[dst]` and `v[src]` per message ([`kernels::band_attend_weight_grad`]).
+    fn band_attend_weight_grad(
+        &self,
+        route: BandRoute<'_>,
+        g: &[f32],
+        v: &[f32],
+        heads: usize,
+        dim: usize,
+        out: &mut [f32],
+    ) {
+        kernels::band_attend_weight_grad(route, g, v, heads, dim, out);
     }
 }
 

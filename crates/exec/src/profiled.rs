@@ -23,7 +23,7 @@
 //! production trainer; `tests/profiled.rs` gates the overhead at ≤ 5% of
 //! the unwrapped backend on the 512×512 GEMM harness.
 
-use crate::{Backend, Epilogue, NormKind, Operand, Unary};
+use crate::{Backend, BandRoute, Epilogue, NormKind, Operand, Unary};
 use mega_core::band::BandMask;
 use mega_core::Parallelism;
 use std::sync::Arc;
@@ -292,6 +292,108 @@ impl Backend for ProfiledBackend {
             t,
         );
     }
+
+    fn band_edge_scores(
+        &self,
+        route: BandRoute<'_>,
+        q: &[f32],
+        k: &[f32],
+        ee: &[f32],
+        dim: usize,
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        let t = mega_obs::timer();
+        self.inner
+            .band_edge_scores(route, q, k, ee, dim, scale, out);
+        let (msgs, len) = (route.message_count() as u64, out.len() as u64);
+        // Two multiplies and a scale per element; per message a query row,
+        // a key row and an edge row read, an output row written, and two
+        // node lookups.
+        self.record(
+            "band_edge_scores",
+            3 * len,
+            4 * len * F32 + 2 * msgs * IDX,
+            t,
+        );
+    }
+
+    fn band_edge_scores_grad(
+        &self,
+        route: BandRoute<'_>,
+        q: &[f32],
+        k: &[f32],
+        ee: &[f32],
+        dim: usize,
+        scale: f32,
+        g: &mut [f32],
+        dq: &mut [f32],
+        dk: &mut [f32],
+    ) {
+        let t = mega_obs::timer();
+        self.inner
+            .band_edge_scores_grad(route, q, k, ee, dim, scale, g, dq, dk);
+        let (msgs, len) = (route.message_count() as u64, g.len() as u64);
+        // Per element: the scale, `q·k`, two products for `dee` and the
+        // shared `gs·ee`, and a multiply-add into each of `dq` and `dk`.
+        // Reads `q`, `k`, `ee`, `g`; writes `dee`; `dq` and `dk` are read
+        // and written.
+        self.record(
+            "band_edge_scores_grad",
+            8 * len,
+            9 * len * F32 + 2 * msgs * IDX,
+            t,
+        );
+    }
+
+    fn band_attend(
+        &self,
+        route: BandRoute<'_>,
+        x: &[f32],
+        attn: &[f32],
+        heads: usize,
+        dim: usize,
+        transposed: bool,
+        out: &mut [f32],
+    ) {
+        let t = mega_obs::timer();
+        self.inner
+            .band_attend(route, x, attn, heads, dim, transposed, out);
+        let msgs = route.message_count() as u64;
+        let len = msgs * dim as u64;
+        // A multiply and an add per element of every message; a source row
+        // read and a destination row read and written per message.
+        self.record(
+            "band_attend",
+            2 * len,
+            3 * len * F32 + attn.len() as u64 * F32 + 2 * msgs * IDX,
+            t,
+        );
+    }
+
+    fn band_attend_weight_grad(
+        &self,
+        route: BandRoute<'_>,
+        g: &[f32],
+        v: &[f32],
+        heads: usize,
+        dim: usize,
+        out: &mut [f32],
+    ) {
+        let t = mega_obs::timer();
+        self.inner
+            .band_attend_weight_grad(route, g, v, heads, dim, out);
+        let msgs = route.message_count() as u64;
+        let len = msgs * dim as u64;
+        // One dot product per message and head: a multiply and an add per
+        // element of a gradient row and a value row.
+        self.record(
+            "band_attend_weight_grad",
+            2 * len,
+            2 * len * F32 + out.len() as u64 * F32 + 2 * msgs * IDX,
+            t,
+        );
+    }
 }
 
 /// Machine roofs for the roofline attribution: peak dense-GEMM compute and
@@ -466,6 +568,10 @@ mod tests {
         fn norm(&self, _: NormKind, _: &[f32], _: &[f32], _: &[f32], _: usize, _: usize, _: f32, _: Option<Unary>, _: &mut [f32]) { self.hit("norm") }
         fn banded_aggregate(&self, _: &BandMask, _: &[f32], _: usize, _: &[f32], _: &Parallelism, _: &mut [f32]) { self.hit("banded_aggregate") }
         fn banded_weight_grad(&self, _: &BandMask, _: &[f32], _: &[f32], _: usize, _: usize, _: &Parallelism, _: &mut [f32]) { self.hit("banded_weight_grad") }
+        fn band_edge_scores(&self, _: BandRoute<'_>, _: &[f32], _: &[f32], _: &[f32], _: usize, _: f32, _: &mut [f32]) { self.hit("band_edge_scores") }
+        fn band_edge_scores_grad(&self, _: BandRoute<'_>, _: &[f32], _: &[f32], _: &[f32], _: usize, _: f32, _: &mut [f32], _: &mut [f32], _: &mut [f32]) { self.hit("band_edge_scores_grad") }
+        fn band_attend(&self, _: BandRoute<'_>, _: &[f32], _: &[f32], _: usize, _: usize, _: bool, _: &mut [f32]) { self.hit("band_attend") }
+        fn band_attend_weight_grad(&self, _: BandRoute<'_>, _: &[f32], _: &[f32], _: usize, _: usize, _: &mut [f32]) { self.hit("band_attend_weight_grad") }
     }
 
     #[test]
@@ -499,9 +605,18 @@ mod tests {
         d.norm(NormKind::Batch, &x, &row, &row, 2, 2, 1e-5, act, out);
         d.banded_aggregate(&band, &[], 0, &[], &par, &mut []);
         d.banded_weight_grad(&band, &[], &[], 0, 0, &par, &mut []);
+        let route = BandRoute {
+            slots: band.active_slots(),
+            rows: &[],
+        };
+        d.band_edge_scores(route, &[], &[], &[], 0, 1.0, &mut []);
+        d.band_edge_scores_grad(route, &[], &[], &[], 0, 1.0, &mut [], &mut [], &mut []);
+        d.band_attend(route, &[], &[], 1, 0, false, &mut []);
+        d.band_attend_weight_grad(route, &[], &[], 1, 0, &mut []);
         let calls = counting.calls.lock().unwrap();
         let forwarded: Vec<(&str, usize)> = calls.iter().map(|(k, v)| (*k, *v)).collect();
-        let expected: Vec<(&str, usize)> = "add add_bias_rows banded_aggregate \
+        let expected: Vec<(&str, usize)> = "add add_bias_rows band_attend \
+            band_attend_weight_grad band_edge_scores band_edge_scores_grad banded_aggregate \
             banded_weight_grad gather_rows gemm mul norm scale scale_rows scatter_add_rows \
             segment_softmax unary"
             .split_whitespace()

@@ -48,8 +48,9 @@
 //! * The transcendental activation (`sigmoid`) stays on the scalar
 //!   libm loop — a vectorized `exp` approximation could not be
 //!   bit-identical — so [`SimdBackend`] simply delegates it.
-//! * The band kernels keep the walk and the row fold of `kernels` and swap
-//!   only their two inner loops ([`BandLanes`]). The row update
+//! * The band kernels keep the walks of `kernels` — the band engine's, its
+//!   clipped form and the attention form — and swap only their two inner
+//!   loops ([`BandLanes`]). The row update
 //!   `out_row += w·x_row` runs lanes across features: elements are
 //!   independent, each still one `mul` then one `add`, rows still updated
 //!   in slot order. The weight gradient folds each slot's
@@ -70,7 +71,7 @@
 
 use crate::kernels::{self, BandLanes};
 use crate::partition;
-use crate::{Backend, Epilogue, Operand, ReferenceBackend, Unary};
+use crate::{Backend, BandRoute, Epilogue, Operand, ReferenceBackend, Unary};
 use mega_core::band::{BandMask, BandSlot};
 use mega_core::parallel::Parallelism;
 #[cfg(target_arch = "x86_64")]
@@ -812,7 +813,7 @@ fn row_update_avx(w: f32, x_row: &[f32], out_row: &mut [f32]) {
 }
 
 /// How many rows past the ones they touch the native band lanes prefetch.
-/// The walk, the row fold and the weight gradient all move through their
+/// The walks and the weight gradient all move through their
 /// slabs in ascending rows, so the rows just ahead are the ones about to be
 /// read; the hardware prefetcher alone left the band kernels waiting on
 /// memory (EXPERIMENTS.md "Band kernels on SIMD lanes").
@@ -1177,6 +1178,20 @@ impl Backend for SimdBackend {
         assert_eq!(out.len(), edge_count, "out must hold edge_count values");
         let lanes = band_lanes(self.mode);
         kernels::banded_weight_grad(lanes, band, x, d_out, dim, par, out);
+    }
+
+    fn band_attend(
+        &self,
+        route: BandRoute<'_>,
+        x: &[f32],
+        attn: &[f32],
+        heads: usize,
+        dim: usize,
+        transposed: bool,
+        out: &mut [f32],
+    ) {
+        let lanes = band_lanes(self.mode);
+        kernels::band_attend(lanes, route, x, attn, heads, dim, transposed, out);
     }
 }
 

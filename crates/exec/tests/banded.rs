@@ -11,6 +11,14 @@
 //! The walk (`banded_*_serial`) is the oracle of everything here *and* a
 //! kernel under edit, so `band_bits_are_pinned` holds it still from outside,
 //! and `simd_band_bits_are_pinned_at_dim_67` holds the SIMD lanes.
+//!
+//! The attention form of the walk (`Backend::band_attend` and its three
+//! companion passes) reads node rows through a position → node map:
+//! `attention_walk_with_symmetric_weights_is_the_band_walk` ties its
+//! identity-map, one-head instance to the walk, and
+//! `attention_passes_bits_are_pinned` holds all four passes on every backend.
+//! `crates/gnn/tests/proptests.rs` holds them to the unfused tape
+//! composition they replace.
 
 use mega_core::band::BandMask;
 use mega_core::config::{CandidatePolicy, MegaConfig, WindowPolicy};
@@ -20,7 +28,7 @@ use mega_exec::kernels::{
     banded_aggregate, banded_aggregate_serial, banded_aggregate_with_plan, banded_weight_grad,
     banded_weight_grad_serial, banded_weight_grad_with_plan, BandLanes,
 };
-use mega_exec::{Backend, ProfiledBackend, ReferenceBackend, SimdBackend};
+use mega_exec::{Backend, BandRoute, ProfiledBackend, ReferenceBackend, SimdBackend};
 use mega_graph::{generate, Graph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -105,13 +113,7 @@ fn check_routes_on(
         banded_weight_grad_with_plan(BandLanes::SCALAR, band, x, d_out, dim, &plan, &mut dw);
         check(format!("chunk={chunk}"), &out, &dw);
     }
-    let mut backends: Vec<Box<dyn Backend>> = vec![
-        Box::new(ReferenceBackend),
-        Box::new(ProfiledBackend::new(Arc::new(ReferenceBackend))),
-    ];
-    for tier in SimdBackend::all_on_host() {
-        backends.push(Box::new(tier));
-    }
+    let backends = all_backends();
     for &t in workers {
         let par = Parallelism::pinned(t);
         let (mut out, mut dw) = zeroed();
@@ -239,6 +241,104 @@ fn simd_band_bits_are_pinned_at_dim_67() {
                 backend.lane_width()
             );
         }
+    }
+}
+
+/// Every backend the band tests hold to the walk: the reference, the
+/// decorator over it, and every SIMD tier the host runs.
+fn all_backends() -> Vec<Box<dyn Backend>> {
+    let mut backends: Vec<Box<dyn Backend>> = vec![
+        Box::new(ReferenceBackend),
+        Box::new(ProfiledBackend::new(Arc::new(ReferenceBackend))),
+    ];
+    for tier in SimdBackend::all_on_host() {
+        backends.push(Box::new(tier));
+    }
+    backends
+}
+
+/// With one row per position, one head and each slot's edge weight on both
+/// of its messages, the attention walk is the band walk — forwards and
+/// transposed, since the weights are symmetric — on every backend and at
+/// every width of the grid.
+#[test]
+fn attention_walk_with_symmetric_weights_is_the_band_walk() {
+    let cfg = MegaConfig::default().with_window(WindowPolicy::Fixed(3));
+    let (band, edges) = band_of(&er_graph(40, 40), &cfg);
+    let rows: Vec<usize> = (0..band.len()).collect();
+    let route = BandRoute {
+        slots: band.active_slots(),
+        rows: &rows,
+    };
+    let weights = random_values(edges, 9);
+    let attn: Vec<f32> = band
+        .active_slots()
+        .iter()
+        .flat_map(|s| [weights[s.edge]; 2])
+        .collect();
+    for dim in DIMS {
+        let x = random_values(band.len() * dim, 7);
+        let mut walk = vec![0.0f32; x.len()];
+        banded_aggregate_serial(BandLanes::SCALAR, &band, &x, dim, &weights, &mut walk);
+        for b in all_backends() {
+            for transposed in [false, true] {
+                let mut out = vec![0.0f32; x.len()];
+                b.band_attend(route, &x, &attn, 1, dim, transposed, &mut out);
+                assert_eq!(bits(&out), bits(&walk), "{b:?}, dim={dim}, {transposed}");
+            }
+        }
+    }
+}
+
+/// FNV-1a over the bits of several buffers in turn.
+fn fnv1a_all(bufs: &[&[f32]]) -> u64 {
+    let bytes = bufs
+        .iter()
+        .flat_map(|b| b.iter())
+        .flat_map(|v| v.to_bits().to_le_bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The output bits of the four attention passes — edge scores and their
+/// gradient, the walk forwards and transposed, and the weight gradient — on
+/// a fixed BA(600, 3) band read through its schedule's position → node map
+/// (hubs sit at several positions), at 4 heads of 17 features, on every
+/// backend and SIMD tier. The constant was taken when the passes first
+/// matched the unfused composition (`crates/gnn/tests/proptests.rs`).
+#[test]
+fn attention_passes_bits_are_pinned() {
+    let g = generate::barabasi_albert(600, 3, &mut StdRng::seed_from_u64(30)).unwrap();
+    let sched = preprocess(&g, &MegaConfig::default()).unwrap();
+    let route = BandRoute {
+        slots: sched.band().active_slots(),
+        rows: sched.gather_index(),
+    };
+    assert!(
+        route.rows.len() > g.node_count(),
+        "the band must revisit nodes"
+    );
+    let (n, m, heads, dim) = (g.node_count(), route.message_count(), 4, 68);
+    let (q, k, v) = (
+        random_values(n * dim, 51),
+        random_values(n * dim, 52),
+        random_values(n * dim, 53),
+    );
+    let (ee, g_msg) = (random_values(m * dim, 54), random_values(m * dim, 55));
+    let (g_node, attn) = (random_values(n * dim, 56), random_values(m * heads, 57));
+    for b in all_backends() {
+        let mut scores = vec![0.0f32; m * dim];
+        b.band_edge_scores(route, &q, &k, &ee, dim, 0.25, &mut scores);
+        let (mut dee, mut dq, mut dk) = (g_msg.clone(), vec![0.0f32; n * dim], vec![0.0; n * dim]);
+        b.band_edge_scores_grad(route, &q, &k, &ee, dim, 0.25, &mut dee, &mut dq, &mut dk);
+        let (mut agg, mut dv) = (vec![0.0f32; n * dim], vec![0.0f32; n * dim]);
+        b.band_attend(route, &v, &attn, heads, dim, false, &mut agg);
+        b.band_attend(route, &g_node, &attn, heads, dim, true, &mut dv);
+        let mut d_attn = vec![0.0f32; m * heads];
+        b.band_attend_weight_grad(route, &g_node, &v, heads, dim, &mut d_attn);
+        let hash = fnv1a_all(&[&scores, &dee, &dq, &dk, &agg, &dv, &d_attn]);
+        assert_eq!(hash, 0x2fa1_bdb9_5305_3220, "{b:?}");
     }
 }
 

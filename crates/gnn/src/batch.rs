@@ -7,16 +7,18 @@
 //! * **Baseline**: one message per directed adjacency slot, exactly the DGL
 //!   pattern.
 //! * **MEGA**: work rows are path positions; one message pair per active band
-//!   slot. The attention softmax and the aggregation remain keyed by
-//!   *destination node*, so with full edge coverage every node receives
-//!   exactly the same multiset of messages as under the baseline — the two
-//!   engines are numerically equivalent and only their memory-access shape
-//!   differs.
+//!   slot, in slot order, and the batch's stitched slot list as a
+//!   [`Band`] for the layers that run on it. The attention softmax and the
+//!   aggregation remain keyed by *destination node*, so with full edge
+//!   coverage every node receives exactly the same multiset of messages as
+//!   under the baseline — the two engines are numerically equivalent and
+//!   only their memory-access shape differs.
 
 use crate::config::EngineChoice;
+use mega_core::band::BandSlot;
 use mega_core::AttentionSchedule;
 use mega_datasets::{GraphSample, Target};
-use mega_tensor::{Tape, Var};
+use mega_tensor::{Band, Tape, Var};
 use std::sync::Arc;
 
 /// Message routing for one batch under one engine.
@@ -41,6 +43,10 @@ pub struct EngineIndices {
     pub msg_dst_node: Arc<Vec<usize>>,
     /// Edge-feature vocabulary id per message.
     pub msg_edge_feat: Arc<Vec<usize>>,
+    /// The batch's band on the MEGA engine (`None` on the baseline): the
+    /// stitched active slots, slot `j` carrying messages `2j` (`lo → hi`)
+    /// and `2j + 1` (`hi → lo`).
+    pub band: Option<Arc<Band>>,
 }
 
 impl EngineIndices {
@@ -195,6 +201,7 @@ impl Batch {
                 msg_dst_work: msg_dst_rc.clone(),
                 msg_dst_node: msg_dst_rc,
                 msg_edge_feat: Arc::new(msg_edge),
+                band: None,
             },
         }
     }
@@ -242,23 +249,40 @@ impl Batch {
         let mut msg_dst = Vec::new();
         let mut msg_dst_node = Vec::new();
         let mut msg_edge = Vec::new();
+        let mut slots = Vec::new();
         let mut node_offset = 0usize;
         let mut pos_offset = 0usize;
         for (gi, (seg, s)) in segments.into_iter().zip(samples).enumerate() {
             node_feats.extend_from_slice(&seg.node_feats);
             graph_of_node.extend(std::iter::repeat_n(gi, seg.n_nodes));
             node_to_work.extend(seg.node_to_work.iter().map(|&v| node_offset + v));
-            for &(src, dst, dst_node, feat) in &seg.msgs {
+            for (i, &(src, dst, dst_node, feat)) in seg.msgs.iter().enumerate() {
                 msg_src.push(pos_offset + src);
                 msg_dst.push(pos_offset + dst);
                 msg_dst_node.push(node_offset + dst_node);
                 msg_edge.push(feat);
+                // Message `2j` is slot `j`'s `lo → hi`; the slot's edge is
+                // its index in the batch.
+                if i % 2 == 0 {
+                    slots.push(BandSlot {
+                        lo: pos_offset + src,
+                        hi: pos_offset + dst,
+                        edge: slots.len(),
+                    });
+                }
             }
             graph_sizes.push(seg.n_nodes);
             targets.push(s.target);
             node_offset += seg.n_nodes;
             pos_offset += seg.path_len;
         }
+        let (node_to_work, msg_dst_node) = (Arc::new(node_to_work), Arc::new(msg_dst_node));
+        let band = Band {
+            slots: Arc::new(slots),
+            node_of: node_to_work.clone(),
+            msg_dst: msg_dst_node.clone(),
+            n_nodes: node_offset,
+        };
         Batch {
             node_feats: Arc::new(node_feats),
             graph_of_node: Arc::new(graph_of_node),
@@ -268,11 +292,12 @@ impl Batch {
                 engine: EngineChoice::Mega,
                 n_nodes: node_offset,
                 work_rows: pos_offset,
-                node_to_work: Some(Arc::new(node_to_work)),
+                node_to_work: Some(node_to_work),
                 msg_src_work: Arc::new(msg_src),
                 msg_dst_work: Arc::new(msg_dst),
-                msg_dst_node: Arc::new(msg_dst_node),
+                msg_dst_node,
                 msg_edge_feat: Arc::new(msg_edge),
+                band: Some(Arc::new(band)),
             },
         }
     }
@@ -371,6 +396,33 @@ mod tests {
     }
 
     #[test]
+    fn mega_band_carries_every_message_in_slot_order() {
+        let ss = samples();
+        let schedules: Vec<_> = ss
+            .iter()
+            .map(|s| preprocess(&s.graph, &MegaConfig::default()).unwrap())
+            .collect();
+        let mega = Batch::mega(&ss, &schedules);
+        let idx = &mega.indices;
+        let band = idx.band.as_ref().expect("a MEGA batch has a band");
+        assert_eq!(band.message_count(), idx.msg_count());
+        assert_eq!(band.n_nodes, idx.n_nodes);
+        for (j, s) in band.slots.iter().enumerate() {
+            assert_eq!(
+                (s.lo, s.hi),
+                (idx.msg_src_work[2 * j], idx.msg_dst_work[2 * j])
+            );
+            assert_eq!(
+                (s.hi, s.lo),
+                (idx.msg_src_work[2 * j + 1], idx.msg_dst_work[2 * j + 1])
+            );
+            assert_eq!(band.node_of[s.lo], band.msg_dst[2 * j + 1]);
+            assert_eq!(band.node_of[s.hi], band.msg_dst[2 * j]);
+        }
+        assert!(Batch::baseline(&ss).indices.band.is_none());
+    }
+
+    #[test]
     fn parallel_batch_construction_matches_serial() {
         let ss = samples();
         let schedules: Vec<_> = ss
@@ -390,6 +442,8 @@ mod tests {
             assert_eq!(p.indices.msg_dst_node, serial.indices.msg_dst_node);
             assert_eq!(p.indices.msg_edge_feat, serial.indices.msg_edge_feat);
             assert_eq!(p.indices.work_rows, serial.indices.work_rows);
+            let slots = |b: &Batch| b.indices.band.as_ref().map(|band| band.slots.clone());
+            assert_eq!(slots(&p), slots(&serial));
         }
     }
 

@@ -18,14 +18,29 @@
 //! ([`Linear::with_head_blocks`]: block `k` is head `k`'s own Xavier draw), so
 //! all heads of Q, K, V, E take one GEMM each and `concat_k` is the layout
 //! the data already has. Q, K and V read only node states: they run on the
-//! `n_nodes` rows of `h` and their outputs are gathered to messages (node →
-//! work row → message); E runs on message rows. A row gather commutes with
+//! `n_nodes` rows of `h`; E runs on message rows. A row gather commutes with
 //! `x·W + b` and a column block of a product is the product with that column
 //! block — every output element is the same ascending-k fold either way — so
 //! the forward values are those of per-head projections of gathered rows,
-//! bit for bit. Backward, `dW` folds over node rows and `dX` over all `d`
-//! columns at once, a different order: gradients agree to the bound of
-//! DESIGN.md §7, not to the bit.
+//! bit for bit.
+//!
+//! How the node rows reach the messages depends on the engine:
+//!
+//! * **Baseline**: `q`, `k`, `v` are gathered to per-message copies, and
+//!   `mul` → `mul` → `scale` → `row_block_sums` → `segment_softmax` →
+//!   `mul_col_broadcast` → `scatter_add_rows` computes ŵ and `agg` — ten
+//!   tape nodes, six `m × d` message tensors.
+//! * **MEGA**: two tape ops walk the batch's band, reading `q`, `k`, `v` at
+//!   node rows through the position → node map:
+//!   [`Tape::band_edge_scores`] makes ŵ, and [`Tape::band_attend`] turns it
+//!   into the per-node aggregate, keeping only the `m × heads` weights. No
+//!   per-message copy of `q`, `k`, `v`, nor the products, exists, and the
+//!   forward values are the baseline composition's bit for bit.
+//!
+//! Backward, `dW` folds over node rows and `dX` over all `d` columns at
+//! once, and on MEGA the gradients of `q`, `k`, `v` sum a node's messages
+//! in one group instead of per path position: gradients agree with the
+//! per-head composition to the bound of DESIGN.md §7, not to the bit.
 
 use crate::batch::EngineIndices;
 #[cfg(test)]
@@ -106,18 +121,29 @@ impl GraphTransformerLayer {
         let k = self.k.forward(tape, binder, store, h);
         let v = self.v.forward(tape, binder, store, h);
         let ee = self.e.forward(tape, binder, store, e);
-        let q_dst = idx.gather_dst(tape, q);
-        let k_src = idx.gather_src(tape, k);
-        let v_src = idx.gather_src(tape, v);
 
         // Column block `k` of every tensor below is head `k`.
-        let qk_prod = tape.mul(q_dst, k_src);
-        let qke = tape.mul(qk_prod, ee);
-        let e_what = tape.scale(qke, scale);
-        let score = tape.row_block_sums(e_what, self.heads);
-        let attn = tape.segment_softmax(score, idx.msg_dst_node.clone(), n);
-        let weighted = tape.mul_col_broadcast(v_src, attn);
-        let h_agg = tape.scatter_add_rows(weighted, idx.msg_dst_node.clone(), n);
+        let (e_what, h_agg) = match &idx.band {
+            // MEGA: two passes over the band, reading q, k, v at node rows.
+            Some(band) => {
+                let e_what = tape.band_edge_scores(q, k, ee, band, scale);
+                (e_what, tape.band_attend(e_what, v, band, self.heads))
+            }
+            // Baseline: the same arithmetic on per-message copies.
+            None => {
+                let q_dst = idx.gather_dst(tape, q);
+                let k_src = idx.gather_src(tape, k);
+                let v_src = idx.gather_src(tape, v);
+                let qk_prod = tape.mul(q_dst, k_src);
+                let qke = tape.mul(qk_prod, ee);
+                let e_what = tape.scale(qke, scale);
+                let score = tape.row_block_sums(e_what, self.heads);
+                let attn = tape.segment_softmax(score, idx.msg_dst_node.clone(), n);
+                let weighted = tape.mul_col_broadcast(v_src, attn);
+                let h_agg = tape.scatter_add_rows(weighted, idx.msg_dst_node.clone(), n);
+                (e_what, h_agg)
+            }
+        };
 
         // Node stream: attention output, residual + LN, FFN, residual + LN.
         let h_attn = self.o_h.forward(tape, binder, store, h_agg);

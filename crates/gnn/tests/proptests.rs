@@ -1,12 +1,15 @@
-//! Property-based tests for batching and engine equivalence.
+//! Property-based tests for batching and engine equivalence, and for the
+//! band attention ops against the unfused composition they replace.
 
 use mega_core::{preprocess, CandidatePolicy, MegaConfig, WindowPolicy};
 use mega_datasets::{GraphSample, Target};
+use mega_exec::{Backend, BufferPool, ReferenceBackend, SimdBackend};
 use mega_gnn::nn::Binder;
 use mega_gnn::{Batch, Gnn, GnnConfig, ModelKind};
 use mega_graph::{Graph, GraphBuilder};
-use mega_tensor::{ParamStore, Tape};
+use mega_tensor::{ParamStore, Tape, Tensor};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Arbitrary connected-ish sample with categorical features.
 fn arb_sample() -> impl Strategy<Value = GraphSample> {
@@ -38,8 +41,153 @@ fn arb_sample() -> impl Strategy<Value = GraphSample> {
     })
 }
 
+/// A hub with nine spokes and one isolated node. At a window of at most 3
+/// the hub sits at several path positions, so the batch revisits a node,
+/// and the isolated node receives no message.
+fn hub_sample() -> GraphSample {
+    let mut b = GraphBuilder::undirected(11);
+    for leaf in 1..10 {
+        b.edge(0, leaf).unwrap();
+    }
+    let graph = b.build().unwrap();
+    GraphSample {
+        node_features: vec![0; 11],
+        edge_features: vec![0; graph.edge_count()],
+        target: Target::Regression(1.0),
+        graph,
+    }
+}
+
+/// Values in `(-0.5, 0.5)` that differ from element to element.
+fn varied(rows: usize, cols: usize, seed: u32) -> Tensor {
+    let data = (0..rows * cols)
+        .map(|i| {
+            let x = (i as u32).wrapping_mul(2654435761).wrapping_add(seed);
+            ((x >> 8) % 1000) as f32 / 1000.0 - 0.5
+        })
+        .collect();
+    Tensor::from_vec(rows, cols, data)
+}
+
+/// One forward and backward of Graph Transformer attention on a MEGA batch
+/// under `backend`: through the two band ops when `fused`, else through the
+/// unfused gather → `mul` → `mul` → `scale` → `row_block_sums` →
+/// `segment_softmax` → `mul_col_broadcast` → `scatter_add_rows` chain the
+/// baseline engine runs. Returns `e_what`, `h_agg`, then the gradients of
+/// `ee`, `q`, `k` and `v`.
+fn attention_run(
+    batch: &Batch,
+    backend: Arc<dyn Backend>,
+    heads: usize,
+    d: usize,
+    seed: u32,
+    fused: bool,
+) -> Vec<Tensor> {
+    let idx = &batch.indices;
+    let (n, m) = (idx.n_nodes, idx.msg_count());
+    let scale = 1.0 / ((d / heads) as f32).sqrt();
+    let mut tape = Tape::with_exec(backend, Arc::new(BufferPool::new()));
+    let q = tape.leaf(varied(n, d, seed));
+    let k = tape.leaf(varied(n, d, seed + 1));
+    let v = tape.leaf(varied(n, d, seed + 2));
+    let ee = tape.leaf(varied(m, d, seed + 3));
+    let (e_what, h_agg) = if fused {
+        let band = idx.band.as_ref().expect("a MEGA batch has a band");
+        let e_what = tape.band_edge_scores(q, k, ee, band, scale);
+        (e_what, tape.band_attend(e_what, v, band, heads))
+    } else {
+        let q_dst = idx.gather_dst(&mut tape, q);
+        let k_src = idx.gather_src(&mut tape, k);
+        let v_src = idx.gather_src(&mut tape, v);
+        let qk = tape.mul(q_dst, k_src);
+        let qke = tape.mul(qk, ee);
+        let e_what = tape.scale(qke, scale);
+        let score = tape.row_block_sums(e_what, heads);
+        let attn = tape.segment_softmax(score, idx.msg_dst_node.clone(), n);
+        let weighted = tape.mul_col_broadcast(v_src, attn);
+        (
+            e_what,
+            tape.scatter_add_rows(weighted, idx.msg_dst_node.clone(), n),
+        )
+    };
+    // Weigh every output element differently, and let `e_what` reach the
+    // loss on its own too, as the edge stream's `O_e` does.
+    let (wh, we) = (
+        tape.leaf(varied(n, d, seed + 4)),
+        tape.leaf(varied(m, d, seed + 5)),
+    );
+    let (lh, le) = (tape.mul(h_agg, wh), tape.mul(e_what, we));
+    let (sh, se) = (tape.mean(lh), tape.mean(le));
+    let loss = tape.add(sh, se);
+    let grads = tape.backward(loss);
+    let mut out = vec![tape.value(e_what).clone(), tape.value(h_agg).clone()];
+    out.extend([ee, q, k, v].map(|leaf| grads.wrt(leaf).clone()));
+    out
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+fn max_abs(t: &Tensor) -> f32 {
+    t.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The band ops on random MEGA batches — revisited hubs, a node with no
+    /// incoming message, edge-dropped schedules, 1, 2 and 4 heads of 1, 5,
+    /// 16 and 17 features — against the unfused composition on the same
+    /// batch: forward values and the gradient of `ee` bit for bit, the
+    /// gradients of `q`, `k` and `v` within `1e-4 · max|g_ref|` (DESIGN.md
+    /// §7: they sum each node's messages in one group instead of per path
+    /// position), and every SIMD tier bit for bit with the reference.
+    #[test]
+    fn band_attention_matches_the_unfused_composition(
+        samples in proptest::collection::vec(arb_sample(), 0..3),
+        window in 1usize..4,
+        edge_drop in prop_oneof![Just(0.0f64).boxed(), (0.1f64..0.5).boxed()],
+        seed in 0u32..1000,
+        heads in prop_oneof![Just(1usize), Just(2), Just(4)],
+        head_dim in prop_oneof![Just(1usize), Just(5), Just(16), Just(17)],
+    ) {
+        let mut samples = samples;
+        samples.push(hub_sample());
+        let cfg = MegaConfig::default()
+            .with_window(WindowPolicy::Fixed(window))
+            .with_edge_drop(edge_drop)
+            .with_seed(u64::from(seed));
+        let schedules: Vec<_> = samples
+            .iter()
+            .map(|s| preprocess(&s.graph, &cfg).unwrap())
+            .collect();
+        let batch = Batch::mega(&samples, &schedules);
+        let idx = &batch.indices;
+        prop_assert!(idx.work_rows > idx.n_nodes, "some node must be revisited");
+        let silent = (0..idx.n_nodes).filter(|v| !idx.msg_dst_node.contains(v)).count();
+        prop_assert!(silent > 0, "some node must receive no message");
+
+        let d = heads * head_dim;
+        let reference: Arc<dyn Backend> = Arc::new(ReferenceBackend);
+        let fused = attention_run(&batch, reference.clone(), heads, d, seed, true);
+        let unfused = attention_run(&batch, reference, heads, d, seed, false);
+        for (what, i) in [("e_what", 0), ("h_agg", 1), ("d ee", 2)] {
+            prop_assert_eq!(bits(&fused[i]), bits(&unfused[i]), "{}", what);
+        }
+        for (what, i) in [("d q", 3), ("d k", 4), ("d v", 5)] {
+            let (g, g_ref) = (&fused[i], &unfused[i]);
+            let err = max_abs(&g.sub(g_ref));
+            prop_assert!(err <= 1e-4 * max_abs(g_ref), "{what} off by {err:e}");
+        }
+        for tier in SimdBackend::all_on_host() {
+            let label = format!("{} x{}", tier.tier(), tier.lane_width());
+            let simd = attention_run(&batch, Arc::new(tier), heads, d, seed, true);
+            for (t, t_ref) in simd.iter().zip(&fused) {
+                prop_assert_eq!(bits(t), bits(t_ref), "{}", label);
+            }
+        }
+    }
 
     /// Baseline and MEGA batches route identical per-node message multisets
     /// for arbitrary graphs, window sizes and policies.

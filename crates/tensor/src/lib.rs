@@ -37,5 +37,5 @@ pub mod tape;
 pub mod tensor;
 
 pub use optim::{Adam, ParamId, ParamStore};
-pub use tape::{Gradients, Tape, Var};
+pub use tape::{Band, Gradients, Tape, Var};
 pub use tensor::Tensor;

@@ -31,8 +31,9 @@
 //! only accumulators are zeroed.
 
 use crate::tensor::Tensor;
+use mega_core::band::BandSlot;
 use mega_exec::{
-    kernels, Backend, BufferPool, Epilogue, NormKind, Operand, ReferenceBackend, Unary,
+    kernels, Backend, BandRoute, BufferPool, Epilogue, NormKind, Operand, ReferenceBackend, Unary,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -40,6 +41,40 @@ use std::sync::Arc;
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
+
+/// The band of a MEGA batch, as [`Tape::band_edge_scores`] and
+/// [`Tape::band_attend`] read it: the batch's active slots over its stitched
+/// path positions, and the node behind each position.
+///
+/// Slot `j` carries message `2j` (`lo → hi`) and message `2j + 1`
+/// (`hi → lo`), so a message tensor has `2 · slots.len()` rows in slot
+/// order and a node tensor `n_nodes` rows.
+#[derive(Debug, Clone)]
+pub struct Band {
+    /// The active slots, ascending; no slot crosses a sample.
+    pub slots: Arc<Vec<BandSlot>>,
+    /// The node row of each path position.
+    pub node_of: Arc<Vec<usize>>,
+    /// The destination node of each message: the softmax segments.
+    pub msg_dst: Arc<Vec<usize>>,
+    /// Node rows.
+    pub n_nodes: usize,
+}
+
+impl Band {
+    /// Number of messages: two per slot.
+    pub fn message_count(&self) -> usize {
+        2 * self.slots.len()
+    }
+
+    /// The band as the backend kernels read it.
+    fn route(&self) -> BandRoute<'_> {
+        BandRoute {
+            slots: &self.slots,
+            rows: &self.node_of,
+        }
+    }
+}
 
 #[derive(Debug)]
 enum Op {
@@ -69,6 +104,22 @@ enum Op {
     ScatterAddRows(Var, Arc<Vec<usize>>),
     ScaleRows(Var, Arc<Vec<f32>>),
     SegmentSoftmax(Var, Arc<Vec<usize>>, usize),
+    /// `((q[dst] ⊙ k[src]) ⊙ ee) · scale` per message of the band.
+    BandEdgeScores {
+        q: Var,
+        k: Var,
+        ee: Var,
+        band: Arc<Band>,
+        scale: f32,
+    },
+    /// Softmax of per-head score sums, then the weighted aggregation; keeps
+    /// the `m × heads` weights for the backward pass.
+    BandAttend {
+        e_what: Var,
+        v: Var,
+        band: Arc<Band>,
+        attn: Tensor,
+    },
     LayerNorm(Var, Var, Var, f32),
     BatchNorm(Var, Var, Var, f32),
     BatchNormRelu(Var, Var, Var, f32),
@@ -101,6 +152,8 @@ impl Op {
             Op::ScatterAddRows(..) => "scatter_add_rows",
             Op::ScaleRows(..) => "scale_rows",
             Op::SegmentSoftmax(..) => "segment_softmax",
+            Op::BandEdgeScores { .. } => "band_edge_scores",
+            Op::BandAttend { .. } => "band_attend",
             Op::LayerNorm(..) => "layer_norm",
             Op::BatchNorm(..) => "batch_norm",
             // Named after the backend's fused-norm profile row.
@@ -190,6 +243,9 @@ impl Drop for Tape {
         // forward pass allocates (almost) nothing.
         for node in self.nodes.drain(..) {
             self.pool.release(node.value.into_data());
+            if let Op::BandAttend { attn, .. } = node.op {
+                self.pool.release(attn.into_data());
+            }
         }
     }
 }
@@ -548,6 +604,117 @@ impl Tape {
         self.record(r, c, Op::SegmentSoftmax(a, segments, n_segments))
     }
 
+    /// Graph Transformer edge scores over a MEGA batch's band, in one node:
+    /// `((q[dst] ⊙ k[src]) ⊙ ee) · scale` for every message, `q` and `k`
+    /// being node rows (`n × d`) and `ee` message rows (`m × d`).
+    ///
+    /// The values are those of gathering `q` to destinations and `k` to
+    /// sources and chaining `mul`, `mul`, `scale`, bit for bit; the
+    /// per-message copies of `q` and `k` and the two products never exist.
+    /// Backward, `ee` gets that chain's gradient bits and `q`, `k` sum each
+    /// node's messages straight into its row (DESIGN.md §7 bounds the
+    /// regrouping).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `q` and `k` are `band.n_nodes × d` and `ee` is
+    /// `band.message_count() × d`.
+    pub fn band_edge_scores(
+        &mut self,
+        q: Var,
+        k: Var,
+        ee: Var,
+        band: &Arc<Band>,
+        scale: f32,
+    ) -> Var {
+        let (m, d) = self.dims(ee);
+        assert_eq!(
+            m,
+            band.message_count(),
+            "band_edge_scores: one ee row per message"
+        );
+        assert_eq!(
+            self.dims(q),
+            (band.n_nodes, d),
+            "band_edge_scores: q must be nodes x d"
+        );
+        assert_eq!(
+            self.dims(k),
+            (band.n_nodes, d),
+            "band_edge_scores: k must be nodes x d"
+        );
+        let band = band.clone();
+        self.record(
+            m,
+            d,
+            Op::BandEdgeScores {
+                q,
+                k,
+                ee,
+                band,
+                scale,
+            },
+        )
+    }
+
+    /// Attention over a MEGA batch's band, in one node: the per-head sums of
+    /// the message rows `e_what` (`m × d`, `heads` column blocks) are the
+    /// scores, a softmax over each destination node's messages turns them
+    /// into weights, and each head's block of the source's `v` row, times
+    /// its weight, is added into the destination's row of the `n × d`
+    /// output.
+    ///
+    /// The values are those of `row_block_sums` → `segment_softmax` →
+    /// gathering `v` to sources → `mul_col_broadcast` → `scatter_add_rows`,
+    /// bit for bit; no per-message copy of `v` or of the weighted rows
+    /// exists. The `m × heads` weights are kept for the backward pass, which
+    /// gives `e_what` that chain's gradient bits and sums `v`'s per node
+    /// (DESIGN.md §7).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `heads` divides the width, `e_what` has one row per
+    /// message and `v` is `band.n_nodes` rows of the same width.
+    pub fn band_attend(&mut self, e_what: Var, v: Var, band: &Arc<Band>, heads: usize) -> Var {
+        let (m, d) = self.dims(e_what);
+        assert!(
+            heads > 0 && d.is_multiple_of(heads),
+            "band_attend: {heads} heads must divide {d} columns"
+        );
+        assert_eq!(
+            m,
+            band.message_count(),
+            "band_attend: one e_what row per message"
+        );
+        assert_eq!(
+            self.dims(v),
+            (band.n_nodes, d),
+            "band_attend: v must be nodes x d"
+        );
+        let n = band.n_nodes;
+        // Zeroed: a zero-width `e_what` has no blocks to sum.
+        let mut score = self.pool.acquire(m * heads);
+        let runs = rows_of(self.value(e_what).as_slice(), d / heads);
+        for (o, block) in score.iter_mut().zip(runs) {
+            *o = block.iter().sum();
+        }
+        let mut attn = self.out_buf(m, heads);
+        self.backend
+            .segment_softmax(&score, m, heads, &band.msg_dst, n, &mut attn);
+        self.pool.release(score);
+        let mut out = self.pool.acquire(n * d);
+        let v_rows = self.value(v).as_slice();
+        self.backend
+            .band_attend(band.route(), v_rows, &attn, heads, d, false, &mut out);
+        let op = Op::BandAttend {
+            e_what,
+            v,
+            band: band.clone(),
+            attn: Tensor::from_vec(m, heads, attn),
+        };
+        self.push_value(Tensor::from_vec(n, d, out), op)
+    }
+
     /// Shared shape validation of the norm-op family.
     fn norm_dims(&self, kind: &str, a: Var, gamma: Var, beta: Var) -> (usize, usize) {
         let (r, c) = self.dims(a);
@@ -701,6 +868,25 @@ impl Tape {
                     .scale_rows(self.value(*a).as_slice(), factors, cols, &mut out);
                 Tensor::from_vec(rows, cols, out)
             }
+            Op::BandEdgeScores {
+                q,
+                k,
+                ee,
+                band,
+                scale,
+            } => {
+                let mut out = self.out_buf(rows, cols);
+                self.backend.band_edge_scores(
+                    band.route(),
+                    self.value(*q).as_slice(),
+                    self.value(*k).as_slice(),
+                    self.value(*ee).as_slice(),
+                    cols,
+                    *scale,
+                    &mut out,
+                );
+                Tensor::from_vec(rows, cols, out)
+            }
             Op::SegmentSoftmax(a, segments, n_segments) => {
                 let mut out = self.out_buf(rows, cols);
                 self.backend.segment_softmax(
@@ -729,6 +915,7 @@ impl Tape {
             | Op::RowBlockSums(..)
             | Op::MulColBroadcast(..)
             | Op::ConcatCols(..)
+            | Op::BandAttend { .. }
             | Op::L1Loss(..)
             | Op::CrossEntropy(..) => {
                 unreachable!("op `{}` is computed by its op method", op.kind_name())
@@ -924,6 +1111,34 @@ impl Tape {
             self.pool.release(buf);
         }
         [dgamma, dbeta]
+    }
+
+    /// Backward of the column-wise segment softmax `p`, in place: rewrites
+    /// the upstream gradient `g` into `p ⊙ (g − Σ_seg (g ⊙ p))` per column,
+    /// the per-segment sums folded in row order.
+    fn segment_softmax_backward(
+        &self,
+        g: &mut [f32],
+        p: &Tensor,
+        segments: &[usize],
+        n_segments: usize,
+    ) {
+        let c = p.cols();
+        let p = p.as_slice();
+        let mut dots = self.pool.acquire(n_segments * c);
+        for ((g_row, p_row), &s) in rows_of(g, c).zip(rows_of(p, c)).zip(segments) {
+            let dot_row = &mut dots[s * c..(s + 1) * c];
+            for ((d, &gv), &pv) in dot_row.iter_mut().zip(g_row).zip(p_row) {
+                *d += gv * pv;
+            }
+        }
+        for ((g_row, p_row), &s) in rows_of_mut(g, c).zip(rows_of(p, c)).zip(segments) {
+            let dot_row = &dots[s * c..(s + 1) * c];
+            for ((gv, &pv), &d) in g_row.iter_mut().zip(p_row).zip(dot_row) {
+                *gv = pv * (*gv - d);
+            }
+        }
+        self.pool.release(dots);
     }
 
     /// Backward of `y = x · w` for the upstream gradient `g` (`n × m`):
@@ -1140,29 +1355,76 @@ impl Tape {
                     self.accumulate(grads, *a, Cow::Owned(g));
                 }
                 Op::SegmentSoftmax(a, segments, n_segments) => {
-                    let p = node.value.as_slice();
-                    let c = node.value.cols();
-                    // dx = p ⊙ (g - Σ_seg (g ⊙ p)) per column.
-                    let mut dots = self.pool.acquire(n_segments * c);
-                    for ((g_row, p_row), &s) in
-                        rows_of(&g, c).zip(rows_of(p, c)).zip(segments.iter())
-                    {
-                        let dot_row = &mut dots[s * c..(s + 1) * c];
-                        for ((d, &gv), &pv) in dot_row.iter_mut().zip(g_row).zip(p_row) {
-                            *d += gv * pv;
-                        }
-                    }
-                    for ((g_row, p_row), &s) in rows_of_mut(&mut g, c)
-                        .zip(rows_of(p, c))
-                        .zip(segments.iter())
-                    {
-                        let dot_row = &dots[s * c..(s + 1) * c];
-                        for ((gv, &pv), &d) in g_row.iter_mut().zip(p_row).zip(dot_row) {
-                            *gv = pv * (*gv - d);
-                        }
-                    }
-                    self.pool.release(dots);
+                    self.segment_softmax_backward(&mut g, &node.value, segments, *n_segments);
                     self.accumulate(grads, *a, Cow::Owned(g));
+                }
+                Op::BandEdgeScores {
+                    q,
+                    k,
+                    ee,
+                    band,
+                    scale,
+                } => {
+                    let (vq, vk) = (self.value(*q), self.value(*k));
+                    let mut dq = self.pool.acquire(vq.as_slice().len());
+                    let mut dk = self.pool.acquire(vk.as_slice().len());
+                    // `g` becomes the gradient with respect to `ee`.
+                    self.backend.band_edge_scores_grad(
+                        band.route(),
+                        vq.as_slice(),
+                        vk.as_slice(),
+                        self.value(*ee).as_slice(),
+                        node.value.cols(),
+                        *scale,
+                        &mut g,
+                        &mut dq,
+                        &mut dk,
+                    );
+                    self.accumulate(grads, *q, Cow::Owned(dq));
+                    self.accumulate(grads, *k, Cow::Owned(dk));
+                    self.accumulate(grads, *ee, Cow::Owned(g));
+                }
+                Op::BandAttend {
+                    e_what,
+                    v,
+                    band,
+                    attn,
+                } => {
+                    let (m, heads) = attn.shape();
+                    let d = node.value.cols();
+                    let v_rows = self.value(*v).as_slice();
+                    // The weights' gradient, then the softmax's backward on
+                    // it in place: the scores' gradient.
+                    let mut d_score = self.pool.acquire_for_overwrite(m * heads);
+                    self.backend.band_attend_weight_grad(
+                        band.route(),
+                        &g,
+                        v_rows,
+                        heads,
+                        d,
+                        &mut d_score,
+                    );
+                    self.segment_softmax_backward(&mut d_score, attn, &band.msg_dst, band.n_nodes);
+                    let mut dv = self.pool.acquire(v_rows.len());
+                    self.backend.band_attend(
+                        band.route(),
+                        &g,
+                        attn.as_slice(),
+                        heads,
+                        d,
+                        true,
+                        &mut dv,
+                    );
+                    self.pool.release(g);
+                    // A score is the sum of its head's block: its gradient
+                    // reaches every element of the block.
+                    let mut de = self.pool.acquire_for_overwrite(m * d);
+                    for (run, &gv) in rows_of_mut(&mut de, d / heads).zip(&d_score) {
+                        run.fill(gv);
+                    }
+                    self.pool.release(d_score);
+                    self.accumulate(grads, *e_what, Cow::Owned(de));
+                    self.accumulate(grads, *v, Cow::Owned(dv));
                 }
                 Op::LayerNorm(a, gamma, beta, eps) => {
                     let x = self.value(*a);

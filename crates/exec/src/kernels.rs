@@ -16,12 +16,13 @@
 //! only the updates that land in the rows a worker owns, addressed through
 //! slabs so the intra-op kernels and the distributed workers share it; its
 //! attention instance (`band_attend`: node rows through a position → node
-//! map, per-message, per-head weights) aggregates a Graph Transformer layer
-//! on a MEGA batch, beside the three per-message passes it needs
-//! (`band_edge_scores`, `band_edge_scores_grad`, `band_attend_weight_grad`).
-//! The walks take their two inner loops as a [`BandLanes`]:
-//! [`BandLanes::SCALAR`] here, a SIMD tier's lanes from `SimdBackend`, the
-//! same bits either way.
+//! map, per-message weights per head or, with one head per feature, per
+//! feature) aggregates every layer on a MEGA batch — Graph Transformer and
+//! GAT attention, GatedGCN's gated sum — beside the three per-message passes
+//! it needs (`band_edge_scores` in its product and sum forms,
+//! `band_edge_scores_grad`, `band_attend_weight_grad`). The walks take their
+//! inner loops as a [`BandLanes`]: [`BandLanes::SCALAR`] here, a SIMD tier's
+//! lanes from `SimdBackend`, the same bits either way.
 //!
 //! Output conventions: `out` is the caller's, has exactly the output length
 //! and is written in place. Kernels that accumulate (`scatter_add_rows`,
@@ -574,15 +575,17 @@ pub fn batch_norm(
     }
 }
 
-/// The two inner loops of the band engine, as the walks and the segment
+/// The inner loops of the band engine, as the walks and the segment
 /// kernels call them. Those loops are written once and do all
-/// their arithmetic through these two, so a backend chooses how the
+/// their arithmetic through these, so a backend chooses how the
 /// arithmetic runs — scalar or on SIMD lanes — never which terms meet in
 /// which order.
 ///
 /// * `row_update(w, x_row, out_row)`: `out_row[d] += w · x_row[d]` for every
 ///   `d`, one `mul` then one `add` per element. The elements are
 ///   independent, so lanes may run across `d`.
+/// * `row_mul_add(w_row, x_row, out_row)`: `out_row[d] += w_row[d] ·
+///   x_row[d]`, the same per element with a weight per feature.
 /// * `weight_grads(slots, x, d_out, base, dim, out)`: assigns to `out[j]` the
 ///   weight-gradient value of `slots[j]`, folded from `acc = +0.0` over the
 ///   features `d` in ascending order as `acc + d_lo[d]·x_hi[d]`, then
@@ -594,6 +597,8 @@ pub fn batch_norm(
 pub struct BandLanes {
     /// `out_row += w · x_row`, elementwise.
     pub row_update: fn(f32, &[f32], &mut [f32]),
+    /// `out_row += w_row ⊙ x_row`, elementwise.
+    pub row_mul_add: fn(&[f32], &[f32], &mut [f32]),
     /// The weight-gradient value of each slot of a run, into `out`.
     pub weight_grads: WeightGrads,
 }
@@ -606,12 +611,19 @@ impl BandLanes {
     /// `ReferenceBackend` and `dist::exec` run.
     pub const SCALAR: BandLanes = BandLanes {
         row_update: scalar_row_update,
+        row_mul_add: scalar_row_mul_add,
         weight_grads: scalar_weight_grads,
     };
 }
 
 fn scalar_row_update(w: f32, x_row: &[f32], out_row: &mut [f32]) {
     for (o, &v) in out_row.iter_mut().zip(x_row) {
+        *o += w * v;
+    }
+}
+
+fn scalar_row_mul_add(w_row: &[f32], x_row: &[f32], out_row: &mut [f32]) {
+    for ((o, &w), &v) in out_row.iter_mut().zip(w_row).zip(x_row) {
         *o += w * v;
     }
 }
@@ -700,13 +712,21 @@ impl PathRows for [usize] {
     }
 }
 
-/// The weights of a slot walk, per slot, per direction and per head.
+/// The weights of a slot walk, per slot and per direction, and how one
+/// direction's update runs on the lanes.
 trait SlotWeights {
-    /// Heads: head `h` weights the `h`-th of `heads` equal column blocks.
-    fn heads(&self) -> usize;
-    /// The weight with which slot `j` (`s`) adds its `hi` row into its `lo`
-    /// row (`into_lo`) or its `lo` row into its `hi` row, for head `h`.
-    fn weight(&self, j: usize, s: &BandSlot, into_lo: bool, h: usize) -> f32;
+    /// Adds slot `j` (`s`)'s weighted `x_row` into `out_row`: its `hi` row
+    /// into its `lo` row when `into_lo`, else its `lo` row into its `hi`
+    /// row.
+    fn update(
+        &self,
+        lanes: BandLanes,
+        j: usize,
+        s: &BandSlot,
+        into_lo: bool,
+        x_row: &[f32],
+        out_row: &mut [f32],
+    );
 }
 
 /// One weight per working-graph edge, the same both ways, one head: the
@@ -715,20 +735,24 @@ struct EdgeWeights<'a>(&'a [f32]);
 
 impl SlotWeights for EdgeWeights<'_> {
     #[inline(always)]
-    fn heads(&self) -> usize {
-        1
-    }
-    #[inline(always)]
-    fn weight(&self, _: usize, s: &BandSlot, _: bool, _: usize) -> f32 {
-        self.0[s.edge]
+    fn update(&self, lanes: BandLanes, _: usize, s: &BandSlot, _: bool, x: &[f32], o: &mut [f32]) {
+        (lanes.row_update)(self.0[s.edge], x, o);
     }
 }
 
-/// Attention weights, one row of `heads` per message ([`BandRoute`]): the
-/// message `hi → lo` (`2j + 1`) weights slot `j`'s update into `lo`, and
-/// `lo → hi` (`2j`) the one into `hi`. `transposed` swaps the two, which is
-/// the walk of the backward pass: there each message carries gradient from
-/// its destination back to its source.
+/// The message whose weights slot `j`'s update into its `lo` row
+/// (`into_lo`) or its `hi` row carries: `hi → lo` (`2j + 1`) weights the one
+/// into `lo` and `lo → hi` (`2j`) the one into `hi` ([`BandRoute`]).
+/// `transposed` swaps the two, which is the walk of the backward pass:
+/// there each message carries gradient from its destination back to its
+/// source.
+#[inline(always)]
+fn message_of(j: usize, into_lo: bool, transposed: bool) -> usize {
+    2 * j + usize::from(into_lo != transposed)
+}
+
+/// Attention weights, one row of `heads` per message: head `h` weights the
+/// `h`-th of `heads` equal column blocks, one row update per head.
 struct MessageWeights<'a> {
     attn: &'a [f32],
     heads: usize,
@@ -737,25 +761,58 @@ struct MessageWeights<'a> {
 
 impl SlotWeights for MessageWeights<'_> {
     #[inline(always)]
-    fn heads(&self) -> usize {
-        self.heads
+    fn update(
+        &self,
+        lanes: BandLanes,
+        j: usize,
+        _: &BandSlot,
+        into_lo: bool,
+        x: &[f32],
+        o: &mut [f32],
+    ) {
+        let msg = message_of(j, into_lo, self.transposed);
+        let weights = &self.attn[msg * self.heads..(msg + 1) * self.heads];
+        // `max(1)`: a zero-width row has no blocks to update.
+        let width = (o.len() / self.heads).max(1);
+        for ((&w, x_block), o_block) in weights.iter().zip(x.chunks(width)).zip(o.chunks_mut(width))
+        {
+            (lanes.row_update)(w, x_block, o_block);
+        }
     }
+}
+
+/// Per-feature weights, one row of `dim` per message — the attention form
+/// with one head per feature: one lane-wise multiply-add per direction.
+struct FeatureWeights<'a> {
+    gates: &'a [f32],
+    transposed: bool,
+}
+
+impl SlotWeights for FeatureWeights<'_> {
     #[inline(always)]
-    fn weight(&self, j: usize, _: &BandSlot, into_lo: bool, h: usize) -> f32 {
-        let msg = 2 * j + usize::from(into_lo != self.transposed);
-        self.attn[msg * self.heads + h]
+    fn update(
+        &self,
+        lanes: BandLanes,
+        j: usize,
+        _: &BandSlot,
+        into_lo: bool,
+        x: &[f32],
+        o: &mut [f32],
+    ) {
+        let msg = message_of(j, into_lo, self.transposed);
+        (lanes.row_mul_add)(row(self.gates, msg, o.len()), x, o);
     }
 }
 
 /// The slot walk, written once: every slot `j` of `slots`, in order, adds
-/// `w · x[row(hi)]` into `out[row(lo)]` and `w · x[row(lo)]` into
-/// `out[row(hi)]`, head block by head block, with `w` the slot's weight for
-/// that direction and head. A slot's two rows are distinct (no slot joins a
-/// position to one carrying the same node), so its updates touch different
-/// rows and their order within the slot changes no bit; across slots each
-/// row takes its updates in slot order. The band engine's walk is the
-/// [`PathOrder`], [`EdgeWeights`] instance — one head, so one row update per
-/// direction, the loop it has always been.
+/// its weighted `x[row(hi)]` into `out[row(lo)]` and its weighted
+/// `x[row(lo)]` into `out[row(hi)]`, with the slot's weights for that
+/// direction. A slot's two rows are distinct (no slot joins a position to
+/// one carrying the same node), so its updates touch different rows and
+/// their order within the slot changes no bit; across slots each row takes
+/// its updates in slot order. The band engine's walk is the [`PathOrder`],
+/// [`EdgeWeights`] instance — one row update per direction, the loop it has
+/// always been.
 fn slot_walk<R: PathRows + ?Sized, W: SlotWeights>(
     lanes: BandLanes,
     slots: &[BandSlot],
@@ -765,12 +822,6 @@ fn slot_walk<R: PathRows + ?Sized, W: SlotWeights>(
     dim: usize,
     out: &mut [f32],
 ) {
-    let heads = weights.heads();
-    debug_assert!(
-        heads > 0 && dim.is_multiple_of(heads),
-        "heads must divide dim"
-    );
-    let width = dim / heads;
     for (j, s) in slots.iter().enumerate() {
         let (lo, hi) = (rows.row_at(s.lo), rows.row_at(s.hi));
         let (out_lo, out_hi) = if R::ASCENDING || lo < hi {
@@ -779,14 +830,8 @@ fn slot_walk<R: PathRows + ?Sized, W: SlotWeights>(
             let (out_hi, out_lo) = two_rows(out, hi, lo, dim);
             (out_lo, out_hi)
         };
-        let (x_lo, x_hi) = (row(x, lo, dim), row(x, hi, dim));
-        for h in 0..heads {
-            let cols = h * width..(h + 1) * width;
-            let w_lo = weights.weight(j, s, true, h);
-            (lanes.row_update)(w_lo, &x_hi[cols.clone()], &mut out_lo[cols.clone()]);
-            let w_hi = weights.weight(j, s, false, h);
-            (lanes.row_update)(w_hi, &x_lo[cols.clone()], &mut out_hi[cols]);
-        }
+        weights.update(lanes, j, s, true, row(x, hi, dim), out_lo);
+        weights.update(lanes, j, s, false, row(x, lo, dim), out_hi);
     }
 }
 
@@ -1173,7 +1218,7 @@ impl BandRoute<'_> {
     }
 
     /// `(source row, destination row)` of every message, in message order.
-    fn messages(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    pub fn messages(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.slots.iter().flat_map(move |s| {
             let (lo, hi) = (self.rows[s.lo], self.rows[s.hi]);
             [(lo, hi), (hi, lo)]
@@ -1181,10 +1226,23 @@ impl BandRoute<'_> {
     }
 }
 
-/// Graph Transformer edge scores over a band: row `i` of `out` (`m × dim`)
-/// is `((q[dst] ⊙ k[src]) ⊙ ee[i]) · scale` for message `i` from `src` to
-/// `dst`, `q` and `k` being node rows and `ee` message rows. Each element
-/// takes the roundings of the `mul`, `mul`, `scale` chain it replaces, in
+/// What a band edge-score pass makes of message `i` from `src` to `dst`
+/// out of the node rows `q[dst]` and `k[src]` and the message row `ee[i]`,
+/// element by element.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EdgeScore {
+    /// `((q[dst] ⊙ k[src]) ⊙ ee) · scale`: Graph Transformer's scaled
+    /// product.
+    Product(f32),
+    /// `(k[src] + q[dst]) + ee`: GatedGCN's edge pre-activation and GAT's
+    /// additive score.
+    Sum,
+}
+
+/// Band edge scores: row `i` of `out` (`m × dim`) is `form` applied to
+/// message `i`'s rows, `q` and `k` being node rows and `ee` message rows.
+/// Each element takes the roundings of the `mul`, `mul`, `scale` chain (the
+/// product form) or the `add`, `add` chain (the sum form) it replaces, in
 /// that order, so the output is that chain's on gathered rows, bit for bit.
 /// `out` is write-only.
 pub fn band_edge_scores(
@@ -1193,12 +1251,34 @@ pub fn band_edge_scores(
     k: &[f32],
     ee: &[f32],
     dim: usize,
-    scale: f32,
+    form: EdgeScore,
     out: &mut [f32],
 ) {
     let _span = mega_obs::span("band_edge_scores");
     debug_assert_eq!(ee.len(), route.message_count() * dim, "ee must be m x dim");
     debug_assert_eq!(out.len(), ee.len(), "out must be m x dim");
+    match form {
+        EdgeScore::Product(scale) => {
+            score_rows(route, q, k, ee, dim, out, |qv, kv, ev| {
+                ((qv * kv) * ev) * scale
+            });
+        }
+        EdgeScore::Sum => score_rows(route, q, k, ee, dim, out, |qv, kv, ev| (kv + qv) + ev),
+    }
+}
+
+/// [`band_edge_scores`]' loop for one form: `out[i] = f(q[dst], k[src],
+/// ee[i])` per element.
+#[inline(always)]
+fn score_rows(
+    route: BandRoute<'_>,
+    q: &[f32],
+    k: &[f32],
+    ee: &[f32],
+    dim: usize,
+    out: &mut [f32],
+    f: impl Fn(f32, f32, f32) -> f32,
+) {
     // `max(1)`: a zero-width tensor has no rows to chunk.
     let rows = out
         .chunks_exact_mut(dim.max(1))
@@ -1206,7 +1286,7 @@ pub fn band_edge_scores(
     for ((src, dst), (o_row, e_row)) in route.messages().zip(rows) {
         let (q_row, k_row) = (row(q, dst, dim), row(k, src, dim));
         for (((o, &qv), &kv), &ev) in o_row.iter_mut().zip(q_row).zip(k_row).zip(e_row) {
-            *o = ((qv * kv) * ev) * scale;
+            *o = f(qv, kv, ev);
         }
     }
 }
@@ -1217,11 +1297,12 @@ pub fn band_edge_scores(
 /// node-row buffers `dq` and `dk`.
 ///
 /// Per element the products are those of the unfused chain's backward arms
-/// (`gs = g · scale`, `dee = gs · (q ⊙ k)`, `dq += (gs · ee) · k`,
-/// `dk += (gs · ee) · q`), so `dee` keeps its bits. `dq` and `dk` sum each
-/// node's messages in message order straight into its row, where the chain
-/// first summed them per path position: the grouping of the sums is all
-/// that differs.
+/// — for the product form `gs = g · scale`, `dee = gs · (q ⊙ k)`,
+/// `dq += (gs · ee) · k`, `dk += (gs · ee) · q`; for the sum form `g` itself
+/// three times, so `dee` is `g` and `q`, `k` are not read — so `dee` keeps
+/// its bits. `dq` and `dk` sum each node's messages in message order
+/// straight into its row, where the chain first summed them per path
+/// position: the grouping of the sums is all that differs.
 #[allow(clippy::too_many_arguments)]
 pub fn band_edge_scores_grad(
     route: BandRoute<'_>,
@@ -1229,7 +1310,7 @@ pub fn band_edge_scores_grad(
     k: &[f32],
     ee: &[f32],
     dim: usize,
-    scale: f32,
+    form: EdgeScore,
     g: &mut [f32],
     dq: &mut [f32],
     dk: &mut [f32],
@@ -1241,16 +1322,31 @@ pub fn band_edge_scores_grad(
     let rows = g
         .chunks_exact_mut(dim.max(1))
         .zip(ee.chunks_exact(dim.max(1)));
-    for ((src, dst), (g_row, e_row)) in route.messages().zip(rows) {
-        let (q_row, k_row) = (row(q, dst, dim), row(k, src, dim));
-        let dq_row = &mut dq[dst * dim..(dst + 1) * dim];
-        let dk_row = &mut dk[src * dim..(src + 1) * dim];
-        for c in 0..dim {
-            let gs = g_row[c] * scale;
-            let dqk = gs * e_row[c];
-            g_row[c] = gs * (q_row[c] * k_row[c]);
-            dq_row[c] += dqk * k_row[c];
-            dk_row[c] += dqk * q_row[c];
+    let messages = route.messages().zip(rows);
+    match form {
+        EdgeScore::Product(scale) => {
+            for ((src, dst), (g_row, e_row)) in messages {
+                let (q_row, k_row) = (row(q, dst, dim), row(k, src, dim));
+                let dq_row = &mut dq[dst * dim..(dst + 1) * dim];
+                let dk_row = &mut dk[src * dim..(src + 1) * dim];
+                for c in 0..dim {
+                    let gs = g_row[c] * scale;
+                    let dqk = gs * e_row[c];
+                    g_row[c] = gs * (q_row[c] * k_row[c]);
+                    dq_row[c] += dqk * k_row[c];
+                    dk_row[c] += dqk * q_row[c];
+                }
+            }
+        }
+        EdgeScore::Sum => {
+            for ((src, dst), (g_row, _)) in messages {
+                let dq_row = &mut dq[dst * dim..(dst + 1) * dim];
+                let dk_row = &mut dk[src * dim..(src + 1) * dim];
+                for ((dqv, dkv), &gv) in dq_row.iter_mut().zip(dk_row.iter_mut()).zip(&*g_row) {
+                    *dqv += gv;
+                    *dkv += gv;
+                }
+            }
         }
     }
 }
@@ -1260,7 +1356,11 @@ pub fn band_edge_scores_grad(
 /// the destination's row of the zeroed node-row buffer `out` — the weighted
 /// aggregation `h_agg[dst] += α · v[src]` in message order, each element one
 /// `mul` then one `add`, so the bits of `mul_col_broadcast` followed by
-/// `scatter_add_rows`. `attn` is `m × heads`.
+/// `scatter_add_rows`. `attn` is `m × heads`. With one head per feature
+/// (`heads == dim`) the weights are per feature — the gated sum
+/// `num[dst] += η ⊙ v[src]`, the bits of `mul` followed by
+/// `scatter_add_rows` — and each update is one [`BandLanes::row_mul_add`]
+/// instead of `dim` one-element row updates.
 ///
 /// `transposed` runs every message backwards (`out[src] += α · x[dst]`):
 /// with `x` the gradient of the aggregate that is the gradient with respect
@@ -1283,21 +1383,35 @@ pub fn band_attend(
         route.message_count() * heads,
         "attn must be m x heads"
     );
+    debug_assert!(
+        heads > 0 && dim.is_multiple_of(heads),
+        "heads must divide dim"
+    );
     debug_assert_eq!(x.len(), out.len(), "x and out must be node rows");
-    let weights = MessageWeights {
-        attn,
-        heads,
-        transposed,
-    };
-    slot_walk(lanes, route.slots, route.rows, &weights, x, dim, out);
+    if heads == dim {
+        let gates = FeatureWeights {
+            gates: attn,
+            transposed,
+        };
+        slot_walk(lanes, route.slots, route.rows, &gates, x, dim, out);
+    } else {
+        let weights = MessageWeights {
+            attn,
+            heads,
+            transposed,
+        };
+        slot_walk(lanes, route.slots, route.rows, &weights, x, dim, out);
+    }
 }
 
 /// The gradient of [`band_attend`] with respect to its weights, into the
 /// `m × heads` buffer `out`: entry `(i, h)` is the dot product of head `h`'s
 /// blocks of `g[dst]` and `v[src]` for message `i`, folded from `+0.0` in
 /// ascending feature order as `acc + g·v` — the weight gradient of
-/// `mul_col_broadcast` on gathered rows, bit for bit. A fold, so it runs
-/// scalar on every backend. `out` is write-only.
+/// `mul_col_broadcast` on gathered rows, bit for bit. With one head per
+/// feature each entry is the one-term fold `0.0 + g·v`, computed as such
+/// in one pass over the row. A fold, so it runs scalar on every backend.
+/// `out` is write-only.
 pub fn band_attend_weight_grad(
     route: BandRoute<'_>,
     g: &[f32],
@@ -1319,6 +1433,12 @@ pub fn band_attend_weight_grad(
     let width = dim / heads;
     for ((src, dst), o_row) in route.messages().zip(out.chunks_exact_mut(heads.max(1))) {
         let (g_row, v_row) = (row(g, dst, dim), row(v, src, dim));
+        if heads == dim {
+            for ((o, &gv), &vv) in o_row.iter_mut().zip(g_row).zip(v_row) {
+                *o = 0.0 + gv * vv;
+            }
+            continue;
+        }
         for (h, o) in o_row.iter_mut().enumerate() {
             let cols = h * width..(h + 1) * width;
             let mut acc = 0.0f32;

@@ -45,7 +45,7 @@ pub use profiled::{Calibration, ProfiledBackend};
 pub use reference::ReferenceBackend;
 pub use simd::SimdBackend;
 
-pub use kernels::BandRoute;
+pub use kernels::{BandRoute, EdgeScore};
 
 use kernels::BandLanes;
 use mega_core::band::BandMask;
@@ -281,9 +281,10 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         kernels::banded_weight_grad(BandLanes::SCALAR, band, x, d_out, dim, par, out);
     }
 
-    /// Graph Transformer edge scores over a batch's band, into the
-    /// write-only `m × dim` buffer `out`: `((q[dst] ⊙ k[src]) ⊙ ee) · scale`
-    /// per message, with `q`, `k` node rows read through the route
+    /// Edge scores over a batch's band, into the write-only `m × dim` buffer
+    /// `out`: `form` of `q[dst]`, `k[src]` and `ee` per message — Graph
+    /// Transformer's scaled product or the additive score of GatedGCN and
+    /// GAT — with `q`, `k` node rows read through the route
     /// ([`kernels::band_edge_scores`]). The first of the attention form's
     /// two forward passes: no per-message copy of `q` or `k` exists.
     #[allow(clippy::too_many_arguments)]
@@ -294,10 +295,10 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         k: &[f32],
         ee: &[f32],
         dim: usize,
-        scale: f32,
+        form: EdgeScore,
         out: &mut [f32],
     ) {
-        kernels::band_edge_scores(route, q, k, ee, dim, scale, out);
+        kernels::band_edge_scores(route, q, k, ee, dim, form, out);
     }
 
     /// The backward pass of [`Backend::band_edge_scores`]: rewrites `g` into
@@ -312,17 +313,18 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         k: &[f32],
         ee: &[f32],
         dim: usize,
-        scale: f32,
+        form: EdgeScore,
         g: &mut [f32],
         dq: &mut [f32],
         dk: &mut [f32],
     ) {
-        kernels::band_edge_scores_grad(route, q, k, ee, dim, scale, g, dq, dk);
+        kernels::band_edge_scores_grad(route, q, k, ee, dim, form, g, dq, dk);
     }
 
     /// The attention form of the slot walk: per-message, per-head weights
     /// `attn` (`m × heads`) times source rows of `x`, added into destination
-    /// rows of the zeroed node-row buffer `out`; `transposed` runs every
+    /// rows of the zeroed node-row buffer `out`; `heads == dim` weighs every
+    /// feature on its own (GatedGCN's gates), and `transposed` runs every
     /// message backwards, the values' gradient ([`kernels::band_attend`]).
     /// One worker, always. The default runs [`BandLanes::SCALAR`]; a backend
     /// overrides this only to pass its own lanes.

@@ -23,7 +23,7 @@
 //! production trainer; `tests/profiled.rs` gates the overhead at ≤ 5% of
 //! the unwrapped backend on the 512×512 GEMM harness.
 
-use crate::{Backend, BandRoute, Epilogue, NormKind, Operand, Unary};
+use crate::{Backend, BandRoute, EdgeScore, Epilogue, NormKind, Operand, Unary};
 use mega_core::band::BandMask;
 use mega_core::Parallelism;
 use std::sync::Arc;
@@ -300,19 +300,22 @@ impl Backend for ProfiledBackend {
         k: &[f32],
         ee: &[f32],
         dim: usize,
-        scale: f32,
+        form: EdgeScore,
         out: &mut [f32],
     ) {
         let t = mega_obs::timer();
-        self.inner
-            .band_edge_scores(route, q, k, ee, dim, scale, out);
+        self.inner.band_edge_scores(route, q, k, ee, dim, form, out);
         let (msgs, len) = (route.message_count() as u64, out.len() as u64);
-        // Two multiplies and a scale per element; per message a query row,
-        // a key row and an edge row read, an output row written, and two
-        // node lookups.
+        // Two multiplies and a scale, or two adds, per element; per message
+        // a `q` row, a `k` row and an edge row read, an output row written,
+        // and two node lookups.
+        let flops = match form {
+            EdgeScore::Product(_) => 3,
+            EdgeScore::Sum => 2,
+        };
         self.record(
             "band_edge_scores",
-            3 * len,
+            flops * len,
             4 * len * F32 + 2 * msgs * IDX,
             t,
         );
@@ -325,23 +328,28 @@ impl Backend for ProfiledBackend {
         k: &[f32],
         ee: &[f32],
         dim: usize,
-        scale: f32,
+        form: EdgeScore,
         g: &mut [f32],
         dq: &mut [f32],
         dk: &mut [f32],
     ) {
         let t = mega_obs::timer();
         self.inner
-            .band_edge_scores_grad(route, q, k, ee, dim, scale, g, dq, dk);
+            .band_edge_scores_grad(route, q, k, ee, dim, form, g, dq, dk);
         let (msgs, len) = (route.message_count() as u64, g.len() as u64);
-        // Per element: the scale, `q·k`, two products for `dee` and the
-        // shared `gs·ee`, and a multiply-add into each of `dq` and `dk`.
-        // Reads `q`, `k`, `ee`, `g`; writes `dee`; `dq` and `dk` are read
-        // and written.
+        // Product form, per element: the scale, `q·k`, two products for
+        // `dee` and the shared `gs·ee`, and a multiply-add into each of `dq`
+        // and `dk`; reads `q`, `k`, `ee`, `g`, writes `dee`, and reads and
+        // writes `dq` and `dk`. Sum form: `g` is `dee` as it stands, added
+        // into `dq` and `dk`.
+        let (flops, streams) = match form {
+            EdgeScore::Product(_) => (8, 9),
+            EdgeScore::Sum => (2, 5),
+        };
         self.record(
             "band_edge_scores_grad",
-            8 * len,
-            9 * len * F32 + 2 * msgs * IDX,
+            flops * len,
+            streams * len * F32 + 2 * msgs * IDX,
             t,
         );
     }
@@ -362,7 +370,8 @@ impl Backend for ProfiledBackend {
         let msgs = route.message_count() as u64;
         let len = msgs * dim as u64;
         // A multiply and an add per element of every message; a source row
-        // read and a destination row read and written per message.
+        // read and a destination row read and written per message, and the
+        // weights: `heads` per message, a row of them with one per feature.
         self.record(
             "band_attend",
             2 * len,
@@ -568,8 +577,8 @@ mod tests {
         fn norm(&self, _: NormKind, _: &[f32], _: &[f32], _: &[f32], _: usize, _: usize, _: f32, _: Option<Unary>, _: &mut [f32]) { self.hit("norm") }
         fn banded_aggregate(&self, _: &BandMask, _: &[f32], _: usize, _: &[f32], _: &Parallelism, _: &mut [f32]) { self.hit("banded_aggregate") }
         fn banded_weight_grad(&self, _: &BandMask, _: &[f32], _: &[f32], _: usize, _: usize, _: &Parallelism, _: &mut [f32]) { self.hit("banded_weight_grad") }
-        fn band_edge_scores(&self, _: BandRoute<'_>, _: &[f32], _: &[f32], _: &[f32], _: usize, _: f32, _: &mut [f32]) { self.hit("band_edge_scores") }
-        fn band_edge_scores_grad(&self, _: BandRoute<'_>, _: &[f32], _: &[f32], _: &[f32], _: usize, _: f32, _: &mut [f32], _: &mut [f32], _: &mut [f32]) { self.hit("band_edge_scores_grad") }
+        fn band_edge_scores(&self, _: BandRoute<'_>, _: &[f32], _: &[f32], _: &[f32], _: usize, _: EdgeScore, _: &mut [f32]) { self.hit("band_edge_scores") }
+        fn band_edge_scores_grad(&self, _: BandRoute<'_>, _: &[f32], _: &[f32], _: &[f32], _: usize, _: EdgeScore, _: &mut [f32], _: &mut [f32], _: &mut [f32]) { self.hit("band_edge_scores_grad") }
         fn band_attend(&self, _: BandRoute<'_>, _: &[f32], _: &[f32], _: usize, _: usize, _: bool, _: &mut [f32]) { self.hit("band_attend") }
         fn band_attend_weight_grad(&self, _: BandRoute<'_>, _: &[f32], _: &[f32], _: usize, _: usize, _: &mut [f32]) { self.hit("band_attend_weight_grad") }
     }
@@ -609,8 +618,9 @@ mod tests {
             slots: band.active_slots(),
             rows: &[],
         };
-        d.band_edge_scores(route, &[], &[], &[], 0, 1.0, &mut []);
-        d.band_edge_scores_grad(route, &[], &[], &[], 0, 1.0, &mut [], &mut [], &mut []);
+        d.band_edge_scores(route, &[], &[], &[], 0, EdgeScore::Sum, &mut []);
+        let form = EdgeScore::Product(1.0);
+        d.band_edge_scores_grad(route, &[], &[], &[], 0, form, &mut [], &mut [], &mut []);
         d.band_attend(route, &[], &[], 1, 0, false, &mut []);
         d.band_attend_weight_grad(route, &[], &[], 1, 0, &mut []);
         let calls = counting.calls.lock().unwrap();

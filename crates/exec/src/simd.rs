@@ -49,9 +49,9 @@
 //!   libm loop — a vectorized `exp` approximation could not be
 //!   bit-identical — so [`SimdBackend`] simply delegates it.
 //! * The band kernels keep the walks of `kernels` — the band engine's, its
-//!   clipped form and the attention form — and swap only their two inner
-//!   loops ([`BandLanes`]). The row update
-//!   `out_row += w·x_row` runs lanes across features: elements are
+//!   clipped form and the attention form — and swap only their inner
+//!   loops ([`BandLanes`]). The row updates `out_row += w·x_row` and
+//!   `out_row += w_row ⊙ x_row` run lanes across features: elements are
 //!   independent, each still one `mul` then one `add`, rows still updated
 //!   in slot order. The weight gradient folds each slot's
 //!   `acc + d_lo[d]·x_hi[d]`, `acc + d_hi[d]·x_lo[d]` over `d` ascending
@@ -425,6 +425,22 @@ mod wide {
         }
     }
 
+    /// The band row update with per-feature weights, `out_row += w_row ⊙
+    /// x_row`, in `W`-lane chunks with a scalar tail.
+    pub fn row_mul_add<const W: usize>(w_row: &[f32], x_row: &[f32], out_row: &mut [f32]) {
+        let mut os = out_row.chunks_exact_mut(W);
+        let (mut ws, mut xs) = (w_row.chunks_exact(W), x_row.chunks_exact(W));
+        for ((o, w), x) in (&mut os).zip(&mut ws).zip(&mut xs) {
+            for l in 0..W {
+                o[l] += w[l] * x[l];
+            }
+        }
+        let tail = os.into_remainder().iter_mut().zip(ws.remainder());
+        for ((o, &w), &v) in tail.zip(xs.remainder()) {
+            *o += w * v;
+        }
+    }
+
     /// `W`-lane unary elementwise loop with a scalar tail.
     #[inline]
     pub fn map<const W: usize>(x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
@@ -739,6 +755,10 @@ fn band_lanes(mode: Mode) -> BandLanes {
             // `is_x86_feature_detected!` found avx512f and avx.
             row_update: |w, x_row, out_row| unsafe { row_update_avx512(w, x_row, out_row) },
             // SAFETY: as above.
+            row_mul_add: |w_row, x_row, out_row| unsafe {
+                row_mul_add_avx512(w_row, x_row, out_row)
+            },
+            // SAFETY: as above.
             weight_grads: |slots, x, d_out, base, dim, out| unsafe {
                 weight_grads_avx(slots, x, d_out, base, dim, out)
             },
@@ -749,6 +769,8 @@ fn band_lanes(mode: Mode) -> BandLanes {
             // `is_x86_feature_detected!("avx")` returned true.
             row_update: |w, x_row, out_row| unsafe { row_update_avx(w, x_row, out_row) },
             // SAFETY: as above.
+            row_mul_add: |w_row, x_row, out_row| unsafe { row_mul_add_avx(w_row, x_row, out_row) },
+            // SAFETY: as above.
             weight_grads: |slots, x, d_out, base, dim, out| unsafe {
                 weight_grads_avx(slots, x, d_out, base, dim, out)
             },
@@ -758,6 +780,11 @@ fn band_lanes(mode: Mode) -> BandLanes {
                 4 => wide::row_update::<4>,
                 8 => wide::row_update::<8>,
                 _ => wide::row_update::<16>,
+            },
+            row_mul_add: match w {
+                4 => wide::row_mul_add::<4>,
+                8 => wide::row_mul_add::<8>,
+                _ => wide::row_mul_add::<16>,
             },
             ..BandLanes::SCALAR
         },
@@ -808,6 +835,55 @@ fn row_update_avx(w: f32, x_row: &[f32], out_row: &mut [f32]) {
         d += 8;
     }
     for (o, &v) in out_row[d..].iter_mut().zip(&x_row[d..]) {
+        *o += w * v;
+    }
+}
+
+/// `out_row += w_row ⊙ x_row` on 16 lanes across features — per element
+/// one `vmulps` then one `vaddps`, the scalar `out + w·x` — and a scalar
+/// tail. The rows [`ROWS_AHEAD`] rows on are prefetched first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn row_mul_add_avx512(w_row: &[f32], x_row: &[f32], out_row: &mut [f32]) {
+    let (w_row, x_row) = (&w_row[..out_row.len()], &x_row[..out_row.len()]);
+    prefetch_rows_ahead(x_row, out_row);
+    let (wp, xp, op) = (w_row.as_ptr(), x_row.as_ptr(), out_row.as_mut_ptr());
+    let mut d = 0;
+    while d + 16 <= out_row.len() {
+        // SAFETY: `d + 16` is within `out_row`, and `w_row` and `x_row` were
+        // just cut to the same length; AVX-512F per the caller's detected
+        // mode.
+        unsafe {
+            let v = _mm512_mul_ps(_mm512_loadu_ps(wp.add(d)), _mm512_loadu_ps(xp.add(d)));
+            _mm512_storeu_ps(op.add(d), _mm512_add_ps(_mm512_loadu_ps(op.add(d)), v));
+        }
+        d += 16;
+    }
+    let tail = out_row[d..].iter_mut().zip(&w_row[d..]);
+    for ((o, &w), &v) in tail.zip(&x_row[d..]) {
+        *o += w * v;
+    }
+}
+
+/// [`row_mul_add_avx512`] on 8 lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn row_mul_add_avx(w_row: &[f32], x_row: &[f32], out_row: &mut [f32]) {
+    let (w_row, x_row) = (&w_row[..out_row.len()], &x_row[..out_row.len()]);
+    prefetch_rows_ahead(x_row, out_row);
+    let (wp, xp, op) = (w_row.as_ptr(), x_row.as_ptr(), out_row.as_mut_ptr());
+    let mut d = 0;
+    while d + 8 <= out_row.len() {
+        // SAFETY: `d + 8` is within `out_row`, and `w_row` and `x_row` were
+        // just cut to the same length; AVX per the caller's detected mode.
+        unsafe {
+            let v = _mm256_mul_ps(_mm256_loadu_ps(wp.add(d)), _mm256_loadu_ps(xp.add(d)));
+            _mm256_storeu_ps(op.add(d), _mm256_add_ps(_mm256_loadu_ps(op.add(d)), v));
+        }
+        d += 8;
+    }
+    let tail = out_row[d..].iter_mut().zip(&w_row[d..]);
+    for ((o, &w), &v) in tail.zip(&x_row[d..]) {
         *o += w * v;
     }
 }

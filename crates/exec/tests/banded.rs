@@ -16,7 +16,10 @@
 //! companion passes) reads node rows through a position → node map:
 //! `attention_walk_with_symmetric_weights_is_the_band_walk` ties its
 //! identity-map, one-head instance to the walk, and
-//! `attention_passes_bits_are_pinned` holds all four passes on every backend.
+//! `attention_passes_bits_are_pinned` holds all four passes on every backend,
+//! `feature_weights_walk_is_the_per_message_gated_sum` ties the one-head-
+//! per-feature walk to a plain message loop, and
+//! `sum_and_feature_passes_bits_are_pinned` holds the sum form and that walk.
 //! `crates/gnn/tests/proptests.rs` holds them to the unfused tape
 //! composition they replace.
 
@@ -28,7 +31,7 @@ use mega_exec::kernels::{
     banded_aggregate, banded_aggregate_serial, banded_aggregate_with_plan, banded_weight_grad,
     banded_weight_grad_serial, banded_weight_grad_with_plan, BandLanes,
 };
-use mega_exec::{Backend, BandRoute, ProfiledBackend, ReferenceBackend, SimdBackend};
+use mega_exec::{Backend, BandRoute, EdgeScore, ProfiledBackend, ReferenceBackend, SimdBackend};
 use mega_graph::{generate, Graph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -329,9 +332,10 @@ fn attention_passes_bits_are_pinned() {
     let (g_node, attn) = (random_values(n * dim, 56), random_values(m * heads, 57));
     for b in all_backends() {
         let mut scores = vec![0.0f32; m * dim];
-        b.band_edge_scores(route, &q, &k, &ee, dim, 0.25, &mut scores);
+        let form = EdgeScore::Product(0.25);
+        b.band_edge_scores(route, &q, &k, &ee, dim, form, &mut scores);
         let (mut dee, mut dq, mut dk) = (g_msg.clone(), vec![0.0f32; n * dim], vec![0.0; n * dim]);
-        b.band_edge_scores_grad(route, &q, &k, &ee, dim, 0.25, &mut dee, &mut dq, &mut dk);
+        b.band_edge_scores_grad(route, &q, &k, &ee, dim, form, &mut dee, &mut dq, &mut dk);
         let (mut agg, mut dv) = (vec![0.0f32; n * dim], vec![0.0f32; n * dim]);
         b.band_attend(route, &v, &attn, heads, dim, false, &mut agg);
         b.band_attend(route, &g_node, &attn, heads, dim, true, &mut dv);
@@ -339,6 +343,78 @@ fn attention_passes_bits_are_pinned() {
         b.band_attend_weight_grad(route, &g_node, &v, heads, dim, &mut d_attn);
         let hash = fnv1a_all(&[&scores, &dee, &dq, &dk, &agg, &dv, &d_attn]);
         assert_eq!(hash, 0x2fa1_bdb9_5305_3220, "{b:?}");
+    }
+}
+
+/// With one head per feature, the attention walk is the gated sum of
+/// GatedGCN — `out[dst] += w ⊙ x[src]` per message, in message order, one
+/// `mul` then one `add` per element — forwards and transposed, on every
+/// backend and at every width of the grid.
+#[test]
+fn feature_weights_walk_is_the_per_message_gated_sum() {
+    let g = generate::barabasi_albert(120, 3, &mut StdRng::seed_from_u64(12)).unwrap();
+    let sched = preprocess(&g, &MegaConfig::default()).unwrap();
+    let route = BandRoute {
+        slots: sched.band().active_slots(),
+        rows: sched.gather_index(),
+    };
+    let (n, m) = (g.node_count(), route.message_count());
+    for dim in DIMS.into_iter().filter(|&d| d > 0) {
+        let (x, gates) = (random_values(n * dim, 13), random_values(m * dim, 14));
+        for transposed in [false, true] {
+            let mut sum = vec![0.0f32; n * dim];
+            for (i, (src, dst)) in route.messages().enumerate() {
+                let (from, to) = if transposed { (dst, src) } else { (src, dst) };
+                for c in 0..dim {
+                    sum[to * dim + c] += gates[i * dim + c] * x[from * dim + c];
+                }
+            }
+            for b in all_backends() {
+                let mut out = vec![0.0f32; n * dim];
+                b.band_attend(route, &x, &gates, dim, dim, transposed, &mut out);
+                assert_eq!(bits(&out), bits(&sum), "{b:?}, dim={dim}, {transposed}");
+            }
+        }
+    }
+}
+
+/// The output bits of the passes GatedGCN and GAT add — the sum form of the
+/// edge scores and its gradient, the walk with one head per feature
+/// forwards and transposed, and its weight gradient — on the band of
+/// `attention_passes_bits_are_pinned` at 17 features, on every backend and
+/// SIMD tier. The constant was taken when the passes first matched the
+/// unfused composition (`gated_band_matches_the_unfused_composition` in
+/// `crates/gnn/tests/proptests.rs`).
+#[test]
+fn sum_and_feature_passes_bits_are_pinned() {
+    let g = generate::barabasi_albert(600, 3, &mut StdRng::seed_from_u64(30)).unwrap();
+    let sched = preprocess(&g, &MegaConfig::default()).unwrap();
+    let route = BandRoute {
+        slots: sched.band().active_slots(),
+        rows: sched.gather_index(),
+    };
+    let (n, m, dim) = (g.node_count(), route.message_count(), 17);
+    let (ah, bh, vh) = (
+        random_values(n * dim, 61),
+        random_values(n * dim, 62),
+        random_values(n * dim, 63),
+    );
+    let (ce, g_msg) = (random_values(m * dim, 64), random_values(m * dim, 65));
+    let (g_node, gates) = (random_values(n * dim, 66), random_values(m * dim, 67));
+    for b in all_backends() {
+        let mut e_hat = vec![0.0f32; m * dim];
+        b.band_edge_scores(route, &bh, &ah, &ce, dim, EdgeScore::Sum, &mut e_hat);
+        let (mut dce, mut dbh, mut dah) =
+            (g_msg.clone(), vec![0.0f32; n * dim], vec![0.0; n * dim]);
+        let sum = EdgeScore::Sum;
+        b.band_edge_scores_grad(route, &bh, &ah, &ce, dim, sum, &mut dce, &mut dbh, &mut dah);
+        let (mut num, mut dv) = (vec![0.0f32; n * dim], vec![0.0f32; n * dim]);
+        b.band_attend(route, &vh, &gates, dim, dim, false, &mut num);
+        b.band_attend(route, &g_node, &gates, dim, dim, true, &mut dv);
+        let mut d_gates = vec![0.0f32; m * dim];
+        b.band_attend_weight_grad(route, &g_node, &vh, dim, dim, &mut d_gates);
+        let hash = fnv1a_all(&[&e_hat, &dce, &dbh, &dah, &num, &dv, &d_gates]);
+        assert_eq!(hash, 0x7e3b_0e14_b88a_2043, "{b:?}: {hash:#018x}");
     }
 }
 

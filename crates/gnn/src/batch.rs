@@ -5,81 +5,65 @@
 //! [`EngineIndices`] that route messages:
 //!
 //! * **Baseline**: one message per directed adjacency slot, exactly the DGL
-//!   pattern.
-//! * **MEGA**: work rows are path positions; one message pair per active band
-//!   slot, in slot order, and the batch's stitched slot list as a
-//!   [`Band`] for the layers that run on it. The attention softmax and the
-//!   aggregation remain keyed by *destination node*, so with full edge
-//!   coverage every node receives exactly the same multiset of messages as
-//!   under the baseline — the two engines are numerically equivalent and
-//!   only their memory-access shape differs.
+//!   pattern: each message's source node, for the layers to gather per
+//!   message ([`Route::Gather`]).
+//! * **MEGA**: one message pair per active band slot, in slot order, and the
+//!   batch's stitched slot list as a [`Band`] the layers walk
+//!   ([`Route::Band`]); no per-message index exists. The attention softmax
+//!   and the aggregation remain keyed by *destination node*, so with full
+//!   edge coverage every node receives exactly the same multiset of
+//!   messages as under the baseline — the two engines are numerically
+//!   equivalent and only their memory-access shape differs.
 
 use crate::config::EngineChoice;
 use mega_core::band::BandSlot;
 use mega_core::AttentionSchedule;
 use mega_datasets::{GraphSample, Target};
-use mega_tensor::{Band, Tape, Var};
+use mega_tensor::Band;
 use std::sync::Arc;
 
 /// Message routing for one batch under one engine.
 #[derive(Debug, Clone)]
 pub struct EngineIndices {
-    /// Which engine these indices express.
-    pub engine: EngineChoice,
     /// Total nodes in the batch.
     pub n_nodes: usize,
-    /// Rows of the working buffer (nodes for baseline, path positions for
-    /// MEGA).
+    /// Rows of the engine's working order: nodes for baseline, path
+    /// positions for MEGA.
     pub work_rows: usize,
-    /// For each work row, the node whose embedding it carries; `None` when
-    /// work rows *are* node rows (the baseline engine), so nothing is
-    /// gathered.
-    pub node_to_work: Option<Arc<Vec<usize>>>,
-    /// Message source work row.
-    pub msg_src_work: Arc<Vec<usize>>,
-    /// Message destination work row.
-    pub msg_dst_work: Arc<Vec<usize>>,
     /// Message destination *node* row (softmax segments and aggregation).
     pub msg_dst_node: Arc<Vec<usize>>,
     /// Edge-feature vocabulary id per message.
     pub msg_edge_feat: Arc<Vec<usize>>,
-    /// The batch's band on the MEGA engine (`None` on the baseline): the
-    /// stitched active slots, slot `j` carrying messages `2j` (`lo → hi`)
-    /// and `2j + 1` (`hi → lo`).
-    pub band: Option<Arc<Band>>,
+    /// How messages reach the node rows they read.
+    pub route: Route,
+}
+
+/// How a batch's messages reach their source nodes' rows.
+#[derive(Debug, Clone)]
+pub enum Route {
+    /// The baseline engine: message `i` reads node row `src[i]`; the layers
+    /// gather per-message copies through it, and through
+    /// [`EngineIndices::msg_dst_node`] for destinations.
+    Gather(Arc<Vec<usize>>),
+    /// The MEGA engine: the batch's band — its stitched active slots, slot
+    /// `j` carrying messages `2j` (`lo → hi`) and `2j + 1` (`hi → lo`) —
+    /// which the band ops walk, reading node rows through its position →
+    /// node map.
+    Band(Arc<Band>),
 }
 
 impl EngineIndices {
-    /// Number of messages.
-    pub fn msg_count(&self) -> usize {
-        self.msg_src_work.len()
-    }
-
-    /// The node whose embedding work row `row` carries.
-    pub fn node_of_work(&self, row: usize) -> usize {
-        self.node_to_work.as_ref().map_or(row, |index| index[row])
-    }
-
-    /// Routes per-node rows `x` to work rows: `x` itself on the baseline
-    /// engine, one `gather_rows` through `node_to_work` on MEGA.
-    pub fn to_work(&self, tape: &mut Tape, x: Var) -> Var {
-        match &self.node_to_work {
-            Some(index) => tape.gather_rows(x, index.clone()),
-            None => x,
+    /// Which engine these indices express.
+    pub fn engine(&self) -> EngineChoice {
+        match self.route {
+            Route::Gather(_) => EngineChoice::Baseline,
+            Route::Band(_) => EngineChoice::Mega,
         }
     }
 
-    /// Routes per-node rows `x` to messages by source: node → work row →
-    /// message, so MEGA's path-ordered work buffer stays on the route.
-    pub fn gather_src(&self, tape: &mut Tape, x: Var) -> Var {
-        let work = self.to_work(tape, x);
-        tape.gather_rows(work, self.msg_src_work.clone())
-    }
-
-    /// [`EngineIndices::gather_src`], by destination.
-    pub fn gather_dst(&self, tape: &mut Tape, x: Var) -> Var {
-        let work = self.to_work(tape, x);
-        tape.gather_rows(work, self.msg_dst_work.clone())
+    /// Number of messages.
+    pub fn msg_count(&self) -> usize {
+        self.msg_dst_node.len()
     }
 }
 
@@ -89,19 +73,17 @@ impl EngineIndices {
 struct MegaSegment {
     node_feats: Vec<usize>,
     /// Sample-local node id per path position.
-    node_to_work: Vec<usize>,
-    /// `(src_pos, dst_pos, dst_node, edge_feat)` per directed message.
-    msgs: Vec<(usize, usize, usize, usize)>,
+    node_of: Vec<usize>,
+    /// `(lo, hi, edge_feat)` per active band slot: the messages `lo → hi`
+    /// and `hi → lo` between those path positions.
+    slots: Vec<(usize, usize, usize)>,
     n_nodes: usize,
-    path_len: usize,
 }
 
 impl MegaSegment {
     fn build(s: &GraphSample, sched: &AttentionSchedule) -> Self {
         let g = &s.graph;
-        let path = sched.path();
         let node_feats = (0..g.node_count()).map(|v| s.node_features[v]).collect();
-        let node_to_work = sched.gather_index().to_vec();
         // Edge ids of the schedule refer to the *working* graph; when no
         // edge dropping is configured that equals the sample graph. Its
         // edge list order matches the sample's edge_features indexing.
@@ -116,7 +98,7 @@ impl MegaSegment {
             .map(|(eid, pair)| (unordered(pair), eid))
             .collect();
         sample_pairs.sort_unstable();
-        let mut msgs = Vec::new();
+        let mut slots = Vec::new();
         for slot in sched.band().active_slots() {
             let (a, b) = working_pairs[slot.edge];
             // Map the working-graph edge back to the sample edge id for
@@ -127,17 +109,13 @@ impl MegaSegment {
                 Some(&(pair, eid)) if pair == key => s.edge_features[eid],
                 _ => 0,
             };
-            let (lo_node, hi_node) = (path.node_at(slot.lo), path.node_at(slot.hi));
-            // Two directed messages per band slot.
-            msgs.push((slot.lo, slot.hi, hi_node, feat));
-            msgs.push((slot.hi, slot.lo, lo_node, feat));
+            slots.push((slot.lo, slot.hi, feat));
         }
         MegaSegment {
             node_feats,
-            node_to_work,
-            msgs,
+            node_of: sched.gather_index().to_vec(),
+            slots,
             n_nodes: g.node_count(),
-            path_len: path.len(),
         }
     }
 }
@@ -185,23 +163,17 @@ impl Batch {
             targets.push(s.target);
             offset += g.node_count();
         }
-        let n_nodes = offset;
-        let msg_dst_rc = Arc::new(msg_dst);
         Batch {
             node_feats: Arc::new(node_feats),
             graph_of_node: Arc::new(graph_of_node),
             graph_sizes,
             targets,
             indices: EngineIndices {
-                engine: EngineChoice::Baseline,
-                n_nodes,
-                work_rows: n_nodes,
-                node_to_work: None,
-                msg_src_work: Arc::new(msg_src),
-                msg_dst_work: msg_dst_rc.clone(),
-                msg_dst_node: msg_dst_rc,
+                n_nodes: offset,
+                work_rows: offset,
+                msg_dst_node: Arc::new(msg_dst),
                 msg_edge_feat: Arc::new(msg_edge),
-                band: None,
+                route: Route::Gather(Arc::new(msg_src)),
             },
         }
     }
@@ -244,42 +216,37 @@ impl Batch {
         let mut graph_of_node = Vec::new();
         let mut graph_sizes = Vec::new();
         let mut targets = Vec::new();
-        let mut node_to_work = Vec::new();
-        let mut msg_src = Vec::new();
-        let mut msg_dst = Vec::new();
+        let mut node_of = Vec::new();
         let mut msg_dst_node = Vec::new();
         let mut msg_edge = Vec::new();
         let mut slots = Vec::new();
         let mut node_offset = 0usize;
-        let mut pos_offset = 0usize;
         for (gi, (seg, s)) in segments.into_iter().zip(samples).enumerate() {
             node_feats.extend_from_slice(&seg.node_feats);
             graph_of_node.extend(std::iter::repeat_n(gi, seg.n_nodes));
-            node_to_work.extend(seg.node_to_work.iter().map(|&v| node_offset + v));
-            for (i, &(src, dst, dst_node, feat)) in seg.msgs.iter().enumerate() {
-                msg_src.push(pos_offset + src);
-                msg_dst.push(pos_offset + dst);
-                msg_dst_node.push(node_offset + dst_node);
-                msg_edge.push(feat);
-                // Message `2j` is slot `j`'s `lo → hi`; the slot's edge is
-                // its index in the batch.
-                if i % 2 == 0 {
-                    slots.push(BandSlot {
-                        lo: pos_offset + src,
-                        hi: pos_offset + dst,
-                        edge: slots.len(),
-                    });
-                }
+            let pos_offset = node_of.len();
+            for &(lo, hi, feat) in &seg.slots {
+                // Message `2j` is slot `j`'s `lo → hi`, `2j + 1` its
+                // `hi → lo`; the slot's edge is its index in the batch.
+                let (lo_node, hi_node) = (seg.node_of[lo], seg.node_of[hi]);
+                msg_dst_node.extend([node_offset + hi_node, node_offset + lo_node]);
+                msg_edge.extend([feat, feat]);
+                slots.push(BandSlot {
+                    lo: pos_offset + lo,
+                    hi: pos_offset + hi,
+                    edge: slots.len(),
+                });
             }
+            node_of.extend(seg.node_of.iter().map(|&v| node_offset + v));
             graph_sizes.push(seg.n_nodes);
             targets.push(s.target);
             node_offset += seg.n_nodes;
-            pos_offset += seg.path_len;
         }
-        let (node_to_work, msg_dst_node) = (Arc::new(node_to_work), Arc::new(msg_dst_node));
+        let msg_dst_node = Arc::new(msg_dst_node);
+        let work_rows = node_of.len();
         let band = Band {
             slots: Arc::new(slots),
-            node_of: node_to_work.clone(),
+            node_of: Arc::new(node_of),
             msg_dst: msg_dst_node.clone(),
             n_nodes: node_offset,
         };
@@ -289,15 +256,11 @@ impl Batch {
             graph_sizes,
             targets,
             indices: EngineIndices {
-                engine: EngineChoice::Mega,
                 n_nodes: node_offset,
-                work_rows: pos_offset,
-                node_to_work: Some(node_to_work),
-                msg_src_work: Arc::new(msg_src),
-                msg_dst_work: Arc::new(msg_dst),
+                work_rows,
                 msg_dst_node,
                 msg_edge_feat: Arc::new(msg_edge),
-                band: Some(Arc::new(band)),
+                route: Route::Band(Arc::new(band)),
             },
         }
     }
@@ -330,6 +293,7 @@ impl Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::testing::message_sources;
     use mega_core::{preprocess, MegaConfig};
     use mega_datasets::{zinc, DatasetSpec};
 
@@ -357,9 +321,8 @@ mod tests {
     fn baseline_messages_stay_within_graph() {
         let ss = samples();
         let b = Batch::baseline(&ss);
-        for i in 0..b.indices.msg_count() {
-            let s = b.indices.msg_src_work[i];
-            let d = b.indices.msg_dst_node[i];
+        let sources = message_sources(&b.indices);
+        for (&s, &d) in sources.iter().zip(b.indices.msg_dst_node.iter()) {
             assert_eq!(
                 b.graph_of_node[s], b.graph_of_node[d],
                 "message crosses graphs"
@@ -381,11 +344,12 @@ mod tests {
         // must be identical across engines.
         let collect = |b: &Batch| {
             let mut m: std::collections::BTreeMap<usize, Vec<(usize, usize)>> = Default::default();
-            for i in 0..b.indices.msg_count() {
-                let src_node = b.indices.node_of_work(b.indices.msg_src_work[i]);
-                m.entry(b.indices.msg_dst_node[i])
+            let idx = &b.indices;
+            let sources = message_sources(idx);
+            for (i, &src) in sources.iter().enumerate() {
+                m.entry(idx.msg_dst_node[i])
                     .or_default()
-                    .push((src_node, b.indices.msg_edge_feat[i]));
+                    .push((src, idx.msg_edge_feat[i]));
             }
             for v in m.values_mut() {
                 v.sort_unstable();
@@ -404,22 +368,37 @@ mod tests {
             .collect();
         let mega = Batch::mega(&ss, &schedules);
         let idx = &mega.indices;
-        let band = idx.band.as_ref().expect("a MEGA batch has a band");
+        let Route::Band(band) = &idx.route else {
+            panic!("a MEGA batch has a band")
+        };
         assert_eq!(band.message_count(), idx.msg_count());
-        assert_eq!(band.n_nodes, idx.n_nodes);
-        for (j, s) in band.slots.iter().enumerate() {
-            assert_eq!(
-                (s.lo, s.hi),
-                (idx.msg_src_work[2 * j], idx.msg_dst_work[2 * j])
-            );
-            assert_eq!(
-                (s.hi, s.lo),
-                (idx.msg_src_work[2 * j + 1], idx.msg_dst_work[2 * j + 1])
-            );
-            assert_eq!(band.node_of[s.lo], band.msg_dst[2 * j + 1]);
-            assert_eq!(band.node_of[s.hi], band.msg_dst[2 * j]);
+        assert_eq!(
+            (band.n_nodes, band.node_of.len()),
+            (idx.n_nodes, idx.work_rows)
+        );
+        // Each sample's active slots and path, offset by the rows before it.
+        let (mut slots, mut node_of) = (Vec::new(), Vec::new());
+        let mut node_offset = 0;
+        for (s, sched) in ss.iter().zip(&schedules) {
+            let pos_offset = node_of.len();
+            for slot in sched.band().active_slots() {
+                let (lo, hi) = (pos_offset + slot.lo, pos_offset + slot.hi);
+                slots.push((lo, hi, slots.len()));
+            }
+            node_of.extend(sched.gather_index().iter().map(|&v| node_offset + v));
+            node_offset += s.graph.node_count();
         }
-        assert!(Batch::baseline(&ss).indices.band.is_none());
+        let stitched: Vec<_> = band.slots.iter().map(|s| (s.lo, s.hi, s.edge)).collect();
+        assert_eq!(stitched, slots);
+        assert_eq!(*band.node_of, node_of);
+        // Message `2j` runs `lo → hi` of slot `j`, `2j + 1` back.
+        let dst: Vec<usize> = band.route().messages().map(|(_, d)| d).collect();
+        assert_eq!(dst, *idx.msg_dst_node);
+        assert!(Arc::ptr_eq(&band.msg_dst, &idx.msg_dst_node));
+        assert!(matches!(
+            Batch::baseline(&ss).indices.route,
+            Route::Gather(_)
+        ));
     }
 
     #[test]
@@ -430,20 +409,20 @@ mod tests {
             .map(|s| preprocess(&s.graph, &MegaConfig::default()).unwrap())
             .collect();
         let serial = Batch::mega(&ss, &schedules);
+        let band = |b: &Batch| match &b.indices.route {
+            Route::Band(band) => (band.slots.clone(), band.node_of.clone(), band.n_nodes),
+            Route::Gather(_) => panic!("a MEGA batch has a band"),
+        };
         for threads in [1, 2, 4, 8] {
             let par = mega_core::Parallelism::pinned(threads);
             let p = Batch::mega_with(&ss, &schedules, &par);
             assert_eq!(p.node_feats, serial.node_feats, "threads={threads}");
             assert_eq!(p.graph_of_node, serial.graph_of_node);
             assert_eq!(p.graph_sizes, serial.graph_sizes);
-            assert_eq!(p.indices.node_to_work, serial.indices.node_to_work);
-            assert_eq!(p.indices.msg_src_work, serial.indices.msg_src_work);
-            assert_eq!(p.indices.msg_dst_work, serial.indices.msg_dst_work);
             assert_eq!(p.indices.msg_dst_node, serial.indices.msg_dst_node);
             assert_eq!(p.indices.msg_edge_feat, serial.indices.msg_edge_feat);
             assert_eq!(p.indices.work_rows, serial.indices.work_rows);
-            let slots = |b: &Batch| b.indices.band.as_ref().map(|band| band.slots.clone());
-            assert_eq!(slots(&p), slots(&serial));
+            assert_eq!(band(&p), band(&serial));
         }
     }
 

@@ -14,8 +14,29 @@
 //! ```
 //!
 //! Edge states pass through unchanged (classic GAT does not update them).
+//!
+//! `W_k` reads only node states, so it runs on the `n_nodes` rows of `h`.
+//! How its output reaches the messages depends on the engine:
+//!
+//! * **Baseline**: `z` is gathered to per-message copies at both ends, the
+//!   attention vectors score them on message rows, and `add` → `add` →
+//!   `leaky_relu` → `segment_softmax` → `mul_col_broadcast` →
+//!   `scatter_add_rows` aggregates — per head three `m × hd` message tensors.
+//! * **MEGA**: `a_src·z` and `a_dst·z` are scored once per node (`n × 1`),
+//!   [`Tape::band_edge_sum`] adds them at each message's ends to `a_edge`'s
+//!   score, and [`Tape::band_attend`] runs the softmax and the aggregation
+//!   as one band walk, reading `z` at node rows through the position → node
+//!   map. No per-message copy of `z` exists. A row gather commutes with
+//!   `x·W + b`, so the forward values are the baseline composition's bit
+//!   for bit.
+//!
+//! Backward, on MEGA the gradients of `z` and the node scores sum a node's
+//! messages in one group instead of per message: gradients agree with the
+//! per-message composition to the bound of DESIGN.md §7, not to the bit.
 
-use crate::batch::EngineIndices;
+use crate::batch::{EngineIndices, Route};
+#[cfg(test)]
+use crate::layers::testing;
 use crate::nn::{Binder, Linear, NormParams};
 use mega_tensor::{ParamStore, Tape, Var};
 use rand::Rng;
@@ -82,22 +103,36 @@ impl GatLayer {
         e: Var,
     ) -> (Var, Var) {
         let n = idx.n_nodes;
-        let h_work = idx.to_work(tape, h);
         let mut aggs = Vec::with_capacity(self.heads);
         for k in 0..self.heads {
-            let z = self.w[k].forward(tape, binder, store, h_work);
+            let z = self.w[k].forward(tape, binder, store, h);
             let ek = self.e[k].forward(tape, binder, store, e);
-            let z_src = tape.gather_rows(z, idx.msg_src_work.clone());
-            let z_dst = tape.gather_rows(z, idx.msg_dst_work.clone());
-            let s_src = self.a_src[k].forward(tape, binder, store, z_src);
-            let s_dst = self.a_dst[k].forward(tape, binder, store, z_dst);
-            let s_edge = self.a_edge[k].forward(tape, binder, store, ek);
-            let s1 = tape.add(s_src, s_dst);
-            let s2 = tape.add(s1, s_edge);
-            let score = tape.leaky_relu(s2, LEAKY_SLOPE);
-            let attn = tape.segment_softmax(score, idx.msg_dst_node.clone(), n);
-            let weighted = tape.mul_col_broadcast(z_src, attn);
-            let agg = tape.scatter_add_rows(weighted, idx.msg_dst_node.clone(), n);
+            let agg = match &idx.route {
+                // MEGA: node scores added at each message's ends, then one
+                // band walk for the softmax and the weighted sum.
+                Route::Band(band) => {
+                    let s_src = self.a_src[k].forward(tape, binder, store, z);
+                    let s_dst = self.a_dst[k].forward(tape, binder, store, z);
+                    let s_edge = self.a_edge[k].forward(tape, binder, store, ek);
+                    let s = tape.band_edge_sum(s_src, s_dst, s_edge, band);
+                    let score = tape.leaky_relu(s, LEAKY_SLOPE);
+                    tape.band_attend(score, z, band, 1)
+                }
+                // Baseline: the same arithmetic on per-message copies.
+                Route::Gather(src) => {
+                    let z_src = tape.gather_rows(z, src.clone());
+                    let z_dst = tape.gather_rows(z, idx.msg_dst_node.clone());
+                    let s_src = self.a_src[k].forward(tape, binder, store, z_src);
+                    let s_dst = self.a_dst[k].forward(tape, binder, store, z_dst);
+                    let s_edge = self.a_edge[k].forward(tape, binder, store, ek);
+                    let s1 = tape.add(s_src, s_dst);
+                    let s2 = tape.add(s1, s_edge);
+                    let score = tape.leaky_relu(s2, LEAKY_SLOPE);
+                    let attn = tape.segment_softmax(score, idx.msg_dst_node.clone(), n);
+                    let weighted = tape.mul_col_broadcast(z_src, attn);
+                    tape.scatter_add_rows(weighted, idx.msg_dst_node.clone(), n)
+                }
+            };
             aggs.push(agg);
         }
         let cat = tape.concat_cols(&aggs);
@@ -109,9 +144,28 @@ impl GatLayer {
 }
 
 #[cfg(test)]
+impl GatLayer {
+    /// The composition [`GatLayer::forward`] runs on baseline batches, kept
+    /// as its oracle on MEGA ones: `z` gathered per message through the
+    /// endpoints the band lists, scored and aggregated on message rows.
+    fn forward_per_message(
+        &self,
+        tape: &mut Tape,
+        binder: &mut Binder,
+        store: &ParamStore,
+        idx: &EngineIndices,
+        h: Var,
+        e: Var,
+    ) -> (Var, Var) {
+        self.forward(tape, binder, store, &testing::gathered(idx), h, e)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::Batch;
+    use mega_core::{preprocess, MegaConfig};
     use mega_datasets::{zinc, DatasetSpec};
     use mega_tensor::Tensor;
     use rand::rngs::StdRng;
@@ -124,41 +178,65 @@ mod tests {
             .into_iter()
             .take(2)
             .collect();
-        let batch = Batch::baseline(&samples);
+        let schedules: Vec<_> = samples
+            .iter()
+            .map(|s| preprocess(&s.graph, &MegaConfig::default()).unwrap())
+            .collect();
         let d = 8;
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let layer = GatLayer::new(&mut store, "g0", d, 2, &mut rng);
+        for batch in [Batch::baseline(&samples), Batch::mega(&samples, &schedules)] {
+            let engine = batch.indices.engine();
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(1);
+            let layer = GatLayer::new(&mut store, "g0", d, 2, &mut rng);
 
-        let mut tape = Tape::new();
-        let mut binder = Binder::new();
-        // Varied inputs — constant rows make the softmax gradient vanish.
-        let varied = |rows: usize, seed: u32| {
-            let data: Vec<f32> = (0..rows * d)
-                .map(|i| {
-                    (((i as u32).wrapping_mul(2654435761).wrapping_add(seed) >> 9) % 997) as f32
-                        / 997.0
-                        - 0.5
-                })
-                .collect();
-            Tensor::from_vec(rows, d, data)
-        };
-        let h = tape.leaf(varied(batch.indices.n_nodes, 3));
-        let e = tape.leaf(varied(batch.indices.msg_count(), 4));
-        let (h2, e2) = layer.forward(&mut tape, &mut binder, &store, &batch.indices, h, e);
-        assert_eq!(tape.value(h2).shape(), (batch.indices.n_nodes, d));
-        assert_eq!(e2, e, "GAT passes edge states through");
+            let mut tape = Tape::new();
+            let mut binder = Binder::new();
+            // Varied inputs — constant rows make the softmax gradient vanish.
+            let h = tape.leaf(testing::varied(batch.indices.n_nodes, d, 3));
+            let e = tape.leaf(testing::varied(batch.indices.msg_count(), d, 4));
+            let (h2, e2) = layer.forward(&mut tape, &mut binder, &store, &batch.indices, h, e);
+            assert_eq!(tape.value(h2).shape(), (batch.indices.n_nodes, d));
+            assert_eq!(e2, e, "GAT passes edge states through");
+            assert!(!tape.value(h2).has_non_finite());
 
-        let loss = tape.mean(h2);
-        let grads = tape.backward(loss);
-        binder.apply(&mut store, &grads);
-        let w0 = store.id_of("g0.W0.w").unwrap();
-        assert!(store.grad(w0).norm() > 0.0, "gradient must reach W");
-        let a0 = store.id_of("g0.a_src0.w").unwrap();
-        assert!(
-            store.grad(a0).norm() > 0.0,
-            "gradient must reach attention vector"
-        );
+            let loss = tape.mean(h2);
+            let grads = tape.backward(loss);
+            binder.apply(&mut store, &grads);
+            let w0 = store.id_of("g0.W0.w").unwrap();
+            assert!(
+                store.grad(w0).norm() > 0.0,
+                "{engine:?}: gradient must reach W"
+            );
+            let a0 = store.id_of("g0.a_src0.w").unwrap();
+            assert!(
+                store.grad(a0).norm() > 0.0,
+                "{engine:?}: gradient must reach attention vector"
+            );
+        }
+    }
+
+    #[test]
+    fn node_scores_match_per_message_scores() {
+        let d = 8;
+        for heads in [1, 2] {
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(7);
+            let layer = GatLayer::new(&mut store, "g0", d, heads, &mut rng);
+            testing::perturb(&mut store);
+            testing::check_against_reference(
+                &mut store,
+                d,
+                &[],
+                &|tape, binder, store, idx, h, e| {
+                    let (h2, e2) = layer.forward(tape, binder, store, idx, h, e);
+                    (h2, e2, Vec::new())
+                },
+                &|tape, binder, store, idx, h, e| {
+                    let (h2, e2) = layer.forward_per_message(tape, binder, store, idx, h, e);
+                    (h2, e2, Vec::new())
+                },
+            );
+        }
     }
 
     #[test]

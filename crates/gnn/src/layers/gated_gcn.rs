@@ -13,20 +13,41 @@
 //! Five d×d projections (A, B, C, U, V): the paper's 5·d² parameter volume
 //! (Table I).
 //!
-//! A, B and V read only node states, so they run on the `n_nodes` rows of `h`
-//! and their outputs are gathered to messages (node → work row → message);
-//! C runs on message rows and U on node rows, where their inputs live. A row
-//! gather commutes with `x·W + b` — every output element is the same
+//! A, B and V read only node states, so they run on the `n_nodes` rows of
+//! `h`; C runs on message rows and U on node rows, where their inputs live.
+//! A row gather commutes with `x·W + b` — every output element is the same
 //! ascending-k fold whichever row it sits in — so the forward values are
-//! those of projecting each message's gathered `h_j`, `h_i` bit for bit, for
-//! half the rows. Backward, `dW` folds over node rows after the gathers'
-//! scatter-adds have summed each node's messages, which is a different
-//! order: gradients agree to the bound of DESIGN.md §7, not to the bit.
+//! those of projecting each message's gathered `h_j`, `h_i` bit for bit.
+//!
+//! How the node rows reach the messages depends on the engine:
+//!
+//! * **Baseline**: `A·h`, `B·h` and `V·h` are gathered to per-message
+//!   copies, and `add` → `add` makes ê, then `sigmoid` → `mul` → two
+//!   `scatter_add_rows` → `div_eps` the aggregate — ten tape nodes, six
+//!   `m × d` message tensors.
+//! * **MEGA**: two tape ops walk the batch's band, reading `A·h`, `B·h` and
+//!   `V·h` at node rows through the position → node map:
+//!   [`Tape::band_edge_sum`] makes ê, and [`Tape::band_gate`] turns it into
+//!   the gated aggregate, keeping only its `n × d` numerator and
+//!   denominator. No per-message copy of the projections, nor the gates,
+//!   exists, and the forward values are the baseline composition's bit for
+//!   bit.
+//!
+//! Backward, `dW` folds over node rows after each node's messages have been
+//! summed, and on MEGA the gradients of `A·h`, `B·h` and `V·h` sum a node's
+//! messages in one group: gradients agree with the per-message composition
+//! to the bound of DESIGN.md §7, not to the bit. ê's gradient, and so C's
+//! input gradient, keeps its bits.
 
-use crate::batch::EngineIndices;
+use crate::batch::{EngineIndices, Route};
+#[cfg(test)]
+use crate::layers::testing;
 use crate::nn::{Binder, Linear, NormParams};
 use mega_tensor::{ParamStore, Tape, Var};
 use rand::Rng;
+
+/// The `ε` of the gated aggregate's denominator.
+const GATE_EPS: f32 = 1e-6;
 
 /// Parameters of one GatedGCN layer.
 #[derive(Debug, Clone)]
@@ -69,23 +90,33 @@ impl GatedGcnLayer {
         let ah = self.a.forward(tape, binder, store, h);
         let bh = self.b.forward(tape, binder, store, h);
         let vh = self.v.forward(tape, binder, store, h);
-        let ah_src = idx.gather_src(tape, ah);
-        let bh_dst = idx.gather_dst(tape, bh);
-        let vh_src = idx.gather_src(tape, vh);
 
-        // Edge pre-activation and residual update.
-        let ce = self.c.forward(tape, binder, store, e);
-        let sum = tape.add(ah_src, bh_dst);
-        let e_hat = tape.add(sum, ce);
-        let e_act = self.bn_e.batch_norm_relu(tape, binder, store, e_hat);
-        let e_out = tape.add(e, e_act);
-
-        // Gated aggregation keyed by destination node.
-        let sigma = tape.sigmoid(e_hat);
-        let gated = tape.mul(sigma, vh_src);
-        let num = tape.scatter_add_rows(gated, idx.msg_dst_node.clone(), n);
-        let den = tape.scatter_add_rows(sigma, idx.msg_dst_node.clone(), n);
-        let agg = tape.div_eps(num, den, 1e-6);
+        // Edge pre-activation and residual update, then the gated
+        // aggregation keyed by destination node: on MEGA one band pass
+        // each, reading A·h, B·h and V·h at node rows; on the baseline the
+        // same arithmetic on per-message copies.
+        let (agg, e_out) = match &idx.route {
+            Route::Band(band) => {
+                let ce = self.c.forward(tape, binder, store, e);
+                let e_hat = tape.band_edge_sum(ah, bh, ce, band);
+                let e_out = self.edge_update(tape, binder, store, e, e_hat);
+                (tape.band_gate(e_hat, vh, band, GATE_EPS), e_out)
+            }
+            Route::Gather(src) => {
+                let ah_src = tape.gather_rows(ah, src.clone());
+                let bh_dst = tape.gather_rows(bh, idx.msg_dst_node.clone());
+                let vh_src = tape.gather_rows(vh, src.clone());
+                let ce = self.c.forward(tape, binder, store, e);
+                let sum = tape.add(ah_src, bh_dst);
+                let e_hat = tape.add(sum, ce);
+                let e_out = self.edge_update(tape, binder, store, e, e_hat);
+                let sigma = tape.sigmoid(e_hat);
+                let gated = tape.mul(sigma, vh_src);
+                let num = tape.scatter_add_rows(gated, idx.msg_dst_node.clone(), n);
+                let den = tape.scatter_add_rows(sigma, idx.msg_dst_node.clone(), n);
+                (tape.div_eps(num, den, GATE_EPS), e_out)
+            }
+        };
 
         // Node update with residual.
         let uh = self.u.forward(tape, binder, store, h);
@@ -94,13 +125,26 @@ impl GatedGcnLayer {
         let h_out = tape.add(h, h_act);
         (h_out, e_out)
     }
+
+    /// The edge residual update `e + relu(BN(ê))`.
+    fn edge_update(
+        &self,
+        tape: &mut Tape,
+        binder: &mut Binder,
+        store: &ParamStore,
+        e: Var,
+        e_hat: Var,
+    ) -> Var {
+        let e_act = self.bn_e.batch_norm_relu(tape, binder, store, e_hat);
+        tape.add(e, e_act)
+    }
 }
 
 #[cfg(test)]
 impl GatedGcnLayer {
     /// The composition [`GatedGcnLayer::forward`] replaced, kept as its
-    /// oracle: `h` gathered to messages first, A, B and V applied per
-    /// message.
+    /// oracle: `h` gathered to messages first — on a MEGA batch through the
+    /// endpoints its band lists — A, B and V applied per message.
     fn forward_per_message(
         &self,
         tape: &mut Tape,
@@ -111,9 +155,8 @@ impl GatedGcnLayer {
         e: Var,
     ) -> (Var, Var) {
         let n = idx.n_nodes;
-        let h_work = idx.to_work(tape, h);
-        let h_src = tape.gather_rows(h_work, idx.msg_src_work.clone());
-        let h_dst = tape.gather_rows(h_work, idx.msg_dst_work.clone());
+        let h_src = tape.gather_rows(h, testing::message_sources(idx));
+        let h_dst = tape.gather_rows(h, idx.msg_dst_node.clone());
 
         let ah = self.a.forward(tape, binder, store, h_src);
         let bh = self.b.forward(tape, binder, store, h_dst);
@@ -128,7 +171,7 @@ impl GatedGcnLayer {
         let gated = tape.mul(sigma, vh);
         let num = tape.scatter_add_rows(gated, idx.msg_dst_node.clone(), n);
         let den = tape.scatter_add_rows(sigma, idx.msg_dst_node.clone(), n);
-        let agg = tape.div_eps(num, den, 1e-6);
+        let agg = tape.div_eps(num, den, GATE_EPS);
 
         let uh = self.u.forward(tape, binder, store, h);
         let h_hat = tape.add(uh, agg);
@@ -142,7 +185,7 @@ impl GatedGcnLayer {
 mod tests {
     use super::*;
     use crate::batch::Batch;
-    use crate::layers::testing;
+    use mega_core::{preprocess, MegaConfig};
     use mega_datasets::{zinc, DatasetSpec};
     use mega_tensor::Tensor;
     use rand::rngs::StdRng;
@@ -155,31 +198,37 @@ mod tests {
             .into_iter()
             .take(2)
             .collect();
-        let batch = Batch::baseline(&samples);
+        let schedules: Vec<_> = samples
+            .iter()
+            .map(|s| preprocess(&s.graph, &MegaConfig::default()).unwrap())
+            .collect();
         let d = 8;
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let layer = GatedGcnLayer::new(&mut store, "l0", d, &mut rng);
-        // 5 projections (w+b) + 2 norms (gamma+beta) = 14 tensors.
-        assert_eq!(store.len(), 14);
+        for batch in [Batch::baseline(&samples), Batch::mega(&samples, &schedules)] {
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(1);
+            let layer = GatedGcnLayer::new(&mut store, "l0", d, &mut rng);
+            // 5 projections (w+b) + 2 norms (gamma+beta) = 14 tensors.
+            assert_eq!(store.len(), 14);
 
-        let mut tape = Tape::new();
-        let mut binder = Binder::new();
-        let h = tape.leaf(Tensor::full(batch.indices.n_nodes, d, 0.1));
-        let e = tape.leaf(Tensor::full(batch.indices.msg_count(), d, 0.1));
-        let (h2, e2) = layer.forward(&mut tape, &mut binder, &store, &batch.indices, h, e);
-        assert_eq!(tape.value(h2).shape(), (batch.indices.n_nodes, d));
-        assert_eq!(tape.value(e2).shape(), (batch.indices.msg_count(), d));
-        assert!(!tape.value(h2).has_non_finite());
+            let mut tape = Tape::new();
+            let mut binder = Binder::new();
+            let h = tape.leaf(Tensor::full(batch.indices.n_nodes, d, 0.1));
+            let e = tape.leaf(Tensor::full(batch.indices.msg_count(), d, 0.1));
+            let (h2, e2) = layer.forward(&mut tape, &mut binder, &store, &batch.indices, h, e);
+            assert_eq!(tape.value(h2).shape(), (batch.indices.n_nodes, d));
+            assert_eq!(tape.value(e2).shape(), (batch.indices.msg_count(), d));
+            assert!(!tape.value(h2).has_non_finite());
 
-        let loss = tape.mean(h2);
-        let grads = tape.backward(loss);
-        binder.apply(&mut store, &grads);
-        let a_w = store.id_of("l0.A.w").unwrap();
-        assert!(
-            store.grad(a_w).norm() > 0.0,
-            "gradient must reach projection A"
-        );
+            let loss = tape.mean(h2);
+            let grads = tape.backward(loss);
+            binder.apply(&mut store, &grads);
+            let a_w = store.id_of("l0.A.w").unwrap();
+            assert!(
+                store.grad(a_w).norm() > 0.0,
+                "{:?}: gradient must reach projection A",
+                batch.indices.engine()
+            );
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Layer {
 /// batch, under both backends.
 #[cfg(test)]
 pub(crate) mod testing {
-    use crate::batch::{Batch, EngineIndices};
+    use crate::batch::{Batch, EngineIndices, Route};
     use crate::nn::Binder;
     use mega_core::{preprocess, MegaConfig};
     use mega_datasets::{zinc, DatasetSpec};
@@ -72,6 +72,25 @@ pub(crate) mod testing {
         Var,
         Var,
     ) -> (Var, Var, BlockLeaves);
+
+    /// The source node of every message, in message order: the baseline's
+    /// gather index, or read off a MEGA batch's band — for oracles that
+    /// gather per message on either engine.
+    pub(crate) fn message_sources(idx: &EngineIndices) -> Arc<Vec<usize>> {
+        match &idx.route {
+            Route::Gather(src) => src.clone(),
+            Route::Band(band) => Arc::new(band.route().messages().map(|(s, _)| s).collect()),
+        }
+    }
+
+    /// `idx` with its messages routed as the baseline routes them: gathered
+    /// per message through [`message_sources`].
+    pub(crate) fn gathered(idx: &EngineIndices) -> EngineIndices {
+        EngineIndices {
+            route: Route::Gather(message_sources(idx)),
+            ..idx.clone()
+        }
+    }
 
     /// Values in `(-0.5, 0.5)` that differ from element to element.
     pub(crate) fn varied(rows: usize, cols: usize, seed: u32) -> Tensor {

@@ -42,7 +42,7 @@
 //! in one group instead of per path position: gradients agree with the
 //! per-head composition to the bound of DESIGN.md §7, not to the bit.
 
-use crate::batch::EngineIndices;
+use crate::batch::{EngineIndices, Route};
 #[cfg(test)]
 use crate::layers::testing;
 use crate::nn::{Binder, Linear, Mlp, NormParams};
@@ -123,17 +123,17 @@ impl GraphTransformerLayer {
         let ee = self.e.forward(tape, binder, store, e);
 
         // Column block `k` of every tensor below is head `k`.
-        let (e_what, h_agg) = match &idx.band {
+        let (e_what, h_agg) = match &idx.route {
             // MEGA: two passes over the band, reading q, k, v at node rows.
-            Some(band) => {
+            Route::Band(band) => {
                 let e_what = tape.band_edge_scores(q, k, ee, band, scale);
                 (e_what, tape.band_attend(e_what, v, band, self.heads))
             }
             // Baseline: the same arithmetic on per-message copies.
-            None => {
-                let q_dst = idx.gather_dst(tape, q);
-                let k_src = idx.gather_src(tape, k);
-                let v_src = idx.gather_src(tape, v);
+            Route::Gather(src) => {
+                let q_dst = tape.gather_rows(q, idx.msg_dst_node.clone());
+                let k_src = tape.gather_rows(k, src.clone());
+                let v_src = tape.gather_rows(v, src.clone());
                 let qk_prod = tape.mul(q_dst, k_src);
                 let qke = tape.mul(qk_prod, ee);
                 let e_what = tape.scale(qke, scale);
@@ -167,8 +167,8 @@ impl GraphTransformerLayer {
 #[cfg(test)]
 impl GraphTransformerLayer {
     /// The composition [`GraphTransformerLayer::forward`] replaced, kept as
-    /// its oracle: `h` gathered to work rows first, then one
-    /// `d × d/heads` projection per head for each of Q, K, V, E — reading
+    /// its oracle: one `d × d/heads` projection per head for each of Q, K,
+    /// V, E, their outputs gathered per message — reading
     /// column block `k` of today's weights as head `k`'s own leaves — a
     /// per-head score, softmax and aggregation, and two `concat_cols`.
     fn forward_per_head(
@@ -182,7 +182,7 @@ impl GraphTransformerLayer {
     ) -> (Var, Var, testing::BlockLeaves) {
         let n = idx.n_nodes;
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let h_work = idx.to_work(tape, h);
+        let src = testing::message_sources(idx);
 
         let mut leaves: testing::BlockLeaves = Vec::new();
         for lin in [&self.q, &self.k, &self.v, &self.e] {
@@ -203,14 +203,14 @@ impl GraphTransformerLayer {
                 let y = tape.matmul(x, w);
                 tape.add_row(y, b)
             };
-            let qk = project(tape, 0, h_work);
-            let kk = project(tape, 1, h_work);
-            let vk = project(tape, 2, h_work);
+            let qk = project(tape, 0, h);
+            let kk = project(tape, 1, h);
+            let vk = project(tape, 2, h);
             let ek = project(tape, 3, e);
 
-            let q_dst = tape.gather_rows(qk, idx.msg_dst_work.clone());
-            let k_src = tape.gather_rows(kk, idx.msg_src_work.clone());
-            let v_src = tape.gather_rows(vk, idx.msg_src_work.clone());
+            let q_dst = tape.gather_rows(qk, idx.msg_dst_node.clone());
+            let k_src = tape.gather_rows(kk, src.clone());
+            let v_src = tape.gather_rows(vk, src.clone());
 
             let qk_prod = tape.mul(q_dst, k_src);
             let qke = tape.mul(qk_prod, ek);

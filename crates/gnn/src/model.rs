@@ -198,7 +198,7 @@ mod tests {
                 .collect();
             let base = Batch::baseline(samples);
             let mega = Batch::mega(samples, &schedules);
-            assert_eq!(mega.indices.engine, EngineChoice::Mega);
+            assert_eq!(mega.indices.engine(), EngineChoice::Mega);
 
             let mut tape_b = Tape::new();
             let mut binder_b = Binder::new();

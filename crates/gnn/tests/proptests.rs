@@ -1,13 +1,15 @@
 //! Property-based tests for batching and engine equivalence, and for the
-//! band attention ops against the unfused composition they replace.
+//! band ops — Graph Transformer attention, GatedGCN's gated aggregate —
+//! against the unfused compositions they replace.
 
 use mega_core::{preprocess, CandidatePolicy, MegaConfig, WindowPolicy};
 use mega_datasets::{GraphSample, Target};
 use mega_exec::{Backend, BufferPool, ReferenceBackend, SimdBackend};
+use mega_gnn::batch::Route;
 use mega_gnn::nn::Binder;
-use mega_gnn::{Batch, Gnn, GnnConfig, ModelKind};
+use mega_gnn::{Batch, EngineIndices, Gnn, GnnConfig, ModelKind};
 use mega_graph::{Graph, GraphBuilder};
-use mega_tensor::{ParamStore, Tape, Tensor};
+use mega_tensor::{Band, ParamStore, Tape, Tensor};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -58,6 +60,50 @@ fn hub_sample() -> GraphSample {
     }
 }
 
+/// The band of a MEGA batch.
+fn band_of(idx: &EngineIndices) -> &Arc<Band> {
+    match &idx.route {
+        Route::Band(band) => band,
+        Route::Gather(_) => panic!("a MEGA batch has a band"),
+    }
+}
+
+/// The source node of every message, in message order: the baseline's
+/// gather index, or read off a MEGA batch's band.
+fn message_sources(idx: &EngineIndices) -> Arc<Vec<usize>> {
+    match &idx.route {
+        Route::Gather(src) => src.clone(),
+        Route::Band(band) => Arc::new(band.route().messages().map(|(s, _)| s).collect()),
+    }
+}
+
+/// A MEGA batch of `samples` plus the hub, at a fixed `window` and an edge
+/// drop rate, checked to revisit a node and leave one without messages.
+fn revisiting_batch(
+    mut samples: Vec<GraphSample>,
+    window: usize,
+    edge_drop: f64,
+    seed: u32,
+) -> Result<Batch, TestCaseError> {
+    samples.push(hub_sample());
+    let cfg = MegaConfig::default()
+        .with_window(WindowPolicy::Fixed(window))
+        .with_edge_drop(edge_drop)
+        .with_seed(u64::from(seed));
+    let schedules: Vec<_> = samples
+        .iter()
+        .map(|s| preprocess(&s.graph, &cfg).unwrap())
+        .collect();
+    let batch = Batch::mega(&samples, &schedules);
+    let idx = &batch.indices;
+    prop_assert!(idx.work_rows > idx.n_nodes, "some node must be revisited");
+    let silent = (0..idx.n_nodes)
+        .filter(|v| !idx.msg_dst_node.contains(v))
+        .count();
+    prop_assert!(silent > 0, "some node must receive no message");
+    Ok(batch)
+}
+
 /// Values in `(-0.5, 0.5)` that differ from element to element.
 fn varied(rows: usize, cols: usize, seed: u32) -> Tensor {
     let data = (0..rows * cols)
@@ -92,13 +138,14 @@ fn attention_run(
     let v = tape.leaf(varied(n, d, seed + 2));
     let ee = tape.leaf(varied(m, d, seed + 3));
     let (e_what, h_agg) = if fused {
-        let band = idx.band.as_ref().expect("a MEGA batch has a band");
+        let band = band_of(idx);
         let e_what = tape.band_edge_scores(q, k, ee, band, scale);
         (e_what, tape.band_attend(e_what, v, band, heads))
     } else {
-        let q_dst = idx.gather_dst(&mut tape, q);
-        let k_src = idx.gather_src(&mut tape, k);
-        let v_src = idx.gather_src(&mut tape, v);
+        let src = message_sources(idx);
+        let q_dst = tape.gather_rows(q, idx.msg_dst_node.clone());
+        let k_src = tape.gather_rows(k, src.clone());
+        let v_src = tape.gather_rows(v, src);
         let qk = tape.mul(q_dst, k_src);
         let qke = tape.mul(qk, ee);
         let e_what = tape.scale(qke, scale);
@@ -122,6 +169,59 @@ fn attention_run(
     let grads = tape.backward(loss);
     let mut out = vec![tape.value(e_what).clone(), tape.value(h_agg).clone()];
     out.extend([ee, q, k, v].map(|leaf| grads.wrt(leaf).clone()));
+    out
+}
+
+/// One forward and backward of GatedGCN's edge pre-activation and gated
+/// aggregate on a MEGA batch under `backend`: through the two band ops when
+/// `fused`, else through the unfused gather → `add` → `add` → `sigmoid` →
+/// `mul` → `scatter_add_rows` ×2 → `div_eps` chain the baseline engine
+/// runs. Returns `ê`, the aggregate, then the gradients of `ce`, `ah`, `bh`
+/// and `vh`.
+fn gate_run(
+    batch: &Batch,
+    backend: Arc<dyn Backend>,
+    d: usize,
+    seed: u32,
+    fused: bool,
+) -> Vec<Tensor> {
+    let idx = &batch.indices;
+    let (n, m) = (idx.n_nodes, idx.msg_count());
+    let mut tape = Tape::with_exec(backend, Arc::new(BufferPool::new()));
+    // Scaled past ±4, so some gates saturate towards 0 and 1.
+    let ah = tape.leaf(varied(n, d, seed).scale(10.0));
+    let bh = tape.leaf(varied(n, d, seed + 1));
+    let vh = tape.leaf(varied(n, d, seed + 2));
+    let ce = tape.leaf(varied(m, d, seed + 3));
+    let (e_hat, agg) = if fused {
+        let band = band_of(idx);
+        let e_hat = tape.band_edge_sum(ah, bh, ce, band);
+        (e_hat, tape.band_gate(e_hat, vh, band, 1e-6))
+    } else {
+        let src = message_sources(idx);
+        let ah_src = tape.gather_rows(ah, src.clone());
+        let bh_dst = tape.gather_rows(bh, idx.msg_dst_node.clone());
+        let vh_src = tape.gather_rows(vh, src);
+        let sum = tape.add(ah_src, bh_dst);
+        let e_hat = tape.add(sum, ce);
+        let sigma = tape.sigmoid(e_hat);
+        let gated = tape.mul(sigma, vh_src);
+        let num = tape.scatter_add_rows(gated, idx.msg_dst_node.clone(), n);
+        let den = tape.scatter_add_rows(sigma, idx.msg_dst_node.clone(), n);
+        (e_hat, tape.div_eps(num, den, 1e-6))
+    };
+    // Weigh every output element differently, and let `ê` reach the loss on
+    // its own too, as the edge stream's batch norm does.
+    let (wa, we) = (
+        tape.leaf(varied(n, d, seed + 4)),
+        tape.leaf(varied(m, d, seed + 5)),
+    );
+    let (la, le) = (tape.mul(agg, wa), tape.mul(e_hat, we));
+    let (sa, se) = (tape.mean(la), tape.mean(le));
+    let loss = tape.add(sa, se);
+    let grads = tape.backward(loss);
+    let mut out = vec![tape.value(e_hat).clone(), tape.value(agg).clone()];
+    out.extend([ce, ah, bh, vh].map(|leaf| grads.wrt(leaf).clone()));
     out
 }
 
@@ -152,22 +252,7 @@ proptest! {
         heads in prop_oneof![Just(1usize), Just(2), Just(4)],
         head_dim in prop_oneof![Just(1usize), Just(5), Just(16), Just(17)],
     ) {
-        let mut samples = samples;
-        samples.push(hub_sample());
-        let cfg = MegaConfig::default()
-            .with_window(WindowPolicy::Fixed(window))
-            .with_edge_drop(edge_drop)
-            .with_seed(u64::from(seed));
-        let schedules: Vec<_> = samples
-            .iter()
-            .map(|s| preprocess(&s.graph, &cfg).unwrap())
-            .collect();
-        let batch = Batch::mega(&samples, &schedules);
-        let idx = &batch.indices;
-        prop_assert!(idx.work_rows > idx.n_nodes, "some node must be revisited");
-        let silent = (0..idx.n_nodes).filter(|v| !idx.msg_dst_node.contains(v)).count();
-        prop_assert!(silent > 0, "some node must receive no message");
-
+        let batch = revisiting_batch(samples, window, edge_drop, seed)?;
         let d = heads * head_dim;
         let reference: Arc<dyn Backend> = Arc::new(ReferenceBackend);
         let fused = attention_run(&batch, reference.clone(), heads, d, seed, true);
@@ -183,6 +268,42 @@ proptest! {
         for tier in SimdBackend::all_on_host() {
             let label = format!("{} x{}", tier.tier(), tier.lane_width());
             let simd = attention_run(&batch, Arc::new(tier), heads, d, seed, true);
+            for (t, t_ref) in simd.iter().zip(&fused) {
+                prop_assert_eq!(bits(t), bits(t_ref), "{}", label);
+            }
+        }
+    }
+
+    /// GatedGCN's two band ops on random MEGA batches — revisited hubs, a
+    /// node with no incoming message, edge-dropped schedules, 1, 5, 16 and
+    /// 17 features, gates near saturation — against the unfused composition
+    /// on the same batch: forward values and the gradient of `ce` bit for
+    /// bit, the gradients of `ah`, `bh` and `vh` within `1e-4 · max|g_ref|`
+    /// (DESIGN.md §7: they sum each node's messages in one group instead of
+    /// per message), and every SIMD tier bit for bit with the reference.
+    #[test]
+    fn gated_band_matches_the_unfused_composition(
+        samples in proptest::collection::vec(arb_sample(), 0..3),
+        window in 1usize..4,
+        edge_drop in prop_oneof![Just(0.0f64).boxed(), (0.1f64..0.5).boxed()],
+        seed in 0u32..1000,
+        d in prop_oneof![Just(1usize), Just(5), Just(16), Just(17)],
+    ) {
+        let batch = revisiting_batch(samples, window, edge_drop, seed)?;
+        let reference: Arc<dyn Backend> = Arc::new(ReferenceBackend);
+        let fused = gate_run(&batch, reference.clone(), d, seed, true);
+        let unfused = gate_run(&batch, reference, d, seed, false);
+        for (what, i) in [("e_hat", 0), ("agg", 1), ("d ce", 2)] {
+            prop_assert_eq!(bits(&fused[i]), bits(&unfused[i]), "{}", what);
+        }
+        for (what, i) in [("d ah", 3), ("d bh", 4), ("d vh", 5)] {
+            let (g, g_ref) = (&fused[i], &unfused[i]);
+            let err = max_abs(&g.sub(g_ref));
+            prop_assert!(err <= 1e-4 * max_abs(g_ref), "{what} off by {err:e}");
+        }
+        for tier in SimdBackend::all_on_host() {
+            let label = format!("{} x{}", tier.tier(), tier.lane_width());
+            let simd = gate_run(&batch, Arc::new(tier), d, seed, true);
             for (t, t_ref) in simd.iter().zip(&fused) {
                 prop_assert_eq!(bits(t), bits(t_ref), "{}", label);
             }
@@ -215,9 +336,9 @@ proptest! {
 
         let collect = |b: &Batch| {
             let mut m: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-            for i in 0..b.indices.msg_count() {
-                let src = b.indices.node_of_work(b.indices.msg_src_work[i]);
-                m.entry(b.indices.msg_dst_node[i]).or_default().push(src);
+            let sources = message_sources(&b.indices);
+            for (&src, &dst) in sources.iter().zip(b.indices.msg_dst_node.iter()) {
+                m.entry(dst).or_default().push(src);
             }
             for v in m.values_mut() {
                 v.sort_unstable();
@@ -300,8 +421,7 @@ proptest! {
     fn batch_indices_in_range(samples in proptest::collection::vec(arb_sample(), 1..4)) {
         let base = Batch::baseline(&samples);
         let idx = &base.indices;
-        prop_assert!(idx.msg_src_work.iter().all(|&i| i < idx.work_rows));
-        prop_assert!(idx.msg_dst_work.iter().all(|&i| i < idx.work_rows));
+        prop_assert!(message_sources(idx).iter().all(|&i| i < idx.n_nodes));
         prop_assert!(idx.msg_dst_node.iter().all(|&i| i < idx.n_nodes));
         prop_assert!(base.graph_of_node.iter().all(|&g| g < base.n_graphs()));
     }

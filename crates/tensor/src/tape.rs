@@ -33,7 +33,8 @@
 use crate::tensor::Tensor;
 use mega_core::band::BandSlot;
 use mega_exec::{
-    kernels, Backend, BandRoute, BufferPool, Epilogue, NormKind, Operand, ReferenceBackend, Unary,
+    kernels, Backend, BandRoute, BufferPool, EdgeScore, Epilogue, NormKind, Operand,
+    ReferenceBackend, Unary,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -42,9 +43,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
 
-/// The band of a MEGA batch, as [`Tape::band_edge_scores`] and
-/// [`Tape::band_attend`] read it: the batch's active slots over its stitched
-/// path positions, and the node behind each position.
+/// The band of a MEGA batch, as the band ops ([`Tape::band_edge_scores`],
+/// [`Tape::band_edge_sum`], [`Tape::band_attend`], [`Tape::band_gate`]) read
+/// it: the batch's active slots over its stitched path positions, and the
+/// node behind each position.
 ///
 /// Slot `j` carries message `2j` (`lo → hi`) and message `2j + 1`
 /// (`hi → lo`), so a message tensor has `2 · slots.len()` rows in slot
@@ -67,8 +69,10 @@ impl Band {
         2 * self.slots.len()
     }
 
-    /// The band as the backend kernels read it.
-    fn route(&self) -> BandRoute<'_> {
+    /// The band as the backend kernels read it; its
+    /// [`BandRoute::messages`] lists every message's source and destination
+    /// node.
+    pub fn route(&self) -> BandRoute<'_> {
         BandRoute {
             slots: &self.slots,
             rows: &self.node_of,
@@ -104,13 +108,13 @@ enum Op {
     ScatterAddRows(Var, Arc<Vec<usize>>),
     ScaleRows(Var, Arc<Vec<f32>>),
     SegmentSoftmax(Var, Arc<Vec<usize>>, usize),
-    /// `((q[dst] ⊙ k[src]) ⊙ ee) · scale` per message of the band.
+    /// `form` of `q[dst]`, `k[src]` and `ee` per message of the band.
     BandEdgeScores {
         q: Var,
         k: Var,
         ee: Var,
         band: Arc<Band>,
-        scale: f32,
+        form: EdgeScore,
     },
     /// Softmax of per-head score sums, then the weighted aggregation; keeps
     /// the `m × heads` weights for the backward pass.
@@ -119,6 +123,16 @@ enum Op {
         v: Var,
         band: Arc<Band>,
         attn: Tensor,
+    },
+    /// The gated sum `num / (den + eps)` per destination node; keeps the
+    /// `n × d` numerator and denominator for the backward pass.
+    BandGate {
+        e_hat: Var,
+        v: Var,
+        band: Arc<Band>,
+        eps: f32,
+        num: Tensor,
+        den: Tensor,
     },
     LayerNorm(Var, Var, Var, f32),
     BatchNorm(Var, Var, Var, f32),
@@ -152,8 +166,12 @@ impl Op {
             Op::ScatterAddRows(..) => "scatter_add_rows",
             Op::ScaleRows(..) => "scale_rows",
             Op::SegmentSoftmax(..) => "segment_softmax",
-            Op::BandEdgeScores { .. } => "band_edge_scores",
+            Op::BandEdgeScores { form, .. } => match form {
+                EdgeScore::Product(_) => "band_edge_scores",
+                EdgeScore::Sum => "band_edge_sum",
+            },
             Op::BandAttend { .. } => "band_attend",
+            Op::BandGate { .. } => "band_gate",
             Op::LayerNorm(..) => "layer_norm",
             Op::BatchNorm(..) => "batch_norm",
             // Named after the backend's fused-norm profile row.
@@ -243,8 +261,13 @@ impl Drop for Tape {
         // forward pass allocates (almost) nothing.
         for node in self.nodes.drain(..) {
             self.pool.release(node.value.into_data());
-            if let Op::BandAttend { attn, .. } = node.op {
-                self.pool.release(attn.into_data());
+            match node.op {
+                Op::BandAttend { attn, .. } => self.pool.release(attn.into_data()),
+                Op::BandGate { num, den, .. } => {
+                    self.pool.release(num.into_data());
+                    self.pool.release(den.into_data());
+                }
+                _ => {}
             }
         }
     }
@@ -627,22 +650,58 @@ impl Tape {
         band: &Arc<Band>,
         scale: f32,
     ) -> Var {
+        self.record_edge_scores(q, k, ee, band, EdgeScore::Product(scale))
+    }
+
+    /// The additive edge score over a MEGA batch's band, in one node:
+    /// `(src_rows[src] + dst_rows[dst]) + ee` for every message, the first
+    /// two being node rows (`n × d`) and `ee` message rows (`m × d`) —
+    /// GatedGCN's edge pre-activation `A·h_j + B·h_i + C·e_ji`, and GAT's
+    /// score at width 1.
+    ///
+    /// The values are those of gathering `src_rows` to sources and
+    /// `dst_rows` to destinations and chaining `add`, `add`, bit for bit;
+    /// no per-message copy exists. Backward, `ee` gets that chain's gradient
+    /// bits and `src_rows`, `dst_rows` sum each node's messages straight
+    /// into its row (DESIGN.md §7).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `src_rows` and `dst_rows` are `band.n_nodes × d` and
+    /// `ee` is `band.message_count() × d`.
+    pub fn band_edge_sum(
+        &mut self,
+        src_rows: Var,
+        dst_rows: Var,
+        ee: Var,
+        band: &Arc<Band>,
+    ) -> Var {
+        self.record_edge_scores(dst_rows, src_rows, ee, band, EdgeScore::Sum)
+    }
+
+    /// Validates and records a band edge-score node: `q` is read at each
+    /// message's destination, `k` at its source.
+    fn record_edge_scores(
+        &mut self,
+        q: Var,
+        k: Var,
+        ee: Var,
+        band: &Arc<Band>,
+        form: EdgeScore,
+    ) -> Var {
         let (m, d) = self.dims(ee);
         assert_eq!(
             m,
             band.message_count(),
-            "band_edge_scores: one ee row per message"
+            "band edge scores: one ee row per message"
         );
-        assert_eq!(
-            self.dims(q),
-            (band.n_nodes, d),
-            "band_edge_scores: q must be nodes x d"
-        );
-        assert_eq!(
-            self.dims(k),
-            (band.n_nodes, d),
-            "band_edge_scores: k must be nodes x d"
-        );
+        for (what, v) in [("destination", q), ("source", k)] {
+            assert_eq!(
+                self.dims(v),
+                (band.n_nodes, d),
+                "band edge scores: {what} rows must be nodes x d"
+            );
+        }
         let band = band.clone();
         self.record(
             m,
@@ -652,17 +711,17 @@ impl Tape {
                 k,
                 ee,
                 band,
-                scale,
+                form,
             },
         )
     }
 
     /// Attention over a MEGA batch's band, in one node: the per-head sums of
-    /// the message rows `e_what` (`m × d`, `heads` column blocks) are the
+    /// the message rows `e_what` (`m × w`, `heads` column blocks) are the
     /// scores, a softmax over each destination node's messages turns them
-    /// into weights, and each head's block of the source's `v` row, times
-    /// its weight, is added into the destination's row of the `n × d`
-    /// output.
+    /// into weights, and each head's block of the source's `v` row (`n × d`,
+    /// `heads` column blocks), times its weight, is added into the
+    /// destination's row of the `n × d` output.
     ///
     /// The values are those of `row_block_sums` → `segment_softmax` →
     /// gathering `v` to sources → `mul_col_broadcast` → `scatter_add_rows`,
@@ -673,28 +732,23 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics unless `heads` divides the width, `e_what` has one row per
-    /// message and `v` is `band.n_nodes` rows of the same width.
+    /// Panics unless `heads` divides both widths, `e_what` has one row per
+    /// message and `v` one row per node.
     pub fn band_attend(&mut self, e_what: Var, v: Var, band: &Arc<Band>, heads: usize) -> Var {
-        let (m, d) = self.dims(e_what);
+        let ((m, w), (n, d)) = (self.dims(e_what), self.dims(v));
         assert!(
-            heads > 0 && d.is_multiple_of(heads),
-            "band_attend: {heads} heads must divide {d} columns"
+            heads > 0 && w.is_multiple_of(heads) && d.is_multiple_of(heads),
+            "band_attend: {heads} heads must divide {w} score and {d} value columns"
         );
         assert_eq!(
             m,
             band.message_count(),
             "band_attend: one e_what row per message"
         );
-        assert_eq!(
-            self.dims(v),
-            (band.n_nodes, d),
-            "band_attend: v must be nodes x d"
-        );
-        let n = band.n_nodes;
+        assert_eq!(n, band.n_nodes, "band_attend: v must be node rows");
         // Zeroed: a zero-width `e_what` has no blocks to sum.
         let mut score = self.pool.acquire(m * heads);
-        let runs = rows_of(self.value(e_what).as_slice(), d / heads);
+        let runs = rows_of(self.value(e_what).as_slice(), w / heads);
         for (o, block) in score.iter_mut().zip(runs) {
             *o = block.iter().sum();
         }
@@ -711,6 +765,57 @@ impl Tape {
             v,
             band: band.clone(),
             attn: Tensor::from_vec(m, heads, attn),
+        };
+        self.push_value(Tensor::from_vec(n, d, out), op)
+    }
+
+    /// GatedGCN's gated aggregate over a MEGA batch's band, in one node:
+    /// with the gates `η = σ(e_hat)` (`m × d`), each destination node's
+    /// `Σ η ⊙ v[src] / (Σ η + eps)` over its messages, `v` being node rows
+    /// (`n × d`).
+    ///
+    /// The values are those of `sigmoid` → gathering `v` to sources →
+    /// `mul` → two `scatter_add_rows` → `div_eps`, bit for bit. The gates
+    /// live only while the op runs: it keeps the `n × d` numerator and
+    /// denominator, and the backward pass recomputes the gates from
+    /// `e_hat`, gives `e_hat` that chain's gradient bits and sums `v`'s per
+    /// node (DESIGN.md §7).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `e_hat` is `band.message_count() × d` and `v` is
+    /// `band.n_nodes × d`, `d > 0`.
+    pub fn band_gate(&mut self, e_hat: Var, v: Var, band: &Arc<Band>, eps: f32) -> Var {
+        let ((m, d), n) = (self.dims(e_hat), band.n_nodes);
+        assert!(d > 0, "band_gate: no features to gate");
+        assert_eq!(
+            m,
+            band.message_count(),
+            "band_gate: one e_hat row per message"
+        );
+        assert_eq!(self.dims(v), (n, d), "band_gate: v must be nodes x d");
+        let mut gates = self.out_buf(m, d);
+        self.backend
+            .unary(Unary::Sigmoid, self.value(e_hat).as_slice(), &mut gates);
+        let mut den = self.pool.acquire(n * d);
+        self.backend
+            .scatter_add_rows(&gates, &band.msg_dst, d, n, &mut den);
+        let mut num = self.pool.acquire(n * d);
+        let v_rows = self.value(v).as_slice();
+        self.backend
+            .band_attend(band.route(), v_rows, &gates, d, d, false, &mut num);
+        self.pool.release(gates);
+        let mut out = self.out_buf(n, d);
+        for ((o, &x), &y) in out.iter_mut().zip(&num).zip(&den) {
+            *o = x / (y + eps);
+        }
+        let op = Op::BandGate {
+            e_hat,
+            v,
+            band: band.clone(),
+            eps,
+            num: Tensor::from_vec(n, d, num),
+            den: Tensor::from_vec(n, d, den),
         };
         self.push_value(Tensor::from_vec(n, d, out), op)
     }
@@ -873,7 +978,7 @@ impl Tape {
                 k,
                 ee,
                 band,
-                scale,
+                form,
             } => {
                 let mut out = self.out_buf(rows, cols);
                 self.backend.band_edge_scores(
@@ -882,7 +987,7 @@ impl Tape {
                     self.value(*k).as_slice(),
                     self.value(*ee).as_slice(),
                     cols,
-                    *scale,
+                    *form,
                     &mut out,
                 );
                 Tensor::from_vec(rows, cols, out)
@@ -916,6 +1021,7 @@ impl Tape {
             | Op::MulColBroadcast(..)
             | Op::ConcatCols(..)
             | Op::BandAttend { .. }
+            | Op::BandGate { .. }
             | Op::L1Loss(..)
             | Op::CrossEntropy(..) => {
                 unreachable!("op `{}` is computed by its op method", op.kind_name())
@@ -1141,6 +1247,21 @@ impl Tape {
         self.pool.release(dots);
     }
 
+    /// Backward of `x / (y + eps)` for the upstream gradient `g`: rewrites
+    /// `g` in place into the gradient with respect to `x` and returns the
+    /// one with respect to `y` in a pooled buffer.
+    fn div_eps_backward(&self, g: &mut [f32], x: &[f32], y: &[f32], eps: f32) -> Vec<f32> {
+        let mut dy = self.pool.acquire_for_overwrite(g.len());
+        for (((o, &gv), &x), &y) in dy.iter_mut().zip(g.iter()).zip(x).zip(y) {
+            let y = y + eps;
+            *o = -gv * x / (y * y);
+        }
+        for (gv, &y) in g.iter_mut().zip(y) {
+            *gv /= y + eps;
+        }
+        dy
+    }
+
     /// Backward of `y = x · w` for the upstream gradient `g` (`n × m`):
     /// `dx = g · wᵀ` and `dw = xᵀ · g`, each written by the backend's GEMM
     /// straight into a pooled buffer that [`Tape::accumulate_product`] then
@@ -1279,14 +1400,7 @@ impl Tape {
                 }
                 Op::DivEps(a, b, eps) => {
                     let (va, vb) = (self.value(*a).as_slice(), self.value(*b).as_slice());
-                    let mut db = self.pool.acquire_for_overwrite(g.len());
-                    for (((o, &gv), &x), &y) in db.iter_mut().zip(&g).zip(va).zip(vb) {
-                        let y = y + eps;
-                        *o = -gv * x / (y * y);
-                    }
-                    for (gv, &y) in g.iter_mut().zip(vb) {
-                        *gv /= y + eps;
-                    }
+                    let db = self.div_eps_backward(&mut g, va, vb, *eps);
                     self.accumulate(grads, *a, Cow::Owned(g));
                     self.accumulate(grads, *b, Cow::Owned(db));
                 }
@@ -1363,7 +1477,7 @@ impl Tape {
                     k,
                     ee,
                     band,
-                    scale,
+                    form,
                 } => {
                     let (vq, vk) = (self.value(*q), self.value(*k));
                     let mut dq = self.pool.acquire(vq.as_slice().len());
@@ -1375,7 +1489,7 @@ impl Tape {
                         vk.as_slice(),
                         self.value(*ee).as_slice(),
                         node.value.cols(),
-                        *scale,
+                        *form,
                         &mut g,
                         &mut dq,
                         &mut dk,
@@ -1390,7 +1504,7 @@ impl Tape {
                     band,
                     attn,
                 } => {
-                    let (m, heads) = attn.shape();
+                    let ((m, heads), w) = (attn.shape(), self.dims(*e_what).1);
                     let d = node.value.cols();
                     let v_rows = self.value(*v).as_slice();
                     // The weights' gradient, then the softmax's backward on
@@ -1418,12 +1532,52 @@ impl Tape {
                     self.pool.release(g);
                     // A score is the sum of its head's block: its gradient
                     // reaches every element of the block.
-                    let mut de = self.pool.acquire_for_overwrite(m * d);
-                    for (run, &gv) in rows_of_mut(&mut de, d / heads).zip(&d_score) {
+                    let mut de = self.pool.acquire_for_overwrite(m * w);
+                    for (run, &gv) in rows_of_mut(&mut de, w / heads).zip(&d_score) {
                         run.fill(gv);
                     }
                     self.pool.release(d_score);
                     self.accumulate(grads, *e_what, Cow::Owned(de));
+                    self.accumulate(grads, *v, Cow::Owned(dv));
+                }
+                Op::BandGate {
+                    e_hat,
+                    v,
+                    band,
+                    eps,
+                    num,
+                    den,
+                } => {
+                    let (n, d) = node.value.shape();
+                    let m = band.message_count();
+                    let route = band.route();
+                    let d_den = self.div_eps_backward(&mut g, num.as_slice(), den.as_slice(), *eps);
+                    let d_num = g;
+                    // Per message: the gate's gradient `d_den[dst] +
+                    // d_num[dst] ⊙ v[src]` (`d_den` with the `+ 0.0` of its
+                    // adoption in the chain), through the recomputed
+                    // sigmoid.
+                    let v_rows = self.value(*v).as_slice();
+                    let mut de = self.pool.acquire_for_overwrite(m * d);
+                    self.backend
+                        .band_attend_weight_grad(route, &d_num, v_rows, d, d, &mut de);
+                    let mut gates = self.pool.acquire_for_overwrite(m * d);
+                    let e_rows = self.value(*e_hat).as_slice();
+                    self.backend.unary(Unary::Sigmoid, e_rows, &mut gates);
+                    let msg_rows = rows_of_mut(&mut de, d).zip(rows_of(&gates, d));
+                    for ((de_row, s_row), &dst) in msg_rows.zip(band.msg_dst.iter()) {
+                        let dd_row = &d_den[dst * d..(dst + 1) * d];
+                        for ((o, &s), &dd) in de_row.iter_mut().zip(s_row).zip(dd_row) {
+                            *o = ((dd + 0.0) + *o) * s * (1.0 - s);
+                        }
+                    }
+                    let mut dv = self.pool.acquire(n * d);
+                    self.backend
+                        .band_attend(route, &d_num, &gates, d, d, true, &mut dv);
+                    for buf in [d_den, d_num, gates] {
+                        self.pool.release(buf);
+                    }
+                    self.accumulate(grads, *e_hat, Cow::Owned(de));
                     self.accumulate(grads, *v, Cow::Owned(dv));
                 }
                 Op::LayerNorm(a, gamma, beta, eps) => {
@@ -1968,6 +2122,27 @@ mod tests {
         assert_eq!(grads.wrt(w).as_slice(), &[0.0, 0.0]);
     }
 
+    /// A band over six path positions carrying five nodes — node 1 at two
+    /// positions, node 4 at none, so it receives no message — with six
+    /// slots, twelve messages.
+    fn tiny_band() -> Arc<Band> {
+        let node_of = vec![0, 1, 2, 1, 3, 0];
+        let pairs = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)];
+        let slots: Vec<BandSlot> = (pairs.iter().enumerate())
+            .map(|(edge, &(lo, hi))| BandSlot { lo, hi, edge })
+            .collect();
+        let msg_dst = slots
+            .iter()
+            .flat_map(|s| [node_of[s.hi], node_of[s.lo]])
+            .collect();
+        Arc::new(Band {
+            slots: Arc::new(slots),
+            node_of: Arc::new(node_of),
+            msg_dst: Arc::new(msg_dst),
+            n_nodes: 5,
+        })
+    }
+
     #[test]
     fn backward_returns_every_buffer_to_the_pool() {
         // Leaf values are not the pool's; oversized, the dropped tape files
@@ -2008,9 +2183,21 @@ mod tests {
             let bn = t.batch_norm_relu(ln, gamma, beta, 1e-5);
             let cat = t.concat_cols(&[bn, h]);
             let act = t.sigmoid(cat);
-            let loss = t.mean(act);
+            // The band ops, with the tensors they keep for backward: the
+            // attention weights and the gate's numerator and denominator.
+            let band = tiny_band();
+            let (n, m) = (band.n_nodes, band.message_count());
+            let (nodes, msgs) = (leaf(&mut t, n, 8, 86), leaf(&mut t, m, 8, 87));
+            let sum = t.band_edge_sum(nodes, nodes, msgs, &band);
+            let gated = t.band_gate(sum, nodes, &band, 1e-6);
+            let what = t.band_edge_scores(gated, nodes, sum, &band, 0.5);
+            let attended = t.band_attend(what, gated, &band, 2);
+            let band_out = t.mean(attended);
+            let mean = t.mean(act);
+            let loss = t.add(mean, band_out);
             let grads = t.backward(loss);
             assert!(grads.wrt(w).norm() > 0.0);
+            assert!(grads.wrt(nodes).norm() > 0.0 && grads.wrt(msgs).norm() > 0.0);
             assert_eq!(grads.wrt(unreached).norm(), 0.0);
         };
         step();
@@ -2184,6 +2371,30 @@ mod tests {
                 let w = t.leaf(sample(5, 2, 14));
                 let y = t.mul(p, w);
                 t.sum(y)
+            },
+            2e-2,
+        );
+    }
+
+    #[test]
+    fn grad_band_edge_sum_and_gate() {
+        // One node-row input feeds both ends of the sum and the gated
+        // values, so every gradient path of both ops meets in `x`.
+        let band = tiny_band();
+        let m = band.message_count();
+        check_grad(
+            sample(band.n_nodes, 3, 15),
+            move |t, x| {
+                let ee = t.leaf(sample(m, 3, 16));
+                let e_hat = t.band_edge_sum(x, x, ee, &band);
+                let agg = t.band_gate(e_hat, x, &band, 1e-6);
+                let (we, wa) = (
+                    t.leaf(sample(m, 3, 17)),
+                    t.leaf(sample(band.n_nodes, 3, 18)),
+                );
+                let (le, la) = (t.mul(e_hat, we), t.mul(agg, wa));
+                let (se, sa) = (t.sum(le), t.sum(la));
+                t.add(se, sa)
             },
             2e-2,
         );

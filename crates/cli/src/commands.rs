@@ -3,7 +3,7 @@
 use crate::args::Args;
 use mega_core::{preprocess as mega_preprocess, MegaConfig, WindowPolicy};
 use mega_datasets::{aqsol, csl, cycles, zinc, Dataset, DatasetSpec, Task};
-use mega_exec::{ProfiledBackend, ReferenceBackend};
+use mega_exec::{ProfiledBackend, SimdBackend};
 use mega_gnn::{EngineChoice, GnnConfig, ModelKind, Trainer};
 use mega_graph::{io, Direction};
 use mega_obs::{data, info};
@@ -220,7 +220,7 @@ pub fn train(args: &Args) -> Result<(), String> {
     let threads = args.get_or("threads", 1usize)?;
     // Backends are bit-identical too; `profiled` decorates another backend
     // with per-kernel FLOP/byte/time attribution (surfaced by `mega report`).
-    let backend_name = args.get("backend").unwrap_or("reference");
+    let backend_name = args.get("backend").unwrap_or("simd");
     let backend = mega_exec::backend_by_name(backend_name).ok_or_else(|| {
         format!("unknown backend `{backend_name}` (reference | simd | profiled[:inner])")
     })?;
@@ -355,7 +355,7 @@ pub fn profile(args: &Args) -> Result<(), String> {
             .with_epochs(epochs)
             .with_batch_size(batch)
             .with_parallelism(mega_core::Parallelism::with_threads(threads))
-            .with_backend(Arc::new(ProfiledBackend::new(Arc::new(ReferenceBackend))));
+            .with_backend(Arc::new(ProfiledBackend::new(Arc::new(SimdBackend::new()))));
         let hist = trainer.run(&ds, cfg.clone());
         data!(
             "trained {epochs} epochs: final train-loss {:.4} | host phases/epoch \

@@ -35,14 +35,16 @@ COMMANDS:
         --dataset NAME        zinc | aqsol | csl | cycles (default zinc)
         --model NAME          gcn | gt | gat (default gcn)
         --engine NAME         dgl | mega (default mega)
-        --backend NAME        kernel backend: reference | simd |
-                              profiled[:inner] (default reference). All
-                              backends are bit-identical; `simd` uses
-                              vectorized kernels, `profiled` wraps another
-                              backend (reference unless `:inner` names
-                              one) and attributes FLOPs/bytes/time per
-                              kernel into the metrics registry (see
-                              `mega report`).
+        --backend NAME        kernel backend: simd | reference |
+                              profiled[:inner] (default simd). All
+                              backends are bit-identical; `simd` runs
+                              vectorized kernels, `reference` the scalar
+                              oracle loops (slow: a library fma call per
+                              GEMM term), `profiled` wraps another
+                              backend (simd unless `:inner` names one)
+                              and attributes FLOPs/bytes/time per kernel
+                              into the metrics registry (see `mega
+                              report`).
         --epochs N            (default 5)   --batch N   (default 32)
         --hidden N            (default 32; gt/gat run 4 heads, so a
                               multiple of 4)

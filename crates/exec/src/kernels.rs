@@ -153,12 +153,19 @@ fn check_read(chunk: &Chunk, row: usize) {
 fn check_read(_chunk: &Chunk, _row: usize) {}
 
 /// Row `i` of the `n × k` product `a · b`, written over `out_row`: every
-/// element folds `acc + a[i][kk]·b[kk][j]` in ascending `kk` from
-/// `acc = +0.0`, skipping `a == 0.0` terms. The skip stays because this loop
-/// defines the bits every backend matches (`Backend::gemm` says when a
-/// backend may add those terms instead). A row-major `b` is swept row by
-/// row, a transposed one column by column; either way each element sees the
-/// same terms in the same order.
+/// element folds `fma(a[i][kk], b[kk][j], acc)` — one rounding per term — in
+/// ascending `kk` from `acc = +0.0`, skipping `a == 0.0` terms, and then
+/// stores `acc + 0.0`. The skip stays because this loop defines the bits
+/// every backend matches (`Backend::gemm` says when a backend may add those
+/// terms instead); the closing `+ 0.0` turns the one zero a fused fold can
+/// end on besides `+0.0` — a term whose exact value underflowed to `-0.0` —
+/// into `+0.0`. A row-major `b` is swept row by row, a transposed one column
+/// by column; either way each element sees the same terms in the same order.
+///
+/// `f32::mul_add` is correctly rounded on every target, so these bits are
+/// the same on every host; where the target's baseline lacks FMA (x86-64's)
+/// it is a library call, and this loop is far slower than `SimdBackend`'s
+/// tiles.
 fn matmul_row(
     a: Operand<'_>,
     b: Operand<'_>,
@@ -179,8 +186,12 @@ fn matmul_row(
                     continue;
                 }
                 for (o, &bv) in out_row.iter_mut().zip(&b[kk * m..(kk + 1) * m]) {
-                    *o += av * bv;
+                    // mega-lint: allow(no-fma, reason = "every backend fuses the GEMM fold; this loop defines its bits")
+                    *o = av.mul_add(bv, *o);
                 }
+            }
+            for o in out_row.iter_mut() {
+                *o += 0.0;
             }
         }
         Operand::Transposed(bt) => {
@@ -189,10 +200,11 @@ fn matmul_row(
                 for (kk, &bv) in bt[j * k..(j + 1) * k].iter().enumerate() {
                     let av = a_at(kk);
                     if av != 0.0 {
-                        acc += av * bv;
+                        // mega-lint: allow(no-fma, reason = "every backend fuses the GEMM fold; this loop defines its bits")
+                        acc = av.mul_add(bv, acc);
                     }
                 }
-                *o = acc;
+                *o = acc + 0.0;
             }
         }
     }
@@ -329,6 +341,79 @@ pub fn epilogue(epilogue: Epilogue<'_>, out: &mut [f32], m: usize) {
     }
 }
 
+/// [`exp_ws`] clamps its argument to `[EXP_LO, EXP_HI]`: every `2ⁿ` the
+/// clamped range needs is a normal float (`n ∈ [−126, 127]`), so the
+/// exponent-bit scale never overflows or goes subnormal.
+pub(crate) const EXP_LO: f32 = -87.0;
+/// The upper end of [`exp_ws`]'s clamp.
+pub(crate) const EXP_HI: f32 = 88.0;
+/// `1.5 · 2²³`: adding it rounds any float below 2²² in magnitude to the
+/// nearest integer, ties to even, and subtracting it again is exact.
+pub(crate) const ROUND_MAGIC: f32 = 12_582_912.0;
+/// `ln 2 = LN2_HI + LN2_LO`, Cody–Waite: `LN2_HI` has 9 significant bits,
+/// so `n · LN2_HI` is exact for every `n` the clamp allows.
+pub(crate) const LN2_HI: f32 = 0.693_359_4;
+/// The low part of `ln 2`.
+pub(crate) const LN2_LO: f32 = -2.121_944_4e-4;
+/// The degree-5 polynomial `P` of [`exp_ws`], highest power first:
+/// `e^r ≈ 1 + r + r²·P(r)` on `|r| ≤ ln 2 / 2` (Cephes `expf`).
+pub(crate) const EXP_POLY: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_5e-1,
+    0.5,
+];
+/// `2²³`: scaling an integer-valued float by it puts the integer in the
+/// exponent field.
+pub(crate) const EXPONENT_SHIFT: f32 = 8_388_608.0;
+
+/// The workspace `exp`: the one definition of `e^x` behind
+/// [`Unary::Sigmoid`], so its bits do not depend on the host's libm and
+/// every SIMD tier can run the same operations on its lanes. In order:
+///
+/// 1. clamp `x` to `[EXP_LO, EXP_HI]` (a NaN passes through);
+/// 2. `t = x·log₂e + ROUND_MAGIC` and `n = t − ROUND_MAGIC`, so `n` is
+///    `x / ln 2` rounded to an integer;
+/// 3. `r = (x − n·LN2_HI) − n·LN2_LO`;
+/// 4. `p = ((P(r)·r²) + r) + 1`, `P` by Horner from `EXP_POLY[0]`;
+/// 5. `p · 2ⁿ`, with `2ⁿ` the bits of `(n + 127) · 2²³` as an integer.
+///
+/// Every step is one IEEE `mul`, `add`, `sub`, compare or conversion,
+/// nothing fused, so a lane that issues the same steps rounds the same.
+/// Within 1 ulp of `e^x` at every multiple of 2⁻¹² in the clamp. Outside
+/// it the clamp holds: `x > 88` gives `exp_ws(88)` ≈ 1.65·10³⁸, not `inf`,
+/// and `x < −87` gives `exp_ws(−87)` ≈ 1.65·10⁻³⁸, not a subnormal or zero.
+#[inline]
+pub fn exp_ws(x: f32) -> f32 {
+    let x = if EXP_LO > x { EXP_LO } else { x };
+    let x = if EXP_HI < x { EXP_HI } else { x };
+    let n = (x * std::f32::consts::LOG2_E + ROUND_MAGIC) - ROUND_MAGIC;
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let mut y = EXP_POLY[0];
+    for &c in &EXP_POLY[1..] {
+        y = y * r + c;
+    }
+    let p = (y * (r * r) + r) + 1.0;
+    p * f32::from_bits(((n + 127.0) * EXPONENT_SHIFT) as u32)
+}
+
+/// Float operations per [`sigmoid`], counted as written: [`exp_ws`]'s 27
+/// (two clamp compares, three for `n`, four for `r`, one for `r²`, ten for
+/// Horner, three for `p`, the scale's add, multiply and conversion, and the
+/// final multiply), then the negation, the `1 +` and the division.
+pub const SIGMOID_FLOPS: u64 = 30;
+
+/// `1 / (1 + exp_ws(−x))`: [`Unary::Sigmoid`] of one element. Every
+/// `x ≤ −88` (−∞ included) gives the one constant `sigmoid(−88)` ≈
+/// 6.05·10⁻³⁹, a subnormal, where libm's `expf` overflowed to `inf` and
+/// gave `+0.0` below −88.72.
+#[inline]
+pub fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + exp_ws(-x))
+}
+
 /// Elementwise unary activation applied in place — per element exactly
 /// [`unary`]'s arithmetic, reusing the buffer instead of reading a second
 /// stream. Composite kernels (`layer_norm` + activation) use it for their
@@ -348,7 +433,7 @@ pub fn unary_inplace(op: Unary, out: &mut [f32]) {
         }
         Unary::Sigmoid => {
             for o in out.iter_mut() {
-                *o = 1.0 / (1.0 + (-*o).exp());
+                *o = sigmoid(*o);
             }
         }
     }
@@ -369,7 +454,7 @@ pub fn unary(op: Unary, x: &[f32], out: &mut [f32]) {
         }
         Unary::Sigmoid => {
             for (o, &v) in out.iter_mut().zip(x) {
-                *o = 1.0 / (1.0 + (-v).exp());
+                *o = sigmoid(v);
             }
         }
     }

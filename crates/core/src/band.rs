@@ -52,59 +52,44 @@ pub struct BandMask {
 }
 
 impl BandMask {
-    /// Builds the mask by greedily claiming, for each original edge, its
-    /// first in-band occurrence along the path (scanning positions in
-    /// ascending order, offsets 1..=ω).
+    /// The mask of a finished traversal: the slots its walk claimed as it
+    /// covered edges, the same ones [`BandMask::build`] finds for its path.
     pub fn from_traversal(t: &Traversal) -> Self {
-        Self::build(&t.working_graph, &t.path, t.window)
+        Self::from_slots(t.path.len(), t.window, t.working_edges, t.slots.clone())
     }
 
-    /// Builds a mask for an arbitrary `(graph, path, window)` triple. The
-    /// path entries must be valid node ids of `g`.
+    /// Wraps slots already sorted by `(lo, hi)`.
+    pub(crate) fn from_slots(
+        len: usize,
+        window: usize,
+        working_edges: usize,
+        active: Vec<BandSlot>,
+    ) -> Self {
+        BandMask {
+            len,
+            window,
+            working_edges,
+            active,
+        }
+    }
+
+    /// Builds a mask for an arbitrary `(graph, path, window)` triple by
+    /// replaying the path through the walk's claim rule. The path entries
+    /// must be valid node ids of `g`.
     ///
     /// # Panics
     ///
     /// Panics if `window == 0` or a path entry is out of range.
     pub fn build(g: &Graph, path: &[usize], window: usize) -> Self {
         assert!(window >= 1, "window must be >= 1");
-        let len = path.len();
-        // mega-lint: allow(unordered-collection, reason = "(src,dst)->eid lookup only; slot order follows the path")
-        let mut edge_of = std::collections::HashMap::with_capacity(g.edge_count());
-        for (eid, (s, d)) in g.edges().enumerate() {
-            edge_of.insert((s.min(d), s.max(d)), eid);
-        }
         let mut claimed = vec![false; g.edge_count()];
         let mut active = Vec::new();
-        for i in 0..len {
-            let u = path[i];
+        for (hi, &u) in path.iter().enumerate() {
             assert!(u < g.node_count(), "path node {u} out of range");
-            for k in 1..=window {
-                let j = i + k;
-                if j >= len {
-                    break;
-                }
-                let v = path[j];
-                if u == v {
-                    continue;
-                }
-                if let Some(&eid) = edge_of.get(&(u.min(v), u.max(v))) {
-                    if !claimed[eid] {
-                        claimed[eid] = true;
-                        active.push(BandSlot {
-                            lo: i,
-                            hi: j,
-                            edge: eid,
-                        });
-                    }
-                }
-            }
+            claim_position(g, path, hi, window, &mut claimed, &mut active, |_, _| {});
         }
-        BandMask {
-            len,
-            window,
-            working_edges: g.edge_count(),
-            active,
-        }
+        sort_slots(&mut active);
+        Self::from_slots(path.len(), window, g.edge_count(), active)
     }
 
     /// Path length `L`.
@@ -141,7 +126,7 @@ impl BandMask {
             .map(|at| self.active[at].edge)
     }
 
-    /// All active slots in claim order (ascending `lo`, then offset).
+    /// All active slots, sorted by `(lo, hi)`.
     pub fn active_slots(&self) -> &[BandSlot] {
         &self.active
     }
@@ -173,6 +158,77 @@ impl BandMask {
     }
 }
 
+/// The id of the edge joining `u` and `v`, read off the CSR: a binary
+/// search of one sorted row for an undirected graph (the shorter), of both
+/// for a directed one, whose arc lives in its source's row only. Where both
+/// arcs exist the pair carries the later one in the edge list, so the earlier
+/// never owns a slot.
+pub(crate) fn edge_between(g: &Graph, u: usize, v: usize) -> Option<usize> {
+    let csr = g.csr();
+    let arc = |a: usize, b: usize| {
+        let at = csr.neighbors(a).binary_search(&b).ok()?;
+        Some(csr.edge_ids(a)[at])
+    };
+    if g.is_undirected() {
+        if csr.degree(u) <= csr.degree(v) {
+            arc(u, v)
+        } else {
+            arc(v, u)
+        }
+    } else {
+        match (arc(u, v), arc(v, u)) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        }
+    }
+}
+
+/// The band's claim rule, applied as the path grows: position `hi` pairs
+/// with each of the ω positions before it, in ascending order, and claims
+/// the edge joining the two nodes if no earlier pair has. `on_claim(u, v)`
+/// sees the endpoints of every new claim.
+///
+/// Claiming by ascending `hi` and then `lo` picks the same pair per edge as
+/// a scan by ascending `lo` and then `hi`: if an edge's first pair by
+/// `(hi, lo)` were not its first by `(lo, hi)`, the second would enclose
+/// the first, and the outer `lo` would pair with one of the inner positions
+/// earlier still by `(hi, lo)`. Sorted by `(lo, hi)` ([`sort_slots`]) the
+/// claims are therefore the band.
+pub(crate) fn claim_position(
+    g: &Graph,
+    path: &[usize],
+    hi: usize,
+    window: usize,
+    claimed: &mut [bool],
+    slots: &mut Vec<BandSlot>,
+    mut on_claim: impl FnMut(usize, usize),
+) {
+    let v = path[hi];
+    for (lo, &u) in path
+        .iter()
+        .enumerate()
+        .take(hi)
+        .skip(hi.saturating_sub(window))
+    {
+        if u == v {
+            continue;
+        }
+        if let Some(edge) = edge_between(g, u, v) {
+            if !claimed[edge] {
+                claimed[edge] = true;
+                slots.push(BandSlot { lo, hi, edge });
+                on_claim(u, v);
+            }
+        }
+    }
+}
+
+/// Puts claims made in `(hi, lo)` order into `(lo, hi)` order. Slots of one
+/// `lo` were claimed in ascending `hi`, so a stable sort on `lo` suffices.
+pub(crate) fn sort_slots(slots: &mut [BandSlot]) {
+    slots.sort_by_key(|s| s.lo);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,12 +247,12 @@ mod tests {
     fn each_edge_claims_exactly_one_slot() {
         let g = generate::complete(7).unwrap();
         let (_, b) = band_for(&g, 3);
-        // mega-lint: allow(unordered-collection, reason = "test-only duplicate detector; never iterated")
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = vec![false; g.edge_count()];
         for s in b.active_slots() {
-            assert!(seen.insert(s.edge), "edge {} claimed twice", s.edge);
+            assert!(!seen[s.edge], "edge {} claimed twice", s.edge);
+            seen[s.edge] = true;
         }
-        assert_eq!(seen.len(), g.edge_count());
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -38,16 +38,30 @@ pub struct PathRepresentation {
 impl PathRepresentation {
     /// Builds the representation from a finished traversal.
     pub fn from_traversal(t: &Traversal) -> Self {
-        let n = t.working_graph.node_count();
-        let mut node_positions = vec![Vec::new(); n];
-        for (i, &v) in t.path.iter().enumerate() {
+        Self::new(
+            t.path.clone(),
+            t.virtual_step.clone(),
+            t.working_graph.node_count(),
+            t.window,
+        )
+    }
+
+    /// Takes ownership of a walk's path over `n` nodes and indexes it.
+    pub(crate) fn new(path: Vec<usize>, virtual_step: Vec<bool>, n: usize, window: usize) -> Self {
+        let mut count = vec![0usize; n];
+        for &v in &path {
+            count[v] += 1;
+        }
+        let mut node_positions: Vec<Vec<usize>> =
+            count.into_iter().map(Vec::with_capacity).collect();
+        for (i, &v) in path.iter().enumerate() {
             node_positions[v].push(i);
         }
         PathRepresentation {
-            path: t.path.clone(),
-            virtual_step: t.virtual_step.clone(),
+            path,
+            virtual_step,
             node_positions,
-            window: t.window,
+            window,
         }
     }
 

@@ -67,9 +67,17 @@ impl AttentionSchedule {
     /// graph is accepted for interface symmetry with [`crate::preprocess`];
     /// the schedule itself references the traversal's working graph (which
     /// differs from `original` only under edge dropping).
+    ///
+    /// The traversal's path, marks and band slots move into the schedule
+    /// uncopied.
     pub fn from_traversal(_original: &Graph, t: Traversal) -> Self {
-        let path = PathRepresentation::from_traversal(&t);
-        let band = BandMask::from_traversal(&t);
+        let band = BandMask::from_slots(t.path.len(), t.window, t.working_edges, t.slots);
+        let path = PathRepresentation::new(
+            t.path,
+            t.virtual_step,
+            t.working_graph.node_count(),
+            t.window,
+        );
         AttentionSchedule {
             path,
             band,

@@ -22,6 +22,7 @@
 //! condition for the edge to own a slot in the diagonal band (see
 //! [`crate::band`]).
 
+use crate::band::{claim_position, sort_slots, BandSlot};
 use crate::config::{CandidatePolicy, MegaConfig};
 use crate::edge_drop::drop_edges;
 use crate::error::MegaError;
@@ -30,9 +31,6 @@ use mega_graph::Graph;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
-// mega-lint: allow(unordered-collection, reason = "(src,dst)->eid lookup only; neighbor iteration uses sorted open_nbrs")
-use std::collections::HashMap;
 
 /// The raw result of running Algorithm 1 on a graph.
 #[derive(Debug, Clone)]
@@ -47,6 +45,9 @@ pub struct Traversal {
     /// Number of working-graph edges covered by the band (endpoints within ω
     /// path positions of each other).
     pub covered_edges: usize,
+    /// The band slot each covered edge claimed as the walk reached it,
+    /// sorted by `(lo, hi)` (see [`crate::band`]).
+    pub slots: Vec<BandSlot>,
     /// Edge count of the working (post-drop) graph.
     pub working_edges: usize,
     /// Number of node appearances beyond each node's first (revisits).
@@ -109,104 +110,151 @@ impl Traversal {
     }
 }
 
+/// Uncovered-edge neighbours per node (the pseudocode's `N` dict) in one
+/// flat copy of the CSR targets: row `v`'s open neighbours are the first
+/// `len[v]` entries of its CSR row. Removal shifts the rest of the row down,
+/// so every open prefix stays sorted — the order argmax ties and `Random`'s
+/// index both read.
+struct OpenRows<'g> {
+    offsets: &'g [usize],
+    nbrs: Vec<usize>,
+    len: Vec<usize>,
+}
+
+impl<'g> OpenRows<'g> {
+    fn new(g: &'g Graph) -> Self {
+        let csr = g.csr();
+        OpenRows {
+            offsets: csr.offsets(),
+            nbrs: csr.targets().to_vec(),
+            len: (0..g.node_count()).map(|v| csr.degree(v)).collect(),
+        }
+    }
+
+    fn row(&self, v: usize) -> &[usize] {
+        let lo = self.offsets[v];
+        &self.nbrs[lo..lo + self.len[v]]
+    }
+
+    fn is_open(&self, v: usize) -> bool {
+        self.len[v] > 0
+    }
+
+    fn remove(&mut self, a: usize, b: usize) {
+        if let Ok(i) = self.row(a).binary_search(&b) {
+            let lo = self.offsets[a];
+            let end = lo + self.len[a];
+            self.nbrs.copy_within(lo + i + 1..end, lo + i);
+            self.len[a] -= 1;
+        }
+    }
+}
+
 struct State<'g> {
     g: &'g Graph,
     window: usize,
     policy: CandidatePolicy,
     rng: StdRng,
-    /// Uncovered-edge neighbors per node (the pseudocode's `N` dict), kept
-    /// sorted for deterministic argmax tie-breaking.
-    open_nbrs: Vec<Vec<usize>>,
-    /// Nodes with non-empty `open_nbrs`, ordered.
-    open_nodes: BTreeSet<usize>,
-    /// Edge id lookup for the working graph.
-    // mega-lint: allow(unordered-collection, reason = "keyed lookup only; never iterated")
-    edge_of: HashMap<(usize, usize), usize>,
+    open: OpenRows<'g>,
+    /// Per working-graph edge: whether it owns a band slot yet.
     covered: Vec<bool>,
-    covered_count: usize,
+    /// The band slots claimed so far, in `(hi, lo)` order; one per covered
+    /// edge.
+    slots: Vec<BandSlot>,
     visited: Vec<bool>,
     unvisited_count: usize,
     path: Vec<usize>,
     virtual_step: Vec<bool>,
     stack: Vec<usize>,
     revisits: usize,
+    /// The candidate pool of the current step, reused across steps.
+    pool: Vec<usize>,
+    /// Eq. 2 scores parallel to `pool`, reused across steps.
+    scores: Vec<u32>,
 }
 
 impl<'g> State<'g> {
     fn new(g: &'g Graph, window: usize, policy: CandidatePolicy, seed: u64) -> Self {
         let n = g.node_count();
-        let mut open_nbrs: Vec<Vec<usize>> = Vec::with_capacity(n);
-        for v in 0..n {
-            open_nbrs.push(g.neighbors(v).to_vec());
-        }
-        let open_nodes: BTreeSet<usize> = (0..n).filter(|&v| !open_nbrs[v].is_empty()).collect();
-        // mega-lint: allow(unordered-collection, reason = "keyed lookup only; never iterated")
-        let mut edge_of = HashMap::with_capacity(g.edge_count());
-        for (eid, (s, d)) in g.edges().enumerate() {
-            edge_of.insert((s.min(d), s.max(d)), eid);
-        }
+        let m = g.edge_count();
         State {
             g,
             window,
             policy,
             rng: StdRng::seed_from_u64(seed),
-            open_nbrs,
-            open_nodes,
-            edge_of,
-            covered: vec![false; g.edge_count()],
-            covered_count: 0,
+            open: OpenRows::new(g),
+            covered: vec![false; m],
+            slots: Vec::with_capacity(m),
             visited: vec![false; n],
             unvisited_count: n,
-            path: Vec::with_capacity(n + 2 * g.edge_count()),
-            virtual_step: Vec::with_capacity(n + 2 * g.edge_count()),
+            path: Vec::with_capacity(n + 2 * m),
+            virtual_step: Vec::with_capacity(n + 2 * m),
             stack: Vec::new(),
             revisits: 0,
+            pool: Vec::new(),
+            scores: Vec::new(),
         }
     }
 
-    /// Eq. 2: overlap between `v`'s original neighborhood and the last ω path
-    /// entries.
-    fn correlate(&self, v: usize) -> usize {
-        let lo = self.path.len().saturating_sub(self.window);
-        self.path[lo..]
-            .iter()
-            .filter(|&&p| p != v && self.g.contains_edge(p, v))
-            .count()
+    fn covered_count(&self) -> usize {
+        self.slots.len()
     }
 
-    /// Selects from a non-empty candidate pool according to the policy.
-    fn select(&mut self, pool: &[usize]) -> usize {
-        debug_assert!(!pool.is_empty());
-        match self.policy {
-            CandidatePolicy::CorrelateArgmax => {
-                let mut best = pool[0];
-                let mut best_score = self.correlate(best);
-                for &v in &pool[1..] {
-                    let s = self.correlate(v);
-                    if s > best_score || (s == best_score && v < best) {
-                        best = v;
-                        best_score = s;
+    /// Eq. 2 over the whole pool, scored from the window side: each of the
+    /// last ω path entries `p` adds one to every candidate in `N(p)`, found
+    /// by binary-searching the shorter of `N(p)` and the sorted pool into the
+    /// longer. Entries equal to `common`, a node adjacent to every candidate,
+    /// add one to every score and are skipped. The argmax breaks ties by the
+    /// smallest id.
+    fn correlate_argmax(&mut self, common: Option<usize>) -> usize {
+        let pool = &self.pool;
+        let scores = &mut self.scores;
+        scores.clear();
+        scores.resize(pool.len(), 0);
+        let lo = self.path.len().saturating_sub(self.window);
+        for &p in &self.path[lo..] {
+            if Some(p) == common {
+                continue;
+            }
+            let nbrs = self.g.neighbors(p);
+            if nbrs.len() <= pool.len() {
+                for x in nbrs {
+                    if let Ok(k) = pool.binary_search(x) {
+                        scores[k] += 1;
                     }
                 }
-                best
+            } else {
+                for (k, v) in pool.iter().enumerate() {
+                    if nbrs.binary_search(v).is_ok() {
+                        scores[k] += 1;
+                    }
+                }
             }
-            CandidatePolicy::FirstCandidate => *pool.iter().min().expect("non-empty pool"),
-            CandidatePolicy::Random => pool[self.rng.gen_range(0..pool.len())],
         }
+        let mut best = 0;
+        for k in 1..pool.len() {
+            if scores[k] > scores[best] || (scores[k] == scores[best] && pool[k] < pool[best]) {
+                best = k;
+            }
+        }
+        pool[best]
     }
 
-    fn remove_open(&mut self, a: usize, b: usize) {
-        if let Ok(i) = self.open_nbrs[a].binary_search(&b) {
-            self.open_nbrs[a].remove(i);
-            if self.open_nbrs[a].is_empty() {
-                self.open_nodes.remove(&a);
-            }
+    /// Selects from the non-empty candidate pool (`self.pool`, sorted)
+    /// according to the policy; `common` is as in
+    /// [`State::correlate_argmax`].
+    fn select(&mut self, common: Option<usize>) -> usize {
+        debug_assert!(!self.pool.is_empty());
+        match self.policy {
+            CandidatePolicy::CorrelateArgmax => self.correlate_argmax(common),
+            CandidatePolicy::FirstCandidate => self.pool[0],
+            CandidatePolicy::Random => self.pool[self.rng.gen_range(0..self.pool.len())],
         }
     }
 
     /// Appends `v` to the path, marking the step virtual when it does not ride
-    /// an original edge, and covering every uncovered edge from `v` to the ω
-    /// previous path entries.
+    /// an original edge, and claiming a band slot for every uncovered edge
+    /// from `v` to the ω previous path entries.
     fn append(&mut self, v: usize) {
         let is_virtual = match self.path.last() {
             Some(&prev) => prev == v || !self.g.contains_edge(prev, v),
@@ -220,23 +268,20 @@ impl<'g> State<'g> {
         }
         self.path.push(v);
         self.virtual_step.push(is_virtual);
-        let i = self.path.len() - 1;
-        let lo = i.saturating_sub(self.window);
-        for j in lo..i {
-            let u = self.path[j];
-            if u == v {
-                continue;
-            }
-            if let Some(&eid) = self.edge_of.get(&(u.min(v), u.max(v))) {
-                if !self.covered[eid] {
-                    self.covered[eid] = true;
-                    self.covered_count += 1;
-                    self.remove_open(u, v);
-                    self.remove_open(v, u);
-                }
-            }
-        }
-        if !self.open_nbrs[v].is_empty() {
+        let open = &mut self.open;
+        claim_position(
+            self.g,
+            &self.path,
+            self.path.len() - 1,
+            self.window,
+            &mut self.covered,
+            &mut self.slots,
+            |u, v| {
+                open.remove(u, v);
+                open.remove(v, u);
+            },
+        );
+        if self.open.is_open(v) {
             self.stack.push(v);
         }
     }
@@ -244,7 +289,7 @@ impl<'g> State<'g> {
     /// Pops the stack until a node with uncovered-edge neighbors surfaces.
     fn pop_open(&mut self) -> Option<usize> {
         while let Some(v) = self.stack.pop() {
-            if !self.open_nbrs[v].is_empty() {
+            if self.open.is_open(v) {
                 return Some(v);
             }
         }
@@ -267,9 +312,11 @@ fn start_node(g: &Graph) -> usize {
 /// # Errors
 ///
 /// * [`MegaError::InvalidConfig`] if the configuration fails validation.
-/// * [`MegaError::CoverageUnreachable`] if the safety cap on path length is
-///   hit before the coverage target (cannot happen with the shipped policies
-///   and a valid θ ≤ 1).
+/// * [`MegaError::CoverageUnreachable`] if the walk cannot reach the
+///   coverage target θ. A directed graph with arcs both ways between two
+///   nodes does this at θ = 1: one band slot serves the pair, so only the
+///   later arc in the edge list can own it. The safety cap on path length
+///   also ends the walk with this error; no shipped policy reaches it.
 pub fn traverse(g: &Graph, config: &MegaConfig) -> Result<Traversal, MegaError> {
     let _span = mega_obs::span("traverse");
     config.validate()?;
@@ -304,34 +351,38 @@ fn complete_walk(st: &mut State<'_>, config: &MegaConfig) -> Result<(), MegaErro
     let m = st.g.edge_count();
     let needed = (config.coverage * m as f64).ceil() as usize;
     let cap = config.max_path_factor * (n + 2 * m + 1);
-    while st.unvisited_count > 0 || st.covered_count < needed {
+    let unreachable = |st: &State<'_>| MegaError::CoverageUnreachable {
+        requested: config.coverage,
+        achieved: st.covered_count() as f64 / m.max(1) as f64,
+    };
+    while st.unvisited_count > 0 || st.covered_count() < needed {
         if st.path.len() >= cap {
-            return Err(MegaError::CoverageUnreachable {
-                requested: config.coverage,
-                achieved: st.covered_count as f64 / m.max(1) as f64,
-            });
+            return Err(unreachable(st));
         }
         let curr = *st.path.last().expect("path starts non-empty");
-        let next = if !st.open_nbrs[curr].is_empty() {
+        st.pool.clear();
+        let next = if st.open.is_open(curr) {
             // Pool 1: neighbors over uncovered edges — extend the walk.
-            let pool = st.open_nbrs[curr].clone();
-            st.select(&pool)
+            st.pool.extend_from_slice(st.open.row(curr));
+            st.select(Some(curr))
         } else if let Some(v) = st.pop_open() {
             // Pool 2: revisit a node that still has open edges.
             v
         } else if st.unvisited_count > 0 {
             // Pool 3: jump to an unvisited node.
-            let pool: Vec<usize> = (0..n).filter(|&v| !st.visited[v]).collect();
-            st.select(&pool)
+            st.pool.extend((0..n).filter(|&v| !st.visited[v]));
+            st.select(None)
         } else {
             // Coverage not met but stack is empty: jump to any open node.
             // (Reachable when a far region's edges were only partly covered.)
-            let pool: Vec<usize> = st.open_nodes.iter().copied().collect();
-            if pool.is_empty() {
-                // Every edge is covered; needed > m is impossible for θ ≤ 1.
-                break;
+            st.pool.extend((0..n).filter(|&v| st.open.is_open(v)));
+            if st.pool.is_empty() {
+                // No open row is left, yet edges lack a slot: a directed
+                // graph's two arcs between one pair of nodes share its
+                // slots, which only the later arc can own.
+                return Err(unreachable(st));
             }
-            st.select(&pool)
+            st.select(None)
         };
         st.append(next);
     }
@@ -343,16 +394,18 @@ fn complete_walk(st: &mut State<'_>, config: &MegaConfig) -> Result<(), MegaErro
 struct WalkOutput {
     path: Vec<usize>,
     virtual_step: Vec<bool>,
-    covered_count: usize,
+    slots: Vec<BandSlot>,
     revisits: usize,
 }
 
 impl State<'_> {
     fn into_output(self) -> WalkOutput {
+        let mut slots = self.slots;
+        sort_slots(&mut slots);
         WalkOutput {
             path: self.path,
             virtual_step: self.virtual_step,
-            covered_count: self.covered_count,
+            slots,
             revisits: self.revisits,
         }
     }
@@ -369,7 +422,8 @@ fn finish(
         path: out.path,
         virtual_step: out.virtual_step,
         window,
-        covered_edges: out.covered_count,
+        covered_edges: out.slots.len(),
+        slots: out.slots,
         working_edges,
         revisits: out.revisits,
         virtual_edge_count,
@@ -388,17 +442,18 @@ fn emit_traversal_obs(t: &Traversal) {
     // Revisit placement per band window and node re-materialization counts:
     // the distributions hotness-driven tiering consumes. Value histograms
     // are deterministic, so these survive into byte-compared reports.
-    for &r in &t.band_window_revisits() {
-        mega_obs::record_value("core.traversal.band_window_revisits", r as u64);
-    }
-    let mut hot_nodes = 0u64;
-    for &count in &t.node_hotness() {
-        if count > 1 {
-            hot_nodes += 1;
-            mega_obs::record_value("core.traversal.node_hotness", count as u64);
-        }
-    }
-    mega_obs::counter_add("core.traversal.hot_nodes", hot_nodes);
+    mega_obs::record_values(
+        "core.traversal.band_window_revisits",
+        t.band_window_revisits().into_iter().map(|r| r as u64),
+    );
+    let hot: Vec<u64> = t
+        .node_hotness()
+        .into_iter()
+        .filter(|&count| count > 1)
+        .map(|count| count as u64)
+        .collect();
+    mega_obs::counter_add("core.traversal.hot_nodes", hot.len() as u64);
+    mega_obs::record_values("core.traversal.node_hotness", hot);
 }
 
 /// Multi-seed objective traversal: `agents` independent walks on contiguous
@@ -776,6 +831,27 @@ mod tests {
         // Revisits are exactly the appearances beyond each node's first.
         let beyond_first: usize = hot.iter().map(|&c| c.saturating_sub(1)).sum();
         assert_eq!(beyond_first, t.revisits);
+    }
+
+    #[test]
+    fn reciprocal_arcs_report_unreachable_coverage() {
+        // 0→1 and 1→0 share every band slot between nodes 0 and 1, and only
+        // the later arc can own one: full coverage is out of reach.
+        let g = GraphBuilder::directed(3)
+            .edges([(0, 1), (1, 0), (1, 2)])
+            .unwrap()
+            .build()
+            .unwrap();
+        let err = traverse(&g, &MegaConfig::default()).unwrap_err();
+        assert_eq!(
+            err,
+            MegaError::CoverageUnreachable {
+                requested: 1.0,
+                achieved: 2.0 / 3.0,
+            }
+        );
+        let t = traverse(&g, &MegaConfig::default().with_coverage(0.6)).unwrap();
+        assert!(t.coverage() >= 0.6);
     }
 
     #[test]

@@ -68,17 +68,24 @@ impl Csr {
                 cursor[d] += 1;
             }
         }
-        // Sort each row by target for determinism.
+        // Sort each row by (target, edge id) for determinism, through one
+        // buffer reused across rows; rows already in order are left alone
+        // (a row is filled in edge-id order).
+        let mut row: Vec<(usize, usize)> = Vec::new();
         for v in 0..n {
-            let lo = offsets[v];
-            let hi = offsets[v + 1];
-            let mut row: Vec<(usize, usize)> = targets[lo..hi]
-                .iter()
-                .copied()
-                .zip(edge_ids[lo..hi].iter().copied())
-                .collect();
+            let (lo, hi) = (offsets[v], offsets[v + 1]);
+            if targets[lo..hi].windows(2).all(|w| w[0] <= w[1]) {
+                continue;
+            }
+            row.clear();
+            row.extend(
+                targets[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(edge_ids[lo..hi].iter().copied()),
+            );
             row.sort_unstable();
-            for (i, (t, e)) in row.into_iter().enumerate() {
+            for (i, &(t, e)) in row.iter().enumerate() {
                 targets[lo + i] = t;
                 edge_ids[lo + i] = e;
             }

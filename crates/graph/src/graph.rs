@@ -71,21 +71,30 @@ impl Graph {
                 reason: format!("{} nodes exceed any addressable CSR", edges.node_count()),
             });
         }
-        // mega-lint: allow(unordered-collection, reason = "membership test only; never iterated")
-        let mut seen = std::collections::HashSet::with_capacity(edges.len());
-        for &(s, d) in edges.pairs() {
-            if s == d {
-                return Err(GraphError::SelfLoop { node: s });
-            }
-            let key = match direction {
-                Direction::Undirected => (s.min(d), s.max(d)),
-                Direction::Directed => (s, d),
-            };
-            if !seen.insert(key) {
-                return Err(GraphError::DuplicateEdge { src: s, dst: d });
-            }
-        }
         let csr = Csr::from_edge_list(&edges, direction == Direction::Undirected);
+        // The first bad pair in input order wins: a self-loop, or the second
+        // copy of a repeated pair. Copies sit side by side in a sorted CSR
+        // row, in edge-id order, so the earliest second copy is the least
+        // edge id that follows an equal target.
+        let self_loop = edges.pairs().iter().position(|&(s, d)| s == d);
+        let repeat = (0..edges.node_count())
+            .filter_map(|v| {
+                let (targets, ids) = (csr.neighbors(v), csr.edge_ids(v));
+                (1..targets.len())
+                    .filter(|&i| targets[i] == targets[i - 1])
+                    .map(|i| ids[i])
+                    .min()
+            })
+            .min();
+        if let Some(at) = self_loop.filter(|&at| repeat.is_none_or(|r| at < r)) {
+            return Err(GraphError::SelfLoop {
+                node: edges.pairs()[at].0,
+            });
+        }
+        if let Some(at) = repeat {
+            let (src, dst) = edges.pairs()[at];
+            return Err(GraphError::DuplicateEdge { src, dst });
+        }
         Ok(Graph {
             direction,
             edges,
@@ -231,6 +240,43 @@ mod tests {
         // Directed graphs allow the reverse orientation as a distinct edge.
         let e = EdgeList::from_pairs(2, vec![(0, 1), (1, 0)]).unwrap();
         assert!(Graph::from_edge_list(e, Direction::Directed).is_ok());
+    }
+
+    #[test]
+    fn reports_the_first_bad_pair_in_input_order() {
+        let check = |pairs: Vec<(usize, usize)>, direction, expected| {
+            let e = EdgeList::from_pairs(6, pairs).unwrap();
+            assert_eq!(Graph::from_edge_list(e, direction), Err(expected));
+        };
+        // Two repeated groups: the one whose second copy comes first is
+        // reported, in that copy's orientation, not the one that starts first.
+        check(
+            vec![(0, 1), (2, 3), (4, 5), (3, 2), (1, 0), (0, 1)],
+            Direction::Undirected,
+            GraphError::DuplicateEdge { src: 3, dst: 2 },
+        );
+        check(
+            vec![(0, 1), (2, 3), (1, 0), (3, 2), (2, 3), (0, 1)],
+            Direction::Directed,
+            GraphError::DuplicateEdge { src: 2, dst: 3 },
+        );
+        // A self-loop before the first repeat wins; one after it does not.
+        check(
+            vec![(0, 1), (5, 5), (1, 0)],
+            Direction::Undirected,
+            GraphError::SelfLoop { node: 5 },
+        );
+        check(
+            vec![(0, 1), (1, 0), (5, 5)],
+            Direction::Undirected,
+            GraphError::DuplicateEdge { src: 1, dst: 0 },
+        );
+        // A repeated self-loop is a self-loop.
+        check(
+            vec![(4, 4), (4, 4)],
+            Direction::Directed,
+            GraphError::SelfLoop { node: 4 },
+        );
     }
 
     #[test]

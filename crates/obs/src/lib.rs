@@ -219,6 +219,24 @@ pub fn record_value(name: &str, v: u64) {
     record_hist(false, name, v);
 }
 
+/// Records every sample of `values` into the named value-histogram under
+/// one registry lock: the same histogram as one [`record_value`] call per
+/// sample (none for an empty `values`), for a distribution taken whole.
+/// No-op when disabled.
+pub fn record_values(name: &str, values: impl IntoIterator<Item = u64>) {
+    if !enabled() {
+        return;
+    }
+    let mut values = values.into_iter().peekable();
+    if values.peek().is_none() {
+        return;
+    }
+    let mut r = registry().lock().expect("obs registry poisoned");
+    r.api_calls += 1;
+    let h = r.values.entry(name.to_string()).or_default();
+    values.for_each(|v| h.record(v));
+}
+
 /// Records a wall-clock sample in nanoseconds into the named
 /// timing-histogram. Deterministic snapshots keep only its sample count.
 /// No-op when disabled.
@@ -805,6 +823,28 @@ mod tests {
         assert_eq!(snap.timings[0].1.count, 1);
         assert!(snap.api_calls >= 8);
         reset();
+    }
+
+    #[test]
+    fn batched_values_snapshot_like_single_records() {
+        let _g = guard();
+        let samples = [3u64, 0, 7, 7, 1 << 20, 12];
+        let json = |batched: bool| {
+            set_enabled(true);
+            reset();
+            record_value("sizes", 5);
+            if batched {
+                record_values("sizes", samples);
+                record_values("empty", []);
+            } else {
+                samples.iter().for_each(|&v| record_value("sizes", v));
+            }
+            set_enabled(false);
+            let out = snapshot().to_json(true);
+            reset();
+            out
+        };
+        assert_eq!(json(true), json(false));
     }
 
     #[test]

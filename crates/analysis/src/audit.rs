@@ -29,7 +29,7 @@ pub const UNSAFE_AUDIT: &str = "crates/analysis/audit/unsafe_reach.txt";
 /// The checked-in per-rule baseline counts.
 pub const RATCHET_FILE: &str = "crates/analysis/audit/ratchet.txt";
 
-/// The hot kernel surface: public fns in these logical files are the
+/// The hot kernel surface: public fns in these files are the
 /// entry points for the panic-surface and span-coverage audits (the exec
 /// kernels — dense, banded, and segment ops — and the distributed
 /// executor's step loop).
@@ -39,8 +39,8 @@ pub const HOT_SURFACE: [&str; 2] = ["crates/exec/src/kernels.rs", "crates/dist/s
 /// the audited telemetry layer (panic-free when disabled, and its enabled
 /// paths are not kernel arithmetic), and the linter itself never runs on
 /// the hot path.
-fn audit_exempt(scope: &str) -> bool {
-    scope.starts_with("crates/obs/") || scope.starts_with("crates/analysis/")
+fn audit_exempt(path: &str) -> bool {
+    path.starts_with("crates/obs/") || path.starts_with("crates/analysis/")
 }
 
 /// Computes the sorted qualified names of public fns that transitively
@@ -106,10 +106,10 @@ pub(crate) fn unsafe_reach(g: &Graph, audit_entries: &[String], findings: &mut V
 pub(crate) fn panic_surface(g: &Graph, findings: &mut Vec<Finding>) {
     let entries = surface_fns(g);
     let parents = g.reach(entries, false, |i| {
-        audit_exempt(&g.fns[i].scope) || g.fns[i].in_test
+        audit_exempt(&g.fns[i].file) || g.fns[i].in_test
     });
     for (i, f) in g.fns.iter().enumerate() {
-        if parents[i].is_none() || f.in_test || audit_exempt(&f.scope) || f.panics.is_empty() {
+        if parents[i].is_none() || f.in_test || audit_exempt(&f.file) || f.panics.is_empty() {
             continue;
         }
         let sites: Vec<String> = f
@@ -169,12 +169,12 @@ pub(crate) fn span_coverage(g: &Graph, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Public, non-test fns whose logical file is on [`HOT_SURFACE`].
+/// Public, non-test fns whose file is on [`HOT_SURFACE`].
 fn surface_fns(g: &Graph) -> Vec<usize> {
     (0..g.fns.len())
         .filter(|&i| {
             let f = &g.fns[i];
-            f.is_pub && !f.in_test && f.has_body && HOT_SURFACE.contains(&f.scope.as_str())
+            f.is_pub && !f.in_test && f.has_body && HOT_SURFACE.contains(&f.file.as_str())
         })
         .collect()
 }

@@ -13,8 +13,7 @@
 //!
 //! Extraction is total (no panics on arbitrary input), deterministic
 //! (output order follows file order and source position), and cycle-safe
-//! (reachability is BFS with a visited set; `include!` cycles are already
-//! collapsed by the logical-path pre-pass feeding `scope`).
+//! (reachability is BFS with a visited set).
 
 use crate::scan::Line;
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,12 +45,9 @@ pub struct TokenSite {
 /// One extracted `fn` item with its body facts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnItem {
-    /// Physical workspace-relative path (where the text lives; findings
-    /// anchor here).
+    /// Workspace-relative path: findings anchor here and path-scoped
+    /// rules decide by it.
     pub file: String,
-    /// Logical workspace-relative path (where the code compiles, after
-    /// `#[path]`/`include!` resolution; scoping decisions use this).
-    pub scope: String,
     /// 1-based line of the `fn` name.
     pub line: usize,
     /// The function's name.
@@ -78,11 +74,11 @@ pub struct FnItem {
 
 impl FnItem {
     /// Stable qualified name used in audit files:
-    /// `<scope>::<Owner>::<name>` or `<scope>::<name>`.
+    /// `<file>::<Owner>::<name>` or `<file>::<name>`.
     pub fn qualified(&self) -> String {
         match &self.owner {
-            Some(o) => format!("{}::{}::{}", self.scope, o, self.name),
-            None => format!("{}::{}", self.scope, self.name),
+            Some(o) => format!("{}::{}::{}", self.file, o, self.name),
+            None => format!("{}::{}", self.file, self.name),
         }
     }
 }
@@ -236,7 +232,7 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Extracts items from `(physical, logical, lines)` file records and
+    /// Extracts items from `(path, lines)` file records and
     /// resolves call edges.
     ///
     /// Resolution per call kind:
@@ -244,17 +240,17 @@ impl Graph {
     ///   owner type, module file stem, or crate ident matches the last
     ///   qualifier segment (`Self` maps to the caller's owner; leading
     ///   `crate`/`self`/`super` are dropped).
-    /// - **bare** `name(` — a fn named `name` in the same logical file,
+    /// - **bare** `name(` — a fn named `name` in the same file,
     ///   else in the same crate, else a globally unique match. The
     ///   cross-file fallbacks skip `STD_METHODS` names so `min(a, b)`
     ///   with `use std::cmp::min` never wires to an unrelated crate.
     /// - **method** `.name(` — every impl/trait fn named `name` (skipping
     ///   `STD_METHODS`); deliberately an over-approximation, bounded by
     ///   the rules' boundary sets.
-    pub fn build(files: &[(&str, &str, &[Line])]) -> Graph {
+    pub fn build(files: &[(&str, &[Line])]) -> Graph {
         let mut fns = Vec::new();
-        for (file, scope, lines) in files {
-            extract(file, scope, lines, &mut fns);
+        for (file, lines) in files {
+            extract(file, lines, &mut fns);
         }
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
@@ -381,7 +377,7 @@ fn resolve_bare(
     let same_file: Vec<usize> = cands
         .iter()
         .copied()
-        .filter(|&j| fns[j].scope == caller.scope)
+        .filter(|&j| fns[j].file == caller.file)
         .collect();
     let hit: Vec<usize> = if !same_file.is_empty() {
         same_file
@@ -391,7 +387,7 @@ fn resolve_bare(
         let same_crate: Vec<usize> = cands
             .iter()
             .copied()
-            .filter(|&j| crate_dir(&fns[j].scope) == crate_dir(&caller.scope))
+            .filter(|&j| crate_dir(&fns[j].file) == crate_dir(&caller.file))
             .collect();
         if !same_crate.is_empty() {
             same_crate
@@ -429,7 +425,7 @@ fn resolve_qualified(
         let hits: Vec<usize> = cands
             .iter()
             .copied()
-            .filter(|&j| crate_dir(&fns[j].scope) == crate_dir(&caller.scope))
+            .filter(|&j| crate_dir(&fns[j].file) == crate_dir(&caller.file))
             .collect();
         all.extend(hits.iter());
         stat.extend(hits.iter());
@@ -438,8 +434,8 @@ fn resolve_qualified(
     for &j in cands {
         let g = &fns[j];
         let hit = g.owner.as_deref() == Some(last)
-            || file_stem(&g.scope) == last
-            || crate_ident(&g.scope) == last;
+            || file_stem(&g.file) == last
+            || crate_ident(&g.file) == last;
         if hit {
             all.insert(j);
             stat.insert(j);
@@ -448,24 +444,24 @@ fn resolve_qualified(
 }
 
 /// `crates/exec/src/kernels.rs` → `crates/exec`; `src/lib.rs` → `.`.
-fn crate_dir(scope: &str) -> &str {
-    match scope.find("/src/") {
-        Some(p) if scope.starts_with("crates/") => &scope[..p],
-        _ if scope.starts_with("src/") || scope.starts_with("tests/") => ".",
-        _ => scope,
+fn crate_dir(path: &str) -> &str {
+    match path.find("/src/") {
+        Some(p) if path.starts_with("crates/") => &path[..p],
+        _ if path.starts_with("src/") || path.starts_with("tests/") => ".",
+        _ => path,
     }
 }
 
 /// `crates/exec/src/kernels.rs` → `kernels`.
-fn file_stem(scope: &str) -> &str {
-    let base = scope.rsplit('/').next().unwrap_or(scope);
+fn file_stem(path: &str) -> &str {
+    let base = path.rsplit('/').next().unwrap_or(path);
     base.strip_suffix(".rs").unwrap_or(base)
 }
 
 /// The ident a crate is referenced by in paths:
 /// `crates/gpu-sim` → `mega_gpu_sim`, the root crate → `mega`.
-fn crate_ident(scope: &str) -> String {
-    let dir = crate_dir(scope);
+fn crate_ident(path: &str) -> String {
+    let dir = crate_dir(path);
     match dir.strip_prefix("crates/") {
         Some(name) => format!("mega_{}", name.replace('-', "_")),
         None => "mega".to_string(),
@@ -580,7 +576,6 @@ fn tokenize(code: &str) -> Vec<Tok> {
 
 struct Extractor<'a> {
     file: &'a str,
-    scope: &'a str,
     path_is_test: bool,
     stack: Vec<Ctx>,
     pending: Pending,
@@ -614,11 +609,10 @@ impl<'a> Extractor<'a> {
 }
 
 /// Extracts every `fn` item in one file, appending to `fns`.
-pub fn extract(file: &str, scope: &str, lines: &[Line], fns: &mut Vec<FnItem>) {
+pub fn extract(file: &str, lines: &[Line], fns: &mut Vec<FnItem>) {
     let mut ex = Extractor {
         file,
-        scope,
-        path_is_test: scope.starts_with("tests/") || scope.contains("/tests/"),
+        path_is_test: file.starts_with("tests/") || file.contains("/tests/"),
         stack: Vec::new(),
         pending: Pending::None,
         carry: Carry::default(),
@@ -651,7 +645,6 @@ pub fn extract(file: &str, scope: &str, lines: &[Line], fns: &mut Vec<FnItem>) {
                         let (owner, is_trait) = ex.owner_ctx();
                         let item = FnItem {
                             file: ex.file.to_string(),
-                            scope: ex.scope.to_string(),
                             line: lineno,
                             name: w.clone(),
                             owner,
@@ -1041,10 +1034,7 @@ mod tests {
 
     fn graph_of(files: &[(&str, &str)]) -> Graph {
         let stripped: Vec<(&str, Vec<Line>)> = files.iter().map(|(p, s)| (*p, strip(s))).collect();
-        let refs: Vec<(&str, &str, &[Line])> = stripped
-            .iter()
-            .map(|(p, l)| (*p, *p, l.as_slice()))
-            .collect();
+        let refs: Vec<(&str, &[Line])> = stripped.iter().map(|(p, l)| (*p, l.as_slice())).collect();
         Graph::build(&refs)
     }
 

@@ -35,7 +35,6 @@
 
 pub mod audit;
 pub mod graph;
-mod includes;
 mod pragma;
 mod rules;
 pub mod scan;
@@ -77,6 +76,11 @@ pub enum Rule {
     /// arithmetic must go through the `Backend` trait so its bit-exactness
     /// proof lives in one reviewed place.
     FusionScope,
+    /// A `#[path = ".."]` attribute or an `include!(..)` macro: either
+    /// compiles code at a path other than the file's own, where rules
+    /// scoped by path would judge it wrongly. Never suppressible.
+    /// `include_str!` and `include_bytes!` embed data and stay legal.
+    ScopeEscape,
     /// A comment that carries the pragma marker but fails to parse as
     /// `allow(<rule>, reason = "...")`, names an unknown rule, or omits
     /// the reason. Never suppressible. Malformed audit/ratchet file lines
@@ -108,7 +112,7 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 14] = [
         Rule::NoFma,
         Rule::FloatReassoc,
         Rule::UnsafeScope,
@@ -116,6 +120,7 @@ impl Rule {
         Rule::ObsRouting,
         Rule::UnorderedCollection,
         Rule::FusionScope,
+        Rule::ScopeEscape,
         Rule::BadPragma,
         Rule::DeterminismTaint,
         Rule::UnsafeReach,
@@ -134,6 +139,7 @@ impl Rule {
             Rule::ObsRouting => "obs-routing",
             Rule::UnorderedCollection => "unordered-collection",
             Rule::FusionScope => "fusion-scope",
+            Rule::ScopeEscape => "scope-escape",
             Rule::BadPragma => "bad-pragma",
             Rule::DeterminismTaint => "determinism-taint",
             Rule::UnsafeReach => "unsafe-reach",
@@ -141,6 +147,15 @@ impl Rule {
             Rule::SpanCoverage => "span-coverage",
             Rule::StalePragma => "stale-pragma",
         }
+    }
+
+    /// False for the rules no pragma may silence: a malformed or stale
+    /// pragma, and code compiled away from the path its rules scope.
+    pub(crate) fn suppressible(self) -> bool {
+        !matches!(
+            self,
+            Rule::BadPragma | Rule::StalePragma | Rule::ScopeEscape
+        )
     }
 
     /// Resolves a rule name as written in a pragma.
@@ -251,43 +266,33 @@ impl Analysis {
 
 /// Runs the full pipeline — token rules, call-graph rules, pragma
 /// filtering, stale-pragma detection — over in-memory sources given as
-/// `(physical_path, scope_path, text)` triples, with the audit/ratchet
-/// file *contents* supplied directly (pass `""` for none).
+/// `(workspace_relative_path, text)` pairs, with the audit/ratchet file
+/// *contents* supplied directly (pass `""` for none).
 pub fn analyze_sources(
-    sources: &[(String, String, String)],
+    sources: &[(String, String)],
     unsafe_audit_text: &str,
     ratchet_text: &str,
 ) -> Analysis {
     let mut findings = Vec::new();
     let mut stripped = Vec::with_capacity(sources.len());
     let mut sups: BTreeMap<String, pragma::Suppressions> = BTreeMap::new();
-    for (phys, scope, text) in sources {
+    for (path, text) in sources {
         let lines = scan::strip(text);
-        let (sup, bad) = pragma::collect(phys, &lines);
+        let (sup, bad) = pragma::collect(path, &lines);
         findings.extend(bad);
-        sups.insert(phys.clone(), sup);
-        stripped.push((phys.as_str(), scope.as_str(), lines));
+        sups.insert(path.clone(), sup);
+        stripped.push((path.as_str(), lines));
     }
-    // Token rules, filtered per file (scoped by the logical path, anchored
-    // at the physical one).
-    for (phys, scope, lines) in &stripped {
+    // Token rules, filtered per file.
+    for (path, lines) in &stripped {
         let mut raw = Vec::new();
-        rules::run(scope, lines, &mut raw);
-        let sup = &sups[*phys];
-        findings.extend(
-            raw.into_iter()
-                .filter(|f| !sup.covers(f.line, f.rule))
-                .map(|mut f| {
-                    f.file = (*phys).to_string();
-                    f
-                }),
-        );
+        rules::run(path, lines, &mut raw);
+        let sup = &sups[*path];
+        findings.extend(raw.into_iter().filter(|f| !sup.covers(f.line, f.rule)));
     }
     // Graph rules over the whole set.
-    let refs: Vec<(&str, &str, &[scan::Line])> = stripped
-        .iter()
-        .map(|(p, s, l)| (*p, *s, l.as_slice()))
-        .collect();
+    let refs: Vec<(&str, &[scan::Line])> =
+        stripped.iter().map(|(p, l)| (*p, l.as_slice())).collect();
     let g = graph::Graph::build(&refs);
     let mut graph_raw = Vec::new();
     taint::run(&g, &sups, &mut graph_raw);
@@ -309,10 +314,10 @@ pub fn analyze_sources(
     let ratchet = audit::Ratchet::parse(ratchet_text, &mut findings);
     // Stale pragmas — judged only after every rule has had its chance to
     // consume them.
-    for (phys, sup) in &sups {
+    for (path, sup) in &sups {
         for (line, rule) in sup.stale() {
             findings.push(Finding {
-                file: phys.clone(),
+                file: path.clone(),
                 line,
                 rule: Rule::StalePragma,
                 message: format!(
@@ -344,31 +349,19 @@ pub fn analyze_sources(
 
 /// Lints one file's source text as if it lived at the workspace-relative
 /// `path` (path scoping is part of every rule, so the same text can be
-/// clean at one path and a violation at another).
+/// clean at one path and a violation at another). Runs with an empty
+/// unsafe-reach audit and no ratchet.
 pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
-    lint_source_as(path, path, source)
-}
-
-/// Lints one file's source text with rule scoping decided by `scope_path`
-/// while findings (and pragma suppressions) stay anchored at the physical
-/// `path`. This is how `#[path = "..."]` modules and `include!`d files are
-/// judged by where their code *compiles* — e.g. a fragment `include!`d into
-/// the SIMD backend inherits its `unsafe` exemption — while the report
-/// still points at the file to edit. Runs with an empty unsafe-reach audit
-/// and no ratchet.
-pub fn lint_source_as(path: &str, scope_path: &str, source: &str) -> Vec<Finding> {
-    let sources = vec![(path.to_string(), scope_path.to_string(), source.to_string())];
-    analyze_sources(&sources, "", "").findings
+    analyze_sources(&[(path.to_string(), source.to_string())], "", "").findings
 }
 
 /// Analyzes every Rust source under `root` (skipping `target/`, `shims/`,
 /// fixture trees, and hidden directories), loading the unsafe-reach audit
 /// and ratchet baselines from their checked-in locations under `root`.
 ///
-/// A pre-pass resolves `#[path = "..."]` modules and `include!` targets so
-/// each file is scoped at the path its code logically compiles at (see
-/// [`lint_source_as`]); files outside the module tree's physical layout are
-/// therefore judged by their includer's location, not their own.
+/// Each file is scoped at the path it lives at; `#[path = ".."]` and
+/// `include!(..)`, which would compile code somewhere else, are
+/// `scope-escape` findings.
 pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     let files = walk::rust_sources(root)?;
     let mut sources = Vec::with_capacity(files.len());
@@ -380,17 +373,9 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
             .replace('\\', "/");
         sources.push((rel, std::fs::read_to_string(file)?));
     }
-    let logical = includes::logical_paths(&sources);
-    let triples: Vec<(String, String, String)> = sources
-        .into_iter()
-        .map(|(rel, text)| {
-            let scope = logical.get(&rel).cloned().unwrap_or_else(|| rel.clone());
-            (rel, scope, text)
-        })
-        .collect();
     let unsafe_txt = std::fs::read_to_string(root.join(audit::UNSAFE_AUDIT)).unwrap_or_default();
     let ratchet_txt = std::fs::read_to_string(root.join(audit::RATCHET_FILE)).unwrap_or_default();
-    Ok(analyze_sources(&triples, &unsafe_txt, &ratchet_txt))
+    Ok(analyze_sources(&sources, &unsafe_txt, &ratchet_txt))
 }
 
 /// Lints every Rust source under `root` and returns the number of files
@@ -523,65 +508,9 @@ mod tests {
     }
 
     #[test]
-    fn lint_source_as_scopes_logically_but_reports_physically() {
-        let src = "// SAFETY: trusted\nunsafe { body() }\n";
-        let as_simd = lint_source_as(
-            "crates/exec/src/simd_part.rs",
-            "crates/exec/src/simd.rs",
-            src,
-        );
-        assert!(as_simd.is_empty(), "{as_simd:?}");
-        let as_core = lint_source_as("crates/exec/src/simd_part.rs", "crates/core/src/a.rs", src);
-        assert_eq!(as_core.len(), 1);
-        assert_eq!(as_core[0].rule, Rule::UnsafeScope);
-        assert_eq!(as_core[0].file, "crates/exec/src/simd_part.rs");
-    }
-
-    #[test]
-    fn workspace_scoping_follows_path_attributes_and_includes() {
-        let root = std::env::temp_dir().join(format!("mega-lint-includes-{}", std::process::id()));
-        let exec = root.join("crates/exec/src");
-        let core = root.join("crates/core");
-        std::fs::create_dir_all(&exec).unwrap();
-        std::fs::create_dir_all(core.join("src")).unwrap();
-        std::fs::create_dir_all(core.join("extra")).unwrap();
-        // A fragment include!d into the one sanctioned unsafe file must
-        // inherit its exemption instead of firing unsafe-scope.
-        std::fs::write(exec.join("simd.rs"), "include!(\"simd_part.rs\");\n").unwrap();
-        std::fs::write(
-            exec.join("simd_part.rs"),
-            "// SAFETY: lanes bounds-checked by caller\nunsafe { go() }\n",
-        )
-        .unwrap();
-        // A #[path] module physically outside core's src/ tree compiles
-        // inside it, so order-sensitive rules must still apply there —
-        // reported at the physical path, where the fix goes.
-        std::fs::write(
-            core.join("src/lib.rs"),
-            "#[path = \"../extra/impl.rs\"]\nmod imp;\n",
-        )
-        .unwrap();
-        std::fs::write(
-            core.join("extra/impl.rs"),
-            "use std::collections::HashMap;\n",
-        )
-        .unwrap();
-        let (checked, findings) = lint_workspace(&root).unwrap();
-        std::fs::remove_dir_all(&root).unwrap();
-        assert_eq!(checked, 4);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, Rule::UnorderedCollection);
-        assert_eq!(findings[0].file, "crates/core/extra/impl.rs");
-    }
-
-    #[test]
     fn ratchet_tolerates_up_to_baseline_and_fails_above() {
         let src = "pub fn a() { x.unwrap(); }\npub fn b() { y.unwrap(); }\n".to_string();
-        let files = vec![(
-            "crates/exec/src/kernels.rs".to_string(),
-            "crates/exec/src/kernels.rs".to_string(),
-            src,
-        )];
+        let files = vec![("crates/exec/src/kernels.rs".to_string(), src)];
         let a = analyze_sources(&files, "", "panic-surface 2\nspan-coverage 2\n");
         let panics = a
             .findings
@@ -609,11 +538,7 @@ mod tests {
     #[test]
     fn json_output_is_well_formed_enough() {
         let src = "pub fn a() { x.unwrap(); }\n".to_string();
-        let files = vec![(
-            "crates/exec/src/kernels.rs".to_string(),
-            "crates/exec/src/kernels.rs".to_string(),
-            src,
-        )];
+        let files = vec![("crates/exec/src/kernels.rs".to_string(), src)];
         let a = analyze_sources(&files, "", "panic-surface 5\n");
         let json = render_json(&a);
         assert!(json.contains("\"files\": 1"));

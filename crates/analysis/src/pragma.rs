@@ -11,7 +11,8 @@
 //! Anything that *looks* like a pragma but does not parse — wrong shape,
 //! unknown rule id, missing or empty reason — is itself reported under the
 //! `bad-pragma` rule, so a typo cannot silently disable enforcement.
-//! `bad-pragma` findings are never suppressible.
+//! `bad-pragma` findings are never suppressible, and neither are
+//! `scope-escape` ones.
 //!
 //! Every valid pragma tracks whether it actually did something: suppressed
 //! at least one finding, or served as a determinism-taint propagation
@@ -52,7 +53,7 @@ impl Suppressions {
     /// True when `rule` findings on 1-based `line` are silenced; marks the
     /// covering pragma as used.
     pub fn covers(&self, line: usize, rule: Rule) -> bool {
-        if rule == Rule::BadPragma || rule == Rule::StalePragma {
+        if !rule.suppressible() {
             return false;
         }
         let mut hit = false;
@@ -69,8 +70,7 @@ impl Suppressions {
     /// that need to *ask* about coverage while deciding whether a site
     /// fires at all (e.g. taint boundaries).
     pub fn covers_peek(&self, line: usize, rule: Rule) -> bool {
-        rule != Rule::BadPragma
-            && rule != Rule::StalePragma
+        rule.suppressible()
             && self
                 .pragmas
                 .iter()
@@ -146,7 +146,7 @@ fn parse(text: &str) -> Result<Rule, String> {
     let (rule_name, rest) = inner.split_once(',').ok_or(SHAPE)?;
     let rule = Rule::from_id(rule_name.trim())
         .ok_or_else(|| format!("pragma names unknown rule `{}`", rule_name.trim()))?;
-    if rule == Rule::BadPragma || rule == Rule::StalePragma {
+    if !rule.suppressible() {
         return Err(format!("`{}` findings are never suppressible", rule.id()));
     }
     let reason = rest

@@ -88,6 +88,7 @@ pub fn run(path: &str, lines: &[Line], findings: &mut Vec<Finding>) {
         obs_routing(path, lineno, line, findings);
         unordered_collection(path, lineno, line, findings);
         fusion_scope(path, lineno, line, findings);
+        scope_escape(path, lineno, line, findings);
     }
 }
 
@@ -286,4 +287,29 @@ fn unordered_collection(path: &str, lineno: usize, line: &Line, findings: &mut V
             );
         }
     }
+}
+
+/// `scope-escape`: applies to every file. Every rule above is scoped by the
+/// path a file lives at, so code compiled at another path — a
+/// `#[path = ".."]` module or an `include!`d file — would be judged by the
+/// wrong scope. `include_str!` and `include_bytes!` embed data, not code.
+fn scope_escape(path: &str, lineno: usize, line: &Line, findings: &mut Vec<Finding>) {
+    let compact: String = line.code.split_whitespace().collect();
+    let what = if compact.contains("#[path=") {
+        "#[path = ..]"
+    } else if scan::contains_token(&line.code, "include!") {
+        "include!(..)"
+    } else {
+        return;
+    };
+    emit(
+        findings,
+        path,
+        lineno,
+        Rule::ScopeEscape,
+        format!(
+            "`{what}` compiles code away from the path its rules are scoped by; \
+             keep the code in the file the module tree names"
+        ),
+    );
 }

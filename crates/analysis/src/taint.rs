@@ -28,8 +28,8 @@ use crate::{Finding, Rule};
 use std::collections::BTreeMap;
 
 /// True for scopes whose results the determinism contract covers.
-fn result_affecting(scope: &str) -> bool {
-    rules::ORDER_SENSITIVE.iter().any(|p| scope.starts_with(p)) && !scope.contains("/tests/")
+fn result_affecting(path: &str) -> bool {
+    rules::ORDER_SENSITIVE.iter().any(|p| path.starts_with(p)) && !path.contains("/tests/")
 }
 
 /// Runs the rule over the workspace graph, appending raw findings (the
@@ -54,7 +54,7 @@ pub(crate) fn run(g: &Graph, sups: &BTreeMap<String, Suppressions>, findings: &m
         .fns
         .iter()
         .map(|f| {
-            f.scope.starts_with("crates/obs/")
+            f.file.starts_with("crates/obs/")
                 || sups
                     .get(&f.file)
                     .is_some_and(|sp| sp.covers_peek(f.line, Rule::DeterminismTaint))
@@ -69,7 +69,7 @@ pub(crate) fn run(g: &Graph, sups: &BTreeMap<String, Suppressions>, findings: &m
     // A boundary pragma earns its keep only when it intercepts something.
     for i in 0..n {
         let f = &g.fns[i];
-        if boundary[i] && !f.scope.starts_with("crates/obs/") {
+        if boundary[i] && !f.file.starts_with("crates/obs/") {
             let intercepts = !sources[i].is_empty() || g.edges[i].iter().any(|&j| tainted(j));
             if intercepts {
                 if let Some(sp) = sups.get(&f.file) {
@@ -80,7 +80,7 @@ pub(crate) fn run(g: &Graph, sups: &BTreeMap<String, Suppressions>, findings: &m
     }
     for i in 0..n {
         let f = &g.fns[i];
-        if !tainted(i) || f.in_test || !result_affecting(&f.scope) {
+        if !tainted(i) || f.in_test || !result_affecting(&f.file) {
             continue;
         }
         if let Some(&k) = sources[i].first() {
@@ -103,7 +103,7 @@ pub(crate) fn run(g: &Graph, sups: &BTreeMap<String, Suppressions>, findings: &m
         let entry = g.edges[i]
             .iter()
             .copied()
-            .find(|&j| tainted(j) && !result_affecting(&g.fns[j].scope));
+            .find(|&j| tainted(j) && !result_affecting(&g.fns[j].file));
         if let Some(j) = entry {
             findings.push(Finding {
                 file: f.file.clone(),

@@ -6,7 +6,7 @@
 //! garbage included), deterministic (same source → same graph, same
 //! findings), complete over `fn` items (every generated fn is recorded
 //! exactly once, however deeply mods/impls nest and however names shadow),
-//! and cycle-safe (call cycles, `include!` cycles, self-includes).
+//! and cycle-safe (call cycles, self-calls).
 
 use mega_analysis::graph::Graph;
 use mega_analysis::{analyze_sources, scan};
@@ -169,7 +169,7 @@ fn arb_items() -> impl Strategy<Value = Vec<Item>> {
 /// Builds the graph for one rendered file at a fixed path.
 fn build(src: &str) -> Graph {
     let lines = scan::strip(src);
-    Graph::build(&[("crates/core/src/gen.rs", "crates/core/src/gen.rs", &lines)])
+    Graph::build(&[("crates/core/src/gen.rs", &lines)])
 }
 
 /// A graph rendered to a comparable string (the extractor's full output).
@@ -230,24 +230,14 @@ proptest! {
     #[test]
     fn whole_pipeline_is_total_on_random_multi_file_sets(
         trees in proptest::collection::vec(arb_items(), 1..4),
-        links in proptest::collection::vec((0usize..4, 0usize..4), 0..4),
     ) {
-        // Random files plus random `include!` lines between them — possibly
-        // self-referential or cyclic. The analyzer must neither panic nor
-        // diverge, and two runs must agree finding-for-finding.
-        let mut sources: Vec<(String, String, String)> = trees
+        // Random files sharing shadowed names. The analyzer must neither
+        // panic nor diverge, and two runs must agree finding-for-finding.
+        let sources: Vec<(String, String)> = trees
             .iter()
             .enumerate()
-            .map(|(i, items)| {
-                let p = format!("crates/core/src/gen{i}.rs");
-                (p.clone(), p, render(items))
-            })
+            .map(|(i, items)| (format!("crates/core/src/gen{i}.rs"), render(items)))
             .collect();
-        for (from, to) in &links {
-            if let Some(s) = sources.get_mut(from % trees.len()) {
-                s.2.push_str(&format!("include!(\"gen{}.rs\");\n", to % trees.len()));
-            }
-        }
         let a = analyze_sources(&sources, "", "");
         let b = analyze_sources(&sources, "", "");
         prop_assert_eq!(&a.findings, &b.findings);

@@ -23,15 +23,16 @@ const UNSAFE_REACH: &str = include_str!("fixtures/unsafe_reach.rs");
 const PANIC_SURFACE: &str = include_str!("fixtures/panic_surface.rs");
 const SPAN_COVERAGE: &str = include_str!("fixtures/span_coverage.rs");
 const STALE_PRAGMA: &str = include_str!("fixtures/stale_pragma.rs");
+const SCOPE_ESCAPE: &str = include_str!("fixtures/scope_escape.rs");
 
-/// [`analyze_sources`] over `(path, text)` pairs scoped at their own path,
-/// with no unsafe-reach audit entries and no ratchet.
+/// [`analyze_sources`] over `(path, text)` pairs, with no unsafe-reach
+/// audit entries and no ratchet.
 fn analyze(files: &[(&str, &str)]) -> Analysis {
-    let triples: Vec<(String, String, String)> = files
+    let sources: Vec<(String, String)> = files
         .iter()
-        .map(|(p, t)| (p.to_string(), p.to_string(), t.to_string()))
+        .map(|(p, t)| (p.to_string(), t.to_string()))
         .collect();
-    analyze_sources(&triples, "", "")
+    analyze_sources(&sources, "", "")
 }
 
 /// The seeded lines at which `rule` fired, in order.
@@ -155,6 +156,29 @@ fn malformed_pragmas_fire_and_do_not_suppress() {
     assert_eq!(findings.len(), 3);
 }
 
+#[test]
+fn scope_escape_rejects_path_modules_and_includes_but_not_data_embeds() {
+    let findings = lint_source("crates/core/src/lib.rs", SCOPE_ESCAPE);
+    assert_eq!(
+        lines(&findings, Rule::ScopeEscape),
+        [2, 3, 8],
+        "{findings:?}"
+    );
+    // The pragma cannot silence the site; it is itself a finding.
+    assert_eq!(lines(&findings, Rule::BadPragma), [7]);
+    assert_eq!(findings.len(), 4);
+    // The gate reports the site at the path the file lives at.
+    let (_, gate) = lint_temp_workspace(
+        "scope-escape",
+        &[("crates/exec/src/simd.rs", "include!(\"simd_part.rs\");\n")],
+    );
+    assert_eq!(gate.len(), 1, "{gate:?}");
+    assert_eq!(
+        (gate[0].file.as_str(), gate[0].line, gate[0].rule),
+        ("crates/exec/src/simd.rs", 1, Rule::ScopeEscape)
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Graph rules (determinism taint, reachability audits, span coverage,
 // stale pragmas) — fixture tests with exact-line assertions.
@@ -247,12 +271,11 @@ fn unsafe_reach_diffs_against_the_audit_inventory() {
     assert_eq!(empty.unsafe_reach, ["crates/exec/src/simd.rs::entry"]);
 
     // Exact inventory: clean.
-    let triples = vec![(
-        "crates/exec/src/simd.rs".to_string(),
+    let sources = vec![(
         "crates/exec/src/simd.rs".to_string(),
         UNSAFE_REACH.to_string(),
     )];
-    let audited = analyze_sources(&triples, "crates/exec/src/simd.rs::entry\n", "");
+    let audited = analyze_sources(&sources, "crates/exec/src/simd.rs::entry\n", "");
     assert!(
         audited.findings.iter().all(|f| f.rule != Rule::UnsafeReach),
         "{:?}",
@@ -261,7 +284,7 @@ fn unsafe_reach_diffs_against_the_audit_inventory() {
 
     // A stale entry fails too, anchored at the audit file.
     let stale = analyze_sources(
-        &triples,
+        &sources,
         "crates/exec/src/simd.rs::entry\ncrates/exec/src/simd.rs::retired\n",
         "",
     );

@@ -274,7 +274,7 @@ fn main() -> ExitCode {
     table.print();
 
     // Tier sweep at the gate size: every native tier the host has, then
-    // the portable lanes at each supported width.
+    // the portable tier.
     let n = GATE_SIZE;
     let a = square(n, &mut rng);
     let b = square(n, &mut rng);

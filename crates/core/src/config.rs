@@ -71,10 +71,6 @@ pub struct MegaConfig {
     /// Seed for stochastic choices (edge dropping, `CandidatePolicy::Random`,
     /// start-node ties).
     pub seed: u64,
-    /// Hard cap on path length as a multiple of `n + 2m`, a safety net against
-    /// pathological revisit loops. The default (4) is never reached by the
-    /// shipped policies.
-    pub max_path_factor: usize,
 }
 
 impl Default for MegaConfig {
@@ -85,7 +81,6 @@ impl Default for MegaConfig {
             edge_drop: 0.0,
             policy: CandidatePolicy::default(),
             seed: 0x4d454741, // "MEGA"
-            max_path_factor: 4,
         }
     }
 }
@@ -154,12 +149,6 @@ impl MegaConfig {
             return Err(MegaError::InvalidConfig {
                 field: "edge_drop",
                 reason: format!("edge_drop {} not in [0, 1)", self.edge_drop),
-            });
-        }
-        if self.max_path_factor == 0 {
-            return Err(MegaError::InvalidConfig {
-                field: "max_path_factor",
-                reason: "must be >= 1".into(),
             });
         }
         Ok(())

@@ -105,24 +105,6 @@ impl PathRepresentation {
         &self.node_positions
     }
 
-    /// Positions of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= node_count()`.
-    pub fn positions_of(&self, v: usize) -> &[usize] {
-        &self.node_positions[v]
-    }
-
-    /// Number of appearances of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= node_count()`.
-    pub fn appearance_count(&self, v: usize) -> usize {
-        self.node_positions[v].len()
-    }
-
     /// Whether the step into position `i` rides a virtual edge.
     ///
     /// # Panics
@@ -130,19 +112,6 @@ impl PathRepresentation {
     /// Panics if `i >= len()`.
     pub fn is_virtual_step(&self, i: usize) -> bool {
         self.virtual_step[i]
-    }
-
-    /// Total revisits: `len() - node_count()` (every appearance past a node's
-    /// first), saturating at 0 for paths that omit isolated nodes.
-    pub fn revisit_count(&self) -> usize {
-        self.path
-            .len()
-            .saturating_sub(self.node_positions.iter().filter(|p| !p.is_empty()).count())
-    }
-
-    /// Number of virtual steps in the path.
-    pub fn virtual_edge_count(&self) -> usize {
-        self.virtual_step.iter().filter(|&&b| b).count()
     }
 
     /// `L / n`: the memory-expansion factor of the representation.
@@ -170,23 +139,13 @@ mod tests {
     fn positions_are_consistent() {
         let g = generate::complete(6).unwrap();
         let p = rep(&g, 2);
-        for v in 0..6 {
-            for &i in p.positions_of(v) {
+        for (v, positions) in p.node_positions().iter().enumerate() {
+            for &i in positions {
                 assert_eq!(p.node_at(i), v);
             }
         }
-        let total: usize = (0..6).map(|v| p.appearance_count(v)).sum();
+        let total: usize = p.node_positions().iter().map(Vec::len).sum();
         assert_eq!(total, p.len());
-    }
-
-    #[test]
-    fn revisit_count_matches_traversal() {
-        let g = generate::complete(8).unwrap();
-        let cfg = MegaConfig::default().with_window(WindowPolicy::Fixed(1));
-        let t = traverse(&g, &cfg).unwrap();
-        let p = PathRepresentation::from_traversal(&t);
-        assert_eq!(p.revisit_count(), t.revisits);
-        assert_eq!(p.virtual_edge_count(), t.virtual_edge_count);
     }
 
     #[test]

@@ -341,6 +341,10 @@ fn traverse_working(working: Graph, config: &MegaConfig) -> Result<Traversal, Me
     finish(out, window, m, working)
 }
 
+/// Hard cap on path length as a multiple of `n + 2m + 1`, a safety net
+/// against pathological revisit loops; no shipped policy reaches it.
+const MAX_PATH_FACTOR: usize = 4;
+
 /// The main loop of Algorithm 1: extends the walk until every node is
 /// visited and the coverage target is met. Also used to finish a stitched
 /// multi-agent path (see [`traverse_parallel`]), where it covers whatever
@@ -350,7 +354,7 @@ fn complete_walk(st: &mut State<'_>, config: &MegaConfig) -> Result<(), MegaErro
     let n = st.g.node_count();
     let m = st.g.edge_count();
     let needed = (config.coverage * m as f64).ceil() as usize;
-    let cap = config.max_path_factor * (n + 2 * m + 1);
+    let cap = MAX_PATH_FACTOR * (n + 2 * m + 1);
     let unreachable = |st: &State<'_>| MegaError::CoverageUnreachable {
         requested: config.coverage,
         achieved: st.covered_count() as f64 / m.max(1) as f64,

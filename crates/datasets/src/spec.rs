@@ -14,42 +14,12 @@ pub struct DatasetSpec {
 }
 
 impl DatasetSpec {
-    /// The paper's ZINC split sizes (10000/1000/1000).
-    pub fn paper_zinc(seed: u64) -> Self {
-        DatasetSpec {
-            train: 10_000,
-            val: 1_000,
-            test: 1_000,
-            seed,
-        }
-    }
-
-    /// The paper's AQSOL split sizes (7985/996/996).
-    pub fn paper_aqsol(seed: u64) -> Self {
-        DatasetSpec {
-            train: 7_985,
-            val: 996,
-            test: 996,
-            seed,
-        }
-    }
-
     /// The paper's CSL split sizes (90/30/30).
     pub fn paper_csl(seed: u64) -> Self {
         DatasetSpec {
             train: 90,
             val: 30,
             test: 30,
-            seed,
-        }
-    }
-
-    /// The paper's CYCLES split sizes (9000/1000/10000).
-    pub fn paper_cycles(seed: u64) -> Self {
-        DatasetSpec {
-            train: 9_000,
-            val: 1_000,
-            test: 10_000,
             seed,
         }
     }
@@ -73,11 +43,6 @@ impl DatasetSpec {
             seed,
         }
     }
-
-    /// Total samples across splits.
-    pub fn total(&self) -> usize {
-        self.train + self.val + self.test
-    }
 }
 
 impl Default for DatasetSpec {
@@ -91,11 +56,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_split_sizes_match_table_ii() {
-        assert_eq!(DatasetSpec::paper_zinc(0).total(), 12_000);
-        assert_eq!(DatasetSpec::paper_aqsol(0).total(), 9_977);
-        assert_eq!(DatasetSpec::paper_csl(0).total(), 150);
-        assert_eq!(DatasetSpec::paper_cycles(0).total(), 20_000);
+    fn paper_csl_split_sizes_match_table_ii() {
+        let s = DatasetSpec::paper_csl(0);
+        assert_eq!((s.train, s.val, s.test), (90, 30, 30));
     }
 
     #[test]

@@ -27,14 +27,6 @@ impl ClusterConfig {
             latency: 50e-6,
         }
     }
-
-    /// An NVLink-class fabric: 50 GB/s links, 5 µs messages.
-    pub fn nvlink() -> Self {
-        ClusterConfig {
-            bandwidth: 50e9,
-            latency: 5e-6,
-        }
-    }
 }
 
 /// Predicted per-epoch wall clock of one distributed configuration.
@@ -99,6 +91,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// An NVLink-class fabric: 50 GB/s links, 5 µs messages.
+    const NVLINK: ClusterConfig = ClusterConfig {
+        bandwidth: 50e9,
+        latency: 5e-6,
+    };
+
     fn stats(k: usize) -> (CommStats, CommStats) {
         let mut rng = StdRng::seed_from_u64(7);
         let g = generate::barabasi_albert(800, 3, &mut rng).unwrap();
@@ -132,10 +130,9 @@ mod tests {
 
     #[test]
     fn speedup_is_bounded_by_k() {
-        let cluster = ClusterConfig::nvlink();
         for k in [2usize, 8, 32] {
             let (_, path) = stats(k);
-            let p = epoch_scaling(5.0, &path, 50, 64, &cluster);
+            let p = epoch_scaling(5.0, &path, 50, 64, &NVLINK);
             assert!(p.speedup <= k as f64 + 1e-9);
             assert!(p.speedup > 1.0, "k={k} gained nothing: {}", p.speedup);
         }
@@ -145,7 +142,7 @@ mod tests {
     fn faster_network_helps() {
         let (cut, _) = stats(16);
         let slow = epoch_scaling(1.0, &cut, 100, 64, &ClusterConfig::ten_gbe());
-        let fast = epoch_scaling(1.0, &cut, 100, 64, &ClusterConfig::nvlink());
+        let fast = epoch_scaling(1.0, &cut, 100, 64, &NVLINK);
         assert!(fast.total_seconds < slow.total_seconds);
     }
 }

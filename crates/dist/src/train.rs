@@ -26,11 +26,11 @@
 //! CI's `equivalence` matrix enforces there is worker-count invariance at
 //! fixed sharding.
 
+use mega_core::parallel::join_workers;
 use mega_datasets::Dataset;
 use mega_exec::BufferPool;
 use mega_gnn::train::{run_shard, ShardExecutor, ShardJob, ShardOutput};
 use mega_gnn::{Batch, GnnConfig, PhaseSeconds, Trainer, TrainingHistory};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 /// Trains with `workers` gradient workers and a deterministic all-reduce.
@@ -89,9 +89,15 @@ struct FanOut {
 
 impl FanOut {
     /// Fans `shards` out over the workers (shard `s` goes to worker
-    /// `s mod k` — a fixed assignment, not work stealing, so the message
-    /// pattern is reproducible) and returns per-shard results in ascending
+    /// `s mod k` — a fixed assignment, not work stealing, so each pool's
+    /// history is reproducible) and returns per-shard results in ascending
     /// shard order.
+    ///
+    /// Each pool also keeps a fixed thread role: the last runs on the
+    /// calling thread, the others on spawned ones. Spans nest by thread, so
+    /// a pool that moved between threads from run to run (as with
+    /// `ordered_map`'s shared counter) would change the snapshot's span
+    /// paths between identical runs.
     fn scatter_gather(
         &self,
         job: &ShardJob<'_>,
@@ -99,33 +105,27 @@ impl FanOut {
         want_grads: bool,
     ) -> Vec<ShardOutput> {
         let k = self.pools.len();
-        let (tx, rx) = channel::<(usize, ShardOutput)>();
-        let mut slots: Vec<Option<ShardOutput>> = Vec::new();
-        slots.resize_with(shards.len(), || None);
-        std::thread::scope(|s| {
-            for (w, pool) in self.pools.iter().enumerate() {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    for (shard, batch) in shards.iter().enumerate().skip(w).step_by(k) {
+        let mut per_pool: Vec<Vec<ShardOutput>> = (0..k).map(|_| Vec::new()).collect();
+        let jobs = per_pool
+            .iter_mut()
+            .zip(&self.pools)
+            .enumerate()
+            .map(|(w, (out, pool))| {
+                move || {
+                    for batch in shards.iter().skip(w).step_by(k) {
                         let t = mega_obs::timer();
-                        let out = run_shard(job, batch, pool, want_grads);
+                        let shard = run_shard(job, batch, pool, want_grads);
                         t.observe("dist.train.shard_ns");
-                        tx.send((shard, out)).expect("coordinator disconnected");
+                        out.push(shard);
                     }
-                });
-            }
-            drop(tx);
-            // Collect on the coordinator while workers run; arrival order
-            // is scheduling-dependent, the slot table restores shard order.
-            while let Ok((shard, out)) = rx.recv() {
-                let slot = &mut slots[shard];
-                assert!(slot.is_none(), "shard {shard} computed twice");
-                *slot = Some(out);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("shard never computed"))
+                }
+            })
+            .collect();
+        join_workers(jobs);
+        // Worker `w` computed shards `w, w + k, …`: interleave them back.
+        let mut per_pool: Vec<_> = per_pool.into_iter().map(Vec::into_iter).collect();
+        (0..shards.len())
+            .filter_map(|s| per_pool[s % k].next())
             .collect()
     }
 

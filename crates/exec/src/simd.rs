@@ -13,7 +13,7 @@
 //! |---|---|---|---|---|---|
 //! | AVX-512 (`avx512f`) | 6 × 32 | twelve `__m512` | 8 lanes (the AVX kernel) | 16 features per `__m512` | 8 slots per `__m256`, transposed fold |
 //! | AVX (`avx` and `fma`) | 3 × 32 | twelve `__m256` | 8 lanes | 8 features per `__m256` | 8 slots per `__m256`, transposed fold |
-//! | portable, `W ∈ {4, 8, 16}` lanes | 4 × 32, one `W`-wide chunk at a time | four `[f32; W]` arrays | `W` lanes | `W` features per chunk | scalar |
+//! | portable, `W` = 8 lanes | 4 × 32, one `W`-wide chunk at a time | four `[f32; W]` arrays | `W` lanes | `W` features per chunk | scalar |
 //!
 //! A native tile keeps its `MR × NR` block of `out` in registers for the
 //! whole depth loop: per `k` step it loads one row of the packed strip once
@@ -173,8 +173,8 @@ enum Mode {
     /// and FMA, detected at runtime).
     #[cfg(target_arch = "x86_64")]
     Avx,
-    /// Portable `[f32; W]` lanes; `W` must divide [`NR`].
-    Portable(usize),
+    /// Portable `[f32; wide::W]` lanes.
+    Portable,
 }
 
 /// Explicit-width vector backend: the widest native tier the host has, the
@@ -207,39 +207,32 @@ impl SimdBackend {
             };
             return SimdBackend { mode };
         }
-        SimdBackend {
-            mode: Mode::Portable(8),
-        }
+        SimdBackend::portable()
     }
 
     /// Every tier this host can run, widest first: the native tiers the
     /// CPU has (AVX-512 and AVX on an AVX-512 machine), then the portable
-    /// lanes at widths 4, 8 and 16. Tests hold each to the reference.
+    /// tier. Tests hold each to the reference.
     pub fn all_on_host() -> Vec<SimdBackend> {
         let native: &[Mode] = match SimdBackend::new().mode {
             #[cfg(target_arch = "x86_64")]
             Mode::Avx512 => &[Mode::Avx512, Mode::Avx],
             #[cfg(target_arch = "x86_64")]
             Mode::Avx => &[Mode::Avx],
-            Mode::Portable(_) => &[],
+            Mode::Portable => &[],
         };
         native
             .iter()
             .map(|&mode| SimdBackend { mode })
-            .chain([4, 8, 16].map(SimdBackend::with_portable_lanes))
+            .chain([SimdBackend::portable()])
             .collect()
     }
 
-    /// Forces the portable scalar-lane path at `width` lanes, to test and
-    /// time it on hosts that have a native tier. `width` must be 4, 8, or
-    /// 16.
-    pub fn with_portable_lanes(width: usize) -> Self {
-        assert!(
-            matches!(width, 4 | 8 | 16),
-            "portable lane width must be 4, 8, or 16, got {width}"
-        );
+    /// The portable scalar-lane tier, to test and time it on hosts that
+    /// have a native tier.
+    pub fn portable() -> Self {
         SimdBackend {
-            mode: Mode::Portable(width),
+            mode: Mode::Portable,
         }
     }
 
@@ -250,7 +243,7 @@ impl SimdBackend {
             Mode::Avx512 => "avx512",
             #[cfg(target_arch = "x86_64")]
             Mode::Avx => "avx",
-            Mode::Portable(_) => "portable",
+            Mode::Portable => "portable",
         }
     }
 
@@ -261,7 +254,7 @@ impl SimdBackend {
             Mode::Avx512 => 16,
             #[cfg(target_arch = "x86_64")]
             Mode::Avx => 8,
-            Mode::Portable(w) => w,
+            Mode::Portable => wide::W,
         }
     }
 }
@@ -338,13 +331,17 @@ fn gemm_rows<const MR: usize>(
 mod wide {
     use super::{Strided, NR};
 
+    /// Lanes per portable vector; divides [`NR`]. Widths 4 and 16 timed
+    /// the same as 8 (`bench_results/backend_matmul.json`'s lane sweep).
+    pub const W: usize = 8;
+
     /// Tile height of the portable tier: 4 rows × `W` lanes of
-    /// accumulators stay within sixteen 128-bit registers at `W = 16`.
+    /// accumulators stay within eight 128-bit registers.
     pub const MR: usize = 4;
 
     /// [`super::gemm_rows`] with the `W`-lane tile and epilogue.
     #[allow(clippy::too_many_arguments)]
-    pub fn gemm_rows<const W: usize>(
+    pub fn gemm_rows(
         a: Strided<'_>,
         packed: &[f32],
         k: usize,
@@ -354,21 +351,14 @@ mod wide {
         bias: Option<(&[f32], bool)>,
         part: &mut [f32],
     ) {
-        let (tile, bias_row) = (tile::<W>, bias_relu_row::<W>);
-        super::gemm_rows(a, packed, k, m, lo, hi, bias, part, tile, bias_row);
+        super::gemm_rows(a, packed, k, m, lo, hi, bias, part, tile, bias_relu_row);
     }
 
     /// The portable tile: each `W`-wide column chunk of the `MR × NR`
     /// block folds the full depth in `MR` accumulator arrays from `+0.0`,
     /// every lane `fma(a, b, acc)` in ascending `k`, no zero test, and
     /// stores `acc + 0.0`.
-    pub fn tile<const W: usize>(
-        a: [&[f32]; MR],
-        ks: usize,
-        strip: &[f32],
-        c: &mut [f32],
-        ldc: usize,
-    ) {
+    pub fn tile(a: [&[f32]; MR], ks: usize, strip: &[f32], c: &mut [f32], ldc: usize) {
         let k = strip.len() / NR;
         for base in (0..NR).step_by(W) {
             let mut acc = [[0.0f32; W]; MR];
@@ -392,7 +382,7 @@ mod wide {
 
     /// `out = out + bias`, then `max(·, 0)` when `relu`, over one row.
     #[inline]
-    pub fn bias_relu_row<const W: usize>(out_row: &mut [f32], bias: &[f32], relu: bool) {
+    pub fn bias_relu_row(out_row: &mut [f32], bias: &[f32], relu: bool) {
         let f = |o: f32, b: f32| if relu { (o + b).max(0.0) } else { o + b };
         let mut j = 0;
         while j + W <= out_row.len() {
@@ -409,7 +399,7 @@ mod wide {
 
     /// `W`-lane binary elementwise loop with a scalar tail.
     #[inline]
-    pub fn zip<const W: usize>(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+    pub fn zip(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
         let mut i = 0;
         while i + W <= out.len() {
             for l in 0..W {
@@ -425,7 +415,7 @@ mod wide {
 
     /// The band row update `out_row += w · x_row` in `W`-lane chunks with a
     /// scalar tail.
-    pub fn row_update<const W: usize>(w: f32, x_row: &[f32], out_row: &mut [f32]) {
+    pub fn row_update(w: f32, x_row: &[f32], out_row: &mut [f32]) {
         let (mut os, mut xs) = (out_row.chunks_exact_mut(W), x_row.chunks_exact(W));
         for (o, x) in (&mut os).zip(&mut xs) {
             for l in 0..W {
@@ -439,7 +429,7 @@ mod wide {
 
     /// The band row update with per-feature weights, `out_row += w_row ⊙
     /// x_row`, in `W`-lane chunks with a scalar tail.
-    pub fn row_mul_add<const W: usize>(w_row: &[f32], x_row: &[f32], out_row: &mut [f32]) {
+    pub fn row_mul_add(w_row: &[f32], x_row: &[f32], out_row: &mut [f32]) {
         let mut os = out_row.chunks_exact_mut(W);
         let (mut ws, mut xs) = (w_row.chunks_exact(W), x_row.chunks_exact(W));
         for ((o, w), x) in (&mut os).zip(&mut ws).zip(&mut xs) {
@@ -455,7 +445,7 @@ mod wide {
 
     /// `W`-lane unary elementwise loop with a scalar tail.
     #[inline]
-    pub fn map<const W: usize>(x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
+    pub fn map(x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
         let mut i = 0;
         while i + W <= out.len() {
             for l in 0..W {
@@ -839,17 +829,9 @@ fn band_lanes(mode: Mode) -> BandLanes {
                 weight_grads_avx(slots, x, d_out, base, dim, out)
             },
         },
-        Mode::Portable(w) => BandLanes {
-            row_update: match w {
-                4 => wide::row_update::<4>,
-                8 => wide::row_update::<8>,
-                _ => wide::row_update::<16>,
-            },
-            row_mul_add: match w {
-                4 => wide::row_mul_add::<4>,
-                8 => wide::row_mul_add::<8>,
-                _ => wide::row_mul_add::<16>,
-            },
+        Mode::Portable => BandLanes {
+            row_update: wide::row_update,
+            row_mul_add: wide::row_mul_add,
             ..BandLanes::SCALAR
         },
     }
@@ -1106,18 +1088,6 @@ fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Monomorphizes a portable-lane call over the three supported widths.
-macro_rules! portable_widths {
-    ($w:expr, $call:ident ( $($arg:expr),* )) => {
-        match $w {
-            4 => wide::$call::<4>($($arg),*),
-            8 => wide::$call::<8>($($arg),*),
-            16 => wide::$call::<16>($($arg),*),
-            other => unreachable!("unsupported portable lane width {other}"),
-        }
-    };
-}
-
 impl Backend for SimdBackend {
     fn name(&self) -> &'static str {
         "simd"
@@ -1187,9 +1157,7 @@ impl Backend for SimdBackend {
                 // SAFETY: as above.
                 |row, bias, relu| unsafe { avx::bias_relu_row(row, bias, relu) },
             ),
-            Mode::Portable(w) => {
-                portable_widths!(w, gemm_rows(a, packed, k, m, lo, hi, bias, part))
-            }
+            Mode::Portable => wide::gemm_rows(a, packed, k, m, lo, hi, bias, part),
         };
         let threads = par.effective_threads().min(n.max(1));
         if threads <= 1 || n * k * m < kernels::PAR_MATMUL_MIN_FLOPS {
@@ -1207,7 +1175,7 @@ impl Backend for SimdBackend {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: both native modes imply AVX was detected at construction.
             Mode::Avx | Mode::Avx512 => unsafe { avx::add(a, b, out) },
-            Mode::Portable(w) => portable_widths!(w, zip(a, b, out, |x, y| x + y)),
+            Mode::Portable => wide::zip(a, b, out, |x, y| x + y),
         }
     }
 
@@ -1216,7 +1184,7 @@ impl Backend for SimdBackend {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: both native modes imply AVX was detected at construction.
             Mode::Avx | Mode::Avx512 => unsafe { avx::mul(a, b, out) },
-            Mode::Portable(w) => portable_widths!(w, zip(a, b, out, |x, y| x * y)),
+            Mode::Portable => wide::zip(a, b, out, |x, y| x * y),
         }
     }
 
@@ -1225,7 +1193,7 @@ impl Backend for SimdBackend {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: both native modes imply AVX was detected at construction.
             Mode::Avx | Mode::Avx512 => unsafe { avx::scale(a, k, out) },
-            Mode::Portable(w) => portable_widths!(w, map(a, out, |x| x * k)),
+            Mode::Portable => wide::map(a, out, |x| x * k),
         }
     }
 
@@ -1235,17 +1203,10 @@ impl Backend for SimdBackend {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: both native modes imply AVX was detected at construction.
             Mode::Avx | Mode::Avx512 => unsafe { avx::add_bias_rows(x, bias, n, m, out) },
-            Mode::Portable(w) => {
+            Mode::Portable => {
                 for r in 0..n {
-                    portable_widths!(
-                        w,
-                        zip(
-                            &x[r * m..(r + 1) * m],
-                            bias,
-                            &mut out[r * m..(r + 1) * m],
-                            |a, b| a + b
-                        )
-                    );
+                    let row = r * m..(r + 1) * m;
+                    wide::zip(&x[row.clone()], bias, &mut out[row], |a, b| a + b);
                 }
             }
         }
@@ -1266,13 +1227,11 @@ impl Backend for SimdBackend {
             // SAFETY: Mode::Avx is only constructed after
             // `is_x86_feature_detected!("avx")` returned true.
             (Unary::Sigmoid, Mode::Avx | Mode::Avx512) => unsafe { avx::sigmoid(x, out) },
-            (Unary::Relu, Mode::Portable(w)) => portable_widths!(w, map(x, out, |v| v.max(0.0))),
-            (Unary::LeakyRelu(s), Mode::Portable(w)) => {
-                portable_widths!(w, map(x, out, |v| if v > 0.0 { v } else { s * v }))
+            (Unary::Relu, Mode::Portable) => wide::map(x, out, |v| v.max(0.0)),
+            (Unary::LeakyRelu(s), Mode::Portable) => {
+                wide::map(x, out, |v| if v > 0.0 { v } else { s * v })
             }
-            (Unary::Sigmoid, Mode::Portable(w)) => {
-                portable_widths!(w, map(x, out, kernels::sigmoid))
-            }
+            (Unary::Sigmoid, Mode::Portable) => wide::map(x, out, kernels::sigmoid),
         }
     }
 
@@ -1282,16 +1241,10 @@ impl Backend for SimdBackend {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: both native modes imply AVX was detected at construction.
             Mode::Avx | Mode::Avx512 => unsafe { avx::scale_rows(x, factors, cols, out) },
-            Mode::Portable(w) => {
+            Mode::Portable => {
                 for (r, &f) in factors.iter().enumerate() {
-                    portable_widths!(
-                        w,
-                        map(
-                            &x[r * cols..(r + 1) * cols],
-                            &mut out[r * cols..(r + 1) * cols],
-                            |v| { v * f }
-                        )
-                    );
+                    let row = r * cols..(r + 1) * cols;
+                    wide::map(&x[row.clone()], &mut out[row], |v| v * f);
                 }
             }
         }
@@ -1603,15 +1556,9 @@ mod tests {
             }
             want.push(("avx", 8));
         }
-        want.extend([("portable", 4), ("portable", 8), ("portable", 16)]);
+        want.push(("portable", 8));
         assert_eq!(described, want, "native tiers widest first, then portable");
         assert_eq!(SimdBackend::new().tier(), want[0].0);
-    }
-
-    #[test]
-    #[should_panic(expected = "portable lane width")]
-    fn rejects_unsupported_lane_width() {
-        let _ = SimdBackend::with_portable_lanes(3);
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {

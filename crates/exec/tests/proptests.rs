@@ -24,7 +24,7 @@ use mega_exec::{Backend, Epilogue, NormKind, Operand, ReferenceBackend, SimdBack
 use proptest::prelude::*;
 use Operand::{RowMajor, Transposed};
 
-/// Labels a SIMD tier for assert messages: `simd-avx512-16`, `simd-portable-4`.
+/// Labels a SIMD tier for assert messages: `simd-avx512-16`, `simd-portable-8`.
 fn tier_label(simd: &SimdBackend) -> String {
     format!("simd-{}-{}", simd.tier(), simd.lane_width())
 }

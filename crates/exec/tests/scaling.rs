@@ -63,10 +63,7 @@ fn backends() -> Vec<(&'static str, Box<dyn Backend>)> {
     vec![
         ("reference", Box::new(ReferenceBackend)),
         ("simd-auto", Box::new(SimdBackend::new())),
-        (
-            "simd-portable-4",
-            Box::new(SimdBackend::with_portable_lanes(4)),
-        ),
+        ("simd-portable", Box::new(SimdBackend::portable())),
     ]
 }
 

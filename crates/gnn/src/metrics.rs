@@ -28,8 +28,7 @@ pub fn mae(pred: &Tensor, target: &Tensor) -> f64 {
 /// Empty labels yield `0.0` by contract (never `NaN` from `0/0`) — the
 /// deliberate neutral value for the zero-graph case, mirroring [`mae`];
 /// callers that must distinguish "no data" from "all wrong" should check
-/// emptiness first (cf. `TrainingHistory::final_metric` returning
-/// `Option` for empty runs).
+/// emptiness first.
 ///
 /// # Panics
 ///

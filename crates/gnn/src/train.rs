@@ -14,7 +14,7 @@ use crate::metrics;
 use crate::model::Gnn;
 use crate::nn::Binder;
 use crate::parallel::preprocess_samples;
-use mega_core::{MegaConfig, Parallelism};
+use mega_core::{AttentionSchedule, MegaConfig, Parallelism};
 use mega_datasets::{Dataset, GraphSample, Task};
 use mega_exec::{Backend, BufferPool, SimdBackend};
 use mega_tensor::{Adam, ParamId, ParamStore, Tape, Tensor, Var};
@@ -23,6 +23,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+
+/// The global gradient-norm clip applied before every optimizer step.
+const GRAD_CLIP: f32 = 5.0;
 
 /// Host wall-clock seconds of one epoch, split by training phase.
 ///
@@ -101,12 +104,6 @@ impl TrainingHistory {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// The final validation metric, or `None` for an empty run (zero
-    /// epochs recorded — e.g. `epochs == 0`).
-    pub fn final_metric(&self) -> Option<f64> {
-        self.records.last().map(|r| r.val_metric)
-    }
-
     /// Epochs needed to first reach `target` validation loss, if ever
     /// reached. Multiplied by the modeled epoch and added to
     /// [`preprocess_seconds`](Self::preprocess_seconds), it gives the
@@ -128,17 +125,14 @@ pub struct Trainer {
     pub epochs: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Gradient-norm clip.
-    pub grad_clip: f32,
     /// Engine selection.
     pub engine: EngineChoice,
     /// MEGA preprocessing configuration (used when `engine` is Mega).
     pub mega_config: MegaConfig,
     /// Reshuffle the sample-to-batch assignment every epoch with this seed
-    /// (`None` keeps the fixed dataset order). Batches are rebuilt per epoch,
-    /// which for the MEGA engine re-batches precomputed index structures —
-    /// preprocessing itself is not repeated conceptually, but this costs CPU
-    /// time in this implementation; benches keep it off.
+    /// (`None` keeps the fixed dataset order). Batches are re-assembled per
+    /// epoch from the split's samples and, under the MEGA engine, from the
+    /// schedules preprocessed once at the start of the run.
     pub shuffle_seed: Option<u64>,
     /// Thread budget for CPU-side work: per-sample preprocessing, batch
     /// index construction, and the tape's matrix products. All parallel
@@ -159,7 +153,6 @@ impl Trainer {
             batch_size: 32,
             epochs: 10,
             lr: 5e-3,
-            grad_clip: 5.0,
             engine,
             mega_config: MegaConfig::default(),
             shuffle_seed: None,
@@ -211,20 +204,32 @@ impl Trainer {
         self
     }
 
-    /// Preprocesses a split once (under the MEGA engine: the run's one
-    /// preprocessing site) and cuts it into shards of `shard_size` samples.
-    fn shards_of(&self, samples: &[GraphSample], shard_size: usize) -> Vec<Batch> {
+    /// A split's MEGA schedules, one per sample, in sample order: the
+    /// run's one preprocessing site, called once per split. Empty under
+    /// the baseline engine, which needs none.
+    fn schedules_of(&self, samples: &[GraphSample]) -> Vec<AttentionSchedule> {
+        match self.engine {
+            EngineChoice::Baseline => Vec::new(),
+            EngineChoice::Mega => preprocess_samples(samples, &self.mega_config, &self.parallelism)
+                .expect("preprocessing of a valid graph cannot fail"),
+        }
+    }
+
+    /// Cuts a split into shards of `shard_size` samples, with `schedules`
+    /// from [`Self::schedules_of`] over the same samples in the same order.
+    fn shards_of(
+        &self,
+        samples: &[GraphSample],
+        schedules: &[AttentionSchedule],
+        shard_size: usize,
+    ) -> Vec<Batch> {
         let chunks = samples.chunks(shard_size);
         match self.engine {
             EngineChoice::Baseline => chunks.map(Batch::baseline).collect(),
-            EngineChoice::Mega => {
-                let schedules = preprocess_samples(samples, &self.mega_config, &self.parallelism)
-                    .expect("preprocessing of a valid graph cannot fail");
-                chunks
-                    .zip(schedules.chunks(shard_size))
-                    .map(|(c, s)| Batch::mega_with(c, s, &self.parallelism))
-                    .collect()
-            }
+            EngineChoice::Mega => chunks
+                .zip(schedules.chunks(shard_size))
+                .map(|(c, s)| Batch::mega_with(c, s, &self.parallelism))
+                .collect(),
         }
     }
 
@@ -264,10 +269,13 @@ impl Trainer {
 
         // One-time preprocessing (CPU side, decoupled from training).
         let pre_start = mega_obs::Stopwatch::start();
-        let (mut train_shards, val_shards) = {
+        let (train_schedules, mut train_shards, val_shards) = {
             let _s = mega_obs::span("assemble");
-            let train = self.shards_of(&dataset.train, shard_size);
-            (train, self.shards_of(&dataset.val, shard_size))
+            let schedules = self.schedules_of(&dataset.train);
+            let train = self.shards_of(&dataset.train, &schedules, shard_size);
+            let val = &dataset.val;
+            let val = self.shards_of(val, &self.schedules_of(val), shard_size);
+            (schedules, train, val)
         };
         let preprocess_seconds = if self.engine == EngineChoice::Mega {
             pre_start.elapsed().as_secs_f64()
@@ -279,9 +287,13 @@ impl Trainer {
         let model = Gnn::new(&mut store, config.clone());
         let mut opt = Adam::new(self.lr);
         let mut records = Vec::with_capacity(self.epochs);
-        let mut shuffle = self
-            .shuffle_seed
-            .map(|seed| (StdRng::seed_from_u64(seed), dataset.train.clone()));
+        // Samples and schedules shuffle under two copies of one generator:
+        // a shuffle's swaps depend only on the length and the draws, so both
+        // follow the same cumulative permutation.
+        let mut shuffle = self.shuffle_seed.map(|seed| {
+            let rng = StdRng::seed_from_u64(seed);
+            (rng.clone(), rng, dataset.train.clone(), train_schedules)
+        });
         // Global step counter for the health monitors and the sentinel dump.
         let mut step = 0u64;
         for epoch in 1..=self.epochs {
@@ -289,10 +301,13 @@ impl Trainer {
             let mut phases = PhaseSeconds::default();
             // Optional per-epoch reshuffle of the sample order.
             let t_assemble = mega_obs::Stopwatch::start();
-            if let (Some((rng, samples)), true) = (shuffle.as_mut(), epoch > 1) {
+            if let (Some((sample_rng, schedule_rng, samples, schedules)), true) =
+                (shuffle.as_mut(), epoch > 1)
+            {
                 let _s = mega_obs::span("assemble");
-                samples.shuffle(rng);
-                train_shards = self.shards_of(samples, shard_size);
+                samples.shuffle(sample_rng);
+                schedules.shuffle(schedule_rng);
+                train_shards = self.shards_of(samples, schedules, shard_size);
             }
             phases.assemble = t_assemble.elapsed().as_secs_f64();
             let mut loss_sum = 0.0f64;
@@ -320,7 +335,7 @@ impl Trainer {
                             store.accumulate(*p, &g.scale(inv));
                         }
                     }
-                    let pre_clip = store.clip_grad_norm(self.grad_clip);
+                    let pre_clip = store.clip_grad_norm(GRAD_CLIP);
                     opt.step(&mut store);
                     pre_clip
                 };
@@ -366,7 +381,8 @@ impl Trainer {
         // Final held-out evaluation.
         let (test_loss, test_metric) = {
             let _s = mega_obs::span("evaluate");
-            let test_shards = self.shards_of(&dataset.test, shard_size);
+            let test = &dataset.test;
+            let test_shards = self.shards_of(test, &self.schedules_of(test), shard_size);
             self.evaluate(exec, &model, &store, &test_shards, task)
         };
 
@@ -721,7 +737,6 @@ mod tests {
             .with_batch_size(8)
             .run(&ds, cfg);
         assert!(hist.best_val_loss().is_finite());
-        assert!(hist.final_metric().expect("non-empty run").is_finite());
         // Phase timings are captured and non-negative.
         for r in &hist.records {
             assert!(r.phases.total() >= 0.0);
@@ -772,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn final_metric_is_none_for_empty_run() {
+    fn history_helpers_on_empty_run() {
         let hist = TrainingHistory {
             engine: "DGL".to_string(),
             model: "GatedGCN".to_string(),
@@ -782,7 +797,6 @@ mod tests {
             test_loss: 0.0,
             test_metric: 0.0,
         };
-        assert_eq!(hist.final_metric(), None);
         assert!(hist.best_val_loss().is_infinite());
         assert!(hist.epochs_to_loss(0.0).is_none());
     }

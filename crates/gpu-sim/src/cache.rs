@@ -169,18 +169,6 @@ impl SectoredCache {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        for l in &mut self.lines {
-            l.valid = false;
-            l.sectors = 0;
-        }
-        self.clock = 0;
-        self.hits = 0;
-        self.sector_misses = 0;
-        self.line_misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +223,7 @@ mod tests {
             }
         }
         assert_eq!(c.hits(), 0, "stream larger than capacity must not hit");
-        c.reset();
+        let mut c = small();
         // Working set fitting in capacity: second pass all hits.
         for _ in 0..2 {
             for addr in (0..2048u64).step_by(32) {
@@ -259,14 +247,5 @@ mod tests {
     #[should_panic(expected = "whole sectors")]
     fn bad_geometry_panics() {
         SectoredCache::new(1024, 100, 32, 2);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = small();
-        c.access_sector(0);
-        c.reset();
-        assert_eq!(c.accesses(), 0);
-        assert_eq!(c.access_sector(0), Access::LineMiss);
     }
 }

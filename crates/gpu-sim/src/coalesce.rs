@@ -40,20 +40,6 @@ pub fn warp_sectors(lane_addrs: &[u64], sector_bytes: u64) -> Vec<u64> {
     sectors
 }
 
-/// Splits a flat element-address stream into warps of `warp_size` lanes and
-/// returns the per-warp sector lists. The trailing partial warp (if any) is
-/// coalesced like a full one.
-pub fn coalesce_stream(
-    element_addrs: &[u64],
-    warp_size: usize,
-    sector_bytes: u64,
-) -> Vec<Vec<u64>> {
-    element_addrs
-        .chunks(warp_size.max(1))
-        .map(|w| warp_sectors(w, sector_bytes))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,22 +62,5 @@ mod tests {
     fn scattered_is_one_per_lane() {
         let addrs: Vec<u64> = (0..32u64).map(|l| l * 4096).collect();
         assert_eq!(warp_sectors(&addrs, 32).len(), 32);
-    }
-
-    #[test]
-    fn stream_chunks_into_warps() {
-        let addrs: Vec<u64> = (0..64u64).map(|l| l * 4).collect();
-        let warps = coalesce_stream(&addrs, 32, 32);
-        assert_eq!(warps.len(), 2);
-        assert_eq!(warps[0].len(), 4);
-        assert_eq!(warps[1].len(), 4);
-    }
-
-    #[test]
-    fn partial_warp_handled() {
-        let addrs: Vec<u64> = (0..40u64).map(|l| l * 4).collect();
-        let warps = coalesce_stream(&addrs, 32, 32);
-        assert_eq!(warps.len(), 2);
-        assert_eq!(warps[1].len(), 1); // 8 elements × 4B = 32B = 1 sector
     }
 }

@@ -90,12 +90,6 @@ impl ModelSpec {
             segment_passes: 3,
         }
     }
-
-    /// Trainable parameter count per layer (`proj_per_layer`·d²), the Table I
-    /// "parameter volume" row.
-    pub fn params_per_layer(&self) -> usize {
-        self.proj_per_layer * self.hidden_dim * self.hidden_dim
-    }
 }
 
 /// Which execution engine to cost.
@@ -481,15 +475,6 @@ mod tests {
         let mega = GnnCostModel::new(dev, spec, EngineKind::Mega).epoch_cost(&topo, 1);
         assert!(mega.report.aggregate_sm_efficiency() > dgl.report.aggregate_sm_efficiency());
         assert!(mega.report.aggregate_stall_pct() < dgl.report.aggregate_stall_pct());
-    }
-
-    #[test]
-    fn table_one_parameter_volumes() {
-        assert_eq!(ModelSpec::gated_gcn(64, 1).params_per_layer(), 5 * 64 * 64);
-        assert_eq!(
-            ModelSpec::graph_transformer(64, 1).params_per_layer(),
-            14 * 64 * 64
-        );
     }
 
     #[test]

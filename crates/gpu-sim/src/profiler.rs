@@ -99,13 +99,6 @@ impl Profiler {
         ProfileReport::new(self.device.clone(), self.stats.clone(), self.total_cycles)
     }
 
-    /// Clears statistics and cache contents (keeps allocations).
-    pub fn reset_stats(&mut self) {
-        self.stats.clear();
-        self.l2.reset();
-        self.total_cycles = 0;
-    }
-
     fn run_stream<I: IntoIterator<Item = u64>>(&mut self, element_addrs: I) -> LaunchOutcome {
         let mut out = LaunchOutcome {
             transactions: 0,
@@ -598,7 +591,8 @@ mod tests {
         let idx: Vec<usize> = (0..rows).map(|i| (i * 6151) % rows).collect();
         p.launch_gather(buf, &idx, feat, rows);
         let dgl_cycles = p.report().kernel(KernelKind::DglGather).unwrap().cycles;
-        p.reset_stats();
+        let mut p = profiler();
+        let buf = p.alloc(2 * rows * feat * 4);
         // MEGA: banded read of the same volume (window 1 reads ~3x per row
         // but from cache).
         p.launch_band_gather(buf, rows, 1, feat);
@@ -621,7 +615,8 @@ mod tests {
         let idx: Vec<usize> = (0..1000).collect();
         p.launch_scatter(dst, &idx, 16, 1000);
         let balanced = p.report().kernel(KernelKind::DglScatter).unwrap().balance;
-        p.reset_stats();
+        let mut p = profiler();
+        let dst = p.alloc(1000 * 16 * 4);
         // Skewed: hub destination takes half the writes.
         let idx: Vec<usize> = (0..1000).map(|i| if i % 2 == 0 { 0 } else { i }).collect();
         p.launch_scatter(dst, &idx, 16, 1000);

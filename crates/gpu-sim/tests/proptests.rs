@@ -1,7 +1,7 @@
 //! Property-based tests for the GPU simulator.
 
 use mega_gpu_sim::cache::{Access, SectoredCache};
-use mega_gpu_sim::coalesce::{coalesce_stream, warp_sectors};
+use mega_gpu_sim::coalesce::warp_sectors;
 use mega_gpu_sim::{DeviceConfig, KernelKind, Profiler};
 use proptest::prelude::*;
 
@@ -16,14 +16,6 @@ proptest! {
         prop_assert!(sectors.len() <= addrs.len());
         let distinct: std::collections::HashSet<u64> = addrs.iter().map(|a| a / 32).collect();
         prop_assert_eq!(sectors.len(), distinct.len());
-    }
-
-    /// Stream chunking covers every element exactly once.
-    #[test]
-    fn stream_chunking_is_total(addrs in proptest::collection::vec(0u64..100_000, 0..300)) {
-        let warps = coalesce_stream(&addrs, 32, 32);
-        let expected = addrs.len().div_ceil(32);
-        prop_assert_eq!(warps.len(), expected);
     }
 
     /// Cache counters are consistent: hits + misses == accesses, and a

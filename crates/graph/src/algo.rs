@@ -86,85 +86,6 @@ pub fn is_connected(g: &Graph) -> bool {
     connected_components(g).1 == 1
 }
 
-/// Number of nodes with odd degree — relevant to the paper's Eulerian-path
-/// discussion (§III-B): a connected graph admits an Eulerian path iff it has
-/// 0 or 2 odd-degree nodes, which is why MEGA relaxes full traversal with
-/// jumps and revisits.
-pub fn odd_degree_count(g: &Graph) -> usize {
-    (0..g.node_count())
-        .filter(|&v| g.degree(v) % 2 == 1)
-        .count()
-}
-
-/// Number of triangles in the graph (each counted once).
-pub fn triangle_count(g: &Graph) -> usize {
-    let mut count = 0usize;
-    for v in 0..g.node_count() {
-        let nbrs = g.neighbors(v);
-        for (i, &a) in nbrs.iter().enumerate() {
-            if a <= v {
-                continue;
-            }
-            for &b in &nbrs[i + 1..] {
-                if b > a && g.contains_edge(a, b) {
-                    count += 1;
-                }
-            }
-        }
-    }
-    count
-}
-
-/// Local clustering coefficient of `v`: the fraction of neighbor pairs that
-/// are themselves connected; 0 for degree < 2.
-///
-/// # Panics
-///
-/// Panics if `v >= g.node_count()`.
-pub fn local_clustering(g: &Graph, v: NodeId) -> f64 {
-    let nbrs = g.neighbors(v);
-    let d = nbrs.len();
-    if d < 2 {
-        return 0.0;
-    }
-    let mut links = 0usize;
-    for (i, &a) in nbrs.iter().enumerate() {
-        for &b in &nbrs[i + 1..] {
-            if g.contains_edge(a, b) {
-                links += 1;
-            }
-        }
-    }
-    links as f64 / (d * (d - 1) / 2) as f64
-}
-
-/// Average clustering coefficient — how clique-like neighborhoods are.
-/// High clustering is where Eq. 2's correlation objective has signal to
-/// exploit (see the `ablation_policy` bench).
-pub fn average_clustering(g: &Graph) -> f64 {
-    let n = g.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    (0..n).map(|v| local_clustering(g, v)).sum::<f64>() / n as f64
-}
-
-/// Graph diameter via BFS from every node. `None` if the graph is
-/// disconnected. Intended for the small benchmark graphs (O(n·m)).
-pub fn diameter(g: &Graph) -> Option<usize> {
-    let mut best = 0usize;
-    for v in 0..g.node_count() {
-        let r = bfs(g, v);
-        for &d in &r.dist {
-            if d == usize::MAX {
-                return None;
-            }
-            best = best.max(d);
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,63 +120,5 @@ mod tests {
         assert_eq!(comp[3], comp[5]);
         assert_ne!(comp[0], comp[3]);
         assert!(!is_connected(&g));
-    }
-
-    #[test]
-    fn odd_degree_counting() {
-        // Path graph: endpoints odd.
-        let g = GraphBuilder::undirected(4)
-            .edges([(0, 1), (1, 2), (2, 3)])
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(odd_degree_count(&g), 2);
-        // Cycle: all even.
-        let g = GraphBuilder::undirected(4)
-            .edges([(0, 1), (1, 2), (2, 3), (3, 0)])
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(odd_degree_count(&g), 0);
-    }
-
-    #[test]
-    fn triangle_counting() {
-        // K4 has C(4,3) = 4 triangles.
-        let g = crate::generate::complete(4).unwrap();
-        assert_eq!(triangle_count(&g), 4);
-        let g = crate::generate::cycle(5).unwrap();
-        assert_eq!(triangle_count(&g), 0);
-        let g = crate::generate::caveman(2, 3).unwrap();
-        assert_eq!(triangle_count(&g), 2);
-    }
-
-    #[test]
-    fn clustering_coefficients() {
-        let g = crate::generate::complete(5).unwrap();
-        assert!((average_clustering(&g) - 1.0).abs() < 1e-12);
-        let g = crate::generate::star(5).unwrap();
-        assert_eq!(average_clustering(&g), 0.0);
-        // Triangle with a pendant: node 0 in the triangle clusters at 1 when
-        // degree 2.
-        let g = GraphBuilder::undirected(4)
-            .edges([(0, 1), (1, 2), (2, 0), (2, 3)])
-            .unwrap()
-            .build()
-            .unwrap();
-        assert!((local_clustering(&g, 0) - 1.0).abs() < 1e-12);
-        assert!(local_clustering(&g, 2) < 1.0);
-        assert_eq!(local_clustering(&g, 3), 0.0);
-    }
-
-    #[test]
-    fn diameter_of_path_and_disconnected() {
-        let g = GraphBuilder::undirected(4)
-            .edges([(0, 1), (1, 2), (2, 3)])
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(diameter(&g), Some(3));
-        assert_eq!(diameter(&two_triangles()), None);
     }
 }

@@ -104,11 +104,6 @@ impl GraphBuilder {
         Ok(self)
     }
 
-    /// Number of edges currently staged.
-    pub fn staged_edge_count(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// Finalizes the graph.
     ///
     /// # Errors
@@ -145,7 +140,8 @@ mod tests {
     fn rejects_out_of_range_eagerly() {
         let mut b = GraphBuilder::undirected(2);
         assert!(b.edge(0, 5).is_err());
-        assert_eq!(b.staged_edge_count(), 0);
+        // The rejected edge was not staged.
+        assert_eq!(b.edge(0, 1).unwrap().build().unwrap().edge_count(), 1);
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl EdgeList {
         &self.pairs
     }
 
-    /// Consumes the list, returning the raw pairs.
-    pub fn into_pairs(self) -> Vec<(usize, usize)> {
-        self.pairs
-    }
-
     /// Returns a copy with all duplicate pairs and self-loops removed.
     ///
     /// For undirected use, `(a, b)` and `(b, a)` are considered duplicates and

@@ -53,30 +53,6 @@ pub fn similarity(a: &[f64], b: &[f64]) -> f64 {
     1.0 - statistic(a, b)
 }
 
-/// Asymptotic two-sided p-value for the two-sample KS statistic, using the
-/// Kolmogorov distribution approximation
-/// `Q(λ) = 2 Σ_{k≥1} (-1)^{k-1} exp(-2 k² λ²)` with the Smirnov effective
-/// sample-size correction. Small p-values reject "same distribution".
-pub fn p_value(a: &[f64], b: &[f64]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 1.0;
-    }
-    let d = statistic(a, b);
-    let na = a.len() as f64;
-    let nb = b.len() as f64;
-    let ne = (na * nb / (na + nb)).sqrt();
-    let lambda = (ne + 0.12 + 0.11 / ne) * d;
-    let mut sum = 0.0f64;
-    for k in 1..=100 {
-        let term = (-2.0 * (k as f64).powi(2) * lambda.powi(2)).exp();
-        sum += if k % 2 == 1 { term } else { -term };
-        if term < 1e-12 {
-            break;
-        }
-    }
-    (2.0 * sum).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,15 +90,5 @@ mod tests {
     fn empty_sample_conventions() {
         assert_eq!(statistic(&[], &[]), 0.0);
         assert_eq!(statistic(&[1.0], &[]), 1.0);
-        assert_eq!(p_value(&[], &[1.0]), 1.0);
-    }
-
-    #[test]
-    fn p_value_monotone_in_distance() {
-        let a: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let near: Vec<f64> = (0..50).map(|i| i as f64 + 0.3).collect();
-        let far: Vec<f64> = (0..50).map(|i| i as f64 + 30.0).collect();
-        assert!(p_value(&a, &near) > p_value(&a, &far));
-        assert!(p_value(&a, &far) < 0.01);
     }
 }

@@ -91,22 +91,6 @@ impl Histogram {
         bucket_upper(BUCKETS - 1)
     }
 
-    /// Folds another histogram into this one (bucket-wise addition).
-    ///
-    /// Merging is commutative and associative, and merging per-thread
-    /// histograms in *any* order yields the same result as recording every
-    /// sample into one histogram — recording only ever increments a bucket,
-    /// so the final state is a pure sum. The concurrent-recording tests in
-    /// `tests/obs.rs` pin this down: worker threads record into private
-    /// histograms and the ordered merge is byte-deterministic.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-    }
-
     /// Shorthand for the median / tail percentiles reported in snapshots.
     pub fn p50(&self) -> u64 {
         self.percentile(0.50)
@@ -147,25 +131,6 @@ mod tests {
         assert_eq!(bucket_upper(1), 1);
         assert_eq!(bucket_upper(2), 3);
         assert_eq!(bucket_upper(64), u64::MAX);
-    }
-
-    #[test]
-    fn merge_equals_unified_recording() {
-        let samples: Vec<u64> = (0..200).map(|i| (i * 37) % 1000).collect();
-        let mut unified = Histogram::new();
-        for &v in &samples {
-            unified.record(v);
-        }
-        // Split across three "threads", merge in order.
-        let mut merged = Histogram::new();
-        for chunk in samples.chunks(70) {
-            let mut part = Histogram::new();
-            for &v in chunk {
-                part.record(v);
-            }
-            merged.merge(&part);
-        }
-        assert_eq!(merged, unified);
     }
 
     #[test]

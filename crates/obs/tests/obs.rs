@@ -84,56 +84,6 @@ fn thread_stream(t: u64) -> Vec<u64> {
 }
 
 #[test]
-fn concurrent_private_histograms_merge_deterministically() {
-    const THREADS: u64 = 8;
-    // Each worker records its own stream into a private histogram; the
-    // scheduler decides nothing, because recording is thread-local.
-    let record_all = || -> Vec<Histogram> {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    s.spawn(move || {
-                        let mut h = Histogram::new();
-                        for v in thread_stream(t) {
-                            h.record(v);
-                        }
-                        h
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
-    let run_a = record_all();
-    let run_b = record_all();
-    // Ordered merge (thread index order) is identical run to run ...
-    let merge_in_order = |parts: &[Histogram]| {
-        let mut m = Histogram::new();
-        for p in parts {
-            m.merge(p);
-        }
-        m
-    };
-    let merged_a = merge_in_order(&run_a);
-    let merged_b = merge_in_order(&run_b);
-    assert_eq!(merged_a, merged_b, "ordered merge must be deterministic");
-    // ... and equals both the reverse-order merge (commutativity) and a
-    // serial recording of the union stream.
-    let mut reversed = Histogram::new();
-    for p in run_a.iter().rev() {
-        reversed.merge(p);
-    }
-    assert_eq!(merged_a, reversed);
-    let mut unified = Histogram::new();
-    for t in 0..THREADS {
-        for v in thread_stream(t) {
-            unified.record(v);
-        }
-    }
-    assert_eq!(merged_a, unified);
-}
-
-#[test]
 fn percentile_bounds_hold_under_registry_contention() {
     const THREADS: u64 = 8;
     // All workers hammer the same named histogram in the global registry

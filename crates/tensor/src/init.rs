@@ -24,23 +24,6 @@ pub fn xavier_uniform<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
-/// He/Kaiming uniform initialization for ReLU networks:
-/// `U(-√(6/fan_in), +√(6/fan_in))`.
-pub fn he_uniform<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Tensor {
-    let bound = (6.0 / rows.max(1) as f32).sqrt();
-    let data = (0..rows * cols)
-        .map(|_| rng.gen_range(-bound..bound))
-        .collect();
-    Tensor::from_vec(rows, cols, data)
-}
-
-/// Uniform initialization in `[-bound, bound]`.
-pub fn uniform<R: Rng>(rows: usize, cols: usize, bound: f32, rng: &mut R) -> Tensor {
-    let b = bound.abs().max(f32::MIN_POSITIVE);
-    let data = (0..rows * cols).map(|_| rng.gen_range(-b..b)).collect();
-    Tensor::from_vec(rows, cols, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,14 +38,6 @@ mod tests {
         assert!(w.as_slice().iter().all(|&v| v.abs() <= bound));
         // Non-degenerate.
         assert!(w.norm() > 0.0);
-    }
-
-    #[test]
-    fn he_bound_depends_on_fan_in() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let w = he_uniform(24, 8, &mut rng);
-        let bound = (6.0f32 / 24.0).sqrt();
-        assert!(w.as_slice().iter().all(|&v| v.abs() <= bound));
     }
 
     #[test]

@@ -25,16 +25,11 @@ impl RefinementHistory {
             .expect("at least the initial round exists")
     }
 
-    /// Number of refinement rounds performed (excluding the initial one).
-    pub fn round_count(&self) -> usize {
-        self.rounds.len() - 1
-    }
-
     /// Sorted multiset of colors after round `k`.
     ///
     /// # Panics
     ///
-    /// Panics if `k > round_count()`.
+    /// Panics if round `k` was not performed.
     pub fn color_multiset(&self, k: usize) -> Vec<u64> {
         let mut m = self.rounds[k].clone();
         m.sort_unstable();

@@ -6,7 +6,9 @@
 //! every SIMD tier the host runs at the gate size. The `simd` rows run the
 //! tier a `--baseline` records, else the widest the host has
 //! (`SimdBackend::new`); the table and the JSON name it. Results land in
-//! `bench_results/backend_matmul.json`.
+//! `target/backend_matmul.json`, never in the committed baseline
+//! `bench_results/backend_matmul.json`: re-taking the baseline is copying
+//! that file over it.
 //!
 //! Gates (process exits non-zero on violation):
 //!
@@ -19,12 +21,13 @@
 //!   — it holds across machines of different speeds and under
 //!   noisy-neighbour CI runners. The baseline's tier must be on the host.
 
-use mega_bench::{fmt, save_json, TableWriter};
+use mega_bench::{fmt, TableWriter};
 use mega_core::Parallelism;
 use mega_exec::{Backend, Epilogue, Operand, ReferenceBackend, SimdBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -332,16 +335,19 @@ fn main() -> ExitCode {
         }
     }
 
-    save_json(
-        "backend_matmul",
-        &Report {
-            threads: 1,
-            reps: REPS,
-            tier: tier.to_string(),
-            rows,
-            lane_sweep,
-        },
-    );
+    let report = Report {
+        threads: 1,
+        reps: REPS,
+        tier: tier.to_string(),
+        rows,
+        lane_sweep,
+    };
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
+    std::fs::create_dir_all(&dir).expect("target directory must be creatable");
+    let path = dir.join("backend_matmul.json");
+    let json = serde_json::to_string_pretty(&report).expect("the report serializes");
+    std::fs::write(&path, json).expect("result file must be writable");
+    mega_obs::info!("\n[saved {}]", path.display());
     if failed {
         ExitCode::FAILURE
     } else {

@@ -1,5 +1,5 @@
-//! Parallel band execution: chunk plans and the scoped-thread primitives the
-//! band engine runs on.
+//! Parallel band execution: chunk plans, and the one scoped-thread
+//! primitive every parallel path runs on.
 //!
 //! The width-ω band makes attention *local in path position*: every pair
 //! `(i, j)` with an active slot satisfies `|i - j| ≤ ω`. A [`ChunkPlan`]
@@ -23,15 +23,16 @@
 //! its rows straight into its own slice of the caller's output
 //! ([`join_workers`]).
 //!
-//! [`ordered_map`] is the other primitive: plain `std::thread::scope` workers
-//! pulling item indices from an atomic counter, each result landing in its
-//! slot of a pre-allocated vector, so scheduling order cannot affect output
-//! order.
+//! [`join_workers`] is the only thread-spawning primitive: the last job runs
+//! on the calling thread, the rest on scoped threads. [`ordered_map`] is a
+//! static contiguous split of its items over it, so which items run on the
+//! calling thread (and nest their spans under its open ones) is fixed by
+//! the item and thread counts alone. There is no second primitive and no
+//! shared work queue.
 
 use crate::band::BandMask;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// The host's available parallelism, resolved once per process.
 ///
@@ -41,7 +42,7 @@ use std::sync::{Mutex, OnceLock};
 /// (cgroup quota files).
 pub fn host_threads() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
-    // mega-lint: allow(determinism-taint, reason = "thread count only partitions work; ordered_map merges per-chunk results in index order, so numeric results are bit-identical for any worker count (proven by dist equivalence tests)")
+    // mega-lint: allow(determinism-taint, reason = "thread count only partitions work; ordered_map concatenates its contiguous chunks in index order, so numeric results are bit-identical for any worker count (proven by dist equivalence tests)")
     *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
@@ -388,65 +389,48 @@ impl ChunkPlan {
     }
 }
 
-/// Maps `f` over `items` on a scoped worker pool, preserving input order.
+/// Maps `f` over `items` on up to `threads` workers, preserving input order.
 ///
-/// Workers pull indices from an atomic counter; each result lands in its own
-/// pre-allocated slot, so the output `Vec` is index-ordered regardless of
-/// scheduling. With `threads <= 1` (or one item) the map runs inline.
+/// The items are cut into contiguous chunks of near-equal length, one per
+/// worker, each run as a [`join_workers`] job that maps its chunk in order;
+/// the last chunk runs on the calling thread. The chunks are concatenated in
+/// order, so the output is index-ordered and the assignment of items to
+/// threads depends only on `items.len()` and `threads`. With `threads <= 1`
+/// (or one item) the map runs inline.
 pub fn ordered_map<I, O, F>(items: &[I], threads: usize, f: F) -> Vec<O>
 where
     I: Sync,
     O: Send,
     F: Fn(usize, &I) -> O + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        if mega_obs::enabled() {
-            mega_obs::counter_add("core.parallel.inline_runs", 1);
-        }
-        return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-    }
-    let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = threads.min(items.len());
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= items.len() {
-            break;
-        }
-        let out = f(i, &items[i]);
-        *slots[i].lock().expect("result slot poisoned") = Some(out);
-    };
-    std::thread::scope(|scope| {
-        // The calling thread is an idle core until the scope joins — make it
-        // worker 0 and only spawn the remainder, saving one spawn/join pair
-        // per call (and all of them when workers == 1).
-        for _ in 1..workers {
-            scope.spawn(worker);
-        }
-        worker();
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker completed every claimed index")
+    let n = items.len();
+    let workers = threads.min(n).max(1);
+    let mut parts: Vec<Vec<O>> = (0..workers).map(|_| Vec::new()).collect();
+    let f = &f;
+    let jobs: Vec<_> = parts
+        .iter_mut()
+        .enumerate()
+        .map(|(w, part)| {
+            let range = w * n / workers..(w + 1) * n / workers;
+            move || *part = range.map(|i| f(i, &items[i])).collect()
         })
-        .collect()
+        .collect();
+    join_workers(jobs);
+    parts.into_iter().flatten().collect()
 }
 
-/// Runs one closure per worker to completion, using the calling thread as
-/// worker 0.
+/// Runs one closure per worker to completion, using the calling thread for
+/// the last.
 ///
-/// This is the primitive behind the direct-write kernels: the caller splits
-/// its output buffer into disjoint `&mut` slices, moves one slice into each
-/// job, and every job writes its rows in place — no per-item `Mutex`, no
-/// result collection, no copy-back. With zero or one job nothing is spawned;
-/// the single job runs inline on the caller.
+/// The one place a thread starts. The caller splits its output into
+/// disjoint `&mut` parts, moves one part into each job, and every job writes
+/// its part in place — no per-item `Mutex`, no result collection, no
+/// copy-back. With zero or one job nothing is spawned; the single job runs
+/// inline on the caller. Otherwise the last job runs on the calling thread.
 ///
 /// A panicking spawned job propagates out of the enclosing
-/// [`std::thread::scope`] (as with [`ordered_map`], the payload is replaced
-/// by the scope's generic message); a panic in job 0 propagates directly.
+/// [`std::thread::scope`] (its payload replaced by the scope's generic
+/// message); a panic in the last job propagates directly.
 pub fn join_workers<J>(jobs: Vec<J>)
 where
     J: FnOnce() + Send,
@@ -594,7 +578,7 @@ mod tests {
 
     #[test]
     fn join_workers_runs_every_job() {
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
         let hits = AtomicU64::new(0);
         join_workers(Vec::<fn()>::new()); // no jobs: nothing to do
         join_workers(vec![|| {

@@ -38,6 +38,7 @@
 //! the one-worker engine, and an oracle that shares no loop with the
 //! workers' clipped walk.
 
+use mega_core::parallel::join_workers;
 use mega_core::{BandMask, Chunk, ChunkPlan};
 use mega_exec::kernels::{self, BandLanes};
 use std::ops::Range;
@@ -113,15 +114,6 @@ struct Mailbox {
     from_right: Option<Receiver<HaloMsg>>,
 }
 
-/// What one worker hands back: its owned rows of the final state and the
-/// accumulated weight-grad of its owned slots, in slot order
-/// (`kernels::owned_slots`), merged by the coordinator in ascending segment
-/// order.
-struct SegmentResult {
-    x_owned: Vec<f32>,
-    dw: Vec<f32>,
-}
-
 /// Thread-per-segment executor with typed message channels.
 #[derive(Debug, Clone)]
 pub struct ThreadExecutor {
@@ -183,8 +175,9 @@ pub fn run_serial(job: &BandJob<'_>) -> BandRun {
     BandRun { x, dw }
 }
 
-/// Runs `job` over an explicit plan: one thread per chunk ("segment"),
-/// boundary-first compute, double-buffered halo exchange, fixed-order merge.
+/// Runs `job` over an explicit plan: one worker per chunk ("segment"), the
+/// last on the calling thread, boundary-first compute, double-buffered halo
+/// exchange, fixed-order merge.
 /// [`ThreadExecutor`] passes [`ChunkPlan::for_workers`]; the race-check
 /// harness passes corrupt plans, which must panic here instead of racing.
 pub fn run_with_plan(job: &BandJob<'_>, plan: &ChunkPlan) -> BandRun {
@@ -239,30 +232,30 @@ pub fn run_with_plan(job: &BandJob<'_>, plan: &ChunkPlan) -> BandRun {
         mailboxes[w].from_right = Some(rx_l);
     }
 
-    let results: Vec<SegmentResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = segs
-            .iter()
-            .zip(mailboxes.drain(..))
-            .map(|(seg, mailbox)| s.spawn(move || worker(job, seg, mailbox)))
-            .collect();
-        // Join in ascending segment order: the merge below is a fixed-order
-        // reduction by construction.
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("segment worker panicked"))
-            .collect()
-    });
-
+    // Each worker writes its owned rows of the final state straight into
+    // `x` and hands back its owned slots' weight-grad in slot order
+    // (`kernels::owned_slots`); the last segment runs on the calling thread.
+    // Owned ranges partition the path in order, so consecutive splits of `x`
+    // are the segments' rows.
     let mut x = vec![0.0f32; job.x0.len()];
+    let mut seg_dw: Vec<Vec<f32>> = (0..k).map(|_| Vec::new()).collect();
+    let mut rest = x.as_mut_slice();
+    let mut jobs = Vec::with_capacity(k);
+    for ((seg, mailbox), dw_out) in segs.iter().zip(mailboxes).zip(&mut seg_dw) {
+        let (x_out, tail) = std::mem::take(&mut rest).split_at_mut(seg.owned_len() * job.dim);
+        rest = tail;
+        jobs.push(move || *dw_out = worker(job, seg, mailbox, x_out));
+    }
+    join_workers(jobs);
+
     let mut dw = vec![0.0f32; job.edge_count];
     let slots = job.band.active_slots();
-    for (seg, res) in segs.iter().zip(&results) {
-        x[seg.start * job.dim..seg.end * job.dim].copy_from_slice(&res.x_owned);
+    for (seg, seg_dw) in segs.iter().zip(&seg_dw) {
         // Each edge claims exactly one slot and each slot has exactly one
         // owning segment, so this "all-reduce" is a disjoint fixed-order
         // scatter — no float is ever summed across workers.
         let owned = &slots[kernels::owned_slots(job.band, seg)];
-        for (s, &v) in owned.iter().zip(&res.dw) {
+        for (s, &v) in owned.iter().zip(seg_dw) {
             dw[s.edge] = v;
         }
     }
@@ -270,8 +263,10 @@ pub fn run_with_plan(job: &BandJob<'_>, plan: &ChunkPlan) -> BandRun {
 }
 
 /// One segment worker: owns `seg`'s rows, holds slabs over the ±ω read
-/// extent, and speaks the halo protocol with its chain neighbors.
-fn worker(job: &BandJob<'_>, seg: &Chunk, mailbox: Mailbox) -> SegmentResult {
+/// extent, and speaks the halo protocol with its chain neighbors. Writes
+/// the final state of its owned rows into `x_out` and returns its owned
+/// slots' accumulated weight-grad.
+fn worker(job: &BandJob<'_>, seg: &Chunk, mailbox: Mailbox, x_out: &mut [f32]) -> Vec<f32> {
     let dim = job.dim;
     let omega = job.band.window();
     let base = seg.read_lo;
@@ -373,10 +368,8 @@ fn worker(job: &BandJob<'_>, seg: &Chunk, mailbox: Mailbox) -> SegmentResult {
         t_step.observe("dist.step_ns");
     }
 
-    SegmentResult {
-        x_owned: x[(seg.start - base) * dim..(seg.end - base) * dim].to_vec(),
-        dw: dw_acc,
-    }
+    x_out.copy_from_slice(&x[(seg.start - base) * dim..(seg.end - base) * dim]);
+    dw_acc
 }
 
 /// Copies `rows` out of the sender's slab and ships them. A disconnected

@@ -95,9 +95,8 @@ impl FanOut {
     ///
     /// Each pool also keeps a fixed thread role: the last runs on the
     /// calling thread, the others on spawned ones. Spans nest by thread, so
-    /// a pool that moved between threads from run to run (as with
-    /// `ordered_map`'s shared counter) would change the snapshot's span
-    /// paths between identical runs.
+    /// a pool that moved between threads from run to run would change the
+    /// snapshot's span paths between identical runs.
     fn scatter_gather(
         &self,
         job: &ShardJob<'_>,

@@ -311,21 +311,11 @@ pub fn scale(a: &[f32], k: f32, out: &mut [f32]) {
     }
 }
 
-/// Adds the `1 × m` bias row to every row of the `n × m` input.
-pub fn add_bias_rows(x: &[f32], bias: &[f32], n: usize, m: usize, out: &mut [f32]) {
-    assert_eq!(bias.len(), m, "bias must be 1x{m}");
-    for r in 0..n {
-        for c in 0..m {
-            out[r * m + c] = x[r * m + c] + bias[c];
-        }
-    }
-}
-
 /// A GEMM epilogue applied in place to the `m`-wide rows of `out`:
 /// `out[r, c] + bias[c]`, then `max(·, 0)` for [`Epilogue::BiasRelu`].
 ///
-/// Same arithmetic as `add_bias_rows` followed by a ReLU pass — the fusion
-/// saves memory sweeps, never a bit of precision.
+/// Same arithmetic as adding the bias row with [`add`] and then a ReLU
+/// pass — the fusion saves memory sweeps, never a bit of precision.
 pub fn epilogue(epilogue: Epilogue<'_>, out: &mut [f32], m: usize) {
     let (bias, relu) = match epilogue {
         Epilogue::None => return,
@@ -505,20 +495,6 @@ pub fn scatter_add_rows(
         let d = &mut out[dst * cols..(dst + 1) * cols];
         for (o, &v) in d.iter_mut().zip(s) {
             *o += v;
-        }
-    }
-}
-
-/// Scales row `r` of the `rows × cols` input by `factors[r]`.
-///
-/// # Panics
-///
-/// Panics if `factors.len() != rows`.
-pub fn scale_rows(x: &[f32], factors: &[f32], cols: usize, out: &mut [f32]) {
-    assert_eq!(x.len(), factors.len() * cols, "one factor per row required");
-    for (r, &k) in factors.iter().enumerate() {
-        for c in 0..cols {
-            out[r * cols + c] = x[r * cols + c] * k;
         }
     }
 }

@@ -5,7 +5,10 @@
 //! attention kernels — is dispatched through the [`Backend`] trait. The
 //! autograd tape in `mega-tensor` and the GNN layers on top of it call
 //! through a `dyn Backend`, so swapping in a faster implementation (or the
-//! profiling decorator, [`ProfiledBackend`]) is a one-crate change.
+//! profiling decorator, [`ProfiledBackend`]) is a one-crate change. The
+//! trait's 16 methods each do a job no other method does: a bias row is
+//! added by [`Backend::add`] row by row (or fused as a GEMM [`Epilogue`]),
+//! and a per-row scale is a tape-level broadcast product.
 //!
 //! Two concrete backends live here:
 //!
@@ -173,11 +176,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         kernels::scale(a, k, out);
     }
 
-    /// Adds a `1 × m` bias row to every row of the `n × m` input.
-    fn add_bias_rows(&self, x: &[f32], bias: &[f32], n: usize, m: usize, out: &mut [f32]) {
-        kernels::add_bias_rows(x, bias, n, m, out);
-    }
-
     /// Elementwise activation.
     fn unary(&self, op: Unary, x: &[f32], out: &mut [f32]) {
         kernels::unary(op, x, out);
@@ -205,11 +203,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         out: &mut [f32],
     ) {
         kernels::scatter_add_rows(src, index, cols, out_rows, out);
-    }
-
-    /// Scales row `r` by `factors[r]`.
-    fn scale_rows(&self, x: &[f32], factors: &[f32], cols: usize, out: &mut [f32]) {
-        kernels::scale_rows(x, factors, cols, out);
     }
 
     /// Column-wise softmax within row segments.

@@ -133,13 +133,6 @@ impl Backend for ProfiledBackend {
         self.record("scale", f, by, t);
     }
 
-    fn add_bias_rows(&self, x: &[f32], bias: &[f32], n: usize, m: usize, out: &mut [f32]) {
-        let t = mega_obs::timer();
-        self.inner.add_bias_rows(x, bias, n, m, out);
-        let (n64, m64) = (n as u64, m as u64);
-        self.record("add_bias_rows", n64 * m64, F32 * (2 * n64 * m64 + m64), t);
-    }
-
     fn unary(&self, op: Unary, x: &[f32], out: &mut [f32]) {
         let t = mega_obs::timer();
         self.inner.unary(op, x, out);
@@ -182,14 +175,6 @@ impl Backend for ProfiledBackend {
         let rows = index.len() as u64;
         let c = cols as u64;
         self.record("scatter_add_rows", rows * c, rows * (2 * c * F32 + IDX), t);
-    }
-
-    fn scale_rows(&self, x: &[f32], factors: &[f32], cols: usize, out: &mut [f32]) {
-        let t = mega_obs::timer();
-        self.inner.scale_rows(x, factors, cols, out);
-        let len = out.len() as u64;
-        let rows = len / (cols.max(1) as u64);
-        self.record("scale_rows", len, 2 * len * F32 + rows * F32, t);
     }
 
     fn segment_softmax(
@@ -568,11 +553,9 @@ mod tests {
         fn add(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("add") }
         fn mul(&self, _: &[f32], _: &[f32], _: &mut [f32]) { self.hit("mul") }
         fn scale(&self, _: &[f32], _: f32, _: &mut [f32]) { self.hit("scale") }
-        fn add_bias_rows(&self, _: &[f32], _: &[f32], _: usize, _: usize, _: &mut [f32]) { self.hit("add_bias_rows") }
         fn unary(&self, _: Unary, _: &[f32], _: &mut [f32]) { self.hit("unary") }
         fn gather_rows(&self, _: &[f32], _: usize, _: usize, _: &[usize], _: &mut [f32]) { self.hit("gather_rows") }
         fn scatter_add_rows(&self, _: &[f32], _: &[usize], _: usize, _: usize, _: &mut [f32]) { self.hit("scatter_add_rows") }
-        fn scale_rows(&self, _: &[f32], _: &[f32], _: usize, _: &mut [f32]) { self.hit("scale_rows") }
         fn segment_softmax(&self, _: &[f32], _: usize, _: usize, _: &[usize], _: usize, _: &mut [f32]) { self.hit("segment_softmax") }
         fn norm(&self, _: NormKind, _: &[f32], _: &[f32], _: &[f32], _: usize, _: usize, _: f32, _: Option<Unary>, _: &mut [f32]) { self.hit("norm") }
         fn banded_aggregate(&self, _: &BandMask, _: &[f32], _: usize, _: &[f32], _: &Parallelism, _: &mut [f32]) { self.hit("banded_aggregate") }
@@ -604,11 +587,9 @@ mod tests {
         d.add(&x, &x, out);
         d.mul(&x, &x, out);
         d.scale(&x, 2.0, out);
-        d.add_bias_rows(&x, &row, 2, 2, out);
         d.unary(Unary::Relu, &x, out);
         d.gather_rows(&x, 2, 2, &index, out);
         d.scatter_add_rows(&x, &index, 2, 2, out);
-        d.scale_rows(&x, &row, 2, out);
         d.segment_softmax(&x, 2, 2, &index, 2, out);
         let act = Some(Unary::Relu);
         d.norm(NormKind::Batch, &x, &row, &row, 2, 2, 1e-5, act, out);
@@ -625,9 +606,9 @@ mod tests {
         d.band_attend_weight_grad(route, &[], &[], 1, 0, &mut []);
         let calls = counting.calls.lock().unwrap();
         let forwarded: Vec<(&str, usize)> = calls.iter().map(|(k, v)| (*k, *v)).collect();
-        let expected: Vec<(&str, usize)> = "add add_bias_rows band_attend \
+        let expected: Vec<(&str, usize)> = "add band_attend \
             band_attend_weight_grad band_edge_scores band_edge_scores_grad banded_aggregate \
-            banded_weight_grad gather_rows gemm mul norm scale scale_rows scatter_add_rows \
+            banded_weight_grad gather_rows gemm mul norm scale scatter_add_rows \
             segment_softmax unary"
             .split_whitespace()
             .map(|m| (m, 1))

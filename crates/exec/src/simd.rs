@@ -1,8 +1,7 @@
 //! Explicit-width SIMD kernels over a packed strip layout.
 //!
 //! [`SimdBackend`] is the workspace's vectorized hot path: the GEMM tiles,
-//! the elementwise family (`add`/`mul`/`scale`, `scale_rows`,
-//! `add_bias_rows`), the activations (the clamp family and the sigmoid),
+//! the elementwise family (`add`/`mul`/`scale`), the activations (the clamp family and the sigmoid),
 //! the bias and bias-ReLU GEMM epilogues, and the two inner loops of the
 //! band kernels all run on explicit-width lanes. No new dependencies: the
 //! native tiers are `std::arch` intrinsics behind runtime
@@ -767,26 +766,6 @@ mod avx {
         let e = _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
         _mm256_div_ps(c(1.0), _mm256_add_ps(c(1.0), e))
     }
-
-    /// Row-wise broadcast scale: `out[r] = factors[r] · x[r]`.
-    #[target_feature(enable = "avx")]
-    pub fn scale_rows(x: &[f32], factors: &[f32], cols: usize, out: &mut [f32]) {
-        for (r, &f) in factors.iter().enumerate() {
-            scale(
-                &x[r * cols..(r + 1) * cols],
-                f,
-                &mut out[r * cols..(r + 1) * cols],
-            );
-        }
-    }
-
-    /// Adds the `1 × m` bias row to every row.
-    #[target_feature(enable = "avx")]
-    pub fn add_bias_rows(x: &[f32], bias: &[f32], n: usize, m: usize, out: &mut [f32]) {
-        for r in 0..n {
-            add(&x[r * m..(r + 1) * m], bias, &mut out[r * m..(r + 1) * m]);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1197,21 +1176,6 @@ impl Backend for SimdBackend {
         }
     }
 
-    fn add_bias_rows(&self, x: &[f32], bias: &[f32], n: usize, m: usize, out: &mut [f32]) {
-        assert_eq!(bias.len(), m, "bias must be 1x{m}");
-        match self.mode {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: both native modes imply AVX was detected at construction.
-            Mode::Avx | Mode::Avx512 => unsafe { avx::add_bias_rows(x, bias, n, m, out) },
-            Mode::Portable => {
-                for r in 0..n {
-                    let row = r * m..(r + 1) * m;
-                    wide::zip(&x[row.clone()], bias, &mut out[row], |a, b| a + b);
-                }
-            }
-        }
-    }
-
     fn unary(&self, op: Unary, x: &[f32], out: &mut [f32]) {
         match (op, self.mode) {
             #[cfg(target_arch = "x86_64")]
@@ -1232,21 +1196,6 @@ impl Backend for SimdBackend {
                 wide::map(x, out, |v| if v > 0.0 { v } else { s * v })
             }
             (Unary::Sigmoid, Mode::Portable) => wide::map(x, out, kernels::sigmoid),
-        }
-    }
-
-    fn scale_rows(&self, x: &[f32], factors: &[f32], cols: usize, out: &mut [f32]) {
-        assert_eq!(x.len(), factors.len() * cols, "one factor per row required");
-        match self.mode {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: both native modes imply AVX was detected at construction.
-            Mode::Avx | Mode::Avx512 => unsafe { avx::scale_rows(x, factors, cols, out) },
-            Mode::Portable => {
-                for (r, &f) in factors.iter().enumerate() {
-                    let row = r * cols..(r + 1) * cols;
-                    wide::map(&x[row.clone()], &mut out[row], |v| v * f);
-                }
-            }
         }
     }
 
@@ -1516,7 +1465,7 @@ mod tests {
     }
 
     #[test]
-    fn activations_and_row_ops_bit_identical_to_reference() {
+    fn activations_bit_identical_to_reference() {
         let x = sample(67, 21);
         for backend in SimdBackend::all_on_host() {
             let tier = label(&backend);
@@ -1527,18 +1476,6 @@ mod tests {
                 backend.unary(op, &x, &mut got);
                 assert_eq!(bits(&got), bits(&want), "{op:?} {tier}");
             }
-            // 5 rows x 13 cols exercises the unaligned row width.
-            let rows = sample(5 * 13, 22);
-            let factors = sample(5, 23);
-            let bias = sample(13, 24);
-            let mut want = vec![0.0f32; 5 * 13];
-            let mut got = vec![0.0f32; 5 * 13];
-            ReferenceBackend.scale_rows(&rows, &factors, 13, &mut want);
-            backend.scale_rows(&rows, &factors, 13, &mut got);
-            assert_eq!(bits(&got), bits(&want), "scale_rows {tier}");
-            ReferenceBackend.add_bias_rows(&rows, &bias, 5, 13, &mut want);
-            backend.add_bias_rows(&rows, &bias, 5, 13, &mut got);
-            assert_eq!(bits(&got), bits(&want), "add_bias_rows {tier}");
         }
     }
 

@@ -314,7 +314,7 @@ proptest! {
     /// bit-for-bit, over random shapes × pinned thread counts {1, 2, 4} ×
     /// the reference backend and every lane implementation. The anchor is
     /// the *serial* scalar kernel (`kernels::matmul`) followed by the
-    /// separate `add_bias_rows` and `unary` passes, not another fused or
+    /// separate per-row bias `add` and `unary` passes, not another fused or
     /// parallel path, so this pins the whole stack — row partitioning,
     /// shared packed strips, direct-write fan-out, fused epilogues — to the
     /// serial unfused fold. Shapes reach past the `1 << 17` flop cutoff so
@@ -334,7 +334,9 @@ proptest! {
         let mut product = vec![0.0f32; n * m];
         mega_exec::kernels::matmul(RowMajor(&a), RowMajor(&b), n, k, m, &mut product);
         let mut biased = vec![0.0f32; n * m];
-        ReferenceBackend.add_bias_rows(&product, &bias, n, m, &mut biased);
+        for (o, row) in biased.chunks_exact_mut(m).zip(product.chunks_exact(m)) {
+            ReferenceBackend.add(row, &bias, o);
+        }
         let mut relu = vec![0.0f32; n * m];
         ReferenceBackend.unary(Unary::Relu, &biased, &mut relu);
         let cases = [

@@ -5,7 +5,7 @@ use crate::config::{GnnConfig, ModelKind};
 use crate::layers::{GatLayer, GatedGcnLayer, GraphTransformerLayer, Layer};
 use crate::nn::{Binder, Embedding, Mlp};
 use mega_datasets::Task;
-use mega_tensor::{ParamStore, Tape, Var};
+use mega_tensor::{ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -106,14 +106,17 @@ impl Gnn {
             h = h2;
             e = e2;
         }
-        // Mean readout per graph.
+        // Mean readout per graph: each graph's row of sums times `1/size`, an
+        // `n_graphs × 1` leaf in a pooled buffer (the tape returns every
+        // node's buffer to its pool).
         let sums = tape.scatter_add_rows(h, batch.graph_of_node.clone(), batch.n_graphs());
         let inv_sizes: Vec<f32> = batch
             .graph_sizes
             .iter()
             .map(|&s| 1.0 / s.max(1) as f32)
             .collect();
-        let means = tape.scale_rows(sums, Arc::new(inv_sizes));
+        let inv_sizes = tape.leaf_copy(&Tensor::from_vec(batch.n_graphs(), 1, inv_sizes));
+        let means = tape.mul_col_broadcast(sums, inv_sizes);
         self.head.forward(tape, binder, store, means)
     }
 

@@ -4,12 +4,12 @@
 //! workspace on the CPU; this crate is the numeric substrate:
 //!
 //! * [`tensor`] — a row-major 2-D [`Tensor`] of `f32` with the raw kernels
-//!   (matmul, elementwise maps, reductions, row gather/scatter).
+//!   (matmul, elementwise maps, reductions).
 //! * [`tape`] — a reverse-mode autograd [`Tape`]: build a computation with
 //!   tape methods, call [`Tape::backward`], read gradients per variable.
 //!   Includes the graph-specific differentiable ops GNNs need (row gather,
-//!   scatter-add, segment softmax, segment mean) so both the DGL-style
-//!   baseline engine and MEGA's banded engine are expressible.
+//!   scatter-add, segment softmax, row-broadcast products) so both the
+//!   DGL-style baseline engine and MEGA's banded engine are expressible.
 //! * [`init`] — Xavier/He initializers.
 //! * [`optim`] — a parameter store and the Adam optimizer.
 //!

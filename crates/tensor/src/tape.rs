@@ -107,7 +107,6 @@ enum Op {
     ConcatCols(Arc<Vec<Var>>),
     GatherRows(Var, Arc<Vec<usize>>),
     ScatterAddRows(Var, Arc<Vec<usize>>),
-    ScaleRows(Var, Arc<Vec<f32>>),
     SegmentSoftmax(Var, Arc<Vec<usize>>, usize),
     /// `form` of `q[dst]`, `k[src]` and `ee` per message of the band.
     BandEdgeScores {
@@ -165,7 +164,6 @@ impl Op {
             Op::ConcatCols(..) => "concat_cols",
             Op::GatherRows(..) => "gather_rows",
             Op::ScatterAddRows(..) => "scatter_add_rows",
-            Op::ScaleRows(..) => "scale_rows",
             Op::SegmentSoftmax(..) => "segment_softmax",
             Op::BandEdgeScores { form, .. } => match form {
                 EdgeScore::Product(_) => "band_edge_scores",
@@ -447,7 +445,8 @@ impl Tape {
         self.elementwise_op(a, b, Op::Mul(a, b))
     }
 
-    /// Adds a `1 × c` bias row to every row of `a`.
+    /// Adds a `1 × c` bias row to every row of `a`, one [`Backend::add`]
+    /// per row: the unfused oracle of [`Tape::linear`]'s bias epilogue.
     ///
     /// # Panics
     ///
@@ -602,17 +601,6 @@ impl Tape {
     pub fn scatter_add_rows(&mut self, a: Var, index: Arc<Vec<usize>>, out_rows: usize) -> Var {
         let (_, c) = self.dims(a);
         self.record(out_rows, c, Op::ScatterAddRows(a, index))
-    }
-
-    /// Scales row `i` by `factors[i]` (segment means, appearance averaging).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors.len() != a.rows()`.
-    pub fn scale_rows(&mut self, a: Var, factors: Arc<Vec<f32>>) -> Var {
-        let (r, c) = self.dims(a);
-        assert_eq!(factors.len(), r, "one factor per row required");
-        self.record(r, c, Op::ScaleRows(a, factors))
     }
 
     /// Column-wise softmax within row segments: rows sharing `segments[i]`
@@ -937,13 +925,12 @@ impl Tape {
             }
             Op::AddRow(a, bias) => {
                 let mut out = self.out_buf(rows, cols);
-                self.backend.add_bias_rows(
-                    self.value(*a).as_slice(),
-                    self.value(*bias).as_slice(),
-                    rows,
-                    cols,
-                    &mut out,
-                );
+                let bias = self.value(*bias).as_slice();
+                for (o, x) in
+                    rows_of_mut(&mut out, cols).zip(rows_of(self.value(*a).as_slice(), cols))
+                {
+                    self.backend.add(x, bias, o);
+                }
                 Tensor::from_vec(rows, cols, out)
             }
             Op::Scale(a, k) => {
@@ -966,12 +953,6 @@ impl Tape {
                 let mut out = self.pool.acquire(rows * cols);
                 self.backend
                     .scatter_add_rows(x.as_slice(), index, cols, rows, &mut out);
-                Tensor::from_vec(rows, cols, out)
-            }
-            Op::ScaleRows(a, factors) => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend
-                    .scale_rows(self.value(*a).as_slice(), factors, cols, &mut out);
                 Tensor::from_vec(rows, cols, out)
             }
             Op::BandEdgeScores {
@@ -1459,15 +1440,6 @@ impl Tape {
                     kernels::gather_rows(&g, r, c, index, &mut da);
                     self.accumulate(grads, *a, Cow::Owned(da));
                     self.pool.release(g);
-                }
-                Op::ScaleRows(a, factors) => {
-                    let c = node.value.cols();
-                    for (g_row, &k) in rows_of_mut(&mut g, c).zip(factors.iter()) {
-                        for v in g_row {
-                            *v *= k;
-                        }
-                    }
-                    self.accumulate(grads, *a, Cow::Owned(g));
                 }
                 Op::SegmentSoftmax(a, segments, n_segments) => {
                     self.segment_softmax_backward(&mut g, &node.value, segments, *n_segments);
@@ -2487,22 +2459,6 @@ mod tests {
                 let w = t.leaf(sample(2, 5, 24));
                 let z = t.mul(y, w);
                 t.sum(z)
-            },
-            2e-2,
-        );
-    }
-
-    #[test]
-    fn grad_scale_rows() {
-        let f = Arc::new(vec![0.5f32, 2.0, -1.0]);
-        check_grad(
-            sample(3, 2, 25),
-            move |t, x| {
-                let y = t.scale_rows(x, f.clone());
-                let o = t.leaf(sample(3, 2, 26));
-                let d = t.add(y, o);
-                let sq = t.mul(d, d);
-                t.mean(sq)
             },
             2e-2,
         );

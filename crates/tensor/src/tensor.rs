@@ -258,17 +258,6 @@ impl Tensor {
         }
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -281,40 +270,6 @@ impl Tensor {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Gathers rows: `out[i] = self[index[i]]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn gather_rows(&self, index: &[usize]) -> Tensor {
-        let mut out = Tensor::zeros(index.len(), self.cols);
-        for (i, &src) in index.iter().enumerate() {
-            assert!(src < self.rows, "gather index {src} out of range");
-            out.row_mut(i).copy_from_slice(self.row(src));
-        }
-        out
-    }
-
-    /// Scatter-add rows: `out[index[i]] += self[i]`, with `out` having
-    /// `out_rows` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is `>= out_rows`.
-    pub fn scatter_add_rows(&self, index: &[usize], out_rows: usize) -> Tensor {
-        assert_eq!(index.len(), self.rows, "index length must equal row count");
-        let mut out = Tensor::zeros(out_rows, self.cols);
-        for (i, &dst) in index.iter().enumerate() {
-            assert!(dst < out_rows, "scatter index {dst} out of range");
-            let src = self.row(i);
-            let d = out.row_mut(dst);
-            for (o, &s) in d.iter_mut().zip(src) {
-                *o += s;
-            }
-        }
-        out
     }
 
     /// Frobenius norm.
@@ -380,35 +335,11 @@ mod tests {
     }
 
     #[test]
-    fn transpose_round_trip() {
-        let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().shape(), (3, 2));
-        assert_eq!(a.transpose().at(2, 1), 6.0);
-    }
-
-    #[test]
     fn reductions() {
         let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.mean(), 2.5);
         assert_eq!(Tensor::zeros(0, 0).mean(), 0.0);
-    }
-
-    #[test]
-    fn gather_and_scatter_are_adjoint_on_sums() {
-        let x = Tensor::from_rows(&[&[1.0], &[2.0], &[3.0]]);
-        let idx = [2usize, 0, 2];
-        let g = x.gather_rows(&idx);
-        assert_eq!(g.as_slice(), &[3.0, 1.0, 3.0]);
-        let s = g.scatter_add_rows(&idx, 3);
-        assert_eq!(s.as_slice(), &[1.0, 0.0, 6.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn gather_rejects_bad_index() {
-        Tensor::zeros(2, 1).gather_rows(&[5]);
     }
 
     #[test]

@@ -22,45 +22,6 @@ proptest! {
         }
     }
 
-    /// Transpose reverses matmul: (A·B)ᵀ = Bᵀ·Aᵀ.
-    #[test]
-    fn transpose_of_product(a in arb_tensor(3, 5), b in arb_tensor(5, 2)) {
-        let lhs = a.matmul(&b).transpose();
-        let rhs = b.transpose().matmul(&a.transpose());
-        for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    /// gather then scatter-add with the same index preserves column sums
-    /// when every source row is hit exactly once (a permutation).
-    #[test]
-    fn gather_scatter_permutation_preserves_sums(x in arb_tensor(6, 3), seed in 0u64..1000) {
-        let mut perm: Vec<usize> = (0..6).collect();
-        // Deterministic Fisher-Yates from the seed.
-        let mut state = seed;
-        for i in (1..6).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let j = (state >> 33) as usize % (i + 1);
-            perm.swap(i, j);
-        }
-        let gathered = x.gather_rows(&perm);
-        let back = gathered.scatter_add_rows(&perm, 6);
-        for (a, b) in x.as_slice().iter().zip(back.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-5);
-        }
-    }
-
-    /// Sum of scatter-add equals sum of input regardless of index pattern.
-    #[test]
-    fn scatter_add_conserves_mass(
-        x in arb_tensor(8, 2),
-        idx in proptest::collection::vec(0usize..5, 8),
-    ) {
-        let out = x.scatter_add_rows(&idx, 5);
-        prop_assert!((out.sum() - x.sum()).abs() < 1e-4);
-    }
-
     /// Autograd linearity: grad of sum(k·x) is k everywhere.
     #[test]
     fn grad_of_scaled_sum_is_constant(x in arb_tensor(4, 3), k in -3.0f32..3.0) {

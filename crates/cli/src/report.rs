@@ -300,7 +300,7 @@ fn pct(part: u64, total: u64) -> String {
 }
 
 /// Buffer-pool residency per `⌊log₂ capacity⌋` bucket plus the hit/miss
-/// totals.
+/// totals and the peak of outstanding bytes.
 fn render_pool(o: &mut String, snap: &Snap) {
     let mut classes: Vec<&str> = snap
         .gauges
@@ -313,7 +313,12 @@ fn render_pool(o: &mut String, snap: &Snap) {
     classes.sort_by_key(|c| c.parse::<u32>().unwrap_or(u32::MAX));
     let hits = snap.counter("exec.pool.hits");
     let misses = snap.counter("exec.pool.misses");
-    if classes.is_empty() && hits.is_none() && misses.is_none() {
+    let peak = snap
+        .gauges
+        .iter()
+        .find(|(k, _)| k == "exec.pool.outstanding_hwm_bytes")
+        .map(|(_, v)| *v);
+    if classes.is_empty() && hits.is_none() && misses.is_none() && peak.is_none() {
         return;
     }
     let _ = writeln!(o, "\n## Buffer pool");
@@ -328,6 +333,13 @@ fn render_pool(o: &mut String, snap: &Snap) {
         let _ = writeln!(
             o,
             "- acquires: {total} ({h} hits / {m} misses, hit rate {rate})"
+        );
+    }
+    if let Some(peak) = peak {
+        let _ = writeln!(
+            o,
+            "- peak outstanding: {peak:.0} bytes ({:.2} MiB checked out at once)",
+            peak / (1024.0 * 1024.0)
         );
     }
     if !classes.is_empty() {
@@ -557,7 +569,8 @@ mod tests {
   },
   "gauges": {
     "exec.pool.class6.resident_bytes": 768.0,
-    "exec.pool.class6.resident_hwm_bytes": 768.0
+    "exec.pool.class6.resident_hwm_bytes": 768.0,
+    "exec.pool.outstanding_hwm_bytes": 1536.0
   },
   "values": {
     "core.traversal.band_window_revisits": {"count": 4, "sum": 9, "p50": 2, "p90": 4, "p99": 4},
@@ -586,6 +599,7 @@ mod tests {
         // Pool, traversal, health, spans all present.
         assert!(a.contains("hit rate 75.0%"), "{a}");
         assert!(a.contains("| 6 | 64..127 | 768 | 768 |"), "{a}");
+        assert!(a.contains("- peak outstanding: 1536 bytes"), "{a}");
         assert!(a.contains("band_window_revisits"), "{a}");
         assert!(a.contains("| loss | 8 | 1.200 |"), "{a}");
         assert!(a.contains("| train/epoch | 2 | - |"), "{a}");

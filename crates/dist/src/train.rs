@@ -128,10 +128,11 @@ impl FanOut {
             .collect()
     }
 
-    /// The worker pools are quiet: fold their per-class telemetry after
-    /// every shard has drained and emit the shared gauges once from the
-    /// coordinator. Each worker's history is fixed by the round-robin shard
-    /// assignment, so the sums are reproducible run-to-run.
+    /// The worker pools are quiet: fold their per-class telemetry and the
+    /// sum of their peaks of outstanding bytes after every shard has
+    /// drained and emit the shared gauges once from the coordinator. Each
+    /// worker's history is fixed by the round-robin shard assignment, so
+    /// the sums are reproducible run-to-run.
     fn export_pool_gauges(&self) {
         if !mega_obs::enabled() {
             return;
@@ -145,6 +146,8 @@ impl FanOut {
                 e.1 += s.resident_hwm_bytes;
             }
         }
+        let peak: u64 = self.pools.iter().map(|p| p.peak_outstanding_bytes()).sum();
+        mega_obs::gauge_set("exec.pool.outstanding_hwm_bytes", peak as f64);
         for (class, (resident, hwm)) in agg {
             mega_obs::gauge_set(
                 &format!("exec.pool.class{class}.resident_bytes"),

@@ -30,7 +30,7 @@
 //! (`matmul*` included) overwrite every element.
 
 use crate::partition;
-use crate::{Epilogue, Operand, Unary};
+use crate::{Epilogue, NormKind, NormPass, Operand, Unary};
 use mega_core::band::{BandMask, BandSlot};
 use mega_core::parallel::{join_workers, Chunk, ChunkPlan, Parallelism};
 use std::ops::Range;
@@ -544,7 +544,8 @@ pub fn segment_softmax(
     }
 }
 
-/// Row-wise layer normalization with affine `gamma`, `beta` (each `1 × cols`).
+/// Row-wise layer normalization with affine `gamma`, `beta` (each `1 × cols`):
+/// per row [`layer_norm_stats`], then [`layer_norm_row`].
 pub fn layer_norm(
     x: &[f32],
     gamma: &[f32],
@@ -557,15 +558,108 @@ pub fn layer_norm(
     assert_eq!(gamma.len(), cols, "gamma shape");
     assert_eq!(beta.len(), cols, "beta shape");
     assert_eq!(x.len(), rows * cols, "x must be {rows}x{cols}");
-    for r in 0..rows {
-        let row = &x[r * cols..(r + 1) * cols];
-        let mean = row.iter().sum::<f32>() / row.len() as f32;
-        let var = row.iter().map(|&v| (v - mean).powi(2)).sum::<f32>() / row.len() as f32;
-        let inv = 1.0 / (var + eps).sqrt();
-        for (cix, &xv) in row.iter().enumerate() {
-            let xhat = (xv - mean) * inv;
-            out[r * cols + cix] = gamma[cix] * xhat + beta[cix];
-        }
+    for (row, out_row) in x
+        .chunks_exact(cols.max(1))
+        .zip(out.chunks_exact_mut(cols.max(1)))
+    {
+        let (mean, inv) = layer_norm_stats(row, eps);
+        layer_norm_row(row, gamma, beta, mean, inv, out_row);
+    }
+}
+
+/// The mean of one row and `1 / sqrt(var + eps)` of its biased variance, as
+/// layer norm folds them forward and backward: each sum ascending over the
+/// columns from the `Sum` identity, then divided by the width.
+pub fn layer_norm_stats(row: &[f32], eps: f32) -> (f32, f32) {
+    let cn = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / cn;
+    let var = row.iter().map(|&v| (v - mean).powi(2)).sum::<f32>() / cn;
+    (mean, 1.0 / (var + eps).sqrt())
+}
+
+/// One row of layer norm's output: `gamma · ((x − mean) · inv) + beta`.
+pub fn layer_norm_row(
+    row: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    mean: f32,
+    inv: f32,
+    out_row: &mut [f32],
+) {
+    let affine = gamma.iter().zip(beta);
+    for ((o, &xv), (&g, &b)) in out_row.iter_mut().zip(row).zip(affine) {
+        let xhat = (xv - mean) * inv;
+        *o = g * xhat + b;
+    }
+}
+
+/// The two row means layer norm's backward needs, with `xhat = (x − mean)
+/// · inv` and `dxhat = g · gamma`: `Σ dxhat / c` and `Σ dxhat · xhat / c`,
+/// each folded ascending from the `Sum` identity.
+pub fn layer_norm_grad_means(
+    row: &[f32],
+    g_row: &[f32],
+    gamma: &[f32],
+    mean: f32,
+    inv: f32,
+) -> (f32, f32) {
+    let cn = row.len() as f32;
+    let dxhat = || g_row.iter().zip(gamma).map(|(&gv, &k)| gv * k);
+    let xhat = row.iter().map(|&v| (v - mean) * inv);
+    let mean_dxhat = dxhat().sum::<f32>() / cn;
+    let mean_dxhat_xhat = dxhat().zip(xhat).map(|(d, h)| d * h).sum::<f32>() / cn;
+    (mean_dxhat, mean_dxhat_xhat)
+}
+
+/// One row of layer norm's backward: adds `g · xhat` into `dgamma` and `g`
+/// into `dbeta`, then rewrites `g` into the input's gradient `inv · (dxhat
+/// − means.0 − xhat · means.1)`, `means` from [`layer_norm_grad_means`].
+#[allow(clippy::too_many_arguments)]
+pub fn layer_norm_grad_row(
+    row: &[f32],
+    g_row: &mut [f32],
+    gamma: &[f32],
+    mean: f32,
+    inv: f32,
+    (mean_dxhat, mean_dxhat_xhat): (f32, f32),
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    let sums = dgamma.iter_mut().zip(dbeta.iter_mut());
+    for (((gv, &v), &k), (dg, db)) in g_row.iter_mut().zip(row).zip(gamma).zip(sums) {
+        let h = (v - mean) * inv;
+        let d = *gv * k;
+        *dg += *gv * h;
+        *db += *gv;
+        *gv = inv * (d - mean_dxhat - h * mean_dxhat_xhat);
+    }
+}
+
+/// The backward pass of [`layer_norm`] at its input `x` for the upstream
+/// gradient `g`: rewrites `g` into the gradient with respect to `x` and adds
+/// those with respect to `gamma` and `beta` into the zeroed `dgamma`,
+/// `dbeta`, folding rows in ascending order.
+#[allow(clippy::too_many_arguments)]
+pub fn layer_norm_backward(
+    x: &[f32],
+    g: &mut [f32],
+    gamma: &[f32],
+    rows: usize,
+    cols: usize,
+    eps: f32,
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    debug_assert_eq!(x.len(), rows * cols, "x must be {rows}x{cols}");
+    debug_assert_eq!(g.len(), x.len(), "g must be {rows}x{cols}");
+    debug_assert_eq!(gamma.len(), cols, "gamma shape");
+    for (row, g_row) in x
+        .chunks_exact(cols.max(1))
+        .zip(g.chunks_exact_mut(cols.max(1)))
+    {
+        let (mean, inv) = layer_norm_stats(row, eps);
+        let means = layer_norm_grad_means(row, g_row, gamma, mean, inv);
+        layer_norm_grad_row(row, g_row, gamma, mean, inv, means, dgamma, dbeta);
     }
 }
 
@@ -633,6 +727,112 @@ pub fn batch_norm(
             let xhat = (v - m) * k;
             *o = g * xhat + b;
         }
+    }
+}
+
+/// The backward pass of [`batch_norm`] at its input `x` for the upstream
+/// gradient `g`: rewrites `g` into the gradient with respect to `x` and adds
+/// those with respect to `gamma` and `beta` into the zeroed `dgamma`,
+/// `dbeta`.
+///
+/// Row-major sweeps over per-column accumulators — [`batch_stats`], then the
+/// two `dxhat` means, then `dgamma`, `dbeta` and `dx` — with `xhat` and
+/// `dxhat` recomputed per element rather than staged per column. Every
+/// column's sums fold down the rows in ascending order from the value a
+/// column-by-column walk starts them at — `0.0` for its explicit
+/// accumulators, the `Sum` identity for its two iterator sums — so the bits
+/// are that walk's.
+#[allow(clippy::too_many_arguments)]
+pub fn batch_norm_backward(
+    x: &[f32],
+    g: &mut [f32],
+    gamma: &[f32],
+    rows: usize,
+    cols: usize,
+    eps: f32,
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    debug_assert_eq!(x.len(), rows * cols, "x must be {rows}x{cols}");
+    debug_assert_eq!(g.len(), x.len(), "g must be {rows}x{cols}");
+    debug_assert_eq!(gamma.len(), cols, "gamma shape");
+    let (c, rn) = (cols.max(1), rows.max(1) as f32);
+    let (mut mean, mut inv) = (vec![0.0f32; cols], vec![0.0f32; cols]);
+    batch_stats(x, rows, cols, eps, &mut mean, &mut inv);
+    let sum_identity: f32 = std::iter::empty::<f32>().sum();
+    let mut mean_dxhat = vec![sum_identity; cols];
+    let mut mean_dxhat_xhat = vec![sum_identity; cols];
+    for (g_row, row) in g.chunks_exact(c).zip(x.chunks_exact(c)) {
+        let stats = mean.iter().zip(&inv).zip(gamma);
+        let sums = mean_dxhat.iter_mut().zip(mean_dxhat_xhat.iter_mut());
+        for (((&gv, &v), ((&m, &k), &gm)), (sd, sdh)) in g_row.iter().zip(row).zip(stats).zip(sums)
+        {
+            let d = gv * gm;
+            *sd += d;
+            *sdh += d * ((v - m) * k);
+        }
+    }
+    for s in mean_dxhat.iter_mut().chain(mean_dxhat_xhat.iter_mut()) {
+        *s /= rn;
+    }
+    for (g_row, row) in g.chunks_exact_mut(c).zip(x.chunks_exact(c)) {
+        let stats = mean.iter().zip(&inv).zip(gamma);
+        let means = mean_dxhat.iter().zip(&mean_dxhat_xhat);
+        let sums = dgamma.iter_mut().zip(dbeta.iter_mut());
+        for ((((gv, &v), ((&m, &k), &gm)), (&md, &mdh)), (dg, db)) in
+            g_row.iter_mut().zip(row).zip(stats).zip(means).zip(sums)
+        {
+            let h = (v - m) * k;
+            let d = *gv * gm;
+            *dg += *gv * h;
+            *db += *gv;
+            *gv = k * (d - md - h * mdh);
+        }
+    }
+}
+
+/// The reference [`Backend::norm`](crate::Backend::norm): every
+/// [`NormPass`] of either [`NormKind`] as the scalar loops above run it.
+/// [`NormPass::Residual`] adds `h` into `x` element by element (`h + x`,
+/// the operands in the order of the `add` it replaces) before the forward.
+pub fn norm(
+    kind: NormKind,
+    pass: NormPass<'_>,
+    gamma: &[f32],
+    beta: &[f32],
+    rows: usize,
+    cols: usize,
+    eps: f32,
+) {
+    match pass {
+        NormPass::Forward { x, act, out } => {
+            match kind {
+                NormKind::Layer => layer_norm(x, gamma, beta, rows, cols, eps, out),
+                NormKind::Batch => batch_norm(x, gamma, beta, rows, cols, eps, out),
+            }
+            if let Some(act) = act {
+                unary_inplace(act, out);
+            }
+        }
+        NormPass::Residual { h, x, out } => {
+            debug_assert_eq!(h.len(), x.len(), "residual must match x");
+            // `h + x`, the operands in the order of the add this replaces.
+            #[allow(clippy::assign_op_pattern)]
+            for (s, &a) in x.iter_mut().zip(h) {
+                *s = a + *s;
+            }
+            let pass = NormPass::Forward { x, act: None, out };
+            norm(kind, pass, gamma, beta, rows, cols, eps);
+        }
+        NormPass::Backward {
+            x,
+            g,
+            dgamma,
+            dbeta,
+        } => match kind {
+            NormKind::Layer => layer_norm_backward(x, g, gamma, rows, cols, eps, dgamma, dbeta),
+            NormKind::Batch => batch_norm_backward(x, g, gamma, rows, cols, eps, dgamma, dbeta),
+        },
     }
 }
 

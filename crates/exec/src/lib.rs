@@ -1,14 +1,16 @@
 //! Pluggable kernel execution backends for MEGA.
 //!
 //! Every kernel the training stack executes — dense GEMM, elementwise ops,
-//! row gather/scatter, segment softmax, layer/batch norm, and the banded
-//! attention kernels — is dispatched through the [`Backend`] trait. The
-//! autograd tape in `mega-tensor` and the GNN layers on top of it call
-//! through a `dyn Backend`, so swapping in a faster implementation (or the
-//! profiling decorator, [`ProfiledBackend`]) is a one-crate change. The
-//! trait's 16 methods each do a job no other method does: a bias row is
-//! added by [`Backend::add`] row by row (or fused as a GEMM [`Epilogue`]),
-//! and a per-row scale is a tape-level broadcast product.
+//! row gather/scatter, segment softmax, layer/batch norm forward and
+//! backward, and the banded attention kernels — is dispatched through the
+//! [`Backend`] trait. The autograd tape in `mega-tensor` and the GNN layers
+//! on top of it call through a `dyn Backend`, so swapping in a faster
+//! implementation (or the profiling decorator, [`ProfiledBackend`]) is a
+//! one-crate change. The trait's 16 methods each do a job no other method
+//! does: a bias row is added by [`Backend::add`] row by row (or fused as a
+//! GEMM [`Epilogue`]), a per-row scale is a tape-level broadcast product,
+//! and a norm's residual add and backward pass are [`NormPass`]es of
+//! [`Backend::norm`].
 //!
 //! Two concrete backends live here:
 //!
@@ -108,6 +110,46 @@ pub enum NormKind {
     Layer,
     /// Column-wise batch normalization.
     Batch,
+}
+
+/// What one [`Backend::norm`] call computes, with the buffers it reads and
+/// writes. All are `rows × cols` except the `1 × cols` parameter gradients.
+#[derive(Debug)]
+pub enum NormPass<'a> {
+    /// `out = norm(x)`, then `act` applied to `out` in place when given —
+    /// bitwise the unfused norm → activation pair.
+    Forward {
+        /// The input.
+        x: &'a [f32],
+        /// An activation fused after the norm.
+        act: Option<Unary>,
+        /// The write-only output.
+        out: &'a mut [f32],
+    },
+    /// The norm of a residual sum: `x` becomes `h + x`, element by element,
+    /// and `out = norm(h + x)` — bitwise the `add` → norm pair, with the sum
+    /// in `x`'s buffer instead of one of its own.
+    Residual {
+        /// The residual stream, added first.
+        h: &'a [f32],
+        /// The other summand, overwritten by the sum the backward pass reads.
+        x: &'a mut [f32],
+        /// The write-only output.
+        out: &'a mut [f32],
+    },
+    /// The backward pass at the norm's input `x`: `g`, the gradient of the
+    /// output, becomes that of `x`, and the gradients of `gamma` and `beta`
+    /// are added into the zeroed `dgamma` and `dbeta`.
+    Backward {
+        /// The norm's input (for [`NormPass::Residual`], the sum).
+        x: &'a [f32],
+        /// The upstream gradient, rewritten in place.
+        g: &'a mut [f32],
+        /// Accumulates the gradient of `gamma`.
+        dgamma: &'a mut [f32],
+        /// Accumulates the gradient of `beta`.
+        dbeta: &'a mut [f32],
+    },
 }
 
 /// One execution backend: every kernel the system runs, behind one dispatch
@@ -218,29 +260,22 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         kernels::segment_softmax(x, rows, cols, segments, n_segments, out);
     }
 
-    /// Layer or batch normalization with affine parameters, optionally
-    /// followed by an elementwise activation applied to the normalized
-    /// output in place — bitwise the unfused pair.
+    /// Layer or batch normalization with affine `gamma`, `beta` (each
+    /// `1 × cols`) over a `rows × cols` input: one [`NormPass`] — the
+    /// forward, the forward of a residual sum, or the backward
+    /// ([`kernels::norm`]).
     #[allow(clippy::too_many_arguments)]
     fn norm(
         &self,
         kind: NormKind,
-        x: &[f32],
+        pass: NormPass<'_>,
         gamma: &[f32],
         beta: &[f32],
         rows: usize,
         cols: usize,
         eps: f32,
-        act: Option<Unary>,
-        out: &mut [f32],
     ) {
-        match kind {
-            NormKind::Layer => kernels::layer_norm(x, gamma, beta, rows, cols, eps, out),
-            NormKind::Batch => kernels::batch_norm(x, gamma, beta, rows, cols, eps, out),
-        }
-        if let Some(act) = act {
-            kernels::unary_inplace(act, out);
-        }
+        kernels::norm(kind, pass, gamma, beta, rows, cols, eps);
     }
 
     /// Banded attention aggregation `out += A·x`, with `A` the symmetric

@@ -32,10 +32,12 @@
 //!
 //! While `mega_obs` tracing is enabled the pool also exports, per
 //! `k = ⌊log₂ capacity⌋` bucket, the gauges
-//! `exec.pool.class<k>.{resident_bytes, resident_hwm_bytes}`, the global
-//! `exec.pool.hits`/`misses` counters, and a Chrome-trace counter track of
-//! total resident bytes; [`BufferPool::class_stats`] exposes the same
-//! numbers programmatically.
+//! `exec.pool.class<k>.{resident_bytes, resident_hwm_bytes}`, the peak of
+//! outstanding bytes (the budget) as `exec.pool.outstanding_hwm_bytes`, the
+//! global `exec.pool.hits`/`misses` counters, and a Chrome-trace counter
+//! track of total resident bytes; [`BufferPool::class_stats`] and
+//! [`BufferPool::peak_outstanding_bytes`] expose the same numbers
+//! programmatically.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -175,7 +177,7 @@ impl BufferPool {
         let class = Self::class_of_request(len);
         let fresh = Self::class_of_request(class + 1);
         let top = Self::class_of_request(fresh + 1);
-        let (recycled, telemetry) = {
+        let (recycled, telemetry, peak) = {
             let mut st = self.state.lock().expect("buffer pool poisoned");
             let recycled = st
                 .parked
@@ -184,10 +186,14 @@ impl BufferPool {
                 .and_then(|(_, parked)| parked.pop());
             let capacity = recycled.as_ref().map_or(fresh, Vec::capacity);
             st.outstanding_bytes += F32 * capacity as u64;
+            let peak = (st.outstanding_bytes > st.budget_bytes).then_some(st.outstanding_bytes);
             st.budget_bytes = st.budget_bytes.max(st.outstanding_bytes);
             let telemetry = recycled.is_some().then(|| st.move_parked(capacity, false));
-            (recycled, telemetry)
+            (recycled, telemetry, peak)
         };
+        if let (Some(peak), false, true) = (peak, self.quiet, mega_obs::enabled()) {
+            mega_obs::gauge_set("exec.pool.outstanding_hwm_bytes", peak as f64);
+        }
         let (counter, tally) = match recycled {
             Some(_) => ("exec.pool.hits", &self.hits),
             None => ("exec.pool.misses", &self.misses),
@@ -260,6 +266,14 @@ impl BufferPool {
     /// Number of acquires that had to allocate.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// The peak of outstanding bytes — acquired and not yet released, at
+    /// buffer capacity — since the pool was made: the memory a workload
+    /// demands of the pool at once, and half of what it may park.
+    pub fn peak_outstanding_bytes(&self) -> u64 {
+        let st = self.state.lock().expect("buffer pool poisoned");
+        st.budget_bytes
     }
 
     /// Bytes currently parked in the pool, across all classes.

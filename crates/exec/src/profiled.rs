@@ -23,7 +23,7 @@
 //! production trainer; `tests/profiled.rs` gates the overhead at ≤ 5% of
 //! the unwrapped backend on the 512×512 GEMM harness.
 
-use crate::{kernels, Backend, BandRoute, EdgeScore, Epilogue, NormKind, Operand, Unary};
+use crate::{kernels, Backend, BandRoute, EdgeScore, Epilogue, NormKind, NormPass, Operand, Unary};
 use mega_core::band::BandMask;
 use mega_core::Parallelism;
 use std::sync::Arc;
@@ -199,34 +199,45 @@ impl Backend for ProfiledBackend {
         );
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn norm(
         &self,
         kind: NormKind,
-        x: &[f32],
+        pass: NormPass<'_>,
         gamma: &[f32],
         beta: &[f32],
         rows: usize,
         cols: usize,
         eps: f32,
-        act: Option<Unary>,
-        out: &mut [f32],
     ) {
-        let t = mega_obs::timer();
-        self.inner
-            .norm(kind, x, gamma, beta, rows, cols, eps, act, out);
-        let len = (rows * cols) as u64;
-        // Mean + variance passes, then normalize-scale-shift (8 per
-        // element); a fused activation adds one in-place sweep.
-        let (kernel, flops_per_elem) = match (kind, act) {
-            (NormKind::Layer, None) => ("layer_norm", 8),
-            (NormKind::Batch, None) => ("batch_norm", 8),
-            (NormKind::Layer, Some(_)) => ("layer_norm_act", 9),
-            (NormKind::Batch, Some(_)) => ("batch_norm_act", 9),
+        // Forward: mean + variance passes, then normalize-scale-shift (8
+        // per element), reading `x` and writing `out`; a fused activation
+        // adds one in-place sweep, a residual its add, a read and a write.
+        // Forward passes keep the names of the norm they run, so `layer_norm`
+        // counts a residual's too. Backward: the statistics again, the two
+        // gradient means, the parameter sums and the input's gradient (17
+        // per element), reading `x` and `g` and writing `g`.
+        let (kernel, flops_per_elem, streams, params) = match (kind, &pass) {
+            (NormKind::Layer, NormPass::Forward { act: None, .. }) => ("layer_norm", 8, 2, 2),
+            (NormKind::Batch, NormPass::Forward { act: None, .. }) => ("batch_norm", 8, 2, 2),
+            (NormKind::Layer, NormPass::Forward { act: Some(_), .. }) => {
+                ("layer_norm_act", 9, 2, 2)
+            }
+            (NormKind::Batch, NormPass::Forward { act: Some(_), .. }) => {
+                ("batch_norm_act", 9, 2, 2)
+            }
+            (NormKind::Layer, NormPass::Residual { .. }) => ("layer_norm", 9, 4, 2),
+            (NormKind::Batch, NormPass::Residual { .. }) => ("batch_norm", 9, 4, 2),
+            (NormKind::Layer, NormPass::Backward { .. }) => ("layer_norm_backward", 17, 3, 3),
+            (NormKind::Batch, NormPass::Backward { .. }) => ("batch_norm_backward", 17, 3, 3),
         };
+        let t = mega_obs::timer();
+        self.inner.norm(kind, pass, gamma, beta, rows, cols, eps);
+        let len = (rows * cols) as u64;
         self.record(
             kernel,
             flops_per_elem * len,
-            2 * len * F32 + 2 * cols as u64 * F32,
+            streams * len * F32 + params * cols as u64 * F32,
             t,
         );
     }
@@ -557,7 +568,7 @@ mod tests {
         fn gather_rows(&self, _: &[f32], _: usize, _: usize, _: &[usize], _: &mut [f32]) { self.hit("gather_rows") }
         fn scatter_add_rows(&self, _: &[f32], _: &[usize], _: usize, _: usize, _: &mut [f32]) { self.hit("scatter_add_rows") }
         fn segment_softmax(&self, _: &[f32], _: usize, _: usize, _: &[usize], _: usize, _: &mut [f32]) { self.hit("segment_softmax") }
-        fn norm(&self, _: NormKind, _: &[f32], _: &[f32], _: &[f32], _: usize, _: usize, _: f32, _: Option<Unary>, _: &mut [f32]) { self.hit("norm") }
+        fn norm(&self, _: NormKind, _: NormPass<'_>, _: &[f32], _: &[f32], _: usize, _: usize, _: f32) { self.hit("norm") }
         fn banded_aggregate(&self, _: &BandMask, _: &[f32], _: usize, _: &[f32], _: &Parallelism, _: &mut [f32]) { self.hit("banded_aggregate") }
         fn banded_weight_grad(&self, _: &BandMask, _: &[f32], _: &[f32], _: usize, _: usize, _: &Parallelism, _: &mut [f32]) { self.hit("banded_weight_grad") }
         fn band_edge_scores(&self, _: BandRoute<'_>, _: &[f32], _: &[f32], _: &[f32], _: usize, _: EdgeScore, _: &mut [f32]) { self.hit("band_edge_scores") }
@@ -591,8 +602,12 @@ mod tests {
         d.gather_rows(&x, 2, 2, &index, out);
         d.scatter_add_rows(&x, &index, 2, 2, out);
         d.segment_softmax(&x, 2, 2, &index, 2, out);
-        let act = Some(Unary::Relu);
-        d.norm(NormKind::Batch, &x, &row, &row, 2, 2, 1e-5, act, out);
+        let pass = NormPass::Forward {
+            x: &x,
+            act: Some(Unary::Relu),
+            out,
+        };
+        d.norm(NormKind::Batch, pass, &row, &row, 2, 2, 1e-5);
         d.banded_aggregate(&band, &[], 0, &[], &par, &mut []);
         d.banded_weight_grad(&band, &[], &[], 0, 0, &par, &mut []);
         let route = BandRoute {

@@ -2,8 +2,9 @@
 //!
 //! [`SimdBackend`] is the workspace's vectorized hot path: the GEMM tiles,
 //! the elementwise family (`add`/`mul`/`scale`), the activations (the clamp family and the sigmoid),
-//! the bias and bias-ReLU GEMM epilogues, and the two inner loops of the
-//! band kernels all run on explicit-width lanes. No new dependencies: the
+//! the bias and bias-ReLU GEMM epilogues, layer norm's residual forward and
+//! backward, and the two inner loops of the band kernels all run on
+//! explicit-width lanes. No new dependencies: the
 //! native tiers are `std::arch` intrinsics behind runtime
 //! `is_x86_feature_detected!` checks, and every other architecture takes
 //! the portable path. Three GEMM tiers, one tile driver ([`gemm_rows`]):
@@ -71,12 +72,23 @@
 //!   band lanes also prefetch the rows just ahead of the ones they touch,
 //!   which moves time, never a value.
 //!
+//! * Layer norm's residual forward and backward ([`Backend::norm`]) run
+//!   lanes across *rows*: a row's sums fold over its columns in ascending
+//!   order from the `Sum` identity, so 8 rows' 8-column blocks are
+//!   transposed in registers (the band weight gradient's [`transpose8`])
+//!   and lane `r` adds column after column of row `r`, each step the scalar
+//!   loop's one `add`, `sub`, `mul`, `div` or `sqrt`; columns past the last
+//!   full block continue each lane in scalar code. The per-element sweeps
+//!   (the residual add, the affine map, the gradient rows) run lanes across
+//!   columns. Both native tiers fold 8 rows on `__m256`; the portable tier
+//!   runs the scalar loops of [`kernels`].
+//!
 //! [`SimdBackend::all_on_host`] lists every tier the host can run, so tests
 //! hold each of them to the reference; `backend_matmul` times them.
 
 use crate::kernels::{self, BandLanes};
 use crate::partition;
-use crate::{Backend, BandRoute, Epilogue, Operand, ReferenceBackend, Unary};
+use crate::{Backend, BandRoute, Epilogue, NormKind, NormPass, Operand, ReferenceBackend, Unary};
 use mega_core::band::{BandMask, BandSlot};
 use mega_core::parallel::Parallelism;
 #[cfg(target_arch = "x86_64")]
@@ -1064,6 +1076,341 @@ fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
 }
 
 // ---------------------------------------------------------------------------
+// Layer norm lanes
+// ---------------------------------------------------------------------------
+
+/// Layer norm of the residual sum `h + x` on 8 lanes, both native tiers:
+/// per group of 8 rows, `x` becomes `h + x` (one `vaddps` per element, `h`
+/// first as in the scalar add), [`ln_stats_avx`] folds the group's
+/// statistics one row per lane and [`ln_row_avx`] writes each output row.
+/// Rows past the last full group take the scalar loops of [`kernels`]. A
+/// 16-row fold on `__m512` (two transposes joined per column) measured
+/// 5–25 % slower on an AVX-512 host, as the band weight gradient's did
+/// (EXPERIMENTS.md "A training step keeps only what its backward reads").
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)]
+fn layer_norm_residual_avx(
+    h: &[f32],
+    x: &mut [f32],
+    gamma: &[f32],
+    beta: &[f32],
+    cols: usize,
+    eps: f32,
+    out: &mut [f32],
+) {
+    assert!(
+        h.len() == x.len() && out.len() == x.len(),
+        "h, x and out must match"
+    );
+    assert!(
+        gamma.len() == cols && beta.len() == cols,
+        "gamma and beta must be 1 x cols"
+    );
+    if cols == 0 {
+        return;
+    }
+    let block = 8 * cols;
+    let full = x.len() / block * block;
+    let groups = h.chunks_exact(block).zip(x.chunks_exact_mut(block));
+    for ((hs, xs), os) in groups.zip(out.chunks_exact_mut(block)) {
+        let (hp, xp) = (hs.as_ptr(), xs.as_mut_ptr());
+        // `block` is a multiple of 8: no element is left over.
+        for i in (0..block).step_by(8) {
+            // SAFETY: `i + 8 <= block`, the length of both `hs` and `xs`;
+            // AVX per the caller's detected mode.
+            unsafe {
+                let sum = _mm256_add_ps(_mm256_loadu_ps(hp.add(i)), _mm256_loadu_ps(xp.add(i)));
+                _mm256_storeu_ps(xp.add(i), sum);
+            }
+        }
+        let (mean, inv) = ln_stats_avx(xs, cols, eps);
+        for (r, (row, o)) in xs
+            .chunks_exact(cols)
+            .zip(os.chunks_exact_mut(cols))
+            .enumerate()
+        {
+            ln_row_avx(row, gamma, beta, mean[r], inv[r], o);
+        }
+    }
+    let rest = h[full..]
+        .chunks_exact(cols)
+        .zip(x[full..].chunks_exact_mut(cols));
+    for ((hr, row), o) in rest.zip(out[full..].chunks_exact_mut(cols)) {
+        // `h + x`, the operands in the order of the add this replaces.
+        #[allow(clippy::assign_op_pattern)]
+        for (s, &a) in row.iter_mut().zip(hr) {
+            *s = a + *s;
+        }
+        let (mean, inv) = kernels::layer_norm_stats(row, eps);
+        kernels::layer_norm_row(row, gamma, beta, mean, inv, o);
+    }
+}
+
+/// Layer norm's backward on 8 lanes, both native tiers: per group of 8
+/// rows, the statistics ([`ln_stats_avx`]) and the two gradient means
+/// ([`ln_grad_means_avx`]) one row per lane, then [`ln_grad_row_avx`] row by
+/// row in ascending order, so `dgamma` and `dbeta` fold the rows as the
+/// scalar loop does. Rows past the last full group take the scalar loops
+/// of [`kernels`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)]
+fn layer_norm_backward_avx(
+    x: &[f32],
+    g: &mut [f32],
+    gamma: &[f32],
+    cols: usize,
+    eps: f32,
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    assert_eq!(g.len(), x.len(), "g must match x");
+    assert!(
+        gamma.len() == cols && dgamma.len() == cols && dbeta.len() == cols,
+        "gamma and its gradients must be 1 x cols"
+    );
+    if cols == 0 {
+        return;
+    }
+    let block = 8 * cols;
+    let full = x.len() / block * block;
+    for (xs, gs) in x.chunks_exact(block).zip(g.chunks_exact_mut(block)) {
+        let (mean, inv) = ln_stats_avx(xs, cols, eps);
+        let (mdx, mdxh) = ln_grad_means_avx(xs, gs, gamma, cols, mean, inv);
+        let rows = xs.chunks_exact(cols).zip(gs.chunks_exact_mut(cols));
+        for (r, (row, g_row)) in rows.enumerate() {
+            let means = (mdx[r], mdxh[r]);
+            ln_grad_row_avx(row, g_row, gamma, mean[r], inv[r], means, dgamma, dbeta);
+        }
+    }
+    let rest = x[full..]
+        .chunks_exact(cols)
+        .zip(g[full..].chunks_exact_mut(cols));
+    for (row, g_row) in rest {
+        let (mean, inv) = kernels::layer_norm_stats(row, eps);
+        let means = kernels::layer_norm_grad_means(row, g_row, gamma, mean, inv);
+        kernels::layer_norm_grad_row(row, g_row, gamma, mean, inv, means, dgamma, dbeta);
+    }
+}
+
+/// Rows `0..8` of the `cols`-wide rows in `x`, 8 floats each from column
+/// `j0` on: vector `r` holds row `r`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn rows8(x: &[f32], cols: usize, j0: usize) -> [__m256; 8] {
+    assert!(
+        j0 + 8 <= cols && x.len() >= 8 * cols,
+        "block outside the rows"
+    );
+    let mut rows = [_mm256_setzero_ps(); 8];
+    for (r, v) in rows.iter_mut().enumerate() {
+        // SAFETY: `r·cols + j0 + 8 <= 7·cols + cols`, within `x` by the
+        // assert above; AVX per the caller's detected mode.
+        *v = unsafe { _mm256_loadu_ps(x.as_ptr().add(r * cols + j0)) };
+    }
+    rows
+}
+
+/// [`rows8`] transposed: vector `c` holds column `j0 + c` of the 8 rows,
+/// lane `r` row `r`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn columns8(x: &[f32], cols: usize, j0: usize) -> [__m256; 8] {
+    transpose8(rows8(x, cols, j0))
+}
+
+/// The 8 lanes of `v`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn lanes8(v: __m256) -> [f32; 8] {
+    let mut out = [0.0f32; 8];
+    // SAFETY: `out` holds 8 floats; AVX per the caller's detected mode.
+    unsafe { _mm256_storeu_ps(out.as_mut_ptr(), v) };
+    out
+}
+
+/// [`kernels::layer_norm_stats`] of the 8 `cols`-wide rows in `x`, one row
+/// per lane: each lane adds its row's columns in ascending order from the
+/// `Sum` identity — the full 8-column blocks transposed ([`columns8`]), the
+/// columns past them in scalar code — and every step is the scalar loop's
+/// one `add`, `sub`, `mul`, `div` or `sqrt`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn ln_stats_avx(x: &[f32], cols: usize, eps: f32) -> ([f32; 8], [f32; 8]) {
+    let full = cols / 8 * 8;
+    let cn = _mm256_set1_ps(cols as f32);
+    let identity = _mm256_set1_ps(std::iter::empty::<f32>().sum());
+    let mut acc = identity;
+    for j0 in (0..full).step_by(8) {
+        for c in columns8(x, cols, j0) {
+            acc = _mm256_add_ps(acc, c);
+        }
+    }
+    let mut sums = lanes8(acc);
+    for (s, row) in sums.iter_mut().zip(x.chunks_exact(cols)) {
+        for &v in &row[full..] {
+            *s += v;
+        }
+    }
+    let mean = lanes8(_mm256_div_ps(load8(&sums), cn));
+    let mean_v = load8(&mean);
+    let mut acc = identity;
+    for j0 in (0..full).step_by(8) {
+        for c in columns8(x, cols, j0) {
+            let d = _mm256_sub_ps(c, mean_v);
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
+        }
+    }
+    let mut squares = lanes8(acc);
+    for ((s, row), &m) in squares.iter_mut().zip(x.chunks_exact(cols)).zip(&mean) {
+        for &v in &row[full..] {
+            *s += (v - m).powi(2);
+        }
+    }
+    let var = _mm256_div_ps(load8(&squares), cn);
+    let root = _mm256_sqrt_ps(_mm256_add_ps(var, _mm256_set1_ps(eps)));
+    (mean, lanes8(_mm256_div_ps(_mm256_set1_ps(1.0), root)))
+}
+
+/// [`kernels::layer_norm_grad_means`] of the 8 rows in `x` and `g`, one row
+/// per lane, folded as [`ln_stats_avx`] folds: `dxhat = g · gamma` formed
+/// on rows and transposed, `xhat` formed on the transposed columns.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn ln_grad_means_avx(
+    x: &[f32],
+    g: &[f32],
+    gamma: &[f32],
+    cols: usize,
+    mean: [f32; 8],
+    inv: [f32; 8],
+) -> ([f32; 8], [f32; 8]) {
+    let full = cols / 8 * 8;
+    let (mean_v, inv_v) = (load8(&mean), load8(&inv));
+    let identity = _mm256_set1_ps(std::iter::empty::<f32>().sum());
+    let (mut acc_d, mut acc_dh) = (identity, identity);
+    for j0 in (0..full).step_by(8) {
+        let k = load8(&gamma[j0..j0 + 8]);
+        let mut d = rows8(g, cols, j0);
+        for v in d.iter_mut() {
+            *v = _mm256_mul_ps(*v, k);
+        }
+        let d = transpose8(d);
+        let xs = columns8(x, cols, j0);
+        for (&dc, &xc) in d.iter().zip(&xs) {
+            let h = _mm256_mul_ps(_mm256_sub_ps(xc, mean_v), inv_v);
+            acc_d = _mm256_add_ps(acc_d, dc);
+            acc_dh = _mm256_add_ps(acc_dh, _mm256_mul_ps(dc, h));
+        }
+    }
+    let (mut sd, mut sdh) = (lanes8(acc_d), lanes8(acc_dh));
+    let rows = x.chunks_exact(cols).zip(g.chunks_exact(cols));
+    for (r, (row, g_row)) in rows.enumerate() {
+        for ((&v, &gv), &k) in row[full..].iter().zip(&g_row[full..]).zip(&gamma[full..]) {
+            let d = gv * k;
+            sd[r] += d;
+            sdh[r] += d * ((v - mean[r]) * inv[r]);
+        }
+    }
+    let cn = _mm256_set1_ps(cols as f32);
+    (
+        lanes8(_mm256_div_ps(load8(&sd), cn)),
+        lanes8(_mm256_div_ps(load8(&sdh), cn)),
+    )
+}
+
+/// The first 8 floats of `v` as a vector.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn load8(v: &[f32]) -> __m256 {
+    let v = &v[..8];
+    // SAFETY: `v` was just cut to 8 floats; AVX per the caller's detected
+    // mode.
+    unsafe { _mm256_loadu_ps(v.as_ptr()) }
+}
+
+/// [`kernels::layer_norm_row`] on 8 lanes across columns, a scalar tail.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn ln_row_avx(row: &[f32], gamma: &[f32], beta: &[f32], mean: f32, inv: f32, out: &mut [f32]) {
+    let n = out.len();
+    let (row, gamma, beta) = (&row[..n], &gamma[..n], &beta[..n]);
+    let (mean_v, inv_v) = (_mm256_set1_ps(mean), _mm256_set1_ps(inv));
+    let mut j = 0;
+    while j + 8 <= n {
+        // SAFETY: `j + 8 <= n`, and `row`, `gamma`, `beta` were just cut to
+        // `n` floats; AVX per the caller's detected mode.
+        unsafe {
+            let xhat = _mm256_mul_ps(
+                _mm256_sub_ps(_mm256_loadu_ps(row.as_ptr().add(j)), mean_v),
+                inv_v,
+            );
+            let scaled = _mm256_mul_ps(_mm256_loadu_ps(gamma.as_ptr().add(j)), xhat);
+            let o = _mm256_add_ps(scaled, _mm256_loadu_ps(beta.as_ptr().add(j)));
+            _mm256_storeu_ps(out.as_mut_ptr().add(j), o);
+        }
+        j += 8;
+    }
+    kernels::layer_norm_row(&row[j..], &gamma[j..], &beta[j..], mean, inv, &mut out[j..]);
+}
+
+/// [`kernels::layer_norm_grad_row`] on 8 lanes across columns, a scalar
+/// tail.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)]
+fn ln_grad_row_avx(
+    row: &[f32],
+    g_row: &mut [f32],
+    gamma: &[f32],
+    mean: f32,
+    inv: f32,
+    (mdx, mdxh): (f32, f32),
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    let n = g_row.len();
+    let (row, gamma) = (&row[..n], &gamma[..n]);
+    let (dgamma, dbeta) = (&mut dgamma[..n], &mut dbeta[..n]);
+    let s = _mm256_set1_ps;
+    let (mean_v, inv_v, mdx_v, mdxh_v) = (s(mean), s(inv), s(mdx), s(mdxh));
+    let mut j = 0;
+    while j + 8 <= n {
+        // SAFETY: `j + 8 <= n`, and every slice here was just cut to `n`
+        // floats; AVX per the caller's detected mode.
+        unsafe {
+            let v = _mm256_loadu_ps(row.as_ptr().add(j));
+            let gp = g_row.as_mut_ptr().add(j);
+            let gv = _mm256_loadu_ps(gp);
+            let h = _mm256_mul_ps(_mm256_sub_ps(v, mean_v), inv_v);
+            let d = _mm256_mul_ps(gv, _mm256_loadu_ps(gamma.as_ptr().add(j)));
+            let dg = dgamma.as_mut_ptr().add(j);
+            _mm256_storeu_ps(dg, _mm256_add_ps(_mm256_loadu_ps(dg), _mm256_mul_ps(gv, h)));
+            let db = dbeta.as_mut_ptr().add(j);
+            _mm256_storeu_ps(db, _mm256_add_ps(_mm256_loadu_ps(db), gv));
+            let centred = _mm256_sub_ps(_mm256_sub_ps(d, mdx_v), _mm256_mul_ps(h, mdxh_v));
+            _mm256_storeu_ps(gp, _mm256_mul_ps(inv_v, centred));
+        }
+        j += 8;
+    }
+    kernels::layer_norm_grad_row(
+        &row[j..],
+        &mut g_row[j..],
+        &gamma[j..],
+        mean,
+        inv,
+        (mdx, mdxh),
+        &mut dgamma[j..],
+        &mut dbeta[j..],
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
@@ -1196,6 +1543,47 @@ impl Backend for SimdBackend {
                 wide::map(x, out, |v| if v > 0.0 { v } else { s * v })
             }
             (Unary::Sigmoid, Mode::Portable) => wide::map(x, out, kernels::sigmoid),
+        }
+    }
+
+    // Layer norm's residual forward and its backward run one row per lane
+    // on the native tiers, 8 rows at a time; every other pass, and the
+    // portable tier, runs the scalar loops.
+    #[allow(clippy::too_many_arguments)]
+    fn norm(
+        &self,
+        kind: NormKind,
+        pass: NormPass<'_>,
+        gamma: &[f32],
+        beta: &[f32],
+        rows: usize,
+        cols: usize,
+        eps: f32,
+    ) {
+        match (kind, pass, self.mode) {
+            #[cfg(target_arch = "x86_64")]
+            (NormKind::Layer, NormPass::Residual { h, x, out }, Mode::Avx | Mode::Avx512) => {
+                assert_eq!(x.len(), rows * cols, "x must be {rows}x{cols}");
+                // SAFETY: both native modes imply AVX was detected at
+                // construction.
+                unsafe { layer_norm_residual_avx(h, x, gamma, beta, cols, eps, out) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            (
+                NormKind::Layer,
+                NormPass::Backward {
+                    x,
+                    g,
+                    dgamma,
+                    dbeta,
+                },
+                Mode::Avx | Mode::Avx512,
+            ) => {
+                assert_eq!(x.len(), rows * cols, "x must be {rows}x{cols}");
+                // SAFETY: as above.
+                unsafe { layer_norm_backward_avx(x, g, gamma, cols, eps, dgamma, dbeta) }
+            }
+            (kind, pass, _) => kernels::norm(kind, pass, gamma, beta, rows, cols, eps),
         }
     }
 

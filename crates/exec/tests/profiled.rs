@@ -18,8 +18,8 @@
 
 use mega_core::Parallelism;
 use mega_exec::{
-    kernels, Backend, Epilogue, NormKind, Operand, ProfiledBackend, ReferenceBackend, SimdBackend,
-    Unary,
+    kernels, Backend, Epilogue, NormKind, NormPass, Operand, ProfiledBackend, ReferenceBackend,
+    SimdBackend, Unary,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,8 +69,21 @@ fn profiled_backend_is_transparent_and_deterministic() {
             (NormKind::Layer, Some(Unary::Relu)),
             (NormKind::Batch, Some(Unary::LeakyRelu(0.1))),
         ] {
-            p.norm(kind, &lr, &bias, &bias, n, m, 1e-5, act, &mut scratch);
+            let pass = NormPass::Forward {
+                x: &lr,
+                act,
+                out: &mut scratch,
+            };
+            p.norm(kind, pass, &bias, &bias, n, m, 1e-5);
         }
+        let (mut dgamma, mut dbeta) = (vec![0.0f32; m], vec![0.0f32; m]);
+        let pass = NormPass::Backward {
+            x: &lr,
+            g: &mut scratch,
+            dgamma: &mut dgamma,
+            dbeta: &mut dbeta,
+        };
+        p.norm(NormKind::Layer, pass, &bias, &bias, n, m, 1e-5);
         let mut ew = vec![0.0f32; n * k];
         p.add(&a, &a, &mut ew);
         p.mul(&a, &a, &mut ew);
@@ -157,6 +170,13 @@ fn profiled_backend_is_transparent_and_deterministic() {
             "{kernel}"
         );
     }
+    // The backward pass has a name of its own, outside the forward rows.
+    assert_eq!(get("exec.profiled.layer_norm_backward.calls"), 1);
+    assert_eq!(get("exec.profiled.layer_norm_backward.flops"), 17 * nm2);
+    assert_eq!(
+        get("exec.profiled.layer_norm_backward.bytes"),
+        4 * (3 * nm2 + 3 * m as u64)
+    );
     assert_eq!(get("exec.profiled.add.calls"), 1);
     assert_eq!(get("exec.profiled.mul.calls"), 1);
     assert_eq!(get("exec.profiled.unary.calls"), 1);

@@ -20,7 +20,9 @@
 //!    finite differences of the induced scalar loss.
 
 use mega_core::Parallelism;
-use mega_exec::{Backend, Epilogue, NormKind, Operand, ReferenceBackend, SimdBackend, Unary};
+use mega_exec::{
+    Backend, Epilogue, NormKind, NormPass, Operand, ReferenceBackend, SimdBackend, Unary,
+};
 use proptest::prelude::*;
 use Operand::{RowMajor, Transposed};
 
@@ -386,7 +388,8 @@ proptest! {
                 }
                 for (name, backend) in &backends {
                     let mut got = vec![0.0f32; rows * cols];
-                    backend.norm(kind, x, gamma, beta, rows, cols, eps, act, &mut got);
+                    let pass = NormPass::Forward { x, act, out: &mut got };
+                    backend.norm(kind, pass, gamma, beta, rows, cols, eps);
                     prop_assert_eq!(
                         bit_vec(&got), bit_vec(&want),
                         "{:?} {:?} {}", kind, act, name

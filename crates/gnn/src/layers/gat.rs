@@ -137,8 +137,7 @@ impl GatLayer {
         }
         let cat = tape.concat_cols(&aggs);
         let proj = self.o.forward(tape, binder, store, cat);
-        let res = tape.add(h, proj);
-        let out = self.ln.layer_norm(tape, binder, store, res);
+        let out = self.ln.add_layer_norm(tape, binder, store, h, proj);
         (out, e)
     }
 }

@@ -155,6 +155,8 @@ pub(crate) mod testing {
         let (lh, le) = (tape.mul(h2, wh), tape.mul(e2, we));
         let (sh, se) = (tape.mean(lh), tape.mean(le));
         let loss = tape.add(sh, se);
+        // Values go as the backward pass walks: read the outputs first.
+        let outs = [tape.value(h2).clone(), tape.value(e2).clone()];
         let grads = tape.backward(loss);
         store.zero_grads();
         binder.apply(store, &grads);
@@ -168,7 +170,7 @@ pub(crate) mod testing {
             .collect();
         named.push(("input h".into(), grads.wrt(h).clone()));
         named.push(("input e".into(), grads.wrt(e).clone()));
-        ([tape.value(h2).clone(), tape.value(e2).clone()], named)
+        (outs, named)
     }
 
     /// Holds `forward` to `reference` on {baseline, MEGA} × {reference,

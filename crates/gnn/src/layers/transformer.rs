@@ -146,20 +146,18 @@ impl GraphTransformerLayer {
         };
 
         // Node stream: attention output, residual + LN, FFN, residual + LN.
+        // Each residual + LN is one node that writes the sum into the
+        // linear output's buffer.
         let h_attn = self.o_h.forward(tape, binder, store, h_agg);
-        let h_res = tape.add(h, h_attn);
-        let h1 = self.ln_h1.layer_norm(tape, binder, store, h_res);
+        let h1 = self.ln_h1.add_layer_norm(tape, binder, store, h, h_attn);
         let h_ffn = self.ffn_h.forward(tape, binder, store, h1);
-        let h_res2 = tape.add(h1, h_ffn);
-        let h2 = self.ln_h2.layer_norm(tape, binder, store, h_res2);
+        let h2 = self.ln_h2.add_layer_norm(tape, binder, store, h1, h_ffn);
 
         // Edge stream: implicit-attention features, residual + LN, FFN.
         let e_attn = self.o_e.forward(tape, binder, store, e_what);
-        let e_res = tape.add(e, e_attn);
-        let e1 = self.ln_e1.layer_norm(tape, binder, store, e_res);
+        let e1 = self.ln_e1.add_layer_norm(tape, binder, store, e, e_attn);
         let e_ffn = self.ffn_e.forward(tape, binder, store, e1);
-        let e_res2 = tape.add(e1, e_ffn);
-        let e2 = self.ln_e2.layer_norm(tape, binder, store, e_res2);
+        let e2 = self.ln_e2.add_layer_norm(tape, binder, store, e1, e_ffn);
         (h2, e2)
     }
 }

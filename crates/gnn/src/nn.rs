@@ -161,8 +161,10 @@ impl NormParams {
         NormParams { gamma, beta }
     }
 
-    /// Row-wise layer norm.
-    pub fn layer_norm(
+    /// Row-wise layer norm: the oracle of [`NormParams::add_layer_norm`]
+    /// behind an `add`.
+    #[cfg(test)]
+    pub(crate) fn layer_norm(
         &self,
         tape: &mut Tape,
         binder: &mut Binder,
@@ -172,6 +174,23 @@ impl NormParams {
         let g = binder.bind(tape, store, self.gamma);
         let b = binder.bind(tape, store, self.beta);
         tape.layer_norm(x, g, b, 1e-5)
+    }
+
+    /// Row-wise layer norm of the residual sum `h + r`, as one tape node
+    /// that takes over `r`'s buffer for the sum ([`Tape::add_layer_norm`]):
+    /// `r` must be an output nothing else reads, such as a
+    /// [`Linear::forward`]. Matches `layer_norm(add(h, r))` bit for bit.
+    pub fn add_layer_norm(
+        &self,
+        tape: &mut Tape,
+        binder: &mut Binder,
+        store: &ParamStore,
+        h: Var,
+        r: Var,
+    ) -> Var {
+        let g = binder.bind(tape, store, self.gamma);
+        let b = binder.bind(tape, store, self.beta);
+        tape.add_layer_norm(h, r, g, b, 1e-5)
     }
 
     /// Column-wise batch norm (training statistics) followed by a ReLU,

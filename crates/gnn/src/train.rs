@@ -332,7 +332,7 @@ impl Trainer {
                     for out in &outs {
                         batch_loss += out.loss;
                         for (p, g) in &out.grads {
-                            store.accumulate(*p, &g.scale(inv));
+                            store.accumulate_scaled(*p, g, inv);
                         }
                     }
                     let pre_clip = store.clip_grad_norm(GRAD_CLIP);
@@ -555,7 +555,7 @@ impl<'a> ShardTape<'a> {
 
     /// Reads loss and metric off the tape and, when `want_grads`, runs the
     /// backward pass.
-    fn finish(self, want_grads: bool) -> ShardOutput {
+    fn finish(mut self, want_grads: bool) -> ShardOutput {
         let loss = self.tape.value(self.loss).at(0, 0) as f64;
         let pred = self.tape.value(self.pred);
         let metric = match self.task {

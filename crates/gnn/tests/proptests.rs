@@ -166,8 +166,9 @@ fn attention_run(
     let (lh, le) = (tape.mul(h_agg, wh), tape.mul(e_what, we));
     let (sh, se) = (tape.mean(lh), tape.mean(le));
     let loss = tape.add(sh, se);
-    let grads = tape.backward(loss);
+    // Values go as the backward pass walks: read them first.
     let mut out = vec![tape.value(e_what).clone(), tape.value(h_agg).clone()];
+    let grads = tape.backward(loss);
     out.extend([ee, q, k, v].map(|leaf| grads.wrt(leaf).clone()));
     out
 }
@@ -219,8 +220,9 @@ fn gate_run(
     let (la, le) = (tape.mul(agg, wa), tape.mul(e_hat, we));
     let (sa, se) = (tape.mean(la), tape.mean(le));
     let loss = tape.add(sa, se);
-    let grads = tape.backward(loss);
+    // Values go as the backward pass walks: read them first.
     let mut out = vec![tape.value(e_hat).clone(), tape.value(agg).clone()];
+    let grads = tape.backward(loss);
     out.extend([ce, ah, bh, vh].map(|leaf| grads.wrt(leaf).clone()));
     out
 }

@@ -127,6 +127,25 @@ impl ParamStore {
         self.grads[p.0].add_assign(grad);
     }
 
+    /// Adds `k · grad` into the accumulated gradient of `p` in place: per
+    /// element `acc + grad · k`, the product rounded before the add — the
+    /// bits of `accumulate(p, &grad.scale(k))` without the scaled copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn accumulate_scaled(&mut self, p: ParamId, grad: &Tensor, k: f32) {
+        let acc = &mut self.grads[p.0];
+        assert_eq!(
+            acc.shape(),
+            grad.shape(),
+            "accumulate_scaled: shape mismatch"
+        );
+        for (a, &g) in acc.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+            *a += g * k;
+        }
+    }
+
     /// The accumulated gradient of `p`.
     pub fn grad(&self, p: ParamId) -> &Tensor {
         &self.grads[p.0]
@@ -151,8 +170,8 @@ impl ParamStore {
             .sqrt();
         if total > max_norm && total > 0.0 {
             let k = max_norm / total;
-            for g in &mut self.grads {
-                *g = g.scale(k);
+            for v in self.grads.iter_mut().flat_map(|g| g.as_mut_slice()) {
+                *v *= k;
             }
         }
         total

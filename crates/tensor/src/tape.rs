@@ -23,19 +23,33 @@
 //! and nothing is kept for it. Only leaf gradients survive, in
 //! [`Gradients`], which releases them when dropped (DESIGN.md §6).
 //!
-//! Every op method runs its kernel before returning, so a [`Var`] always
-//! has a value. The fused ops ([`Tape::linear`], [`Tape::linear_relu`],
-//! [`Tape::batch_norm_relu`]) are called by the layers that want them and
+//! Values are kept only while an arm may still read them. An arm reads its
+//! own value and its operands', and every consumer of a node is recorded
+//! after it, so once the walk has passed a node — its arm run, or skipped
+//! for want of a gradient — nothing reads its value again: the value and
+//! the buffers its op keeps (attention weights, a gate's numerator and
+//! denominator, a residual sum) go back to the pool there. Leaves and the
+//! loss keep theirs. Each node's shape is kept apart from its value, so
+//! shape checks and arms that read only a shape work on released nodes;
+//! reading a released value panics with the node's index and op.
+//!
+//! Every op method runs its kernel before returning, so a [`Var`] has a
+//! value until the backward pass passes it. The fused ops
+//! ([`Tape::linear`], [`Tape::linear_relu`], [`Tape::batch_norm_relu`],
+//! [`Tape::add_layer_norm`]) are called by the layers that want them and
 //! are bit-identical, forward and backward, to the unfused chains they
-//! replace. An op whose kernel writes every element of its output takes a
-//! buffer that may hold stale values ([`BufferPool::acquire_for_overwrite`]);
-//! only accumulators are zeroed.
+//! replace. [`Tape::add_layer_norm`] also takes over the buffer of its
+//! residual operand, an output nothing else reads, to hold the sum: the
+//! sum costs no buffer, and the operand's value is gone. An op whose kernel
+//! writes every element of its output takes a buffer that may hold stale
+//! values ([`BufferPool::acquire_for_overwrite`]); only accumulators are
+//! zeroed.
 
 use crate::tensor::Tensor;
 use mega_core::band::BandSlot;
 use mega_exec::{
-    kernels, Backend, BandRoute, BufferPool, EdgeScore, Epilogue, NormKind, Operand, SimdBackend,
-    Unary,
+    kernels, Backend, BandRoute, BufferPool, EdgeScore, Epilogue, NormKind, NormPass, Operand,
+    SimdBackend, Unary,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -135,6 +149,16 @@ enum Op {
         den: Tensor,
     },
     LayerNorm(Var, Var, Var, f32),
+    /// `layer_norm(h + r)`: `r`'s buffer, taken when the node was recorded,
+    /// holds the sum the backward pass reads.
+    AddLayerNorm {
+        h: Var,
+        r: Var,
+        gamma: Var,
+        beta: Var,
+        eps: f32,
+        sum: Tensor,
+    },
     BatchNorm(Var, Var, Var, f32),
     BatchNormRelu(Var, Var, Var, f32),
     L1Loss(Var, Arc<Tensor>),
@@ -172,6 +196,7 @@ impl Op {
             Op::BandAttend { .. } => "band_attend",
             Op::BandGate { .. } => "band_gate",
             Op::LayerNorm(..) => "layer_norm",
+            Op::AddLayerNorm { .. } => "add_layer_norm",
             Op::BatchNorm(..) => "batch_norm",
             // Named after the backend's fused-norm profile row.
             Op::BatchNormRelu(..) => "batch_norm_act",
@@ -179,11 +204,76 @@ impl Op {
             Op::CrossEntropy(..) => "cross_entropy",
         }
     }
+
+    /// Whether `v` is one of the op's operands.
+    fn reads(&self, v: Var) -> bool {
+        match self {
+            Op::Leaf => false,
+            Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Sigmoid(a)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::Scale(a, _)
+            | Op::RowBlockSums(a)
+            | Op::GatherRows(a, _)
+            | Op::ScatterAddRows(a, _)
+            | Op::SegmentSoftmax(a, ..)
+            | Op::L1Loss(a, _)
+            | Op::CrossEntropy(a, _) => *a == v,
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Mul(a, b)
+            | Op::AddRow(a, b)
+            | Op::DivEps(a, b, _)
+            | Op::MulColBroadcast(a, b)
+            | Op::BandAttend {
+                e_what: a, v: b, ..
+            }
+            | Op::BandGate { e_hat: a, v: b, .. } => [*a, *b].contains(&v),
+            Op::Linear { x, w, bias, .. } => [*x, *w, *bias].contains(&v),
+            Op::BandEdgeScores { q, k, ee, .. } => [*q, *k, *ee].contains(&v),
+            Op::LayerNorm(a, g, b, _)
+            | Op::BatchNorm(a, g, b, _)
+            | Op::BatchNormRelu(a, g, b, _) => [*a, *g, *b].contains(&v),
+            Op::AddLayerNorm {
+                h, r, gamma, beta, ..
+            } => [*h, *r, *gamma, *beta].contains(&v),
+            Op::ConcatCols(parts) => parts.contains(&v),
+        }
+    }
+
+    /// Whether the op's backward arm reads its own value, not only its
+    /// shape. Such a value cannot be given away (see [`Tape::add_layer_norm`]).
+    fn arm_reads_value(&self) -> bool {
+        matches!(
+            self,
+            Op::Leaf
+                | Op::Linear { relu: true, .. }
+                | Op::Sigmoid(..)
+                | Op::SegmentSoftmax(..)
+                | Op::BatchNormRelu(..)
+        )
+    }
+
+    /// The buffers the op keeps for its backward arm.
+    fn kept_mut(&mut self) -> [Option<&mut Tensor>; 2] {
+        match self {
+            Op::BandAttend { attn, .. } => [Some(attn), None],
+            Op::BandGate { num, den, .. } => [Some(num), Some(den)],
+            Op::AddLayerNorm { sum, .. } => [Some(sum), None],
+            _ => [None, None],
+        }
+    }
 }
 
-/// One tape node: the op that produced it and its value.
+/// One tape node: the op that produced it, its output shape and its value.
 struct Node {
-    value: Tensor,
+    /// Output shape, kept after the value is gone.
+    shape: (usize, usize),
+    /// `None` once the backward pass has released it, or once
+    /// [`Tape::add_layer_norm`] has taken its buffer.
+    value: Option<Tensor>,
     op: Op,
 }
 
@@ -258,16 +348,8 @@ impl Drop for Tape {
     fn drop(&mut self) {
         // Recycle every node's buffer; with a shared pool the next tape's
         // forward pass allocates (almost) nothing.
-        for node in self.nodes.drain(..) {
-            self.pool.release(node.value.into_data());
-            match node.op {
-                Op::BandAttend { attn, .. } => self.pool.release(attn.into_data()),
-                Op::BandGate { num, den, .. } => {
-                    self.pool.release(num.into_data());
-                    self.pool.release(den.into_data());
-                }
-                _ => {}
-            }
+        for idx in 0..self.nodes.len() {
+            self.release_node(idx);
         }
     }
 }
@@ -311,13 +393,40 @@ impl Tape {
     }
 
     /// The value held at `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is an op's output that [`Tape::backward`] has released,
+    /// or a residual [`Tape::add_layer_norm`] took the buffer of.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        let node = &self.nodes[v.0];
+        match &node.value {
+            Some(value) => value,
+            None => panic!(
+                "node #{} ({}) has no value: the backward pass released it, \
+                 or add_layer_norm took its buffer",
+                v.0,
+                node.op.kind_name()
+            ),
+        }
     }
 
     /// Output shape of `v`.
     fn dims(&self, v: Var) -> (usize, usize) {
-        self.value(v).shape()
+        self.nodes[v.0].shape
+    }
+
+    /// Returns the value of node `idx` and the buffers its op keeps to the
+    /// pool; a leaf's value goes too. A node without a value (released, or
+    /// given away) returns only what its op keeps.
+    fn release_node(&mut self, idx: usize) {
+        let (node, pool) = (&mut self.nodes[idx], &self.pool);
+        for kept in node.op.kept_mut().into_iter().flatten() {
+            pool.release(std::mem::replace(kept, Tensor::zeros(0, 0)).into_data());
+        }
+        if let Some(value) = node.value.take() {
+            pool.release(value.into_data());
+        }
     }
 
     /// The first node (in recording order) whose value holds a NaN or an
@@ -328,10 +437,12 @@ impl Tape {
     /// non-finiteness *entered* the forward pass: everything downstream is
     /// contaminated by it, everything upstream was still healthy. The
     /// trainer's NaN/Inf sentinel uses this to name the offending op in its
-    /// diagnostic dump.
+    /// diagnostic dump. Nodes without a value are skipped: a residual
+    /// operand's non-finite value shows in the `add_layer_norm` after it.
     pub fn first_nonfinite(&self) -> Option<(usize, &'static str)> {
         self.nodes.iter().enumerate().find_map(|(i, n)| {
-            n.value
+            let value = n.value.as_ref()?;
+            value
                 .as_slice()
                 .iter()
                 .any(|v| !v.is_finite())
@@ -344,7 +455,12 @@ impl Tape {
         if mega_obs::enabled() {
             mega_obs::counter_add("tensor.tape.ops", 1);
         }
-        self.nodes.push(Node { value, op });
+        let shape = value.shape();
+        self.nodes.push(Node {
+            shape,
+            value: Some(value),
+            op,
+        });
         Var(self.nodes.len() - 1)
     }
 
@@ -824,6 +940,79 @@ impl Tape {
         self.record(r, c, Op::LayerNorm(a, gamma, beta, eps))
     }
 
+    /// `layer_norm(h + r, gamma, beta, eps)` in one node: a residual add and
+    /// the layer norm it feeds.
+    ///
+    /// Forward and backward match the unfused `add(h, r)` → `layer_norm`
+    /// pair bit for bit. The sum is written into `r`'s buffer, which the node
+    /// takes over as the value its backward pass reads: `r` keeps no value
+    /// of its own (reading it panics), and the sum needs no buffer of its
+    /// own. Backward is the layer norm's arm, then the add's: `h` and then
+    /// `r` receive the gradient of the sum, adopted first as a gradient is
+    /// (`0.0 + x`, DESIGN.md §6).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape mismatch, if `r` is a leaf, an operand of an op
+    /// already recorded, one of the other operands, or an op whose backward
+    /// reads its own value (a `linear_relu`, `sigmoid`, `segment_softmax`
+    /// or `batch_norm_relu` output), or if `r` has no value left.
+    pub fn add_layer_norm(&mut self, h: Var, r: Var, gamma: Var, beta: Var, eps: f32) -> Var {
+        let (rows, cols) = self.norm_dims("add_layer_norm", r, gamma, beta);
+        assert_eq!(
+            self.dims(h),
+            (rows, cols),
+            "add_layer_norm: h and r shapes differ"
+        );
+        let mut sum = self.donate(r, &[h, gamma, beta]);
+        let mut out = self.out_buf(rows, cols);
+        let pass = NormPass::Residual {
+            h: self.value(h).as_slice(),
+            x: sum.as_mut_slice(),
+            out: &mut out,
+        };
+        let (g, b) = (self.value(gamma).as_slice(), self.value(beta).as_slice());
+        self.backend
+            .norm(NormKind::Layer, pass, g, b, rows, cols, eps);
+        let op = Op::AddLayerNorm {
+            h,
+            r,
+            gamma,
+            beta,
+            eps,
+            sum,
+        };
+        self.push_value(Tensor::from_vec(rows, cols, out), op)
+    }
+
+    /// Takes the value of `r` for a consumer that overwrites it (the
+    /// residual sum of [`Tape::add_layer_norm`]), after checking that
+    /// nothing else reads it: `r` is none of the consumer's `others`, no
+    /// recorded op reads it, and its own backward arm reads only its shape.
+    fn donate(&mut self, r: Var, others: &[Var]) -> Tensor {
+        let node = &self.nodes[r.0];
+        let kind = node.op.kind_name();
+        assert!(
+            !others.contains(&r),
+            "node #{} ({kind}) cannot be donated to a node that also reads it",
+            r.0
+        );
+        assert!(
+            !node.op.arm_reads_value(),
+            "node #{} ({kind}) cannot be donated: its value is a leaf's or its backward reads it",
+            r.0
+        );
+        if let Some(i) = (r.0 + 1..self.nodes.len()).find(|&i| self.nodes[i].op.reads(r)) {
+            panic!(
+                "node #{} ({kind}) cannot be donated: node #{i} ({}) already reads it",
+                r.0,
+                self.nodes[i].op.kind_name()
+            );
+        }
+        let _ = self.value(r);
+        self.nodes[r.0].value.take().expect("checked above")
+    }
+
     /// Column-wise batch normalization (statistics over rows) with learnable
     /// `gamma`, `beta` (each `1 × c`). Training-mode statistics only.
     pub fn batch_norm(&mut self, a: Var, gamma: Var, beta: Var, eps: f32) -> Var {
@@ -1004,6 +1193,7 @@ impl Tape {
             | Op::ConcatCols(..)
             | Op::BandAttend { .. }
             | Op::BandGate { .. }
+            | Op::AddLayerNorm { .. }
             | Op::L1Loss(..)
             | Op::CrossEntropy(..) => {
                 unreachable!("op `{}` is computed by its op method", op.kind_name())
@@ -1042,17 +1232,13 @@ impl Tape {
     ) -> Tensor {
         let (rows, cols) = self.dims(x);
         let mut out = self.out_buf(rows, cols);
-        self.backend.norm(
-            kind,
-            self.value(x).as_slice(),
-            self.value(gamma).as_slice(),
-            self.value(beta).as_slice(),
-            rows,
-            cols,
-            eps,
+        let pass = NormPass::Forward {
+            x: self.value(x).as_slice(),
             act,
-            &mut out,
-        );
+            out: &mut out,
+        };
+        let (g, b) = (self.value(gamma).as_slice(), self.value(beta).as_slice());
+        self.backend.norm(kind, pass, g, b, rows, cols, eps);
         Tensor::from_vec(rows, cols, out)
     }
 
@@ -1137,67 +1323,29 @@ impl Tape {
         sums
     }
 
-    /// Backward of column-wise batch norm: rewrites the upstream gradient `g`
-    /// into `dx` in place and returns the pooled `[dgamma, dbeta]`.
-    ///
-    /// Row-major sweeps over per-column accumulators — the forward's
-    /// [`kernels::batch_stats`], then the two `dxhat` means, then `dgamma`,
-    /// `dbeta` and `dx` — with `xhat` and `dxhat` recomputed per element
-    /// rather than staged per column. Every column's sums fold down the rows
-    /// in ascending order from the value a column-by-column walk starts them
-    /// at — `0.0` for its explicit accumulators, the `Sum` identity for its
-    /// two iterator sums — so the bits are that walk's.
-    fn batch_norm_backward(
+    /// The backward pass of a norm at its input value `x` through
+    /// [`Backend::norm`]: rewrites the upstream gradient `g` into `x`'s and
+    /// returns the pooled `[dgamma, dbeta]`.
+    fn norm_backward(
         &self,
+        kind: NormKind,
         g: &mut [f32],
         x: &Tensor,
-        gamma: &[f32],
+        gamma: Var,
+        beta: Var,
         eps: f32,
     ) -> [Vec<f32>; 2] {
-        let (r, c) = x.shape();
-        let x = x.as_slice();
-        let rn = r.max(1) as f32;
-        let mut mean = self.pool.acquire(c);
-        let mut inv = self.pool.acquire(c);
-        kernels::batch_stats(x, r, c, eps, &mut mean, &mut inv);
-        let mut mean_dxhat = self.pool.acquire_for_overwrite(c);
-        let mut mean_dxhat_xhat = self.pool.acquire_for_overwrite(c);
-        let sum_identity: f32 = std::iter::empty::<f32>().sum();
-        mean_dxhat.fill(sum_identity);
-        mean_dxhat_xhat.fill(sum_identity);
-        for (g_row, row) in rows_of(g, c).zip(rows_of(x, c)) {
-            let stats = mean.iter().zip(&inv).zip(gamma);
-            let sums = mean_dxhat.iter_mut().zip(mean_dxhat_xhat.iter_mut());
-            for (((&gv, &v), ((&m, &k), &gm)), (sd, sdh)) in
-                g_row.iter().zip(row).zip(stats).zip(sums)
-            {
-                let d = gv * gm;
-                *sd += d;
-                *sdh += d * ((v - m) * k);
-            }
-        }
-        for s in mean_dxhat.iter_mut().chain(mean_dxhat_xhat.iter_mut()) {
-            *s /= rn;
-        }
-        let mut dgamma = self.pool.acquire(c);
-        let mut dbeta = self.pool.acquire(c);
-        for (g_row, row) in rows_of_mut(g, c).zip(rows_of(x, c)) {
-            let stats = mean.iter().zip(&inv).zip(gamma);
-            let means = mean_dxhat.iter().zip(&mean_dxhat_xhat);
-            let sums = dgamma.iter_mut().zip(dbeta.iter_mut());
-            for ((((gv, &v), ((&m, &k), &gm)), (&md, &mdh)), (dg, db)) in
-                g_row.iter_mut().zip(row).zip(stats).zip(means).zip(sums)
-            {
-                let h = (v - m) * k;
-                let d = *gv * gm;
-                *dg += *gv * h;
-                *db += *gv;
-                *gv = k * (d - md - h * mdh);
-            }
-        }
-        for buf in [mean, inv, mean_dxhat, mean_dxhat_xhat] {
-            self.pool.release(buf);
-        }
+        let (rows, cols) = x.shape();
+        let mut dgamma = self.pool.acquire(cols);
+        let mut dbeta = self.pool.acquire(cols);
+        let pass = NormPass::Backward {
+            x: x.as_slice(),
+            g,
+            dgamma: &mut dgamma,
+            dbeta: &mut dbeta,
+        };
+        let (gm, bt) = (self.value(gamma).as_slice(), self.value(beta).as_slice());
+        self.backend.norm(kind, pass, gm, bt, rows, cols, eps);
         [dgamma, dbeta]
     }
 
@@ -1278,10 +1426,19 @@ impl Tape {
     /// where an operand's gradient has its shape — or releases it to the
     /// pool. What is left at the end are the leaf gradients.
     ///
+    /// Values go as the walk passes them: once a node's arm has run or been
+    /// skipped, its value and the buffers its op keeps return to the pool.
+    /// An arm reads only its own value and its operands', and every consumer
+    /// of a node was recorded after it, so its arm has already run. Leaves
+    /// keep their values, and so do `loss` (one scalar, which callers log)
+    /// and the nodes recorded after it; reading any other node's value
+    /// afterwards panics, and so does a second backward pass.
+    ///
     /// # Panics
     ///
-    /// Panics if `loss` is not `1 × 1`.
-    pub fn backward(&self, loss: Var) -> Gradients {
+    /// Panics if `loss` is not `1 × 1`, or if a value an arm reads is gone
+    /// (a second backward pass through the same nodes).
+    pub fn backward(&mut self, loss: Var) -> Gradients {
         let _span = mega_obs::span("tape_backward");
         assert_eq!(
             self.value(loss).shape(),
@@ -1292,363 +1449,368 @@ impl Tape {
         self.accumulate(&mut grads, loss, Cow::Borrowed(&[1.0]));
 
         for idx in (0..=loss.0).rev() {
-            let node = &self.nodes[idx];
-            if matches!(node.op, Op::Leaf) {
+            if matches!(self.nodes[idx].op, Op::Leaf) {
                 continue;
             }
-            let Some(g) = grads[idx].take() else {
-                continue;
-            };
-            let mut g = g.into_data();
-            if g.iter().all(|&v| v == 0.0) {
-                self.pool.release(g);
-                continue;
+            if let Some(g) = grads[idx].take() {
+                let g = g.into_data();
+                if g.iter().all(|&v| v == 0.0) {
+                    self.pool.release(g);
+                } else {
+                    self.arm(idx, g, &mut grads);
+                }
             }
-            let grads = &mut grads[..];
-            match &node.op {
-                Op::Leaf => unreachable!("leaves keep their gradient"),
-                Op::MatMul(a, b) => {
-                    self.gemm_backward(&g, *a, *b, grads);
-                    self.pool.release(g);
-                }
-                Op::Linear { x, w, bias, relu } => {
-                    // Mask the upstream gradient by the activation: the kept
-                    // pre-activations are exactly the positive outputs.
-                    if *relu {
-                        keep_where_positive(&mut g, node.value.as_slice());
-                    }
-                    // dbias = column sums of the gradient, as the unfused
-                    // AddRow backward folds them; dx = g · wᵀ, dw = xᵀ · g —
-                    // the MatMul backward on the same `g`, which the
-                    // unfused chain's intermediate would have adopted
-                    // unchanged (an adopted gradient holds no `-0.0`).
-                    let db = self.col_sums(&g, node.value.cols());
-                    self.accumulate(grads, *bias, Cow::Owned(db));
-                    self.gemm_backward(&g, *x, *w, grads);
-                    self.pool.release(g);
-                }
-                Op::Add(a, b) => {
-                    self.accumulate(grads, *a, Cow::Borrowed(&g));
-                    self.accumulate(grads, *b, Cow::Owned(g));
-                }
-                Op::Mul(a, b) => {
-                    let mut db = self.pool.acquire_for_overwrite(g.len());
-                    for ((o, &gv), &x) in db.iter_mut().zip(&g).zip(self.value(*a).as_slice()) {
-                        *o = gv * x;
-                    }
-                    for (gv, &y) in g.iter_mut().zip(self.value(*b).as_slice()) {
-                        *gv *= y;
-                    }
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                    self.accumulate(grads, *b, Cow::Owned(db));
-                }
-                Op::AddRow(a, bias) => {
-                    let db = self.col_sums(&g, node.value.cols());
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                    self.accumulate(grads, *bias, Cow::Owned(db));
-                }
-                Op::Scale(a, k) => {
-                    for v in g.iter_mut() {
-                        *v *= *k;
-                    }
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                }
-                Op::Relu(a) => {
-                    keep_where_positive(&mut g, self.value(*a).as_slice());
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                }
-                Op::LeakyRelu(a, slope) => {
-                    for (gv, &x) in g.iter_mut().zip(self.value(*a).as_slice()) {
-                        *gv = if x > 0.0 { *gv } else { *gv * slope };
-                    }
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                }
-                Op::Sigmoid(a) => {
-                    for (gv, &s) in g.iter_mut().zip(node.value.as_slice()) {
-                        *gv = *gv * s * (1.0 - s);
-                    }
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                }
-                Op::Sum(a) | Op::Mean(a) => {
-                    let (r, c) = self.dims(*a);
-                    let each = match node.op {
-                        Op::Mean(_) => g[0] / (r * c).max(1) as f32,
-                        _ => g[0],
-                    };
-                    let mut da = self.pool.acquire_for_overwrite(r * c);
-                    da.fill(each);
-                    self.accumulate(grads, *a, Cow::Owned(da));
-                    self.pool.release(g);
-                }
-                Op::DivEps(a, b, eps) => {
-                    let (va, vb) = (self.value(*a).as_slice(), self.value(*b).as_slice());
-                    let db = self.div_eps_backward(&mut g, va, vb, *eps);
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                    self.accumulate(grads, *b, Cow::Owned(db));
-                }
-                Op::RowBlockSums(a) => {
-                    let (r, c) = self.dims(*a);
-                    let blocks = node.value.cols();
-                    let mut da = self.pool.acquire_for_overwrite(r * c);
-                    for (run, &gv) in rows_of_mut(&mut da, c / blocks).zip(&g) {
-                        run.fill(gv);
-                    }
-                    self.accumulate(grads, *a, Cow::Owned(da));
-                    self.pool.release(g);
-                }
-                Op::MulColBroadcast(a, w) => {
-                    let (va, vw) = (self.value(*a), self.value(*w));
-                    let (c, k) = (va.cols(), vw.cols());
-                    // Zeroed: a zero-width `a` has no runs to fold.
-                    let mut dw = self.pool.acquire(vw.as_slice().len());
-                    let runs = rows_of_mut(&mut g, c / k).zip(rows_of(va.as_slice(), c / k));
-                    for ((g_run, a_run), (o, &wv)) in runs.zip(dw.iter_mut().zip(vw.as_slice())) {
-                        let mut acc = 0.0f32;
-                        for (gv, &x) in g_run.iter_mut().zip(a_run) {
-                            acc += *gv * x;
-                            *gv *= wv;
-                        }
-                        *o = acc;
-                    }
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                    self.accumulate(grads, *w, Cow::Owned(dw));
-                }
-                Op::ConcatCols(parts) => {
-                    let total = node.value.cols();
-                    let mut offset = 0usize;
-                    for &p in parts.iter() {
-                        let (r, w) = self.dims(p);
-                        let mut dp = self.pool.acquire_for_overwrite(r * w);
-                        for (o, g_row) in rows_of_mut(&mut dp, w).zip(rows_of(&g, total)) {
-                            o.copy_from_slice(&g_row[offset..offset + w]);
-                        }
-                        self.accumulate(grads, p, Cow::Owned(dp));
-                        offset += w;
-                    }
-                    self.pool.release(g);
-                }
-                Op::GatherRows(a, index) => {
-                    let (r, c) = self.dims(*a);
-                    let mut da = self.pool.acquire(r * c);
-                    kernels::scatter_add_rows(&g, index, c, r, &mut da);
-                    self.accumulate(grads, *a, Cow::Owned(da));
-                    self.pool.release(g);
-                }
-                Op::ScatterAddRows(a, index) => {
-                    let (r, c) = node.value.shape();
-                    let mut da = self.pool.acquire_for_overwrite(index.len() * c);
-                    kernels::gather_rows(&g, r, c, index, &mut da);
-                    self.accumulate(grads, *a, Cow::Owned(da));
-                    self.pool.release(g);
-                }
-                Op::SegmentSoftmax(a, segments, n_segments) => {
-                    self.segment_softmax_backward(&mut g, &node.value, segments, *n_segments);
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                }
-                Op::BandEdgeScores {
-                    q,
-                    k,
-                    ee,
-                    band,
-                    form,
-                } => {
-                    let (vq, vk) = (self.value(*q), self.value(*k));
-                    let mut dq = self.pool.acquire(vq.as_slice().len());
-                    let mut dk = self.pool.acquire(vk.as_slice().len());
-                    // `g` becomes the gradient with respect to `ee`.
-                    self.backend.band_edge_scores_grad(
-                        band.route(),
-                        vq.as_slice(),
-                        vk.as_slice(),
-                        self.value(*ee).as_slice(),
-                        node.value.cols(),
-                        *form,
-                        &mut g,
-                        &mut dq,
-                        &mut dk,
-                    );
-                    self.accumulate(grads, *q, Cow::Owned(dq));
-                    self.accumulate(grads, *k, Cow::Owned(dk));
-                    self.accumulate(grads, *ee, Cow::Owned(g));
-                }
-                Op::BandAttend {
-                    e_what,
-                    v,
-                    band,
-                    attn,
-                } => {
-                    let ((m, heads), w) = (attn.shape(), self.dims(*e_what).1);
-                    let d = node.value.cols();
-                    let v_rows = self.value(*v).as_slice();
-                    // The weights' gradient, then the softmax's backward on
-                    // it in place: the scores' gradient.
-                    let mut d_score = self.pool.acquire_for_overwrite(m * heads);
-                    self.backend.band_attend_weight_grad(
-                        band.route(),
-                        &g,
-                        v_rows,
-                        heads,
-                        d,
-                        &mut d_score,
-                    );
-                    self.segment_softmax_backward(&mut d_score, attn, &band.msg_dst, band.n_nodes);
-                    let mut dv = self.pool.acquire(v_rows.len());
-                    self.backend.band_attend(
-                        band.route(),
-                        &g,
-                        attn.as_slice(),
-                        heads,
-                        d,
-                        true,
-                        &mut dv,
-                    );
-                    self.pool.release(g);
-                    // A score is the sum of its head's block: its gradient
-                    // reaches every element of the block.
-                    let mut de = self.pool.acquire_for_overwrite(m * w);
-                    for (run, &gv) in rows_of_mut(&mut de, w / heads).zip(&d_score) {
-                        run.fill(gv);
-                    }
-                    self.pool.release(d_score);
-                    self.accumulate(grads, *e_what, Cow::Owned(de));
-                    self.accumulate(grads, *v, Cow::Owned(dv));
-                }
-                Op::BandGate {
-                    e_hat,
-                    v,
-                    band,
-                    eps,
-                    num,
-                    den,
-                } => {
-                    let (n, d) = node.value.shape();
-                    let m = band.message_count();
-                    let route = band.route();
-                    let d_den = self.div_eps_backward(&mut g, num.as_slice(), den.as_slice(), *eps);
-                    let d_num = g;
-                    // Per message: the gate's gradient `d_den[dst] +
-                    // d_num[dst] ⊙ v[src]` (`d_den` with the `+ 0.0` of its
-                    // adoption in the chain), through the recomputed
-                    // sigmoid.
-                    let v_rows = self.value(*v).as_slice();
-                    let mut de = self.pool.acquire_for_overwrite(m * d);
-                    self.backend
-                        .band_attend_weight_grad(route, &d_num, v_rows, d, d, &mut de);
-                    let mut gates = self.pool.acquire_for_overwrite(m * d);
-                    let e_rows = self.value(*e_hat).as_slice();
-                    self.backend.unary(Unary::Sigmoid, e_rows, &mut gates);
-                    let msg_rows = rows_of_mut(&mut de, d).zip(rows_of(&gates, d));
-                    for ((de_row, s_row), &dst) in msg_rows.zip(band.msg_dst.iter()) {
-                        let dd_row = &d_den[dst * d..(dst + 1) * d];
-                        for ((o, &s), &dd) in de_row.iter_mut().zip(s_row).zip(dd_row) {
-                            *o = ((dd + 0.0) + *o) * s * (1.0 - s);
-                        }
-                    }
-                    let mut dv = self.pool.acquire(n * d);
-                    self.backend
-                        .band_attend(route, &d_num, &gates, d, d, true, &mut dv);
-                    for buf in [d_den, d_num, gates] {
-                        self.pool.release(buf);
-                    }
-                    self.accumulate(grads, *e_hat, Cow::Owned(de));
-                    self.accumulate(grads, *v, Cow::Owned(dv));
-                }
-                Op::LayerNorm(a, gamma, beta, eps) => {
-                    let x = self.value(*a);
-                    let gm = self.value(*gamma).as_slice();
-                    let c = x.cols();
-                    let cn = c as f32;
-                    let mut dgamma = self.pool.acquire(c);
-                    let mut dbeta = self.pool.acquire(c);
-                    let mut xhat = self.pool.acquire_for_overwrite(c);
-                    let mut dxhat = self.pool.acquire_for_overwrite(c);
-                    for (g_row, row) in rows_of_mut(&mut g, c).zip(rows_of(x.as_slice(), c)) {
-                        let mean = row.iter().sum::<f32>() / cn;
-                        let var = row.iter().map(|&v| (v - mean).powi(2)).sum::<f32>() / cn;
-                        let inv = 1.0 / (var + eps).sqrt();
-                        for (h, &v) in xhat.iter_mut().zip(row) {
-                            *h = (v - mean) * inv;
-                        }
-                        for ((d, &gv), &k) in dxhat.iter_mut().zip(g_row.iter()).zip(gm) {
-                            *d = gv * k;
-                        }
-                        let mean_dxhat = dxhat.iter().sum::<f32>() / cn;
-                        let mean_dxhat_xhat =
-                            dxhat.iter().zip(&xhat).map(|(&d, &h)| d * h).sum::<f32>() / cn;
-                        let sums = dgamma.iter_mut().zip(dbeta.iter_mut());
-                        let hats = xhat.iter().zip(&dxhat);
-                        for ((gv, (dg, db)), (&h, &d)) in g_row.iter_mut().zip(sums).zip(hats) {
-                            *dg += *gv * h;
-                            *db += *gv;
-                            *gv = inv * (d - mean_dxhat - h * mean_dxhat_xhat);
-                        }
-                    }
-                    self.pool.release(xhat);
-                    self.pool.release(dxhat);
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                    self.accumulate(grads, *gamma, Cow::Owned(dgamma));
-                    self.accumulate(grads, *beta, Cow::Owned(dbeta));
-                }
-                Op::BatchNorm(a, gamma, beta, eps) | Op::BatchNormRelu(a, gamma, beta, eps) => {
-                    // For the fused variant, first mask the upstream
-                    // gradient exactly as the unfused relu backward would
-                    // (output sign == norm-output sign: relu preserves it).
-                    if let Op::BatchNormRelu(..) = node.op {
-                        keep_where_positive(&mut g, node.value.as_slice());
-                    }
-                    let gm = self.value(*gamma).as_slice();
-                    let [dgamma, dbeta] =
-                        self.batch_norm_backward(&mut g, self.value(*a), gm, *eps);
-                    self.accumulate(grads, *a, Cow::Owned(g));
-                    self.accumulate(grads, *gamma, Cow::Owned(dgamma));
-                    self.accumulate(grads, *beta, Cow::Owned(dbeta));
-                }
-                Op::L1Loss(pred, target) => {
-                    let p = self.value(*pred).as_slice();
-                    let scale = g[0] / p.len().max(1) as f32;
-                    let mut dp = self.pool.acquire_for_overwrite(p.len());
-                    for ((o, &a), &b) in dp.iter_mut().zip(p).zip(target.as_slice()) {
-                        *o = if a > b {
-                            scale
-                        } else if a < b {
-                            -scale
-                        } else {
-                            0.0
-                        };
-                    }
-                    self.accumulate(grads, *pred, Cow::Owned(dp));
-                    self.pool.release(g);
-                }
-                Op::CrossEntropy(logits, labels) => {
-                    let x = self.value(*logits);
-                    let (r, c) = x.shape();
-                    let scale = g[0] / r.max(1) as f32;
-                    let mut dx = self.pool.acquire_for_overwrite(r * c);
-                    let rows = rows_of_mut(&mut dx, c).zip(rows_of(x.as_slice(), c));
-                    for ((dx_row, row), &label) in rows.zip(labels.iter()) {
-                        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                        let sum: f32 = row.iter().map(|&v| (v - max).exp()).sum();
-                        for (j, (o, &logit)) in dx_row.iter_mut().zip(row).enumerate() {
-                            let p = (logit - max).exp() / sum;
-                            let y = if label == j { 1.0 } else { 0.0 };
-                            *o = scale * (p - y);
-                        }
-                    }
-                    self.accumulate(grads, *logits, Cow::Owned(dx));
-                    self.pool.release(g);
-                }
+            if idx != loss.0 {
+                self.release_node(idx);
             }
         }
         // A leaf the loss does not reach reads as zeros.
         for (slot, node) in grads.iter_mut().zip(&self.nodes) {
             if slot.is_none() && matches!(node.op, Op::Leaf) {
-                let (r, c) = node.value.shape();
+                let (r, c) = node.shape;
                 *slot = Some(Tensor::from_vec(r, c, self.pool.acquire(r * c)));
             }
         }
         Gradients {
             grads,
             pool: self.pool.clone(),
+        }
+    }
+
+    /// The backward arm of the non-leaf node `idx` for its nonzero gradient
+    /// `g`: folds the operands' contributions into `grads` and passes `g`
+    /// on or releases it.
+    fn arm(&self, idx: usize, mut g: Vec<f32>, grads: &mut [Option<Tensor>]) {
+        let (node, own) = (&self.nodes[idx], Var(idx));
+        match &node.op {
+            Op::Leaf => unreachable!("leaves keep their gradient"),
+            Op::MatMul(a, b) => {
+                self.gemm_backward(&g, *a, *b, grads);
+                self.pool.release(g);
+            }
+            Op::Linear { x, w, bias, relu } => {
+                // Mask the upstream gradient by the activation: the kept
+                // pre-activations are exactly the positive outputs.
+                if *relu {
+                    keep_where_positive(&mut g, self.value(own).as_slice());
+                }
+                // dbias = column sums of the gradient, as the unfused
+                // AddRow backward folds them; dx = g · wᵀ, dw = xᵀ · g —
+                // the MatMul backward on the same `g`, which the
+                // unfused chain's intermediate would have adopted
+                // unchanged (an adopted gradient holds no `-0.0`).
+                let db = self.col_sums(&g, node.shape.1);
+                self.accumulate(grads, *bias, Cow::Owned(db));
+                self.gemm_backward(&g, *x, *w, grads);
+                self.pool.release(g);
+            }
+            Op::Add(a, b) => {
+                self.accumulate(grads, *a, Cow::Borrowed(&g));
+                self.accumulate(grads, *b, Cow::Owned(g));
+            }
+            Op::Mul(a, b) => {
+                let mut db = self.pool.acquire_for_overwrite(g.len());
+                for ((o, &gv), &x) in db.iter_mut().zip(&g).zip(self.value(*a).as_slice()) {
+                    *o = gv * x;
+                }
+                for (gv, &y) in g.iter_mut().zip(self.value(*b).as_slice()) {
+                    *gv *= y;
+                }
+                self.accumulate(grads, *a, Cow::Owned(g));
+                self.accumulate(grads, *b, Cow::Owned(db));
+            }
+            Op::AddRow(a, bias) => {
+                let db = self.col_sums(&g, node.shape.1);
+                self.accumulate(grads, *a, Cow::Owned(g));
+                self.accumulate(grads, *bias, Cow::Owned(db));
+            }
+            Op::Scale(a, k) => {
+                for v in g.iter_mut() {
+                    *v *= *k;
+                }
+                self.accumulate(grads, *a, Cow::Owned(g));
+            }
+            Op::Relu(a) => {
+                keep_where_positive(&mut g, self.value(*a).as_slice());
+                self.accumulate(grads, *a, Cow::Owned(g));
+            }
+            Op::LeakyRelu(a, slope) => {
+                for (gv, &x) in g.iter_mut().zip(self.value(*a).as_slice()) {
+                    *gv = if x > 0.0 { *gv } else { *gv * slope };
+                }
+                self.accumulate(grads, *a, Cow::Owned(g));
+            }
+            Op::Sigmoid(a) => {
+                for (gv, &s) in g.iter_mut().zip(self.value(own).as_slice()) {
+                    *gv = *gv * s * (1.0 - s);
+                }
+                self.accumulate(grads, *a, Cow::Owned(g));
+            }
+            Op::Sum(a) | Op::Mean(a) => {
+                let (r, c) = self.dims(*a);
+                let each = match node.op {
+                    Op::Mean(_) => g[0] / (r * c).max(1) as f32,
+                    _ => g[0],
+                };
+                let mut da = self.pool.acquire_for_overwrite(r * c);
+                da.fill(each);
+                self.accumulate(grads, *a, Cow::Owned(da));
+                self.pool.release(g);
+            }
+            Op::DivEps(a, b, eps) => {
+                let (va, vb) = (self.value(*a).as_slice(), self.value(*b).as_slice());
+                let db = self.div_eps_backward(&mut g, va, vb, *eps);
+                self.accumulate(grads, *a, Cow::Owned(g));
+                self.accumulate(grads, *b, Cow::Owned(db));
+            }
+            Op::RowBlockSums(a) => {
+                let (r, c) = self.dims(*a);
+                let blocks = node.shape.1;
+                let mut da = self.pool.acquire_for_overwrite(r * c);
+                for (run, &gv) in rows_of_mut(&mut da, c / blocks).zip(&g) {
+                    run.fill(gv);
+                }
+                self.accumulate(grads, *a, Cow::Owned(da));
+                self.pool.release(g);
+            }
+            Op::MulColBroadcast(a, w) => {
+                let (va, vw) = (self.value(*a), self.value(*w));
+                let (c, k) = (va.cols(), vw.cols());
+                // Zeroed: a zero-width `a` has no runs to fold.
+                let mut dw = self.pool.acquire(vw.as_slice().len());
+                let runs = rows_of_mut(&mut g, c / k).zip(rows_of(va.as_slice(), c / k));
+                for ((g_run, a_run), (o, &wv)) in runs.zip(dw.iter_mut().zip(vw.as_slice())) {
+                    let mut acc = 0.0f32;
+                    for (gv, &x) in g_run.iter_mut().zip(a_run) {
+                        acc += *gv * x;
+                        *gv *= wv;
+                    }
+                    *o = acc;
+                }
+                self.accumulate(grads, *a, Cow::Owned(g));
+                self.accumulate(grads, *w, Cow::Owned(dw));
+            }
+            Op::ConcatCols(parts) => {
+                let total = node.shape.1;
+                let mut offset = 0usize;
+                for &p in parts.iter() {
+                    let (r, w) = self.dims(p);
+                    let mut dp = self.pool.acquire_for_overwrite(r * w);
+                    for (o, g_row) in rows_of_mut(&mut dp, w).zip(rows_of(&g, total)) {
+                        o.copy_from_slice(&g_row[offset..offset + w]);
+                    }
+                    self.accumulate(grads, p, Cow::Owned(dp));
+                    offset += w;
+                }
+                self.pool.release(g);
+            }
+            Op::GatherRows(a, index) => {
+                let (r, c) = self.dims(*a);
+                let mut da = self.pool.acquire(r * c);
+                kernels::scatter_add_rows(&g, index, c, r, &mut da);
+                self.accumulate(grads, *a, Cow::Owned(da));
+                self.pool.release(g);
+            }
+            Op::ScatterAddRows(a, index) => {
+                let (r, c) = node.shape;
+                let mut da = self.pool.acquire_for_overwrite(index.len() * c);
+                kernels::gather_rows(&g, r, c, index, &mut da);
+                self.accumulate(grads, *a, Cow::Owned(da));
+                self.pool.release(g);
+            }
+            Op::SegmentSoftmax(a, segments, n_segments) => {
+                self.segment_softmax_backward(&mut g, self.value(own), segments, *n_segments);
+                self.accumulate(grads, *a, Cow::Owned(g));
+            }
+            Op::BandEdgeScores {
+                q,
+                k,
+                ee,
+                band,
+                form,
+            } => {
+                let (vq, vk) = (self.value(*q), self.value(*k));
+                let mut dq = self.pool.acquire(vq.as_slice().len());
+                let mut dk = self.pool.acquire(vk.as_slice().len());
+                // `g` becomes the gradient with respect to `ee`.
+                self.backend.band_edge_scores_grad(
+                    band.route(),
+                    vq.as_slice(),
+                    vk.as_slice(),
+                    self.value(*ee).as_slice(),
+                    node.shape.1,
+                    *form,
+                    &mut g,
+                    &mut dq,
+                    &mut dk,
+                );
+                self.accumulate(grads, *q, Cow::Owned(dq));
+                self.accumulate(grads, *k, Cow::Owned(dk));
+                self.accumulate(grads, *ee, Cow::Owned(g));
+            }
+            Op::BandAttend {
+                e_what,
+                v,
+                band,
+                attn,
+            } => {
+                let ((m, heads), w) = (attn.shape(), self.dims(*e_what).1);
+                let d = node.shape.1;
+                let v_rows = self.value(*v).as_slice();
+                // The weights' gradient, then the softmax's backward on
+                // it in place: the scores' gradient.
+                let mut d_score = self.pool.acquire_for_overwrite(m * heads);
+                self.backend.band_attend_weight_grad(
+                    band.route(),
+                    &g,
+                    v_rows,
+                    heads,
+                    d,
+                    &mut d_score,
+                );
+                self.segment_softmax_backward(&mut d_score, attn, &band.msg_dst, band.n_nodes);
+                let mut dv = self.pool.acquire(v_rows.len());
+                self.backend.band_attend(
+                    band.route(),
+                    &g,
+                    attn.as_slice(),
+                    heads,
+                    d,
+                    true,
+                    &mut dv,
+                );
+                self.pool.release(g);
+                // A score is the sum of its head's block: its gradient
+                // reaches every element of the block.
+                let mut de = self.pool.acquire_for_overwrite(m * w);
+                for (run, &gv) in rows_of_mut(&mut de, w / heads).zip(&d_score) {
+                    run.fill(gv);
+                }
+                self.pool.release(d_score);
+                self.accumulate(grads, *e_what, Cow::Owned(de));
+                self.accumulate(grads, *v, Cow::Owned(dv));
+            }
+            Op::BandGate {
+                e_hat,
+                v,
+                band,
+                eps,
+                num,
+                den,
+            } => {
+                let (n, d) = node.shape;
+                let m = band.message_count();
+                let route = band.route();
+                let d_den = self.div_eps_backward(&mut g, num.as_slice(), den.as_slice(), *eps);
+                let d_num = g;
+                // Per message: the gate's gradient `d_den[dst] +
+                // d_num[dst] ⊙ v[src]` (`d_den` with the `+ 0.0` of its
+                // adoption in the chain), through the recomputed
+                // sigmoid.
+                let v_rows = self.value(*v).as_slice();
+                let mut de = self.pool.acquire_for_overwrite(m * d);
+                self.backend
+                    .band_attend_weight_grad(route, &d_num, v_rows, d, d, &mut de);
+                let mut gates = self.pool.acquire_for_overwrite(m * d);
+                let e_rows = self.value(*e_hat).as_slice();
+                self.backend.unary(Unary::Sigmoid, e_rows, &mut gates);
+                let msg_rows = rows_of_mut(&mut de, d).zip(rows_of(&gates, d));
+                for ((de_row, s_row), &dst) in msg_rows.zip(band.msg_dst.iter()) {
+                    let dd_row = &d_den[dst * d..(dst + 1) * d];
+                    for ((o, &s), &dd) in de_row.iter_mut().zip(s_row).zip(dd_row) {
+                        *o = ((dd + 0.0) + *o) * s * (1.0 - s);
+                    }
+                }
+                let mut dv = self.pool.acquire(n * d);
+                self.backend
+                    .band_attend(route, &d_num, &gates, d, d, true, &mut dv);
+                for buf in [d_den, d_num, gates] {
+                    self.pool.release(buf);
+                }
+                self.accumulate(grads, *e_hat, Cow::Owned(de));
+                self.accumulate(grads, *v, Cow::Owned(dv));
+            }
+            Op::LayerNorm(a, gamma, beta, eps) => {
+                let x = self.value(*a);
+                let [dgamma, dbeta] =
+                    self.norm_backward(NormKind::Layer, &mut g, x, *gamma, *beta, *eps);
+                self.accumulate(grads, *a, Cow::Owned(g));
+                self.accumulate(grads, *gamma, Cow::Owned(dgamma));
+                self.accumulate(grads, *beta, Cow::Owned(dbeta));
+            }
+            Op::AddLayerNorm {
+                h,
+                r,
+                gamma,
+                beta,
+                eps,
+                sum,
+            } => {
+                // The layer norm's arm, whose input's gradient the sum adopts
+                // (`0.0 + x`, as `accumulate` adopts an owned buffer), then the
+                // add's arm on it: `h` first, then `r`.
+                let [dgamma, dbeta] =
+                    self.norm_backward(NormKind::Layer, &mut g, sum, *gamma, *beta, *eps);
+                for x in g.iter_mut() {
+                    *x += 0.0;
+                }
+                self.accumulate(grads, *gamma, Cow::Owned(dgamma));
+                self.accumulate(grads, *beta, Cow::Owned(dbeta));
+                if g.iter().all(|&v| v == 0.0) {
+                    self.pool.release(g);
+                } else {
+                    self.accumulate(grads, *h, Cow::Borrowed(&g));
+                    self.accumulate(grads, *r, Cow::Owned(g));
+                }
+            }
+            Op::BatchNorm(a, gamma, beta, eps) | Op::BatchNormRelu(a, gamma, beta, eps) => {
+                // For the fused variant, first mask the upstream gradient
+                // exactly as the unfused relu backward would (output sign ==
+                // norm-output sign: relu preserves it).
+                if let Op::BatchNormRelu(..) = node.op {
+                    keep_where_positive(&mut g, self.value(own).as_slice());
+                }
+                let x = self.value(*a);
+                let [dgamma, dbeta] =
+                    self.norm_backward(NormKind::Batch, &mut g, x, *gamma, *beta, *eps);
+                self.accumulate(grads, *a, Cow::Owned(g));
+                self.accumulate(grads, *gamma, Cow::Owned(dgamma));
+                self.accumulate(grads, *beta, Cow::Owned(dbeta));
+            }
+            Op::L1Loss(pred, target) => {
+                let p = self.value(*pred).as_slice();
+                let scale = g[0] / p.len().max(1) as f32;
+                let mut dp = self.pool.acquire_for_overwrite(p.len());
+                for ((o, &a), &b) in dp.iter_mut().zip(p).zip(target.as_slice()) {
+                    *o = if a > b {
+                        scale
+                    } else if a < b {
+                        -scale
+                    } else {
+                        0.0
+                    };
+                }
+                self.accumulate(grads, *pred, Cow::Owned(dp));
+                self.pool.release(g);
+            }
+            Op::CrossEntropy(logits, labels) => {
+                let x = self.value(*logits);
+                let (r, c) = x.shape();
+                let scale = g[0] / r.max(1) as f32;
+                let mut dx = self.pool.acquire_for_overwrite(r * c);
+                let rows = rows_of_mut(&mut dx, c).zip(rows_of(x.as_slice(), c));
+                for ((dx_row, row), &label) in rows.zip(labels.iter()) {
+                    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                    let sum: f32 = row.iter().map(|&v| (v - max).exp()).sum();
+                    for (j, (o, &logit)) in dx_row.iter_mut().zip(row).enumerate() {
+                        let p = (logit - max).exp() / sum;
+                        let y = if label == j { 1.0 } else { 0.0 };
+                        *o = scale * (p - y);
+                    }
+                }
+                self.accumulate(grads, *logits, Cow::Owned(dx));
+                self.pool.release(g);
+            }
         }
     }
 }
@@ -1774,6 +1936,8 @@ mod tests {
             };
             let fsq = fused.mul(fy, fy);
             let floss = fused.sum(fsq);
+            // Values go as the backward pass walks: read them first.
+            let fy_bits = bits(fused.value(fy));
             let fg = fused.backward(floss);
 
             let mut unfused = tape();
@@ -1787,10 +1951,11 @@ mod tests {
             let uy = if relu { unfused.relu(ua) } else { ua };
             let usq = unfused.mul(uy, uy);
             let uloss = unfused.sum(usq);
+            let uy_bits = bits(unfused.value(uy));
             let ug = unfused.backward(uloss);
 
             let case = format!("{backend} relu={relu}");
-            assert_eq!(bits(fused.value(fy)), bits(unfused.value(uy)), "{case}");
+            assert_eq!(fy_bits, uy_bits, "{case}");
             for (v_f, v_u) in [(fx, ux), (fw, uw), (fb, ub)] {
                 assert_eq!(bits(fg.wrt(v_f)), bits(ug.wrt(v_u)), "{case}");
             }
@@ -1815,8 +1980,11 @@ mod tests {
                 fused.leaf(gamma.clone()),
                 fused.leaf(beta.clone()),
             );
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let fy = fused.batch_norm_relu(fx, fg, fb, 1e-5);
             let floss = fused.sum(fy);
+            // Values go as the backward pass walks: read them first.
+            let fy_bits = bits(fused.value(fy));
             let fgrads = fused.backward(floss);
 
             let mut unfused = tape();
@@ -1828,10 +1996,10 @@ mod tests {
             let un = unfused.batch_norm(ux, ug, ub, 1e-5);
             let uy = unfused.relu(un);
             let uloss = unfused.sum(uy);
+            let uy_bits = bits(unfused.value(uy));
             let ugrads = unfused.backward(uloss);
 
-            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(fused.value(fy)), bits(unfused.value(uy)), "{backend}");
+            assert_eq!(fy_bits, uy_bits, "{backend}");
             for (v_f, v_u) in [(fx, ux), (fg, ug), (fb, ub)] {
                 assert_eq!(bits(fgrads.wrt(v_f)), bits(ugrads.wrt(v_u)), "{backend}");
             }
@@ -2021,7 +2189,6 @@ mod tests {
             state >> 8
         };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let tape = Tape::new();
         for round in 0..300 {
             let (r, c) = match round % 5 {
                 0 => (0, 1 + next() as usize % 4),
@@ -2043,7 +2210,18 @@ mod tests {
             let g = draw(r * c);
             let (mut want_dx, mut got_dx) = (g.clone(), g);
             let want = batch_norm_backward_by_column(&mut want_dx, &x, &gamma, 1e-5);
-            let got = tape.batch_norm_backward(&mut got_dx, &x, &gamma, 1e-5);
+            let mut got = [vec![0.0f32; c], vec![0.0f32; c]];
+            let [dgamma, dbeta] = &mut got;
+            kernels::batch_norm_backward(
+                x.as_slice(),
+                &mut got_dx,
+                &gamma,
+                r,
+                c,
+                1e-5,
+                dgamma,
+                dbeta,
+            );
             assert_eq!(bits(&got_dx), bits(&want_dx), "dx of a {r}x{c}");
             assert_eq!(bits(&got[0]), bits(&want[0]), "dgamma of a {r}x{c}");
             assert_eq!(bits(&got[1]), bits(&want[1]), "dbeta of a {r}x{c}");
@@ -2076,6 +2254,62 @@ mod tests {
         let y = tape.scale(x, 2.0);
         let loss = tape.sum(y);
         let _ = tape.backward(loss).wrt(y);
+    }
+
+    #[test]
+    #[should_panic(expected = "node #2 (scale) has no value")]
+    fn backward_releases_values_as_it_walks() {
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::full(2, 2, 1.0));
+        let unused = tape.leaf(Tensor::full(1, 2, 3.0));
+        let y = tape.scale(x, 2.0);
+        let loss = tape.sum(y);
+        let grads = tape.backward(loss);
+        assert_eq!(grads.wrt(x).as_slice(), &[2.0; 4]);
+        // Leaves and the loss keep their values.
+        assert_eq!(tape.value(x).as_slice(), &[1.0; 4]);
+        assert_eq!(tape.value(unused).as_slice(), &[3.0; 2]);
+        assert_eq!(tape.value(loss).at(0, 0), 8.0);
+        let _ = tape.value(y);
+    }
+
+    /// A residual, its layer norm's parameters, and `r = 2 · x`: an op
+    /// output whose backward reads only its shape.
+    fn residual_operands(tape: &mut Tape) -> [Var; 4] {
+        let h = tape.leaf(sample(3, 4, 71));
+        let x = tape.leaf(sample(3, 4, 72));
+        let gamma = tape.leaf(sample(1, 4, 73));
+        let beta = tape.leaf(sample(1, 4, 74));
+        [h, tape.scale(x, 2.0), gamma, beta]
+    }
+
+    #[test]
+    #[should_panic(expected = "node #4 (scale) has no value")]
+    fn a_donated_operand_takes_no_second_consumer() {
+        let mut tape = Tape::new();
+        let [h, r, gamma, beta] = residual_operands(&mut tape);
+        tape.add_layer_norm(h, r, gamma, beta, 1e-5);
+        tape.relu(r);
+    }
+
+    #[test]
+    #[should_panic(expected = "node #4 (scale) cannot be donated: node #5 (relu) already reads it")]
+    fn an_operand_with_a_consumer_is_not_donated() {
+        let mut tape = Tape::new();
+        let [h, r, gamma, beta] = residual_operands(&mut tape);
+        tape.relu(r);
+        tape.add_layer_norm(h, r, gamma, beta, 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "(linear_relu) cannot be donated")]
+    fn an_output_its_backward_reads_is_not_donated() {
+        let mut tape = Tape::new();
+        let [h, _, gamma, beta] = residual_operands(&mut tape);
+        let w = tape.leaf(sample(4, 4, 75));
+        let b = tape.leaf(sample(1, 4, 76));
+        let r = tape.linear_relu(h, w, b);
+        tape.add_layer_norm(h, r, gamma, beta, 1e-5);
     }
 
     #[test]

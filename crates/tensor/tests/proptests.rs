@@ -1,8 +1,55 @@
 //! Property-based tests for the tensor library and autograd.
 
+use mega_exec::{Backend, BufferPool, ReferenceBackend, SimdBackend};
 use mega_tensor::{Tape, Tensor};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// `rows × cols` values from `seed`: uniform in (−2, 2) with both zeros and
+/// magnitudes far enough apart to round mixed in.
+fn drawn(rows: usize, cols: usize, seed: u32) -> Tensor {
+    let mut state = seed.wrapping_mul(2654435761).wrapping_add(99);
+    let data = (0..rows * cols)
+        .map(|_| {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            let v = ((state >> 8) as f32 / (1u32 << 24) as f32) * 4.0 - 2.0;
+            match (state >> 4) % 16 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => v * 1e4,
+                _ => v,
+            }
+        })
+        .collect();
+    Tensor::from_vec(rows, cols, data)
+}
+
+/// The bits of `t`.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// One forward and backward of `layer_norm(h + r)` weighted by `w`, fused
+/// or as the `add` → `layer_norm` pair: the output, then the gradients of
+/// `h`, `r`, `gamma` and `beta`. `r` is a `scale` by 1, an op output whose
+/// backward reads only its shape, as a residual's linear output is.
+fn residual_norm(backend: Arc<dyn Backend>, inputs: &[Tensor; 5], fused: bool) -> Vec<Vec<u32>> {
+    let mut tape = Tape::with_exec(backend, Arc::new(BufferPool::new()));
+    let [h, r, gamma, beta, w] = inputs.clone().map(|t| tape.leaf(t));
+    let r_out = tape.scale(r, 1.0);
+    let y = if fused {
+        tape.add_layer_norm(h, r_out, gamma, beta, 1e-5)
+    } else {
+        let sum = tape.add(h, r_out);
+        tape.layer_norm(sum, gamma, beta, 1e-5)
+    };
+    let weighted = tape.mul(y, w);
+    let loss = tape.sum(weighted);
+    let mut out = vec![bits(tape.value(y))];
+    let grads = tape.backward(loss);
+    out.extend([h, r, gamma, beta].map(|v| bits(grads.wrt(v))));
+    out
+}
 
 fn arb_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-2.0f32..2.0, rows * cols)
@@ -97,6 +144,45 @@ proptest! {
             let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 6.0;
             prop_assert!(mean.abs() < 1e-3);
             prop_assert!((var - 1.0).abs() < 1e-2);
+        }
+    }
+
+    /// `add_layer_norm(h, r)` ≡ `layer_norm(add(h, r))` bit for bit — the
+    /// output and the gradients of `h`, `r`, `gamma` and `beta` — on the
+    /// reference backend and every SIMD tier the host runs, each fused run
+    /// held to the reference's unfused pair. Rows are `16q + t` with `t` not
+    /// 0 or 8, so every case has rows past the last 8- and 16-row group;
+    /// widths are `8p + u`, `u > 0`, so every row has columns past the last
+    /// 8-lane block.
+    #[test]
+    fn add_layer_norm_matches_add_then_layer_norm(
+        q in 0usize..3,
+        t in (1usize..15).prop_map(|t| if t >= 8 { t + 1 } else { t }),
+        p in 0usize..4,
+        u in 1usize..8,
+        seed in 0u32..u32::MAX,
+    ) {
+        let (rows, cols) = (16 * q + t, 8 * p + u);
+        let inputs = [
+            drawn(rows, cols, seed),
+            drawn(rows, cols, seed ^ 1),
+            drawn(1, cols, seed ^ 2),
+            drawn(1, cols, seed ^ 3),
+            drawn(rows, cols, seed ^ 4),
+        ];
+        let want = residual_norm(Arc::new(ReferenceBackend), &inputs, false);
+        let mut backends: Vec<(String, Arc<dyn Backend>)> =
+            vec![("reference".into(), Arc::new(ReferenceBackend))];
+        for simd in SimdBackend::all_on_host() {
+            backends.push((format!("simd-{}", simd.tier()), Arc::new(simd)));
+        }
+        for (name, backend) in backends {
+            for fused in [false, true] {
+                let got = residual_norm(backend.clone(), &inputs, fused);
+                for (what, (g, w)) in ["y", "dh", "dr", "dgamma", "dbeta"].iter().zip(got.iter().zip(&want)) {
+                    prop_assert_eq!(g, w, "{} {}x{} fused={} {}", name, rows, cols, fused, what);
+                }
+            }
         }
     }
 }

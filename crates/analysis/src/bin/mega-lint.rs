@@ -3,11 +3,11 @@
 //! Usage: `cargo run -p mega-analysis --bin mega-lint -- --workspace`
 //!
 //! Scans every Rust source in the workspace against the rule catalog in
-//! `mega_analysis::Rule` — token rules plus the call-graph rules
-//! (determinism-taint, unsafe-reach, panic-surface, span-coverage,
-//! stale-pragma) — prints findings as `file:line: [rule] message`, applies
-//! the checked-in ratchet baselines, and exits non-zero when anything
-//! gates — which is how CI turns the project invariants into a merge gate.
+//! `mega_analysis::Rule` — token rules, the call-graph `panic-surface`
+//! audit, and the pragma rules — prints findings as
+//! `file:line: [rule] message`, applies the checked-in ratchet baselines,
+//! and exits non-zero when anything gates — which is how CI turns the
+//! project invariants into a merge gate.
 
 use mega_analysis::{audit, render_json, Analysis};
 use std::path::PathBuf;
@@ -17,17 +17,17 @@ const USAGE: &str =
     "usage: mega-lint --workspace [--root <dir>] [--format text|json] [--update-audits]
 
 Lints every Rust source in the workspace against the MEGA invariant rules
-(bit-exactness, unsafe hygiene, obs routing, determinism taint, unsafe/panic
-reachability, span coverage). Exits 1 when any finding survives suppression
-pragmas and the ratchet baselines, 2 on usage errors.
+(bit-exactness, unsafe hygiene, obs routing, ordered collections, hot-path
+panic reachability). Exits 1 when any finding survives suppression pragmas
+and the ratchet baselines, 2 on usage errors.
 
   --workspace       lint the enclosing cargo workspace (required)
   --root <dir>      use <dir> as the workspace root instead of discovering
                     it from the current directory
   --format <fmt>    output format: text (default) or json (full analysis,
                     including ratchet-tolerated findings)
-  --update-audits   rewrite crates/analysis/audit/unsafe_reach.txt from the
-                    computed reach set and refresh ratchet counts downward;
+  --update-audits   lower each ratchet baseline in
+                    crates/analysis/audit/ratchet.txt to its current count;
                     review the diff before committing
 ";
 
@@ -91,12 +91,7 @@ fn main() -> ExitCode {
             eprintln!("mega-lint: failed to update audit files: {err}");
             return ExitCode::from(2);
         }
-        println!(
-            "mega-lint: wrote {} entries to {} and refreshed {}",
-            analysis.unsafe_reach.len(),
-            audit::UNSAFE_AUDIT,
-            audit::RATCHET_FILE,
-        );
+        println!("mega-lint: refreshed {}", audit::RATCHET_FILE);
         return ExitCode::SUCCESS;
     }
 
@@ -138,24 +133,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// Rewrites the unsafe-reach inventory from the computed set and lowers
-/// any ratchet baseline that the current count has dropped below. Baselines
-/// are never raised here: adding headroom is a reviewed, manual edit.
+/// Lowers any ratchet baseline that the current count has dropped below.
+/// Baselines are never raised here: adding headroom is a reviewed, manual
+/// edit.
 fn write_audits(root: &std::path::Path, a: &Analysis) -> std::io::Result<()> {
-    let unsafe_path = root.join(audit::UNSAFE_AUDIT);
-    if let Some(dir) = unsafe_path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut inventory = String::from(
-        "# Public fns that transitively reach an `unsafe` block (static call\n\
-         # edges). Exact inventory: additions AND stale entries fail mega-lint.\n\
-         # Regenerate with `mega-lint --workspace --update-audits` and review.\n",
-    );
-    for entry in &a.unsafe_reach {
-        inventory.push_str(entry);
-        inventory.push('\n');
-    }
-    std::fs::write(&unsafe_path, inventory)?;
     let ratchet_path = root.join(audit::RATCHET_FILE);
     if ratchet_path.exists() {
         let old = std::fs::read_to_string(&ratchet_path)?;

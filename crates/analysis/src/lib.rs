@@ -2,32 +2,32 @@
 //! binary.
 //!
 //! The MEGA workspace makes promises that `rustc` cannot check: every
-//! backend is bit-identical to the reference loops (so no FMA, no
-//! horizontal reductions, no re-associated float folds), `unsafe` lives in
-//! exactly one file with every site justified, console output and wall
-//! clocks route through `mega-obs`, and result-affecting crates never
-//! iterate seed-ordered hash collections. This crate turns those promises
-//! into lint rules over the source tree, with findings reported as
-//! `file:line: [rule] message` and enforced (non-zero exit) in CI.
+//! backend is bit-identical to the reference loops (so FMA and horizontal
+//! reductions appear only at the pragma'd GEMM-fold sites, where every
+//! backend fuses by contract, and no float fold is re-associated),
+//! `unsafe` lives in exactly one file with every site justified, console
+//! output and wall clocks route through `mega-obs`, and result-affecting
+//! crates never iterate seed-ordered hash collections. This crate turns
+//! those promises into lint rules over the source tree, with findings
+//! reported as `file:line: [rule] message` and enforced (non-zero exit) in
+//! CI.
 //!
 //! Two rule tiers share one pipeline:
 //!
 //! - **Token rules** match single scanned lines ([`scan`] strips comments
 //!   and string literals first, so a banned identifier inside a doc
 //!   comment or a log message never fires).
-//! - **Graph rules** run over a whole-workspace call graph extracted from
-//!   the same token stream ([`graph`]): determinism-taint propagation,
-//!   the unsafe-reachability audit, the hot-path panic-surface audit, and
-//!   span coverage. Their verdicts depend on *reachability*, not lexical
-//!   occurrence.
+//! - **`panic-surface`** runs over a whole-workspace call graph extracted
+//!   from the same token stream ([`graph`]): its verdict depends on
+//!   *reachability* from the hot kernel surface, not lexical occurrence.
 //!
 //! Rules are scoped by workspace-relative path and individually
 //! suppressible at a site via a justified pragma, e.g.
 //! `// mega-lint: allow(unordered-collection, reason = "membership test only")`.
 //! A pragma that suppresses nothing is itself a `stale-pragma` finding.
-//! Graph rules with a nonzero legacy surface are adoptable through the
-//! checked-in ratchet (`crates/analysis/audit/ratchet.txt`): baseline
-//! counts may only decrease. See [`Rule`] for the catalog and `DESIGN.md`
+//! The inherited `panic-surface` debt is pinned by the checked-in ratchet
+//! (`crates/analysis/audit/ratchet.txt`): baseline counts may only
+//! decrease. See [`Rule`] for the catalog and `DESIGN.md`
 //! §9 for the contract each rule guards.
 
 #![forbid(unsafe_code)]
@@ -38,7 +38,6 @@ pub mod graph;
 mod pragma;
 mod rules;
 pub mod scan;
-mod taint;
 mod walk;
 
 use std::collections::BTreeMap;
@@ -54,8 +53,10 @@ pub use walk::rust_sources;
 pub enum Rule {
     /// Fused multiply-add and horizontal-reduction identifiers
     /// (`mul_add`, `_mm*_fmadd_*`, `hadd`, `dp_ps`, `_mm*reduce*`) are
-    /// banned everywhere: they round or fold differently from the
-    /// reference loops and break cross-backend bit-exactness.
+    /// banned everywhere except the pragma'd GEMM-fold sites, where every
+    /// backend fuses by contract. Every other kernel's bits are defined by
+    /// a separate multiply and add folded in order, which a fused or
+    /// lane-reduced op would round differently.
     NoFma,
     /// Iterator float accumulations (`sum::<f32>()` and friends) inside
     /// `crates/exec/src/` outside the audited kernels allowlist.
@@ -70,12 +71,6 @@ pub enum Rule {
     ObsRouting,
     /// `HashMap`/`HashSet` in a result-affecting crate's `src/` tree.
     UnorderedCollection,
-    /// A fused composite-kernel `fn` definition (`*linear_relu*`,
-    /// `*axpy*`, `*norm_act*`, ...) outside the audited fusion surface
-    /// (`crates/exec/src/`, the tape, the GPU simulator). Fused
-    /// arithmetic must go through the `Backend` trait so its bit-exactness
-    /// proof lives in one reviewed place.
-    FusionScope,
     /// A `#[path = ".."]` attribute or an `include!(..)` macro: either
     /// compiles code at a path other than the file's own, where rules
     /// scoped by path would judge it wrongly. Never suppressible.
@@ -86,46 +81,27 @@ pub enum Rule {
     /// the reason. Never suppressible. Malformed audit/ratchet file lines
     /// also report here.
     BadPragma,
-    /// A nondeterminism source (`Instant::now`, `SystemTime::now`,
-    /// `available_parallelism`, RNG-from-entropy, `HashMap`/`HashSet`
-    /// iteration) reaching result-affecting code through the call graph,
-    /// outside audited boundary fns (see `taint` in DESIGN.md §9).
-    DeterminismTaint,
-    /// A public fn transitively reaching an `unsafe` block (over static
-    /// call edges) that is not listed in the checked-in
-    /// `crates/analysis/audit/unsafe_reach.txt` inventory — or a stale
-    /// inventory entry that no longer reaches unsafe.
-    UnsafeReach,
     /// A fn reachable from the hot kernel surface (exec kernels, the dist
     /// executor step loop) containing `panic!`/`assert!`/`.unwrap()`/
     /// `.expect()`; one finding per fn, at its definition line.
     PanicSurface,
-    /// A public fn on the hot kernel surface that neither opens a
-    /// `mega_obs` span nor runs under one, so roofline/report attribution
-    /// cannot see it.
-    SpanCoverage,
-    /// A valid pragma that suppressed zero findings and intercepted no
-    /// taint: the suppression outlived the code it excused. Never
-    /// suppressible.
+    /// A valid pragma that suppressed zero findings: the suppression
+    /// outlived the code it excused. Never suppressible.
     StalePragma,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 10] = [
         Rule::NoFma,
         Rule::FloatReassoc,
         Rule::UnsafeScope,
         Rule::UndocumentedUnsafe,
         Rule::ObsRouting,
         Rule::UnorderedCollection,
-        Rule::FusionScope,
         Rule::ScopeEscape,
         Rule::BadPragma,
-        Rule::DeterminismTaint,
-        Rule::UnsafeReach,
         Rule::PanicSurface,
-        Rule::SpanCoverage,
         Rule::StalePragma,
     ];
 
@@ -138,13 +114,9 @@ impl Rule {
             Rule::UndocumentedUnsafe => "undocumented-unsafe",
             Rule::ObsRouting => "obs-routing",
             Rule::UnorderedCollection => "unordered-collection",
-            Rule::FusionScope => "fusion-scope",
             Rule::ScopeEscape => "scope-escape",
             Rule::BadPragma => "bad-pragma",
-            Rule::DeterminismTaint => "determinism-taint",
-            Rule::UnsafeReach => "unsafe-reach",
             Rule::PanicSurface => "panic-surface",
-            Rule::SpanCoverage => "span-coverage",
             Rule::StalePragma => "stale-pragma",
         }
     }
@@ -207,7 +179,7 @@ pub struct RatchetStatus {
 }
 
 /// The full result of an analysis run: every post-suppression finding plus
-/// ratchet state and the computed unsafe-reach inventory.
+/// ratchet state.
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// Number of files checked.
@@ -217,9 +189,6 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
     /// Per-rule ratchet state, in ratchet-file order.
     pub ratchet: Vec<RatchetStatus>,
-    /// The computed sorted unsafe-reach inventory (what
-    /// `crates/analysis/audit/unsafe_reach.txt` should contain).
-    pub unsafe_reach: Vec<String>,
 }
 
 impl Analysis {
@@ -264,15 +233,11 @@ impl Analysis {
     }
 }
 
-/// Runs the full pipeline — token rules, call-graph rules, pragma
+/// Runs the full pipeline — token rules, the panic-surface audit, pragma
 /// filtering, stale-pragma detection — over in-memory sources given as
-/// `(workspace_relative_path, text)` pairs, with the audit/ratchet file
+/// `(workspace_relative_path, text)` pairs, with the ratchet file
 /// *contents* supplied directly (pass `""` for none).
-pub fn analyze_sources(
-    sources: &[(String, String)],
-    unsafe_audit_text: &str,
-    ratchet_text: &str,
-) -> Analysis {
+pub fn analyze_sources(sources: &[(String, String)], ratchet_text: &str) -> Analysis {
     let mut findings = Vec::new();
     let mut stripped = Vec::with_capacity(sources.len());
     let mut sups: BTreeMap<String, pragma::Suppressions> = BTreeMap::new();
@@ -290,21 +255,12 @@ pub fn analyze_sources(
         let sup = &sups[*path];
         findings.extend(raw.into_iter().filter(|f| !sup.covers(f.line, f.rule)));
     }
-    // Graph rules over the whole set.
+    // The panic-surface audit over the whole set's call graph.
     let refs: Vec<(&str, &[scan::Line])> =
         stripped.iter().map(|(p, l)| (*p, l.as_slice())).collect();
     let g = graph::Graph::build(&refs);
     let mut graph_raw = Vec::new();
-    taint::run(&g, &sups, &mut graph_raw);
-    let audit_entries: Vec<String> = unsafe_audit_text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(String::from)
-        .collect();
-    audit::unsafe_reach(&g, &audit_entries, &mut graph_raw);
     audit::panic_surface(&g, &mut graph_raw);
-    audit::span_coverage(&g, &mut graph_raw);
     findings.extend(
         graph_raw
             .into_iter()
@@ -343,21 +299,19 @@ pub fn analyze_sources(
         files: sources.len(),
         findings,
         ratchet: statuses,
-        unsafe_reach: audit::unsafe_reachers(&g),
     }
 }
 
 /// Lints one file's source text as if it lived at the workspace-relative
 /// `path` (path scoping is part of every rule, so the same text can be
-/// clean at one path and a violation at another). Runs with an empty
-/// unsafe-reach audit and no ratchet.
+/// clean at one path and a violation at another). Runs with no ratchet.
 pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
-    analyze_sources(&[(path.to_string(), source.to_string())], "", "").findings
+    analyze_sources(&[(path.to_string(), source.to_string())], "").findings
 }
 
 /// Analyzes every Rust source under `root` (skipping `target/`, `shims/`,
-/// fixture trees, and hidden directories), loading the unsafe-reach audit
-/// and ratchet baselines from their checked-in locations under `root`.
+/// fixture trees, and hidden directories), loading the ratchet baselines
+/// from their checked-in location under `root`.
 ///
 /// Each file is scoped at the path it lives at; `#[path = ".."]` and
 /// `include!(..)`, which would compile code somewhere else, are
@@ -373,9 +327,8 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
             .replace('\\', "/");
         sources.push((rel, std::fs::read_to_string(file)?));
     }
-    let unsafe_txt = std::fs::read_to_string(root.join(audit::UNSAFE_AUDIT)).unwrap_or_default();
     let ratchet_txt = std::fs::read_to_string(root.join(audit::RATCHET_FILE)).unwrap_or_default();
-    Ok(analyze_sources(&sources, &unsafe_txt, &ratchet_txt))
+    Ok(analyze_sources(&sources, &ratchet_txt))
 }
 
 /// Lints every Rust source under `root` and returns the number of files
@@ -511,7 +464,7 @@ mod tests {
     fn ratchet_tolerates_up_to_baseline_and_fails_above() {
         let src = "pub fn a() { x.unwrap(); }\npub fn b() { y.unwrap(); }\n".to_string();
         let files = vec![("crates/exec/src/kernels.rs".to_string(), src)];
-        let a = analyze_sources(&files, "", "panic-surface 2\nspan-coverage 2\n");
+        let a = analyze_sources(&files, "panic-surface 2\n");
         let panics = a
             .findings
             .iter()
@@ -523,7 +476,7 @@ mod tests {
             "within baseline → tolerated: {:?}",
             a.gate()
         );
-        let tight = analyze_sources(&files, "", "panic-surface 1\nspan-coverage 2\n");
+        let tight = analyze_sources(&files, "panic-surface 1\n");
         let gate = tight.gate();
         assert_eq!(
             gate.iter().filter(|f| f.rule == Rule::PanicSurface).count(),
@@ -539,7 +492,7 @@ mod tests {
     fn json_output_is_well_formed_enough() {
         let src = "pub fn a() { x.unwrap(); }\n".to_string();
         let files = vec![("crates/exec/src/kernels.rs".to_string(), src)];
-        let a = analyze_sources(&files, "", "panic-surface 5\n");
+        let a = analyze_sources(&files, "panic-surface 5\n");
         let json = render_json(&a);
         assert!(json.contains("\"files\": 1"));
         assert!(json.contains("\"panic-surface\""));

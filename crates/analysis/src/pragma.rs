@@ -14,11 +14,9 @@
 //! `bad-pragma` findings are never suppressible, and neither are
 //! `scope-escape` ones.
 //!
-//! Every valid pragma tracks whether it actually did something: suppressed
-//! at least one finding, or served as a determinism-taint propagation
-//! boundary. A pragma that did neither is reported under `stale-pragma`
-//! (also never suppressible), so suppressions cannot outlive the code they
-//! excused.
+//! Every valid pragma tracks whether it suppressed at least one finding. A
+//! pragma that did not is reported under `stale-pragma` (also never
+//! suppressible), so suppressions cannot outlive the code they excused.
 
 use crate::scan::Line;
 use crate::{Finding, Rule};
@@ -66,30 +64,8 @@ impl Suppressions {
         hit
     }
 
-    /// Like [`Suppressions::covers`] but without marking usage — for rules
-    /// that need to *ask* about coverage while deciding whether a site
-    /// fires at all (e.g. taint boundaries).
-    pub fn covers_peek(&self, line: usize, rule: Rule) -> bool {
-        rule.suppressible()
-            && self
-                .pragmas
-                .iter()
-                .any(|p| p.rule == rule && p.covers(line))
-    }
-
-    /// Marks the pragma covering `(line, rule)` as used without consuming a
-    /// finding — the taint rule calls this when a boundary pragma actually
-    /// intercepts propagation.
-    pub fn mark_used(&self, line: usize, rule: Rule) {
-        for p in &self.pragmas {
-            if p.rule == rule && p.covers(line) {
-                p.used.set(true);
-            }
-        }
-    }
-
-    /// `(line, rule)` of every pragma that neither suppressed a finding nor
-    /// acted as a boundary. Call after all rules have filtered.
+    /// `(line, rule)` of every pragma that suppressed no finding. Call after
+    /// all rules have filtered.
     pub fn stale(&self) -> Vec<(usize, Rule)> {
         self.pragmas
             .iter()
@@ -203,6 +179,25 @@ mod tests {
         assert!(bad[2].message.contains("must not be empty"));
         assert!(!sup.covers(1, Rule::NoFma));
         assert!(!sup.covers(2, Rule::NoFma));
+        // A pragma left behind for a deleted rule fails instead of
+        // silently suppressing nothing.
+        for retired in [
+            "determinism-taint",
+            "unsafe-reach",
+            "span-coverage",
+            "fusion-scope",
+        ] {
+            let src = format!("// mega-lint: allow({retired}, reason = \"x\")\nf();");
+            let (sup, bad) = collect("f.rs", &strip(&src));
+            assert_eq!(bad.len(), 1, "{retired}");
+            assert_eq!(bad[0].rule, Rule::BadPragma);
+            assert!(
+                bad[0].message.contains("unknown rule"),
+                "{}",
+                bad[0].message
+            );
+            assert!(sup.stale().is_empty());
+        }
     }
 
     #[test]
@@ -213,7 +208,7 @@ mod tests {
         let (sup, bad) = collect("f.rs", &strip(src));
         assert!(bad.is_empty(), "doc examples are not bad pragmas: {bad:?}");
         assert!(sup.stale().is_empty(), "and never become stale pragmas");
-        assert!(!sup.covers_peek(1, Rule::NoFma));
+        assert!(!sup.covers(1, Rule::NoFma));
     }
 
     #[test]
@@ -244,13 +239,8 @@ mod tests {
         );
         assert!(sup.covers(2, Rule::NoFma));
         assert_eq!(sup.stale(), vec![(3, Rule::ObsRouting)]);
-        assert!(!sup.covers_peek(4, Rule::ObsRouting));
-        assert!(
-            sup.covers_peek(3, Rule::ObsRouting),
-            "peek does not consume"
-        );
-        assert_eq!(sup.stale(), vec![(3, Rule::ObsRouting)]);
-        sup.mark_used(3, Rule::ObsRouting);
+        assert!(!sup.covers(4, Rule::ObsRouting));
+        assert!(sup.covers(3, Rule::ObsRouting));
         assert!(sup.stale().is_empty());
     }
 }

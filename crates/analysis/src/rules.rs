@@ -20,8 +20,9 @@ const REASSOC_ALLOWLIST: &str = "crates/exec/src/kernels.rs";
 /// Identifier fragments that imply fused or horizontally-reduced float
 /// arithmetic: FMA rounds once where mul-then-add rounds twice, and
 /// horizontal adds / dot-product / reduce intrinsics fold lanes in a
-/// tree order, so any of these silently breaks bit-exactness with the
-/// reference backend.
+/// tree order. Outside the GEMM fold (fused on every backend, each site
+/// pragma'd) a kernel's bits are a separate multiply and add, so any of
+/// these would silently change them.
 const FMA_FRAGMENTS: [&str; 4] = ["fmadd", "fmsub", "hadd", "dp_ps"];
 
 /// Iterator-adapter float accumulations whose fold order the optimizer may
@@ -38,7 +39,7 @@ const CLOCK_READS: [&str; 2] = ["Instant::now", "SystemTime::now"];
 /// `src/` trees whose collections can reach numeric results or emitted
 /// orderings, where seed-dependent `HashMap`/`HashSet` iteration would
 /// break run-to-run determinism.
-pub(crate) const ORDER_SENSITIVE: [&str; 11] = [
+const ORDER_SENSITIVE: [&str; 11] = [
     "src/",
     "crates/graph/src/",
     "crates/core/src/",
@@ -52,31 +53,6 @@ pub(crate) const ORDER_SENSITIVE: [&str; 11] = [
     "crates/cli/src/",
 ];
 
-/// The audited fusion surface: the only places allowed to *define* fused
-/// composite kernels. `crates/exec/src/` holds the kernels, backend
-/// drivers, and `Backend` trait defaults; the tape holds
-/// the recording/dispatch entry points; the GPU simulator models fused
-/// launches without real arithmetic.
-const FUSION_HOMES: [&str; 3] = [
-    "crates/exec/src/",
-    "crates/gpu-sim/src/",
-    "crates/tensor/src/tape.rs",
-];
-
-/// Name fragments that mark a fused composite kernel: a GEMM with a
-/// folded-in epilogue, a scaled add, or a normalization with a fused
-/// activation. A `fn` whose name carries one of these implements (or
-/// wraps) arithmetic whose bit-exactness proof must live with the audited
-/// kernels, not in model or trainer code.
-const FUSED_KERNEL_FRAGMENTS: [&str; 6] = [
-    "linear_relu",
-    "linear_leaky",
-    "bias_relu",
-    "bias_leaky",
-    "axpy",
-    "norm_act",
-];
-
 /// Runs every rule over the scanned file, appending raw (pre-suppression)
 /// findings.
 pub fn run(path: &str, lines: &[Line], findings: &mut Vec<Finding>) {
@@ -87,7 +63,6 @@ pub fn run(path: &str, lines: &[Line], findings: &mut Vec<Finding>) {
         unsafe_hygiene(path, lineno, idx, lines, findings);
         obs_routing(path, lineno, line, findings);
         unordered_collection(path, lineno, line, findings);
-        fusion_scope(path, lineno, line, findings);
         scope_escape(path, lineno, line, findings);
     }
 }
@@ -102,7 +77,8 @@ fn emit(findings: &mut Vec<Finding>, path: &str, line: usize, rule: Rule, messag
 }
 
 /// `no-fma`: applies to every file. Bit-exactness across backends depends
-/// on every float op rounding exactly like the reference loops.
+/// on every float op rounding exactly like the reference loops; the GEMM
+/// fold, which every backend fuses, is the pragma'd exception.
 fn no_fma(path: &str, lineno: usize, line: &Line, findings: &mut Vec<Finding>) {
     for ident in scan::identifiers(&line.code) {
         let banned = ident == "mul_add"
@@ -115,8 +91,9 @@ fn no_fma(path: &str, lineno: usize, line: &Line, findings: &mut Vec<Finding>) {
                 lineno,
                 Rule::NoFma,
                 format!(
-                    "`{ident}` fuses or reorders float arithmetic; the bit-exactness \
-                     contract requires separate mul/add folded in ascending order"
+                    "`{ident}` fuses or reorders float arithmetic; outside the GEMM fold \
+                     the bit-exactness contract requires separate mul/add folded in \
+                     ascending order"
                 ),
             );
         }
@@ -231,38 +208,6 @@ fn obs_routing(path: &str, lineno: usize, line: &Line, findings: &mut Vec<Findin
                 ),
             );
         }
-    }
-}
-
-/// `fusion-scope`: fused composite kernels may be defined only on the
-/// audited fusion surface. Call sites (`backend.axpy(...)`) are free;
-/// the rule fires on `fn` *definitions* whose name carries a fused-kernel
-/// fragment, in result-affecting `src/` trees outside [`FUSION_HOMES`].
-fn fusion_scope(path: &str, lineno: usize, line: &Line, findings: &mut Vec<Finding>) {
-    if !ORDER_SENSITIVE.iter().any(|p| path.starts_with(p))
-        || path.contains("/tests/")
-        || FUSION_HOMES.iter().any(|p| path.starts_with(p))
-    {
-        return;
-    }
-    let mut prev_is_fn = false;
-    for ident in scan::identifiers(&line.code) {
-        if prev_is_fn {
-            if let Some(frag) = FUSED_KERNEL_FRAGMENTS.iter().find(|f| ident.contains(**f)) {
-                emit(
-                    findings,
-                    path,
-                    lineno,
-                    Rule::FusionScope,
-                    format!(
-                        "`fn {ident}` defines a fused composite kernel (`*{frag}*`) outside \
-                         the audited fusion surface (crates/exec, the tape, the GPU \
-                         simulator); route fused arithmetic through the `Backend` trait"
-                    ),
-                );
-            }
-        }
-        prev_is_fn = ident == "fn";
     }
 }
 

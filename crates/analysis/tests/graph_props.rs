@@ -26,10 +26,6 @@ enum Stmt {
     Method(usize),
     /// `x.unwrap();`
     Panic,
-    /// `std::time::Instant::now();`
-    Source,
-    /// `let _g = mega_obs::span("p");`
-    Span,
     /// `unsafe { raw() }`
     Unsafe,
 }
@@ -71,8 +67,6 @@ fn render_stmts(stmts: &[Stmt], out: &mut String, indent: usize) {
             Stmt::Qualified(m, n) => out.push_str(&format!("{}::{}();\n", NAMES[*m], NAMES[*n])),
             Stmt::Method(n) => out.push_str(&format!("x.{}();\n", NAMES[*n])),
             Stmt::Panic => out.push_str("x.unwrap();\n"),
-            Stmt::Source => out.push_str("std::time::Instant::now();\n"),
-            Stmt::Span => out.push_str("let _g = mega_obs::span(\"p\");\n"),
             Stmt::Unsafe => out.push_str("unsafe { raw() }\n"),
         }
     }
@@ -122,8 +116,6 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
         (0usize..4, 0usize..4).prop_map(|(m, n)| Stmt::Qualified(m, n)),
         (0usize..4).prop_map(Stmt::Method),
         Just(Stmt::Panic),
-        Just(Stmt::Source),
-        Just(Stmt::Span),
         Just(Stmt::Unsafe),
     ]
 }
@@ -174,7 +166,7 @@ fn build(src: &str) -> Graph {
 
 /// A graph rendered to a comparable string (the extractor's full output).
 fn fingerprint(g: &Graph) -> String {
-    format!("{:?}\n{:?}\n{:?}", g.fns, g.edges, g.static_edges)
+    format!("{:?}\n{:?}", g.fns, g.edges)
 }
 
 proptest! {
@@ -216,7 +208,7 @@ proptest! {
         src.push_str("fn alpha() { beta(); alpha(); }\nfn beta() { alpha(); }\n");
         let g = build(&src);
         for start in 0..g.fns.len() {
-            let parents = g.reach([start], false, |_| false);
+            let parents = g.reach([start], |_| false);
             prop_assert_eq!(parents.len(), g.fns.len());
             for (i, p) in parents.iter().enumerate() {
                 if let Some(p) = p {
@@ -238,10 +230,9 @@ proptest! {
             .enumerate()
             .map(|(i, items)| (format!("crates/core/src/gen{i}.rs"), render(items)))
             .collect();
-        let a = analyze_sources(&sources, "", "");
-        let b = analyze_sources(&sources, "", "");
+        let a = analyze_sources(&sources, "");
+        let b = analyze_sources(&sources, "");
         prop_assert_eq!(&a.findings, &b.findings);
-        prop_assert_eq!(&a.unsafe_reach, &b.unsafe_reach);
         for f in &a.findings {
             prop_assert!(f.line >= 1, "findings are 1-based: {:?}", f);
         }

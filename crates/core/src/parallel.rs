@@ -42,7 +42,6 @@ use std::sync::OnceLock;
 /// (cgroup quota files).
 pub fn host_threads() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
-    // mega-lint: allow(determinism-taint, reason = "thread count only partitions work; ordered_map concatenates its contiguous chunks in index order, so numeric results are bit-identical for any worker count (proven by dist equivalence tests)")
     *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 

@@ -127,7 +127,6 @@ impl ThreadExecutor {
     /// # Panics
     ///
     /// Panics if `workers == 0`.
-    // mega-lint: allow(span-coverage, reason = "executor constructor; spans open in run_with_plan")
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
         ThreadExecutor { workers }
@@ -135,7 +134,6 @@ impl ThreadExecutor {
 }
 
 impl DistExecutor for ThreadExecutor {
-    // mega-lint: allow(span-coverage, reason = "O(1) accessor on the executor trait; nothing to attribute")
     fn workers(&self) -> usize {
         self.workers
     }

@@ -107,7 +107,6 @@ pub mod race {
         }
 
         /// Number of locations claimed so far.
-        // mega-lint: allow(span-coverage, reason = "race-check introspection; compiled out of measured builds")
         pub fn claimed(&self) -> usize {
             self.owners
                 .iter()

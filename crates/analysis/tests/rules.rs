@@ -6,7 +6,7 @@
 //! pragmas silence precisely their target, and — the self-test that makes
 //! `cargo test` a lint gate too — that the workspace itself is clean.
 
-use mega_analysis::{audit, lint_source, lint_workspace, Finding, Rule};
+use mega_analysis::{analyze_sources, audit, lint_source, lint_workspace, Finding, Rule};
 use std::path::Path;
 
 const NO_FMA: &str = include_str!("fixtures/no_fma.rs");
@@ -162,6 +162,15 @@ fn stale_pragmas_fire_only_where_nothing_is_suppressed() {
     assert_eq!(lines(&findings, Rule::StalePragma), [4], "{findings:?}");
     assert!(lines(&findings, Rule::UnorderedCollection).is_empty());
     assert_eq!(findings.len(), 1);
+    // A rule without a ratchet line gates on its first finding: the stale
+    // pragma fails the run when the ratchet baselines only panic-surface.
+    let sources = [(
+        "crates/core/src/cache.rs".to_string(),
+        STALE_PRAGMA.to_string(),
+    )];
+    let gate = analyze_sources(&sources, "panic-surface 3\n").gate();
+    assert_eq!(lines(&gate, Rule::StalePragma), [4], "{gate:?}");
+    assert_eq!(gate.len(), 1, "{gate:?}");
 }
 
 // ---------------------------------------------------------------------------

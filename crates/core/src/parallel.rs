@@ -78,8 +78,8 @@ impl Parallelism {
 
     /// A config running **exactly** `threads` workers, bypassing the
     /// host-core clamp. Oversubscription makes nothing faster, but the
-    /// parallel paths stay bit-identical to serial, so equivalence and
-    /// race-check harnesses use this to exercise them on any host.
+    /// parallel paths stay bit-identical to serial, so the equivalence
+    /// tests use this to exercise them on any host.
     pub fn pinned(threads: usize) -> Self {
         Parallelism {
             threads,
@@ -203,10 +203,10 @@ impl ChunkPlan {
 
     /// Builds a plan from explicit parts, *without* validating them.
     ///
-    /// This exists so the invariant checker's own tests (and the
-    /// `race-check` harness in `mega-exec`) can construct deliberately
-    /// corrupt plans and prove that [`ChunkPlan::validate`] and the shadow
-    /// writer map reject them. Production code must use
+    /// This exists so tests can construct deliberately corrupt plans and
+    /// prove that [`ChunkPlan::validate`] rejects them, and that the entry
+    /// points which take a plan refuse them ([`ChunkPlan::validate_for`]).
+    /// Production code must use
     /// [`ChunkPlan::build`] / [`ChunkPlan::for_workers`], which only
     /// produce valid plans.
     #[doc(hidden)]
@@ -231,9 +231,7 @@ impl ChunkPlan {
     ///    boundaries, so every in-band pair relevant to an owned row is
     ///    visible inside the chunk and nothing further is ever read.
     ///
-    /// [`ChunkPlan::for_band`] validates every plan it hands out; the
-    /// `race-check` feature of `mega-exec` additionally verifies the
-    /// *dynamic* accesses of the banded kernels against these bounds.
+    /// [`ChunkPlan::validate_for`] adds the band the plan is run against.
     pub fn validate(&self) -> Result<(), PlanViolation> {
         let fail = |chunk: usize, message: String| Err(PlanViolation { chunk, message });
         if self.chunks.is_empty() {
@@ -317,6 +315,33 @@ impl ChunkPlan {
         Ok(())
     }
 
+    /// [`ChunkPlan::validate`], plus the two facts that tie the plan to
+    /// `band`: it covers the band's whole path (`len == band.len()`) and
+    /// reads the band's window (`window == band.window()`). A valid plan of
+    /// the wrong length would leave rows unowned or out of range; one of the
+    /// wrong window would cut the ±ω halo an in-band pair needs.
+    ///
+    /// Every entry point that takes a caller's plan — the `_with_plan` band
+    /// kernels and the segment executor — runs this once, before any job.
+    pub fn validate_for(&self, band: &BandMask) -> Result<(), PlanViolation> {
+        let fail = |message: String| Err(PlanViolation { chunk: 0, message });
+        if self.len != band.len() {
+            return fail(format!(
+                "plan covers a path of length {} but the band's path has {}",
+                self.len,
+                band.len()
+            ));
+        }
+        if self.window != band.window() {
+            return fail(format!(
+                "plan reads window ω = {} but the band's window is {}",
+                self.window,
+                band.window()
+            ));
+        }
+        self.validate()
+    }
+
     /// The one plan rule: one chunk per worker. `[0, len)` is cut into at
     /// most `workers` chunks of `ceil(len / k)` rows — the quotient
     /// `mega_dist::path_segments` uses, so position `i` lands in chunk
@@ -341,16 +366,10 @@ impl ChunkPlan {
     }
 
     /// [`ChunkPlan::for_workers`] for this band at the worker count `par`
-    /// resolves to.
-    ///
-    /// Every plan handed out is [validated](ChunkPlan::validate); a failure
-    /// here would mean [`ChunkPlan::build`] itself is broken, so it panics.
+    /// resolves to. The kernels that run it check it against the band
+    /// ([`ChunkPlan::validate_for`]).
     pub fn for_band(band: &BandMask, par: &Parallelism) -> Self {
-        let plan = Self::for_workers(band.len(), band.window(), par.effective_threads());
-        if let Err(v) = plan.validate() {
-            panic!("ChunkPlan::for_workers produced an invalid plan: {v}");
-        }
-        plan
+        Self::for_workers(band.len(), band.window(), par.effective_threads())
     }
 
     /// Path length covered.

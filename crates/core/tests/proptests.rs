@@ -192,8 +192,8 @@ proptest! {
 
     #[test]
     fn random_built_plans_validate(len in 0usize..400, window in 1usize..8, chunk in 1usize..64) {
-        // validate() re-derives the partition + read-window proof that the
-        // race-check shadow map verifies dynamically.
+        // validate() re-derives the partition + read-window proof from the
+        // plan alone.
         prop_assert!(ChunkPlan::build(len, window, chunk).validate().is_ok());
     }
 
@@ -213,7 +213,7 @@ proptest! {
             plans.push((format!("chunk={chunk}"), ChunkPlan::build(len, w, chunk), usize::MAX));
         }
         for (what, plan, max_chunks) in &plans {
-            prop_assert!(plan.validate().is_ok(), "{}", what);
+            prop_assert!(plan.validate_for(band).is_ok(), "{}", what);
             prop_assert!(plan.chunks().len() <= *max_chunks, "{}", what);
             // Owned ranges partition [0, len) and reads stay within ±ω.
             let mut expected_start = 0usize;

@@ -176,10 +176,14 @@ pub fn run_serial(job: &BandJob<'_>) -> BandRun {
 /// Runs `job` over an explicit plan: one worker per chunk ("segment"), the
 /// last on the calling thread, boundary-first compute, double-buffered halo
 /// exchange, fixed-order merge.
-/// [`ThreadExecutor`] passes [`ChunkPlan::for_workers`]; the race-check
-/// harness passes corrupt plans, which must panic here instead of racing.
+/// [`ThreadExecutor`] passes [`ChunkPlan::for_workers`]. Any other plan is
+/// checked against the band ([`ChunkPlan::validate_for`]) before a worker
+/// starts, so a corrupt one panics with the violation instead of racing.
 pub fn run_with_plan(job: &BandJob<'_>, plan: &ChunkPlan) -> BandRun {
     assert_eq!(job.x0.len(), job.band.len() * job.dim, "x0 must be L x dim");
+    if let Err(v) = plan.validate_for(job.band) {
+        panic!("invalid chunk plan for this band: {v}");
+    }
     let _span = mega_obs::span("dist_run");
     let segs = plan.chunks();
     let k = segs.len();
@@ -187,18 +191,6 @@ pub fn run_with_plan(job: &BandJob<'_>, plan: &ChunkPlan) -> BandRun {
     mega_obs::counter_add("dist.workers", k as u64);
     mega_obs::counter_add("dist.steps", job.steps as u64);
 
-    // Under race-check: every worker claims its owned rows in a shared
-    // writer map before any compute — overlapping or gappy segment
-    // ownership panics up front instead of racing on halo rows.
-    #[cfg(feature = "race-check")]
-    let writers = kernels::race::WriterMap::new("segment row", plan.len());
-    #[cfg(feature = "race-check")]
-    {
-        for (seg_id, seg) in segs.iter().enumerate() {
-            writers.claim_range(seg.start, seg.end, seg_id as u32);
-        }
-        writers.assert_complete();
-    }
     // The halo exchange is adjacent-only: a segment thinner than ω would
     // need rows from beyond its neighbor ([`ChunkPlan::for_workers`] never
     // builds one; an arbitrary plan can).
@@ -478,6 +470,78 @@ mod tests {
         // A valid partition, but a one-row segment's halo reaches past its
         // neighbor.
         run_with_plan(&job, &ChunkPlan::build(band.len(), band.window(), 1));
+    }
+
+    /// Owned rows `[start, end)` with the legal ±ω read extent.
+    fn chunk(start: usize, end: usize, window: usize, len: usize) -> Chunk {
+        Chunk {
+            start,
+            end,
+            read_lo: start.saturating_sub(window),
+            read_hi: (end + window).min(len),
+        }
+    }
+
+    #[test]
+    fn plans_that_do_not_fit_the_band_are_refused() {
+        let sched = schedule_for(60, 11);
+        let band = sched.band();
+        let edges = sched.working_graph().edge_count();
+        let (x0, weights) = job_inputs(band, edges, 4, 5);
+        let job = BandJob {
+            band,
+            x0: &x0,
+            dim: 4,
+            weights: &weights,
+            edge_count: edges,
+            steps: 2,
+            damping: 0.5,
+        };
+        let (len, w, mid) = (band.len(), band.window(), band.len() / 2);
+        let raw = |chunks| ChunkPlan::from_raw_parts(len, w, chunks);
+        let narrowed = |start, end| Chunk {
+            start,
+            end,
+            read_lo: start,
+            read_hi: end,
+        };
+        let cases = [
+            (
+                "overlap",
+                raw(vec![chunk(0, mid + w, w, len), chunk(mid, len, w, len)]),
+                "must partition",
+            ),
+            (
+                "gap",
+                raw(vec![chunk(0, mid, w, len), chunk(mid + w + 1, len, w, len)]),
+                "must partition",
+            ),
+            (
+                "narrowed read window",
+                raw(vec![narrowed(0, mid), narrowed(mid, len)]),
+                "read_hi",
+            ),
+        ];
+        for (what, plan, violation) in cases {
+            let payload = std::panic::catch_unwind(|| run_with_plan(&job, &plan)).expect_err(what);
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                msg.contains("invalid chunk plan for this band") && msg.contains(violation),
+                "{what}: {msg}"
+            );
+        }
+        // The plan the executor builds passes the same check and matches
+        // the serial walk.
+        let (run, oracle) = (
+            run_with_plan(&job, &ChunkPlan::for_workers(len, w, 4)),
+            run_serial(&job),
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&run.x), bits(&oracle.x));
+        assert_eq!(bits(&run.dw), bits(&oracle.dw));
     }
 
     #[test]

@@ -43,114 +43,6 @@ use std::ops::Range;
 /// product at depth 32 stays serial, a 128³ one fans out).
 pub const PAR_MATMUL_MIN_FLOPS: usize = 1 << 17;
 
-/// Shadow-memory race detection for the chunked banded kernels.
-///
-/// Compiled in only under the `race-check` feature. A [`race::WriterMap`]
-/// shadows every output location (band rows for the aggregation, edge slots
-/// for the weight gradient) with the id of the chunk that claimed it; a
-/// second claim by a *different* chunk panics with both writers named. The
-/// parallel kernels also assert every row they read lies inside the claiming
-/// chunk's ±ω read window. Running the serial/parallel equivalence harness
-/// under this feature turns the bit-identity *sample* into a checked
-/// row-ownership proof: no overlap panic ⇒ no two chunks ever wrote the
-/// same location.
-#[cfg(feature = "race-check")]
-pub mod race {
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    /// Sentinel writer id for "not yet claimed".
-    const UNCLAIMED: u32 = u32::MAX;
-
-    /// One shadow cell per output location, holding the claiming chunk id.
-    #[derive(Debug)]
-    pub struct WriterMap {
-        what: &'static str,
-        owners: Vec<AtomicU32>,
-    }
-
-    impl WriterMap {
-        /// A map of `len` unclaimed locations, labelled `what` in panics.
-        pub fn new(what: &'static str, len: usize) -> Self {
-            WriterMap {
-                what,
-                owners: (0..len).map(|_| AtomicU32::new(UNCLAIMED)).collect(),
-            }
-        }
-
-        /// Claims location `idx` for `writer`. Re-claims by the same writer
-        /// are allowed (a chunk may accumulate into its own rows); a claim
-        /// by a different writer is a cross-chunk write race and panics.
-        // mega-lint: allow(panic-surface, reason = "race-check probe: panicking on a cross-chunk write IS the contract")
-        pub fn claim(&self, idx: usize, writer: u32) {
-            assert!(writer != UNCLAIMED, "writer id {writer} is the sentinel");
-            match self.owners[idx].compare_exchange(
-                UNCLAIMED,
-                writer,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {}
-                Err(prev) if prev == writer => {}
-                Err(prev) => panic!(
-                    "race-check: {} {idx} written by chunk {prev} and chunk {writer} \
-                     — owned ranges overlap",
-                    self.what
-                ),
-            }
-        }
-
-        /// Claims the half-open range `[lo, hi)` for `writer`.
-        pub fn claim_range(&self, lo: usize, hi: usize, writer: u32) {
-            for idx in lo..hi {
-                self.claim(idx, writer);
-            }
-        }
-
-        /// Number of locations claimed so far.
-        pub fn claimed(&self) -> usize {
-            self.owners
-                .iter()
-                .filter(|o| o.load(Ordering::SeqCst) != UNCLAIMED)
-                .count()
-        }
-
-        /// Panics unless every location was claimed by exactly one writer —
-        /// the completeness half of the partition proof (the overlap half is
-        /// enforced eagerly by [`WriterMap::claim`]).
-        // mega-lint: allow(panic-surface, reason = "race-check probe: panicking on an ownership gap IS the contract")
-        pub fn assert_complete(&self) {
-            for (idx, o) in self.owners.iter().enumerate() {
-                assert!(
-                    o.load(Ordering::SeqCst) != UNCLAIMED,
-                    "race-check: {} {idx} was never claimed — owned ranges have a gap",
-                    self.what
-                );
-            }
-        }
-    }
-}
-
-/// Read-window check for the chunked kernels: under `race-check`, asserts
-/// the row being read lies inside the chunk's ±ω read extent; otherwise
-/// compiles to nothing.
-#[cfg(feature = "race-check")]
-#[inline]
-// mega-lint: allow(panic-surface, reason = "race-check probe: panicking on an out-of-window read IS the contract")
-fn check_read(chunk: &Chunk, row: usize) {
-    assert!(
-        row >= chunk.read_lo && row < chunk.read_hi,
-        "race-check: chunk owning [{}, {}) read row {row} outside its ±ω window [{}, {})",
-        chunk.start,
-        chunk.end,
-        chunk.read_lo,
-        chunk.read_hi
-    );
-}
-
-#[cfg(not(feature = "race-check"))]
-#[inline(always)]
-fn check_read(_chunk: &Chunk, _row: usize) {}
-
 /// Row `i` of the `n × k` product `a · b`, written over `out_row`: every
 /// element folds `fma(a[i][kk], b[kk][j], acc)` — one rounding per term — in
 /// ascending `kk` from `acc = +0.0`, skipping `a == 0.0` terms, and then
@@ -264,27 +156,9 @@ pub fn matmul_par(
     if threads <= 1 || n * k * m < PAR_MATMUL_MIN_FLOPS {
         return matmul(a, b, n, k, m, out);
     }
-    let ranges = partition::row_ranges(n, threads, 1);
-    matmul_par_with_ranges(a, b, n, k, m, &ranges, out);
-}
-
-/// [`matmul_par`] over an explicit row partition — the race-checkable entry
-/// point, mirroring [`banded_aggregate_with_plan`]: the `race-check`
-/// harness drives it with overlapping and gappy partitions to prove the
-/// GEMM shadow writer map fires, while [`matmul_par`] always passes the
-/// valid partition [`partition::row_ranges`] computes.
-#[doc(hidden)]
-pub fn matmul_par_with_ranges(
-    a: Operand<'_>,
-    b: Operand<'_>,
-    n: usize,
-    k: usize,
-    m: usize,
-    ranges: &[(usize, usize)],
-    out: &mut [f32],
-) {
     assert_product_shapes(a, b, n, k, m);
-    partition::par_rows(out, n, m, ranges, |lo, _, rows| {
+    let ranges = partition::row_ranges(n, threads, 1);
+    partition::par_rows(out, n, m, &ranges, |lo, _, rows| {
         matmul_rows(a, b, (n, k, m), lo, rows)
     });
 }
@@ -1189,12 +1063,10 @@ pub fn banded_aggregate_segment(
     for s in &slots[first..end] {
         let w = weights[s.edge];
         if owned.contains(&s.lo) {
-            check_read(chunk, s.hi);
             let out_row = &mut out[(s.lo - out_base) * dim..(s.lo - out_base + 1) * dim];
             (lanes.row_update)(w, row(x, s.hi - x_base, dim), out_row);
         }
         if owned.contains(&s.hi) {
-            check_read(chunk, s.lo);
             let out_row = &mut out[(s.hi - out_base) * dim..(s.hi - out_base + 1) * dim];
             (lanes.row_update)(w, row(x, s.lo - x_base, dim), out_row);
         }
@@ -1234,18 +1106,16 @@ pub fn banded_aggregate(
 /// [`ChunkPlan`]: one job per chunk ([`join_workers`]), each writing its
 /// owned rows straight into its disjoint slice of `out`.
 ///
-/// The equivalence grid sweeps chunk geometries through this entry point and
-/// the `race-check` harness drives it with deliberately corrupt plans
-/// (`ChunkPlan::from_raw_parts`) to prove the shadow writer map fires;
-/// [`banded_aggregate`] calls it with the validated plan `par` resolves to.
-/// Under `race-check`, every chunk's owned rows are claimed in a shared
-/// writer-id map *before* any job is spawned (overlap and coverage gaps panic
-/// up front), and every read is checked against the chunk's ±ω window.
+/// The equivalence grid sweeps chunk geometries through this entry point;
+/// [`banded_aggregate`] calls it with the plan `par` resolves to. The plan is
+/// checked against `band` ([`ChunkPlan::validate_for`]) before any job is
+/// spawned, so a corrupt plan panics on the calling thread with the
+/// violation instead of returning wrong rows.
 ///
 /// # Panics
 ///
-/// Panics if `x` or `out` is not `band.len() * dim` long, or the plan's
-/// chunks do not partition the path in order.
+/// Panics if `x` or `out` is not `band.len() * dim` long, or the plan is not
+/// a valid plan for `band`.
 pub fn banded_aggregate_with_plan(
     lanes: BandLanes,
     band: &BandMask,
@@ -1257,30 +1127,17 @@ pub fn banded_aggregate_with_plan(
 ) {
     assert_path_rows(band, dim, "x", x);
     assert_path_rows(band, dim, "out", out);
+    if let Err(v) = plan.validate_for(band) {
+        panic!("invalid chunk plan for this band: {v}");
+    }
     if x.is_empty() {
         return;
     }
-    #[cfg(feature = "race-check")]
-    {
-        let writers = race::WriterMap::new("output row", plan.len());
-        for (chunk_id, chunk) in plan.chunks().iter().enumerate() {
-            writers.claim_range(chunk.start, chunk.end, chunk_id as u32);
-        }
-        writers.assert_complete();
-    }
     let mut jobs = Vec::with_capacity(plan.chunks().len());
     let mut rest = out;
-    let mut cursor = 0usize;
     for chunk in plan.chunks() {
-        assert!(
-            chunk.start == cursor && chunk.end >= cursor,
-            "chunks must partition the path in order: chunk [{}, {}) follows row {cursor}",
-            chunk.start,
-            chunk.end
-        );
-        let (rows, tail) = rest.split_at_mut((chunk.end - cursor) * dim);
+        let (rows, tail) = rest.split_at_mut(chunk.owned_len() * dim);
         rest = tail;
-        cursor = chunk.end;
         jobs.push(move || {
             let (lo, hi) = (chunk.start, chunk.end);
             banded_aggregate_segment(lanes, band, chunk, lo, hi, x, 0, dim, weights, rows, lo);
@@ -1357,10 +1214,6 @@ pub fn banded_weight_grad_segment(
         slots.len(),
         "out must hold one value per owned slot"
     );
-    for s in slots {
-        check_read(chunk, s.lo);
-        check_read(chunk, s.hi);
-    }
     (lanes.weight_grads)(slots, x, d_out, base, dim, out);
 }
 
@@ -1389,24 +1242,20 @@ pub fn banded_weight_grad(
     banded_weight_grad_with_plan(lanes, band, x, d_out, dim, &plan, out);
 }
 
-/// [`banded_weight_grad`] over an explicit, caller-supplied [`ChunkPlan`] —
-/// the race-checkable entry point, mirroring [`banded_aggregate_with_plan`].
+/// [`banded_weight_grad`] over an explicit, caller-supplied [`ChunkPlan`],
+/// checked against `band` the way [`banded_aggregate_with_plan`] checks it.
 ///
 /// One job per chunk folds the chunk's owned slots
 /// ([`banded_weight_grad_segment`]) into its disjoint run of a slot-ordered
 /// scratch; the runs are scattered to `out[slot.edge]` once all jobs are
 /// done, so every `out[e]` is computed by a single chunk as the walk would.
-///
-/// Under `race-check`, each chunk claims every edge slot it owns in a shared
-/// writer-id map before any job is spawned (a second claim means two chunks
-/// both think they own the slot's `lo` row), and both slot endpoints are
-/// checked against the chunk's ±ω read window. No completeness assertion:
-/// edges without an active slot are legitimately never written.
+/// A valid plan's owned ranges partition the path in order, so consecutive
+/// chunks own consecutive runs of the slot list and every slot exactly one.
 ///
 /// # Panics
 ///
-/// Panics if `x` or `d_out` is not `band.len() * dim` long, or the plan's
-/// chunks do not own the active slots in order.
+/// Panics if `x` or `d_out` is not `band.len() * dim` long, or the plan is
+/// not a valid plan for `band`.
 pub fn banded_weight_grad_with_plan(
     lanes: BandLanes,
     band: &BandMask,
@@ -1418,36 +1267,19 @@ pub fn banded_weight_grad_with_plan(
 ) {
     assert_path_rows(band, dim, "x", x);
     assert_path_rows(band, dim, "d_out", d_out);
+    if let Err(v) = plan.validate_for(band) {
+        panic!("invalid chunk plan for this band: {v}");
+    }
     if x.is_empty() {
         return;
-    }
-    #[cfg(feature = "race-check")]
-    {
-        let writers = race::WriterMap::new("edge slot", out.len());
-        for (chunk_id, chunk) in plan.chunks().iter().enumerate() {
-            for s in &band.active_slots()[owned_slots(band, chunk)] {
-                writers.claim(s.edge, chunk_id as u32);
-            }
-        }
     }
     let slots = band.active_slots();
     let mut by_slot = vec![0.0f32; slots.len()];
     let mut jobs = Vec::with_capacity(plan.chunks().len());
     let mut rest = by_slot.as_mut_slice();
-    let mut cursor = 0usize;
     for chunk in plan.chunks() {
-        let owned = owned_slots(band, chunk);
-        assert!(
-            owned.start == cursor,
-            "chunks must own the active slots in order: chunk [{}, {}) owns slots from \
-             {}, expected {cursor}",
-            chunk.start,
-            chunk.end,
-            owned.start
-        );
-        let (vals, tail) = rest.split_at_mut(owned.len());
+        let (vals, tail) = rest.split_at_mut(owned_slots(band, chunk).len());
         rest = tail;
-        cursor = owned.end;
         jobs.push(move || banded_weight_grad_segment(lanes, band, chunk, x, d_out, 0, dim, vals));
     }
     join_workers(jobs);

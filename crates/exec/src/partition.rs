@@ -14,12 +14,6 @@
 //! rows **in place** — the previous drivers routed every range through a
 //! freshly allocated partial buffer plus a copy-back concatenation, which
 //! cost an allocation and a full extra sweep of the output per call.
-//!
-//! Under the `race-check` feature the ranges are additionally claimed in a
-//! shadow [`WriterMap`](crate::kernels::race::WriterMap) before any slicing
-//! happens, so an overlapping or gappy partition panics with the same
-//! diagnostics as the banded engine's chunk checker rather than tripping the
-//! borrow-splitting asserts.
 
 use mega_core::parallel::join_workers;
 
@@ -54,23 +48,13 @@ pub(crate) fn row_ranges(n: usize, workers: usize, align: usize) -> Vec<(usize, 
 ///
 /// # Panics
 ///
-/// Panics when the ranges do not partition `[0, n)` in ascending order
-/// (under `race-check`, with the shadow writer map's overlap/gap
-/// diagnostics; otherwise with a plain partition assert) or when
-/// `out.len() != n * m`.
+/// Panics when the ranges do not partition `[0, n)` in ascending order or
+/// when `out.len() != n * m`.
 pub(crate) fn par_rows<F>(out: &mut [f32], n: usize, m: usize, ranges: &[(usize, usize)], body: F)
 where
     F: Fn(usize, usize, &mut [f32]) + Sync,
 {
     assert_eq!(out.len(), n * m, "out must be {n}x{m}");
-    #[cfg(feature = "race-check")]
-    {
-        let writers = crate::kernels::race::WriterMap::new("gemm output row", n);
-        for (id, &(lo, hi)) in ranges.iter().enumerate() {
-            writers.claim_range(lo, hi, id as u32);
-        }
-        writers.assert_complete();
-    }
     let body = &body;
     let mut jobs = Vec::with_capacity(ranges.len());
     let mut rest = out;
@@ -136,7 +120,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "race-check"))]
     #[should_panic(expected = "cover only")]
     fn par_rows_rejects_short_partitions() {
         let mut out = vec![0.0f32; 8];
@@ -144,12 +127,9 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "race-check")]
-    #[should_panic(expected = "never claimed")]
-    fn par_rows_rejects_short_partitions() {
-        // Same corruption as the non-race-check twin; the shadow writer map
-        // gets there first with its gap diagnostic.
+    #[should_panic(expected = "must partition [0, 4) in order: got [1, 4) at row 2")]
+    fn par_rows_rejects_overlapping_partitions() {
         let mut out = vec![0.0f32; 8];
-        par_rows(&mut out, 4, 2, &[(0, 3)], |_, _, _| {});
+        par_rows(&mut out, 4, 2, &[(0, 2), (1, 4)], |_, _, _| {});
     }
 }

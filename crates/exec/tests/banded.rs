@@ -4,9 +4,9 @@
 //! kernels and through every backend and every SIMD tier the host runs, at
 //! widths that fill and overrun a vector block (`DIMS`), forward and
 //! gradient. The grid's bands hold more than 33 active slots, so the SIMD
-//! weight gradient meets full 8-slot groups and a remainder. CI's
-//! race-check leg runs this whole file with the shadow writer map armed, so
-//! the same grid is also the checked row-ownership proof.
+//! weight gradient meets full 8-slot groups and a remainder. Beside it,
+//! `corrupt_plans_are_refused_with_the_violation` holds the `_with_plan`
+//! entry points to refusing every class of plan that does not fit the band.
 //!
 //! The walk (`banded_*_serial`) is the oracle of everything here *and* a
 //! kernel under edit, so `band_bits_are_pinned` holds it still from outside,
@@ -25,7 +25,7 @@
 
 use mega_core::band::BandMask;
 use mega_core::config::{CandidatePolicy, MegaConfig, WindowPolicy};
-use mega_core::parallel::{ChunkPlan, Parallelism};
+use mega_core::parallel::{Chunk, ChunkPlan, Parallelism};
 use mega_core::preprocess;
 use mega_exec::kernels::{
     banded_aggregate, banded_aggregate_serial, banded_aggregate_with_plan, banded_weight_grad,
@@ -451,6 +451,112 @@ fn shape_mismatches_name_the_argument() {
         refused("out must hold edge_count", &mut || {
             b.banded_weight_grad(&band, &x, &x, dim, edges, &par, &mut dw[1..])
         });
+    }
+}
+
+/// Owned rows `[start, end)` with the legal ±ω read extent.
+fn chunk(start: usize, end: usize, window: usize, len: usize) -> Chunk {
+    Chunk {
+        start,
+        end,
+        read_lo: start.saturating_sub(window),
+        read_hi: (end + window).min(len),
+    }
+}
+
+/// Every class of corrupt plan is refused by both `_with_plan` kernels
+/// before any job is spawned, with the violation in the message — rather
+/// than returning rows that differ from the walk's.
+#[test]
+fn corrupt_plans_are_refused_with_the_violation() {
+    let cfg = MegaConfig::default().with_window(WindowPolicy::Fixed(3));
+    let (band, edges) = band_of(&er_graph(40, 40), &cfg);
+    let (len, w, half, dim) = (band.len(), band.window(), band.len() / 2, 4);
+    assert!(len > 20 && w == 3, "fixture: len={len} ω={w}");
+    let raw = |chunks: Vec<Chunk>| ChunkPlan::from_raw_parts(len, w, chunks);
+    let narrowed = |start, end| Chunk {
+        start,
+        end,
+        read_lo: start,
+        read_hi: end,
+    };
+    let cases = [
+        (
+            "overlap",
+            raw(vec![chunk(0, half, w, len), chunk(half - w, len, w, len)]),
+            "must partition",
+        ),
+        (
+            "interior gap",
+            raw(vec![chunk(0, half, w, len), chunk(half + 1, len, w, len)]),
+            "must partition",
+        ),
+        (
+            "trailing gap",
+            raw(vec![chunk(0, half, w, len), chunk(half, len - 1, w, len)]),
+            "cover only",
+        ),
+        (
+            "built plan of the wrong length",
+            ChunkPlan::build(len - 10, w, 40),
+            "plan covers a path of length",
+        ),
+        (
+            "narrowed read window",
+            raw(vec![narrowed(0, half), narrowed(half, len)]),
+            "read_hi",
+        ),
+        (
+            "window other than the band's",
+            ChunkPlan::build(len, w + 1, 40),
+            "plan reads window",
+        ),
+        (
+            "slots owned twice",
+            raw(vec![chunk(0, len, w, len); 2]),
+            "must partition",
+        ),
+    ];
+    let Inputs { x, d_out, weights } = Inputs::random(&band, edges, dim);
+    let refused = |what: &str, f: &mut dyn FnMut()| {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err(what);
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    };
+    for (what, plan, violation) in &cases {
+        let (mut out, mut dw) = (vec![0.0f32; x.len()], vec![0.0f32; edges]);
+        let messages = [
+            refused(what, &mut || {
+                banded_aggregate_with_plan(
+                    BandLanes::SCALAR,
+                    &band,
+                    &x,
+                    dim,
+                    &weights,
+                    plan,
+                    &mut out,
+                )
+            }),
+            refused(what, &mut || {
+                banded_weight_grad_with_plan(
+                    BandLanes::SCALAR,
+                    &band,
+                    &x,
+                    &d_out,
+                    dim,
+                    plan,
+                    &mut dw,
+                )
+            }),
+        ];
+        for msg in messages {
+            assert!(
+                msg.contains("invalid chunk plan for this band") && msg.contains(violation),
+                "{what}: {msg}"
+            );
+        }
     }
 }
 

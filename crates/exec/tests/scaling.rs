@@ -102,7 +102,7 @@ fn threaded_gemm_bit_identical_to_serial_across_backends() {
             &mut serial,
         );
         for (name, backend) in backends() {
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 4] {
                 let par = Parallelism::pinned(threads);
                 let mut got = vec![0.0f32; n * m];
                 let (oa, ob) = (Operand::RowMajor(&a), Operand::RowMajor(&b));

@@ -14,12 +14,14 @@ use mega::core::{preprocess, traverse, traverse_parallel, MegaConfig};
 use mega::datasets::{zinc, DatasetSpec};
 use mega::exec::kernels::{
     banded_aggregate, banded_aggregate_serial, banded_aggregate_with_plan, banded_weight_grad,
-    banded_weight_grad_serial, banded_weight_grad_with_plan, BandLanes,
+    banded_weight_grad_serial, banded_weight_grad_with_plan, BandLanes, PAR_MATMUL_MIN_FLOPS,
 };
+use mega::exec::{Backend, BufferPool, ReferenceBackend, SimdBackend};
 use mega::graph::generate;
-use mega::tensor::Tensor;
+use mega::tensor::{Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 const DIM: usize = 9;
 
@@ -141,37 +143,46 @@ fn parallel_traversal_thread_count_invariant() {
 }
 
 /// The autograd tape's parallel matmul keeps losses and gradients
-/// bit-identical across thread budgets.
+/// bit-identical across thread budgets, on both backends. At 128×64 · 64×64
+/// the forward product and both backward products pass the
+/// `PAR_MATMUL_MIN_FLOPS` cutoff, so every one splits across the pinned
+/// threads.
 #[test]
 fn tape_parallelism_bit_identical_gradients() {
-    let mut rng = StdRng::seed_from_u64(5);
-    let a = Tensor::from_vec(40, 33, random_vec(&mut rng, 40 * 33));
-    let b = Tensor::from_vec(33, 21, random_vec(&mut rng, 33 * 21));
+    let mut rng = StdRng::seed_from_u64(17);
+    let a = Tensor::from_vec(128, 64, random_vec(&mut rng, 128 * 64));
+    let b = Tensor::from_vec(64, 64, random_vec(&mut rng, 64 * 64));
+    const { assert!(128 * 64 * 64 >= PAR_MATMUL_MIN_FLOPS) };
 
-    let run = |threads: usize| {
-        let mut tape = mega::tensor::Tape::new();
-        tape.set_parallelism(Parallelism::pinned(threads));
-        let va = tape.leaf(a.clone());
-        let vb = tape.leaf(b.clone());
-        let prod = tape.matmul(va, vb);
-        let loss = tape.sum(prod);
-        let grads = tape.backward(loss);
-        (
-            tape.value(loss).at(0, 0),
-            grads.wrt(va).as_slice().to_vec(),
-            grads.wrt(vb).as_slice().to_vec(),
-        )
-    };
-
-    let (l1, ga1, gb1) = run(1);
-    for threads in [2usize, 4, 8] {
-        let (l, ga, gb) = run(threads);
-        assert_eq!(l.to_bits(), l1.to_bits(), "loss, threads={threads}");
-        for (x, y) in ga.iter().zip(&ga1) {
-            assert_eq!(x.to_bits(), y.to_bits(), "grad a, threads={threads}");
-        }
-        for (x, y) in gb.iter().zip(&gb1) {
-            assert_eq!(x.to_bits(), y.to_bits(), "grad b, threads={threads}");
+    let backends: [(&str, Arc<dyn Backend>); 2] = [
+        ("reference", Arc::new(ReferenceBackend)),
+        ("simd", Arc::new(SimdBackend::new())),
+    ];
+    for (name, backend) in backends {
+        let run = |threads: usize| {
+            let mut tape = Tape::with_exec(backend.clone(), Arc::new(BufferPool::new()));
+            tape.set_parallelism(Parallelism::pinned(threads));
+            let va = tape.leaf(a.clone());
+            let vb = tape.leaf(b.clone());
+            let prod = tape.matmul(va, vb);
+            let loss = tape.sum(prod);
+            let grads = tape.backward(loss);
+            (
+                tape.value(loss).at(0, 0),
+                grads.wrt(va).as_slice().to_vec(),
+                grads.wrt(vb).as_slice().to_vec(),
+            )
+        };
+        let (l1, ga1, gb1) = run(1);
+        for threads in [2usize, 4, 8] {
+            let (l, ga, gb) = run(threads);
+            assert_eq!(l.to_bits(), l1.to_bits(), "{name} loss, threads={threads}");
+            for (x, y) in ga.iter().zip(&ga1) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{name} grad a, threads={threads}");
+            }
+            for (x, y) in gb.iter().zip(&gb1) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{name} grad b, threads={threads}");
+            }
         }
     }
 }

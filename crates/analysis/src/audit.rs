@@ -1,40 +1,36 @@
-//! The hot-path panic audit over the call graph, plus the findings ratchet.
+//! The hot-path panic audit, plus the findings ratchet.
 //!
 //! - **`panic-surface`**: panic tokens (`panic!`, asserts, `.unwrap()`,
-//!   `.expect()`) on fns reachable from the hot kernel surface
-//!   ([`HOT_SURFACE`] public fns) fire one finding per fn at its
-//!   definition line — so a single allow pragma covers the fn.
+//!   `.expect()`) in a non-test fn of a [`HOT_FILES`] file fire one finding
+//!   per fn at its definition line — so a single allow pragma covers the fn.
 //! - **Ratchet**: [`RATCHET_FILE`] pins a per-rule baseline count that may
 //!   only decrease, so the inherited panic debt gates any new site without
 //!   a big-bang cleanup.
 
-use crate::graph::Graph;
+use crate::items;
+use crate::scan::Line;
 use crate::{Finding, Rule};
 
 /// The checked-in per-rule baseline counts.
 pub const RATCHET_FILE: &str = "crates/analysis/audit/ratchet.txt";
 
-/// The hot kernel surface: public fns in these files are the entry points
-/// of the panic-surface audit (the exec kernels — dense, banded, and
-/// segment ops — and the distributed executor's step loop).
-pub const HOT_SURFACE: [&str; 2] = ["crates/exec/src/kernels.rs", "crates/dist/src/exec.rs"];
+/// The hot kernel files: the exec kernels (dense, banded and segment ops)
+/// with the row partitioner they split work by, the distributed executor's
+/// step loop, and the chunk plans both run on.
+pub const HOT_FILES: [&str; 4] = [
+    "crates/exec/src/kernels.rs",
+    "crates/exec/src/partition.rs",
+    "crates/dist/src/exec.rs",
+    "crates/core/src/parallel.rs",
+];
 
-/// Crates never traversed or reported by the hot-path audit: mega-obs is
-/// the audited telemetry layer (panic-free when disabled, and its enabled
-/// paths are not kernel arithmetic), and the linter itself never runs on
-/// the hot path.
-fn audit_exempt(path: &str) -> bool {
-    path.starts_with("crates/obs/") || path.starts_with("crates/analysis/")
-}
-
-/// One finding per panic-containing fn reachable from the hot surface.
-pub(crate) fn panic_surface(g: &Graph, findings: &mut Vec<Finding>) {
-    let entries = surface_fns(g);
-    let parents = g.reach(entries, |i| {
-        audit_exempt(&g.fns[i].file) || g.fns[i].in_test
-    });
-    for (i, f) in g.fns.iter().enumerate() {
-        if parents[i].is_none() || f.in_test || audit_exempt(&f.file) || f.panics.is_empty() {
+/// One finding per panic-containing non-test fn when `path` is a hot file.
+pub(crate) fn panic_surface(path: &str, lines: &[Line], findings: &mut Vec<Finding>) {
+    if !HOT_FILES.contains(&path) {
+        return;
+    }
+    for f in items::extract(path, lines) {
+        if f.in_test || f.panics.is_empty() {
             continue;
         }
         let sites: Vec<String> = f
@@ -50,30 +46,19 @@ pub(crate) fn panic_surface(g: &Graph, findings: &mut Vec<Finding>) {
             String::new()
         };
         findings.push(Finding {
-            file: f.file.clone(),
+            file: f.file,
             line: f.line,
             rule: Rule::PanicSurface,
             message: format!(
-                "`fn {}` is reachable from the hot kernel surface ({}) and can panic: \
-                 {}{}; return/propagate errors, hoist checks to plan validation, or \
+                "`fn {}` is in a hot kernel file and can panic: {}{}; \
+                 return/propagate errors, hoist checks to plan validation, or \
                  allow with a reason",
                 f.name,
-                g.chain(&parents, i),
                 sites.join(", "),
                 suffix
             ),
         });
     }
-}
-
-/// Public, non-test fns whose file is on [`HOT_SURFACE`].
-fn surface_fns(g: &Graph) -> Vec<usize> {
-    (0..g.fns.len())
-        .filter(|&i| {
-            let f = &g.fns[i];
-            f.is_pub && !f.in_test && f.has_body && HOT_SURFACE.contains(&f.file.as_str())
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------

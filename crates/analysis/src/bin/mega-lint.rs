@@ -3,7 +3,7 @@
 //! Usage: `cargo run -p mega-analysis --bin mega-lint -- --workspace`
 //!
 //! Scans every Rust source in the workspace against the rule catalog in
-//! `mega_analysis::Rule` — token rules, the call-graph `panic-surface`
+//! `mega_analysis::Rule` — token rules, the hot-file `panic-surface`
 //! audit, and the pragma rules — prints findings as
 //! `file:line: [rule] message`, applies the checked-in ratchet baselines,
 //! and exits non-zero when anything gates — which is how CI turns the
@@ -17,8 +17,8 @@ const USAGE: &str =
     "usage: mega-lint --workspace [--root <dir>] [--format text|json] [--update-audits]
 
 Lints every Rust source in the workspace against the MEGA invariant rules
-(bit-exactness, unsafe hygiene, obs routing, ordered collections, hot-path
-panic reachability). Exits 1 when any finding survives suppression pragmas
+(bit-exactness, unsafe hygiene, obs routing, ordered collections, panics in
+the hot kernel files). Exits 1 when any finding survives suppression pragmas
 and the ratchet baselines, 2 on usage errors.
 
   --workspace       lint the enclosing cargo workspace (required)

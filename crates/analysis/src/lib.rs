@@ -12,14 +12,11 @@
 //! reported as `file:line: [rule] message` and enforced (non-zero exit) in
 //! CI.
 //!
-//! Two rule tiers share one pipeline:
-//!
-//! - **Token rules** match single scanned lines ([`scan`] strips comments
-//!   and string literals first, so a banned identifier inside a doc
-//!   comment or a log message never fires).
-//! - **`panic-surface`** runs over a whole-workspace call graph extracted
-//!   from the same token stream ([`graph`]): its verdict depends on
-//!   *reachability* from the hot kernel surface, not lexical occurrence.
+//! Every rule reads one file at a time, after [`scan`] strips comments and
+//! string literals (so a banned identifier inside a doc comment or a log
+//! message never fires). The token rules match single scanned lines;
+//! `panic-surface` reads the `fn` items ([`items`]) of four hot kernel
+//! files and flags each one that can panic.
 //!
 //! Rules are scoped by workspace-relative path and individually
 //! suppressible at a site via a justified pragma, e.g.
@@ -34,7 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod graph;
+pub mod items;
 mod pragma;
 mod rules;
 pub mod scan;
@@ -81,9 +78,11 @@ pub enum Rule {
     /// the reason. Never suppressible. Malformed audit/ratchet file lines
     /// also report here.
     BadPragma,
-    /// A fn reachable from the hot kernel surface (exec kernels, the dist
-    /// executor step loop) containing `panic!`/`assert!`/`.unwrap()`/
-    /// `.expect()`; one finding per fn, at its definition line.
+    /// A non-test fn in one of the hot kernel files
+    /// ([`audit::HOT_FILES`]: the exec kernels and row partitioner, the
+    /// dist executor step loop, the chunk plans) containing
+    /// `panic!`/`assert!`/`.unwrap()`/`.expect()`; one finding per fn, at
+    /// its definition line.
     PanicSurface,
     /// A valid pragma that suppressed zero findings: the suppression
     /// outlived the code it excused. Never suppressible.
@@ -233,39 +232,23 @@ impl Analysis {
     }
 }
 
-/// Runs the full pipeline — token rules, the panic-surface audit, pragma
+/// Runs the full pipeline — token rules, the panic-surface rule, pragma
 /// filtering, stale-pragma detection — over in-memory sources given as
 /// `(workspace_relative_path, text)` pairs, with the ratchet file
 /// *contents* supplied directly (pass `""` for none).
 pub fn analyze_sources(sources: &[(String, String)], ratchet_text: &str) -> Analysis {
     let mut findings = Vec::new();
-    let mut stripped = Vec::with_capacity(sources.len());
     let mut sups: BTreeMap<String, pragma::Suppressions> = BTreeMap::new();
     for (path, text) in sources {
         let lines = scan::strip(text);
         let (sup, bad) = pragma::collect(path, &lines);
         findings.extend(bad);
-        sups.insert(path.clone(), sup);
-        stripped.push((path.as_str(), lines));
-    }
-    // Token rules, filtered per file.
-    for (path, lines) in &stripped {
         let mut raw = Vec::new();
-        rules::run(path, lines, &mut raw);
-        let sup = &sups[*path];
+        rules::run(path, &lines, &mut raw);
+        audit::panic_surface(path, &lines, &mut raw);
         findings.extend(raw.into_iter().filter(|f| !sup.covers(f.line, f.rule)));
+        sups.insert(path.clone(), sup);
     }
-    // The panic-surface audit over the whole set's call graph.
-    let refs: Vec<(&str, &[scan::Line])> =
-        stripped.iter().map(|(p, l)| (*p, l.as_slice())).collect();
-    let g = graph::Graph::build(&refs);
-    let mut graph_raw = Vec::new();
-    audit::panic_surface(&g, &mut graph_raw);
-    findings.extend(
-        graph_raw
-            .into_iter()
-            .filter(|f| !sups.get(&f.file).is_some_and(|s| s.covers(f.line, f.rule))),
-    );
     // The ratchet file itself can be malformed.
     let ratchet = audit::Ratchet::parse(ratchet_text, &mut findings);
     // Stale pragmas — judged only after every rule has had its chance to

@@ -1,4 +1,4 @@
-// `panic-surface` fixture: panics judged by hot-surface reachability.
+// `panic-surface` fixture: panics in the non-test fns of a hot file.
 pub fn kernel(xs: &[f32]) -> f32 {
     let _g = mega_obs::span("kernel");
     helper(xs)
@@ -18,4 +18,17 @@ pub fn checked(x: f32) -> f32 {
 
 fn never_called() {
     todo!()
+}
+
+fn debug_checked(x: usize) -> usize {
+    debug_assert!(x > 0);
+    x
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn probe() {
+        assert_eq!(super::kernel(&[1.0]), 1.0);
+    }
 }

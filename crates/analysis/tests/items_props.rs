@@ -1,15 +1,14 @@
-//! Property tests for the call-graph extractor.
+//! Property tests for the `fn`-item extractor.
 //!
 //! The extractor is a token-level state machine, not a parser, so its
-//! contract is framed as properties over *arbitrary* item/call/module
+//! contract is framed as properties over *arbitrary* item/module
 //! structures rather than a grammar: it must be total (never panic, on
-//! garbage included), deterministic (same source → same graph, same
-//! findings), complete over `fn` items (every generated fn is recorded
-//! exactly once, however deeply mods/impls nest and however names shadow),
-//! and cycle-safe (call cycles, self-calls).
+//! garbage included), deterministic (same source → same items, same
+//! findings), and complete over `fn` items (every generated fn is recorded
+//! exactly once, however deeply mods/impls nest and however names shadow).
 
-use mega_analysis::graph::Graph;
-use mega_analysis::{analyze_sources, scan};
+use mega_analysis::items::{extract, FnItem};
+use mega_analysis::{analyze_sources, audit, scan, Rule};
 use proptest::prelude::*;
 
 /// A tiny name pool — deliberately small so generated structures shadow
@@ -55,6 +54,20 @@ fn fn_count(items: &[Item]) -> usize {
             Item::Fn { .. } => 1,
             Item::Mod { items, .. } => fn_count(items),
             Item::Impl { fns, .. } => fns.len(),
+        })
+        .sum()
+}
+
+/// Number of `fn` items whose body holds a panic: what `panic-surface`
+/// flags when the tree sits in a hot file.
+fn panicking_fn_count(items: &[Item]) -> usize {
+    let panics = |stmts: &[Stmt]| stmts.iter().any(|s| matches!(s, Stmt::Panic));
+    items
+        .iter()
+        .map(|it| match it {
+            Item::Fn { stmts, .. } => usize::from(panics(stmts)),
+            Item::Mod { items, .. } => panicking_fn_count(items),
+            Item::Impl { fns, .. } => fns.iter().filter(|(_, s)| panics(s)).count(),
         })
         .sum()
 }
@@ -158,64 +171,36 @@ fn arb_items() -> impl Strategy<Value = Vec<Item>> {
     proptest::collection::vec(item, 0..6)
 }
 
-/// Builds the graph for one rendered file at a fixed path.
-fn build(src: &str) -> Graph {
-    let lines = scan::strip(src);
-    Graph::build(&[("crates/core/src/gen.rs", &lines)])
-}
-
-/// A graph rendered to a comparable string (the extractor's full output).
-fn fingerprint(g: &Graph) -> String {
-    format!("{:?}\n{:?}", g.fns, g.edges)
+/// Extracts the items of one rendered file at a fixed path.
+fn items(src: &str) -> Vec<FnItem> {
+    extract("crates/core/src/gen.rs", &scan::strip(src))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn extraction_is_total_and_deterministic(items in arb_items()) {
-        let src = render(&items);
-        let a = build(&src);
-        let b = build(&src);
-        prop_assert_eq!(fingerprint(&a), fingerprint(&b));
+    fn extraction_is_total_and_deterministic(items_tree in arb_items()) {
+        let src = render(&items_tree);
+        prop_assert_eq!(items(&src), items(&src));
     }
 
     #[test]
-    fn every_generated_fn_is_recorded_exactly_once(items in arb_items()) {
-        let src = render(&items);
-        let g = build(&src);
+    fn every_generated_fn_is_recorded_exactly_once(items_tree in arb_items()) {
+        let src = render(&items_tree);
+        let fns = items(&src);
         prop_assert_eq!(
-            g.fns.len(),
-            fn_count(&items),
+            fns.len(),
+            fn_count(&items_tree),
             "expected every fn item in:\n{}",
             src
         );
         // Every recorded fn points at a real definition line and carries
         // the name the generator gave it.
         let lines: Vec<&str> = src.lines().collect();
-        for f in &g.fns {
+        for f in &fns {
             prop_assert!(f.line >= 1 && f.line <= lines.len());
             prop_assert!(lines[f.line - 1].contains(&format!("fn {}", f.name)));
-        }
-    }
-
-    #[test]
-    fn call_cycles_and_self_calls_terminate(items in arb_items()) {
-        // Append a guaranteed cycle (a → b → a → a) on shadowed pool names
-        // to whatever the generator produced, then walk reachability from
-        // every fn: BFS must terminate and stay in-bounds.
-        let mut src = render(&items);
-        src.push_str("fn alpha() { beta(); alpha(); }\nfn beta() { alpha(); }\n");
-        let g = build(&src);
-        for start in 0..g.fns.len() {
-            let parents = g.reach([start], |_| false);
-            prop_assert_eq!(parents.len(), g.fns.len());
-            for (i, p) in parents.iter().enumerate() {
-                if let Some(p) = p {
-                    // Parent chains stay inside the reached set.
-                    prop_assert!(*p == i || parents[*p].is_some());
-                }
-            }
         }
     }
 
@@ -223,12 +208,20 @@ proptest! {
     fn whole_pipeline_is_total_on_random_multi_file_sets(
         trees in proptest::collection::vec(arb_items(), 1..4),
     ) {
-        // Random files sharing shadowed names. The analyzer must neither
-        // panic nor diverge, and two runs must agree finding-for-finding.
+        // Random files sharing shadowed names, the first at a hot path. The
+        // analyzer must neither panic nor diverge, two runs must agree
+        // finding-for-finding, and `panic-surface` flags each panicking fn
+        // of the hot file once.
         let sources: Vec<(String, String)> = trees
             .iter()
             .enumerate()
-            .map(|(i, items)| (format!("crates/core/src/gen{i}.rs"), render(items)))
+            .map(|(i, items)| {
+                let path = match i {
+                    0 => audit::HOT_FILES[0].to_string(),
+                    _ => format!("crates/core/src/gen{i}.rs"),
+                };
+                (path, render(items))
+            })
             .collect();
         let a = analyze_sources(&sources, "");
         let b = analyze_sources(&sources, "");
@@ -236,5 +229,7 @@ proptest! {
         for f in &a.findings {
             prop_assert!(f.line >= 1, "findings are 1-based: {:?}", f);
         }
+        let flagged = a.findings.iter().filter(|f| f.rule == Rule::PanicSurface).count();
+        prop_assert_eq!(flagged, panicking_fn_count(&trees[0]));
     }
 }

@@ -132,26 +132,34 @@ fn scope_escape_rejects_path_modules_and_includes_but_not_data_embeds() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn panic_surface_judges_reachability_not_lexical_position() {
+fn panic_surface_flags_every_panicking_fn_in_hot_files_only() {
     let findings = lint_source("crates/exec/src/kernels.rs", PANIC_SURFACE);
-    // `helper` (assert, line 7) is reached from pub `kernel`; `checked` is
-    // pragma-allowed (the NaN sentinel); `never_called`'s todo!() is
-    // unreachable from the surface and stays silent.
-    assert_eq!(lines(&findings, Rule::PanicSurface), [7], "{findings:?}");
+    // `helper` (assert, line 7) and `never_called` (todo!, line 19) fire
+    // whether or not anything calls them; `checked` is pragma-allowed (the
+    // NaN sentinel), `debug_checked` holds only a `debug_assert!`, and the
+    // `#[cfg(test)]` probe is test code.
+    assert_eq!(
+        lines(&findings, Rule::PanicSurface),
+        [7, 19],
+        "{findings:?}"
+    );
     let msg = &findings
         .iter()
         .find(|f| f.rule == Rule::PanicSurface)
         .unwrap()
         .message;
-    assert!(msg.contains("kernel → helper"), "{msg}");
+    assert!(msg.contains("`fn helper`"), "{msg}");
     assert!(msg.contains("`assert!` (line 8)"), "{msg}");
     assert!(
         lines(&findings, Rule::StalePragma).is_empty(),
         "{findings:?}"
     );
-    // The same text away from the hot surface is not audited at all.
+    // A hot file that no pub fn of the kernels reaches is judged the same.
+    let plans = lint_source("crates/core/src/parallel.rs", PANIC_SURFACE);
+    assert_eq!(lines(&plans, Rule::PanicSurface), [7, 19], "{plans:?}");
+    // The same text outside the hot files is not audited at all.
     let away = lint_source("crates/core/src/kernels.rs", PANIC_SURFACE);
-    assert!(lines(&away, Rule::PanicSurface).is_empty());
+    assert!(lines(&away, Rule::PanicSurface).is_empty(), "{away:?}");
 }
 
 #[test]

@@ -391,20 +391,6 @@ impl ChunkPlan {
     pub fn chunks(&self) -> &[Chunk] {
         &self.chunks
     }
-
-    /// Index of the chunk owning row (or slot `lo`) `pos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos >= len`.
-    pub fn owner_of(&self, pos: usize) -> usize {
-        assert!(
-            pos < self.len,
-            "position {pos} outside path of length {}",
-            self.len
-        );
-        self.chunks.partition_point(|c| c.end <= pos)
-    }
 }
 
 /// Maps `f` over `items` on up to `threads` workers, preserving input order.
@@ -489,12 +475,17 @@ mod tests {
     }
 
     #[test]
-    fn owner_of_matches_owned_ranges() {
+    fn each_row_has_one_owner_in_path_order() {
         let plan = ChunkPlan::build(57, 3, 8);
-        for (ci, c) in plan.chunks().iter().enumerate() {
-            for r in c.start..c.end {
-                assert_eq!(plan.owner_of(r), ci);
-            }
+        for r in 0..57 {
+            let owners: Vec<usize> = plan
+                .chunks()
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.start <= r && r < c.end)
+                .map(|(ci, _)| ci)
+                .collect();
+            assert_eq!(owners, [r / 8]);
         }
     }
 

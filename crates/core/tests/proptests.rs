@@ -179,12 +179,14 @@ proptest! {
         for slot in band.active_slots() {
             // Ownership = the chunk whose owned rows contain slot.lo; both
             // endpoints must sit inside that chunk's read extent.
-            let owner = plan.owner_of(slot.lo);
-            let c = plan.chunks()[owner];
-            prop_assert!(c.start <= slot.lo && slot.lo < c.end);
+            let owners: Vec<_> = plan
+                .chunks()
+                .iter()
+                .filter(|k| k.start <= slot.lo && slot.lo < k.end)
+                .collect();
+            prop_assert_eq!(owners.len(), 1);
+            let c = owners[0];
             prop_assert!(c.read_lo <= slot.lo && slot.hi < c.read_hi);
-            let owners = plan.chunks().iter().filter(|k| k.start <= slot.lo && slot.lo < k.end).count();
-            prop_assert_eq!(owners, 1);
         }
     }
 

@@ -446,7 +446,14 @@ mod tests {
         let plan = ChunkPlan::for_workers(11, 1, 3);
         let chunk = 11usize.div_ceil(3);
         let expect: Vec<usize> = (0..11).map(|i| (i / chunk).min(2)).collect();
-        let got: Vec<usize> = (0..11).map(|i| plan.owner_of(i)).collect();
+        let got: Vec<usize> = (0..11)
+            .map(|i| {
+                plan.chunks()
+                    .iter()
+                    .position(|c| c.start <= i && i < c.end)
+                    .unwrap()
+            })
+            .collect();
         assert_eq!(got, expect);
     }
 

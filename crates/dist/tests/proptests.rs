@@ -125,7 +125,9 @@ proptest! {
         let band = s.band();
         prop_assume!(k == 1 || band.len().div_ceil(k) >= band.window().max(1));
         let plan = ChunkPlan::for_workers(band.len(), band.window(), k);
-        let assignment: Vec<usize> = (0..band.len()).map(|i| plan.owner_of(i)).collect();
+        let assignment: Vec<usize> = (0..band.len())
+            .map(|i| plan.chunks().iter().position(|c| c.start <= i && i < c.end).unwrap())
+            .collect();
         prop_assert_eq!(assignment, path_segments(&s, k));
     }
 

@@ -1534,7 +1534,6 @@ impl Backend for SimdBackend {
                 avx::leaky_relu(x, s, out)
             },
             #[cfg(target_arch = "x86_64")]
-            #[cfg(target_arch = "x86_64")]
             // SAFETY: Mode::Avx is only constructed after
             // `is_x86_feature_detected!("avx")` returned true.
             (Unary::Sigmoid, Mode::Avx | Mode::Avx512) => unsafe { avx::sigmoid(x, out) },

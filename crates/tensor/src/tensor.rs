@@ -146,16 +146,6 @@ impl Tensor {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows()`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        assert!(r < self.rows, "row {r} out of range");
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     fn assert_same_shape(&self, other: &Tensor, op: &str) {
         assert_eq!(
             self.shape(),

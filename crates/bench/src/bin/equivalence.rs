@@ -1,7 +1,7 @@
 //! Bit-exact equivalence matrix: backend x shard executor.
 //!
 //! Trains the same fixed-seed models — GatedGCN, Graph Transformer and GAT,
-//! so every `Linear`, every backward GEMM and GAT's per-head projections
+//! so every `Linear`, every backward GEMM and GAT's head-blocked scores
 //! are in the matrix — under every combination of `--backend a,b` (default
 //! `reference,simd`) and execution — whole-batch `Trainer::run` plus the
 //! sharded `DistTrainer` at every `--workers` count (default `1,2,4`) —

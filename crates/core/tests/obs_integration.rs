@@ -47,8 +47,9 @@ fn worker_thread_spans_are_thread_local_roots() {
     assert_eq!(count_at("outer/worker_op"), 16, "the caller's chunk");
     assert_eq!(count_at("worker_op"), 48, "the spawned workers' chunks");
     assert_eq!(count_at("outer"), 1);
-    // Workers get distinct thread ids in the raw span records.
-    let tids: BTreeSet<u64> = mega_obs::trace_tids();
+    // Workers get distinct thread ids in the raw span records: all 65 fit
+    // in the flight recorder's ring.
+    let tids: BTreeSet<u64> = mega_obs::flight_recorder().iter().map(|e| e.tid).collect();
     assert_eq!(tids.len(), 4, "one thread id per worker, got {tids:?}");
     mega_obs::reset();
 }

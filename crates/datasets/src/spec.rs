@@ -14,16 +14,6 @@ pub struct DatasetSpec {
 }
 
 impl DatasetSpec {
-    /// The paper's CSL split sizes (90/30/30).
-    pub fn paper_csl(seed: u64) -> Self {
-        DatasetSpec {
-            train: 90,
-            val: 30,
-            test: 30,
-            seed,
-        }
-    }
-
     /// A small split for CPU-scale experiments (400/80/80).
     pub fn small(seed: u64) -> Self {
         DatasetSpec {
@@ -54,12 +44,6 @@ impl Default for DatasetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_csl_split_sizes_match_table_ii() {
-        let s = DatasetSpec::paper_csl(0);
-        assert_eq!((s.train, s.val, s.test), (90, 30, 30));
-    }
 
     #[test]
     fn default_is_small() {

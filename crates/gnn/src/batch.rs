@@ -14,12 +14,20 @@
 //!   edge coverage every node receives exactly the same multiset of
 //!   messages as under the baseline — the two engines are numerically
 //!   equivalent and only their memory-access shape differs.
+//!
+//! The layers reach the messages only through four methods of
+//! [`EngineIndices`] — [`edge_sum`](EngineIndices::edge_sum),
+//! [`edge_scores`](EngineIndices::edge_scores),
+//! [`attend`](EngineIndices::attend) and [`gate`](EngineIndices::gate).
+//! Each is one band op on MEGA and the baseline's gather → per-message ops →
+//! scatter chain otherwise, with the same forward values bit for bit; on
+//! MEGA the backward sums each node's messages in one group (DESIGN.md §7).
 
 use crate::config::EngineChoice;
 use mega_core::band::BandSlot;
 use mega_core::AttentionSchedule;
 use mega_datasets::{GraphSample, Target};
-use mega_tensor::Band;
+use mega_tensor::{Band, Tape, Var};
 use std::sync::Arc;
 
 /// Message routing for one batch under one engine.
@@ -64,6 +72,72 @@ impl EngineIndices {
     /// Number of messages.
     pub fn msg_count(&self) -> usize {
         self.msg_dst_node.len()
+    }
+
+    /// The additive edge score `src_rows[src] + dst_rows[dst] + ee` of every
+    /// message, from node rows `src_rows`, `dst_rows` (`n × w`) and message
+    /// rows `ee` (`m × w`): GatedGCN's ê, and GAT's scores at width `heads`.
+    pub fn edge_sum(&self, tape: &mut Tape, src_rows: Var, dst_rows: Var, ee: Var) -> Var {
+        match &self.route {
+            Route::Band(band) => tape.band_edge_sum(src_rows, dst_rows, ee, band),
+            Route::Gather(src) => {
+                let at_src = tape.gather_rows(src_rows, src.clone());
+                let at_dst = tape.gather_rows(dst_rows, self.msg_dst_node.clone());
+                let sum = tape.add(at_src, at_dst);
+                tape.add(sum, ee)
+            }
+        }
+    }
+
+    /// The Graph Transformer's ŵ `(q[dst] ⊙ k[src]) ⊙ ee · scale` of every
+    /// message, from node rows `q`, `k` (`n × d`) and message rows `ee`.
+    pub fn edge_scores(&self, tape: &mut Tape, q: Var, k: Var, ee: Var, scale: f32) -> Var {
+        match &self.route {
+            Route::Band(band) => tape.band_edge_scores(q, k, ee, band, scale),
+            Route::Gather(src) => {
+                let q_dst = tape.gather_rows(q, self.msg_dst_node.clone());
+                let k_src = tape.gather_rows(k, src.clone());
+                let qk = tape.mul(q_dst, k_src);
+                let qke = tape.mul(qk, ee);
+                tape.scale(qke, scale)
+            }
+        }
+    }
+
+    /// Multi-head attention: each head's score is the sum of its column
+    /// block of the message rows `e_what` (`m × w`), softmaxed over each
+    /// destination node's messages, and weighs its block of the source's
+    /// node row of `v` (`n × d`) into the destination's row (`n × d`).
+    pub fn attend(&self, tape: &mut Tape, e_what: Var, v: Var, heads: usize) -> Var {
+        match &self.route {
+            Route::Band(band) => tape.band_attend(e_what, v, band, heads),
+            Route::Gather(src) => {
+                let dst = self.msg_dst_node.clone();
+                let score = tape.row_block_sums(e_what, heads);
+                let attn = tape.segment_softmax(score, dst.clone(), self.n_nodes);
+                let v_src = tape.gather_rows(v, src.clone());
+                let weighted = tape.mul_col_broadcast(v_src, attn);
+                tape.scatter_add_rows(weighted, dst, self.n_nodes)
+            }
+        }
+    }
+
+    /// GatedGCN's gated aggregate: with the gates `η = σ(e_hat)` (`m × d`),
+    /// each destination node's `Σ η ⊙ v[src] / (Σ η + eps)`, `v` being node
+    /// rows (`n × d`).
+    pub fn gate(&self, tape: &mut Tape, e_hat: Var, v: Var, eps: f32) -> Var {
+        match &self.route {
+            Route::Band(band) => tape.band_gate(e_hat, v, band, eps),
+            Route::Gather(src) => {
+                let dst = self.msg_dst_node.clone();
+                let sigma = tape.sigmoid(e_hat);
+                let v_src = tape.gather_rows(v, src.clone());
+                let gated = tape.mul(sigma, v_src);
+                let num = tape.scatter_add_rows(gated, dst.clone(), self.n_nodes);
+                let den = tape.scatter_add_rows(sigma, dst, self.n_nodes);
+                tape.div_eps(num, den, eps)
+            }
+        }
     }
 }
 

@@ -19,19 +19,12 @@
 //! ascending-k fold whichever row it sits in — so the forward values are
 //! those of projecting each message's gathered `h_j`, `h_i` bit for bit.
 //!
-//! How the node rows reach the messages depends on the engine:
-//!
-//! * **Baseline**: `A·h`, `B·h` and `V·h` are gathered to per-message
-//!   copies, and `add` → `add` makes ê, then `sigmoid` → `mul` → two
-//!   `scatter_add_rows` → `div_eps` the aggregate — ten tape nodes, six
-//!   `m × d` message tensors.
-//! * **MEGA**: two tape ops walk the batch's band, reading `A·h`, `B·h` and
-//!   `V·h` at node rows through the position → node map:
-//!   [`Tape::band_edge_sum`] makes ê, and [`Tape::band_gate`] turns it into
-//!   the gated aggregate, keeping only its `n × d` numerator and
-//!   denominator. No per-message copy of the projections, nor the gates,
-//!   exists, and the forward values are the baseline composition's bit for
-//!   bit.
+//! How the node rows reach the messages is the batch's route:
+//! [`EngineIndices::edge_sum`] makes ê and [`EngineIndices::gate`] turns it
+//! into the gated aggregate. On MEGA they are two band walks that read
+//! `A·h`, `B·h` and `V·h` at node rows and keep only the aggregate's `n × d`
+//! numerator and denominator; on the baseline, ten tape nodes over six
+//! `m × d` message tensors. The forward values are the same bit for bit.
 //!
 //! Backward, `dW` folds over node rows after each node's messages have been
 //! summed, and on MEGA the gradients of `A·h`, `B·h` and `V·h` sum a node's
@@ -39,7 +32,7 @@
 //! to the bound of DESIGN.md §7, not to the bit. ê's gradient, and so C's
 //! input gradient, keeps its bits.
 
-use crate::batch::{EngineIndices, Route};
+use crate::batch::EngineIndices;
 #[cfg(test)]
 use crate::layers::testing;
 use crate::nn::{Binder, Linear, NormParams};
@@ -85,38 +78,18 @@ impl GatedGcnLayer {
         h: Var,
         e: Var,
     ) -> (Var, Var) {
-        let n = idx.n_nodes;
         // A, B and V run once per node; their outputs are routed to messages.
         let ah = self.a.forward(tape, binder, store, h);
         let bh = self.b.forward(tape, binder, store, h);
         let vh = self.v.forward(tape, binder, store, h);
 
         // Edge pre-activation and residual update, then the gated
-        // aggregation keyed by destination node: on MEGA one band pass
-        // each, reading A·h, B·h and V·h at node rows; on the baseline the
-        // same arithmetic on per-message copies.
-        let (agg, e_out) = match &idx.route {
-            Route::Band(band) => {
-                let ce = self.c.forward(tape, binder, store, e);
-                let e_hat = tape.band_edge_sum(ah, bh, ce, band);
-                let e_out = self.edge_update(tape, binder, store, e, e_hat);
-                (tape.band_gate(e_hat, vh, band, GATE_EPS), e_out)
-            }
-            Route::Gather(src) => {
-                let ah_src = tape.gather_rows(ah, src.clone());
-                let bh_dst = tape.gather_rows(bh, idx.msg_dst_node.clone());
-                let vh_src = tape.gather_rows(vh, src.clone());
-                let ce = self.c.forward(tape, binder, store, e);
-                let sum = tape.add(ah_src, bh_dst);
-                let e_hat = tape.add(sum, ce);
-                let e_out = self.edge_update(tape, binder, store, e, e_hat);
-                let sigma = tape.sigmoid(e_hat);
-                let gated = tape.mul(sigma, vh_src);
-                let num = tape.scatter_add_rows(gated, idx.msg_dst_node.clone(), n);
-                let den = tape.scatter_add_rows(sigma, idx.msg_dst_node.clone(), n);
-                (tape.div_eps(num, den, GATE_EPS), e_out)
-            }
-        };
+        // aggregation keyed by destination node.
+        let ce = self.c.forward(tape, binder, store, e);
+        let e_hat = idx.edge_sum(tape, ah, bh, ce);
+        let e_act = self.bn_e.batch_norm_relu(tape, binder, store, e_hat);
+        let e_out = tape.add(e, e_act);
+        let agg = idx.gate(tape, e_hat, vh, GATE_EPS);
 
         // Node update with residual.
         let uh = self.u.forward(tape, binder, store, h);
@@ -124,19 +97,6 @@ impl GatedGcnLayer {
         let h_act = self.bn_h.batch_norm_relu(tape, binder, store, h_hat);
         let h_out = tape.add(h, h_act);
         (h_out, e_out)
-    }
-
-    /// The edge residual update `e + relu(BN(ê))`.
-    fn edge_update(
-        &self,
-        tape: &mut Tape,
-        binder: &mut Binder,
-        store: &ParamStore,
-        e: Var,
-        e_hat: Var,
-    ) -> Var {
-        let e_act = self.bn_e.batch_norm_relu(tape, binder, store, e_hat);
-        tape.add(e, e_act)
     }
 }
 

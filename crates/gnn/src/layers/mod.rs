@@ -52,7 +52,7 @@ impl Layer {
 #[cfg(test)]
 pub(crate) mod testing {
     use crate::batch::{Batch, EngineIndices, Route};
-    use crate::nn::Binder;
+    use crate::nn::{Binder, Linear};
     use mega_core::{preprocess, MegaConfig};
     use mega_datasets::{zinc, DatasetSpec};
     use mega_exec::{backend_by_name, BufferPool};
@@ -111,6 +111,39 @@ pub(crate) mod testing {
             let nudged = store.get(p).add(&varied(r, c, 10 + seed as u32).scale(0.2));
             store.set(p, nudged);
         }
+    }
+
+    /// One entry per parameter of `layers`, weight then bias, for
+    /// [`project_block`] to record its column-block leaves in.
+    pub(crate) fn block_leaves(layers: &[&Linear]) -> BlockLeaves {
+        let params = layers.iter().map(|l| l.params());
+        params
+            .flat_map(|(w, b)| [(w, Vec::new()), (b, Vec::new())])
+            .collect()
+    }
+
+    /// `x · W_k + b_k` as `matmul` → `add_row`, where `W_k`, `b_k` are
+    /// column block `block` of `blocks` of layer `which`'s weight and bias
+    /// in `leaves`, put on the tape as leaves of their own and recorded
+    /// there.
+    pub(crate) fn project_block(
+        tape: &mut Tape,
+        store: &ParamStore,
+        leaves: &mut BlockLeaves,
+        which: usize,
+        block: usize,
+        blocks: usize,
+        x: Var,
+    ) -> Var {
+        let mut part = |i: usize| {
+            let (p, vars) = &mut leaves[i];
+            let v = tape.leaf(col_block(store.get(*p), block, blocks));
+            vars.push(v);
+            v
+        };
+        let (w, b) = (part(2 * which), part(2 * which + 1));
+        let y = tape.matmul(x, w);
+        tape.add_row(y, b)
     }
 
     /// Column block `block` of `blocks` of `t`.

@@ -24,25 +24,19 @@
 //! the forward values are those of per-head projections of gathered rows,
 //! bit for bit.
 //!
-//! How the node rows reach the messages depends on the engine:
-//!
-//! * **Baseline**: `q`, `k`, `v` are gathered to per-message copies, and
-//!   `mul` → `mul` → `scale` → `row_block_sums` → `segment_softmax` →
-//!   `mul_col_broadcast` → `scatter_add_rows` computes ŵ and `agg` — ten
-//!   tape nodes, six `m × d` message tensors.
-//! * **MEGA**: two tape ops walk the batch's band, reading `q`, `k`, `v` at
-//!   node rows through the position → node map:
-//!   [`Tape::band_edge_scores`] makes ŵ, and [`Tape::band_attend`] turns it
-//!   into the per-node aggregate, keeping only the `m × heads` weights. No
-//!   per-message copy of `q`, `k`, `v`, nor the products, exists, and the
-//!   forward values are the baseline composition's bit for bit.
+//! How the node rows reach the messages is the batch's route:
+//! [`EngineIndices::edge_scores`] makes ŵ and [`EngineIndices::attend`]
+//! turns it into the per-node aggregate. On MEGA they are two band walks that
+//! read `q`, `k`, `v` at node rows and keep only the `m × heads` weights; on
+//! the baseline, ten tape nodes over six `m × d` message tensors. The
+//! forward values are the same bit for bit.
 //!
 //! Backward, `dW` folds over node rows and `dX` over all `d` columns at
 //! once, and on MEGA the gradients of `q`, `k`, `v` sum a node's messages
 //! in one group instead of per path position: gradients agree with the
 //! per-head composition to the bound of DESIGN.md §7, not to the bit.
 
-use crate::batch::{EngineIndices, Route};
+use crate::batch::EngineIndices;
 #[cfg(test)]
 use crate::layers::testing;
 use crate::nn::{Binder, Linear, Mlp, NormParams};
@@ -113,37 +107,16 @@ impl GraphTransformerLayer {
         h: Var,
         e: Var,
     ) -> (Var, Var) {
-        let n = idx.n_nodes;
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         // Q, K and V run once per node, all heads in one product each; their
-        // outputs are routed to messages at full width.
+        // outputs are routed to messages at full width. Column block `k` of
+        // every tensor is head `k`.
         let q = self.q.forward(tape, binder, store, h);
         let k = self.k.forward(tape, binder, store, h);
         let v = self.v.forward(tape, binder, store, h);
         let ee = self.e.forward(tape, binder, store, e);
-
-        // Column block `k` of every tensor below is head `k`.
-        let (e_what, h_agg) = match &idx.route {
-            // MEGA: two passes over the band, reading q, k, v at node rows.
-            Route::Band(band) => {
-                let e_what = tape.band_edge_scores(q, k, ee, band, scale);
-                (e_what, tape.band_attend(e_what, v, band, self.heads))
-            }
-            // Baseline: the same arithmetic on per-message copies.
-            Route::Gather(src) => {
-                let q_dst = tape.gather_rows(q, idx.msg_dst_node.clone());
-                let k_src = tape.gather_rows(k, src.clone());
-                let v_src = tape.gather_rows(v, src.clone());
-                let qk_prod = tape.mul(q_dst, k_src);
-                let qke = tape.mul(qk_prod, ee);
-                let e_what = tape.scale(qke, scale);
-                let score = tape.row_block_sums(e_what, self.heads);
-                let attn = tape.segment_softmax(score, idx.msg_dst_node.clone(), n);
-                let weighted = tape.mul_col_broadcast(v_src, attn);
-                let h_agg = tape.scatter_add_rows(weighted, idx.msg_dst_node.clone(), n);
-                (e_what, h_agg)
-            }
-        };
+        let e_what = idx.edge_scores(tape, q, k, ee, scale);
+        let h_agg = idx.attend(tape, e_what, v, self.heads);
 
         // Node stream: attention output, residual + LN, FFN, residual + LN.
         // Each residual + LN is one node that writes the sum into the
@@ -182,24 +155,13 @@ impl GraphTransformerLayer {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let src = testing::message_sources(idx);
 
-        let mut leaves: testing::BlockLeaves = Vec::new();
-        for lin in [&self.q, &self.k, &self.v, &self.e] {
-            let (w, b) = lin.params();
-            leaves.push((w, Vec::new()));
-            leaves.push((b, Vec::new()));
-        }
+        let mut leaves = testing::block_leaves(&[&self.q, &self.k, &self.v, &self.e]);
         let mut aggs = Vec::with_capacity(self.heads);
         let mut whats = Vec::with_capacity(self.heads);
         for hd in 0..self.heads {
             // Projection `which` (Q, K, V, E in `leaves` order) of head `hd`.
             let mut project = |tape: &mut Tape, which: usize, x: Var| {
-                let (w, b) = (leaves[2 * which].0, leaves[2 * which + 1].0);
-                let w = tape.leaf(testing::col_block(store.get(w), hd, self.heads));
-                let b = tape.leaf(testing::col_block(store.get(b), hd, self.heads));
-                leaves[2 * which].1.push(w);
-                leaves[2 * which + 1].1.push(b);
-                let y = tape.matmul(x, w);
-                tape.add_row(y, b)
+                testing::project_block(tape, store, &mut leaves, which, hd, self.heads, x)
             };
             let qk = project(tape, 0, h);
             let kk = project(tape, 1, h);

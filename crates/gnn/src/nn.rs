@@ -115,9 +115,8 @@ impl Linear {
         Linear { weight, bias }
     }
 
-    /// The `(weight, bias)` parameters, for the reference compositions of
-    /// the layer tests.
-    #[cfg(test)]
+    /// The `(weight, bias)` parameters, for a caller that puts them on the
+    /// tape itself.
     pub(crate) fn params(&self) -> (ParamId, ParamId) {
         (self.weight, self.bias)
     }

@@ -721,13 +721,6 @@ pub fn render_flight_recorder() -> String {
     out
 }
 
-/// The distinct thread ids that appear in the recorded spans — useful for
-/// asserting that work really ran on worker threads.
-pub fn trace_tids() -> std::collections::BTreeSet<u64> {
-    let r = registry().lock().expect("obs registry poisoned");
-    r.spans.iter().map(|s| s.tid).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -762,7 +762,7 @@ impl Tape {
     /// `(src_rows[src] + dst_rows[dst]) + ee` for every message, the first
     /// two being node rows (`n × d`) and `ee` message rows (`m × d`) —
     /// GatedGCN's edge pre-activation `A·h_j + B·h_i + C·e_ji`, and GAT's
-    /// score at width 1.
+    /// scores at width `heads`.
     ///
     /// The values are those of gathering `src_rows` to sources and
     /// `dst_rows` to destinations and chaining `add`, `add`, bit for bit;

@@ -3,9 +3,10 @@
 //! `bench_results/<name>.json`. The `figures` binary runs them by name.
 //!
 //! Figures computed by the GPU cost model are modeled GTX 1080 numbers
-//! ([`modeled`]); [`structure`] holds the traversal, dataset, WL and
-//! partition figures, which model nothing; [`training`] trains on the host
-//! and pairs the measured losses with the modeled epoch.
+//! ([`modeled`], with the partition figure's 10 GbE projection);
+//! [`structure`] holds the traversal, dataset and WL figures, which model
+//! nothing; [`training`] trains on the host and pairs the measured losses
+//! with the modeled epoch.
 
 use crate::{save_json, TableWriter};
 use serde::{Serialize, Value};
@@ -123,7 +124,7 @@ pub const FIGURES: [(&str, FigureFn); 18] = [
     ("fig10_runtime", modeled::fig10_runtime),
     ("fig11_14_convergence", training::fig11_14_convergence),
     ("fig15_edge_drop", training::fig15_edge_drop),
-    ("dist_comm_analysis", structure::dist_comm_analysis),
+    ("dist_comm_analysis", modeled::dist_comm_analysis),
     ("ablation_window", structure::ablation_window),
     ("ablation_coverage", structure::ablation_coverage),
     ("ablation_policy", structure::ablation_policy),

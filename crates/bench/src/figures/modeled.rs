@@ -1,16 +1,22 @@
 //! Figures computed by the GPU cost model: every number here is a modeled
 //! GTX 1080 (or, in the device ablation, GTX 1050 / RTX 3080) quantity, not
-//! a measurement.
+//! a measurement. The one exception is the partition figure's exact
+//! communication volumes, which sit beside the 10 GbE speedups they feed.
 
 use super::Figure;
 use crate::bench_datasets;
 use mega_core::{preprocess, MegaConfig};
 use mega_datasets::{zinc, Dataset, DatasetSpec};
+use mega_dist::{
+    bfs_partition, edge_cut_volume, epoch_scaling, hash_partition, path_partition_volume,
+    ClusterConfig, CommStats,
+};
 use mega_gnn::{cost, EngineChoice, GnnConfig, ModelKind};
 use mega_gpu_sim::{
     BatchTopology, DeviceConfig, EngineKind, EpochCost, GnnCostModel, KernelKind, ModelSpec,
     Profiler,
 };
+use mega_graph::generate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -322,4 +328,79 @@ pub fn ablation_device() -> Figure {
         "Expected: the speedup persists across three GPU generations; the low-end part\n\
          (least latency-hiding) benefits most, the bandwidth-rich part least.",
     )
+}
+
+/// §IV-B6: communication pairs and volume for edge-cut partitioning (hash,
+/// BFS locality) against MEGA's path-segment partition, which needs exactly
+/// `k − 1` neighbour exchanges plus a replica-sync term from revisits. The
+/// exact volumes and a modeled GT epoch feed the 10 GbE cluster model's
+/// `modeled_*_speedup` columns: a prediction, not a measurement.
+pub fn dist_comm_analysis() -> Figure {
+    let mut rng = StdRng::seed_from_u64(6);
+    let g = generate::barabasi_albert(2000, 3, &mut rng).expect("valid generator input");
+    let schedule = preprocess(&g, &MegaConfig::default()).expect("valid graph");
+    let spec = ModelSpec::graph_transformer(64, 2);
+    let steps = 20;
+    let topo = BatchTopology::from_graphs_with_schedules(
+        std::slice::from_ref(&g),
+        std::slice::from_ref(&schedule),
+    );
+    let single = GnnCostModel::new(DeviceConfig::gtx_1080(), spec.clone(), EngineKind::Mega)
+        .epoch_cost(&topo, steps)
+        .epoch_seconds;
+    let rounds = spec.layers * 2 * steps; // layers × fwd/bwd × steps
+    let cluster = ClusterConfig::ten_gbe();
+    let speedup =
+        |comm: &CommStats| epoch_scaling(single, comm, rounds, spec.hidden_dim, &cluster).speedup;
+    let mut fig = Figure::new(
+        format!(
+            "Distributed communication analysis (BA graph, n={} m={} | path length {}, \
+             expansion {:.2} | modeled_*_speedup: 10 GbE projection of a {:.2} ms modeled \
+             GTX 1080 GT epoch, not a measurement)",
+            g.node_count(),
+            g.edge_count(),
+            schedule.path().len(),
+            schedule.path().expansion_factor(),
+            single * 1e3
+        ),
+        &[
+            "partitions",
+            "hash_pairs",
+            "hash_volume",
+            "bfs_pairs",
+            "bfs_volume",
+            "path_pairs",
+            "path_volume",
+            "path_replicas",
+            "modeled_cut_speedup",
+            "modeled_path_speedup",
+        ],
+    );
+    let mut replicas = 0;
+    for k in [2usize, 4, 8, 16, 32, 64] {
+        let hash = edge_cut_volume(&g, &hash_partition(&g, k), k);
+        let bfs = edge_cut_volume(&g, &bfs_partition(&g, k), k);
+        let path = path_partition_volume(&schedule, k);
+        fig.push_row(&[
+            &k,
+            &hash.comm_pairs,
+            &hash.volume_rows,
+            &bfs.comm_pairs,
+            &bfs.volume_rows,
+            &path.comm_pairs,
+            &path.volume_rows,
+            &path.replica_rows,
+            &speedup(&bfs),
+            &speedup(&path),
+        ]);
+        replicas = path.replica_rows;
+    }
+    fig.with_claim(format!(
+        "Paper claims: edge-cut partitions approach all-to-all (pairs ~ k^2/2) with volume\n\
+         growing with cut edges; the path partition needs exactly k-1 adjacent exchanges (O(k))\n\
+         at the cost of {replicas} replica rows ({:.1}% of nodes).\n\
+         Modeled (10 GbE prediction, BFS edge cut vs path partition): the path speedup keeps\n\
+         rising with k while the edge-cut curve flattens as its communicating pairs grow.",
+        100.0 * replicas as f64 / g.node_count() as f64
+    ))
 }

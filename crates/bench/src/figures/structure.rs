@@ -1,6 +1,6 @@
 //! Figures that model nothing: model operator counts, dataset statistics,
-//! WL similarity, traversal ablations and partition communication volumes
-//! are exact functions of the generated graphs.
+//! WL similarity and traversal ablations are exact functions of the
+//! generated graphs.
 
 use super::Figure;
 use crate::bench_datasets;
@@ -8,7 +8,6 @@ use mega_core::{
     preprocess, revisit_lower_bound, traverse, BandMask, CandidatePolicy, MegaConfig, WindowPolicy,
 };
 use mega_datasets::DatasetSpec;
-use mega_dist::{bfs_partition, edge_cut_volume, hash_partition, path_partition_volume};
 use mega_gnn::{cost, Gnn, GnnConfig, ModelKind};
 use mega_graph::{generate, Graph};
 use mega_tensor::ParamStore;
@@ -158,58 +157,6 @@ pub fn fig08_isomorphism() -> Figure {
          global rows are low on sparse graphs. (path-merged = per-layer scatter flow used by\n\
          the trained engine: exact at every hop.)",
     )
-}
-
-/// §IV-B6: communication pairs and volume for edge-cut partitioning (hash,
-/// BFS locality) against MEGA's path-segment partition, which needs exactly
-/// `k − 1` neighbour exchanges plus a replica-sync term from revisits.
-pub fn dist_comm_analysis() -> Figure {
-    let mut rng = StdRng::seed_from_u64(6);
-    let g = generate::barabasi_albert(2000, 3, &mut rng).expect("valid generator input");
-    let schedule = preprocess(&g, &MegaConfig::default()).expect("valid graph");
-    let mut fig = Figure::new(
-        format!(
-            "Distributed communication analysis (BA graph, n={} m={} | path length {}, \
-             expansion {:.2})",
-            g.node_count(),
-            g.edge_count(),
-            schedule.path().len(),
-            schedule.path().expansion_factor()
-        ),
-        &[
-            "partitions",
-            "hash_pairs",
-            "hash_volume",
-            "bfs_pairs",
-            "bfs_volume",
-            "path_pairs",
-            "path_volume",
-            "path_replicas",
-        ],
-    );
-    let mut replicas = 0;
-    for k in [2usize, 4, 8, 16, 32, 64] {
-        let hash = edge_cut_volume(&g, &hash_partition(&g, k), k);
-        let bfs = edge_cut_volume(&g, &bfs_partition(&g, k), k);
-        let path = path_partition_volume(&schedule, k);
-        fig.push_row(&[
-            &k,
-            &hash.comm_pairs,
-            &hash.volume_rows,
-            &bfs.comm_pairs,
-            &bfs.volume_rows,
-            &path.comm_pairs,
-            &path.volume_rows,
-            &path.replica_rows,
-        ]);
-        replicas = path.replica_rows;
-    }
-    fig.with_claim(format!(
-        "Paper claims: edge-cut partitions approach all-to-all (pairs ~ k^2/2) with volume\n\
-         growing with cut edges; the path partition needs exactly k-1 adjacent exchanges (O(k))\n\
-         at the cost of {replicas} replica rows ({:.1}% of nodes).",
-        100.0 * replicas as f64 / g.node_count() as f64
-    ))
 }
 
 /// Ablation: traversal window ω. Larger windows cover more of a node's

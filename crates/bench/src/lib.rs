@@ -4,9 +4,9 @@
 //! binary prints the ones it is named and writes each as a JSON record
 //! under `bench_results/` for EXPERIMENTS.md. The other binaries are gates
 //! with their own flags: `equivalence` (bit-identity across backends and
-//! worker counts), `backend_matmul` (GEMM timings) and `dist_scaling`
-//! (modeled and measured distributed scaling). `benches/obs_overhead.rs`
-//! asserts the disabled-instrumentation overhead bound.
+//! worker counts) and `backend_matmul` (GEMM timings).
+//! `benches/obs_overhead.rs` asserts the disabled-instrumentation overhead
+//! bound.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -165,18 +165,14 @@ impl BandMask {
 /// never owns a slot.
 pub(crate) fn edge_between(g: &Graph, u: usize, v: usize) -> Option<usize> {
     let csr = g.csr();
-    let arc = |a: usize, b: usize| {
-        let at = csr.neighbors(a).binary_search(&b).ok()?;
-        Some(csr.edge_ids(a)[at])
-    };
     if g.is_undirected() {
         if csr.degree(u) <= csr.degree(v) {
-            arc(u, v)
+            csr.edge_id(u, v)
         } else {
-            arc(v, u)
+            csr.edge_id(v, u)
         }
     } else {
-        match (arc(u, v), arc(v, u)) {
+        match (csr.edge_id(u, v), csr.edge_id(v, u)) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         }

@@ -18,8 +18,9 @@
 //!   per-sample gradient shards fanned out over workers; the loop
 //!   all-reduces in a fixed ascending-shard order, so the loss trajectory
 //!   is bit-identical for any worker count.
-//! * [`scaling`] — the modeled cluster scaling curves (see
-//!   `bench/dist_scaling` for the modeled/measured split).
+//! * [`scaling`] — the modeled cluster scaling curves, a prediction: the
+//!   `dist_comm_analysis` figure's `modeled_*_speedup` columns. The
+//!   executor's wall clock is measured by the benchmark alone.
 //!
 //! # Example
 //!

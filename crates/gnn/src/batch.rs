@@ -158,33 +158,23 @@ impl MegaSegment {
     fn build(s: &GraphSample, sched: &AttentionSchedule) -> Self {
         let g = &s.graph;
         let node_feats = (0..g.node_count()).map(|v| s.node_features[v]).collect();
-        // Edge ids of the schedule refer to the *working* graph; when no
-        // edge dropping is configured that equals the sample graph. Its
-        // edge list order matches the sample's edge_features indexing.
-        let working_pairs: Vec<(usize, usize)> = sched.working_graph().edges().collect();
-        // `(min, max)` endpoint pair → sample edge id, sorted: each slot's
-        // feature is one binary search away. Equal pairs keep ascending
-        // ids, so the first sample edge joining two nodes wins.
-        let unordered = |(a, b): (usize, usize)| (a.min(b), a.max(b));
-        let mut sample_pairs: Vec<((usize, usize), usize)> = g
-            .edges()
-            .enumerate()
-            .map(|(eid, pair)| (unordered(pair), eid))
+        // Slot edge ids refer to the *working* graph, which keeps each edge
+        // as the sample stores it, dropped or not: look up that stored arc,
+        // not the band's pair rule (the later of two opposite arcs).
+        let working = sched.working_graph().edge_list().pairs();
+        let csr = g.csr();
+        let slots = sched
+            .band()
+            .active_slots()
+            .iter()
+            .map(|slot| {
+                let (a, b) = working[slot.edge];
+                let eid = csr
+                    .edge_id(a, b)
+                    .expect("every working edge is a sample edge");
+                (slot.lo, slot.hi, s.edge_features[eid])
+            })
             .collect();
-        sample_pairs.sort_unstable();
-        let mut slots = Vec::new();
-        for slot in sched.band().active_slots() {
-            let (a, b) = working_pairs[slot.edge];
-            // Map the working-graph edge back to the sample edge id for
-            // its feature (identical when nothing was dropped).
-            let key = unordered((a, b));
-            let at = sample_pairs.partition_point(|&(pair, _)| pair < key);
-            let feat = match sample_pairs.get(at) {
-                Some(&(pair, eid)) if pair == key => s.edge_features[eid],
-                _ => 0,
-            };
-            slots.push((slot.lo, slot.hi, feat));
-        }
         MegaSegment {
             node_feats,
             node_of: sched.gather_index().to_vec(),
@@ -431,6 +421,38 @@ mod tests {
             m
         };
         assert_eq!(collect(&base), collect(&mega));
+    }
+
+    /// A slot carries the feature of the sample edge stored as its working
+    /// edge is, on a directed graph too: with nothing dropped the later of
+    /// the arcs 0 → 1 and 1 → 0 owns their slot (feature 5); with 1 → 0
+    /// dropped (seed 1), 0 → 1 does (feature 3).
+    #[test]
+    fn mega_slots_carry_their_working_edge_feature() {
+        let pairs = [(0, 1), (1, 2), (1, 0), (2, 3), (3, 0)];
+        let mut graph = mega_graph::GraphBuilder::directed(4);
+        graph.edges(pairs).unwrap();
+        let sample = GraphSample {
+            node_features: vec![0; 4],
+            edge_features: vec![3, 4, 5, 6, 7],
+            target: Target::Regression(0.0),
+            graph: graph.build().unwrap(),
+        };
+        for (drop, pair_feat) in [(0.0, 5), (0.2, 3)] {
+            let cfg = MegaConfig::default().with_coverage(0.5).with_seed(1);
+            let sched = preprocess(&sample.graph, &cfg.with_edge_drop(drop)).unwrap();
+            let working = sched.working_graph().edge_list().pairs();
+            let slots = sched.band().active_slots();
+            let own: Vec<_> = slots
+                .iter()
+                .map(|slot| {
+                    let eid = pairs.iter().position(|&p| p == working[slot.edge]);
+                    (slot.lo, slot.hi, sample.edge_features[eid.unwrap()])
+                })
+                .collect();
+            assert!(own.iter().any(|s| s.2 == pair_feat), "{drop}");
+            assert_eq!(MegaSegment::build(&sample, &sched).slots, own, "{drop}");
+        }
     }
 
     #[test]

@@ -155,6 +155,18 @@ impl Csr {
     pub fn contains_edge(&self, a: usize, b: usize) -> bool {
         self.neighbors(a).binary_search(&b).is_ok()
     }
+
+    /// The id of the edge stored as `a → b` (either way round for an
+    /// undirected graph): a binary search over `a`'s sorted row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is out of range.
+    #[inline]
+    pub fn edge_id(&self, a: usize, b: usize) -> Option<usize> {
+        let at = self.neighbors(a).binary_search(&b).ok()?;
+        Some(self.edge_ids(a)[at])
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,9 @@
 
 use mega::core::{persist, preprocess, MegaConfig};
 use mega::datasets::{zinc, DatasetSpec};
-use mega::dist::{epoch_scaling, path_partition_volume, ClusterConfig};
+use mega::dist::{
+    bfs_partition, edge_cut_volume, epoch_scaling, path_partition_volume, ClusterConfig, CommStats,
+};
 use mega::gnn::{cost, EngineChoice, GnnConfig, ModelKind, Trainer};
 use mega::graph::{generate, io, Direction};
 use rand::rngs::StdRng;
@@ -61,18 +63,24 @@ fn gat_trains_under_both_engines() {
     assert!(modeled(EngineChoice::Mega) < modeled(EngineChoice::Baseline));
 }
 
-/// The scaling model favors the path partition on a real preprocessed graph.
+/// The scaling model favors the path partition on a real preprocessed graph:
+/// its speedup rises with k, and at k ∈ {8, 32} it beats the BFS edge cut's
+/// (§IV-B6).
 #[test]
 fn scaling_model_prefers_path_partition() {
     let g = generate::barabasi_albert(300, 3, &mut StdRng::seed_from_u64(5)).unwrap();
     let s = preprocess(&g, &MegaConfig::default()).unwrap();
     let cluster = ClusterConfig::ten_gbe();
+    let speedup = |stats: &CommStats| epoch_scaling(0.5, stats, 100, 64, &cluster).speedup;
     let mut last_speedup = 0.0;
     for k in [2usize, 8, 32] {
-        let stats = path_partition_volume(&s, k);
-        let point = epoch_scaling(0.5, &stats, 100, 64, &cluster);
-        assert!(point.speedup > last_speedup, "k={k} did not improve");
-        last_speedup = point.speedup;
+        let path = speedup(&path_partition_volume(&s, k));
+        assert!(path > last_speedup, "k={k} did not improve");
+        last_speedup = path;
+        if k >= 8 {
+            let cut = speedup(&edge_cut_volume(&g, &bfs_partition(&g, k), k));
+            assert!(path > cut, "k={k}: path {path} <= edge cut {cut}");
+        }
     }
 }
 

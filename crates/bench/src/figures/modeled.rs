@@ -350,8 +350,7 @@ pub fn dist_comm_analysis() -> Figure {
         .epoch_seconds;
     let rounds = spec.layers * 2 * steps; // layers × fwd/bwd × steps
     let cluster = ClusterConfig::ten_gbe();
-    let speedup =
-        |comm: &CommStats| epoch_scaling(single, comm, rounds, spec.hidden_dim, &cluster).speedup;
+    let speedup = |comm: &CommStats| epoch_scaling(single, comm, rounds, spec.hidden_dim, &cluster);
     let mut fig = Figure::new(
         format!(
             "Distributed communication analysis (BA graph, n={} m={} | path length {}, \

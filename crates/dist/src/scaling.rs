@@ -29,27 +29,14 @@ impl ClusterConfig {
     }
 }
 
-/// Predicted per-epoch wall clock of one distributed configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalingPoint {
-    /// Worker count.
-    pub partitions: usize,
-    /// Compute share of the epoch (perfectly divided across workers).
-    pub compute_seconds: f64,
-    /// Communication share of the epoch.
-    pub comm_seconds: f64,
-    /// Total epoch seconds.
-    pub total_seconds: f64,
-    /// Speedup over the single-worker epoch.
-    pub speedup: f64,
-}
-
-/// Predicts the distributed epoch time.
+/// Predicts the speedup of the distributed epoch over the single-device one.
 ///
 /// `single_epoch_seconds` is the one-device epoch cost (e.g. from the GPU
 /// simulator); `comm` the per-round communication stats of the chosen
 /// partitioning; `rounds` the aggregation rounds per epoch (layers × passes ×
-/// steps); `feat_dim` the embedding width.
+/// steps); `feat_dim` the embedding width. The distributed epoch is the
+/// compute share (perfectly divided across the workers) plus the
+/// communication share.
 ///
 /// # Panics
 ///
@@ -60,7 +47,7 @@ pub fn epoch_scaling(
     rounds: usize,
     feat_dim: usize,
     cluster: &ClusterConfig,
-) -> ScalingPoint {
+) -> f64 {
     let k = comm.partitions;
     assert!(k > 0, "need at least one partition");
     let compute = single_epoch_seconds / k as f64;
@@ -71,14 +58,7 @@ pub fn epoch_scaling(
     let per_round = bytes / (cluster.bandwidth * k as f64)
         + cluster.latency * (comm.comm_pairs as f64 / k as f64).ceil();
     let comm_seconds = per_round * rounds as f64;
-    let total = compute + comm_seconds;
-    ScalingPoint {
-        partitions: k,
-        compute_seconds: compute,
-        comm_seconds,
-        total_seconds: total,
-        speedup: single_epoch_seconds / total,
-    }
+    single_epoch_seconds / (compute + comm_seconds)
 }
 
 #[cfg(test)]
@@ -109,22 +89,19 @@ mod tests {
     #[test]
     fn single_worker_is_identity() {
         let (cut, _) = stats(1);
-        let p = epoch_scaling(2.0, &cut, 10, 64, &ClusterConfig::ten_gbe());
-        assert!((p.total_seconds - 2.0).abs() < 1e-9);
-        assert!((p.speedup - 1.0).abs() < 1e-9);
+        let speedup = epoch_scaling(2.0, &cut, 10, 64, &ClusterConfig::ten_gbe());
+        assert!((speedup - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn path_partition_scales_better_at_high_k() {
         let cluster = ClusterConfig::ten_gbe();
         let (cut, path) = stats(32);
-        let cut_point = epoch_scaling(2.0, &cut, 200, 64, &cluster);
-        let path_point = epoch_scaling(2.0, &path, 200, 64, &cluster);
+        let cut_speedup = epoch_scaling(2.0, &cut, 200, 64, &cluster);
+        let path_speedup = epoch_scaling(2.0, &path, 200, 64, &cluster);
         assert!(
-            path_point.speedup > cut_point.speedup,
-            "path {} vs cut {}",
-            path_point.speedup,
-            cut_point.speedup
+            path_speedup > cut_speedup,
+            "path {path_speedup} vs cut {cut_speedup}"
         );
     }
 
@@ -132,9 +109,9 @@ mod tests {
     fn speedup_is_bounded_by_k() {
         for k in [2usize, 8, 32] {
             let (_, path) = stats(k);
-            let p = epoch_scaling(5.0, &path, 50, 64, &NVLINK);
-            assert!(p.speedup <= k as f64 + 1e-9);
-            assert!(p.speedup > 1.0, "k={k} gained nothing: {}", p.speedup);
+            let speedup = epoch_scaling(5.0, &path, 50, 64, &NVLINK);
+            assert!(speedup <= k as f64 + 1e-9);
+            assert!(speedup > 1.0, "k={k} gained nothing: {speedup}");
         }
     }
 
@@ -143,6 +120,6 @@ mod tests {
         let (cut, _) = stats(16);
         let slow = epoch_scaling(1.0, &cut, 100, 64, &ClusterConfig::ten_gbe());
         let fast = epoch_scaling(1.0, &cut, 100, 64, &NVLINK);
-        assert!(fast.total_seconds < slow.total_seconds);
+        assert!(fast > slow);
     }
 }

@@ -64,16 +64,14 @@ proptest! {
         prop_assert!(p.volume_rows >= p.replica_rows);
     }
 
-    /// Scaling predictions are physical: positive times, speedup ≤ k, and
-    /// communication grows with volume.
+    /// Scaling predictions are physical: a positive speedup of at most k.
     #[test]
     fn scaling_is_physical(g in arb_graph(), k in 1usize..8) {
         let s = preprocess(&g, &MegaConfig::default()).unwrap();
         let stats = path_partition_volume(&s, k);
-        let point = epoch_scaling(1.0, &stats, 10, 32, &ClusterConfig::ten_gbe());
-        prop_assert!(point.total_seconds > 0.0);
-        prop_assert!(point.speedup <= k as f64 + 1e-9);
-        prop_assert!((point.compute_seconds + point.comm_seconds - point.total_seconds).abs() < 1e-12);
+        let speedup = epoch_scaling(1.0, &stats, 10, 32, &ClusterConfig::ten_gbe());
+        prop_assert!(speedup > 0.0);
+        prop_assert!(speedup <= k as f64 + 1e-9);
     }
 
     /// The one-chunk-per-worker plan is a segment partition the halo protocol

@@ -245,6 +245,11 @@ impl Batch {
     /// Builds a MEGA batch from samples and their preprocessed schedules
     /// (aligned by index).
     ///
+    /// The samples must be undirected, as [`crate::preprocess_samples`]
+    /// checks: each band slot carries one message each way, so a directed
+    /// graph would get two messages per covered arc where
+    /// [`Batch::baseline`] sends one.
+    ///
     /// # Panics
     ///
     /// Panics if `schedules.len() != samples.len()`.

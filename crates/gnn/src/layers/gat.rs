@@ -198,6 +198,7 @@ impl GatLayer {
 mod tests {
     use super::*;
     use crate::batch::Batch;
+    use crate::layers::Layer;
     use mega_core::{preprocess, MegaConfig};
     use mega_datasets::{zinc, DatasetSpec};
     use mega_tensor::Tensor;
@@ -297,39 +298,15 @@ mod tests {
 
     #[test]
     fn gat_tape_nodes_do_not_grow_with_heads() {
-        let samples: Vec<_> = zinc(&DatasetSpec::tiny(33))
-            .train
-            .into_iter()
-            .take(2)
-            .collect();
-        let schedules: Vec<_> = samples
-            .iter()
-            .map(|s| preprocess(&s.graph, &MegaConfig::default()).unwrap())
-            .collect();
-        let d = 8;
         // Leaves included: W, E, three scores (weight, bias, tile, mask,
         // linear), their shared mask, edge_sum, leaky_relu, attend, O and
         // the norm — plus the baseline's gathers, adds and attention chain.
-        for (batch, nodes) in [
-            (Batch::mega(&samples, &schedules), 31),
-            (Batch::baseline(&samples), 38),
-        ] {
-            for heads in [1, 2, 4, 8] {
-                let mut store = ParamStore::new();
-                let mut rng = StdRng::seed_from_u64(1);
-                let layer = GatLayer::new(&mut store, "g0", d, heads, &mut rng);
-                let mut tape = Tape::new();
-                let h = tape.leaf(testing::varied(batch.indices.n_nodes, d, 1));
-                let e = tape.leaf(testing::varied(batch.indices.msg_count(), d, 2));
-                let before = tape.len();
-                layer.forward(&mut tape, &mut Binder::new(), &store, &batch.indices, h, e);
-                assert_eq!(
-                    tape.len() - before,
-                    nodes,
-                    "{:?}, {heads} heads",
-                    batch.indices.engine()
-                );
-            }
+        for heads in [1, 2, 4, 8] {
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(1);
+            let layer = Layer::Gat(GatLayer::new(&mut store, "g0", 8, heads, &mut rng));
+            let nodes = testing::tape_nodes(&layer, &store, 8);
+            assert_eq!(nodes, [31, 38], "mega, baseline at {heads} heads");
         }
     }
 

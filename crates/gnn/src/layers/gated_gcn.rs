@@ -145,6 +145,7 @@ impl GatedGcnLayer {
 mod tests {
     use super::*;
     use crate::batch::Batch;
+    use crate::layers::Layer;
     use mega_core::{preprocess, MegaConfig};
     use mega_datasets::{zinc, DatasetSpec};
     use mega_tensor::Tensor;
@@ -210,6 +211,21 @@ mod tests {
                 let (h2, e2) = layer.forward_per_message(tape, binder, store, idx, h, e);
                 (h2, e2, Vec::new())
             },
+        );
+    }
+
+    #[test]
+    fn gated_gcn_tape_nodes_are_pinned() {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(1);
+        let layer = Layer::Gcn(GatedGcnLayer::new(&mut store, "l0", 8, &mut rng));
+        // Leaves included: A, B, V, C, U (weight, bias, linear), edge_sum,
+        // gate, two batch_norm_relus (gamma, beta, node) and three adds —
+        // the baseline gathers and chains what the two band ops fuse.
+        assert_eq!(
+            testing::tape_nodes(&layer, &store, 8),
+            [26, 34],
+            "mega, baseline"
         );
     }
 

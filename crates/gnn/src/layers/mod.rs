@@ -51,6 +51,7 @@ impl Layer {
 /// batch, under both backends.
 #[cfg(test)]
 pub(crate) mod testing {
+    use super::Layer;
     use crate::batch::{Batch, EngineIndices, Route};
     use crate::nn::{Binder, Linear};
     use mega_core::{preprocess, MegaConfig};
@@ -164,6 +165,28 @@ pub(crate) mod testing {
             .flat_map(|r| blocks.iter().flat_map(move |b| b.row(r).iter().copied()))
             .collect();
         Tensor::from_vec(rows, data.len() / rows, data)
+    }
+
+    /// The tape nodes one `layer.forward` records, its parameters' leaves
+    /// included, on a MEGA and on a baseline batch of two tiny ZINC graphs.
+    pub(crate) fn tape_nodes(layer: &Layer, store: &ParamStore, d: usize) -> [usize; 2] {
+        let samples: Vec<_> = zinc(&DatasetSpec::tiny(33))
+            .train
+            .into_iter()
+            .take(2)
+            .collect();
+        let schedules: Vec<_> = samples
+            .iter()
+            .map(|s| preprocess(&s.graph, &MegaConfig::default()).expect("schedulable"))
+            .collect();
+        [Batch::mega(&samples, &schedules), Batch::baseline(&samples)].map(|batch| {
+            let mut tape = Tape::new();
+            let h = tape.leaf(varied(batch.indices.n_nodes, d, 1));
+            let e = tape.leaf(varied(batch.indices.msg_count(), d, 2));
+            let before = tape.len();
+            layer.forward(&mut tape, &mut Binder::new(), store, &batch.indices, h, e);
+            tape.len() - before
+        })
     }
 
     /// Outputs and named gradients (every parameter, then the inputs) of one

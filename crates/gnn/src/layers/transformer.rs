@@ -206,6 +206,7 @@ impl GraphTransformerLayer {
 mod tests {
     use super::*;
     use crate::batch::Batch;
+    use crate::layers::Layer;
     use mega_datasets::{zinc, DatasetSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -265,6 +266,21 @@ mod tests {
                 },
             );
         }
+    }
+
+    #[test]
+    fn gt_tape_nodes_are_pinned() {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(1);
+        let layer = Layer::Gt(GraphTransformerLayer::new(&mut store, "t0", 8, 2, &mut rng));
+        // Leaves included: Q, K, V, E, edge_scores, attend, Oh, Oe, two
+        // two-linear FFNs and four add_layer_norms (gamma, beta, node) —
+        // the baseline gathers and chains what the two band ops fuse.
+        assert_eq!(
+            testing::tape_nodes(&layer, &store, 8),
+            [44, 52],
+            "mega, baseline"
+        );
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl Trainer {
         match self.engine {
             EngineChoice::Baseline => Vec::new(),
             EngineChoice::Mega => preprocess_samples(samples, &self.mega_config, &self.parallelism)
-                .expect("preprocessing of a valid graph cannot fail"),
+                .expect("preprocessing of a valid undirected graph cannot fail"),
         }
     }
 

@@ -33,9 +33,13 @@
 //! shape checks and arms that read only a shape work on released nodes;
 //! reading a released value panics with the node's index and op.
 //!
-//! Every op method runs its kernel before returning, so a [`Var`] has a
-//! value until the backward pass passes it. The fused ops
-//! ([`Tape::linear`], [`Tape::linear_relu`], [`Tape::batch_norm_relu`],
+//! Every op method runs its kernel before returning: the recorder is the
+//! op's one forward site, as its arm in the backward pass is its one
+//! backward site, and a [`Var`] has a value until the backward pass passes
+//! it. Ops that differ only by a flag — a GEMM epilogue, a [`Unary`]
+//! activation, a norm's fused activation, a sum's division into a mean —
+//! are one node kind with that flag, as the backend takes them. The fused
+//! ops ([`Tape::linear`], [`Tape::linear_relu`], [`Tape::batch_norm_relu`],
 //! [`Tape::add_layer_norm`]) are called by the layers that want them and
 //! are bit-identical, forward and backward, to the unfused chains they
 //! replace. [`Tape::add_layer_norm`] also takes over the buffer of its
@@ -95,26 +99,30 @@ impl Band {
     }
 }
 
+/// What produced a node. A fused shape is one variant with the flag or
+/// descriptor the backend takes for it: a [`Backend::gemm`] epilogue, a
+/// [`Unary`], a norm's activation.
 #[derive(Debug)]
 enum Op {
     Leaf,
-    MatMul(Var, Var),
-    /// `x · w + bias`, then a ReLU when `relu`.
-    Linear {
+    /// `x · w`, plus `bias` as the GEMM's epilogue when there is one, then a
+    /// ReLU when `relu` (only with a bias).
+    Gemm {
         x: Var,
         w: Var,
-        bias: Var,
+        bias: Option<Var>,
         relu: bool,
     },
     Add(Var, Var),
     Mul(Var, Var),
     AddRow(Var, Var),
     Scale(Var, f32),
-    Relu(Var),
-    LeakyRelu(Var, f32),
-    Sigmoid(Var),
-    Sum(Var),
-    Mean(Var),
+    Unary(Var, Unary),
+    /// The sum of all elements, over their count when `mean`.
+    Sum {
+        a: Var,
+        mean: bool,
+    },
     DivEps(Var, Var, f32),
     RowBlockSums(Var),
     MulColBroadcast(Var, Var),
@@ -159,8 +167,9 @@ enum Op {
         eps: f32,
         sum: Tensor,
     },
-    BatchNorm(Var, Var, Var, f32),
-    BatchNormRelu(Var, Var, Var, f32),
+    /// `(a, gamma, beta, eps, relu)`: batch normalization, then a ReLU when
+    /// `relu`.
+    BatchNorm(Var, Var, Var, f32, bool),
     L1Loss(Var, Arc<Tensor>),
     CrossEntropy(Var, Arc<Vec<usize>>),
 }
@@ -170,18 +179,18 @@ impl Op {
     fn kind_name(&self) -> &'static str {
         match self {
             Op::Leaf => "leaf",
-            Op::MatMul(..) => "matmul",
-            Op::Linear { relu: false, .. } => "linear",
-            Op::Linear { relu: true, .. } => "linear_relu",
+            Op::Gemm { bias: None, .. } => "matmul",
+            Op::Gemm { relu: false, .. } => "linear",
+            Op::Gemm { relu: true, .. } => "linear_relu",
             Op::Add(..) => "add",
             Op::Mul(..) => "mul",
             Op::AddRow(..) => "add_row",
             Op::Scale(..) => "scale",
-            Op::Relu(..) => "relu",
-            Op::LeakyRelu(..) => "leaky_relu",
-            Op::Sigmoid(..) => "sigmoid",
-            Op::Sum(..) => "sum",
-            Op::Mean(..) => "mean",
+            Op::Unary(_, Unary::Relu) => "relu",
+            Op::Unary(_, Unary::LeakyRelu(_)) => "leaky_relu",
+            Op::Unary(_, Unary::Sigmoid) => "sigmoid",
+            Op::Sum { mean: false, .. } => "sum",
+            Op::Sum { mean: true, .. } => "mean",
             Op::DivEps(..) => "div_eps",
             Op::RowBlockSums(..) => "row_block_sums",
             Op::MulColBroadcast(..) => "mul_col_broadcast",
@@ -197,9 +206,9 @@ impl Op {
             Op::BandGate { .. } => "band_gate",
             Op::LayerNorm(..) => "layer_norm",
             Op::AddLayerNorm { .. } => "add_layer_norm",
-            Op::BatchNorm(..) => "batch_norm",
+            Op::BatchNorm(.., false) => "batch_norm",
             // Named after the backend's fused-norm profile row.
-            Op::BatchNormRelu(..) => "batch_norm_act",
+            Op::BatchNorm(.., true) => "batch_norm_act",
             Op::L1Loss(..) => "l1_loss",
             Op::CrossEntropy(..) => "cross_entropy",
         }
@@ -209,11 +218,8 @@ impl Op {
     fn reads(&self, v: Var) -> bool {
         match self {
             Op::Leaf => false,
-            Op::Relu(a)
-            | Op::LeakyRelu(a, _)
-            | Op::Sigmoid(a)
-            | Op::Sum(a)
-            | Op::Mean(a)
+            Op::Unary(a, _)
+            | Op::Sum { a, .. }
             | Op::Scale(a, _)
             | Op::RowBlockSums(a)
             | Op::GatherRows(a, _)
@@ -221,8 +227,7 @@ impl Op {
             | Op::SegmentSoftmax(a, ..)
             | Op::L1Loss(a, _)
             | Op::CrossEntropy(a, _) => *a == v,
-            Op::MatMul(a, b)
-            | Op::Add(a, b)
+            Op::Add(a, b)
             | Op::Mul(a, b)
             | Op::AddRow(a, b)
             | Op::DivEps(a, b, _)
@@ -231,11 +236,9 @@ impl Op {
                 e_what: a, v: b, ..
             }
             | Op::BandGate { e_hat: a, v: b, .. } => [*a, *b].contains(&v),
-            Op::Linear { x, w, bias, .. } => [*x, *w, *bias].contains(&v),
+            Op::Gemm { x, w, bias, .. } => [*x, *w].contains(&v) || *bias == Some(v),
             Op::BandEdgeScores { q, k, ee, .. } => [*q, *k, *ee].contains(&v),
-            Op::LayerNorm(a, g, b, _)
-            | Op::BatchNorm(a, g, b, _)
-            | Op::BatchNormRelu(a, g, b, _) => [*a, *g, *b].contains(&v),
+            Op::LayerNorm(a, g, b, _) | Op::BatchNorm(a, g, b, ..) => [*a, *g, *b].contains(&v),
             Op::AddLayerNorm {
                 h, r, gamma, beta, ..
             } => [*h, *r, *gamma, *beta].contains(&v),
@@ -249,10 +252,10 @@ impl Op {
         matches!(
             self,
             Op::Leaf
-                | Op::Linear { relu: true, .. }
-                | Op::Sigmoid(..)
+                | Op::Gemm { relu: true, .. }
+                | Op::Unary(_, Unary::Sigmoid)
                 | Op::SegmentSoftmax(..)
-                | Op::BatchNormRelu(..)
+                | Op::BatchNorm(.., true)
         )
     }
 
@@ -373,8 +376,9 @@ impl Tape {
         }
     }
 
-    /// Sets the thread budget used by the tape's heavy kernels (currently the
-    /// matrix products of [`Tape::matmul`] and its backward pass).
+    /// Sets the thread budget used by the tape's heavy kernels: every GEMM,
+    /// forward ([`Tape::matmul`], [`Tape::linear`], [`Tape::linear_relu`])
+    /// and both backward products (`g · wᵀ` and `xᵀ · g`).
     ///
     /// The parallel kernels partition output rows, so results — forward
     /// values and gradients alike — are bit-identical for every setting.
@@ -464,13 +468,6 @@ impl Tape {
         Var(self.nodes.len() - 1)
     }
 
-    /// Executes a backend-dispatched op into an `rows × cols` value and
-    /// records it.
-    fn record(&mut self, rows: usize, cols: usize, op: Op) -> Var {
-        let value = self.execute(&op, rows, cols);
-        self.push_value(value, op)
-    }
-
     /// Records an input tensor (parameter or constant); gradients are
     /// computed for every leaf reachable from the loss.
     pub fn leaf(&mut self, t: Tensor) -> Var {
@@ -499,9 +496,7 @@ impl Tape {
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let ((n, k), (br, m)) = (self.dims(a), self.dims(b));
-        assert_eq!(k, br, "matmul: inner dims {n}x{k} · {br}x{m}");
-        self.record(n, m, Op::MatMul(a, b))
+        self.gemm_op(a, b, None, false)
     }
 
     /// Dense layer `x · w + bias` in one node: the bias is the GEMM's
@@ -515,7 +510,7 @@ impl Tape {
     ///
     /// Panics on inner-dimension mismatch or if `bias` is not `1 × w.cols()`.
     pub fn linear(&mut self, x: Var, w: Var, bias: Var) -> Var {
-        self.linear_op(x, w, bias, false)
+        self.gemm_op(x, w, Some(bias), false)
     }
 
     /// Fused dense layer: `relu(x · w + bias)` in one node, matching the
@@ -525,40 +520,57 @@ impl Tape {
     ///
     /// As [`Tape::linear`].
     pub fn linear_relu(&mut self, x: Var, w: Var, bias: Var) -> Var {
-        self.linear_op(x, w, bias, true)
+        self.gemm_op(x, w, Some(bias), true)
     }
 
-    /// Shape-checked recorder of [`Op::Linear`].
-    fn linear_op(&mut self, x: Var, w: Var, bias: Var, relu: bool) -> Var {
-        let ((n, k), (wr, m), (br, bc)) = (self.dims(x), self.dims(w), self.dims(bias));
-        assert_eq!(k, wr, "linear: inner dims {n}x{k} · {wr}x{m}");
-        assert_eq!(br, 1, "bias must be a single row");
-        assert_eq!(bc, m, "bias width mismatch");
-        self.record(n, m, Op::Linear { x, w, bias, relu })
-    }
-
-    /// Shape-checked recorder for same-shape elementwise binary ops.
-    fn elementwise_op(&mut self, a: Var, b: Var, op: Op) -> Var {
-        let (x, y) = (self.dims(a), self.dims(b));
-        assert_eq!(
-            x,
-            y,
-            "{}: shape mismatch {:?} vs {:?}",
-            op.kind_name(),
-            x,
-            y
+    /// Shape-checked recorder of [`Op::Gemm`]: one backend GEMM whose
+    /// epilogue adds `bias`, if any, and then applies the ReLU when `relu`.
+    fn gemm_op(&mut self, x: Var, w: Var, bias: Option<Var>, relu: bool) -> Var {
+        let ((n, k), (wr, m)) = (self.dims(x), self.dims(w));
+        let name = if bias.is_some() { "linear" } else { "matmul" };
+        assert_eq!(k, wr, "{name}: inner dims {n}x{k} · {wr}x{m}");
+        if let Some((br, bc)) = bias.map(|b| self.dims(b)) {
+            assert_eq!(br, 1, "bias must be a single row");
+            assert_eq!(bc, m, "bias width mismatch");
+        }
+        let epilogue = match (bias, relu) {
+            (None, _) => Epilogue::None,
+            (Some(b), false) => Epilogue::Bias(self.value(b).as_slice()),
+            (Some(b), true) => Epilogue::BiasRelu(self.value(b).as_slice()),
+        };
+        let mut out = self.out_buf(n, m);
+        self.backend.gemm(
+            Operand::RowMajor(self.value(x).as_slice()),
+            Operand::RowMajor(self.value(w).as_slice()),
+            n,
+            k,
+            m,
+            epilogue,
+            &self.par,
+            &mut out,
         );
-        self.record(x.0, x.1, op)
+        let op = Op::Gemm { x, w, bias, relu };
+        self.push_value(Tensor::from_vec(n, m, out), op)
     }
 
     /// Elementwise sum of same-shape tensors.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        self.elementwise_op(a, b, Op::Add(a, b))
+        let (r, c) = self.dims(a);
+        assert_eq!((r, c), self.dims(b), "add: shape mismatch");
+        let mut out = self.out_buf(r, c);
+        self.backend
+            .add(self.value(a).as_slice(), self.value(b).as_slice(), &mut out);
+        self.push_value(Tensor::from_vec(r, c, out), Op::Add(a, b))
     }
 
     /// Elementwise product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        self.elementwise_op(a, b, Op::Mul(a, b))
+        let (r, c) = self.dims(a);
+        assert_eq!((r, c), self.dims(b), "mul: shape mismatch");
+        let mut out = self.out_buf(r, c);
+        self.backend
+            .mul(self.value(a).as_slice(), self.value(b).as_slice(), &mut out);
+        self.push_value(Tensor::from_vec(r, c, out), Op::Mul(a, b))
     }
 
     /// Adds a `1 × c` bias row to every row of `a`, one [`Backend::add`]
@@ -571,46 +583,56 @@ impl Tape {
         let ((r, c), (br, bc)) = (self.dims(a), self.dims(bias));
         assert_eq!(br, 1, "bias must be a single row");
         assert_eq!(bc, c, "bias width mismatch");
-        self.record(r, c, Op::AddRow(a, bias))
+        let mut out = self.out_buf(r, c);
+        let bias_row = self.value(bias).as_slice();
+        for (o, x) in rows_of_mut(&mut out, c).zip(rows_of(self.value(a).as_slice(), c)) {
+            self.backend.add(x, bias_row, o);
+        }
+        self.push_value(Tensor::from_vec(r, c, out), Op::AddRow(a, bias))
     }
 
     /// Multiplies every element by `k`.
     pub fn scale(&mut self, a: Var, k: f32) -> Var {
         let (r, c) = self.dims(a);
-        self.record(r, c, Op::Scale(a, k))
+        let mut out = self.out_buf(r, c);
+        self.backend.scale(self.value(a).as_slice(), k, &mut out);
+        self.push_value(Tensor::from_vec(r, c, out), Op::Scale(a, k))
     }
 
-    /// Same-shape unary op recorder.
-    fn unary_op(&mut self, a: Var, op: Op) -> Var {
+    /// Same-shape activation recorder: one [`Backend::unary`].
+    fn unary_op(&mut self, a: Var, unary: Unary) -> Var {
         let (r, c) = self.dims(a);
-        self.record(r, c, op)
+        let mut out = self.out_buf(r, c);
+        self.backend
+            .unary(unary, self.value(a).as_slice(), &mut out);
+        self.push_value(Tensor::from_vec(r, c, out), Op::Unary(a, unary))
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        self.unary_op(a, Op::Relu(a))
+        self.unary_op(a, Unary::Relu)
     }
 
     /// Leaky rectified linear unit: `x` if positive, else `slope * x`.
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        self.unary_op(a, Op::LeakyRelu(a, slope))
+        self.unary_op(a, Unary::LeakyRelu(slope))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.unary_op(a, Op::Sigmoid(a))
+        self.unary_op(a, Unary::Sigmoid)
     }
 
     /// Sum of all elements (scalar `1 × 1`).
     pub fn sum(&mut self, a: Var) -> Var {
         let v = Tensor::from_vec(1, 1, vec![self.value(a).sum()]);
-        self.push_value(v, Op::Sum(a))
+        self.push_value(v, Op::Sum { a, mean: false })
     }
 
     /// Mean of all elements (scalar `1 × 1`).
     pub fn mean(&mut self, a: Var) -> Var {
         let v = Tensor::from_vec(1, 1, vec![self.value(a).mean()]);
-        self.push_value(v, Op::Mean(a))
+        self.push_value(v, Op::Sum { a, mean: true })
     }
 
     /// Elementwise `a / (b + eps)` for same-shape tensors (the paper's gated
@@ -707,16 +729,23 @@ impl Tape {
     /// Gathers rows of `a` by `index` (e.g. node features → per-edge source
     /// features, or node features → path positions).
     pub fn gather_rows(&mut self, a: Var, index: Arc<Vec<usize>>) -> Var {
-        let (_, c) = self.dims(a);
-        let rows = index.len();
-        self.record(rows, c, Op::GatherRows(a, index))
+        let (x, rows) = (self.value(a), index.len());
+        let (n, c) = x.shape();
+        let mut out = self.out_buf(rows, c);
+        self.backend
+            .gather_rows(x.as_slice(), n, c, &index, &mut out);
+        self.push_value(Tensor::from_vec(rows, c, out), Op::GatherRows(a, index))
     }
 
     /// Scatter-adds rows of `a` into `out_rows` buckets by `index` (e.g.
     /// per-edge messages → destination nodes, or path positions → nodes).
     pub fn scatter_add_rows(&mut self, a: Var, index: Arc<Vec<usize>>, out_rows: usize) -> Var {
-        let (_, c) = self.dims(a);
-        self.record(out_rows, c, Op::ScatterAddRows(a, index))
+        let (x, c) = (self.value(a), self.dims(a).1);
+        let mut out = self.pool.acquire(out_rows * c);
+        self.backend
+            .scatter_add_rows(x.as_slice(), &index, c, out_rows, &mut out);
+        let op = Op::ScatterAddRows(a, index);
+        self.push_value(Tensor::from_vec(out_rows, c, out), op)
     }
 
     /// Column-wise softmax within row segments: rows sharing `segments[i]`
@@ -729,7 +758,12 @@ impl Tape {
     pub fn segment_softmax(&mut self, a: Var, segments: Arc<Vec<usize>>, n_segments: usize) -> Var {
         let (r, c) = self.dims(a);
         assert_eq!(segments.len(), r, "one segment id per row required");
-        self.record(r, c, Op::SegmentSoftmax(a, segments, n_segments))
+        let mut out = self.out_buf(r, c);
+        let x = self.value(a).as_slice();
+        self.backend
+            .segment_softmax(x, r, c, &segments, n_segments, &mut out);
+        let op = Op::SegmentSoftmax(a, segments, n_segments);
+        self.push_value(Tensor::from_vec(r, c, out), op)
     }
 
     /// Graph Transformer edge scores over a MEGA batch's band, in one node:
@@ -807,18 +841,26 @@ impl Tape {
                 "band edge scores: {what} rows must be nodes x d"
             );
         }
-        let band = band.clone();
-        self.record(
-            m,
+        let mut out = self.out_buf(m, d);
+        let (vq, vk, vee) = (self.value(q), self.value(k), self.value(ee));
+        self.backend.band_edge_scores(
+            band.route(),
+            vq.as_slice(),
+            vk.as_slice(),
+            vee.as_slice(),
             d,
-            Op::BandEdgeScores {
-                q,
-                k,
-                ee,
-                band,
-                form,
-            },
-        )
+            form,
+            &mut out,
+        );
+        let band = band.clone();
+        let op = Op::BandEdgeScores {
+            q,
+            k,
+            ee,
+            band,
+            form,
+        };
+        self.push_value(Tensor::from_vec(m, d, out), op)
     }
 
     /// Attention over a MEGA batch's band, in one node: the per-head sums of
@@ -936,8 +978,32 @@ impl Tape {
     /// Row-wise layer normalization with learnable `gamma`, `beta` (each
     /// `1 × c`).
     pub fn layer_norm(&mut self, a: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let (r, c) = self.norm_dims("layer_norm", a, gamma, beta);
-        self.record(r, c, Op::LayerNorm(a, gamma, beta, eps))
+        self.norm_dims("layer_norm", a, gamma, beta);
+        let value = self.norm_forward(NormKind::Layer, a, gamma, beta, eps, None);
+        self.push_value(value, Op::LayerNorm(a, gamma, beta, eps))
+    }
+
+    /// The forward pass of a norm through [`Backend::norm`], shared by the
+    /// norm recorders: `x` normalized by `kind`, then `act` if any.
+    fn norm_forward(
+        &self,
+        kind: NormKind,
+        x: Var,
+        gamma: Var,
+        beta: Var,
+        eps: f32,
+        act: Option<Unary>,
+    ) -> Tensor {
+        let (rows, cols) = self.dims(x);
+        let mut out = self.out_buf(rows, cols);
+        let pass = NormPass::Forward {
+            x: self.value(x).as_slice(),
+            act,
+            out: &mut out,
+        };
+        let (g, b) = (self.value(gamma).as_slice(), self.value(beta).as_slice());
+        self.backend.norm(kind, pass, g, b, rows, cols, eps);
+        Tensor::from_vec(rows, cols, out)
     }
 
     /// `layer_norm(h + r, gamma, beta, eps)` in one node: a residual add and
@@ -1016,8 +1082,7 @@ impl Tape {
     /// Column-wise batch normalization (statistics over rows) with learnable
     /// `gamma`, `beta` (each `1 × c`). Training-mode statistics only.
     pub fn batch_norm(&mut self, a: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let (r, c) = self.norm_dims("batch_norm", a, gamma, beta);
-        self.record(r, c, Op::BatchNorm(a, gamma, beta, eps))
+        self.batch_norm_op(a, gamma, beta, eps, false)
     }
 
     /// Fused `relu(batch_norm(a, gamma, beta, eps))` in one node.
@@ -1026,8 +1091,20 @@ impl Tape {
     /// bit for bit while saving the intermediate tensor and one memory
     /// sweep.
     pub fn batch_norm_relu(&mut self, a: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let (r, c) = self.norm_dims("batch_norm_relu", a, gamma, beta);
-        self.record(r, c, Op::BatchNormRelu(a, gamma, beta, eps))
+        self.batch_norm_op(a, gamma, beta, eps, true)
+    }
+
+    /// Shape-checked recorder of [`Op::BatchNorm`].
+    fn batch_norm_op(&mut self, a: Var, gamma: Var, beta: Var, eps: f32, relu: bool) -> Var {
+        let name = if relu {
+            "batch_norm_relu"
+        } else {
+            "batch_norm"
+        };
+        self.norm_dims(name, a, gamma, beta);
+        let act = relu.then_some(Unary::Relu);
+        let value = self.norm_forward(NormKind::Batch, a, gamma, beta, eps, act);
+        self.push_value(value, Op::BatchNorm(a, gamma, beta, eps, relu))
     }
 
     /// Mean absolute error against a constant target (scalar output).
@@ -1078,176 +1155,6 @@ impl Tape {
             Tensor::from_vec(1, 1, vec![loss]),
             Op::CrossEntropy(logits, labels),
         )
-    }
-
-    /// Runs the backend kernel of `op`, whose output is `rows × cols`.
-    /// Ops computed inline by their op method (losses, reductions, concat)
-    /// never come through here.
-    fn execute(&self, op: &Op, rows: usize, cols: usize) -> Tensor {
-        match op {
-            Op::MatMul(a, b) => self.execute_gemm(*a, *b, Epilogue::None),
-            Op::Linear { x, w, bias, relu } => {
-                let bias = self.value(*bias).as_slice();
-                let epilogue = match relu {
-                    false => Epilogue::Bias(bias),
-                    true => Epilogue::BiasRelu(bias),
-                };
-                self.execute_gemm(*x, *w, epilogue)
-            }
-            Op::Add(a, b) => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend.add(
-                    self.value(*a).as_slice(),
-                    self.value(*b).as_slice(),
-                    &mut out,
-                );
-                Tensor::from_vec(rows, cols, out)
-            }
-            Op::Mul(a, b) => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend.mul(
-                    self.value(*a).as_slice(),
-                    self.value(*b).as_slice(),
-                    &mut out,
-                );
-                Tensor::from_vec(rows, cols, out)
-            }
-            Op::AddRow(a, bias) => {
-                let mut out = self.out_buf(rows, cols);
-                let bias = self.value(*bias).as_slice();
-                for (o, x) in
-                    rows_of_mut(&mut out, cols).zip(rows_of(self.value(*a).as_slice(), cols))
-                {
-                    self.backend.add(x, bias, o);
-                }
-                Tensor::from_vec(rows, cols, out)
-            }
-            Op::Scale(a, k) => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend.scale(self.value(*a).as_slice(), *k, &mut out);
-                Tensor::from_vec(rows, cols, out)
-            }
-            Op::Relu(a) => self.execute_unary(*a, Unary::Relu, rows, cols),
-            Op::LeakyRelu(a, slope) => self.execute_unary(*a, Unary::LeakyRelu(*slope), rows, cols),
-            Op::Sigmoid(a) => self.execute_unary(*a, Unary::Sigmoid, rows, cols),
-            Op::GatherRows(a, index) => {
-                let x = self.value(*a);
-                let mut out = self.out_buf(rows, cols);
-                self.backend
-                    .gather_rows(x.as_slice(), x.rows(), cols, index, &mut out);
-                Tensor::from_vec(rows, cols, out)
-            }
-            Op::ScatterAddRows(a, index) => {
-                let x = self.value(*a);
-                let mut out = self.pool.acquire(rows * cols);
-                self.backend
-                    .scatter_add_rows(x.as_slice(), index, cols, rows, &mut out);
-                Tensor::from_vec(rows, cols, out)
-            }
-            Op::BandEdgeScores {
-                q,
-                k,
-                ee,
-                band,
-                form,
-            } => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend.band_edge_scores(
-                    band.route(),
-                    self.value(*q).as_slice(),
-                    self.value(*k).as_slice(),
-                    self.value(*ee).as_slice(),
-                    cols,
-                    *form,
-                    &mut out,
-                );
-                Tensor::from_vec(rows, cols, out)
-            }
-            Op::SegmentSoftmax(a, segments, n_segments) => {
-                let mut out = self.out_buf(rows, cols);
-                self.backend.segment_softmax(
-                    self.value(*a).as_slice(),
-                    rows,
-                    cols,
-                    segments,
-                    *n_segments,
-                    &mut out,
-                );
-                Tensor::from_vec(rows, cols, out)
-            }
-            Op::LayerNorm(a, gamma, beta, eps) => {
-                self.execute_norm(NormKind::Layer, *a, *gamma, *beta, *eps, None)
-            }
-            Op::BatchNorm(a, gamma, beta, eps) => {
-                self.execute_norm(NormKind::Batch, *a, *gamma, *beta, *eps, None)
-            }
-            Op::BatchNormRelu(a, gamma, beta, eps) => {
-                self.execute_norm(NormKind::Batch, *a, *gamma, *beta, *eps, Some(Unary::Relu))
-            }
-            Op::Leaf
-            | Op::Sum(..)
-            | Op::Mean(..)
-            | Op::DivEps(..)
-            | Op::RowBlockSums(..)
-            | Op::MulColBroadcast(..)
-            | Op::ConcatCols(..)
-            | Op::BandAttend { .. }
-            | Op::BandGate { .. }
-            | Op::AddLayerNorm { .. }
-            | Op::L1Loss(..)
-            | Op::CrossEntropy(..) => {
-                unreachable!("op `{}` is computed by its op method", op.kind_name())
-            }
-        }
-    }
-
-    /// GEMM executor shared by the plain and fused-epilogue matmul ops:
-    /// `x · w` (an `n × k` by `k × m` product) followed by `epilogue`.
-    fn execute_gemm(&self, x: Var, w: Var, epilogue: Epilogue<'_>) -> Tensor {
-        let ((n, k), (_, m)) = (self.dims(x), self.dims(w));
-        let mut out = self.out_buf(n, m);
-        self.backend.gemm(
-            Operand::RowMajor(self.value(x).as_slice()),
-            Operand::RowMajor(self.value(w).as_slice()),
-            n,
-            k,
-            m,
-            epilogue,
-            &self.par,
-            &mut out,
-        );
-        Tensor::from_vec(n, m, out)
-    }
-
-    /// Normalization executor shared by the plain and fused-activation
-    /// norm ops.
-    fn execute_norm(
-        &self,
-        kind: NormKind,
-        x: Var,
-        gamma: Var,
-        beta: Var,
-        eps: f32,
-        act: Option<Unary>,
-    ) -> Tensor {
-        let (rows, cols) = self.dims(x);
-        let mut out = self.out_buf(rows, cols);
-        let pass = NormPass::Forward {
-            x: self.value(x).as_slice(),
-            act,
-            out: &mut out,
-        };
-        let (g, b) = (self.value(gamma).as_slice(), self.value(beta).as_slice());
-        self.backend.norm(kind, pass, g, b, rows, cols, eps);
-        Tensor::from_vec(rows, cols, out)
-    }
-
-    /// Elementwise activation executor shared by the unary ops.
-    fn execute_unary(&self, a: Var, unary: Unary, rows: usize, cols: usize) -> Tensor {
-        let mut out = self.out_buf(rows, cols);
-        self.backend
-            .unary(unary, self.value(a).as_slice(), &mut out);
-        Tensor::from_vec(rows, cols, out)
     }
 
     /// Folds one contribution into the gradient of `v` — with
@@ -1312,7 +1219,7 @@ impl Tape {
 
     /// Column sums of the row-major `g` (`cols` wide) into a pooled `1 ×
     /// cols` buffer, folding rows in ascending order — the bias gradient of
-    /// `AddRow` and `Linear`.
+    /// `AddRow` and of a `Gemm` with a bias.
     fn col_sums(&self, g: &[f32], cols: usize) -> Vec<f32> {
         let mut sums = self.pool.acquire(cols);
         for row in rows_of(g, cols) {
@@ -1484,11 +1391,7 @@ impl Tape {
         let (node, own) = (&self.nodes[idx], Var(idx));
         match &node.op {
             Op::Leaf => unreachable!("leaves keep their gradient"),
-            Op::MatMul(a, b) => {
-                self.gemm_backward(&g, *a, *b, grads);
-                self.pool.release(g);
-            }
-            Op::Linear { x, w, bias, relu } => {
+            Op::Gemm { x, w, bias, relu } => {
                 // Mask the upstream gradient by the activation: the kept
                 // pre-activations are exactly the positive outputs.
                 if *relu {
@@ -1496,11 +1399,13 @@ impl Tape {
                 }
                 // dbias = column sums of the gradient, as the unfused
                 // AddRow backward folds them; dx = g · wᵀ, dw = xᵀ · g —
-                // the MatMul backward on the same `g`, which the
+                // the plain product's backward on the same `g`, which the
                 // unfused chain's intermediate would have adopted
                 // unchanged (an adopted gradient holds no `-0.0`).
-                let db = self.col_sums(&g, node.shape.1);
-                self.accumulate(grads, *bias, Cow::Owned(db));
+                if let Some(bias) = bias {
+                    let db = self.col_sums(&g, node.shape.1);
+                    self.accumulate(grads, *bias, Cow::Owned(db));
+                }
                 self.gemm_backward(&g, *x, *w, grads);
                 self.pool.release(g);
             }
@@ -1530,27 +1435,27 @@ impl Tape {
                 }
                 self.accumulate(grads, *a, Cow::Owned(g));
             }
-            Op::Relu(a) => {
-                keep_where_positive(&mut g, self.value(*a).as_slice());
-                self.accumulate(grads, *a, Cow::Owned(g));
-            }
-            Op::LeakyRelu(a, slope) => {
-                for (gv, &x) in g.iter_mut().zip(self.value(*a).as_slice()) {
-                    *gv = if x > 0.0 { *gv } else { *gv * slope };
+            Op::Unary(a, unary) => {
+                match unary {
+                    Unary::Relu => keep_where_positive(&mut g, self.value(*a).as_slice()),
+                    Unary::LeakyRelu(slope) => {
+                        for (gv, &x) in g.iter_mut().zip(self.value(*a).as_slice()) {
+                            *gv = if x > 0.0 { *gv } else { *gv * slope };
+                        }
+                    }
+                    Unary::Sigmoid => {
+                        for (gv, &s) in g.iter_mut().zip(self.value(own).as_slice()) {
+                            *gv = *gv * s * (1.0 - s);
+                        }
+                    }
                 }
                 self.accumulate(grads, *a, Cow::Owned(g));
             }
-            Op::Sigmoid(a) => {
-                for (gv, &s) in g.iter_mut().zip(self.value(own).as_slice()) {
-                    *gv = *gv * s * (1.0 - s);
-                }
-                self.accumulate(grads, *a, Cow::Owned(g));
-            }
-            Op::Sum(a) | Op::Mean(a) => {
+            Op::Sum { a, mean } => {
                 let (r, c) = self.dims(*a);
-                let each = match node.op {
-                    Op::Mean(_) => g[0] / (r * c).max(1) as f32,
-                    _ => g[0],
+                let each = match mean {
+                    true => g[0] / (r * c).max(1) as f32,
+                    false => g[0],
                 };
                 let mut da = self.pool.acquire_for_overwrite(r * c);
                 da.fill(each);
@@ -1763,11 +1668,11 @@ impl Tape {
                     self.accumulate(grads, *r, Cow::Owned(g));
                 }
             }
-            Op::BatchNorm(a, gamma, beta, eps) | Op::BatchNormRelu(a, gamma, beta, eps) => {
+            Op::BatchNorm(a, gamma, beta, eps, relu) => {
                 // For the fused variant, first mask the upstream gradient
                 // exactly as the unfused relu backward would (output sign ==
                 // norm-output sign: relu preserves it).
-                if let Op::BatchNormRelu(..) = node.op {
+                if *relu {
                     keep_where_positive(&mut g, self.value(own).as_slice());
                 }
                 let x = self.value(*a);
@@ -2039,7 +1944,7 @@ mod tests {
             let bn_beta = t.leaf(sample(1, 8, 68));
             let wo = t.leaf(sample(8, 1, 69));
             // `h` feeds four consumers, so its gradient is touched repeatedly.
-            // One `Linear` node or the chain it replaced: the same bits.
+            // One `linear` node or the chain it replaced: the same bits.
             let h = if fused {
                 t.linear(x, w1, b1)
             } else {
@@ -2235,10 +2140,11 @@ mod tests {
         let before = tape.leaf(Tensor::full(3, 2, 5.0));
         // Recorded and consumed, but by a branch the loss never sees.
         let _dead_end = tape.scale(before, 2.0);
+        let unused = tape.leaf(Tensor::full(3, 1, 5.0));
         let loss = tape.sum(x);
         let after = tape.leaf(Tensor::full(1, 4, -7.0));
         let grads = tape.backward(loss);
-        for (leaf, shape) in [(before, (3, 2)), (after, (1, 4))] {
+        for (leaf, shape) in [(before, (3, 2)), (unused, (3, 1)), (after, (1, 4))] {
             let g = grads.wrt(leaf);
             assert_eq!(g.shape(), shape);
             assert!(g.as_slice().iter().all(|v| v.to_bits() == 0));
@@ -2448,22 +2354,22 @@ mod tests {
 
     #[test]
     fn grad_activations() {
-        check_grad(
-            sample(2, 3, 4),
-            |t, x| {
-                let y = t.sigmoid(x);
-                t.sum(y)
-            },
-            1e-2,
-        );
-        check_grad(
-            sample(2, 3, 6),
-            |t, x| {
-                let y = t.relu(x);
-                t.sum(y)
-            },
-            1e-2,
-        );
+        type Act = fn(&mut Tape, Var) -> Var;
+        let acts: [(u32, Act); 3] = [
+            (4, |t, x| t.sigmoid(x)),
+            (6, |t, x| t.relu(x)),
+            (27, |t, x| t.leaky_relu(x, 0.2)),
+        ];
+        for (seed, act) in acts {
+            check_grad(
+                sample(2, 3, seed),
+                |t, x| {
+                    let y = act(t, x);
+                    t.sum(y)
+                },
+                1e-2,
+            );
+        }
     }
 
     #[test]
@@ -2656,18 +2562,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_leaky_relu() {
-        check_grad(
-            sample(2, 3, 27),
-            |t, x| {
-                let y = t.leaky_relu(x, 0.2);
-                t.sum(y)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
     fn grad_losses() {
         let target = sample(3, 1, 19);
         check_grad(
@@ -2696,16 +2590,6 @@ mod tests {
             },
             2e-2,
         );
-    }
-
-    #[test]
-    fn unused_leaf_gets_zero_grad() {
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::full(2, 2, 1.0));
-        let unused = tape.leaf(Tensor::full(3, 1, 5.0));
-        let loss = tape.sum(x);
-        let grads = tape.backward(loss);
-        assert!(grads.wrt(unused).as_slice().iter().all(|&g| g == 0.0));
     }
 
     #[test]
@@ -2749,6 +2633,63 @@ mod tests {
         let (idx, kind) = tape.first_nonfinite().expect("nan on tape");
         assert_eq!((idx, kind), (0, "leaf"));
         let _ = x;
+        // Every kind a merged op variant records, each where non-finiteness
+        // enters behind finite leaves: a kernel that writes NaN, or a sum
+        // over `x` that overflows. Operands: `x`, `w` (2 x 2), a `1 x 2` row.
+        type Record = fn(&mut Tape, Var, Var, Var) -> Var;
+        let table: [(&str, Record); 10] = [
+            ("matmul", |t, x, w, _| t.matmul(x, w)),
+            ("linear", |t, x, w, row| t.linear(x, w, row)),
+            ("linear_relu", |t, x, w, row| t.linear_relu(x, w, row)),
+            ("relu", |t, x, _, _| t.relu(x)),
+            ("leaky_relu", |t, x, _, _| t.leaky_relu(x, 0.2)),
+            ("sigmoid", |t, x, _, _| t.sigmoid(x)),
+            ("sum", |t, x, _, _| t.sum(x)),
+            ("mean", |t, x, _, _| t.mean(x)),
+            ("batch_norm", |t, x, _, row| t.batch_norm(x, row, row, 1e-5)),
+            ("batch_norm_act", |t, x, _, row| {
+                t.batch_norm_relu(x, row, row, 1e-5)
+            }),
+        ];
+        for (name, record) in table {
+            let mut tape = Tape::with_exec(Arc::new(NanKernels), Arc::new(BufferPool::new()));
+            let x = tape.leaf(Tensor::from_vec(2, 2, vec![f32::MAX; 4]));
+            let w = tape.leaf(Tensor::from_vec(2, 2, vec![1.0; 4]));
+            let row = tape.leaf(Tensor::from_vec(1, 2, vec![1.0; 2]));
+            record(&mut tape, x, w, row);
+            assert_eq!(tape.first_nonfinite(), Some((3, name)));
+        }
+    }
+
+    /// A backend whose activation and forward-norm kernels write NaN whatever
+    /// their inputs: the op that calls one is where non-finiteness enters
+    /// the tape.
+    #[derive(Debug)]
+    struct NanKernels;
+
+    impl Backend for NanKernels {
+        fn name(&self) -> &'static str {
+            "nan"
+        }
+
+        fn unary(&self, _: Unary, _: &[f32], out: &mut [f32]) {
+            out.fill(f32::NAN);
+        }
+
+        fn norm(
+            &self,
+            _: NormKind,
+            pass: NormPass<'_>,
+            _: &[f32],
+            _: &[f32],
+            _: usize,
+            _: usize,
+            _: f32,
+        ) {
+            if let NormPass::Forward { out, .. } = pass {
+                out.fill(f32::NAN);
+            }
+        }
     }
 
     #[test]

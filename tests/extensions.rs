@@ -71,7 +71,7 @@ fn scaling_model_prefers_path_partition() {
     let g = generate::barabasi_albert(300, 3, &mut StdRng::seed_from_u64(5)).unwrap();
     let s = preprocess(&g, &MegaConfig::default()).unwrap();
     let cluster = ClusterConfig::ten_gbe();
-    let speedup = |stats: &CommStats| epoch_scaling(0.5, stats, 100, 64, &cluster).speedup;
+    let speedup = |stats: &CommStats| epoch_scaling(0.5, stats, 100, 64, &cluster);
     let mut last_speedup = 0.0;
     for k in [2usize, 8, 32] {
         let path = speedup(&path_partition_volume(&s, k));
